@@ -12,33 +12,12 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 (* Zigzag mapping so small negative values (genesis positions, sentinel
    snapshots) stay one byte. *)
-let zigzag v = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)
-
 let unzigzag v =
   Int64.logxor
     (Int64.shift_right_logical v 1)
     (Int64.neg (Int64.logand v 1L))
 
-let w_zint w v =
-  (* Unboxed fast path: for |v| < 2^60 the native zigzag equals the
-     64-bit one, and the non-negative result takes Writer.varint's
-     allocation-free loop.  Larger magnitudes (never produced by log
-     positions or keys, but the format must stay total) keep the exact
-     Int64 semantics. *)
-  let s = v asr 60 in
-  if s = 0 || s = -1 then Wire.Writer.varint w (v lsl 1 lxor (v asr 62))
-  else Wire.Writer.varint64 w (zigzag (Int64.of_int v))
 let r_zint r = Int64.to_int (unzigzag (Wire.Reader.varint64 r))
-
-let w_vn w = function
-  | Vn.Logged { pos; idx } ->
-      Wire.Writer.u8 w 0;
-      w_zint w pos;
-      Wire.Writer.varint w idx
-  | Vn.Ephemeral { thread; seq } ->
-      Wire.Writer.u8 w 1;
-      Wire.Writer.varint w thread;
-      Wire.Writer.varint w seq
 
 let r_vn r =
   match Wire.Reader.u8 r with
@@ -51,20 +30,6 @@ let r_vn r =
       let seq = Wire.Reader.varint r in
       Vn.ephemeral ~thread ~seq
   | tag -> corrupt "bad VN tag %d" tag
-
-(* [w_vn] over the packed source-version words — same bytes, no boxed
-   [Vn.t] in between. *)
-let w_vn_parts w ~eph ~a ~b =
-  if eph then begin
-    Wire.Writer.u8 w 1;
-    Wire.Writer.varint w a;
-    Wire.Writer.varint w b
-  end
-  else begin
-    Wire.Writer.u8 w 0;
-    w_zint w a;
-    Wire.Writer.varint w b
-  end
 
 let isolation_to_int = function
   | Intention.Serializable -> 0
@@ -82,115 +47,197 @@ let tag_empty = 0
 let tag_inside = 1
 let tag_ref = 2
 
+(* ---- encoder ----------------------------------------------------------- *)
+(* Each node reserves its worst-case size once, then is written with
+   unchecked stores through the position-returning helpers below: no grow
+   check and no cross-module call per byte.
+
+   Worst case of one node, besides its payload bytes.  A varint is at
+   most 10 bytes (ceil (64 / 7); a 63-bit int needs only 9, the bound
+   does not rely on it):
+     key                                      10
+     flags                                     1
+     payload length prefix                    10
+     ssv, scv: tag 1 + two varints 20     2 x 21
+     left, right: tag 1 + ref VN 21 + key 10  2 x 32
+                                             ---
+                                             127 *)
+let node_bound = 127
+
+(* The header — snapshot, server, txn_seq (varints), isolation (a byte),
+   node count (varint) — is written after the body, once the count is
+   known, into a gap of its worst-case size in front of it. *)
+let header_bound = 10 + 10 + 10 + 1 + 10
+
+let[@inline] put_u8 buf p v =
+  Bytes.unsafe_set buf p (Char.unsafe_chr v);
+  p + 1
+
+(* LEB128 over [v] read as an unsigned 63-bit word. *)
+let rec put_varint buf p v =
+  if v land lnot 0x7F = 0 then put_u8 buf p v
+  else put_varint buf (put_u8 buf p (v land 0x7F lor 0x80)) (v lsr 7)
+
+let[@inline] put_uint buf p v =
+  if v < 0 then invalid_arg "Codec.encode: negative varint";
+  put_varint buf p v
+
+(* Zigzag of the int sign-extended to 64 bits.  Its bit 63 is always
+   clear, so the low 63 bits, computed natively, are the whole value:
+   the same bytes as the [Int64] mapping, with no boxing at any
+   magnitude. *)
+let[@inline] put_zint buf p v = put_varint buf p ((v lsl 1) lxor (v asr 62))
+
+(* A version from its two words: [(pos, idx)] of a logged one, after tag
+   0, or [(thread, seq)] of an ephemeral one, after tag 1. *)
+let put_vn_parts buf p ~eph ~a ~b =
+  if eph then put_uint buf (put_uint buf (put_u8 buf p 1) a) b
+  else put_uint buf (put_zint buf (put_u8 buf p 0) a) b
+
+let put_vn buf p = function
+  | Vn.Logged { pos; idx } -> put_vn_parts buf p ~eph:false ~a:pos ~b:idx
+  | Vn.Ephemeral { thread; seq } -> put_vn_parts buf p ~eph:true ~a:thread ~b:seq
+
+let put_kid buf p idx (c : Node.tree) =
+  if idx >= 0 then put_uint buf (put_u8 buf p tag_inside) idx
+  else if c == Node.empty then put_u8 buf p tag_empty
+  else put_zint buf (put_vn buf (put_u8 buf p tag_ref) c.vn) c.key
+
+(* A growable buffer, optionally backed by a per-domain Buf_pool, so the
+   steady state allocates only the result string. *)
+type encoder = {
+  pool : Hyder_util.Buf_pool.t option;
+  mutable buf : Bytes.t;
+  mutable len : int;  (** bytes written, header gap included *)
+  mutable next_idx : int;  (** post-order index of the next node *)
+}
+
+let alloc pool size =
+  match pool with
+  | None -> Bytes.create size
+  | Some p -> Hyder_util.Buf_pool.acquire p size
+
+let grow e need =
+  let cap = ref (max 16 (2 * Bytes.length e.buf)) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let bigger = alloc e.pool !cap in
+  Bytes.blit e.buf 0 bigger 0 e.len;
+  (match e.pool with
+  | None -> ()
+  | Some p -> Hyder_util.Buf_pool.release p e.buf);
+  e.buf <- bigger
+
+let[@inline] reserve e n = if e.len + n > Bytes.length e.buf then grow e (e.len + n)
+
+let draft_bits = Meta.owner_bits Intention.draft_owner
+let[@inline] is_draft (n : Node.tree) =
+  n != Node.empty && n.meta land Meta.owner_mask = draft_bits
+
+(* Post-order: children first; an inside child's index is the value the
+   recursion returns ([-1]: not an inside node, the child is written as
+   a ref — kept as a plain int so the walk allocates nothing). *)
+let rec put_node e (n : Node.tree) =
+  if not (is_draft n) then -1
+  else begin
+    let li = put_node e n.left in
+    let ri = put_node e n.right in
+    let m = n.meta in
+    (* An unaltered node's payload equals its source version's, so it is
+       not shipped: the decoder recovers it through ssv.  This is what
+       keeps serializable-isolation intentions metadata-sized despite
+       carrying the whole readset (Section 6.4.4). *)
+    let elide = m land Meta.altered = 0 && m land Meta.ssv_present <> 0 in
+    let tomb = match n.payload with Payload.Tombstone -> true | _ -> false in
+    (* An elided payload's string is never touched: it belongs to the
+       snapshot and is usually cold. *)
+    let plen =
+      match n.payload with
+      | Payload.Value s when not elide -> String.length s
+      | _ -> 0
+    in
+    (* The low three meta bits are the low three wire flag bits. *)
+    let flags =
+      m land 0x7
+      lor (if m land Meta.ssv_present <> 0 then 8 else 0)
+      lor (if m land Meta.scv_present <> 0 then 16 else 0)
+      lor (if tomb then 32 else 0)
+      lor if elide then 64 else 0
+    in
+    reserve e (node_bound + plen);
+    let buf = e.buf in
+    let p = put_u8 buf (put_zint buf e.len n.key) flags in
+    let p =
+      match n.payload with
+      | Payload.Value s when not elide ->
+          let p = put_uint buf p plen in
+          Bytes.unsafe_blit_string s 0 buf p plen;
+          p + plen
+      | _ -> p
+    in
+    let p =
+      if m land Meta.ssv_present = 0 then p
+      else
+        put_vn_parts buf p ~eph:(m land Meta.ssv_ephemeral <> 0) ~a:n.ssv_a
+          ~b:n.ssv_b
+    in
+    let p =
+      if m land Meta.scv_present = 0 then p
+      else
+        put_vn_parts buf p ~eph:(m land Meta.scv_ephemeral <> 0) ~a:n.scv_a
+          ~b:n.scv_b
+    in
+    e.len <- put_kid buf (put_kid buf p li n.left) ri n.right;
+    let idx = e.next_idx in
+    e.next_idx <- idx + 1;
+    idx
+  end
+
 (* The snapshot position is deliberately the FIRST field: schedulers can
    tell from one varint whether an intention's references resolve against
-   already-recorded state (see [peek_snapshot]) without decoding it. *)
-let encode_onto w (d : Intention.draft) =
-  w_zint w d.snapshot;
-  Wire.Writer.varint w d.server;
-  Wire.Writer.varint w d.txn_seq;
-  Wire.Writer.u8 w (isolation_to_int d.isolation);
-  (* Count inside nodes first so the decoder can size its index table. *)
-  let rec count t =
-    if t == Node.empty || Node.owner t <> Intention.draft_owner then 0
-    else 1 + count t.left + count t.right
-  in
-  Wire.Writer.varint w (count d.root);
-  let next_idx = ref 0 in
-  let w_child c =
-    if c == Node.empty then Wire.Writer.u8 w tag_empty
-    else if Node.owner c = Intention.draft_owner then corrupt "child before parent"
-    else begin
-      Wire.Writer.u8 w tag_ref;
-      w_vn w c.vn;
-      w_zint w c.key
-    end
-  in
-  (* Post-order: children first; an inside child's index is the value the
-     recursion returns ([-1]: not an inside node, the child is written as
-     a ref — kept as a plain int so the walk allocates nothing). *)
-  let rec go n =
-    if n == Node.empty || Node.owner n <> Intention.draft_owner then -1
-    else begin
-          let li = go n.left in
-          let ri = go n.right in
-          w_zint w n.key;
-          (* An unaltered node's payload equals its source version's, so it
-             is not shipped: the decoder recovers it through ssv.  This is
-             what keeps serializable-isolation intentions metadata-sized
-             despite carrying the whole readset (Section 6.4.4). *)
-          let elide_payload =
-            n.meta land Meta.altered = 0 && n.meta land Meta.ssv_present <> 0
-          in
-          (* The low three meta bits are the low three wire flag bits. *)
-          let flags =
-            n.meta land 0x7
-            lor (if n.meta land Meta.ssv_present <> 0 then 8 else 0)
-            lor (if n.meta land Meta.scv_present <> 0 then 16 else 0)
-            lor (if Payload.is_tombstone n.payload then 32 else 0)
-            lor (if elide_payload then 64 else 0)
-          in
-          Wire.Writer.u8 w flags;
-          (match n.payload with
-          | Payload.Tombstone -> ()
-          | Payload.Value _ when elide_payload -> ()
-          | Payload.Value s -> Wire.Writer.bytes w s);
-          if n.meta land Meta.ssv_present <> 0 then
-            w_vn_parts w
-              ~eph:(n.meta land Meta.ssv_ephemeral <> 0)
-              ~a:n.ssv_a ~b:n.ssv_b;
-          if n.meta land Meta.scv_present <> 0 then
-            w_vn_parts w
-              ~eph:(n.meta land Meta.scv_ephemeral <> 0)
-              ~a:n.scv_a ~b:n.scv_b;
-          (if li >= 0 then begin
-             Wire.Writer.u8 w tag_inside;
-             Wire.Writer.varint w li
-           end
-           else w_child n.left);
-          (if ri >= 0 then begin
-             Wire.Writer.u8 w tag_inside;
-             Wire.Writer.varint w ri
-           end
-           else w_child n.right);
-          let idx = !next_idx in
-          incr next_idx;
-          idx
-        end
-  in
-  if go d.root < 0 then
+   already-recorded state (see [peek_snapshot]) without decoding it.  The
+   node count that follows the header lets the decoder size its index
+   table. *)
+let encode_with e (d : Intention.draft) =
+  e.len <- header_bound;
+  e.next_idx <- 0;
+  reserve e 0;
+  if put_node e d.root < 0 && d.root != Node.empty then
     (* Empty intention trees (pure read-only txns under SI produce no
-       nodes) are legal; nothing more to write. *)
-    if d.root != Node.empty then corrupt "intention root is not a draft node"
+       nodes) are legal; a non-draft root is not. *)
+    corrupt "intention root is not a draft node";
+  let buf = e.buf in
+  let p = put_uint buf (put_uint buf (put_zint buf 0 d.snapshot) d.server) d.txn_seq in
+  let h = put_uint buf (put_u8 buf p (isolation_to_int d.isolation)) e.next_idx in
+  let body = e.len - header_bound in
+  let out = Bytes.create (h + body) in
+  Bytes.blit buf 0 out 0 h;
+  Bytes.blit buf header_bound out h body;
+  Bytes.unsafe_to_string out
 
-let encode (d : Intention.draft) =
-  let w = Wire.Writer.create ~capacity:8192 () in
-  encode_onto w d;
-  Wire.Writer.contents w
-
-let encoded_size d = String.length (encode d)
-
-(* A pooled encoder reuses one growable writer (optionally backed by a
-   per-domain Buf_pool), so steady-state encoding allocates only the
-   result string. *)
 module Encoder = struct
-  type t = Wire.Writer.t
+  type t = encoder
 
-  let create ?pool () = Wire.Writer.create ?pool ~capacity:8192 ()
+  let create ?pool () =
+    { pool; buf = alloc pool 8192; len = 0; next_idx = 0 }
 
-  let encode t d =
-    Wire.Writer.clear t;
-    encode_onto t d;
-    Wire.Writer.contents t
+  let encode = encode_with
 
-  let free t = Wire.Writer.free t
+  let free t =
+    (match t.pool with
+    | None -> ()
+    | Some p -> Hyder_util.Buf_pool.release p t.buf);
+    t.buf <- Bytes.empty;
+    t.len <- 0
 end
+
+let encode d = encode_with (Encoder.create ()) d
+let encoded_size d = String.length (encode d)
 
 type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 
-let peek_snapshot ?(off = 0) s =
-  let r = Wire.Reader.of_string ~pos:off s in
-  try r_zint r with Wire.Truncated -> corrupt "truncated intention header"
+let peek_snapshot ?(off = 0) s = View.peek_snapshot ~off s
 
 (* Shared decode core.  [r] is positioned at the start of an intention
    encoding spanning [len] bytes; [get_nodes count] supplies the swizzle

@@ -21,7 +21,7 @@ val encode : Intention.draft -> string
 
 val encoded_size : Intention.draft -> int
 
-(** Reusable encoder: one growable writer (optionally backed by a
+(** Reusable encoder: one growable buffer (optionally backed by a
     per-domain {!Hyder_util.Buf_pool}) serves every encode, so the steady
     state allocates only the result string.  Single-owner: one encoder
     per domain. *)
@@ -47,7 +47,8 @@ val peek_snapshot : ?off:int -> string -> int
     from the header without decoding.  The pipelined runtime uses this to
     decide whether a decode can be offloaded to a worker domain (its
     snapshot state is already recorded) or must wait for final meld to
-    catch up.  Raises {!Corrupt} on a truncated header. *)
+    catch up.  Allocates nothing.  Raises {!Corrupt} on a truncated
+    header. *)
 
 val decode : pos:int -> resolve:resolver -> string -> Intention.t
 (** Rebuild the intention appended at log position [pos].  Inside nodes get

@@ -15,8 +15,8 @@
    is total: it can run at any later stage, on any domain, and never
    consults a resolver or fails.
 
-   Lifetime: a view pins [bytes] (an immutable OCaml string, possibly a
-   shared batch slab) for as long as it lives.  Decode-side buffers are
+   Lifetime: a view pins its backing string (immutable, possibly a shared
+   batch slab) for as long as it lives.  Decode-side buffers are
    therefore never pooled — pools are for encode-side scratch only.
 
    Thread safety: one walker at a time.  [cur] is a scratch cursor for
@@ -44,6 +44,86 @@ let[@inline] kid_slot c = -c - 2
    block identity is what matters, the contents are never read. *)
 let unbound : Payload.t = Payload.Value (String.make 1 '\255')
 
+(* ---- cursor ----------------------------------------------------------- *)
+(* The parse and the cold re-readers read through one mutable cursor with
+   top-level readers, so a byte costs an inlined bounds check and a field
+   store — no closure call, no boxed position.  Semantics are
+   [Wire.Reader]'s: the same [Truncated] condition before every byte, and
+   [uint] matches [Int64.to_int (Wire.Reader.varint64 r)] exactly,
+   including the modulo-2^63 wrap (the shift-63 group can only contribute
+   bit 63, which [Int64.to_int] drops, so it is read and skipped rather
+   than shifted — an [lsl] by 63 is unspecified on 63-bit ints). *)
+
+type cursor = { src : string; limit : int; mutable at : int }
+
+let[@inline] u8 c =
+  let p = c.at in
+  if p >= c.limit then raise Wire.Truncated;
+  c.at <- p + 1;
+  Char.code (String.unsafe_get c.src p)
+
+(* The varint whose first byte [b0] (a continuation byte) was just read. *)
+let uint_slow c b0 =
+  let s = c.src and limit = c.limit in
+  let x = ref (b0 land 0x7F) and shift = ref 7 and p = ref c.at in
+  let continue = ref true in
+  while !continue do
+    if !shift > 63 || !p >= limit then raise Wire.Truncated;
+    let b = Char.code (String.unsafe_get s !p) in
+    incr p;
+    if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift);
+    shift := !shift + 7;
+    if b < 0x80 then continue := false
+  done;
+  c.at <- !p;
+  !x
+
+(* Single-byte fast path inline: most wire integers (child indexes,
+   version counters, payload lengths) fit in seven bits. *)
+let[@inline] uint c =
+  let b = u8 c in
+  if b < 0x80 then b else uint_slow c b
+
+(* Zigzag decode over that 63-bit wrap.  Encoder output never sets bit 63
+   (the zigzag of a 63-bit int fits in 63 bits), so this agrees with the
+   eager decoder's Int64 path on every buffer the encoder can emit. *)
+let[@inline] unzigzag u = u lsr 1 lxor -(u land 1)
+let[@inline] zint c = unzigzag (uint c)
+
+let[@inline] skip c n =
+  if n < 0 || n > c.limit - c.at then raise Wire.Truncated;
+  c.at <- c.at + n
+
+(* A source version's tag, validated; [true] for an ephemeral one. *)
+let[@inline] vn_tag c =
+  match u8 c with 0 -> false | 1 -> true | tag -> corrupt "bad VN tag %d" tag
+
+(* Read past one source version's words, validating them; its class. *)
+let skip_vn c =
+  let eph = vn_tag c in
+  ignore (if eph then uint c else zint c);
+  ignore (uint c);
+  eph
+
+(* The header's first varint, read as [uint] would but without a cursor:
+   the cursor is a heap record, and this runs several times per intention
+   on the scheduling path, where it must not allocate. *)
+let peek_snapshot ~off s =
+  if off < 0 then invalid_arg "View.peek_snapshot: negative offset";
+  let limit = String.length s in
+  let x = ref 0 and shift = ref 0 and p = ref off and continue = ref true in
+  try
+    while !continue do
+      if !shift > 63 || !p >= limit then raise Wire.Truncated;
+      let b = Char.code (String.unsafe_get s !p) in
+      incr p;
+      if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift);
+      shift := !shift + 7;
+      if b < 0x80 then continue := false
+    done;
+    unzigzag !x
+  with Wire.Truncated -> corrupt "truncated intention header"
+
 type t = {
   pos : int;
   snapshot : int;
@@ -52,14 +132,15 @@ type t = {
   isolation : int;  (** wire code 0..2; [Codec] converts *)
   node_count : int;
   byte_size : int;
-  bytes : string;  (** backing buffer, read in place (never pooled) *)
+  cur : cursor;
+      (** over the backing buffer, read in place (never pooled); the
+          scratch position for cold re-reads (single walker) *)
   hot : int array;  (** stride 4 per node: key, meta, kid_l, kid_r *)
   offs : int array;  (** absolute offset of each node's flags byte *)
   refs : Node.tree array;  (** bound external references, by slot *)
   pays : Payload.t array;  (** payload memo; [unbound] until forced *)
   mutable nodes : Node.tree array;
       (** materialization memo; empty until first use *)
-  mutable cur : int;  (** scratch cursor for cold re-reads (single walker) *)
 }
 
 let pos v = v.pos
@@ -78,107 +159,80 @@ let[@inline] ref_of v c = Array.unsafe_get v.refs (-c - 2)
 let[@inline] vn v idx = Vn.logged ~pos:v.pos ~idx
 
 (* ---- cold re-reads off the wire bytes -------------------------------- *)
-(* The parse below validates the whole encoding, so these re-readers can
-   use unchecked accesses: they only revisit byte ranges the parse read. *)
+(* The parse below validated the whole encoding, so these re-readers only
+   revisit byte ranges it read; the cursor's checks never fire here. *)
 
-let[@inline] u8 v =
-  let b = Char.code (String.unsafe_get v.bytes v.cur) in
-  v.cur <- v.cur + 1;
-  b
+let[@inline] flags v idx = Char.code (String.unsafe_get v.cur.src v.offs.(idx))
 
-let rvarint v =
-  let x = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    let b = u8 v in
-    x := !x lor ((b land 0x7F) lsl !shift);
-    shift := !shift + 7;
-    if b land 0x80 = 0 then continue := false
-  done;
-  !x
-
-let[@inline] rzint v =
-  let u = rvarint v in
-  u lsr 1 lxor - (u land 1)
-
-let[@inline] flags v idx = Char.code (String.unsafe_get v.bytes v.offs.(idx))
-
-(* Position [cur] at the node's source-version section (after the flags
-   byte and any inline payload); returns the wire flags. *)
+(* Position the cursor at the node's source-version section (after the
+   flags byte and any inline payload); returns the wire flags. *)
 let seek_sources v idx =
   let f = flags v idx in
-  v.cur <- v.offs.(idx) + 1;
-  if f land (32 lor 64) = 0 then begin
-    let len = rvarint v in
-    v.cur <- v.cur + len
-  end;
+  let c = v.cur in
+  c.at <- v.offs.(idx) + 1;
+  if f land (32 lor 64) = 0 then skip c (uint c);
   f
 
-let skip_vn v =
-  let eph = u8 v = 1 in
-  (if eph then ignore (rvarint v) else ignore (rzint v));
-  ignore (rvarint v)
+(* The version words at the cursor equal [x]'s. *)
+let vn_at_equals c (x : Vn.t) =
+  let eph = u8 c = 1 in
+  match x with
+  | Vn.Logged { pos; idx } -> (not eph) && zint c = pos && uint c = idx
+  | Vn.Ephemeral { thread; seq } -> eph && uint c = thread && uint c = seq
 
 (* Mirrors [Node.ssv_equals] over the packed wire words: presence and
    value class come from the meta word, the version words are re-read in
    place.  No allocation — this runs once per meld visit. *)
 let ssv_equals v idx (x : Vn.t) =
-  let m = meta v idx in
-  match x with
-  | Vn.Logged { pos; idx = i } ->
-      m land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral)
-      = Node.Meta.ssv_present
-      &&
-      (let _ = seek_sources v idx in
-       let _tag = u8 v in
-       rzint v = pos && rvarint v = i)
-  | Vn.Ephemeral { thread; seq } ->
-      m land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral)
-      = Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
-      &&
-      (let _ = seek_sources v idx in
-       let _tag = u8 v in
-       rvarint v = thread && rvarint v = seq)
+  let cls =
+    match x with
+    | Vn.Logged _ -> Node.Meta.ssv_present
+    | Vn.Ephemeral _ -> Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
+  in
+  meta v idx land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral) = cls
+  &&
+  (ignore (seek_sources v idx);
+   vn_at_equals v.cur x)
 
 let seek_scv v idx =
-  let f = seek_sources v idx in
-  if f land 8 <> 0 then skip_vn v
+  if seek_sources v idx land 8 <> 0 then ignore (skip_vn v.cur)
 
 let scv_equals v idx (x : Vn.t) =
-  let m = meta v idx in
-  match x with
-  | Vn.Logged { pos; idx = i } ->
-      m land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
-      = Node.Meta.scv_present
-      &&
-      (seek_scv v idx;
-       let _tag = u8 v in
-       rzint v = pos && rvarint v = i)
-  | Vn.Ephemeral { thread; seq } ->
-      m land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral)
-      = Node.Meta.scv_present lor Node.Meta.scv_ephemeral
-      &&
-      (seek_scv v idx;
-       let _tag = u8 v in
-       rvarint v = thread && rvarint v = seq)
+  let cls =
+    match x with
+    | Vn.Logged _ -> Node.Meta.scv_present
+    | Vn.Ephemeral _ -> Node.Meta.scv_present lor Node.Meta.scv_ephemeral
+  in
+  meta v idx land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral) = cls
+  &&
+  (seek_scv v idx;
+   vn_at_equals v.cur x)
+
+let vn_at c =
+  let eph = u8 c = 1 in
+  let a = if eph then uint c else zint c in
+  let b = uint c in
+  if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b
 
 (* Packed source-version words, exactly as the eager decoder stores them
    ([0, 0] when absent).  One tuple of immediates — callers are
    node-construction paths that allocate anyway. *)
 let sources v idx =
   let f = seek_sources v idx in
+  let c = v.cur in
   let ssv_a, ssv_b =
     if f land 8 <> 0 then begin
-      let eph = u8 v = 1 in
-      let a = if eph then rvarint v else rzint v in
-      (a, rvarint v)
+      let eph = u8 c = 1 in
+      let a = if eph then uint c else zint c in
+      (a, uint c)
     end
     else (0, 0)
   in
   let scv_a, scv_b =
     if f land 16 <> 0 then begin
-      let eph = u8 v = 1 in
-      let a = if eph then rvarint v else rzint v in
-      (a, rvarint v)
+      let eph = u8 c = 1 in
+      let a = if eph then uint c else zint c in
+      (a, uint c)
     end
     else (0, 0)
   in
@@ -194,9 +248,10 @@ let payload v idx =
       else begin
         (* elided slots (flag bit 64) were bound during the parse, so only
            an inline wire payload can still be unbound here *)
-        v.cur <- v.offs.(idx) + 1;
-        let len = rvarint v in
-        Payload.Value (String.sub v.bytes v.cur len)
+        let c = v.cur in
+        c.at <- v.offs.(idx) + 1;
+        let len = uint c in
+        Payload.Value (String.sub c.src c.at len)
       end
     in
     v.pays.(idx) <- p;
@@ -207,27 +262,18 @@ let payload v idx =
    is its own vn; an unaltered node's comes from its scv (whose presence
    the parse enforced). *)
 let cv v idx =
-  let m = meta v idx in
-  if m land Node.Meta.altered <> 0 then Vn.logged ~pos:v.pos ~idx
+  if meta v idx land Node.Meta.altered <> 0 then Vn.logged ~pos:v.pos ~idx
   else begin
     seek_scv v idx;
-    let eph = u8 v = 1 in
-    let a = if eph then rvarint v else rzint v in
-    let b = rvarint v in
-    if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b
+    vn_at v.cur
   end
 
 (* Option view of the ssv — cold paths only (corrupt-intention reports). *)
 let ssv v idx =
-  let m = meta v idx in
-  if m land Node.Meta.ssv_present = 0 then None
+  if meta v idx land Node.Meta.ssv_present = 0 then None
   else begin
-    let _ = seek_sources v idx in
-    let eph = u8 v = 1 in
-    let a = if eph then rvarint v else rzint v in
-    let b = rvarint v in
-    Some
-      (if eph then Vn.ephemeral ~thread:a ~seq:b else Vn.logged ~pos:a ~idx:b)
+    ignore (seek_sources v idx);
+    Some (vn_at v.cur)
   end
 
 (* ---- materialization -------------------------------------------------- *)
@@ -284,70 +330,55 @@ let[@inline] vn_matches (x : Vn.t) ~eph ~a ~b =
   | Vn.Logged { pos; idx } -> (not eph) && pos = a && idx = b
   | Vn.Ephemeral { thread; seq } -> eph && thread = a && seq = b
 
+(* One child descriptor of node [self], validated: [kid_empty], an inside
+   index, or a reference numbered into the next slot of [nrefs]. *)
+let read_kid c self nrefs =
+  match u8 c with
+  | 0 -> kid_empty
+  | 1 ->
+      let i = uint c in
+      if i < 0 || i >= self then corrupt "child index %d out of order" i;
+      i
+  | 2 ->
+      ignore (skip_vn c);
+      ignore (zint c);
+      (* slot number only; the binding pass fills it *)
+      let slot = !nrefs in
+      nrefs := slot + 1;
+      -slot - 2
+  | tag -> corrupt "bad child tag %d" tag
+
+(* Does child [c] carry this intention's writes ([obh]: its owner bits
+   plus has-writes)?  Empty kids never do, and neither do refs: a ref
+   resolves to a node owned by an earlier log position, so its owner bits
+   can never equal this intention's (the eager decoder computes the same
+   test against the resolved node and always gets false) — which is why
+   unbound ref slots are sound here. *)
+let[@inline] kid_hw hot obh c =
+  c >= 0 && Array.unsafe_get hot ((c * 4) + 1) land Node.Meta.hw_mask = obh
+
 (* One pass: validate the whole encoding (the eager decoder's checks, in
    the eager decoder's order, with its error messages), record per-node
    offsets and packed meta words, and bind every external reference and
    elided payload — first by key descent of [peer] (the snapshot tree
    this intention executed against, [Node.empty] when unavailable), then
-   through [resolve] for anything the snapshot cannot answer.
-
-   The byte layer below is local on purpose: the same reads through
-   [Wire.Reader] cost a non-inlined cross-module call per byte plus a
-   boxed [Int64] fold per varint, which together were the bulk of the
-   old ds bracket.  Semantics are identical — same bounds checks, same
-   [Truncated] condition before every byte, and the varint reader
-   matches [Int64.to_int (Wire.Reader.varint64 r)] exactly, including
-   the modulo-2^63 wrap (the shift-63 byte can only contribute bit 63,
-   which [Int64.to_int] drops, so its contribution is skipped rather
-   than shifted — an [lsl] by 63 is unspecified on 63-bit ints). *)
+   through [resolve] for anything the snapshot cannot answer.  Bytes are
+   read through the cursor above, never [Wire.Reader]: a cross-module
+   call per byte plus a boxed [Int64] fold per varint were the bulk of
+   the old ds bracket. *)
 let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
   let len = match len with Some l -> l | None -> String.length s - off in
   let limit = off + len in
   if off < 0 || limit > String.length s then
     invalid_arg "Wire.Reader.of_string: range out of bounds";
-  let p = ref off in
+  let c = { src = s; limit; at = off } in
   try
-    let u8 () =
-      if !p >= limit then raise Wire.Truncated;
-      let b = Char.code (String.unsafe_get s !p) in
-      incr p;
-      b
-    in
-    let skip n =
-      if n < 0 || !p + n > limit then raise Wire.Truncated;
-      p := !p + n
-    in
-    let r_uint_rest b0 =
-      let x = ref (b0 land 0x7F) and shift = ref 7 and continue = ref true in
-      while !continue do
-        if !shift > 63 then raise Wire.Truncated;
-        let b = u8 () in
-        if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift);
-        shift := !shift + 7;
-        if b land 0x80 = 0 then continue := false
-      done;
-      !x
-    in
-    (* Single-byte fast path: most wire integers (child indexes, version
-       counters, payload lengths) fit in seven bits. *)
-    let r_uint () =
-      let b = u8 () in
-      if b < 0x80 then b else r_uint_rest b
-    in
-    (* Zigzag decode over that 63-bit wrap.  Writer-produced encodings
-       never set bit 63 (the zigzag of a 63-bit int fits in 63 bits), so
-       this agrees with the eager decoder's Int64 path on every buffer
-       the encoder can emit. *)
-    let r_zint () =
-      let u = r_uint () in
-      u lsr 1 lxor - (u land 1)
-    in
-    let snapshot = r_zint () in
-    let server = r_uint () in
-    let txn_seq = r_uint () in
-    let isolation = u8 () in
+    let snapshot = zint c in
+    let server = uint c in
+    let txn_seq = uint c in
+    let isolation = u8 c in
     if isolation > 2 then corrupt "bad isolation %d" isolation;
-    let node_count = r_uint () in
+    let node_count = uint c in
     if node_count < 0 || node_count > len then
       corrupt "implausible node count %d" node_count;
     let hot = Array.make (node_count * 4) 0 in
@@ -357,75 +388,26 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
        below fills them.  Deferring the array lets it be allocated at its
        exact final size. *)
     let nrefs = ref 0 in
-    let push_ref () =
-      incr nrefs;
-      !nrefs - 1
-    in
-    (* VN parts land in these scratch cells instead of a returned tuple:
-       two VNs per node would otherwise dominate the parse's footprint. *)
-    let vp_eph = ref false and vp_a = ref 0 and vp_b = ref 0 in
-    let r_vn_parts () =
-      (match u8 () with
-      | 0 ->
-          vp_eph := false;
-          vp_a := r_zint ()
-      | 1 ->
-          vp_eph := true;
-          vp_a := r_uint ()
-      | tag -> corrupt "bad VN tag %d" tag);
-      vp_b := r_uint ()
-    in
     (* Structural pass only: binding of ref children and elided payloads
        is deferred to the top-down pass below, which finds each node's
        snapshot peer inside its parent's peer subtree instead of paying a
        root descent per reference — the descents were the bulk of the
        parse cost on path-copy intentions. *)
-    let r_child self =
-      match u8 () with
-      | 0 -> kid_empty
-      | 1 ->
-          let i = r_uint () in
-          if i < 0 || i >= self then corrupt "child index %d out of order" i;
-          i
-      | 2 ->
-          r_vn_parts ();
-          ignore (r_zint ());
-          (* slot number only; the binding pass fills it *)
-          -push_ref () - 2
-      | tag -> corrupt "bad child tag %d" tag
-    in
     let ob = Node.Meta.owner_bits pos in
     let obh = ob lor Node.Meta.has_writes in
-    let kid_hw c =
-      if c >= 0 then hot.((c * 4) + 1) land Node.Meta.hw_mask = obh
-      else
-        (* empty kids never carry this intention's writes, and neither do
-           refs: a ref resolves to a node owned by an earlier log
-           position, so its owner bits can never equal [ob] (the eager
-           decoder computes the same test against the resolved node and
-           always gets false) — which is why the placeholder slots above
-           are sound here *)
-        false
-    in
     for idx = 0 to node_count - 1 do
-      let key = r_zint () in
-      offs.(idx) <- !p;
-      let flags = u8 () in
-      if flags land (32 lor 64) = 0 then skip (r_uint ());
+      let key = zint c in
+      offs.(idx) <- c.at;
+      let flags = u8 c in
+      if flags land (32 lor 64) = 0 then skip c (uint c);
       let has_ssv = flags land 8 <> 0 in
-      if has_ssv then r_vn_parts ();
-      let ssv_eph = !vp_eph in
+      let ssv_eph = has_ssv && skip_vn c in
       let has_scv = flags land 16 <> 0 in
-      let scv_eph =
-        has_scv
-        &&
-        (r_vn_parts ();
-         !vp_eph)
-      in
+      let scv_eph = has_scv && skip_vn c in
       if flags land 64 <> 0 && flags land 32 = 0 && not has_ssv then
         corrupt "elided payload on a node without a source";
-      let kl = r_child idx in
-      let kr = r_child idx in
+      let kl = read_kid c idx nrefs in
+      let kr = read_kid c idx nrefs in
       if flags land 1 = 0 && not has_scv then
         corrupt "unaltered node %d lacks a content version" key;
       let m =
@@ -441,8 +423,9 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
         (* bottom-up [Node.pack] has-writes rule: children precede parents
            in post-order, so their meta words are already final *)
         lor
-        if flags land 1 <> 0 || (not has_ssv) || kid_hw kl || kid_hw kr then
-          Node.Meta.has_writes
+        if flags land 1 <> 0 || (not has_ssv) || kid_hw hot obh kl
+           || kid_hw hot obh kr
+        then Node.Meta.has_writes
         else 0
       in
       let h = idx * 4 in
@@ -451,7 +434,7 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
       hot.(h + 2) <- kl;
       hot.(h + 3) <- kr
     done;
-    if !p <> limit then corrupt "trailing bytes";
+    if c.at <> limit then corrupt "trailing bytes";
     let refs = Array.make !nrefs Node.empty in
     (* ---- binding pass: top-down from the root ------------------------ *)
     (* Re-walk the (now validated) records from the root downward,
@@ -512,37 +495,40 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
         let key = hot.(h) in
         let m = find_peer sub key in
         let flags = Char.code (String.unsafe_get s off0) in
-        p := off0 + 1;
-        if flags land (32 lor 64) = 0 then skip (r_uint ());
+        c.at <- off0 + 1;
+        if flags land (32 lor 64) = 0 then skip c (uint c);
         if flags land 8 <> 0 then begin
-          r_vn_parts ();
+          let eph = vn_tag c in
+          let a = if eph then uint c else zint c in
+          let b = uint c in
           if flags land 64 <> 0 && flags land 32 = 0 then
-            bind_elided idx key m ~eph:!vp_eph ~a:!vp_a ~b:!vp_b
+            bind_elided idx key m ~eph ~a ~b
         end;
-        if flags land 16 <> 0 then r_vn_parts ();
+        if flags land 16 <> 0 then ignore (skip_vn c);
         let kl = hot.(h + 2) and kr = hot.(h + 3) in
         bind_child kl key m sub;
         bind_child kr key m sub;
         if kl >= 0 then bind_down kl (kid_sub kl key m sub);
         if kr >= 0 then bind_down kr (kid_sub kr key m sub)
       end
-    and bind_child c key m sub =
-      match u8 () with
+    and bind_child kid key m sub =
+      match u8 c with
       | 0 -> ()
-      | 1 -> ignore (r_uint ())
+      | 1 -> ignore (uint c)
       | _ ->
-          r_vn_parts ();
-          let eph = !vp_eph and a = !vp_a and b = !vp_b in
-          let key_r = r_zint () in
+          let eph = vn_tag c in
+          let a = if eph then uint c else zint c in
+          let b = uint c in
+          let key_r = zint c in
           let sub_r =
             if m == Node.empty then sub
             else if Key.compare key_r key < 0 then m.Node.left
             else m.Node.right
           in
-          bind_ref (-c - 2) key_r sub_r ~eph ~a ~b
-    and kid_sub c key m sub =
+          bind_ref (-kid - 2) key_r sub_r ~eph ~a ~b
+    and kid_sub kid key m sub =
       if m == Node.empty then sub
-      else if Key.compare (Array.unsafe_get hot (c * 4)) key < 0 then
+      else if Key.compare (Array.unsafe_get hot (kid * 4)) key < 0 then
         m.Node.left
       else m.Node.right
     in
@@ -561,12 +547,11 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
       isolation;
       node_count;
       byte_size = len;
-      bytes = s;
+      cur = c;
       hot;
       offs;
       refs;
       pays;
       nodes = [||];
-      cur = 0;
     }
   with Wire.Truncated -> corrupt "truncated intention"

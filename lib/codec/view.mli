@@ -43,6 +43,11 @@ val parse :
     only fall back to [resolve] when the snapshot cannot answer.
     Raises {!Corrupt} exactly when the eager decoder would. *)
 
+val peek_snapshot : off:int -> string -> int
+(** The snapshot position heading the encoding at [off], read without
+    parsing further and without allocating.  Raises {!Corrupt} on a
+    truncated header. *)
+
 (** {1 Header} *)
 
 val pos : t -> int

@@ -135,16 +135,33 @@ module Reader = struct
     done;
     !result
 
-  let varint t = Int64.to_int (varint64 t)
+  (* Unboxed: bit-equal to [Int64.to_int (varint64 t)], which keeps the
+     low 63 bits.  A group at shift 63 can only reach bit 63, which that
+     conversion drops, so it is read and skipped rather than shifted (an
+     [lsl] by 63 is unspecified on 63-bit ints). *)
+  let varint t =
+    let b = u8 t in
+    if b < 0x80 then b
+    else begin
+      let x = ref (b land 0x7F) and shift = ref 7 and continue = ref true in
+      while !continue do
+        if !shift > 63 then raise Truncated;
+        let b = u8 t in
+        if !shift < 63 then x := !x lor ((b land 0x7F) lsl !shift);
+        shift := !shift + 7;
+        if b land 0x80 = 0 then continue := false
+      done;
+      !x
+    end
 
   let bytes t =
     let len = varint t in
-    if len < 0 || t.pos + len > t.limit then raise Truncated;
+    if len < 0 || len > t.limit - t.pos then raise Truncated;
     let s = String.sub t.src t.pos len in
     t.pos <- t.pos + len;
     s
 
   let skip t n =
-    if n < 0 || t.pos + n > t.limit then raise Truncated;
+    if n < 0 || n > t.limit - t.pos then raise Truncated;
     t.pos <- t.pos + n
 end

@@ -6,6 +6,95 @@ module Executor = Hyder_core.Executor
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* ---- byte-exact oracle: the straightforward Wire.Writer encoder ------- *)
+(* One [Wire.Writer] call per field, written in the order the format
+   defines.  [Codec.encode] must produce exactly these bytes. *)
+module Oracle = struct
+  module Wire = Hyder_util.Wire
+  module Meta = Node.Meta
+
+  let zigzag v = Int64.logxor (Int64.shift_left v 1) (Int64.shift_right v 63)
+
+  let w_zint w v =
+    (* native zigzag where it equals the 64-bit one and stays
+       non-negative; the exact Int64 mapping beyond *)
+    let s = v asr 60 in
+    if s = 0 || s = -1 then Wire.Writer.varint w (v lsl 1 lxor (v asr 62))
+    else Wire.Writer.varint64 w (zigzag (Int64.of_int v))
+
+  let w_vn_parts w ~eph ~a ~b =
+    Wire.Writer.u8 w (if eph then 1 else 0);
+    if eph then Wire.Writer.varint w a else w_zint w a;
+    Wire.Writer.varint w b
+
+  let w_vn w = function
+    | Vn.Logged { pos; idx } -> w_vn_parts w ~eph:false ~a:pos ~b:idx
+    | Vn.Ephemeral { thread; seq } -> w_vn_parts w ~eph:true ~a:thread ~b:seq
+
+  let is_draft n = n != Node.empty && Node.owner n = I.draft_owner
+
+  let encode (d : I.draft) =
+    let w = Wire.Writer.create () in
+    w_zint w d.snapshot;
+    Wire.Writer.varint w d.server;
+    Wire.Writer.varint w d.txn_seq;
+    Wire.Writer.u8 w
+      (match d.isolation with
+      | I.Serializable -> 0
+      | I.Snapshot_isolation -> 1
+      | I.Read_committed -> 2);
+    let rec count t =
+      if is_draft t then 1 + count t.Node.left + count t.Node.right else 0
+    in
+    Wire.Writer.varint w (count d.root);
+    let next_idx = ref 0 in
+    let w_child i (c : Node.tree) =
+      if i >= 0 then begin
+        Wire.Writer.u8 w 1;
+        Wire.Writer.varint w i
+      end
+      else if c == Node.empty then Wire.Writer.u8 w 0
+      else begin
+        Wire.Writer.u8 w 2;
+        w_vn w c.vn;
+        w_zint w c.key
+      end
+    in
+    let rec go (n : Node.tree) =
+      if not (is_draft n) then -1
+      else begin
+        let li = go n.left in
+        let ri = go n.right in
+        let m = n.meta in
+        let elide = m land Meta.altered = 0 && m land Meta.ssv_present <> 0 in
+        w_zint w n.key;
+        Wire.Writer.u8 w
+          (m land 0x7
+          lor (if m land Meta.ssv_present <> 0 then 8 else 0)
+          lor (if m land Meta.scv_present <> 0 then 16 else 0)
+          lor (if Payload.is_tombstone n.payload then 32 else 0)
+          lor if elide then 64 else 0);
+        (match n.payload with
+        | Payload.Value s when not elide -> Wire.Writer.bytes w s
+        | _ -> ());
+        if m land Meta.ssv_present <> 0 then
+          w_vn_parts w ~eph:(m land Meta.ssv_ephemeral <> 0) ~a:n.ssv_a
+            ~b:n.ssv_b;
+        if m land Meta.scv_present <> 0 then
+          w_vn_parts w ~eph:(m land Meta.scv_ephemeral <> 0) ~a:n.scv_a
+            ~b:n.scv_b;
+        w_child li n.left;
+        w_child ri n.right;
+        let idx = !next_idx in
+        incr next_idx;
+        idx
+      end
+    in
+    if go d.root < 0 && d.root != Node.empty then
+      raise (Codec.Corrupt "intention root is not a draft node");
+    Wire.Writer.contents w
+end
+
 (* Build a draft by running an executor against a genesis snapshot. *)
 let make_draft ?(isolation = I.Serializable) ~snapshot ~snapshot_pos body =
   let e =
@@ -297,6 +386,140 @@ let prop_roundtrip =
       in
       Tree.physically_equal decoded.I.root (I.assign ~pos:11 draft).I.root)
 
+(* ---- encoder = oracle, byte for byte ---------------------------------- *)
+
+(* Magnitudes at every varint/zigzag boundary: one-byte values, the edge
+   of the native zigzag fast path (2^60), and the extremes, whose zigzag
+   takes the longest varints. *)
+let edge_ints =
+  [ 0; 1; -1; 63; -64; 64; 1 lsl 60; -(1 lsl 60); (1 lsl 60) - 1;
+    -(1 lsl 60) - 1; 1 lsl 61; -(1 lsl 61); max_int; min_int ]
+
+let int_gen = QCheck2.Gen.(oneof [ small_signed_int; oneofl edge_ints; int ])
+let nat_gen = QCheck2.Gen.map (fun v -> v land max_int) int_gen
+
+let vn_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun pos idx -> Vn.logged ~pos ~idx) int_gen nat_gen;
+        map2 (fun thread seq -> Vn.ephemeral ~thread ~seq) nat_gen nat_gen;
+      ])
+
+let payload_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return Payload.tombstone);
+        (8, map Payload.value (string_size (int_bound 24)));
+        (* large enough to grow the encoder's buffer *)
+        (1, map Payload.value (string_size (int_range 2000 5000)));
+      ])
+
+(* A node of some earlier state: the encoder writes it as a reference. *)
+let ref_gen =
+  QCheck2.Gen.map2
+    (fun key vn ->
+      Node.make ~key ~payload:Payload.tombstone ~left:Node.empty
+        ~right:Node.empty ~vn ~cv:vn ~ssv:None ~scv:None ~altered:false
+        ~depends_on_content:false ~depends_on_structure:false
+        ~owner:Node.state_owner)
+    int_gen vn_gen
+
+(* Arbitrary draft trees — any flags, sources and children, not only what
+   an executor builds; a root that is not a draft node must be rejected
+   by both encoders. *)
+let tree_gen =
+  QCheck2.Gen.(
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           if n = 0 then frequency [ (1, return Node.empty); (2, ref_gen) ]
+           else
+             let* k = int_bound (n - 1) in
+             let* left = self k and* right = self (n - 1 - k) in
+             let* key = int_gen and* payload = payload_gen in
+             let* ssv = opt vn_gen and* scv = opt vn_gen in
+             let+ f = int_bound 7 in
+             let vn = I.draft_vn ~idx:0 in
+             Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv ~scv
+               ~altered:(f land 1 <> 0) ~depends_on_content:(f land 2 <> 0)
+               ~depends_on_structure:(f land 4 <> 0) ~owner:I.draft_owner))
+
+let isolation_gen =
+  QCheck2.Gen.oneofl [ I.Serializable; I.Snapshot_isolation; I.Read_committed ]
+
+let random_draft_gen =
+  QCheck2.Gen.(
+    let* snapshot = int_gen and* server = nat_gen and* txn_seq = nat_gen in
+    let+ isolation = isolation_gen and+ root = tree_gen in
+    { I.snapshot; server; txn_seq; isolation; root })
+
+let exec_snapshot = Helpers.genesis ~gap:3 500
+
+(* Executor-built drafts: read sets (elided payloads), writes, deletes
+   (tombstones) at every isolation level; a read-only one that logs
+   nothing becomes the empty root. *)
+let executed_draft_gen =
+  QCheck2.Gen.(
+    let key = int_bound 499 in
+    let* isolation = isolation_gen and* snapshot_pos = int_gen in
+    let* reads = list_size (int_range 0 6) key
+    and* writes = list_size (int_range 0 6) key in
+    let+ dels = list_size (int_range 0 3) key in
+    let e =
+      Executor.begin_txn ~snapshot_pos ~snapshot:exec_snapshot ~server:3
+        ~txn_seq:17 ~isolation ()
+    in
+    List.iter (fun k -> ignore (Executor.read e (k * 3))) reads;
+    List.iter (fun k -> Executor.write e (k * 3) "w") writes;
+    List.iter (fun k -> Executor.delete e (k * 3)) dels;
+    match Executor.finish e with
+    | Some d -> d
+    | None ->
+        { I.snapshot = snapshot_pos; server = 3; txn_seq = 17; isolation;
+          root = Node.empty })
+
+let prop_encode_matches_oracle =
+  let outcome encode d =
+    match encode d with
+    | s -> Ok s
+    | exception Codec.Corrupt m -> Error m
+  in
+  (* one pooled encoder across all cases: reuse and growth are covered *)
+  let enc = Codec.Encoder.create ~pool:(Hyder_util.Buf_pool.create ()) () in
+  QCheck2.Test.make ~name:"encode = Wire.Writer oracle, byte for byte"
+    ~count:400
+    (QCheck2.Gen.oneof [ random_draft_gen; executed_draft_gen ])
+    (fun d ->
+      let want = outcome Oracle.encode d in
+      outcome Codec.encode d = want
+      && outcome (Codec.Encoder.encode enc) d = want)
+
+(* [peek_snapshot] reads exactly the snapshot the parser reads, at any
+   offset, and allocates nothing. *)
+let prop_peek_snapshot =
+  let resolve ~snapshot:_ ~key ~vn:_ =
+    match Tree.find exec_snapshot key with Some n -> n | None -> Node.empty
+  in
+  QCheck2.Test.make ~name:"peek_snapshot = View.snapshot, allocation-free"
+    ~count:200
+    QCheck2.Gen.(pair executed_draft_gen (int_bound 5))
+    (fun (d, pad) ->
+      match d.I.root == Node.empty with
+      | true -> true
+      | false ->
+          let bytes = Codec.encode d in
+          let parsed = Codec.decode_lazy ~pos:11 ~peer:exec_snapshot ~resolve bytes in
+          let padded = String.make pad '\xff' ^ bytes in
+          let off = Some pad in
+          let w0 = Gc.minor_words () in
+          let a = Codec.peek_snapshot bytes in
+          let b = Codec.peek_snapshot ?off padded in
+          let words = Gc.minor_words () -. w0 in
+          if words <> 0. then
+            QCheck2.Test.fail_reportf "peek_snapshot allocated %.0f words" words;
+          a = parsed.I.snapshot && b = d.I.snapshot && a = b)
+
 let () =
   Alcotest.run "codec"
     [
@@ -330,5 +553,6 @@ let () =
           Alcotest.test_case "checksum" `Quick test_blocks_checksum_detects_flip;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip; prop_encode_matches_oracle; prop_peek_snapshot ] );
     ]

@@ -221,6 +221,25 @@ let prop_wire_varint_roundtrip =
       let r = Wire.Reader.of_string (Wire.Writer.contents w) in
       Wire.Reader.varint64 r = v)
 
+(* The unboxed [varint] reads exactly what [varint64] reads, truncated to
+   an int, on any bytes: long continuation runs reach the shift-63 group
+   and the over-long [Truncated] case. *)
+let prop_wire_varint_matches_varint64 =
+  QCheck2.Test.make ~name:"varint = Int64.to_int varint64" ~count:2000
+    QCheck2.Gen.(
+      string_size
+        ~gen:(frequency [ (4, map Char.chr (int_range 0x80 0xff)); (1, char) ])
+        (int_bound 12))
+    (fun s ->
+      let read f =
+        let r = Wire.Reader.of_string s in
+        match f r with
+        | v -> Some (v, Wire.Reader.pos r)
+        | exception Wire.Truncated -> None
+      in
+      read Wire.Reader.varint
+      = read (fun r -> Int64.to_int (Wire.Reader.varint64 r)))
+
 (* --- crc32 -------------------------------------------------------------- *)
 
 let test_crc32_known_value () =
@@ -626,7 +645,11 @@ let test_buf_pool_lifetime_canaries () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_wire_varint_roundtrip; prop_spsc_batch_interleaving ]
+    [
+      prop_wire_varint_roundtrip;
+      prop_wire_varint_matches_varint64;
+      prop_spsc_batch_interleaving;
+    ]
 
 let () =
   Alcotest.run "util"

@@ -188,6 +188,137 @@ let prop_bit_flip_differential =
               QCheck2.Test.fail_reportf
                 "flip at byte %d bit %d: lazy accepted, eager rejected" i bit)
 
+(* ---- exhaustive corruption sweep over fixed intentions --------------- *)
+
+(* [snapshot] with every even key re-stamped with an ephemeral version, as
+   final meld leaves them: intentions executed against it carry
+   ephemeral source versions and ephemeral references. *)
+let rec with_ephemerals (t : Node.tree) =
+  if Node.is_empty t then t
+  else
+    let left = with_ephemerals t.Node.left in
+    let right = with_ephemerals t.Node.right in
+    let vn =
+      if t.Node.key mod 2 = 0 then Vn.ephemeral ~thread:(t.Node.key mod 7) ~seq:t.Node.key
+      else t.Node.vn
+    in
+    Node.make ~key:t.Node.key ~payload:t.Node.payload ~left ~right ~vn ~cv:vn
+      ~ssv:None ~scv:None ~altered:false ~depends_on_content:false
+      ~depends_on_structure:false ~owner:Node.state_owner
+
+let eph_snapshot = with_ephemerals snapshot
+
+let fixed_intention ~name ~snap ~isolation ~reads ~writes =
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:snap ~server:3
+      ~txn_seq:17 ~isolation ()
+  in
+  List.iter (fun k -> ignore (Executor.read e (k * 3))) reads;
+  List.iter (fun k -> Executor.write e (k * 3) "w") writes;
+  match Executor.finish e with
+  | Some d -> (name, snap, Codec.encode d)
+  | None -> Alcotest.failf "%s: expected a draft" name
+
+let fixed_intentions =
+  lazy
+    [
+      fixed_intention ~name:"SR with refs and elided payloads" ~snap:snapshot
+        ~isolation:I.Serializable ~reads:[ 7; 150; 151; 420 ]
+        ~writes:[ 9; 300 ];
+      fixed_intention ~name:"SI, writes only" ~snap:snapshot
+        ~isolation:I.Snapshot_isolation ~reads:[] ~writes:[ 12; 13; 250 ];
+      fixed_intention ~name:"ephemeral sources" ~snap:eph_snapshot
+        ~isolation:I.Serializable ~reads:[ 2; 64 ] ~writes:[ 4; 98; 301 ];
+    ]
+
+let resolver_of snap ~snapshot:_ ~key ~vn:_ =
+  match Tree.find snap key with Some n -> n | None -> Node.empty
+
+(* The fixtures carry what their names promise. *)
+let test_fixtures_cover () =
+  let count (_, snap, bytes) f =
+    let li = Codec.decode_lazy ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes in
+    let v = Option.get li.I.view in
+    let n = ref 0 in
+    for idx = 0 to View.node_count v - 1 do
+      if f v idx then incr n
+    done;
+    !n
+  in
+  let has_ref v idx =
+    not (View.kid_is_inside (View.kid_l v idx) || View.kid_is_empty (View.kid_l v idx))
+    || not
+         (View.kid_is_inside (View.kid_r v idx)
+         || View.kid_is_empty (View.kid_r v idx))
+  in
+  let elided v idx =
+    let m = View.meta v idx in
+    m land Node.Meta.altered = 0 && m land Node.Meta.ssv_present <> 0
+  in
+  let reads v idx = View.meta v idx land Node.Meta.dep_content <> 0 in
+  let ephemeral v idx = View.meta v idx land Node.Meta.ssv_ephemeral <> 0 in
+  match Lazy.force fixed_intentions with
+  | [ sr; si; eph ] ->
+      check "SR has refs" true (count sr has_ref > 0);
+      check "SR has elided payloads" true (count sr elided > 0);
+      check "SI records no reads" true (count si reads = 0);
+      check "ephemeral sources present" true (count eph ephemeral > 0)
+  | _ -> assert false
+
+(* Every single-bit flip of every byte: the lazy and eager decoders agree
+   on accept or reject, and on the tree when both accept. *)
+let test_bit_flip_sweep () =
+  List.iter
+    (fun (name, snap, bytes) ->
+      let resolve = resolver_of snap in
+      for i = 0 to String.length bytes - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string bytes in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+          let s = Bytes.to_string b in
+          let eager =
+            match Codec.decode ~pos:5 ~resolve s with
+            | d -> Some d.I.root
+            | exception Codec.Corrupt _ -> None
+          in
+          let lazy_ =
+            match Codec.decode_lazy ~pos:5 ~peer:snap ~resolve s with
+            | { I.view = Some v; _ } -> Some (View.materialize_root v)
+            | _ -> Alcotest.failf "%s: decode_lazy carried no view" name
+            | exception Codec.Corrupt _ -> None
+          in
+          match (eager, lazy_) with
+          | None, None -> ()
+          | Some e, Some l ->
+              if not (Tree.physically_equal e l) then
+                Alcotest.failf "%s: flip at byte %d bit %d: trees differ" name i
+                  bit
+          | Some _, None ->
+              Alcotest.failf "%s: flip at byte %d bit %d: only eager accepted"
+                name i bit
+          | None, Some _ ->
+              Alcotest.failf "%s: flip at byte %d bit %d: only lazy accepted"
+                name i bit
+        done
+      done)
+    (Lazy.force fixed_intentions)
+
+(* Every strict prefix is rejected with Corrupt by both decoders. *)
+let test_prefix_sweep () =
+  List.iter
+    (fun (name, snap, bytes) ->
+      let resolve = resolver_of snap in
+      for len = 0 to String.length bytes - 1 do
+        let s = String.sub bytes 0 len in
+        (match Codec.decode ~pos:5 ~resolve s with
+        | _ -> Alcotest.failf "%s: eager accepted a %d-byte prefix" name len
+        | exception Codec.Corrupt _ -> ());
+        match Codec.decode_lazy ~pos:5 ~peer:snap ~resolve s with
+        | _ -> Alcotest.failf "%s: lazy accepted a %d-byte prefix" name len
+        | exception Codec.Corrupt _ -> ()
+      done)
+    (Lazy.force fixed_intentions)
+
 (* ---- pipeline bit-identity: lazy vs eager across backends ------------ *)
 
 let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
@@ -286,6 +417,15 @@ let () =
             prop_truncation_rejected;
             prop_bit_flip_differential;
           ] );
+      ( "corruption",
+        [
+          Alcotest.test_case "fixtures cover refs, elisions, ephemerals"
+            `Quick test_fixtures_cover;
+          Alcotest.test_case "every bit flip: lazy and eager agree" `Quick
+            test_bit_flip_sweep;
+          Alcotest.test_case "every prefix raises Corrupt" `Quick
+            test_prefix_sweep;
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "lazy = eager across backends" `Quick
