@@ -96,15 +96,6 @@ let json_path : string option ref = ref None
    for [hyder-cli analyze]. *)
 let flight_path : string option ref = ref None
 
-(* --adaptive: run the macro/overlap pipe rows with the adaptive handoff
-   controller on (the baseline shape stays non-adaptive so tracked
-   numbers compare like with like; results are bit-identical anyway). *)
-let adaptive = ref false
-
-let pipe4 () =
-  Runtime.Pipelined
-    { domains = 4; batch = Runtime.default_batch; adaptive = !adaptive }
-
 let current_figure = ref ""
 let report_runs : Json.t list ref = ref [] (* newest first *)
 let report_seen : (string * string, unit) Hashtbl.t = Hashtbl.create 64
@@ -1137,8 +1128,6 @@ let pipeline_overlap () =
                       ( "doorbell_wakeups",
                         Json.Int o.Pipeline.doorbell_wakeups );
                       ("driver_steals", Json.Int o.Pipeline.driver_steals);
-                      ("adaptive_batch", Json.Int o.Pipeline.adaptive_batch);
-                      ("adaptive_window", Json.Int o.Pipeline.adaptive_window);
                     ] );
             ("same_as_seq", Json.Bool same);
           ]
@@ -1147,7 +1136,7 @@ let pipeline_overlap () =
   in
   report "seq" base;
   report "par:4" (run (Runtime.parallel ~domains:4));
-  report "pipe:4" (run (pipe4 ()));
+  report "pipe:4" (run (Runtime.pipelined ~domains:4));
   Table.print t;
   Printf.printf
     "(driver us/int = (ds+pm+gm+fm seconds the driver itself executed) / \
@@ -1202,7 +1191,7 @@ let macro () =
   let flight_sink =
     match !flight_path with None -> None | Some path -> Some (open_out path)
   in
-  let run ?(lazy_decode = true) name backend =
+  let run name backend =
     let metrics = Metrics.create () in
     let flight =
       match flight_sink with
@@ -1210,8 +1199,7 @@ let macro () =
       | Some oc -> Flight.create ~label:name ~metrics ~sink:oc ()
     in
     let p =
-      Pipeline.create ~config ~runtime:backend ~lazy_decode ~metrics ~flight
-        ~genesis ()
+      Pipeline.create ~config ~runtime:backend ~metrics ~flight ~genesis ()
     in
     let warm_decisions =
       List.concat_map (fun b -> Pipeline.submit_wire_batch p b) warm_batches
@@ -1252,7 +1240,7 @@ let macro () =
         [ "runtime"; "melds/s"; "fm ns/txn"; "driver us/int";
           "ds minor w/txn"; "mz minor w/txn"; "fm minor w/txn"; "same as seq" ]
   in
-  let report ?(lazy_decode = true) name
+  let report name
       (decisions, melded, final, wall, (c0, c1), gc, (off0, off1),
        driver_minor_w) =
     let bdecisions, _, bfinal, _, _, _, _, _ = base in
@@ -1306,7 +1294,6 @@ let macro () =
           [
             ("figure", Json.String "macro");
             ("runtime", Json.String name);
-            ("lazy_decode", Json.Bool lazy_decode);
             ("cores", Json.Int (Domain.recommended_domain_count ()));
             ("intentions_total", Json.Int count);
             ("intentions_measured", Json.Int melded);
@@ -1321,9 +1308,7 @@ let macro () =
               match (off0, off1) with
               | Some a, Some b ->
                   (* Publication/doorbell/steal counters are cumulative;
-                     the measured window is the diff.  The adaptive
-                     batch/window are last-observation settings, so the
-                     end-of-run value is the one reported. *)
+                     the measured window is the diff. *)
                   Json.Obj
                     [
                       ( "batches",
@@ -1342,10 +1327,6 @@ let macro () =
                         Json.Int
                           (b.Pipeline.driver_steals
                           - a.Pipeline.driver_steals) );
-                      ("adaptive_batch", Json.Int b.Pipeline.adaptive_batch);
-                      ("adaptive_window", Json.Int b.Pipeline.adaptive_window);
-                      ( "adaptive_adjustments",
-                        Json.Int b.Pipeline.adaptive_adjustments );
                     ]
               | _ -> Json.Null );
             ( "stage_us",
@@ -1375,14 +1356,8 @@ let macro () =
     end
   in
   report "seq" base;
-  (* Eager reference row, same machine same run: the lazy-vs-eager
-     speedup gate compares against this instead of cross-machine
-     absolute numbers, and its decisions double as a lazy≡eager
-     bit-identity check. *)
-  report ~lazy_decode:false "seq-eager"
-    (run ~lazy_decode:false "seq-eager" Runtime.sequential);
   report "par:4" (run "par:4" (Runtime.parallel ~domains:4));
-  report "pipe:4" (run "pipe:4" (pipe4 ()));
+  report "pipe:4" (run "pipe:4" (Runtime.pipelined ~domains:4));
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
       close_out oc;
@@ -1512,7 +1487,6 @@ let () =
           | Error msg ->
               Printf.eprintf "bad --runtime %S: %s\n" spec msg;
               exit 2)
-      | "--adaptive" -> adaptive := true
       | a when String.length a > 7 && String.sub a 0 7 = "--json=" ->
           json_path := Some (String.sub a 7 (String.length a - 7))
       | a when String.length a > 9 && String.sub a 0 9 = "--flight=" ->

@@ -198,18 +198,9 @@ let cluster_cmd =
         Printf.eprintf "run report -> %s\n%!" path);
     if not r.Replica.converged then exit 1
   in
-  let run servers pipeline runtime adaptive write_threads read_threads inflight
+  let run servers pipeline runtime write_threads read_threads inflight
       duration warmup workload seed faults checkpoint_every chaos_txns
       trace_file flight_file metrics_file json_file =
-    let runtime =
-      (* --adaptive flips the pipelined handoff controller on whatever
-         pipe spec was given; a no-op for seq/par backends. *)
-      if adaptive then
-        match runtime with
-        | Runtime.Pipelined p -> Runtime.Pipelined { p with adaptive = true }
-        | b -> b
-      else runtime
-    in
     match faults with
     | Some faults ->
         (* Chaos mode: fault injection + crash recovery instead of the
@@ -323,19 +314,7 @@ let cluster_cmd =
              premeld trial melds on N domains; or pipe:N to stage \
              deserialize/premeld/group-meld across N worker domains through \
              bounded SPSC queues, leaving only final meld on the driver \
-             (identical results, measured stage times change). The pipe \
-             spec also takes a handoff batch and adaptive flag: \
-             pipe:N[:BATCH][:adaptive].")
-  in
-  let adaptive =
-    Arg.(
-      value & flag
-      & info [ "adaptive" ]
-          ~doc:
-            "With a pipe:N runtime, enable the adaptive handoff controller \
-             (resizes the driver's flush batch and in-flight window from \
-             observed queue depths; results are bit-identical either way). \
-             Shorthand for the :adaptive suffix in the runtime spec.")
+             (identical results, measured stage times change).")
   in
   let write_threads =
     Arg.(value & opt int 20 & info [ "write-threads" ] ~doc:"Update threads/server.")
@@ -427,7 +406,7 @@ let cluster_cmd =
   Cmd.v
     (Cmd.info "cluster" ~doc:"Run a distributed Hyder II experiment")
     Term.(
-      const run $ servers $ pipeline $ runtime $ adaptive $ write_threads
+      const run $ servers $ pipeline $ runtime $ write_threads
       $ read_threads $ inflight $ duration $ warmup $ workload_term $ seed
       $ faults $ checkpoint_every $ chaos_txns $ trace_file $ flight_file
       $ metrics_file $ json_file)

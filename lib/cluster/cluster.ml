@@ -882,15 +882,13 @@ let pp_result fmt r =
   | Some h ->
       Format.fprintf fmt
         "; handoff %d batches/%d items (%.1f per publication), %d doorbell \
-         wakeups, %d steals, batch=%d window=%d (%d adjustments)"
+         wakeups, %d steals"
         h.Pipeline.handoff_batches h.Pipeline.handoff_items
         (if h.Pipeline.handoff_batches = 0 then 0.0
          else
            float_of_int h.Pipeline.handoff_items
            /. float_of_int h.Pipeline.handoff_batches)
         h.Pipeline.doorbell_wakeups h.Pipeline.driver_steals
-        h.Pipeline.adaptive_batch h.Pipeline.adaptive_window
-        h.Pipeline.adaptive_adjustments
 
 let result_to_json r =
   let ds, pm, gm, fm = r.stage_us in
@@ -942,9 +940,5 @@ let result_to_json r =
                 ("ds_inline", Json.Int h.Pipeline.ds_inline);
                 ("max_queue_depth", Json.Int h.Pipeline.max_queue_depth);
                 ("queue_capacity", Json.Int h.Pipeline.queue_capacity);
-                ("adaptive_batch", Json.Int h.Pipeline.adaptive_batch);
-                ("adaptive_window", Json.Int h.Pipeline.adaptive_window);
-                ( "adaptive_adjustments",
-                  Json.Int h.Pipeline.adaptive_adjustments );
               ] );
     ]

@@ -107,8 +107,7 @@ type result = {
   handoff : Hyder_core.Pipeline.offload_stats option;
       (** stage-handoff accounting ([None] unless the runtime backend is
           [Pipelined]): ring publications vs items carried, doorbell
-          wakeups actually paid, driver steals, and the adaptive
-          controller's final batch/window *)
+          wakeups actually paid, and driver steals *)
 }
 
 val run : config -> result

@@ -89,7 +89,6 @@ type instruments = {
   m_spsc_batch : Metrics.Histogram.t;
   m_doorbells : Metrics.Counter.t;
   m_steals : Metrics.Counter.t;
-  m_adaptive_window : Metrics.Gauge.t;
 }
 
 (* GC sampling around a stage, inert when metrics are off: one branch,
@@ -232,8 +231,13 @@ type wctx = {
   mutable wsnap : State_store.Snapshot.t;
   wresolvers : Codec.resolver array;  (** one memoizing resolver per worker *)
   scratches : Codec.Scratch.t array;  (** one decode scratch per worker *)
-  dscratch : Codec.Scratch.t;  (** the driver's own scratch (inline decodes) *)
 }
+
+(* Jobs staged per worker before the driver publishes them as one ring
+   batch: big enough to amortize the doorbell on bursty input, small
+   enough that a latency-bound trickle is not delayed (the driver flushes
+   partial batches every round). *)
+let flush_threshold = 8
 
 type pctx = {
   ppool : (carrier, carrier) Runtime.Stage_pool.t;
@@ -244,7 +248,6 @@ type pctx = {
           kept [<= qcap] so a flush and a worker's result push can never
           fail *)
   wctx : wctx;
-  adapt : Runtime.Adaptive.t;
   free : carrier array array;  (** per-worker carrier free stacks *)
   free_top : int array;
   stage_buf : carrier array array;
@@ -275,16 +278,10 @@ type offload_stats = {
   handoff_items : int;
   doorbell_wakeups : int;
   driver_steals : int;
-  adaptive_batch : int;  (** flush threshold at last observation *)
-  adaptive_window : int;  (** in-flight window at last observation *)
-  adaptive_adjustments : int;
 }
 
 type t = {
   config : config;
-  lazy_decode : bool;
-      (** decode wire bytes into flyweight views (materialized only as
-          meld needs the nodes) instead of eager heap trees *)
   runtime : Runtime.t;
   trace : Trace.t;
   flight : Flight.t;
@@ -331,9 +328,6 @@ let offload t =
         handoff_items = p.handoff_items;
         doorbell_wakeups = Runtime.Stage_pool.doorbell_wakeups p.ppool;
         driver_steals = p.driver_steals;
-        adaptive_batch = Runtime.Adaptive.batch p.adapt;
-        adaptive_window = Runtime.Adaptive.window p.adapt;
-        adaptive_adjustments = Runtime.Adaptive.adjustments p.adapt;
       })
     t.pstate
 
@@ -416,96 +410,45 @@ let force_tree ~note (g : Group_meld.group) =
       note (Gc.minor_words () -. mw0);
       { g with Group_meld.root; view = None }
 
-let decode t ~pos bytes =
-  let ds = t.counters.deserialize in
-  let t0 = Clock.now () in
-  let gc0 = gc_begin t.inst in
-  ds.intentions <- ds.intentions + 1;
-  let resolve = cached_resolver t in
-  let i =
-    if t.lazy_decode then begin
-      (* Zero-copy path: index the wire record in place.  The snapshot
-         state is the binding peer — the same source [cached_resolver]
-         consults first, so references and elided payloads bind to the
-         same physical objects either way. *)
-      let peer =
-        match State_store.by_pos t.states (Codec.peek_snapshot bytes) with
-        | Some tree -> tree
-        | None -> Node.empty
-      in
-      let i = Codec.decode_lazy ~pos ~peer ~resolve bytes in
-      (match i.Intention.view with
-      | Some v -> Intention_cache.add_view t.cache v
-      | None -> ());
-      i
-    end
-    else begin
-      let i, nodes = Codec.decode_indexed ~pos ~resolve bytes in
-      Intention_cache.add t.cache ~pos nodes;
-      i
-    end
-  in
-  ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
-  Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
-  gc_end t.inst ~stage:`Ds gc0;
-  let t1 = Clock.now () in
-  ds.seconds <- ds.seconds +. (t1 -. t0);
-  (* [next_seq] is the sequence number this intention receives if it is
-     the next one submitted — true for the decode-then-submit loops the
-     cluster and bench drivers run; batch decoding tags all spans with
-     the batch's first seq, which is still a faithful timeline. *)
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~track:0 ~stage:Trace.Deserialize ~seq:t.next_seq ~t0
-      ~t1 ~nodes:i.Intention.node_count ~detail:i.Intention.byte_size;
-  if Flight.enabled t.flight then begin
-    Flight.touch t.flight ~pos ~now:t0;
-    Flight.note_identity t.flight ~pos ~server:i.Intention.server
-      ~txn_seq:i.Intention.txn_seq;
-    Flight.edge t.flight ~pos ~stage:Flight.Ds ~t0 ~t1
-  end;
-  i
+(* The ds stage: index the wire record in place (zero-copy).  The
+   snapshot state is the binding peer — the same source [cached_resolver]
+   consults first, so references and elided payloads bind to the same
+   physical objects the eager decoders would return.
 
-(* Driver-side slice decode for the pipelined backend: the full inline
-   ds stage (cache fast path, cache insertion, counters, tail-ring
-   span), but reading the wire slice in place through the driver's
-   scratch. *)
-let decode_slice t ~scratch ~seq ~pos ~off ~len src =
+   [detach] is for pipelined-driver decodes, which feed stage queues
+   consumed on worker domains: a view must only ever have one walker, so
+   the intention is materialized immediately (booked as mz, not ds) and
+   the view stripped before it crosses a queue.  Either way the view
+   enters the cache, so later references resolve to the memo-shared
+   objects. *)
+let ds_stage t ~seq ~pos ?off ?len ~detach src =
   let ds = t.counters.deserialize in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
   ds.intentions <- ds.intentions + 1;
-  let resolve = cached_resolver t in
-  let i =
-    if t.lazy_decode then
-      let peer =
-        match State_store.by_pos t.states (Codec.peek_snapshot ~off src) with
-        | Some tree -> tree
-        | None -> Node.empty
-      in
-      Codec.decode_lazy ~pos ~off ~len ~peer ~resolve src
-    else begin
-      let i = Codec.decode_pooled ~scratch ~pos ~off ~len ~resolve src in
-      Intention_cache.add t.cache ~pos (Codec.Scratch.export scratch);
-      i
-    end
+  let peer =
+    match State_store.by_pos t.states (Codec.peek_snapshot ?off src) with
+    | Some tree -> tree
+    | None -> Node.empty
   in
+  let i =
+    Codec.decode_lazy ~pos ?off ?len ~peer ~resolve:(cached_resolver t) src
+  in
+  (match i.Intention.view with
+  | Some v when not detach -> Intention_cache.add_view t.cache v
+  | Some _ | None -> ());
   ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
   Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
   gc_end t.inst ~stage:`Ds gc0;
-  (* A pipelined-driver decode feeds stage queues consumed on worker
-     domains, and a view must only ever have one walker: materialize
-     immediately (booked as mz, not ds) and strip the view before the
-     intention crosses a queue.  The view still enters the cache so later
-     references resolve to the materialized (memo-shared) objects. *)
   let i =
     match i.Intention.view with
-    | None -> i
-    | Some v ->
+    | Some v when detach ->
         let mw0 = Gc.minor_words () in
         let root = View.materialize_root v in
         mz_note t (Gc.minor_words () -. mw0);
         Intention_cache.add_view t.cache v;
         { i with Intention.root; view = None }
+    | Some _ | None -> i
   in
   let t1 = Clock.now () in
   ds.seconds <- ds.seconds +. (t1 -. t0);
@@ -519,6 +462,16 @@ let decode_slice t ~scratch ~seq ~pos ~off ~len src =
     Flight.edge t.flight ~pos ~stage:Flight.Ds ~t0 ~t1
   end;
   i
+
+(* [next_seq] is the sequence number this intention receives if it is the
+   next one submitted — true for the decode-then-submit loops the cluster
+   and bench drivers run; batch decoding tags all spans with the batch's
+   first seq, which is still a faithful timeline. *)
+let decode t ~pos bytes = ds_stage t ~seq:t.next_seq ~pos ~detach:false bytes
+
+(* Driver-side slice decode for the pipelined backend. *)
+let decode_slice t ~seq ~pos ~off ~len src =
+  ds_stage t ~seq ~pos ~off ~len ~detach:true src
 
 (* Run final meld on a completed group and emit its decisions. *)
 let final_meld t (group : Group_meld.group) =
@@ -1164,18 +1117,13 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     if px.outstanding.(worker) > px.max_depth then
       px.max_depth <- px.outstanding.(worker);
     progress := true;
-    if px.stage_n.(worker) >= Runtime.Adaptive.batch px.adapt then flush worker
+    if px.stage_n.(worker) >= flush_threshold then flush worker
   in
-  (* In-flight window per worker: the adaptive controller can shrink it
-     below [qcap] to bias toward latency; release gates check it, the
-     budget proofs only need [limit () <= qcap] (guaranteed by the
-     controller's clamp). *)
-  let limit () = Runtime.Adaptive.window px.adapt in
   let release_ds () =
     for w = 0 to domains - 1 do
       let rec go () =
         match ds_jobs.(w) with
-        | i :: rest when px.outstanding.(w) < limit () ->
+        | i :: rest when px.outstanding.(w) < qcap ->
             (match window.(i) with
             | Ww { pos; src; off; len; _ } ->
                 let c = take w in
@@ -1201,7 +1149,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       let w = k mod domains in
       let rec go () =
         match pm_pending.(k) with
-        | i :: rest when px.outstanding.(w) < limit () -> (
+        | i :: rest when px.outstanding.(w) < qcap -> (
             match intentions.(i) with
             | Some _ ->
                 let c = take w in
@@ -1223,7 +1171,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   in
   let release_gm () =
     let rec go () =
-      if !gm_next < b && px.outstanding.(gm_worker) < limit () then begin
+      if !gm_next < b && px.outstanding.(gm_worker) < qcap then begin
         let i = !gm_next in
         let unit_group =
           match t.config.premeld with
@@ -1265,8 +1213,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
               if psnap <= lpos then begin
                 intentions.(i) <-
                   Some
-                    (decode_slice t ~scratch:px.wctx.dscratch ~seq:(s0 + i)
-                       ~pos ~off ~len src);
+                    (decode_slice t ~seq:(s0 + i) ~pos ~off ~len src);
                 px.ds_inline_n <- px.ds_inline_n + 1;
                 held := rest;
                 progress := true;
@@ -1319,8 +1266,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             | Ww { pos; src; off; len; _ } ->
                 intentions.(c.c_idx) <-
                   Some
-                    (decode_slice t ~scratch:px.wctx.dscratch
-                       ~seq:(s0 + c.c_idx) ~pos ~off ~len src);
+                    (decode_slice t ~seq:(s0 + c.c_idx) ~pos ~off ~len src);
                 px.ds_offloaded <- px.ds_offloaded - 1;
                 px.ds_inline_n <- px.ds_inline_n + 1
             | Wi _ -> assert false))
@@ -1366,8 +1312,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       | Ww { pos; src; off; len; _ } ->
           intentions.(!bi) <-
             Some
-              (decode_slice t ~scratch:px.wctx.dscratch ~seq:(s0 + !bi) ~pos
-                 ~off ~len src)
+              (decode_slice t ~seq:(s0 + !bi) ~pos ~off ~len src)
       | Wi _ -> assert false);
       ds_jobs.(!bw) <- List.tl ds_jobs.(!bw);
       px.ds_inline_n <- px.ds_inline_n + 1;
@@ -1449,17 +1394,6 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     (* Partial batches must reach the rings before this round can decide
        to park — staged-but-unpublished work never wakes a worker. *)
     flush_all ();
-    (let depth = ref 0 in
-     for w = 0 to domains - 1 do
-       let d = Runtime.Stage_pool.job_depth pool ~worker:w in
-       if d > !depth then depth := d
-     done;
-     Runtime.Adaptive.observe px.adapt ~depth:!depth);
-    (match inst with
-    | None -> ()
-    | Some i ->
-        Metrics.Gauge.set i.m_adaptive_window
-          (float_of_int (Runtime.Adaptive.window px.adapt)));
     if (not !progress) && !rgm < b then begin
       let in_flight = Array.fold_left ( + ) 0 px.outstanding in
       if in_flight > 0 then begin
@@ -1531,8 +1465,7 @@ let run_pipelined t (px : pctx) (items : witem array) =
                     but only %d is recorded — invalid stream"
                    pos psnap lpos);
             let i =
-              decode_slice t ~scratch:px.wctx.dscratch ~seq:t.next_seq ~pos
-                ~off:o ~len src
+              decode_slice t ~seq:t.next_seq ~pos ~off:o ~len src
             in
             px.ds_inline_n <- px.ds_inline_n + 1;
             submit t i
@@ -1675,7 +1608,7 @@ let validate_shape ~who ~config ~runtime ~trace =
       (Printf.sprintf "Pipeline.%s: trace has fewer shards than premeld threads"
          who);
   (match runtime with
-  | Runtime.Pipelined { domains; _ } ->
+  | Runtime.Pipelined { domains } ->
       if Trace.enabled trace && Trace.workers trace < domains then
         invalid_arg
           (Printf.sprintf
@@ -1707,19 +1640,17 @@ let make_instruments metrics =
         m_spsc_batch = Metrics.histogram m "spsc_batch_size";
         m_doorbells = Metrics.counter m "spsc_doorbell_wakeups_total";
         m_steals = Metrics.counter m "driver_steals_total";
-        m_adaptive_window = Metrics.gauge m "adaptive_window_size";
       })
     metrics
 
 let attach_pstate t runtime =
   match runtime with
-  | Runtime.Pipelined { domains; batch; adaptive } ->
+  | Runtime.Pipelined { domains } ->
       let wctx =
         {
           wsnap = State_store.snapshot t.states;
           wresolvers = Array.make domains null_resolver;
           scratches = Array.init domains (fun _ -> Codec.Scratch.create ());
-          dscratch = Codec.Scratch.create ();
         }
       in
       let dummy = fresh_carrier () in
@@ -1738,9 +1669,6 @@ let attach_pstate t runtime =
             qcap;
             outstanding = Array.make domains 0;
             wctx;
-            adapt =
-              Runtime.Adaptive.create ~enabled:adaptive ~batch ~capacity:qcap
-                ();
             (* qcap carriers per worker pair: since staged + in-flight
                never exceeds qcap, a release gate passing implies a free
                carrier. *)
@@ -1765,13 +1693,12 @@ let attach_pstate t runtime =
   | Runtime.Sequential | Runtime.Parallel _ -> ()
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(lazy_decode = true) ?(trace = Trace.disabled) ?(flight = Flight.disabled)
+    ?(trace = Trace.disabled) ?(flight = Flight.disabled)
     ?metrics ~genesis () =
   let pm_threads = validate_shape ~who:"create" ~config ~runtime ~trace in
   let t =
     {
       config;
-      lazy_decode;
       runtime = Runtime.create ?metrics runtime;
       trace;
       flight;
@@ -1811,7 +1738,7 @@ let checkpoint t =
          ~counters:t.counters)
 
 let restore ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(lazy_decode = true) ?(trace = Trace.disabled) ?(flight = Flight.disabled)
+    ?(trace = Trace.disabled) ?(flight = Flight.disabled)
     ?metrics (ckpt : Checkpoint.t) =
   let pm_threads = validate_shape ~who:"restore" ~config ~runtime ~trace in
   if Array.length ckpt.Checkpoint.alloc_issued <> pm_threads + 2 then
@@ -1833,7 +1760,6 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
   let t =
     {
       config;
-      lazy_decode;
       runtime = Runtime.create ?metrics runtime;
       trace;
       flight;

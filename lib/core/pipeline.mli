@@ -49,21 +49,20 @@ type t
 val create :
   ?config:config ->
   ?runtime:Runtime.backend ->
-  ?lazy_decode:bool ->
   ?trace:Hyder_obs.Trace.t ->
   ?flight:Hyder_obs.Flight.t ->
   ?metrics:Hyder_obs.Metrics.t ->
   genesis:Tree.t ->
   unit ->
   t
-(** [lazy_decode] (default [true]) makes the ds stage index wire records
-    in place as flyweight {!Hyder_codec.View} values instead of eagerly
-    building heap trees; meld walks the view and materializes only the
-    nodes it grafts, and the allocation it does spend is booked under the
+(** The ds stage indexes wire records in place as flyweight
+    {!Hyder_codec.View} values instead of eagerly building heap trees;
+    meld walks the view and materializes only the nodes it grafts, and
+    the allocation it does spend is booked under the
     [pipeline_mz_gc_minor_words] instrument rather than the ds bracket.
-    Decisions, trees, ephemeral ids and integer counters are bit-identical
-    either way (the eager path remains as the reference, and the
-    cross-backend suites compare the two).
+    Pipelined worker decodes are eager ({!Hyder_codec.Codec.decode_pooled}):
+    a view must not cross a queue.  Decisions, trees, ephemeral ids and
+    integer counters are bit-identical to eager decoding everywhere.
 
     [runtime] defaults to {!Runtime.sequential}.  A [Parallel] runtime
     spawns its domain pool here, a [Pipelined] runtime its stage-pool
@@ -164,9 +163,6 @@ type offload_stats = {
           driver parks that were woken) *)
   driver_steals : int;
       (** backlogged ds/pm items the driver inlined instead of parking *)
-  adaptive_batch : int;  (** flush threshold at last observation *)
-  adaptive_window : int;  (** per-worker in-flight window at last observation *)
-  adaptive_adjustments : int;  (** batch resizes the controller applied *)
 }
 
 val offload : t -> offload_stats option
@@ -185,9 +181,11 @@ val config : t -> config
 val runtime : t -> Runtime.backend
 
 val shutdown : t -> unit
-(** Join the parallel runtime's domain pool, if any.  Idempotent; the
-    pipeline remains usable for sequential [submit] afterwards but not
-    for parallel [submit_batch]. *)
+(** Join the [Parallel] domain pool or the [Pipelined] stage-pool
+    workers, if any.  Idempotent.  Afterwards the pipeline remains usable
+    for {!submit} and {!decode}; under [Parallel] or [Pipelined],
+    {!submit_batch} and {!submit_wire_batch} raise [Invalid_argument]
+    once they reach the joined workers. *)
 
 val prune : t -> keep:int -> unit
 (** Drop old retained states, but never below what premeld arithmetic
@@ -205,7 +203,6 @@ val checkpoint : t -> Checkpoint.t option
 val restore :
   ?config:config ->
   ?runtime:Runtime.backend ->
-  ?lazy_decode:bool ->
   ?trace:Hyder_obs.Trace.t ->
   ?flight:Hyder_obs.Flight.t ->
   ?metrics:Hyder_obs.Metrics.t ->

@@ -5,12 +5,8 @@ module Metrics = Hyder_obs.Metrics
 type backend =
   | Sequential
   | Parallel of { domains : int }
-  | Pipelined of { domains : int; batch : int; adaptive : bool }
+  | Pipelined of { domains : int }
 
-(* Default handoff batch for [pipe:<n>]: big enough to amortize the
-   doorbell on bursty input, small enough that a latency-bound trickle
-   is not delayed (the driver flushes partial batches every round). *)
-let default_batch = 8
 let sequential = Sequential
 
 let parallel ~domains =
@@ -19,59 +15,31 @@ let parallel ~domains =
 
 let pipelined ~domains =
   if domains < 1 then invalid_arg "Runtime.pipelined: domains";
-  Pipelined { domains; batch = default_batch; adaptive = false }
+  Pipelined { domains }
 
 let parse s =
+  let domains n =
+    match int_of_string_opt n with
+    | Some d when d >= 1 -> Ok d
+    | Some _ | None ->
+        Error (Printf.sprintf "bad domain count %S in runtime spec" n)
+  in
   match String.split_on_char ':' (String.trim s) with
   | [ "seq" ] | [ "sequential" ] -> Ok Sequential
   | [ "par" ] | [ "parallel" ] -> Ok (Parallel { domains = 2 })
-  | [ ("par" | "parallel"); n ] -> (
-      match int_of_string_opt n with
-      | Some d when d >= 1 -> Ok (Parallel { domains = d })
-      | Some _ | None ->
-          Error (Printf.sprintf "bad domain count %S in runtime spec" n))
-  | ("pipe" | "pipelined") :: rest -> (
-      (* pipe[:<domains>[:<batch>]][:adaptive] *)
-      let domains = ref 2
-      and batch = ref default_batch
-      and adaptive = ref false
-      and ints_seen = ref 0
-      and err = ref None in
-      List.iter
-        (fun tok ->
-          match (int_of_string_opt tok, tok) with
-          | Some d, _ when d >= 1 && !ints_seen = 0 ->
-              domains := d;
-              incr ints_seen
-          | Some b, _ when b >= 1 && !ints_seen = 1 ->
-              batch := b;
-              incr ints_seen
-          | None, ("adaptive" | "a") -> adaptive := true
-          | _ ->
-              if !err = None then
-                err :=
-                  Some
-                    (Printf.sprintf "bad token %S in pipelined runtime spec" tok))
-        rest;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          Ok
-            (Pipelined
-               { domains = !domains; batch = !batch; adaptive = !adaptive }))
+  | [ "pipe" ] | [ "pipelined" ] -> Ok (Pipelined { domains = 2 })
+  | [ ("par" | "parallel"); n ] ->
+      Result.map (fun domains -> Parallel { domains }) (domains n)
+  | [ ("pipe" | "pipelined"); n ] ->
+      Result.map (fun domains -> Pipelined { domains }) (domains n)
   | _ ->
       Error
-        (Printf.sprintf
-           "unknown runtime %S (want seq | par:<n> | pipe:<n>[:<batch>][:adaptive])"
-           s)
+        (Printf.sprintf "unknown runtime %S (want seq | par:<n> | pipe:<n>)" s)
 
 let to_string = function
   | Sequential -> "seq"
   | Parallel { domains } -> Printf.sprintf "par:%d" domains
-  | Pipelined { domains; batch; adaptive } ->
-      Printf.sprintf "pipe:%d%s%s" domains
-        (if batch <> default_batch then Printf.sprintf ":%d" batch else "")
-        (if adaptive then ":adaptive" else "")
+  | Pipelined { domains } -> Printf.sprintf "pipe:%d" domains
 
 (* ------------------------------------------------------------------ *)
 (* Stage pool: the pipelined backend's worker fabric                    *)
@@ -192,7 +160,11 @@ module Stage_pool = struct
   let domains t = t.domains
   let queue_capacity t = Spsc_queue.capacity t.jobs.(0)
 
+  (* Every driver operation passes through here.  After [shutdown] the
+     workers are joined, so a pushed job would never run and a [wait]
+     would park forever: refuse up front instead. *)
   let check t =
+    if t.shut then invalid_arg "Runtime.Stage_pool: used after shutdown";
     match Atomic.get t.failure with
     | None -> ()
     | Some e ->
@@ -201,14 +173,6 @@ module Stage_pool = struct
         Array.iter Spsc_queue.wake t.jobs;
         raise e
 
-  let try_submit t ~worker job =
-    check t;
-    Spsc_queue.try_push t.jobs.(worker) job
-
-  let try_result t ~worker =
-    check t;
-    Spsc_queue.try_pop t.results.(worker)
-
   let submit_batch t ~worker buf ~len =
     check t;
     Spsc_queue.push_batch t.jobs.(worker) buf ~len
@@ -216,8 +180,6 @@ module Stage_pool = struct
   let result_batch t ~worker buf ~max =
     check t;
     Spsc_queue.pop_batch t.results.(worker) buf ~max
-
-  let job_depth t ~worker = Spsc_queue.length t.jobs.(worker)
 
   (* Worker-side parks woken by a job push, plus driver parks woken by a
      result doorbell — the total count of condvar round-trips the
@@ -259,89 +221,6 @@ module Stage_pool = struct
     end
 end
 
-(* ------------------------------------------------------------------ *)
-(* Adaptive handoff controller                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives the driver's flush threshold (batch size) and in-flight window
-   from observed queue depths.  Strictly a wall-clock scheduling knob:
-   it decides *when* work is handed to a worker, never *which* worker
-   runs it or in what order results are applied, so every backend stays
-   bit-identical with the controller on or off.
-
-   The rule is a slow-attack/fast-ish-decay AIMD-flavored doubler with
-   hysteresis: [growth] consecutive backed-up observations (deepest
-   queue at least half full) double the batch — sustained backlog means
-   throughput mode, amortize the doorbells; [growth] consecutive dry
-   observations halve it — the pipe is latency-bound, hand work over
-   eagerly.  The in-flight window tracks [4 * batch], clamped to
-   [batch, capacity]: small batches also shrink how much work the
-   driver banks ahead of the workers, which keeps end-to-end latency
-   proportional to the batch decision. *)
-module Adaptive = struct
-  type t = {
-    enabled : bool;
-    capacity : int;
-    growth : int;
-    mutable batch : int;
-    mutable window : int;
-    mutable hot : int;  (** consecutive backed-up observations *)
-    mutable cold : int;  (** consecutive dry observations *)
-    mutable adjustments : int;  (** batch-size changes applied *)
-  }
-
-  let clamp_window ~capacity ~batch =
-    max batch (min capacity (4 * batch))
-
-  let create ?(growth = 3) ~enabled ~batch ~capacity () =
-    if capacity < 1 then invalid_arg "Runtime.Adaptive.create: capacity";
-    let batch = max 1 (min batch capacity) in
-    {
-      enabled;
-      capacity;
-      growth;
-      batch;
-      window = (if enabled then clamp_window ~capacity ~batch else capacity);
-      hot = 0;
-      cold = 0;
-      adjustments = 0;
-    }
-
-  let batch t = t.batch
-  let window t = t.window
-  let adjustments t = t.adjustments
-
-  let set_batch t b =
-    if b <> t.batch then begin
-      t.batch <- b;
-      t.window <- clamp_window ~capacity:t.capacity ~batch:b;
-      t.adjustments <- t.adjustments + 1
-    end
-
-  let observe t ~depth =
-    if t.enabled then
-      if 2 * depth >= t.capacity then begin
-        t.cold <- 0;
-        t.hot <- t.hot + 1;
-        if t.hot >= t.growth then begin
-          t.hot <- 0;
-          set_batch t (min t.capacity (2 * t.batch))
-        end
-      end
-      else if depth = 0 then begin
-        t.hot <- 0;
-        t.cold <- t.cold + 1;
-        if t.cold >= t.growth then begin
-          t.cold <- 0;
-          set_batch t (max 1 (t.batch / 2))
-        end
-      end
-      else begin
-        t.hot <- 0;
-        t.cold <- 0
-      end
-end
-
 (* Scheduling metrics, resolved once at create time so the per-batch cost
    is two counter bumps (and zero when no registry is wired). *)
 type instruments = {
@@ -359,7 +238,7 @@ let create ?metrics backend =
         Metrics.Gauge.set g
           (match backend with
           | Sequential -> 0.0
-          | Parallel { domains } | Pipelined { domains; _ } ->
+          | Parallel { domains } | Pipelined { domains } ->
               float_of_int domains);
         {
           batches = Metrics.counter m "runtime_task_batches";
@@ -372,7 +251,7 @@ let create ?metrics backend =
   | Parallel { domains } as b ->
       if domains < 1 then invalid_arg "Runtime.create: domains";
       { backend = b; pool = Some (Domain_pool.create ~domains); inst }
-  | Pipelined { domains; _ } as b ->
+  | Pipelined { domains } as b ->
       if domains < 1 then invalid_arg "Runtime.create: domains";
       (* The pipelined backend owns its worker fabric (a [Stage_pool]
          inside the pipeline, typed by the pipeline's job variants); the

@@ -39,16 +39,7 @@
 type backend =
   | Sequential
   | Parallel of { domains : int }
-  | Pipelined of { domains : int; batch : int; adaptive : bool }
-      (** [batch] is the driver's handoff flush threshold (jobs staged
-          per worker before a ring publication); [adaptive] lets the
-          {!Adaptive} controller resize it (and the in-flight window)
-          from observed queue depths at runtime.  Both are wall-clock
-          scheduling knobs only — results are bit-identical across every
-          setting. *)
-
-val default_batch : int
-(** Handoff batch used when a pipelined spec does not name one. *)
+  | Pipelined of { domains : int }
 
 val sequential : backend
 
@@ -56,18 +47,14 @@ val parallel : domains:int -> backend
 (** [domains >= 1], [Invalid_argument] otherwise. *)
 
 val pipelined : domains:int -> backend
-(** [domains >= 1], [Invalid_argument] otherwise; {!default_batch},
-    non-adaptive.  Use the {!backend} record directly (or {!parse}) to
-    set [batch] / [adaptive]. *)
+(** [domains >= 1], [Invalid_argument] otherwise. *)
 
 val parse : string -> (backend, string) result
-(** ["seq"], ["par:<n>"] or ["pipe:<n>[:<batch>][:adaptive]"] (e.g.
-    ["pipe:4"], ["pipe:4:32"], ["pipe:2:adaptive"]); bare ["par"] /
-    ["pipe"] mean two domains. *)
+(** ["seq"], ["par:<n>"] or ["pipe:<n>"]; bare ["par"] / ["pipe"] mean
+    two domains. *)
 
 val to_string : backend -> string
-(** Inverse of {!parse} (canonical: default batch and non-adaptive are
-    elided). *)
+(** Inverse of {!parse}. *)
 
 (** Bounded worker fabric for the pipelined backend.
 
@@ -82,7 +69,9 @@ val to_string : backend -> string
 
     A worker exception cancels the fabric: the first exception is
     captured, every worker unwinds, and the exception re-raises on the
-    driver from the next {!Stage_pool.wait} / submit / drain call. *)
+    driver from the next {!Stage_pool.wait} / submit / drain call.  After
+    {!Stage_pool.shutdown}, those calls raise
+    [Invalid_argument "Runtime.Stage_pool: used after shutdown"]. *)
 module Stage_pool : sig
   type ('j, 'r) t
 
@@ -106,14 +95,6 @@ module Stage_pool : sig
   (** Per-queue bound after power-of-two rounding — also the driver's
       outstanding-results budget per worker. *)
 
-  val try_submit : ('j, 'r) t -> worker:int -> 'j -> bool
-  (** Driver only.  [false] iff worker [worker]'s job queue is full;
-      the driver then drains results or runs the job inline. *)
-
-  val try_result : ('j, 'r) t -> worker:int -> 'r option
-  (** Driver only.  [None] iff worker [worker] has no finished result
-      queued. *)
-
   val submit_batch : ('j, 'r) t -> worker:int -> 'j array -> len:int -> int
   (** Driver only.  Push [buf.(0 .. len-1)] to worker [worker]'s job
       queue with one tail publication and at most one doorbell; returns
@@ -122,10 +103,6 @@ module Stage_pool : sig
   val result_batch : ('j, 'r) t -> worker:int -> 'r array -> max:int -> int
   (** Driver only.  Pop up to [max] finished results into [buf] with one
       head publication; returns how many were popped. *)
-
-  val job_depth : ('j, 'r) t -> worker:int -> int
-  (** Jobs currently queued (not yet popped) for worker [worker].  Exact
-      for the driver between its own operations. *)
 
   val doorbell_wakeups : ('j, 'r) t -> int
   (** Condvar round-trips the handoff actually paid for, cumulative:
@@ -146,40 +123,6 @@ module Stage_pool : sig
   val shutdown : ('j, 'r) t -> unit
   (** Stop and join every worker domain.  Idempotent.  Re-raises a
       captured worker exception after the join. *)
-end
-
-(** Adaptive handoff controller for the pipelined driver.
-
-    Resizes the handoff batch (flush threshold) and the in-flight window
-    from queue depths the driver observes each scheduling round: a run
-    of backed-up observations doubles the batch (throughput mode —
-    amortize doorbells and publications), a run of dry observations
-    halves it (latency mode — hand work over eagerly), with hysteresis
-    so a single spike cannot flap the setting.  The window tracks
-    [4 * batch] clamped to [\[batch, capacity\]].
-
-    Strictly a wall-clock knob: it never changes which worker runs a
-    job or the order results are applied, so melds stay bit-identical
-    with the controller on or off.  When [enabled] is false, {!observe}
-    is a no-op and the batch/window stay at their creation values. *)
-module Adaptive : sig
-  type t
-
-  val create :
-    ?growth:int -> enabled:bool -> batch:int -> capacity:int -> unit -> t
-  (** [batch] is clamped to [\[1, capacity\]]; [growth] (default 3) is
-      the hysteresis run length before a resize. *)
-
-  val batch : t -> int
-  val window : t -> int
-
-  val adjustments : t -> int
-  (** Batch-size changes applied so far. *)
-
-  val observe : t -> depth:int -> unit
-  (** Feed one scheduling-round observation: [depth] is the deepest job
-      queue seen this round (relative to the capacity given at
-      creation). *)
 end
 
 type t

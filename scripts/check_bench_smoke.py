@@ -64,29 +64,11 @@ FM_NS_TOLERANCE_MULTI = 3.0
 # chain invariant makes coverage exactly 1.0 up to clock jitter, and the
 # acceptance contract allows 5%.
 FLIGHT_COVERAGE_SLACK = 0.05
-# Lazy-decode gates.  A row running the flyweight-view ds path must keep
-# deserialization allocation under this budget (words land in the mz
-# column as meld materializes, not in ds); eager reference rows are
-# exempt.  The lazy sequential row must also beat the eager reference
-# row, measured in the same run on the same machine so the ratios are
-# hardware-independent.  Two signals, by stability:
-#   - ds minor words/txn ratio: exact Gc.minor_words counters, fully
-#     deterministic for a fixed seed (measured ~10x; gate at 4x);
-#   - ds stage service time ratio: wall time, but both sides sampled in
-#     the same process minutes apart, so load cancels to first order
-#     (measured 1.4-1.7x; gate at 1.2x).
-# End-to-end melds/s is NOT gated against the eager row beyond parity:
-# the eager decoder spends ~70us/txn of an ~80us/txn loop, but ~half the
-# lazy parse floor is cache misses binding refs/elisions against cold
-# snapshot nodes — work both decoders must do — so the honest wall win
-# is ~1.2-1.4x and drowns in shared-CI noise (observed 1.07-1.30 for
-# identical binaries across runs).  The allocation and service-time
-# ratios are what the flyweight view actually promises; the parity
-# floor just catches a lazy path that got slower than eager outright.
+# Driver-side ds allocation budget, in minor words per txn.  The
+# flyweight-view ds path builds only index arrays; node allocation lands
+# in the mz column as meld materializes.  Under pipe:<n> the column
+# covers only the driver-inline decodes.
 DS_MINOR_BUDGET = 500.0
-DS_ALLOC_RATIO_MIN = 4.0
-DS_STAGE_SPEEDUP_MIN = 1.2
-LAZY_WALL_PARITY_MIN = 0.9
 # Handoff-allocation budget, in driver minor words per measured txn not
 # already booked by a stage instrument (fm/ds/pm/gm/mz).  The carrier
 # pool plus batched rings make the steady-state handoff itself
@@ -129,24 +111,21 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
 
     # The fm loop's minor allocation per intention is backend-invariant
     # (same melds, same nodes); a spread here means the measurement or the
-    # determinism contract broke.  This holds across lazy and eager rows
-    # too: with group meld on, final meld always receives a combined real
-    # tree, and the mz hook keeps materialization out of the fm column.
+    # determinism contract broke.  With group meld on, final meld always
+    # receives a combined real tree, and the mz hook keeps
+    # materialization out of the fm column.
     fm_minors = {n: r["gc_words_per_txn"]["fm_minor"] for n, r in rows.items()}
     lo, hi = min(fm_minors.values()), max(fm_minors.values())
     if lo <= 0 or hi > lo * 1.01:
         fail(f"fm minor words/txn not backend-invariant: {fm_minors}")
 
-    # Lazy-decode allocation budget: the view path must keep ds under
-    # DS_MINOR_BUDGET minor words/txn (flyweight index arrays only).
     for name, r in sorted(rows.items()):
-        if r.get("lazy_decode", False):
-            ds = r["gc_words_per_txn"].get("ds_minor")
-            if ds is None:
-                fail(f"{name}: lazy row is missing the ds_minor column")
-            if not ds < DS_MINOR_BUDGET:
-                fail(f"{name}: ds minor words/txn {ds:.1f} not under the "
-                     f"lazy-decode budget of {DS_MINOR_BUDGET:.0f}")
+        ds = r["gc_words_per_txn"].get("ds_minor")
+        if ds is None:
+            fail(f"{name}: row is missing the ds_minor column")
+        if not ds < DS_MINOR_BUDGET:
+            fail(f"{name}: ds minor words/txn {ds:.1f} not under the "
+                 f"budget of {DS_MINOR_BUDGET:.0f}")
 
     msgs = []
 
@@ -204,36 +183,7 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     msgs.append(f"handoff {h['items'] / h['batches']:.1f} items/publication, "
                 f"{h['doorbell_wakeups']} doorbells, "
                 f"{h['driver_steals']} steals, "
-                f"residual driver alloc {residual:.0f} w/txn, "
-                f"adaptive batch={h['adaptive_batch']} "
-                f"window={h['adaptive_window']}")
-
-    eager = rows.get("seq-eager")
-    if eager is not None:
-        seq = rows["seq"]
-        seq_ds = seq["gc_words_per_txn"]["ds_minor"]
-        eager_ds = eager["gc_words_per_txn"]["ds_minor"]
-        alloc_ratio = eager_ds / seq_ds if seq_ds > 0 else float("inf")
-        if alloc_ratio < DS_ALLOC_RATIO_MIN:
-            fail(f"lazy seq ds allocation is only {alloc_ratio:.1f}x below "
-                 f"the eager reference ({seq_ds:.1f} vs {eager_ds:.1f} "
-                 f"minor words/txn; need >= {DS_ALLOC_RATIO_MIN}x)")
-        stage_ratio = eager["stage_us"]["ds"] / seq["stage_us"]["ds"]
-        if stage_ratio < DS_STAGE_SPEEDUP_MIN:
-            fail(f"lazy seq ds stage is only {stage_ratio:.2f}x faster than "
-                 f"the eager reference ({seq['stage_us']['ds']:.2f} vs "
-                 f"{eager['stage_us']['ds']:.2f} us/txn; need "
-                 f">= {DS_STAGE_SPEEDUP_MIN}x)")
-        wall_ratio = seq["melds_per_s"] / eager["melds_per_s"]
-        if wall_ratio < LAZY_WALL_PARITY_MIN:
-            fail(f"lazy seq regressed end-to-end: {wall_ratio:.2f}x the "
-                 f"eager reference ({seq['melds_per_s']:.0f} vs "
-                 f"{eager['melds_per_s']:.0f} melds/s; need "
-                 f">= {LAZY_WALL_PARITY_MIN}x)")
-        msgs.append(f"lazy seq ds {alloc_ratio:.1f}x less allocation "
-                    f"({seq_ds:.0f} vs {eager_ds:.0f} w/txn), "
-                    f"{stage_ratio:.2f}x faster ds stage, "
-                    f"{wall_ratio:.2f}x melds/s")
+                f"residual driver alloc {residual:.0f} w/txn")
     if baseline_path is not None:
         base = load_rows(baseline_path, "macro")
         for name, r in sorted(rows.items()):

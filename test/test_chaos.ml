@@ -201,11 +201,7 @@ let test_chaos_backend_independent () =
             (backend ^ " bit-identical to sequential")
             true
             (digests r = digests seq))
-    (* pipe:2:adaptive exercises the adaptive handoff controller under
-       crash/replay: recovery re-melds log suffixes through the staged
-       fabric, and resized batches/windows must stay invisible in the
-       digests. *)
-    [ "par:2"; "pipe:2"; "pipe:2:adaptive" ]
+    [ "par:2"; "pipe:2" ]
 
 let () =
   Alcotest.run "chaos"

@@ -327,12 +327,10 @@ let test_pipelined_burst () =
         = List.length intentions);
       check "worker ds time measured" true (o.Pipeline.worker_ds_seconds > 0.0)
 
-(* The batched-handoff sweep: every handoff batch size and the adaptive
-   controller are pure wall-clock knobs, so a bursty wire replay must be
-   bit-identical to the sequential baseline at batch 1 (the pre-batching
-   behaviour), the default, and a batch far above the queue capacity,
-   with the controller on or off.  Slab sizes mix one giant burst with a
-   trickle so both the flush-on-threshold and flush-partial paths run. *)
+(* The batched-handoff slab sweep: one giant burst, a mid-size slab and a
+   one-intention trickle, so both the flush-on-threshold and the
+   flush-partial paths run.  Every feed must be bit-identical to the
+   sequential baseline. *)
 let test_batched_handoff_sweep () =
   let config =
     {
@@ -346,13 +344,10 @@ let test_batched_handoff_sweep () =
   in
   check_int "sweep baseline decided everything" (List.length intentions)
     (List.length wd);
+  let runtime = Runtime.pipelined ~domains:2 in
   List.iter
-    (fun (batch, adaptive, slab) ->
-      let runtime = Runtime.Pipelined { domains = 2; batch; adaptive } in
-      let name =
-        Printf.sprintf "%s slab %d" (Runtime.to_string runtime)
-          (min slab 999_999)
-      in
+    (fun slab ->
+      let name = Printf.sprintf "pipe:2 slab %d" (min slab 999_999) in
       let d, final, counts, off =
         replay_wire ~config ~runtime ~slab genesis wires
       in
@@ -364,23 +359,44 @@ let test_batched_handoff_sweep () =
           check (name ^ ": publications recorded") true
             (o.Pipeline.handoff_batches > 0);
           check (name ^ ": items cover publications") true
-            (o.Pipeline.handoff_items >= o.Pipeline.handoff_batches);
-          check (name ^ ": adaptive batch within bounds") true
-            (o.Pipeline.adaptive_batch >= 1
-            && o.Pipeline.adaptive_batch <= o.Pipeline.queue_capacity);
-          check (name ^ ": window covers the batch") true
-            (o.Pipeline.adaptive_window >= o.Pipeline.adaptive_batch);
-          if not adaptive then
-            check (name ^ ": controller off means no adjustments") true
-              (o.Pipeline.adaptive_adjustments = 0))
-    [
-      (1, false, max_int);
-      (4, false, 17);
-      (32, false, max_int);
-      (1, true, 17);
-      (4, true, max_int);
-      (32, true, 1);
-    ]
+            (o.Pipeline.handoff_items >= o.Pipeline.handoff_batches))
+    [ max_int; 17; 1 ]
+
+(* Shutdown joins the stage-pool workers, so a later batch must fail
+   loudly instead of queueing jobs nobody will run and parking the
+   driver forever. *)
+let test_submit_after_shutdown_raises () =
+  let config = Pipeline.with_both in
+  let genesis, intentions, wires = make_stream ~config ~txns:20 ~seed:5 in
+  let p =
+    Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2) ~genesis ()
+  in
+  let slice lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l in
+  ignore (Pipeline.submit_wire_batch p (slice 0 2 wires));
+  Pipeline.shutdown p;
+  Pipeline.shutdown p (* idempotent *);
+  let expect name f =
+    match f () with
+    | exception Invalid_argument m ->
+        Alcotest.(check string) name "Runtime.Stage_pool: used after shutdown" m
+    | _ -> Alcotest.failf "%s: accepted after shutdown" name
+  in
+  expect "submit_wire_batch" (fun () ->
+      Pipeline.submit_wire_batch p (slice 2 4 wires));
+  expect "submit_batch" (fun () ->
+      Pipeline.submit_batch p (slice 2 4 intentions));
+  let pool =
+    Runtime.Stage_pool.create ~domains:1 ~dummy_job:0 ~dummy_result:0
+      ~exec:(fun ~worker:_ j -> j)
+      ()
+  in
+  Runtime.Stage_pool.shutdown pool;
+  expect "Stage_pool.submit_batch" (fun () ->
+      ignore (Runtime.Stage_pool.submit_batch pool ~worker:0 [| 1 |] ~len:1));
+  expect "Stage_pool.result_batch" (fun () ->
+      ignore (Runtime.Stage_pool.result_batch pool ~worker:0 [| 0 |] ~max:1));
+  expect "Stage_pool.wait" (fun () ->
+      Runtime.Stage_pool.wait pool ~seen:(Runtime.Stage_pool.events pool))
 
 (* Satellite of the batched-handoff work: one steady-state round of the
    stage-pool fabric — batched submit, worker exec, batched drain — must
@@ -570,51 +586,27 @@ let test_runtime_parse () =
   (match Runtime.parse "pipe:0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse accepted pipe:0");
-  check "pipe:4:32 sets the batch" true
-    (Runtime.parse "pipe:4:32"
-    = Ok (Runtime.Pipelined { domains = 4; batch = 32; adaptive = false }));
-  check "pipe:2:adaptive" true
-    (Runtime.parse "pipe:2:adaptive"
-    = Ok
-        (Runtime.Pipelined
-           { domains = 2; batch = Runtime.default_batch; adaptive = true }));
-  check "pipe:2:4:adaptive" true
-    (Runtime.parse "pipe:2:4:adaptive"
-    = Ok (Runtime.Pipelined { domains = 2; batch = 4; adaptive = true }));
-  check "a is shorthand for adaptive" true
-    (Runtime.parse "pipe:3:a"
-    = Ok
-        (Runtime.Pipelined
-           { domains = 3; batch = Runtime.default_batch; adaptive = true }));
-  (match Runtime.parse "pipe:2:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted batch 0");
-  (match Runtime.parse "pipe:2:4:bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted a bogus pipe token");
+  (* A pipe spec takes nothing after the domain count; the error names
+     the grammar. *)
+  List.iter
+    (fun spec ->
+      match Runtime.parse spec with
+      | Ok _ -> Alcotest.failf "parse accepted %s" spec
+      | Error e ->
+          check (spec ^ ": error names the grammar") true
+            (String.ends_with ~suffix:"(want seq | par:<n> | pipe:<n>)" e))
+    [ "pipe:4:32"; "pipe:2:adaptive"; "pipe:3:a" ];
   check "round-trip" true
     (Runtime.to_string (Runtime.parallel ~domains:4) = "par:4"
     && Runtime.to_string (Runtime.pipelined ~domains:4) = "pipe:4"
     && Runtime.to_string Runtime.sequential = "seq");
-  check "round-trip elides defaults only" true
-    (Runtime.to_string
-       (Runtime.Pipelined { domains = 4; batch = 32; adaptive = false })
-     = "pipe:4:32"
-    && Runtime.to_string
-         (Runtime.Pipelined
-            { domains = 2; batch = Runtime.default_batch; adaptive = true })
-       = "pipe:2:adaptive"
-    && Runtime.to_string
-         (Runtime.Pipelined { domains = 2; batch = 4; adaptive = true })
-       = "pipe:2:4:adaptive");
   check "canonical strings re-parse to themselves" true
     (List.for_all
        (fun s ->
          match Runtime.parse s with
          | Ok b -> Runtime.to_string b = s
          | Error _ -> false)
-       [ "seq"; "par:4"; "pipe:4"; "pipe:4:32"; "pipe:2:adaptive";
-         "pipe:2:4:adaptive" ]);
+       [ "seq"; "par:4"; "pipe:4" ]);
   (match Runtime.parallel ~domains:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "parallel ~domains:0 accepted");
@@ -639,8 +631,10 @@ let () =
         [
           Alcotest.test_case "bursty wire batch, bounded queues" `Quick
             test_pipelined_burst;
-          Alcotest.test_case "batch {1,4,32} x adaptive on/off sweep" `Quick
+          Alcotest.test_case "slab {max_int,17,1} sweep" `Quick
             test_batched_handoff_sweep;
+          Alcotest.test_case "submit after shutdown raises" `Quick
+            test_submit_after_shutdown_raises;
           Alcotest.test_case "stage-pool handoff round allocates nothing"
             `Quick test_stage_pool_handoff_allocates_nothing;
           Alcotest.test_case "tracing stays observational" `Quick
