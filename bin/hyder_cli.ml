@@ -13,9 +13,7 @@ module Replica = Hyder_cluster.Replica
 module Faults = Hyder_sim.Faults
 module Ycsb = Hyder_workload.Ycsb
 module Pipeline = Hyder_core.Pipeline
-module Premeld = Hyder_core.Premeld
 module Runtime = Hyder_core.Runtime
-module Trace = Hyder_obs.Trace
 module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Analyze = Hyder_obs.Analyze
@@ -200,7 +198,7 @@ let cluster_cmd =
   in
   let run servers pipeline runtime write_threads read_threads inflight
       duration warmup workload seed faults checkpoint_every chaos_txns
-      trace_file flight_file metrics_file json_file =
+      flight_file metrics_file json_file =
     match faults with
     | Some faults ->
         (* Chaos mode: fault injection + crash recovery instead of the
@@ -209,22 +207,6 @@ let cluster_cmd =
           checkpoint_every chaos_txns flight_file metrics_file json_file
     | None ->
     with_flight_sink flight_file @@ fun flight_sink ->
-    let trace =
-      match trace_file with
-      | None -> Trace.disabled
-      | Some _ ->
-          let shards =
-            match pipeline.Pipeline.premeld with
-            | Some c -> c.Premeld.threads
-            | None -> 0
-          in
-          let workers =
-            match runtime with
-            | Runtime.Pipelined { domains; _ } -> domains
-            | Runtime.Sequential | Runtime.Parallel _ -> 0
-          in
-          Trace.create ~shards ~workers ()
-    in
     let metrics =
       if metrics_file <> None || json_file <> None then Some (Metrics.create ())
       else None
@@ -248,19 +230,12 @@ let cluster_cmd =
         warmup;
         workload;
         seed = Int64.of_int seed;
-        trace;
         flight;
         metrics;
       }
     in
     let r = Cluster.run cfg in
     Format.printf "%a@." Cluster.pp_result r;
-    (match trace_file with
-    | None -> ()
-    | Some path ->
-        write_file path (Trace.to_chrome_string trace);
-        Printf.eprintf "trace: %d spans (%d dropped) -> %s\n%!"
-          (Trace.recorded trace) (Trace.dropped trace) path);
     (match metrics_file with
     | None -> ()
     | Some path ->
@@ -347,7 +322,7 @@ let cluster_cmd =
              and checks every server (including crashed-and-restarted \
              ones) converges bit-identically to a fault-free baseline; \
              exits non-zero otherwise. Ignores the closed-loop flags \
-             (threads, inflight, duration, warmup, trace).")
+             (threads, inflight, duration, warmup).")
   in
   let checkpoint_every =
     Arg.(
@@ -365,16 +340,6 @@ let cluster_cmd =
       & info [ "chaos-txns" ] ~docv:"N"
           ~doc:"Chaos mode: transactions appended to the log.")
   in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON of the real meld pipeline's \
-             stage spans to $(docv) (load it in Perfetto or \
-             chrome://tracing).")
-  in
   let flight_file =
     Arg.(
       value
@@ -384,8 +349,9 @@ let cluster_cmd =
             "Record every transaction's flight (per-stage queue-wait and \
              service times from decode to commit/abort) and stream one \
              JSON line per completed record to $(docv); feed it to \
-             $(b,hyder-cli analyze). Works in both the throughput and the \
-             chaos experiment; off (zero-cost) when absent.")
+             $(b,hyder-cli analyze), whose $(b,--chrome) turns it into a \
+             Perfetto timeline. Works in both the throughput and the chaos \
+             experiment; off (zero-cost) when absent.")
   in
   let metrics_file =
     Arg.(
@@ -408,24 +374,29 @@ let cluster_cmd =
     Term.(
       const run $ servers $ pipeline $ runtime $ write_threads
       $ read_threads $ inflight $ duration $ warmup $ workload_term $ seed
-      $ faults $ checkpoint_every $ chaos_txns $ trace_file $ flight_file
+      $ faults $ checkpoint_every $ chaos_txns $ flight_file
       $ metrics_file $ json_file)
 
 (* --- analyze -------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run file top_k json_file =
+  let run file top_k json_file chrome_file =
     match Analyze.load_file file with
     | [] ->
         Printf.eprintf "analyze: no flight records in %s\n%!" file;
         exit 1
     | txns -> (
         Analyze.print_report ~top_k txns;
-        match json_file with
+        (match json_file with
         | None -> ()
         | Some path ->
             write_file path (Json.to_string (Analyze.report ~top_k txns));
-            Printf.eprintf "analysis report -> %s\n%!" path)
+            Printf.eprintf "analysis report -> %s\n%!" path);
+        match chrome_file with
+        | None -> ()
+        | Some path ->
+            write_file path (Json.to_string (Analyze.to_chrome txns));
+            Printf.eprintf "chrome trace -> %s\n%!" path)
   in
   let file =
     Arg.(
@@ -447,13 +418,24 @@ let analyze_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the machine-readable analysis report to $(docv).")
   in
+  let chrome_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chrome" ] ~docv:"FILE"
+          ~doc:
+            "Write the records as a Chrome trace-event JSON to $(docv) (load \
+             it in Perfetto or chrome://tracing): one process per flight \
+             label, one async track per transaction showing each stage's \
+             queue wait and service.")
+  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Analyze a flight-record dump: per-stage wait/service waterfall, \
           critical-path decomposition, abort-reason x stage attribution and \
           slowest-transaction drill-down, per backend label")
-    Term.(const run $ file $ top_k $ json_file)
+    Term.(const run $ file $ top_k $ json_file $ chrome_file)
 
 (* --- local ([8] setup) ---------------------------------------------------- *)
 

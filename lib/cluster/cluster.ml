@@ -12,7 +12,6 @@ module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
 module Ycsb = Hyder_workload.Ycsb
 module Summary = Hyder_util.Stats.Summary
-module Trace = Hyder_obs.Trace
 module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Json = Hyder_obs.Json
@@ -37,9 +36,6 @@ type config = {
   duration : float;
   warmup : float;
   seed : int64;
-  trace : Trace.t;
-      (** span recorder threaded into the real pipeline; {!Trace.disabled}
-          (the default) costs one branch per stage *)
   metrics : Metrics.t option;
       (** registry for pipeline/runtime instruments, the commit-latency
           histogram and the simulated queue-depth sampler *)
@@ -68,7 +64,6 @@ let default_config =
     duration = 1.0;
     warmup = 0.3;
     seed = 0x5EEDL;
-    trace = Trace.disabled;
     metrics = None;
     flight = Flight.disabled;
   }
@@ -174,7 +169,7 @@ let run cfg =
   let workload = Ycsb.create ~seed:cfg.seed cfg.workload in
   let genesis = Ycsb.genesis workload in
   let pipeline =
-    Pipeline.create ~config:cfg.pipeline ~runtime:cfg.runtime ~trace:cfg.trace
+    Pipeline.create ~config:cfg.pipeline ~runtime:cfg.runtime
       ~flight:cfg.flight ?metrics:cfg.metrics ~genesis ()
   in
   let inst =
@@ -741,15 +736,6 @@ let run cfg =
 
   Engine.run ~until:stop_time eng;
 
-  (* Surface ring overflow as a metric so a truncated trace is never read
-     as complete from the Prometheus side either (the Perfetto export
-     carries its own in-band TRUNCATED marker). *)
-  (match cfg.metrics with
-  | Some m when Trace.enabled cfg.trace ->
-      Metrics.Counter.incr
-        (Metrics.counter m "trace_spans_dropped_total")
-        ~by:(Trace.dropped cfg.trace)
-  | _ -> ());
   Flight.export_percentiles cfg.flight;
 
   if Sys.getenv_opt "HYDER_CLUSTER_DEBUG" <> None then begin

@@ -44,19 +44,12 @@ type config = {
   duration : float;  (** simulated seconds of measurement *)
   warmup : float;  (** simulated seconds before measurement starts *)
   seed : int64;
-  trace : Hyder_obs.Trace.t;
-      (** span recorder for the real pipeline's stages
-          ({!Hyder_obs.Trace.disabled} by default — one branch per stage).
-          Spans are timestamped in wall-clock seconds, the pipeline's own
-          time base. *)
   metrics : Hyder_obs.Metrics.t option;
       (** when set, registers pipeline/runtime instruments, a
           [cluster_commit_latency_seconds] histogram (simulated seconds,
           draft to origin-server decision), a [cluster_log_appends]
-          counter, per-reason [cluster_aborts_*] counters, the
-          [trace_spans_dropped_total] counter (set at end of run from
-          the recorder's exact drop accounting), and a periodic sampler
-          of simulated queue depths (CORFU sequencer / storage units,
+          counter, per-reason [cluster_aborts_*] counters, and a periodic
+          sampler of simulated queue depths (CORFU sequencer / storage units,
           broadcast NICs, blocked executor threads) plus process GC
           gauges ([gc_minor_collections], [gc_major_collections],
           [gc_promoted_words], [gc_heap_words], with

@@ -4,7 +4,6 @@ module Codec = Hyder_codec.Codec
 module View = Hyder_codec.View
 module Summary = Hyder_util.Stats.Summary
 module Clock = Hyder_util.Clock
-module Trace = Hyder_obs.Trace
 module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 
@@ -283,7 +282,6 @@ type offload_stats = {
 type t = {
   config : config;
   runtime : Runtime.t;
-  trace : Trace.t;
   flight : Flight.t;
       (** per-transaction lifecycle recorder; only ever touched by the
           driver thread — worker-domain stage timestamps ride back in
@@ -421,7 +419,7 @@ let force_tree ~note (g : Group_meld.group) =
    the view stripped before it crosses a queue.  Either way the view
    enters the cache, so later references resolve to the memo-shared
    objects. *)
-let ds_stage t ~seq ~pos ?off ?len ~detach src =
+let ds_stage t ~pos ?off ?len ~detach src =
   let ds = t.counters.deserialize in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
@@ -452,9 +450,6 @@ let ds_stage t ~seq ~pos ?off ?len ~detach src =
   in
   let t1 = Clock.now () in
   ds.seconds <- ds.seconds +. (t1 -. t0);
-  if Trace.enabled t.trace then
-    Trace.record t.trace ~track:0 ~stage:Trace.Deserialize ~seq ~t0 ~t1
-      ~nodes:i.Intention.node_count ~detail:i.Intention.byte_size;
   if Flight.enabled t.flight then begin
     Flight.touch t.flight ~pos ~now:t0;
     Flight.note_identity t.flight ~pos ~server:i.Intention.server
@@ -463,15 +458,11 @@ let ds_stage t ~seq ~pos ?off ?len ~detach src =
   end;
   i
 
-(* [next_seq] is the sequence number this intention receives if it is the
-   next one submitted — true for the decode-then-submit loops the cluster
-   and bench drivers run; batch decoding tags all spans with the batch's
-   first seq, which is still a faithful timeline. *)
-let decode t ~pos bytes = ds_stage t ~seq:t.next_seq ~pos ~detach:false bytes
+let decode t ~pos bytes = ds_stage t ~pos ~detach:false bytes
 
 (* Driver-side slice decode for the pipelined backend. *)
-let decode_slice t ~seq ~pos ~off ~len src =
-  ds_stage t ~seq ~pos ~off ~len ~detach:true src
+let decode_slice t ~pos ~off ~len src =
+  ds_stage t ~pos ~off ~len ~detach:true src
 
 (* Run final meld on a completed group and emit its decisions. *)
 let final_meld t (group : Group_meld.group) =
@@ -509,17 +500,6 @@ let final_meld t (group : Group_meld.group) =
       fm.seconds <- fm.seconds +. (t1 -. t0);
       fm_t0 := t0;
       fm_t1 := t1;
-      if Trace.enabled t.trace then begin
-        let first_seq =
-          List.fold_left
-            (fun acc (m : Group_meld.member) -> min acc m.seq)
-            max_int group.members
-        in
-        Trace.record t.trace ~track:0 ~stage:Trace.Final_meld ~seq:first_seq
-          ~t0 ~t1
-          ~nodes:(fm.nodes_visited - nodes_before)
-          ~detail:(match r with Meld.Merged _ -> 1 | Meld.Conflict _ -> 0)
-      end;
       r
     end
   in
@@ -612,16 +592,11 @@ let final_meld t (group : Group_meld.group) =
       })
     decided
 
-(* Group-meld step: fold [unit_group] into the group being assembled.
-   Returns the completed group when it fills (always, with group meld
-   off), [None] while it is still filling.  [track] selects the trace
-   ring: 0 for the inline tail, the gm worker's ring under the pipelined
-   backend (same single-writer either way). *)
 (* Stamp a group-meld flight edge on every member the incoming unit
    group carries (the combine's work is attributed to the member being
    folded in; the waiting members' gm time shows up as fm wait).  Driver
-   thread only — the pipelined backend stamps from the [Rgm] result
-   instead. *)
+   thread only — the pipelined backend stamps from the returned [Cgm]
+   carrier instead. *)
 let flight_gm_edge t ~t0 ~t1 (g : Group_meld.group) =
   List.iter
     (fun (m : Group_meld.member) ->
@@ -632,7 +607,12 @@ let flight_gm_edge t ~t0 ~t1 (g : Group_meld.group) =
       Flight.edge t.flight ~pos:m.intention.pos ~stage:Flight.Gm ~t0 ~t1)
     g.early_aborts
 
-let gm_step t ~track ~seq (unit_group : Group_meld.group) =
+(* Group-meld step: fold [unit_group] into the group being assembled.
+   Returns the completed group when it fills (always, with group meld
+   off), [None] while it is still filling.  [on_driver] is false only on
+   the pipelined backend's gm worker, which must touch neither the
+   (single-writer) mz counter nor the flight recorder. *)
+let gm_step t ~on_driver (unit_group : Group_meld.group) =
   if t.config.group_size <= 1 then Some unit_group
   else begin
     let merged =
@@ -640,10 +620,7 @@ let gm_step t ~track ~seq (unit_group : Group_meld.group) =
       | None -> unit_group
       | Some g ->
           let gm = t.counters.group_meld in
-          let nodes_before = gm.nodes_visited in
-          (* [track = 0] ⟺ inline on the driver: only there may the
-             materialization hook touch the (single-writer) mz counter. *)
-          let mz = if track = 0 then mz_hook t ~stage:`Gm else None in
+          let mz = if on_driver then mz_hook t ~stage:`Gm else None in
           let t0 = Clock.now () in
           let gc0 = gc_begin t.inst in
           let merged =
@@ -652,13 +629,7 @@ let gm_step t ~track ~seq (unit_group : Group_meld.group) =
           gc_end t.inst ~stage:`Gm gc0;
           let t1 = Clock.now () in
           gm.seconds <- gm.seconds +. (t1 -. t0);
-          if Trace.enabled t.trace then
-            Trace.record t.trace ~track ~stage:Trace.Group_meld ~seq ~t0 ~t1
-              ~nodes:(gm.nodes_visited - nodes_before)
-              ~detail:(t.pending_members + 1);
-          (* [track = 0] ⟺ this gm step runs inline on the driver; the
-             pipelined backend's gm worker must not touch the recorder. *)
-          if track = 0 && Flight.enabled t.flight then
+          if on_driver && Flight.enabled t.flight then
             flight_gm_edge t ~t0 ~t1 unit_group;
           merged
     in
@@ -671,7 +642,7 @@ let gm_step t ~track ~seq (unit_group : Group_meld.group) =
     else begin
       (* The pending group becomes the state side of the next combine,
          which needs a real tree: force a still-lazy singleton now. *)
-      let note = if track = 0 then mz_note t else ignore in
+      let note = if on_driver then mz_note t else ignore in
       t.pending <- Some (force_tree ~note merged);
       None
     end
@@ -680,8 +651,8 @@ let gm_step t ~track ~seq (unit_group : Group_meld.group) =
 (* Group-meld + final-meld tail: sequential in log order under every
    backend.  [unit_group] is the single-intention group produced by the
    premeld stage (or the raw intention when premeld is off). *)
-let tail t ~seq (unit_group : Group_meld.group) =
-  match gm_step t ~track:0 ~seq unit_group with
+let tail t (unit_group : Group_meld.group) =
+  match gm_step t ~on_driver:true unit_group with
   | Some g -> final_meld t g
   | None -> []
 
@@ -714,7 +685,7 @@ let submit t (intention : Intention.t) =
         let t0 = Clock.now () in
         let gc0 = gc_begin t.inst in
         let outcome =
-          Premeld.run ~trace:t.trace ?mz pc ~allocs:t.pm_allocs
+          Premeld.run ?mz pc ~allocs:t.pm_allocs
             ~shards:t.counters.premeld_shards ~states:t.states ~seq intention
         in
         gc_end t.inst ~stage:`Pm gc0;
@@ -724,7 +695,7 @@ let submit t (intention : Intention.t) =
           Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
         group_of_outcome ~seq intention outcome
   in
-  tail t ~seq unit_group
+  tail t unit_group
 
 (* ------------------------------------------------------------------ *)
 (* Premeld windows: shared snapshot-seq arithmetic                      *)
@@ -852,7 +823,7 @@ let run_window t (pc : Premeld.config) (window : Intention.t array) =
         (fun i ->
           let ft0 = if flighted then Clock.now () else 0.0 in
           outcomes.(i) <-
-            Premeld.trial ~trace:t.trace pc ~snap_seq:snap_seqs.(i) ~lookup
+            Premeld.trial pc ~snap_seq:snap_seqs.(i) ~lookup
               ~alloc:t.pm_allocs.(k) ~counters:shard ~seq:(s0 + i)
               window.(i);
           if flighted then begin
@@ -860,16 +831,7 @@ let run_window t (pc : Premeld.config) (window : Intention.t array) =
             pm_t1.(i) <- Clock.now ()
           end)
         by_thread.(k);
-      let t1 = Clock.now () in
-      shard.Counters.seconds <- shard.Counters.seconds +. (t1 -. t0);
-      (* Envelope span for the whole pool task, on the same ring the
-         task's trial melds write to (same impersonated thread = same
-         single writer). *)
-      if Trace.enabled t.trace then
-        Trace.record t.trace ~track:(k + 1) ~stage:Trace.Premeld_window
-          ~seq:s0 ~t0 ~t1
-          ~nodes:(List.length by_thread.(k))
-          ~detail:task);
+      shard.Counters.seconds <- shard.Counters.seconds +. Clock.elapsed t0);
   (* Merge back in submission order: group meld and final meld are the
      same sequential tail the inline scheduler uses. *)
   let decisions = ref [] in
@@ -878,7 +840,7 @@ let run_window t (pc : Premeld.config) (window : Intention.t array) =
       Flight.edge t.flight ~pos:window.(i).Intention.pos ~stage:Flight.Pm
         ~t0:pm_t0.(i) ~t1:pm_t1.(i);
     let dgroup = group_of_outcome ~seq:(s0 + i) window.(i) outcomes.(i) in
-    decisions := List.rev_append (tail t ~seq:(s0 + i) dgroup) !decisions
+    decisions := List.rev_append (tail t dgroup) !decisions
   done;
   List.rev !decisions
 
@@ -896,7 +858,6 @@ let pexec t (w : wctx) ~worker (c : carrier) =
   (match c.kind with
   | Cnone -> ()
   | Cds -> (
-      let traced = Trace.enabled t.trace in
       let t0 = Clock.now () in
       (* Workers decode against the frozen snapshot alone.  A reference
          to a node the log melded away (alive only through the driver's
@@ -914,11 +875,6 @@ let pexec t (w : wctx) ~worker (c : carrier) =
           c.c_t0_ns <- ns_of_s t0
       | i ->
           let t1 = Clock.now () in
-          if traced then
-            Trace.record t.trace
-              ~track:(Trace.shards t.trace + 1 + worker)
-              ~stage:Trace.Deserialize ~seq:c.c_seq ~t0 ~t1
-              ~nodes:i.Intention.node_count ~detail:i.Intention.byte_size;
           c.c_intention <- Some i;
           c.c_nodes <- Codec.Scratch.export w.scratches.(worker);
           c.c_seconds_ns <- ns_of_s (t1 -. t0);
@@ -933,7 +889,7 @@ let pexec t (w : wctx) ~worker (c : carrier) =
       let shard = t.counters.premeld_shards.(c.c_thread - 1) in
       let t0 = Clock.now () in
       let outcome =
-        Premeld.trial ~trace:t.trace pc ~snap_seq:c.c_snap_seq
+        Premeld.trial pc ~snap_seq:c.c_snap_seq
           ~lookup:(fun m ->
             Some (State_store.Snapshot.require w.wsnap ~stage:"premeld" m))
           ~alloc:t.pm_allocs.(c.c_thread - 1)
@@ -955,9 +911,7 @@ let pexec t (w : wctx) ~worker (c : carrier) =
       let flighted = Flight.enabled t.flight in
       let ft0 = if flighted then Clock.now () else 0.0 in
       let s0 = t.counters.group_meld.Counters.seconds in
-      let completed =
-        gm_step t ~track:(Trace.shards t.trace + 1 + worker) ~seq:c.c_seq group
-      in
+      let completed = gm_step t ~on_driver:false group in
       let ft1 = if flighted then Clock.now () else 0.0 in
       c.c_completed <- completed;
       c.c_seconds_ns <-
@@ -1129,7 +1083,6 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
                 let c = take w in
                 c.kind <- Cds;
                 c.c_idx <- i;
-                c.c_seq <- s0 + i;
                 c.c_pos <- pos;
                 c.c_src <- src;
                 c.c_off <- off;
@@ -1190,7 +1143,6 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             let c = take gm_worker in
             c.kind <- Cgm;
             c.c_idx <- i;
-            c.c_seq <- s0 + i;
             c.c_group <- unit_group;
             put ~worker:gm_worker c;
             incr gm_next;
@@ -1212,8 +1164,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
               let _, lpos, _ = State_store.latest t.states in
               if psnap <= lpos then begin
                 intentions.(i) <-
-                  Some
-                    (decode_slice t ~seq:(s0 + i) ~pos ~off ~len src);
+                  Some (decode_slice t ~pos ~off ~len src);
                 px.ds_inline_n <- px.ds_inline_n + 1;
                 held := rest;
                 progress := true;
@@ -1265,8 +1216,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             match window.(c.c_idx) with
             | Ww { pos; src; off; len; _ } ->
                 intentions.(c.c_idx) <-
-                  Some
-                    (decode_slice t ~seq:(s0 + c.c_idx) ~pos ~off ~len src);
+                  Some (decode_slice t ~pos ~off ~len src);
                 px.ds_offloaded <- px.ds_offloaded - 1;
                 px.ds_inline_n <- px.ds_inline_n + 1
             | Wi _ -> assert false))
@@ -1311,8 +1261,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       (match window.(!bi) with
       | Ww { pos; src; off; len; _ } ->
           intentions.(!bi) <-
-            Some
-              (decode_slice t ~seq:(s0 + !bi) ~pos ~off ~len src)
+            Some (decode_slice t ~pos ~off ~len src)
       | Wi _ -> assert false);
       ds_jobs.(!bw) <- List.tl ds_jobs.(!bw);
       px.ds_inline_n <- px.ds_inline_n + 1;
@@ -1345,7 +1294,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
         let shard = t.counters.premeld_shards.(k) in
         let t0 = Clock.now () in
         let outcome =
-          Premeld.trial ~trace:t.trace pc ~snap_seq:snap_seqs.(i)
+          Premeld.trial pc ~snap_seq:snap_seqs.(i)
             ~lookup:(fun m ->
               Some
                 (State_store.Snapshot.require px.wctx.wsnap ~stage:"premeld" m))
@@ -1464,9 +1413,7 @@ let run_pipelined t (px : pctx) (items : witem array) =
                    "Pipeline: intention at log position %d names snapshot %d \
                     but only %d is recorded — invalid stream"
                    pos psnap lpos);
-            let i =
-              decode_slice t ~seq:t.next_seq ~pos ~off:o ~len src
-            in
+            let i = decode_slice t ~pos ~off:o ~len src in
             px.ds_inline_n <- px.ds_inline_n + 1;
             submit t i
       in
@@ -1591,31 +1538,16 @@ let prune t ~keep =
   in
   State_store.prune t.states ~keep:(max keep floor_for_premeld)
 
-(* Config/trace validation and worker-fabric setup shared by [create] and
-   [restore]. *)
-let validate_shape ~who ~config ~runtime ~trace =
+(* Config validation shared by [create] and [restore]; returns the
+   premeld thread count. *)
+let validate_shape ~who ~config =
   if config.group_size < 1 then
     invalid_arg (Printf.sprintf "Pipeline.%s: group_size" who);
   (match config.premeld with
   | Some { Premeld.threads; distance } when threads < 1 || distance < 1 ->
       invalid_arg (Printf.sprintf "Pipeline.%s: premeld config" who)
   | _ -> ());
-  let pm_threads =
-    match config.premeld with Some c -> c.Premeld.threads | None -> 0
-  in
-  if Trace.enabled trace && Trace.shards trace < pm_threads then
-    invalid_arg
-      (Printf.sprintf "Pipeline.%s: trace has fewer shards than premeld threads"
-         who);
-  (match runtime with
-  | Runtime.Pipelined { domains } ->
-      if Trace.enabled trace && Trace.workers trace < domains then
-        invalid_arg
-          (Printf.sprintf
-             "Pipeline.%s: trace has fewer worker rings than pipelined domains"
-             who)
-  | Runtime.Sequential | Runtime.Parallel _ -> ());
-  pm_threads
+  match config.premeld with Some c -> c.Premeld.threads | None -> 0
 
 let make_instruments metrics =
   Option.map
@@ -1693,14 +1625,12 @@ let attach_pstate t runtime =
   | Runtime.Sequential | Runtime.Parallel _ -> ()
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(trace = Trace.disabled) ?(flight = Flight.disabled)
-    ?metrics ~genesis () =
-  let pm_threads = validate_shape ~who:"create" ~config ~runtime ~trace in
+    ?(flight = Flight.disabled) ?metrics ~genesis () =
+  let pm_threads = validate_shape ~who:"create" ~config in
   let t =
     {
       config;
       runtime = Runtime.create ?metrics runtime;
-      trace;
       flight;
       inst = make_instruments metrics;
       counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
@@ -1738,9 +1668,8 @@ let checkpoint t =
          ~counters:t.counters)
 
 let restore ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(trace = Trace.disabled) ?(flight = Flight.disabled)
-    ?metrics (ckpt : Checkpoint.t) =
-  let pm_threads = validate_shape ~who:"restore" ~config ~runtime ~trace in
+    ?(flight = Flight.disabled) ?metrics (ckpt : Checkpoint.t) =
+  let pm_threads = validate_shape ~who:"restore" ~config in
   if Array.length ckpt.Checkpoint.alloc_issued <> pm_threads + 2 then
     invalid_arg
       (Printf.sprintf
@@ -1761,7 +1690,6 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
     {
       config;
       runtime = Runtime.create ?metrics runtime;
-      trace;
       flight;
       inst = make_instruments metrics;
       counters;

@@ -49,7 +49,6 @@ type t
 val create :
   ?config:config ->
   ?runtime:Runtime.backend ->
-  ?trace:Hyder_obs.Trace.t ->
   ?flight:Hyder_obs.Flight.t ->
   ?metrics:Hyder_obs.Metrics.t ->
   genesis:Tree.t ->
@@ -69,14 +68,7 @@ val create :
     worker domains; call {!shutdown} when done with the pipeline to join
     them.
 
-    [trace] (default {!Hyder_obs.Trace.disabled}) records per-stage spans:
-    deserialize, group meld and final meld on ring 0 (the sequential
-    tail), each premeld trial on its paper thread's ring, plus one
-    envelope span per parallel pool task.  Under [Pipelined], offloaded
-    deserialize and group-meld spans land on the executing worker's own
-    ring instead of ring 0.  The recorder must have at least as many
-    shard rings as premeld threads, and under [Pipelined] at least as
-    many worker rings as domains ([Invalid_argument] otherwise).  [metrics], when given, registers pipeline instruments
+    [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
     [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn]) and
@@ -91,9 +83,9 @@ val create :
     the runtime's result messages and are stamped on the driver, so the
     wait column measures real queue residency.
 
-    Trace, metrics and flight are all provably observational: decisions,
-    ephemeral node ids and integer counter values are bit-identical with
-    them on or off (see [test/test_obs.ml]).
+    Metrics and flight are independent and both provably observational:
+    decisions, ephemeral node ids and integer counter values are
+    bit-identical with either on or off (see [test/test_obs.ml]).
 
     Retention arithmetic constraint: with premeld on, [group_size] must
     not exceed [threads * distance + 1] — beyond that, a premeld-bound
@@ -203,7 +195,6 @@ val checkpoint : t -> Checkpoint.t option
 val restore :
   ?config:config ->
   ?runtime:Runtime.backend ->
-  ?trace:Hyder_obs.Trace.t ->
   ?flight:Hyder_obs.Flight.t ->
   ?metrics:Hyder_obs.Metrics.t ->
   Checkpoint.t ->

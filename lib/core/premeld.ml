@@ -1,6 +1,4 @@
 module Intention = Hyder_codec.Intention
-module Trace = Hyder_obs.Trace
-module Clock = Hyder_util.Clock
 
 type config = { threads : int; distance : int }
 
@@ -20,7 +18,7 @@ type outcome =
 (* Pure trial-meld core: everything it touches is either owned by the
    caller's premeld thread (alloc, counters shard) or immutable (the input
    state tree, the intention), so it can run on any domain. *)
-let trial ?(trace = Trace.disabled) ?mz config ~snap_seq ~lookup ~alloc
+let trial ?mz config ~snap_seq ~lookup ~alloc
     ~counters ~seq (intention : Intention.t) =
   let m = input_seq config ~seq in
   if m <= snap_seq then Unchanged intention
@@ -34,39 +32,25 @@ let trial ?(trace = Trace.disabled) ?mz config ~snap_seq ~lookup ~alloc
                seq)
     in
     counters.Counters.intentions <- counters.Counters.intentions + 1;
-    (* Tracing is observational only: it reads the clock and the counter
-       shard, never the meld inputs, so the outcome is unchanged. *)
-    let traced = Trace.enabled trace in
-    let t0 = if traced then Clock.now () else 0.0 in
-    let nodes_before = counters.Counters.nodes_visited in
-    let outcome =
-      match
-        Meld.meld
-          ~mode:(Meld.Transaction { out_owner = intention.pos })
-          ?intention_view:intention.view ?mz ~members:[ intention.pos ] ~alloc
-          ~counters ~intention:intention.root ~state ()
-      with
-      (* A premelded intention is a real tree from here on — drop the
-         view so no one walks stale wire bytes. *)
-      | Meld.Merged root -> Premelded ({ intention with root; view = None }, m)
-      | Meld.Conflict reason -> Dead reason
-    in
-    if traced then
-      Trace.record trace
-        ~track:(thread_for config ~seq)
-        ~stage:Trace.Premeld ~seq ~t0 ~t1:(Clock.now ())
-        ~nodes:(counters.Counters.nodes_visited - nodes_before)
-        ~detail:(match outcome with Premelded _ -> 1 | Dead _ | Unchanged _ -> 2);
-    outcome
+    match
+      Meld.meld
+        ~mode:(Meld.Transaction { out_owner = intention.pos })
+        ?intention_view:intention.view ?mz ~members:[ intention.pos ] ~alloc
+        ~counters ~intention:intention.root ~state ()
+    with
+    (* A premelded intention is a real tree from here on — drop the
+       view so no one walks stale wire bytes. *)
+    | Meld.Merged root -> Premelded ({ intention with root; view = None }, m)
+    | Meld.Conflict reason -> Dead reason
   end
 
 (* Scheduling shell for the inline (sequential) path: resolve the snapshot
    sequence number and the designated input state against the live store. *)
-let run ?trace ?mz config ~allocs ~shards ~states ~seq (intention : Intention.t)
+let run ?mz config ~allocs ~shards ~states ~seq (intention : Intention.t)
     =
   let snap_seq = State_store.seq_of_pos states intention.snapshot in
   let thread = thread_for config ~seq in
-  trial ?trace ?mz config ~snap_seq
+  trial ?mz config ~snap_seq
     ~lookup:(fun m -> Some (State_store.require states ~stage:"premeld" m))
     ~alloc:allocs.(thread - 1)
     ~counters:shards.(thread - 1) ~seq intention

@@ -38,7 +38,6 @@ type outcome =
   | Dead of Meld.abort_reason  (** conflict found early *)
 
 val trial :
-  ?trace:Hyder_obs.Trace.t ->
   ?mz:(float -> unit) ->
   config ->
   snap_seq:int ->
@@ -55,19 +54,12 @@ val trial :
     [counters] belong exclusively to the premeld thread [thread_for ~seq],
     making the call free of shared mutable state.
 
-    [trace] (default {!Hyder_obs.Trace.disabled}) records one span per
-    trial meld into ring [thread_for ~seq] — the thread that owns
-    [counters], preserving the recorder's single-writer invariant.
-    Tracing is observational: it never changes the outcome, the
-    ephemeral-id stream or the integer counter fields.
-
     [mz] is forwarded to {!Meld.meld}: it observes the minor words spent
     materializing flyweight view nodes when the intention carries a lazy
     view.  Only pass it from a caller whose accumulator is single-writer
     (the inline sequential path). *)
 
 val run :
-  ?trace:Hyder_obs.Trace.t ->
   ?mz:(float -> unit) ->
   config ->
   allocs:Hyder_tree.Vn.Alloc.t array ->

@@ -1,7 +1,7 @@
 module Sample = Hyder_util.Stats.Sample
 module Table = Hyder_util.Table
 
-let stage_names = [| "ds"; "pm"; "gm"; "fm" |]
+let stage_names = Flight.stage_names
 let n_stages = Array.length stage_names
 
 type txn = {
@@ -124,6 +124,10 @@ type backend_agg = {
   mutable b_neg_waits : int;
   (* abort reason -> decided_at -> count *)
   b_abort_matrix : (string, (string, int) Hashtbl.t) Hashtbl.t;
+  mutable b_total_attr : float;  (* Σ over stages of wait + service *)
+  mutable b_crit : int;
+      (* critical path: the stage whose total service bounds throughput
+         (the wait share points at queueing, the service share at work) *)
 }
 
 let aggregate txns =
@@ -153,6 +157,8 @@ let aggregate txns =
                       });
                 b_neg_waits = 0;
                 b_abort_matrix = Hashtbl.create 4;
+                b_total_attr = 0.0;
+                b_crit = 0;
               }
             in
             Hashtbl.add backends t.label b;
@@ -189,9 +195,27 @@ let aggregate txns =
           (1 + Option.value ~default:0 (Hashtbl.find_opt row t.decided_at))
       end)
     txns;
-  List.rev_map (Hashtbl.find backends) !order
+  List.rev_map
+    (fun label ->
+      let b = Hashtbl.find backends label in
+      Array.iteri
+        (fun s a ->
+          b.b_total_attr <-
+            b.b_total_attr +. a.s_wait_total +. a.s_service_total;
+          if a.s_service_total > b.b_stages.(b.b_crit).s_service_total then
+            b.b_crit <- s)
+        b.b_stages;
+      b)
+    !order
 
 let pct s p = if Sample.count s = 0 then 0.0 else Sample.percentile s p
+
+(* Fraction of the label's attributed time [x] accounts for. *)
+let share b x = if b.b_total_attr <= 0.0 then 0.0 else x /. b.b_total_attr
+
+let coverage_p50 b =
+  let e2e_p50 = pct b.b_e2e 50.0 in
+  if e2e_p50 <= 0.0 then 1.0 else pct b.b_sum 50.0 /. e2e_p50
 
 let sample_obj s =
   Json.Obj
@@ -243,11 +267,6 @@ let abort_matrix_json b =
          | _ -> 0)
 
 let backend_json ~top_k b =
-  let total_attr =
-    Array.fold_left
-      (fun acc a -> acc +. a.s_wait_total +. a.s_service_total)
-      0.0 b.b_stages
-  in
   let stages =
     Array.to_list
       (Array.mapi
@@ -260,22 +279,9 @@ let backend_json ~top_k b =
                ("wait_total_us", Json.Float (us a.s_wait_total));
                ("service_total_us", Json.Float (us a.s_service_total));
                ( "share",
-                 Json.Float
-                   (if total_attr <= 0.0 then 0.0
-                    else (a.s_wait_total +. a.s_service_total) /. total_attr) );
+                 Json.Float (share b (a.s_wait_total +. a.s_service_total)) );
              ])
          b.b_stages)
-  in
-  (* Critical path: the stage whose total service bounds throughput (the
-     wait share points at queueing, the service share at work). *)
-  let crit = ref 0 in
-  Array.iteri
-    (fun s a ->
-      if a.s_service_total > b.b_stages.(!crit).s_service_total then crit := s)
-    b.b_stages;
-  let e2e_p50 = pct b.b_e2e 50.0 in
-  let coverage_p50 =
-    if e2e_p50 <= 0.0 then 1.0 else pct b.b_sum 50.0 /. e2e_p50
   in
   let slow =
     List.map
@@ -312,17 +318,15 @@ let backend_json ~top_k b =
       ("aborts", Json.Int b.b_aborts);
       ("e2e_us", sample_obj b.b_e2e);
       ("stage_sum_us", sample_obj b.b_sum);
-      ("coverage_p50", Json.Float coverage_p50);
+      ("coverage_p50", Json.Float (coverage_p50 b));
       ("negative_waits", Json.Int b.b_neg_waits);
       ("stages", Json.List stages);
       ( "critical_path",
         Json.Obj
           [
-            ("stage", Json.String stage_names.(!crit));
+            ("stage", Json.String stage_names.(b.b_crit));
             ( "service_share",
-              Json.Float
-                (if total_attr <= 0.0 then 0.0
-                 else b.b_stages.(!crit).s_service_total /. total_attr) );
+              Json.Float (share b b.b_stages.(b.b_crit).s_service_total) );
           ] );
       ("abort_reasons", Json.List (abort_matrix_json b));
       ("slowest", Json.List slow);
@@ -336,6 +340,72 @@ let report ?(top_k = 10) txns =
       ("backends", Json.List (List.map (backend_json ~top_k) backends));
     ]
 
+(* --- Chrome export --------------------------------------------------- *)
+
+let display_label l = if l = "" then "(unlabeled)" else l
+
+let to_chrome txns =
+  let origin =
+    List.fold_left (fun acc (t : txn) -> Float.min acc t.t_submit) infinity txns
+  in
+  let pids = Hashtbl.create 4 in
+  let meta =
+    List.filter_map
+      (fun (t : txn) ->
+        if Hashtbl.mem pids t.label then None
+        else begin
+          let pid = Hashtbl.length pids + 1 in
+          Hashtbl.add pids t.label pid;
+          Some
+            (Json.Obj
+               [
+                 ("name", Json.String "process_name");
+                 ("ph", Json.String "M");
+                 ("pid", Json.Int pid);
+                 ( "args",
+                   Json.Obj [ ("name", Json.String (display_label t.label)) ] );
+               ])
+        end)
+      txns
+  in
+  (* Nestable async pieces keyed by log position, laid end to end from
+     the submit time in stage order — the same layout as the benchmark's
+     traces, so both read the same way in Perfetto. *)
+  let txn_events (t : txn) =
+    let pid = Hashtbl.find pids t.label in
+    let ev ph name at =
+      Json.Obj
+        [
+          ("name", Json.String name);
+          ("cat", Json.String "txn");
+          ("ph", Json.String ph);
+          ("id", Json.Int t.pos);
+          ("ts", Json.Float (us (at -. origin)));
+          ("pid", Json.Int pid);
+          ("tid", Json.Int 1);
+        ]
+    in
+    let cursor = ref t.t_submit in
+    let piece name d =
+      if d <= 0.0 then []
+      else begin
+        let a = !cursor in
+        cursor := a +. d;
+        [ ev "b" name a; ev "e" name !cursor ]
+      end
+    in
+    List.concat
+      (List.init n_stages (fun s ->
+           let name = stage_names.(s) in
+           let w = piece (name ^ ".wait") t.wait.(s) in
+           w @ piece name t.service.(s)))
+  in
+  Json.Obj
+    [
+      ("traceEvents", Json.List (meta @ List.concat_map txn_events txns));
+      ("displayTimeUnit", Json.String "ms");
+    ]
+
 (* --- human rendering ----------------------------------------------- *)
 
 let fus x = Printf.sprintf "%.1f" (us x)
@@ -343,7 +413,7 @@ let fus x = Printf.sprintf "%.1f" (us x)
 let print_backend ~top_k b =
   let n = Sample.count b.b_e2e in
   Printf.printf "\n=== %s: %d txns (%d commits, %d aborts) ===\n"
-    (if b.b_label = "" then "(unlabeled)" else b.b_label)
+    (display_label b.b_label)
     n b.b_commits b.b_aborts;
   Printf.printf
     "e2e latency us: p50 %s  p95 %s  p99 %s   (stage-sum p50 %s, coverage %.3f)\n"
@@ -351,13 +421,7 @@ let print_backend ~top_k b =
     (fus (pct b.b_e2e 95.0))
     (fus (pct b.b_e2e 99.0))
     (fus (pct b.b_sum 50.0))
-    (if pct b.b_e2e 50.0 <= 0.0 then 1.0
-     else pct b.b_sum 50.0 /. pct b.b_e2e 50.0);
-  let total_attr =
-    Array.fold_left
-      (fun acc a -> acc +. a.s_wait_total +. a.s_service_total)
-      0.0 b.b_stages
-  in
+    (coverage_p50 b);
   let tbl =
     Table.create
       ~title:(Printf.sprintf "stage waterfall (%s)" b.b_label)
@@ -383,23 +447,13 @@ let print_backend ~top_k b =
              else Sample.mean a.s_service);
           fus (pct a.s_service 95.0);
           Printf.sprintf "%.1f"
-            (if total_attr <= 0.0 then 0.0
-             else
-               100.0
-               *. (a.s_wait_total +. a.s_service_total)
-               /. total_attr);
+            (100.0 *. share b (a.s_wait_total +. a.s_service_total));
         ])
     b.b_stages;
   Table.print tbl;
-  let crit = ref 0 in
-  Array.iteri
-    (fun s a ->
-      if a.s_service_total > b.b_stages.(!crit).s_service_total then crit := s)
-    b.b_stages;
   Printf.printf "critical path: %s (%.1f%% of attributed service time)\n"
-    stage_names.(!crit)
-    (if total_attr <= 0.0 then 0.0
-     else 100.0 *. b.b_stages.(!crit).s_service_total /. total_attr);
+    stage_names.(b.b_crit)
+    (100.0 *. share b b.b_stages.(b.b_crit).s_service_total);
   if Hashtbl.length b.b_abort_matrix > 0 then begin
     let tbl =
       Table.create ~title:"abort reasons x deciding stage"

@@ -48,6 +48,17 @@ val report : ?top_k:int -> txn list -> Json.t
     [negative_waits] (count of negative wait entries; 0 by
     construction).  All durations in microseconds. *)
 
+val to_chrome : txn list -> Json.t
+(** Chrome trace-event JSON (load in Perfetto or [chrome://tracing]).
+    One process per record label (named by a [process_name] metadata
+    event, labels in first-appearance order), and per record one
+    nestable async track ([ph] ["b"]/["e"], [id = pos]): starting at
+    [t_submit], each stage in the order ds, pm, gm, fm lays out
+    ["<stage>.wait"] then ["<stage>"], skipping zero-length pieces, so
+    the pieces tile [[t_submit, t_submit + Σ (wait + service)]].  [ts]
+    is in microseconds from the earliest [t_submit] in [txns].  This is
+    the layout of the benchmark's Chrome traces. *)
+
 val print_report : ?top_k:int -> txn list -> unit
 (** Human-readable rendering to stdout: one waterfall table, critical
     path line, abort matrix and slowest-transaction table per backend. *)

@@ -1,14 +1,14 @@
 (** Per-transaction flight recorder: end-to-end latency attribution.
 
     Aggregate instruments ({!Metrics}) say how much time each pipeline
-    stage consumed in total; per-stage spans ({!Trace}) say when each
-    stage ran.  Neither ties one intention's life together from submit
-    to commit/abort, so neither can answer "where does a transaction's
-    wall-clock actually go — queueing or service, and in which stage?".
-    The flight recorder does: every intention carries a {!record} keyed
-    by its log position (a pure function of the deterministic schedule),
-    and each lifecycle edge — decode, premeld trial, group-meld combine,
-    final meld, decision — appends a wait/service pair to it.
+    stage consumed in total, but not where one intention's wall-clock
+    went between submit and commit/abort — queueing or service, and in
+    which stage.  The flight recorder does: every intention carries a
+    {!record} keyed by its log position (a pure function of the
+    deterministic schedule), and each lifecycle edge — decode, premeld
+    trial, group-meld combine, final meld, decision — appends a
+    wait/service pair to it.  {!Analyze} turns a dump of these records
+    into a waterfall report and a Chrome/Perfetto timeline.
 
     {2 Wait/service decomposition}
 
@@ -32,9 +32,9 @@
 
     {2 Inertness}
 
-    Same contract as {!Trace}: a disabled recorder makes every entry
-    point a single branch, call sites gate their own clock reads on
-    {!enabled}, and recording never feeds back into meld decisions —
+    A disabled recorder makes every entry point a single branch, call
+    sites gate their own clock reads on {!enabled}, and recording never
+    feeds back into meld decisions —
     decisions, trees, ephemeral ids and counters are bit-identical with
     the recorder on or off (asserted by [test/test_obs.ml]).
 
@@ -50,6 +50,10 @@ type stage = Ds | Pm | Gm | Fm
 
 val stage_name : stage -> string
 (** ["ds"], ["pm"], ["gm"], ["fm"]. *)
+
+val stage_names : string array
+(** Every {!stage_name} in pipeline order, the index order of
+    {!record.wait} and {!record.service}.  Do not mutate. *)
 
 (** One intention's flight record.  Fields are exposed read-only in
     spirit (tests and exporters inspect them); mutate only through the

@@ -26,9 +26,13 @@ let add_float buf f =
   | FP_nan | FP_infinite -> Buffer.add_string buf "null"
   | FP_zero -> Buffer.add_string buf "0"
   | FP_normal | FP_subnormal ->
-      (* %.12g is compact for integers ("500000") and round-trips every
-         magnitude this repo emits (microsecond timestamps, counts). *)
-      Buffer.add_string buf (Printf.sprintf "%.12g" f)
+      (* %.12g is compact ("500000", "0.25") but keeps only 12 significant
+         digits: a CLOCK_MONOTONIC timestamp after 11.6 days of uptime
+         (1000000.123456789 s) would lose 3 µs.  Fall back to %.17g, which
+         always round-trips, whenever the short form does not. *)
+      let s = Printf.sprintf "%.12g" f in
+      Buffer.add_string buf
+        (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"

@@ -11,7 +11,9 @@ type t =
   | Bool of bool
   | Int of int
   | Float of float
-      (** non-finite floats serialize as [null] (JSON has no NaN/infinity) *)
+      (** non-finite floats serialize as [null] (JSON has no NaN/infinity);
+          finite ones as [%.12g] when that reads back exactly, [%.17g]
+          otherwise, so every finite float round-trips *)
   | String of string
   | List of t list
   | Obj of (string * t) list

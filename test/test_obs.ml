@@ -1,13 +1,12 @@
-(* Hyder_obs: span recorder, metrics registry, exporters, flight
-   recorder and its offline analyzer — and the inertness contract:
-   wiring a trace recorder, a metrics registry or a flight recorder into
-   the pipeline changes NOTHING observable (decisions, ephemeral node
-   identities, per-shard integer counters), under the Sequential,
-   Parallel and Pipelined runtime backends. *)
+(* Hyder_obs: metrics registry, exporters, flight recorder and its
+   offline analyzer — and the inertness contract: wiring a metrics
+   registry or a flight recorder into the pipeline changes NOTHING
+   observable (decisions, ephemeral node identities, per-shard integer
+   counters), under the Sequential, Parallel and Pipelined runtime
+   backends. *)
 
 module Json = Hyder_obs.Json
 module Metrics = Hyder_obs.Metrics
-module Trace = Hyder_obs.Trace
 module Flight = Hyder_obs.Flight
 module Analyze = Hyder_obs.Analyze
 module Tree = Hyder_tree.Tree
@@ -23,11 +22,6 @@ module Rng = Hyder_util.Rng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let with_temp_file prefix f =
   let path = Filename.temp_file prefix ".jsonl" in
@@ -84,66 +78,19 @@ let test_json_parse () =
   check "unterminated object rejected" true
     (Json.of_string_opt "{\"a\":" = None);
   check "trailing garbage rejected" true (Json.of_string_opt "42 x" = None);
+  (* floats %.12g would truncate read back bit-exactly: a monotonic
+     timestamp after 11.6 days of uptime, one after a day carrying
+     nanoseconds, and a subnormal *)
+  List.iter
+    (fun f ->
+      let s = Json.to_string (Json.Float f) in
+      check (s ^ " round-trips") true (Json.of_string s = Json.Float f))
+    [ 1000000.123456789; 86400.000012345; 4.9406564584124654e-324 ];
+  check_string "short form kept when exact" "0.1"
+    (Json.to_string (Json.Float 0.1));
   match Json.of_string "nope" with
   | exception Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "bad literal accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Trace rings                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_wrap () =
-  let t = Trace.create ~capacity:8 ~shards:1 () in
-  check_int "capacity rounds to a power of two" 8 (Trace.capacity t);
-  check_int "shards" 1 (Trace.shards t);
-  for s = 0 to 19 do
-    Trace.record t ~track:0 ~stage:Trace.Deserialize ~seq:s
-      ~t0:(float_of_int s) ~t1:(float_of_int s +. 0.5) ~nodes:s ~detail:0
-  done;
-  check_int "recorded counts overwritten spans" 20 (Trace.recorded t);
-  check_int "dropped is exact" 12 (Trace.dropped t);
-  let sp = Trace.spans t in
-  check_int "only the newest capacity spans retained" 8 (List.length sp);
-  check "oldest-first, newest window" true
-    (List.map (fun (s : Trace.span) -> s.Trace.seq) sp
-    = [ 12; 13; 14; 15; 16; 17; 18; 19 ]);
-  (* the second ring is independent: no wrap, interleaves by t0 *)
-  Trace.record t ~track:1 ~stage:Trace.Premeld ~seq:100 ~t0:13.25 ~t1:13.5
-    ~nodes:1 ~detail:1;
-  check_int "recorded sums rings" 21 (Trace.recorded t);
-  check_int "dropped unchanged" 12 (Trace.dropped t);
-  let seqs = List.map (fun (s : Trace.span) -> s.Trace.seq) (Trace.spans t) in
-  check "merged sort by start time" true
-    (seqs = [ 12; 13; 100; 14; 15; 16; 17; 18; 19 ])
-
-let test_capacity_rounding () =
-  check_int "9 rounds to 16" 16 (Trace.capacity (Trace.create ~capacity:9 ~shards:0 ()));
-  check_int "1 stays 1" 1 (Trace.capacity (Trace.create ~capacity:1 ~shards:0 ()));
-  check "disabled records nothing" true
-    (Trace.record Trace.disabled ~track:0 ~stage:Trace.Final_meld ~seq:0
-       ~t0:0.0 ~t1:1.0 ~nodes:0 ~detail:0;
-     Trace.recorded Trace.disabled = 0);
-  match Trace.create ~capacity:0 ~shards:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 accepted"
-
-(* A wrapped ring announces its loss in the Chrome export, so a
-   truncated trace can never masquerade as a complete one. *)
-let test_trace_overflow_marker () =
-  let t = Trace.create ~capacity:4 ~shards:0 () in
-  for s = 0 to 9 do
-    Trace.record t ~track:0 ~stage:Trace.Deserialize ~seq:s
-      ~t0:(float_of_int s) ~t1:(float_of_int s +. 0.5) ~nodes:0 ~detail:0
-  done;
-  check_int "six spans fell off the ring" 6 (Trace.dropped t);
-  check "TRUNCATED metadata event on overflow" true
-    (contains (Trace.to_chrome_string t)
-       "TRUNCATED: 6 spans dropped (ring overflow)");
-  let t2 = Trace.create ~capacity:8 ~shards:0 () in
-  Trace.record t2 ~track:0 ~stage:Trace.Premeld ~seq:0 ~t0:0.0 ~t1:0.5
-    ~nodes:1 ~detail:0;
-  check "no marker without drops" false
-    (contains (Trace.to_chrome_string t2) "TRUNCATED")
 
 (* ------------------------------------------------------------------ *)
 (* Histogram buckets                                                    *)
@@ -221,36 +168,6 @@ let test_registry () =
 (* ------------------------------------------------------------------ *)
 (* Exporter goldens                                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* All timestamps are exact binary fractions so the float formatting is
-   deterministic across platforms. *)
-let test_chrome_golden () =
-  let t = Trace.create ~capacity:4 ~shards:1 () in
-  Trace.record t ~track:1 ~stage:Trace.Premeld ~seq:1 ~t0:0.5 ~t1:0.75
-    ~nodes:3 ~detail:2;
-  Trace.record t ~track:0 ~stage:Trace.Final_meld ~seq:0 ~t0:1.0 ~t1:1.25
-    ~nodes:7 ~detail:1;
-  let expected =
-    "{\"traceEvents\":["
-    ^ "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"final meld\"}},"
-    ^ "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"deserialize\"}},"
-    ^ "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"group meld\"}},"
-    ^ "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":10,\"args\":{\"name\":\"premeld shard 1\"}},"
-    ^ "{\"name\":\"premeld\",\"cat\":\"meld\",\"ph\":\"X\",\"ts\":0,\"dur\":250000,\"pid\":1,\"tid\":10,\"args\":{\"seq\":1,\"nodes\":3,\"detail\":2}},"
-    ^ "{\"name\":\"final meld\",\"cat\":\"meld\",\"ph\":\"X\",\"ts\":500000,\"dur\":250000,\"pid\":1,\"tid\":0,\"args\":{\"seq\":0,\"nodes\":7,\"detail\":1}}"
-    ^ "],\"displayTimeUnit\":\"ms\"}"
-  in
-  check_string "chrome export (default origin = earliest span)" expected
-    (Trace.to_chrome_string t);
-  (* an explicit origin just shifts ts *)
-  check "explicit origin shifts timestamps" true
-    (let s = Trace.to_chrome_string ~origin:0.25 t in
-     let has sub =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     has "\"ts\":250000" && has "\"ts\":750000")
 
 let test_prometheus_golden () =
   let m = Metrics.create () in
@@ -514,8 +431,146 @@ let test_analyze_report () =
   check_int "B txns" 1 (jint "txns" b);
   check_int "C flags the negative wait" 1 (jint "negative_waits" c)
 
+let fixture_txns () =
+  List.filter_map
+    (fun l -> Option.bind (Json.of_string_opt l) Analyze.txn_of_json)
+    analyze_fixture
+
+(* The Chrome export of the mixed dump, byte for byte: one process per
+   label in first-seen order, and per record its wait/service pieces laid
+   end to end from t_submit (the negative ds wait of pos 12 and every
+   zero-length piece are skipped). *)
+let test_chrome_golden () =
+  let proc pid name =
+    Printf.sprintf
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
+      pid name
+  in
+  let piece ~pid ~id name t0 t1 =
+    let ev ph ts =
+      Printf.sprintf
+        "{\"name\":\"%s\",\"cat\":\"txn\",\"ph\":\"%s\",\"id\":%d,\"ts\":%d,\"pid\":%d,\"tid\":1}"
+        name ph id ts pid
+    in
+    [ ev "b" t0; ev "e" t1 ]
+  in
+  let events =
+    [ proc 1 "A"; proc 2 "B"; proc 3 "C" ]
+    @ piece ~pid:1 ~id:1 "ds.wait" 0 250000
+    @ piece ~pid:1 ~id:1 "pm" 250000 500000
+    @ piece ~pid:1 ~id:2 "fm.wait" 1000000 1250000
+    @ piece ~pid:1 ~id:2 "fm" 1250000 1500000
+    @ piece ~pid:1 ~id:3 "pm" 2000000 2250000
+    @ piece ~pid:1 ~id:3 "gm.wait" 2250000 2500000
+    @ piece ~pid:2 ~id:9 "fm" 0 500000
+    @ piece ~pid:3 ~id:12 "ds" 0 750000
+  in
+  let out = Json.to_string (Analyze.to_chrome (fixture_txns ())) in
+  check_string "chrome export of the mixed dump"
+    ("{\"traceEvents\":[" ^ String.concat "," events
+   ^ "],\"displayTimeUnit\":\"ms\"}")
+    out;
+  let pids =
+    match jfield "traceEvents" (Json.of_string out) with
+    | Json.List evs -> List.sort_uniq compare (List.map (jint "pid") evs)
+    | _ -> Alcotest.fail "traceEvents not a list"
+  in
+  check "one pid per label" true (pids = [ 1; 2; 3 ])
+
+(* Property: for random records (non-binary times around 10^6 s of
+   uptime, zero-length pieces included) the serialized export parses
+   back, and each record's events tile [t_submit, t_submit + Σ (wait +
+   service)] in stage order with no gap or overlap: every piece ends
+   exactly where the next begins. *)
+let test_chrome_tiles () =
+  let rng = Rng.create 7L in
+  let labels = [| "seq"; "pipe:2"; "chaos/r0" |] in
+  let dur () = if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 2e-4 in
+  let txns =
+    List.init 200 (fun pos ->
+        {
+          Analyze.pos;
+          seq = pos;
+          server = 0;
+          txn_seq = pos;
+          label = labels.(Rng.int rng 3);
+          committed = true;
+          abort_reason = None;
+          decided_at = "final_meld";
+          conflict_zone = 0;
+          t_submit = 1000000.0 +. Rng.float rng 1.0;
+          t_done = 0.0;
+          e2e = 0.0;
+          wait = Array.init 4 (fun _ -> dur ());
+          service = Array.init 4 (fun _ -> dur ());
+        })
+  in
+  let origin =
+    List.fold_left
+      (fun m (t : Analyze.txn) -> Float.min m t.t_submit)
+      infinity txns
+  in
+  let events =
+    match
+      jfield "traceEvents"
+        (Json.of_string (Json.to_string (Analyze.to_chrome txns)))
+    with
+    | Json.List l -> l
+    | _ -> Alcotest.fail "traceEvents not a list"
+  in
+  let pieces = List.filter (fun e -> jstring "ph" e <> "M") events in
+  let us x = (x -. origin) *. 1e6 in
+  let pid_of_label = Hashtbl.create 3 in
+  List.iter
+    (fun (t : Analyze.txn) ->
+      let mine = List.filter (fun e -> jint "id" e = t.pos) pieces in
+      let expected =
+        List.concat
+          (List.init 4 (fun s ->
+               let name = Hyder_obs.Flight.stage_names.(s) in
+               List.filter
+                 (fun (_, d) -> d > 0.0)
+                 [ (name ^ ".wait", t.wait.(s)); (name, t.service.(s)) ]))
+      in
+      check_int
+        (Printf.sprintf "pos %d: two events per non-empty piece" t.pos)
+        (2 * List.length expected) (List.length mine);
+      let cursor = ref t.t_submit in
+      let rec walk evs exp =
+        match (evs, exp) with
+        | b :: e :: evs, (name, d) :: exp ->
+            check "b then e of one piece" true
+              (jstring "ph" b = "b" && jstring "ph" e = "e"
+              && jstring "name" b = name && jstring "name" e = name);
+            check "piece starts where the previous ended" true
+              (jfloat "ts" b = us !cursor);
+            cursor := !cursor +. d;
+            check "piece ends after its duration" true
+              (jfloat "ts" e = us !cursor);
+            walk evs exp
+        | [], [] -> ()
+        | _ -> Alcotest.fail "event/piece count mismatch"
+      in
+      walk mine expected;
+      let all =
+        Array.fold_left ( +. ) 0.0 t.wait +. Array.fold_left ( +. ) 0.0 t.service
+      in
+      check "tiling covers the attributed span" true
+        (Float.abs (us !cursor -. us (t.t_submit +. all)) < 1e-3);
+      List.iter
+        (fun e ->
+          let pid = jint "pid" e in
+          match Hashtbl.find_opt pid_of_label t.label with
+          | None -> Hashtbl.add pid_of_label t.label pid
+          | Some p -> check_int "one pid per label" p pid)
+        mine)
+    txns;
+  let pids = Hashtbl.fold (fun _ p acc -> p :: acc) pid_of_label [] in
+  check_int "labels get distinct pids" (Hashtbl.length pid_of_label)
+    (List.length (List.sort_uniq compare pids))
+
 (* ------------------------------------------------------------------ *)
-(* Inertness: tracing on vs off is bit-identical                        *)
+(* Inertness: recording on vs off is bit-identical                      *)
 (* ------------------------------------------------------------------ *)
 
 let genesis_n = 2000
@@ -558,10 +613,8 @@ let make_stream ~config ~txns ~seed =
   ignore (Pipeline.flush gen);
   (genesis, List.rev !intentions)
 
-let replay ?trace ?metrics ?flight ~config ~runtime ~slab genesis intentions =
-  let p =
-    Pipeline.create ~config ~runtime ?trace ?flight ?metrics ~genesis ()
-  in
+let replay ?metrics ?flight ~config ~runtime ~slab genesis intentions =
+  let p = Pipeline.create ~config ~runtime ?flight ?metrics ~genesis () in
   let rec take k acc = function
     | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
     | rest -> (List.rev acc, rest)
@@ -590,58 +643,21 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.reason = b.Pipeline.reason
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
-let test_tracing_is_inert () =
+(* Recording every intention's lifecycle changes nothing observable,
+   and neither does a metrics registry on its own (flight and metrics are
+   independent).  Each row replays one stream under a runtime backend and
+   compares it with an unrecorded sequential replay.  The recorded rows
+   double as a lifecycle audit at scale: every decision closes exactly
+   one record, none leak, and the commit and per-reason abort counters
+   agree with the decision stream. *)
+let check_inert ~seed rows =
   let config =
     {
       Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
       group_size = 2;
     }
   in
-  let genesis, intentions = make_stream ~config ~txns:300 ~seed:2024 in
-  check "stream not trivial" true (List.length intentions > 150);
-  let bd, bfinal, bcounts =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
-  in
-  List.iter
-    (fun (name, runtime, slab) ->
-      let trace = Trace.create ~shards:5 () in
-      let metrics = Metrics.create () in
-      let d, final, counts =
-        replay ~trace ~metrics ~config ~runtime ~slab genesis intentions
-      in
-      check (name ^ ": spans were recorded") true (Trace.recorded trace > 0);
-      check (name ^ ": decision count") true (List.length d = List.length bd);
-      check (name ^ ": decisions identical") true
-        (List.for_all2 same_decision d bd);
-      check (name ^ ": final state physically identical") true
-        (Tree.physically_equal final bfinal);
-      check (name ^ ": per-thread premeld work identical") true
-        (counts = bcounts);
-      (* the instruments agree with the pipeline's own counters *)
-      let commits =
-        List.length (List.filter (fun d -> d.Pipeline.committed) bd)
-      in
-      match List.assoc "pipeline_commits" (Metrics.snapshot metrics) with
-      | Metrics.Counter_v n -> check_int (name ^ ": metric commits") commits n
-      | _ -> Alcotest.fail "pipeline_commits missing")
-    [
-      ("traced seq", Runtime.sequential, max_int);
-      ("traced par:4", Runtime.parallel ~domains:4, 64);
-    ]
-
-(* The flight recorder rides the same contract: recording every
-   intention's lifecycle changes nothing observable, under all three
-   runtime backends.  The enabled runs double as a lifecycle audit at
-   scale: every decision closes exactly one record, none leak, and the
-   per-reason abort counters agree with the decision stream. *)
-let test_flight_is_inert () =
-  let config =
-    {
-      Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
-      group_size = 2;
-    }
-  in
-  let genesis, intentions = make_stream ~config ~txns:300 ~seed:4096 in
+  let genesis, intentions = make_stream ~config ~txns:300 ~seed in
   check "stream not trivial" true (List.length intentions > 150);
   let bd, bfinal, bcounts =
     replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
@@ -651,14 +667,17 @@ let test_flight_is_inert () =
   in
   check "stream has aborts" true (aborts > 0);
   List.iter
-    (fun (name, runtime, slab) ->
+    (fun (name, runtime, slab, flighted) ->
       let metrics = Metrics.create () in
-      let flight = Flight.create ~label:name ~metrics () in
+      let flight =
+        if flighted then Flight.create ~label:name ~metrics ()
+        else Flight.disabled
+      in
       let d, final, counts =
         replay ~flight ~metrics ~config ~runtime ~slab genesis intentions
       in
       check (name ^ ": every decision closed one record") true
-        (Flight.completed flight = List.length d);
+        (Flight.completed flight = if flighted then List.length d else 0);
       check_int (name ^ ": no records leak") 0 (Flight.in_flight flight);
       check (name ^ ": decision count") true (List.length d = List.length bd);
       check (name ^ ": decisions identical") true
@@ -672,34 +691,37 @@ let test_flight_is_inert () =
         | Some (Metrics.Counter_v v) -> v
         | _ -> 0
       in
+      check_int (name ^ ": metric commits")
+        (List.length bd - aborts)
+        (counter "pipeline_commits");
       check_int (name ^ ": per-reason abort counters sum to aborts") aborts
         (counter "pipeline_aborts_write_conflict"
         + counter "pipeline_aborts_read_conflict"
         + counter "pipeline_aborts_phantom_conflict");
       check_int
         (name ^ ": flight_records_total agrees")
-        (List.length d)
+        (if flighted then List.length d else 0)
         (counter "flight_records_total"))
+    rows
+
+(* Tracing is the flight recorder: a traced run at full domain fan-out,
+   and a run with metrics but no recorder, against the untraced one. *)
+let test_tracing_is_inert () =
+  check_inert ~seed:2024
     [
-      ("flight seq", Runtime.sequential, max_int);
-      ("flight par:2", Runtime.parallel ~domains:2, 64);
-      ("flight pipe:2", Runtime.pipelined ~domains:2, 64);
+      ("traced seq", Runtime.sequential, max_int, true);
+      ("traced par:4", Runtime.parallel ~domains:4, 64, true);
+      ("metrics only seq", Runtime.sequential, max_int, false);
     ]
 
-let test_trace_shard_mismatch () =
-  let config =
-    {
-      Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
-      group_size = 1;
-    }
-  in
-  match
-    Pipeline.create ~config
-      ~trace:(Trace.create ~shards:2 ())
-      ~genesis:(Helpers.genesis 16) ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "trace with too few shards accepted"
+(* All three runtime backends, on a second stream. *)
+let test_flight_is_inert () =
+  check_inert ~seed:4096
+    [
+      ("flight seq", Runtime.sequential, max_int, true);
+      ("flight par:2", Runtime.parallel ~domains:2, 64, true);
+      ("flight pipe:2", Runtime.pipelined ~domains:2, 64, true);
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -709,15 +731,6 @@ let () =
           Alcotest.test_case "emitter: scalars and escaping" `Quick test_json;
           Alcotest.test_case "parser: round-trip and rejection" `Quick
             test_json_parse;
-        ] );
-      ( "trace rings",
-        [
-          Alcotest.test_case "wrap and overflow accounting" `Quick
-            test_ring_wrap;
-          Alcotest.test_case "capacity rounding, disabled recorder" `Quick
-            test_capacity_rounding;
-          Alcotest.test_case "overflow marks the chrome export" `Quick
-            test_trace_overflow_marker;
         ] );
       ( "metrics",
         [
@@ -745,6 +758,8 @@ let () =
             test_flight_lifecycle;
           Alcotest.test_case "analyzer report over a mixed dump" `Quick
             test_analyze_report;
+          Alcotest.test_case "chrome events tile each record" `Quick
+            test_chrome_tiles;
         ] );
       ( "inertness",
         [
@@ -752,7 +767,5 @@ let () =
             `Quick test_tracing_is_inert;
           Alcotest.test_case "flight on = flight off (seq, par:2, pipe:2)"
             `Quick test_flight_is_inert;
-          Alcotest.test_case "trace shards must cover premeld threads" `Quick
-            test_trace_shard_mismatch;
         ] );
     ]

@@ -462,10 +462,12 @@ let test_stage_pool_handoff_allocates_nothing () =
     true
     (delta < 64.0)
 
-(* Tracing must stay observational under the pipelined backend too:
-   decisions, trees and counters bit-identical with the recorder on or
-   off, with offloaded spans landing on worker rings. *)
-let test_pipelined_trace_inert () =
+(* The flight recorder must stay observational under the pipelined
+   backend too: decisions, trees and counters bit-identical with the
+   recorder on or off while decodes run on workers, and every decision
+   closes exactly one record stamped from the worker-side brackets. *)
+let test_pipelined_flight_inert () =
+  let module Flight = Hyder_obs.Flight in
   let config =
     {
       Pipeline.premeld = Some { Premeld.threads = 3; distance = 4 };
@@ -479,12 +481,12 @@ let test_pipelined_trace_inert () =
   let wd, bfinal, bcounts, _ =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
-  check "traced wire baseline: decisions identical to in-memory" true
+  check "wire baseline: decisions identical to in-memory" true
     (List.length wd = List.length bd && List.for_all2 same_decision wd bd);
-  let trace = Hyder_obs.Trace.create ~shards:3 ~workers:2 () in
+  let flight = Flight.create ~label:"pipe:2" () in
   let p =
-    Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2)
-      ~trace ~genesis ()
+    Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2) ~flight
+      ~genesis ()
   in
   let d = Pipeline.submit_wire_batch p wires @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
@@ -493,27 +495,16 @@ let test_pipelined_trace_inert () =
       (fun (s : Counters.stage) -> (s.Counters.intentions, s.Counters.nodes_visited))
       (Pipeline.counters p).Counters.premeld_shards
   in
+  let off = Pipeline.offload p in
   Pipeline.shutdown p;
-  compare_to_baseline ~name:"traced pipe:2" ~bd:wd ~bfinal ~bcounts
+  compare_to_baseline ~name:"flight pipe:2" ~bd:wd ~bfinal ~bcounts
     (d, final, counts);
-  let spans = Hyder_obs.Trace.spans trace in
-  check "spans recorded" true (spans <> []);
-  check "offloaded ds spans land on worker rings" true
-    (List.exists
-       (fun (s : Hyder_obs.Trace.span) ->
-         s.Hyder_obs.Trace.track > 3
-         && s.Hyder_obs.Trace.stage = Hyder_obs.Trace.Deserialize)
-       spans);
-  (* a recorder with too few worker rings must be rejected up front *)
-  let small = Hyder_obs.Trace.create ~shards:3 ~workers:1 () in
-  match
-    Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2)
-      ~trace:small ~genesis ()
-  with
-  | exception Invalid_argument _ -> ()
-  | p ->
-      Pipeline.shutdown p;
-      Alcotest.fail "trace with too few worker rings accepted"
+  (match off with
+  | Some o -> check "some decodes offloaded" true (o.Pipeline.ds_offloaded > 0)
+  | None -> Alcotest.fail "pipelined run reported no offload stats");
+  check_int "every decision closed one record" (List.length d)
+    (Flight.completed flight);
+  check_int "no records leak" 0 (Flight.in_flight flight)
 
 (* ------------------------------------------------------------------ *)
 (* Domain_pool                                                          *)
@@ -637,8 +628,8 @@ let () =
             test_submit_after_shutdown_raises;
           Alcotest.test_case "stage-pool handoff round allocates nothing"
             `Quick test_stage_pool_handoff_allocates_nothing;
-          Alcotest.test_case "tracing stays observational" `Quick
-            test_pipelined_trace_inert;
+          Alcotest.test_case "flight stays inert" `Quick
+            test_pipelined_flight_inert;
         ] );
       ( "domain pool",
         [
