@@ -388,9 +388,9 @@ let decode_indexed ~pos ~resolve s =
    so steady-state deserialization allocates only the nodes themselves.
    One scratch per domain — the table is single-owner mutable state. *)
 module Scratch = struct
-  type t = { mutable nodes : Node.tree array; mutable last_count : int }
+  type t = { mutable nodes : Node.tree array }
 
-  let create () = { nodes = Array.make 64 Node.empty; last_count = 0 }
+  let create () = { nodes = Array.make 64 Node.empty }
 
   let table t count =
     let need = max 1 count in
@@ -401,14 +401,9 @@ module Scratch = struct
       done;
       t.nodes <- Array.make !cap Node.empty
     end;
-    t.last_count <- count;
     t.nodes
 
-  let export t = Array.sub t.nodes 0 (max 1 t.last_count)
-
-  let clear t =
-    Array.fill t.nodes 0 (Array.length t.nodes) Node.empty;
-    t.last_count <- 0
+  let clear t = Array.fill t.nodes 0 (Array.length t.nodes) Node.empty
 end
 
 let decode_pooled ~scratch ~pos ?(off = 0) ?len ~resolve s =
@@ -476,17 +471,21 @@ module Blocks = struct
         let last = Wire.Reader.u8 r = 1 in
         let payload = Wire.Reader.bytes r in
         let key = (server, txn_seq) in
+        let found = Hashtbl.find_opt t.partials key in
+        let expected = match found with Some p -> p.next_frag | None -> 0 in
+        (* check before inserting: a rejected first fragment must not
+           leave an empty partial behind *)
+        if frag_idx <> expected then
+          corrupt "block %d: fragment %d arrived out of order (expected %d)"
+            pos frag_idx expected;
         let partial =
-          match Hashtbl.find_opt t.partials key with
+          match found with
           | Some p -> p
           | None ->
               let p = { buf = Buffer.create 1024; next_frag = 0 } in
               Hashtbl.add t.partials key p;
               p
         in
-        if frag_idx <> partial.next_frag then
-          corrupt "block %d: fragment %d arrived out of order (expected %d)"
-            pos frag_idx partial.next_frag;
         Buffer.add_string partial.buf payload;
         partial.next_frag <- partial.next_frag + 1;
         if last then begin

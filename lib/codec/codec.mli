@@ -71,10 +71,6 @@ module Scratch : sig
 
   val create : unit -> t
 
-  val export : t -> Node.tree array
-  (** Fresh copy of the most recent decode's node table, shaped exactly
-      like {!decode_indexed}'s second component (for cache insertion). *)
-
   val clear : t -> unit
   (** Drop retained node references (GC hygiene between batches). *)
 end

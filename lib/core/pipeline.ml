@@ -175,16 +175,12 @@ type carrier = {
   mutable c_thread : int;
   mutable c_snap_seq : int;
   mutable c_intention : Intention.t option;
-      (** ds out — [None]: the cache-free worker decode hit a reference
-          only the driver's intention cache can resolve (a merged-away
-          node); the driver redoes the decode inline *)
+      (** ds out — [None]: the worker decode raised [Corrupt]; the
+          driver redoes the decode inline so the error surfaces there *)
   (* gm job input / result output *)
   mutable c_group : Group_meld.group option;
   mutable c_completed : Group_meld.group option;
   (* result outputs *)
-  mutable c_nodes : Node.tree array;
-      (** ds out: the decoded node table, for the driver to index into
-          its intention cache ([[||]] on failure) *)
   mutable c_outcome : Premeld.outcome option;
   mutable c_seconds_ns : int;
   mutable c_t0_ns : int;
@@ -207,7 +203,6 @@ let fresh_carrier () =
     c_intention = None;
     c_group = None;
     c_completed = None;
-    c_nodes = [||];
     c_outcome = None;
     c_seconds_ns = 0;
     c_t0_ns = 0;
@@ -289,7 +284,6 @@ type t = {
   inst : instruments option;
   counters : Counters.t;
   states : State_store.t;
-  cache : Intention_cache.t;
   fm_alloc : Vn.Alloc.t;
   pm_allocs : Vn.Alloc.t array;
   gm_alloc : Vn.Alloc.t;
@@ -328,47 +322,6 @@ let offload t =
         driver_steals = p.driver_steals;
       })
     t.pstate
-
-(* References resolve against the retained snapshot state first, and only
-   fall back to the intention cache when the state cannot answer (a
-   logged node that melding replaced in the state before the snapshot
-   was recorded).  Order matters for determinism, not just speed: meld's
-   graft checks compare node objects *physically*, so the decoder must
-   return the same object for the same reference on every backend, every
-   replica, and every garbage-collection schedule.  The snapshot state
-   is that canonical source — it is exactly what worker-domain decodes
-   (which have no cache) resolve against, and it is reconstructed
-   verbatim by crash recovery.  The cache, by contrast, holds *weak*
-   references: resolving through it first made decode results depend on
-   which entries the GC had collected, which skewed graft decisions and
-   ephemeral numbering under memory pressure (caught by the chaos
-   suite's pipelined runs).  It now serves only references the state
-   lookup cannot satisfy, where any surviving object is better than a
-   corrupt-stream error. *)
-let cached_resolver t : Codec.resolver =
-  let fallback = State_store.resolver t.states in
-  fun ~snapshot ~key ~vn ->
-    let from_state =
-      let tree = fallback ~snapshot ~key ~vn in
-      if (not (Node.is_empty tree)) && Vn.equal tree.Node.vn vn then Some tree
-      else
-        (* wrong version (or absent): the state at [snapshot] no longer
-           holds this node — only the cache can still name it *)
-        match vn with
-        | Vn.Logged _ -> None
-        | Vn.Ephemeral _ -> Some tree
-    in
-    match from_state with
-    | Some tree -> tree
-    | None -> (
-        match vn with
-        | Vn.Logged { pos = p; idx } -> (
-            match Intention_cache.find t.cache ~pos:p ~idx with
-            | Some tree
-              when (not (Node.is_empty tree)) && Key.equal tree.Node.key key
-              -> tree
-            | Some _ | None -> fallback ~snapshot ~key ~vn)
-        | Vn.Ephemeral _ -> fallback ~snapshot ~key ~vn)
 
 (* Materialization ("mz") accounting helpers.  [mz_note] books an
    explicit delta; [mz_hook] builds the meld-side hook that also
@@ -409,32 +362,33 @@ let force_tree ~note (g : Group_meld.group) =
       { g with Group_meld.root; view = None }
 
 (* The ds stage: index the wire record in place (zero-copy).  The
-   snapshot state is the binding peer — the same source [cached_resolver]
-   consults first, so references and elided payloads bind to the same
-   physical objects the eager decoders would return.
+   snapshot state is both the binding peer and the resolver, and nothing
+   else is: meld's graft checks compare node objects physically, so a
+   reference must bind to the same object on every backend, replica and
+   GC schedule, and the retained state is the one source all of them
+   share (worker domains and restarted replicas have nothing else).  A
+   reference the state cannot answer with the recorded version is
+   rejected as [Corrupt].  Nothing outlives the decode but the returned
+   intention, so its wire arrays die young once it is melded.
 
    [detach] is for pipelined-driver decodes, which feed stage queues
    consumed on worker domains: a view must only ever have one walker, so
    the intention is materialized immediately (booked as mz, not ds) and
-   the view stripped before it crosses a queue.  Either way the view
-   enters the cache, so later references resolve to the memo-shared
-   objects. *)
+   the view stripped before it crosses a queue. *)
 let ds_stage t ~pos ?off ?len ~detach src =
   let ds = t.counters.deserialize in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
-  ds.intentions <- ds.intentions + 1;
   let peer =
     match State_store.by_pos t.states (Codec.peek_snapshot ?off src) with
     | Some tree -> tree
     | None -> Node.empty
   in
   let i =
-    Codec.decode_lazy ~pos ?off ?len ~peer ~resolve:(cached_resolver t) src
+    Codec.decode_lazy ~pos ?off ?len ~peer
+      ~resolve:(State_store.resolver t.states) src
   in
-  (match i.Intention.view with
-  | Some v when not detach -> Intention_cache.add_view t.cache v
-  | Some _ | None -> ());
+  ds.intentions <- ds.intentions + 1;
   ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
   Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
   gc_end t.inst ~stage:`Ds gc0;
@@ -444,7 +398,6 @@ let ds_stage t ~pos ?off ?len ~detach src =
         let mw0 = Gc.minor_words () in
         let root = View.materialize_root v in
         mz_note t (Gc.minor_words () -. mw0);
-        Intention_cache.add_view t.cache v;
         { i with Intention.root; view = None }
     | Some _ | None -> i
   in
@@ -859,24 +812,21 @@ let pexec t (w : wctx) ~worker (c : carrier) =
   | Cnone -> ()
   | Cds -> (
       let t0 = Clock.now () in
-      (* Workers decode against the frozen snapshot alone.  A reference
-         to a node the log melded away (alive only through the driver's
-         intention cache) is unresolvable here — report failure and let
-         the driver redo the decode inline, where the cache prefix is
-         complete by log-order consumption. *)
+      (* Workers decode against the frozen snapshot, which resolves
+         exactly as the driver's live store does.  A corrupt stream is
+         reported, not raised: the driver redoes the decode inline and
+         raises [Corrupt] on its own thread. *)
       match
         Codec.decode_pooled ~scratch:w.scratches.(worker) ~pos:c.c_pos
           ~off:c.c_off ~len:c.c_len ~resolve:w.wresolvers.(worker) c.c_src
       with
       | exception Codec.Corrupt _ ->
           c.c_intention <- None;
-          c.c_nodes <- [||];
           c.c_seconds_ns <- 0;
           c.c_t0_ns <- ns_of_s t0
       | i ->
           let t1 = Clock.now () in
           c.c_intention <- Some i;
-          c.c_nodes <- Codec.Scratch.export w.scratches.(worker);
           c.c_seconds_ns <- ns_of_s (t1 -. t0);
           c.c_t0_ns <- ns_of_s t0)
   | Cpm ->
@@ -1040,7 +990,6 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     c.c_intention <- None;
     c.c_group <- None;
     c.c_completed <- None;
-    c.c_nodes <- [||];
     c.c_outcome <- None;
     px.free.(w).(px.free_top.(w)) <- c;
     px.free_top.(w) <- px.free_top.(w) + 1
@@ -1186,13 +1135,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     | Cds -> (
         match c.c_intention with
         | Some i ->
-            (* Index the worker-decoded nodes so later decodes (driver
-               inline, held releases, the next window's failures) resolve
-               references to them even after melding replaces them in the
-               state.  Log-order consumption guarantees the cache holds a
-               complete prefix whenever the driver decodes inline. *)
             intentions.(c.c_idx) <- c.c_intention;
-            Intention_cache.add t.cache ~pos:i.Intention.pos c.c_nodes;
             let seconds = s_of_ns c.c_seconds_ns in
             let ds = t.counters.deserialize in
             ds.intentions <- ds.intentions + 1;
@@ -1209,10 +1152,9 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
                 ~t1:(t0 +. seconds)
             end
         | None -> (
-            (* The worker's cache-free decode could not resolve a
-               reference; every reference of an offloadable item predates
-               the window, so the driver's cache already covers it — redo
-               inline now. *)
+            (* The worker decode failed.  The driver resolves against the
+               same snapshot state as the worker, so the inline redo
+               raises the same [Corrupt], now on the driver's thread. *)
             match window.(c.c_idx) with
             | Ww { pos; src; off; len; _ } ->
                 intentions.(c.c_idx) <-
@@ -1471,6 +1413,13 @@ let submit_batch t (intentions : Intention.t list) =
           done;
           List.rev !decisions)
 
+let invalid_snapshot ~pos ~snap ~lpos =
+  failwith
+    (Printf.sprintf
+       "Pipeline.submit_wire_batch: intention at log position %d names \
+        snapshot %d but only %d is recorded — invalid stream"
+       pos snap lpos)
+
 let submit_wire_batch t (items : (int * string) list) =
   match t.pstate with
   | Some px ->
@@ -1487,12 +1436,13 @@ let submit_wire_batch t (items : (int * string) list) =
                     psnap = Codec.peek_snapshot src;
                   })
               items))
-  | None ->
-      (* Decode-then-submit in maximal safe prefixes: an intention can
-         only be deserialized once the state its snapshot names is
-         recorded, so each chunk is the longest prefix whose snapshots
-         all precede the states recorded so far; melding the chunk then
-         unlocks the next. *)
+  | None when Runtime.is_parallel t.runtime && t.config.premeld <> None ->
+      (* Decode-then-submit in maximal safe prefixes, so [submit_batch]
+         sees whole premeld windows: an intention can only be
+         deserialized once the state its snapshot names is recorded, so
+         each chunk is the longest prefix whose snapshots all precede
+         the states recorded so far; melding the chunk then unlocks the
+         next. *)
       let arr = Array.of_list items in
       let n = Array.length arr in
       let decisions = ref [] in
@@ -1511,16 +1461,25 @@ let submit_wire_batch t (items : (int * string) list) =
         done;
         if !chunk = [] then begin
           let pos, src = arr.(!off) in
-          failwith
-            (Printf.sprintf
-               "Pipeline.submit_wire_batch: intention at log position %d \
-                names snapshot %d but only %d is recorded — invalid stream"
-               pos (Codec.peek_snapshot src) lpos)
+          invalid_snapshot ~pos ~snap:(Codec.peek_snapshot src) ~lpos
         end;
         decisions :=
           List.rev_append (submit_batch t (List.rev !chunk)) !decisions
       done;
       List.rev !decisions
+  | None ->
+      (* Meld each intention right after its decode, so everything the
+         decode allocated dies young.  An intention's snapshot must be
+         recorded before it can decode; checking each item against the
+         states its predecessors recorded accepts exactly the streams the
+         chunked loop above accepts. *)
+      List.concat_map
+        (fun (pos, src) ->
+          let _, lpos, _ = State_store.latest t.states in
+          let snap = Codec.peek_snapshot src in
+          if snap > lpos then invalid_snapshot ~pos ~snap ~lpos;
+          submit t (decode t ~pos src))
+        items
 
 let flush t =
   match t.pending with
@@ -1635,7 +1594,6 @@ let create ?(config = plain) ?(runtime = Runtime.sequential)
       inst = make_instruments metrics;
       counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
       states = State_store.create ~genesis ();
-      cache = Intention_cache.create ();
       fm_alloc = Vn.Alloc.create ~thread:0;
       pm_allocs =
         Array.init pm_threads (fun i -> Vn.Alloc.create ~thread:(i + 1));
@@ -1694,10 +1652,6 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
       inst = make_instruments metrics;
       counters;
       states = State_store.restore ckpt.Checkpoint.store;
-      (* The intention cache died with the process; snapshot references of
-         replayed intentions resolve through the restored window instead,
-         which covers everything the original cache-missing path could. *)
-      cache = Intention_cache.create ();
       fm_alloc = resume (Vn.Alloc.create ~thread:0) issued.(0);
       pm_allocs =
         Array.init pm_threads (fun i ->

@@ -1,9 +1,11 @@
 open Hyder_tree
 module State_store = Hyder_core.State_store
-module Intention_cache = Hyder_core.Intention_cache
 module Executor = Hyder_core.Executor
 module Oracle = Hyder_core.Oracle
 module I = Hyder_codec.Intention
+module Codec = Hyder_codec.Codec
+module Pipeline = Hyder_core.Pipeline
+module Ycsb = Hyder_workload.Ycsb
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -130,58 +132,139 @@ let test_resolver_finds_snapshot_nodes () =
   if not (Node.is_empty (resolve ~snapshot:(-1) ~key:555 ~vn:(Vn.genesis ~idx:0)))
   then Alcotest.fail "expected empty"
 
-(* --- intention cache ------------------------------------------------------ *)
+(* --- decode contract -------------------------------------------------------- *)
 
-let node_for k =
-  match Tree.find (mini_state (k + 1)) k with
-  | Some n -> n
-  | None -> assert false
+(* A closed-loop YCSB wire stream, recorded by feeding a generator
+   pipeline the way a server's callers do: slabs of [slab] transactions
+   execute against the LCS and are melded only once [in_flight] are
+   waiting, so snapshots lag and conflict zones are real. *)
+let ycsb_wire_stream ~config ~isolation ~txns =
+  let y =
+    Ycsb.create ~seed:42L
+      {
+        Ycsb.default with
+        Ycsb.record_count = 2_000;
+        payload_size = 16;
+        update_fraction = 0.5;
+        distribution = Ycsb.Hotspot 0.2;
+        isolation;
+      }
+  in
+  let genesis = Ycsb.genesis y in
+  let gen = Pipeline.create ~config ~genesis () in
+  let slab = 16 and in_flight = 48 in
+  let wires = Array.make txns (0, "") in
+  let submitted = ref 0 in
+  let submit_upto n =
+    ignore
+      (Pipeline.submit_wire_batch gen
+         (Array.to_list (Array.sub wires !submitted (n - !submitted))));
+    submitted := n
+  in
+  let next = ref 0 in
+  while !next < txns do
+    let _, snapshot_pos, snapshot = Pipeline.lcs gen in
+    for _ = 1 to min slab (txns - !next) do
+      let e =
+        Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq:!next
+          ~isolation ()
+      in
+      Ycsb.apply (Ycsb.next_write_txn y) e;
+      (match Executor.finish e with
+      | Some d -> wires.(!next) <- (!next, Codec.encode d)
+      | None -> Alcotest.fail "read-only YCSB write transaction");
+      incr next
+    done;
+    if !next - !submitted > in_flight then submit_upto (!submitted + slab)
+  done;
+  Pipeline.shutdown gen;
+  (genesis, Array.to_list wires)
 
-let test_cache_add_find () =
-  let c = Intention_cache.create ~capacity:4 () in
-  let nodes = [| node_for 0; node_for 1 |] in
-  Intention_cache.add c ~pos:10 nodes;
-  check "hit" true
-    (match Intention_cache.find c ~pos:10 ~idx:1 with
-    | Some n -> n == nodes.(1)
-    | None -> false);
-  check "miss idx" true
-    (match Intention_cache.find c ~pos:10 ~idx:9 with
-    | None -> true
-    | Some _ -> false);
-  check "miss pos" true
-    (match Intention_cache.find c ~pos:11 ~idx:0 with
-    | None -> true
-    | Some _ -> false)
+let decision_key (d : Pipeline.decision) =
+  (d.Pipeline.seq, d.Pipeline.pos, d.Pipeline.committed, d.Pipeline.reason,
+   d.Pipeline.decided_at)
 
-let test_cache_eviction_fifo () =
-  let c = Intention_cache.create ~capacity:2 () in
-  let keep = [| node_for 1 |] in
-  Intention_cache.add c ~pos:1 keep;
-  Intention_cache.add c ~pos:2 keep;
-  Intention_cache.add c ~pos:3 keep;
-  check_int "bounded" 2 (Intention_cache.cached c);
-  check "oldest evicted" true
-    (match Intention_cache.find c ~pos:1 ~idx:0 with
-    | None -> true
-    | Some _ -> false);
-  check "newest kept" true
-    (match Intention_cache.find c ~pos:3 ~idx:0 with
-    | Some _ -> true
-    | None -> false)
+let final_of p ds =
+  let ds = ds @ Pipeline.flush p in
+  let _, _, tree = Pipeline.lcs p in
+  (List.map decision_key ds, Tree.digest tree)
 
-let test_cache_is_weak () =
-  let c = Intention_cache.create () in
-  let make () = [| node_for 2 |] in
-  Intention_cache.add c ~pos:5 (make ());
-  (* Nothing else references the node: a full GC may reclaim it.  The cache
-     must degrade to a miss, never a dangling value. *)
-  Gc.full_major ();
-  Gc.full_major ();
-  match Intention_cache.find c ~pos:5 ~idx:0 with
-  | None -> ()
-  | Some n when Node.is_empty n -> Alcotest.fail "never empty"
-  | Some n -> check_int "if alive, it is the right node" 2 n.Node.key
+(* However a stream is cut into [submit_wire_batch] calls, the sequential
+   backend melds each intention right after its decode, so decisions and
+   the final tree equal one-at-a-time [decode] + [submit]. *)
+let check_split_invariance ~config ~isolation () =
+  let genesis, wires = ycsb_wire_stream ~config ~isolation ~txns:400 in
+  let one_at_a_time =
+    let p = Pipeline.create ~config ~genesis () in
+    final_of p
+      (List.concat_map
+         (fun (pos, src) -> Pipeline.submit p (Pipeline.decode p ~pos src))
+         wires)
+  in
+  let ds, _ = one_at_a_time in
+  check "some commit" true (List.exists (fun (_, _, c, _, _) -> c) ds);
+  check "some abort" true (List.exists (fun (_, _, c, _, _) -> not c) ds);
+  List.iter
+    (fun slab ->
+      let p = Pipeline.create ~config ~genesis () in
+      let rec go acc = function
+        | [] -> acc
+        | l ->
+            let batch = List.filteri (fun i _ -> i < slab) l in
+            let rest = List.filteri (fun i _ -> i >= slab) l in
+            go (List.rev_append (Pipeline.submit_wire_batch p batch) acc) rest
+      in
+      let ds, digest = final_of p (List.rev (go [] wires)) in
+      let name = Printf.sprintf "slab %d" slab in
+      check (name ^ ": decisions") true (ds = fst one_at_a_time);
+      Alcotest.(check string) (name ^ ": tree digest") (snd one_at_a_time)
+        digest)
+    [ 1; 7; 64; max_int ]
+
+let test_split_invariance_plain_si () =
+  check_split_invariance ~config:Pipeline.plain
+    ~isolation:I.Snapshot_isolation ()
+
+let test_split_invariance_both_sr () =
+  check_split_invariance ~config:Pipeline.with_both ~isolation:I.Serializable
+    ()
+
+(* References resolve against the intention's snapshot state alone.  A
+   forged intention that claims the genesis snapshot but references nodes
+   a just-decoded intention logged must be rejected, even though those
+   nodes are alive in the LCS. *)
+let test_forged_reference_rejected () =
+  let genesis = mini_state 2_000 in
+  let p = Pipeline.create ~genesis () in
+  let run ~snapshot_pos ~snapshot key =
+    let e =
+      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq:key
+        ~isolation:I.Serializable ()
+    in
+    Executor.write e key "x";
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> assert false
+  in
+  let x = Pipeline.decode p ~pos:0 (run ~snapshot_pos:(-1) ~snapshot:genesis 0) in
+  (match Pipeline.submit p x with
+  | [ d ] -> check "x committed" true d.Pipeline.committed
+  | _ -> Alcotest.fail "expected one decision");
+  let _, xpos, lcs = Pipeline.lcs p in
+  check_int "lcs is x's state" 0 xpos;
+  (* x's path from the root to key 0 is logged at position 0, and a write
+     to the largest key diverges from it at the root, so the forged
+     intention references x's node on the left spine *)
+  check "root is on neither path" true
+    (lcs.Node.key <> 0 && lcs.Node.key <> 1_999);
+  check "left child logged by x" true
+    (Vn.intention_pos lcs.Node.left.Node.vn = Some 0);
+  let forged = run ~snapshot_pos:(-1) ~snapshot:lcs 1_999 in
+  (match Pipeline.decode p ~pos:1 forged with
+  | exception Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "forged reference accepted");
+  (* the same transaction naming its real snapshot decodes *)
+  ignore (Pipeline.decode p ~pos:1 (run ~snapshot_pos:0 ~snapshot:lcs 1_999))
 
 (* --- executor isolation paths --------------------------------------------- *)
 
@@ -399,11 +482,14 @@ let () =
           Alcotest.test_case "resolver" `Quick
             test_resolver_finds_snapshot_nodes;
         ] );
-      ( "intention cache",
+      ( "decode contract",
         [
-          Alcotest.test_case "add/find" `Quick test_cache_add_find;
-          Alcotest.test_case "fifo eviction" `Quick test_cache_eviction_fifo;
-          Alcotest.test_case "weak" `Quick test_cache_is_weak;
+          Alcotest.test_case "split invariance plain SI" `Quick
+            test_split_invariance_plain_si;
+          Alcotest.test_case "split invariance both SR" `Quick
+            test_split_invariance_both_sr;
+          Alcotest.test_case "forged reference rejected" `Quick
+            test_forged_reference_rejected;
         ] );
       ( "executor",
         [

@@ -414,6 +414,32 @@ let test_codec_path_equivalence () =
   check "same decisions" true (d1 = d2);
   Alcotest.check Helpers.alist_testable "same state" s1 s2
 
+(* A rejected intention is not counted: [Pipeline.decode] on any strict
+   prefix of a valid encoding raises [Corrupt] and leaves every counter
+   as it was. *)
+let test_corrupt_decode_counts_nothing () =
+  let genesis = Helpers.genesis ~gap:10 100 in
+  let p = Pipeline.create ~genesis () in
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:genesis ~server:0
+      ~txn_seq:0 ~isolation:I.Serializable ()
+  in
+  ignore (Executor.read e 30);
+  Executor.write e 50 "x";
+  let src =
+    match Executor.finish e with
+    | Some d -> Hyder_codec.Codec.encode d
+    | None -> assert false
+  in
+  ignore (Pipeline.decode p ~pos:0 src);
+  let before = Counters.copy (Pipeline.counters p) in
+  for len = 0 to String.length src - 1 do
+    match Pipeline.decode p ~pos:1 (String.sub src 0 len) with
+    | exception Hyder_codec.Codec.Corrupt _ -> ()
+    | _ -> Alcotest.failf "prefix of %d bytes accepted" len
+  done;
+  check "counters unchanged" true (Pipeline.counters p = before)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -454,5 +480,7 @@ let () =
         [
           Alcotest.test_case "equivalent to direct path" `Quick
             test_codec_path_equivalence;
+          Alcotest.test_case "corrupt decode counts nothing" `Quick
+            test_corrupt_decode_counts_nothing;
         ] );
     ]

@@ -268,9 +268,38 @@ let prop_range_matches_model =
       let got = List.map fst (Tree.range_items tree ~lo ~hi) in
       expected = got)
 
+(* The unboxed [Key.priority_greater] against its [Int64] formulation
+   over [Key.priority]: the treap order, so every shape and digest,
+   must not move. *)
+let prop_priority_greater_unboxed =
+  let key =
+    QCheck2.Gen.(
+      oneof
+        [
+          int;
+          int_range (-1000) 1000;
+          oneofl [ min_int; max_int; 0; -1; 1; min_int + 1; max_int - 1 ];
+        ])
+  in
+  QCheck2.Test.make ~name:"priority_greater = Int64 formulation" ~count:2000
+    QCheck2.Gen.(pair key (oneof [ key; return 0 ]))
+    (fun (a, b) ->
+      let reference a b =
+        let c = Int64.unsigned_compare (Key.priority a) (Key.priority b) in
+        if c <> 0 then c > 0 else a < b
+      in
+      Key.priority_greater a b = reference a b
+      && Key.priority_greater b a = reference b a
+      && Key.priority_greater a a = reference a a)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_model_agreement; prop_shape_canonical; prop_range_matches_model ]
+    [
+      prop_model_agreement;
+      prop_shape_canonical;
+      prop_range_matches_model;
+      prop_priority_greater_unboxed;
+    ]
 
 let () =
   Alcotest.run "tree"
