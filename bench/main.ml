@@ -1407,7 +1407,9 @@ let micro () =
   let test_decode =
     Test.make ~name:"deserialize intention"
       (Staged.stage (fun () ->
-           ignore (Hyder_codec.Codec.decode ~pos:1 ~resolve bytes)))
+           ignore
+             (Hyder_codec.Codec.decode_lazy ~pos:1 ~peer:genesis ~resolve
+                bytes)))
   in
   let intention = I.assign ~pos:2 draft in
   let counters = Hyder_core.Counters.make_stage () in

@@ -237,13 +237,14 @@ let encoded_size d = String.length (encode d)
 
 type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 
-let peek_snapshot ?(off = 0) s = View.peek_snapshot ~off s
+let peek_snapshot = View.peek_snapshot
 
-(* Shared decode core.  [r] is positioned at the start of an intention
-   encoding spanning [len] bytes; [get_nodes count] supplies the swizzle
-   table (length >= max 1 count) — a fresh array for [decode_indexed], a
-   reused scratch table for [decode_pooled]. *)
-let decode_core r ~len ~pos ~resolve ~get_nodes =
+(* The reference decoder: builds every node eagerly, with the swizzle
+   table indexed by post-order position.  No pipeline stage runs it; the
+   lazy decoder below must agree with it node for node. *)
+let decode_indexed ~pos ~resolve s =
+  let len = String.length s in
+  let r = Wire.Reader.of_string s in
   try
     let snapshot = r_zint r in
     let server = Wire.Reader.varint r in
@@ -252,7 +253,7 @@ let decode_core r ~len ~pos ~resolve ~get_nodes =
     let node_count = Wire.Reader.varint r in
     if node_count < 0 || node_count > len then
       corrupt "implausible node count %d" node_count;
-    let nodes : Node.tree array = get_nodes node_count in
+    let nodes = Array.make (max 1 node_count) Node.empty in
     let r_child self =
       match Wire.Reader.u8 r with
       | t when t = tag_empty -> Node.empty
@@ -359,59 +360,19 @@ let decode_core r ~len ~pos ~resolve ~get_nodes =
     done;
     if Wire.Reader.remaining r <> 0 then corrupt "trailing bytes";
     let root = if node_count = 0 then Node.empty else nodes.(node_count - 1) in
-    {
-      Intention.pos;
-      snapshot;
-      server;
-      txn_seq;
-      isolation;
-      root;
-      node_count;
-      byte_size = len;
-      view = None;
-    }
+    ( {
+        Intention.pos;
+        snapshot;
+        server;
+        txn_seq;
+        isolation;
+        root;
+        node_count;
+        byte_size = len;
+        view = None;
+      },
+      nodes )
   with Wire.Truncated -> corrupt "truncated intention"
-
-let decode_indexed ~pos ~resolve s =
-  let nodes = ref [||] in
-  let i =
-    decode_core
-      (Wire.Reader.of_string s)
-      ~len:(String.length s) ~pos ~resolve
-      ~get_nodes:(fun count ->
-        nodes := Array.make (max 1 count) Node.empty;
-        !nodes)
-  in
-  (i, !nodes)
-
-(* Reusable decode scratch: the swizzle table survives across intentions,
-   so steady-state deserialization allocates only the nodes themselves.
-   One scratch per domain — the table is single-owner mutable state. *)
-module Scratch = struct
-  type t = { mutable nodes : Node.tree array }
-
-  let create () = { nodes = Array.make 64 Node.empty }
-
-  let table t count =
-    let need = max 1 count in
-    if Array.length t.nodes < need then begin
-      let cap = ref (Array.length t.nodes) in
-      while !cap < need do
-        cap := 2 * !cap
-      done;
-      t.nodes <- Array.make !cap Node.empty
-    end;
-    t.nodes
-
-  let clear t = Array.fill t.nodes 0 (Array.length t.nodes) Node.empty
-end
-
-let decode_pooled ~scratch ~pos ?(off = 0) ?len ~resolve s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  decode_core
-    (Wire.Reader.of_string ~pos:off ~len s)
-    ~len ~pos ~resolve
-    ~get_nodes:(Scratch.table scratch)
 
 module Blocks = struct
   (* Framing: crc32 | server | txn_seq | frag_idx | last flag | payload. *)
@@ -504,8 +465,8 @@ let decode ~pos ~resolve s = fst (decode_indexed ~pos ~resolve s)
 (* Lazy decode: validate + bind in one pass, build no nodes.  [root] is a
    placeholder; the flyweight in [view] carries the tree, and whoever
    needs heap nodes calls [View.materialize_root]. *)
-let decode_lazy ~pos ?off ?len ?(peer = Node.empty) ~resolve s =
-  let v = View.parse ~pos ?off ?len ~peer ~resolve s in
+let decode_lazy ~pos ?(peer = Node.empty) ~resolve s =
+  let v = View.parse ~pos ~peer ~resolve s in
   {
     Intention.pos;
     snapshot = View.snapshot v;

@@ -42,13 +42,29 @@ type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
     database state at log position [snapshot]; [vn] is what the intention
     expects and can be used for integrity checking. *)
 
-val peek_snapshot : ?off:int -> string -> int
-(** The snapshot log position of the encoded intention at [off], read
-    from the header without decoding.  The pipelined runtime uses this to
-    decide whether a decode can be offloaded to a worker domain (its
-    snapshot state is already recorded) or must wait for final meld to
-    catch up.  Allocates nothing.  Raises {!Corrupt} on a truncated
-    header. *)
+val peek_snapshot : string -> int
+(** The snapshot log position of the encoded intention, read from the
+    header without decoding.  The pipelined runtime uses this to decide
+    whether a decode can be offloaded to a worker domain (its snapshot
+    state is already recorded) or must wait for final meld to catch up.
+    Allocates nothing.  Raises {!Corrupt} on a truncated header. *)
+
+val decode_lazy :
+  pos:int -> ?peer:Node.tree -> resolve:resolver -> string -> Intention.t
+(** The production decoder, and the only one any pipeline stage runs.
+    Flyweight decode: one validation pass (same checks and {!Corrupt}
+    messages as {!decode}), binding every external reference and elided
+    payload — against [peer], the snapshot tree the intention executed
+    under, with [resolve] as fallback — but building no heap nodes.  The
+    result carries [view = Some v] and a placeholder [root]; meld walks
+    the view directly and {!View.materialize_root} recovers the eager
+    tree on demand. *)
+
+(** {1 Reference decoder}
+
+    Eager decoding, kept as the specification {!decode_lazy} is tested
+    against (node-for-node field and physical equality, identical
+    {!Corrupt} messages).  No pipeline stage calls these. *)
 
 val decode : pos:int -> resolve:resolver -> string -> Intention.t
 (** Rebuild the intention appended at log position [pos].  Inside nodes get
@@ -61,49 +77,6 @@ val decode_indexed :
     post-order position -- the object table that lets later intentions'
     references to this one be swizzled in O(1) (Section 5.2's "node pointer
     to object pointer" transformation). *)
-
-(** Reusable decode scratch: the per-intention swizzle table is the one
-    allocation {!decode_indexed} makes beyond the nodes themselves, and
-    on the pipelined hot path it is reused across intentions instead.
-    Single-owner: one scratch per domain. *)
-module Scratch : sig
-  type t
-
-  val create : unit -> t
-
-  val clear : t -> unit
-  (** Drop retained node references (GC hygiene between batches). *)
-end
-
-val decode_pooled :
-  scratch:Scratch.t ->
-  pos:int ->
-  ?off:int ->
-  ?len:int ->
-  resolve:resolver ->
-  string ->
-  Intention.t
-(** Like {!decode}, but decodes the [off]/[len] slice of [s] in place
-    (no substring copy — the reader walks the slice directly) and
-    swizzles through [scratch]'s reused table.  [byte_size] is the slice
-    length.  The result is physically identical node-for-node to what
-    {!decode} returns for the same bytes and resolver. *)
-
-val decode_lazy :
-  pos:int ->
-  ?off:int ->
-  ?len:int ->
-  ?peer:Node.tree ->
-  resolve:resolver ->
-  string ->
-  Intention.t
-(** Flyweight decode of the [off]/[len] slice: one validation pass (same
-    checks and {!Corrupt} messages as {!decode}), binding every external
-    reference and elided payload — against [peer], the snapshot tree the
-    intention executed under, with [resolve] as fallback — but building
-    no heap nodes.  The result carries [view = Some v] and a placeholder
-    [root]; meld walks the view directly and
-    {!View.materialize_root} recovers the eager tree on demand. *)
 
 (** Fragmentation of intention byte streams into log blocks. *)
 module Blocks : sig

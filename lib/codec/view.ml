@@ -15,14 +15,16 @@
    is total: it can run at any later stage, on any domain, and never
    consults a resolver or fails.
 
-   Lifetime: a view pins its backing string (immutable, possibly a shared
-   batch slab) for as long as it lives.  Decode-side buffers are
+   Lifetime: a view pins its backing string (immutable, the intention's
+   whole encoding) for as long as it lives.  Decode-side buffers are
    therefore never pooled — pools are for encode-side scratch only.
 
-   Thread safety: one walker at a time.  [cur] is a scratch cursor for
-   the cold re-reads and the [nodes] memo is unsynchronized; views are
-   handed between pipeline stages through queues (which order the
-   accesses), never walked concurrently. *)
+   Ownership: one walker at a time.  [cur] is a scratch cursor for the
+   cold re-reads and the [nodes] memo is unsynchronized.  Views cross
+   pipeline stage queues under one rule: whoever pushes an intention
+   onto a queue never touches it or its view again.  The queue's
+   publication orders the pusher's last access before the popper's
+   first, so a view is never walked concurrently. *)
 
 open Hyder_tree
 module Wire = Hyder_util.Wire
@@ -108,10 +110,9 @@ let skip_vn c =
 (* The header's first varint, read as [uint] would but without a cursor:
    the cursor is a heap record, and this runs several times per intention
    on the scheduling path, where it must not allocate. *)
-let peek_snapshot ~off s =
-  if off < 0 then invalid_arg "View.peek_snapshot: negative offset";
+let peek_snapshot s =
   let limit = String.length s in
-  let x = ref 0 and shift = ref 0 and p = ref off and continue = ref true in
+  let x = ref 0 and shift = ref 0 and p = ref 0 and continue = ref true in
   try
     while !continue do
       if !shift > 63 || !p >= limit then raise Wire.Truncated;
@@ -366,12 +367,9 @@ let[@inline] kid_hw hot obh c =
    read through the cursor above, never [Wire.Reader]: a cross-module
    call per byte plus a boxed [Int64] fold per varint were the bulk of
    the old ds bracket. *)
-let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  let limit = off + len in
-  if off < 0 || limit > String.length s then
-    invalid_arg "Wire.Reader.of_string: range out of bounds";
-  let c = { src = s; limit; at = off } in
+let parse ~pos ~peer ~(resolve : resolver) s =
+  let len = String.length s in
+  let c = { src = s; limit = len; at = 0 } in
   try
     let snapshot = zint c in
     let server = uint c in
@@ -434,7 +432,7 @@ let parse ~pos ?(off = 0) ?len ~peer ~(resolve : resolver) s =
       hot.(h + 2) <- kl;
       hot.(h + 3) <- kr
     done;
-    if c.at <> limit then corrupt "trailing bytes";
+    if c.at <> len then corrupt "trailing bytes";
     let refs = Array.make !nrefs Node.empty in
     (* ---- binding pass: top-down from the root ------------------------ *)
     (* Re-walk the (now validated) records from the root downward,

@@ -15,9 +15,13 @@
       node, so {!materialize} is total and never consults a resolver;
     - the backing string is immutable and never pooled — a view pins it.
 
-    One walker at a time: the cold accessors share a scratch cursor and
-    the materialization memo is unsynchronized.  Views migrate between
-    pipeline stages through queues, which order the accesses. *)
+    Ownership: one walker at a time — the cold accessors share a scratch
+    cursor and the materialization memo is unsynchronized.  Views cross
+    pipeline stage queues (a worker's parse to the driver, the driver's
+    parse to a premeld worker, premeld to the group-meld worker, and
+    back to final meld) under one rule: whoever pushes an intention onto
+    a queue never touches it or its view again.  The queue's publication
+    orders the pusher's last access before the popper's first. *)
 
 open Hyder_tree
 
@@ -27,26 +31,19 @@ type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 
 type t
 
-val parse :
-  pos:int ->
-  ?off:int ->
-  ?len:int ->
-  peer:Node.tree ->
-  resolve:resolver ->
-  string ->
-  t
-(** Validate the encoding at [s.[off .. off+len)] and bind its external
-    references.  [pos] is the log position the intention is (or will be)
-    appended at — the owner stamped into every node.  [peer] is the root
-    of the snapshot tree the intention executed against ([Node.empty]
-    when unavailable); references are first looked up there by key and
-    only fall back to [resolve] when the snapshot cannot answer.
-    Raises {!Corrupt} exactly when the eager decoder would. *)
+val parse : pos:int -> peer:Node.tree -> resolve:resolver -> string -> t
+(** Validate the encoding [s] and bind its external references.  [pos]
+    is the log position the intention is (or will be) appended at — the
+    owner stamped into every node.  [peer] is the root of the snapshot
+    tree the intention executed against ([Node.empty] when unavailable);
+    references are first looked up there by key and only fall back to
+    [resolve] when the snapshot cannot answer.  Raises {!Corrupt}
+    exactly when the eager decoder would. *)
 
-val peek_snapshot : off:int -> string -> int
-(** The snapshot position heading the encoding at [off], read without
-    parsing further and without allocating.  Raises {!Corrupt} on a
-    truncated header. *)
+val peek_snapshot : string -> int
+(** The snapshot position heading the encoding, read without parsing
+    further and without allocating.  Raises {!Corrupt} on a truncated
+    header. *)
 
 (** {1 Header} *)
 

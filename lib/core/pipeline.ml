@@ -78,9 +78,9 @@ type instruments = {
      not a bracket of its own: meld reports materialization deltas
      through its [?mz] hook, which adds here and subtracts from the
      enclosing stage's minor counter, keeping each stage honest and the
-     total unchanged.  Driver-written only (workers never walk views on
-     the wire path, and worker-side gm forcing goes unsampled like every
-     other fan-out stage). *)
+     total unchanged.  Driver-written only: what pipelined workers
+     materialize in premeld trials and gm forcing goes unsampled like
+     every other fan-out stage. *)
   m_mz_gc_minor : Metrics.Fcounter.t;
   (* Batched-handoff instruments (pipelined backend, driver-written):
      every job-ring publication and every result drain observes its size,
@@ -133,14 +133,14 @@ let gc_end inst ~stage (mw0, pw0) =
 (* ------------------------------------------------------------------ *)
 
 (* A work item for the pipelined backend: either an already-decoded
-   intention or a wire-form slice still to be deserialized.  [psnap] is
+   intention or a wire-form encoding still to be deserialized.  [psnap] is
    the snapshot log position peeked from the encoding header — it gates
    whether the decode can be offloaded (snapshot state already recorded
    at window start) or must wait on the driver for final meld to catch
    up. *)
 type witem =
   | Wi of Intention.t
-  | Ww of { pos : int; src : string; off : int; len : int; psnap : int }
+  | Ww of { pos : int; src : string; psnap : int }
 
 (* Stage handoff rides on pooled mutable carriers instead of per-item
    job/result variants.  A carrier cycles
@@ -166,11 +166,9 @@ type carrier = {
   mutable kind : ckind;
   mutable c_idx : int;  (** window member index *)
   mutable c_seq : int;
-  (* ds job input: the wire slice *)
+  (* ds job input: the wire encoding *)
   mutable c_pos : int;
   mutable c_src : string;
-  mutable c_off : int;
-  mutable c_len : int;
   (* pm job input ([c_intention] doubles as the ds result output) *)
   mutable c_thread : int;
   mutable c_snap_seq : int;
@@ -196,8 +194,6 @@ let fresh_carrier () =
     c_seq = -1;
     c_pos = 0;
     c_src = "";
-    c_off = 0;
-    c_len = 0;
     c_thread = 0;
     c_snap_seq = 0;
     c_intention = None;
@@ -224,7 +220,6 @@ let null_resolver : Codec.resolver =
 type wctx = {
   mutable wsnap : State_store.Snapshot.t;
   wresolvers : Codec.resolver array;  (** one memoizing resolver per worker *)
-  scratches : Codec.Scratch.t array;  (** one decode scratch per worker *)
 }
 
 (* Jobs staged per worker before the driver publishes them as one ring
@@ -361,61 +356,65 @@ let force_tree ~note (g : Group_meld.group) =
       note (Gc.minor_words () -. mw0);
       { g with Group_meld.root; view = None }
 
-(* The ds stage: index the wire record in place (zero-copy).  The
-   snapshot state is both the binding peer and the resolver, and nothing
-   else is: meld's graft checks compare node objects physically, so a
-   reference must bind to the same object on every backend, replica and
-   GC schedule, and the retained state is the one source all of them
-   share (worker domains and restarted replicas have nothing else).  A
-   reference the state cannot answer with the recorded version is
-   rejected as [Corrupt].  Nothing outlives the decode but the returned
-   intention, so its wire arrays die young once it is melded.
-
-   [detach] is for pipelined-driver decodes, which feed stage queues
-   consumed on worker domains: a view must only ever have one walker, so
-   the intention is materialized immediately (booked as mz, not ds) and
-   the view stripped before it crosses a queue. *)
-let ds_stage t ~pos ?off ?len ~detach src =
-  let ds = t.counters.deserialize in
-  let t0 = Clock.now () in
-  let gc0 = gc_begin t.inst in
+(* The ds parse, the one decode every pipeline stage runs: index the
+   wire record in place (zero-copy) as a flyweight view.  The snapshot
+   state is both the binding peer and the resolver, and nothing else is:
+   meld's graft checks compare node objects physically, so a reference
+   must bind to the same object on every backend, replica and GC
+   schedule, and the retained state is the one source all of them share.
+   The driver passes its live store; a pipelined worker passes the
+   window's frozen snapshot, which answers identically.  ([by_pos] comes
+   with its store rather than applied to it, so the call allocates no
+   closure.)  A reference the
+   state cannot answer with the recorded version is rejected as
+   [Corrupt].  Nothing outlives the decode but the returned intention,
+   so its wire arrays die young once it is melded. *)
+let parse ~by_pos states ~resolve ~pos src =
   let peer =
-    match State_store.by_pos t.states (Codec.peek_snapshot ?off src) with
+    match by_pos states (Codec.peek_snapshot src) with
     | Some tree -> tree
     | None -> Node.empty
   in
-  let i =
-    Codec.decode_lazy ~pos ?off ?len ~peer
-      ~resolve:(State_store.resolver t.states) src
-  in
+  Codec.decode_lazy ~pos ~peer ~resolve src
+
+(* ds bookkeeping, shared by the driver's decode and the pipelined
+   driver's handling of a worker decode.  Only a successful parse is
+   booked: a rejected intention leaves every counter as it was. *)
+let ds_book t ~t0 ~t1 (i : Intention.t) =
+  let ds = t.counters.deserialize in
   ds.intentions <- ds.intentions + 1;
   ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
-  Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
-  gc_end t.inst ~stage:`Ds gc0;
-  let i =
-    match i.Intention.view with
-    | Some v when detach ->
-        let mw0 = Gc.minor_words () in
-        let root = View.materialize_root v in
-        mz_note t (Gc.minor_words () -. mw0);
-        { i with Intention.root; view = None }
-    | Some _ | None -> i
-  in
-  let t1 = Clock.now () in
   ds.seconds <- ds.seconds +. (t1 -. t0);
+  Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
   if Flight.enabled t.flight then begin
+    let pos = i.Intention.pos in
     Flight.touch t.flight ~pos ~now:t0;
     Flight.note_identity t.flight ~pos ~server:i.Intention.server
       ~txn_seq:i.Intention.txn_seq;
     Flight.edge t.flight ~pos ~stage:Flight.Ds ~t0 ~t1
-  end;
+  end
+
+(* The driver's ds stage, on every backend: the parse against the live
+   store, GC-sampled and booked. *)
+let decode t ~pos src =
+  let t0 = Clock.now () in
+  let gc0 = gc_begin t.inst in
+  let i =
+    parse ~by_pos:State_store.by_pos t.states
+      ~resolve:(State_store.resolver t.states) ~pos src
+  in
+  gc_end t.inst ~stage:`Ds gc0;
+  ds_book t ~t0 ~t1:(Clock.now ()) i;
   i
 
-let decode t ~pos bytes = ds_stage t ~pos ~detach:false bytes
-
-(* Driver-side slice decode for the pipelined backend. *)
-let decode_slice t ~pos ~off ~len src =
-  ds_stage t ~pos ~off ~len ~detach:true src
+(* The one invalid-stream error, raised by every backend: a member names
+   a snapshot state the log has not recorded before it. *)
+let invalid_snapshot ~pos ~snap ~lpos =
+  failwith
+    (Printf.sprintf
+       "Pipeline.submit_wire_batch: intention at log position %d names \
+        snapshot %d but only %d is recorded — invalid stream"
+       pos snap lpos)
 
 (* Run final meld on a completed group and emit its decisions. *)
 let final_meld t (group : Group_meld.group) =
@@ -802,33 +801,29 @@ let run_window t (pc : Premeld.config) (window : Intention.t array) =
 (* ------------------------------------------------------------------ *)
 
 (* Worker-side job execution.  Everything a job touches is either
-   carried in the job, owned by the executing worker for the whole
-   pipeline lifetime (scratch, the impersonated premeld threads'
-   allocators and counter shards, the gm allocator and group state), or
-   frozen per window by the driver before any job is pushed (snapshot,
-   resolvers). *)
+   carried in the job (whose pusher no longer touches it), owned by the
+   executing worker for the whole pipeline lifetime (the impersonated
+   premeld threads' allocators and counter shards, the gm allocator and
+   group state), or frozen per window by the driver before any job is
+   pushed (snapshot, resolvers). *)
 let pexec t (w : wctx) ~worker (c : carrier) =
   (match c.kind with
   | Cnone -> ()
   | Cds -> (
       let t0 = Clock.now () in
-      (* Workers decode against the frozen snapshot, which resolves
+      (* Workers parse against the frozen snapshot, which answers
          exactly as the driver's live store does.  A corrupt stream is
          reported, not raised: the driver redoes the decode inline and
          raises [Corrupt] on its own thread. *)
       match
-        Codec.decode_pooled ~scratch:w.scratches.(worker) ~pos:c.c_pos
-          ~off:c.c_off ~len:c.c_len ~resolve:w.wresolvers.(worker) c.c_src
+        parse ~by_pos:State_store.Snapshot.by_pos w.wsnap
+          ~resolve:w.wresolvers.(worker) ~pos:c.c_pos c.c_src
       with
-      | exception Codec.Corrupt _ ->
-          c.c_intention <- None;
-          c.c_seconds_ns <- 0;
-          c.c_t0_ns <- ns_of_s t0
+      | exception Codec.Corrupt _ -> c.c_intention <- None
       | i ->
-          let t1 = Clock.now () in
           c.c_intention <- Some i;
-          c.c_seconds_ns <- ns_of_s (t1 -. t0);
-          c.c_t0_ns <- ns_of_s t0)
+          c.c_t0_ns <- ns_of_s t0;
+          c.c_t1_ns <- ns_of_s (Clock.now ()))
   | Cpm ->
       let pc =
         match t.config.premeld with Some pc -> pc | None -> assert false
@@ -961,6 +956,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
         bt
   in
   let gm_next = ref 0 in
+  let ds_failed = ref [] in
   let rgm = ref 0 in
   let decisions = ref [] in
   let progress = ref false in
@@ -1028,14 +1024,12 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
         match ds_jobs.(w) with
         | i :: rest when px.outstanding.(w) < qcap ->
             (match window.(i) with
-            | Ww { pos; src; off; len; _ } ->
+            | Ww { pos; src; _ } ->
                 let c = take w in
                 c.kind <- Cds;
                 c.c_idx <- i;
                 c.c_pos <- pos;
                 c.c_src <- src;
-                c.c_off <- off;
-                c.c_len <- len;
                 put ~worker:w c;
                 px.ds_offloaded <- px.ds_offloaded + 1
             | Wi _ -> assert false);
@@ -1096,6 +1090,18 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             put ~worker:gm_worker c;
             incr gm_next;
             go ()
+        | None when List.mem i !ds_failed -> (
+            (* A failed worker decode surfaces once the log-order tail
+               reaches it, so every earlier member is decoded and booked
+               when it raises, as under [seq].  The driver resolves
+               against the same state as the worker, so its redo raises
+               the same [Corrupt], now on the driver's thread. *)
+            ds_failed := List.filter (fun j -> j <> i) !ds_failed;
+            match window.(i) with
+            | Ww { pos; src; _ } ->
+                intentions.(i) <- Some (decode t ~pos src);
+                progress := true
+            | Wi _ -> assert false)
         | None -> ()
       end
     in
@@ -1109,11 +1115,10 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       match !held with
       | i :: rest -> (
           match window.(i) with
-          | Ww { pos; src; off; len; psnap } ->
+          | Ww { pos; src; psnap } ->
               let _, lpos, _ = State_store.latest t.states in
               if psnap <= lpos then begin
-                intentions.(i) <-
-                  Some (decode_slice t ~pos ~off ~len src);
+                intentions.(i) <- Some (decode t ~pos src);
                 px.ds_inline_n <- px.ds_inline_n + 1;
                 held := rest;
                 progress := true;
@@ -1136,32 +1141,14 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
         match c.c_intention with
         | Some i ->
             intentions.(c.c_idx) <- c.c_intention;
-            let seconds = s_of_ns c.c_seconds_ns in
-            let ds = t.counters.deserialize in
-            ds.intentions <- ds.intentions + 1;
-            ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
-            ds.seconds <- ds.seconds +. seconds;
-            Summary.add t.counters.intention_bytes
-              (float_of_int i.Intention.byte_size);
-            px.worker_ds_seconds <- px.worker_ds_seconds +. seconds;
-            if flighted then begin
-              let t0 = s_of_ns c.c_t0_ns in
-              Flight.note_identity t.flight ~pos:i.Intention.pos
-                ~server:i.Intention.server ~txn_seq:i.Intention.txn_seq;
-              Flight.edge t.flight ~pos:i.Intention.pos ~stage:Flight.Ds ~t0
-                ~t1:(t0 +. seconds)
-            end
-        | None -> (
-            (* The worker decode failed.  The driver resolves against the
-               same snapshot state as the worker, so the inline redo
-               raises the same [Corrupt], now on the driver's thread. *)
-            match window.(c.c_idx) with
-            | Ww { pos; src; off; len; _ } ->
-                intentions.(c.c_idx) <-
-                  Some (decode_slice t ~pos ~off ~len src);
-                px.ds_offloaded <- px.ds_offloaded - 1;
-                px.ds_inline_n <- px.ds_inline_n + 1
-            | Wi _ -> assert false))
+            let t0 = s_of_ns c.c_t0_ns and t1 = s_of_ns c.c_t1_ns in
+            ds_book t ~t0 ~t1 i;
+            px.worker_ds_seconds <- px.worker_ds_seconds +. (t1 -. t0)
+        | None ->
+            (* The worker decode failed; [release_gm] redoes it inline. *)
+            ds_failed := c.c_idx :: !ds_failed;
+            px.ds_offloaded <- px.ds_offloaded - 1;
+            px.ds_inline_n <- px.ds_inline_n + 1)
     | Cpm ->
         outcomes.(c.c_idx) <- c.c_outcome;
         pm_inflight.(c.c_thread - 1) <- pm_inflight.(c.c_thread - 1) - 1;
@@ -1201,9 +1188,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     done;
     if !bw >= 0 then begin
       (match window.(!bi) with
-      | Ww { pos; src; off; len; _ } ->
-          intentions.(!bi) <-
-            Some (decode_slice t ~pos ~off ~len src)
+      | Ww { pos; src; _ } -> intentions.(!bi) <- Some (decode t ~pos src)
       | Wi _ -> assert false);
       ds_jobs.(!bw) <- List.tl ds_jobs.(!bw);
       px.ds_inline_n <- px.ds_inline_n + 1;
@@ -1302,12 +1287,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
               | Wi _ -> assert false
             in
             let _, lpos, _ = State_store.latest t.states in
-            failwith
-              (Printf.sprintf
-                 "Pipeline: pipelined window stalled: intention at log \
-                  position %d names snapshot %d but only %d is recorded — \
-                  invalid stream"
-                 pos psnap lpos)
+            invalid_snapshot ~pos ~snap:psnap ~lpos
         | [] ->
             failwith
               "Pipeline: pipelined window stalled with no work in flight"
@@ -1347,15 +1327,10 @@ let run_pipelined t (px : pctx) (items : witem array) =
       let d =
         match items.(!off) with
         | Wi i -> submit t i
-        | Ww { pos; src; off = o; len; psnap } ->
+        | Ww { pos; src; psnap } ->
             let _, lpos, _ = State_store.latest t.states in
-            if psnap > lpos then
-              failwith
-                (Printf.sprintf
-                   "Pipeline: intention at log position %d names snapshot %d \
-                    but only %d is recorded — invalid stream"
-                   pos psnap lpos);
-            let i = decode_slice t ~pos ~off:o ~len src in
+            if psnap > lpos then invalid_snapshot ~pos ~snap:psnap ~lpos;
+            let i = decode t ~pos src in
             px.ds_inline_n <- px.ds_inline_n + 1;
             submit t i
       in
@@ -1413,13 +1388,6 @@ let submit_batch t (intentions : Intention.t list) =
           done;
           List.rev !decisions)
 
-let invalid_snapshot ~pos ~snap ~lpos =
-  failwith
-    (Printf.sprintf
-       "Pipeline.submit_wire_batch: intention at log position %d names \
-        snapshot %d but only %d is recorded — invalid stream"
-       pos snap lpos)
-
 let submit_wire_batch t (items : (int * string) list) =
   match t.pstate with
   | Some px ->
@@ -1427,14 +1395,7 @@ let submit_wire_batch t (items : (int * string) list) =
         (Array.of_list
            (List.map
               (fun (pos, src) ->
-                Ww
-                  {
-                    pos;
-                    src;
-                    off = 0;
-                    len = String.length src;
-                    psnap = Codec.peek_snapshot src;
-                  })
+                Ww { pos; src; psnap = Codec.peek_snapshot src })
               items))
   | None when Runtime.is_parallel t.runtime && t.config.premeld <> None ->
       (* Decode-then-submit in maximal safe prefixes, so [submit_batch]
@@ -1541,7 +1502,6 @@ let attach_pstate t runtime =
         {
           wsnap = State_store.snapshot t.states;
           wresolvers = Array.make domains null_resolver;
-          scratches = Array.init domains (fun _ -> Codec.Scratch.create ());
         }
       in
       let dummy = fresh_carrier () in

@@ -59,9 +59,13 @@ val create :
     meld walks the view and materializes only the nodes it grafts, and
     the allocation it does spend is booked under the
     [pipeline_mz_gc_minor_words] instrument rather than the ds bracket.
-    Pipelined worker decodes are eager ({!Hyder_codec.Codec.decode_pooled}):
-    a view must not cross a queue.  Decisions, trees, ephemeral ids and
-    integer counters are bit-identical to eager decoding everywhere.
+    Every backend runs this one decode
+    ({!Hyder_codec.Codec.decode_lazy}, bound against the snapshot state),
+    on the driver and on pipelined workers alike, and views cross the
+    stage queues under one ownership rule: whoever pushes an intention
+    onto a queue never touches it or its view again.  Decisions, trees,
+    ephemeral ids and integer counters are bit-identical to eager
+    decoding everywhere.
 
     [runtime] defaults to {!Runtime.sequential}.  A [Parallel] runtime
     spawns its domain pool here, a [Pipelined] runtime its stage-pool
@@ -94,7 +98,8 @@ val create :
 
 val decode : t -> pos:int -> string -> Hyder_codec.Intention.t
 (** The ds stage: deserialize an encoded intention, resolving references
-    against retained states.  Timed into the ds counters. *)
+    against retained states.  Timed into the ds counters; a rejected
+    intention raises {!Hyder_codec.Codec.Corrupt} and counts nothing. *)
 
 val submit : t -> Hyder_codec.Intention.t -> decision list
 (** Feed the next intention in log order.  Returns the decisions that
@@ -120,16 +125,19 @@ val submit_batch : t -> Hyder_codec.Intention.t list -> decision list
 val submit_wire_batch : t -> (int * string) list -> decision list
 (** Feed the next intentions in log order in wire form
     ([(log_position, encoded_bytes)]), letting the backend overlap
-    deserialization with melding.  Under [Sequential] / [Parallel] this
-    decodes maximal safe prefixes (every snapshot reference resolvable
-    against already-recorded states) and melds each chunk before
-    decoding the next.  Under [Pipelined], decodes whose snapshot state
-    is already recorded at window start run on worker domains straight
-    from the wire buffers; the rest decode on the driver as soon as
-    final meld records their snapshot state.  Decisions are identical
-    to decoding everything up front and calling {!submit_batch}.
-    Raises [Failure] on a stream whose snapshot references can never be
-    satisfied. *)
+    deserialization with melding.  Under [Sequential] each intention is
+    melded right after its decode.  Under [Parallel] this decodes
+    maximal safe prefixes (every snapshot reference resolvable against
+    already-recorded states) and melds each chunk before decoding the
+    next.  Under [Pipelined], decodes whose snapshot state is already
+    recorded at window start run on worker domains straight from the
+    wire buffers; the rest decode on the driver as soon as final meld
+    records their snapshot state.  Decisions are identical to decoding
+    everything up front and calling {!submit_batch}.  A stream whose
+    snapshot references can never be satisfied raises the same
+    [Failure] on every backend, and a corrupt intention the same
+    {!Hyder_codec.Codec.Corrupt}, raised once every earlier intention
+    has decoded. *)
 
 (** Offload accounting for the [Pipelined] backend: how much stage work
     left the driver's critical path, and how deep the bounded queues

@@ -176,7 +176,7 @@ let test_decode_rejects_corruption () =
     Alcotest.fail "expected Corrupt"
   with Codec.Corrupt _ -> ()
 
-(* ---- pooled / zero-copy codec paths ---------------------------------- *)
+(* ---- header peek and pooled encoder ---------------------------------- *)
 
 let test_peek_snapshot () =
   let snapshot = Helpers.genesis ~gap:10 500 in
@@ -185,43 +185,10 @@ let test_peek_snapshot () =
   in
   let bytes = Codec.encode draft in
   check_int "snapshot peeked without decoding" 31 (Codec.peek_snapshot bytes);
-  (* at an offset inside a larger buffer *)
-  let padded = "\xff\xff\xff" ^ bytes in
-  check_int "peek honours off" 31 (Codec.peek_snapshot ~off:3 padded);
   (* truncated header *)
   match Codec.peek_snapshot "" with
   | exception Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "expected Corrupt on empty header"
-
-let test_decode_pooled_matches_decode () =
-  let snapshot = Helpers.genesis ~gap:10 500 in
-  let resolve = resolver_of snapshot ~snapshot_pos:(-1) in
-  let scratch = Codec.Scratch.create () in
-  let drafts =
-    List.map
-      (fun k ->
-        make_draft ~snapshot ~snapshot_pos:(-1) (fun e ->
-            Executor.write e (k * 10) ("p" ^ string_of_int k);
-            ignore (Executor.read e ((k * 10) + 200));
-            Executor.delete e ((k * 10) + 400)))
-      [ 1; 2; 3; 4 ]
-  in
-  (* reuse one scratch across decodes, at an offset inside a shared
-     buffer, exactly as the pipelined runtime reads wire slices *)
-  List.iteri
-    (fun n draft ->
-      let bytes = Codec.encode draft in
-      let shifted = String.make (3 * n) '\xee' ^ bytes ^ "tail" in
-      let pooled =
-        Codec.decode_pooled ~scratch ~pos:(n + 5) ~off:(3 * n)
-          ~len:(String.length bytes) ~resolve shifted
-      in
-      let plain = Codec.decode ~pos:(n + 5) ~resolve bytes in
-      check "pooled decode physically identical to plain decode" true
-        (Tree.physically_equal pooled.I.root plain.I.root);
-      check_int "node_count agrees" plain.I.node_count pooled.I.node_count;
-      check_int "byte_size agrees" plain.I.byte_size pooled.I.byte_size)
-    drafts
 
 let test_encoder_matches_encode () =
   let snapshot = Helpers.genesis ~gap:10 500 in
@@ -513,30 +480,27 @@ let prop_encode_matches_oracle =
       outcome Codec.encode d = want
       && outcome (Codec.Encoder.encode enc) d = want)
 
-(* [peek_snapshot] reads exactly the snapshot the parser reads, at any
-   offset, and allocates nothing. *)
+(* [peek_snapshot] reads exactly the snapshot the parser reads, and
+   allocates nothing. *)
 let prop_peek_snapshot =
   let resolve ~snapshot:_ ~key ~vn:_ =
     match Tree.find exec_snapshot key with Some n -> n | None -> Node.empty
   in
   QCheck2.Test.make ~name:"peek_snapshot = View.snapshot, allocation-free"
     ~count:200
-    QCheck2.Gen.(pair executed_draft_gen (int_bound 5))
-    (fun (d, pad) ->
+    executed_draft_gen
+    (fun d ->
       match d.I.root == Node.empty with
       | true -> true
       | false ->
           let bytes = Codec.encode d in
           let parsed = Codec.decode_lazy ~pos:11 ~peer:exec_snapshot ~resolve bytes in
-          let padded = String.make pad '\xff' ^ bytes in
-          let off = Some pad in
           let w0 = Gc.minor_words () in
           let a = Codec.peek_snapshot bytes in
-          let b = Codec.peek_snapshot ?off padded in
           let words = Gc.minor_words () -. w0 in
           if words <> 0. then
             QCheck2.Test.fail_reportf "peek_snapshot allocated %.0f words" words;
-          a = parsed.I.snapshot && b = d.I.snapshot && a = b)
+          a = parsed.I.snapshot && a = d.I.snapshot)
 
 let () =
   Alcotest.run "codec"
@@ -555,8 +519,6 @@ let () =
       ( "pooled paths",
         [
           Alcotest.test_case "peek_snapshot" `Quick test_peek_snapshot;
-          Alcotest.test_case "decode_pooled = decode" `Quick
-            test_decode_pooled_matches_decode;
           Alcotest.test_case "Encoder = encode" `Quick
             test_encoder_matches_encode;
           Alcotest.test_case "Encoder steady state allocates nothing extra"

@@ -17,6 +17,7 @@ module Codec = Hyder_codec.Codec
 module Domain_pool = Hyder_util.Domain_pool
 module Clock = Hyder_util.Clock
 module Rng = Hyder_util.Rng
+module Replica = Hyder_cluster.Replica
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -108,7 +109,9 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
 (* Replay a recorded stream from its wire form, feeding
-   [submit_wire_batch] in slabs of [slab] encoded intentions. *)
+   [submit_wire_batch] in slabs of [slab] encoded intentions.  Also
+   returns the digest of every integer counter (wall-clock seconds
+   excluded). *)
 let replay_wire ~config ~runtime ~slab genesis wires =
   let p = Pipeline.create ~config ~runtime ~genesis () in
   let rec take k acc = function
@@ -129,8 +132,9 @@ let replay_wire ~config ~runtime ~slab genesis wires =
       (Pipeline.counters p).Counters.premeld_shards
   in
   let off = Pipeline.offload p in
+  let digest = Replica.counters_digest (Pipeline.counters p) in
   Pipeline.shutdown p;
-  (decisions, final, pm_counts, off)
+  (decisions, final, pm_counts, off, digest)
 
 let compare_to_baseline ~name ~bd ~bfinal ~bcounts (d, final, counts) =
   check (name ^ ": decision count") true (List.length d = List.length bd);
@@ -164,7 +168,7 @@ let check_backends ?(wire_runs = []) ~config ~txns ~seed ~runs () =
      stream aliases differently from an assign-fed one — what must hold
      is that every backend agrees bit-for-bit on the same feed. *)
   (if wire_runs <> [] then
-     let wd, wfinal, wcounts, _ =
+     let wd, wfinal, wcounts, _, _ =
        replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis
          wires
      in
@@ -174,7 +178,7 @@ let check_backends ?(wire_runs = []) ~config ~txns ~seed ~runs () =
        (List.for_all2 same_decision wd bd);
      List.iter
        (fun (name, runtime, slab) ->
-         let d, final, counts, off =
+         let d, final, counts, off, _ =
            replay_wire ~config ~runtime ~slab genesis wires
          in
          compare_to_baseline ~name ~bd:wd ~bfinal:wfinal ~bcounts:wcounts
@@ -303,12 +307,12 @@ let test_pipelined_burst () =
   let bd, _, _ =
     replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
   in
-  let wd, wfinal, wcounts, _ =
+  let wd, wfinal, wcounts, _, _ =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
   check "burst wire baseline: decisions identical to in-memory" true
     (List.length wd = List.length bd && List.for_all2 same_decision wd bd);
-  let d, final, counts, off =
+  let d, final, counts, off, _ =
     replay_wire ~config
       ~runtime:(Runtime.pipelined ~domains:2)
       ~slab:max_int genesis wires
@@ -327,40 +331,208 @@ let test_pipelined_burst () =
         = List.length intentions);
       check "worker ds time measured" true (o.Pipeline.worker_ds_seconds > 0.0)
 
-(* The batched-handoff slab sweep: one giant burst, a mid-size slab and a
-   one-intention trickle, so both the flush-on-threshold and the
-   flush-partial paths run.  Every feed must be bit-identical to the
-   sequential baseline. *)
-let test_batched_handoff_sweep () =
+(* The batched-handoff slab sweep, and with it the ownership rule for
+   views crossing stage queues: worker-parsed views travel to the driver,
+   driver-parsed ones to premeld workers, both on to the gm worker.
+   Every feed of [pipe:<domains>] must equal the sequential baseline on
+   decisions, physical trees and every integer counter, decodes must
+   really leave the driver, and every decode must be accounted once. *)
+let check_wire_sweep ~seed ~domains ~slabs =
   let config =
     {
       Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
       group_size = 2;
     }
   in
-  let genesis, intentions, wires = make_stream ~config ~txns:300 ~seed:99 in
-  let wd, wfinal, wcounts, _ =
+  let genesis, intentions, wires = make_stream ~config ~txns:300 ~seed in
+  let wd, wfinal, wcounts, _, wdigest =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
   check_int "sweep baseline decided everything" (List.length intentions)
     (List.length wd);
-  let runtime = Runtime.pipelined ~domains:2 in
+  let runtime = Runtime.pipelined ~domains in
   List.iter
     (fun slab ->
-      let name = Printf.sprintf "pipe:2 slab %d" (min slab 999_999) in
-      let d, final, counts, off =
+      let name =
+        Printf.sprintf "seed %d pipe:%d slab %d" seed domains
+          (min slab 999_999)
+      in
+      let d, final, counts, off, digest =
         replay_wire ~config ~runtime ~slab genesis wires
       in
       compare_to_baseline ~name ~bd:wd ~bfinal:wfinal ~bcounts:wcounts
         (d, final, counts);
+      Alcotest.(check string) (name ^ ": counters identical") wdigest digest;
       match off with
       | None -> Alcotest.fail (name ^ ": no offload stats")
       | Some o ->
           check (name ^ ": publications recorded") true
             (o.Pipeline.handoff_batches > 0);
           check (name ^ ": items cover publications") true
-            (o.Pipeline.handoff_items >= o.Pipeline.handoff_batches))
-    [ max_int; 17; 1 ]
+            (o.Pipeline.handoff_items >= o.Pipeline.handoff_batches);
+          check (name ^ ": decodes offloaded") true
+            (o.Pipeline.ds_offloaded > 0);
+          check_int (name ^ ": every decode accounted once")
+            (List.length intentions)
+            (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline))
+    slabs
+
+(* One giant burst, a mid-size slab and a one-intention trickle, so both
+   the flush-on-threshold and the flush-partial paths run. *)
+let test_batched_handoff_sweep () =
+  check_wire_sweep ~seed:99 ~domains:2 ~slabs:[ max_int; 17; 1 ]
+
+let prop_wire_sweep =
+  QCheck2.Test.make ~name:"pipe = seq over stream, slab and domains" ~count:20
+    ~print:(fun (seed, slab, domains) ->
+      Printf.sprintf "seed %d slab %d domains %d" seed slab domains)
+    QCheck2.Gen.(
+      triple (int_bound 100_000)
+        (frequency [ (4, int_range 1 64); (1, return max_int) ])
+        (int_range 1 2))
+    (fun (seed, slab, domains) ->
+      check_wire_sweep ~seed ~domains ~slabs:[ slab ];
+      true)
+
+(* A short hand-built wire stream at log positions 1, 2, 3, ...:
+   intention [k] executes against the state [lag k] entries back in the
+   generator's history (0 = the newest recorded).  When [lie k] holds,
+   its header names snapshot [never_recorded] instead, a position the
+   log never reaches, and the generator leaves it out. *)
+let never_recorded = 1_000_000
+
+let chain_stream ?(lie = fun _ -> false) ~config ~txns ~lag () =
+  let genesis = Helpers.genesis genesis_n in
+  let gen = Pipeline.create ~config ~genesis () in
+  let history = ref [ (-1, genesis) ] in
+  let wires = ref [] in
+  for k = 0 to txns - 1 do
+    let snapshot_pos, snapshot = List.nth !history (lag k) in
+    let e =
+      Executor.begin_txn
+        ~snapshot_pos:(if lie k then never_recorded else snapshot_pos)
+        ~snapshot ~server:0 ~txn_seq:k ~isolation:I.Serializable ()
+    in
+    ignore (Executor.read e (k * 7 mod genesis_n));
+    Executor.write e (k * 13 mod genesis_n) (Printf.sprintf "c%d" k);
+    let src =
+      match Executor.finish e with
+      | Some d -> Codec.encode d
+      | None -> assert false
+    in
+    let pos = k + 1 in
+    wires := (pos, src) :: !wires;
+    if not (lie k) then begin
+      ignore (Pipeline.submit gen (Pipeline.decode gen ~pos src));
+      let _, lpos, tree = Pipeline.lcs gen in
+      history := (lpos, tree) :: !history
+    end
+  done;
+  Pipeline.shutdown gen;
+  (genesis, List.rev !wires)
+
+(* A worker decode that fails is redone on the driver, which raises the
+   worker's [Corrupt].  The corrupt member sits in the middle of a
+   [pipe:2] batch and names the state recorded at window start, so its
+   decode is dealt to a worker; every other member of that batch names
+   its predecessor, so the ones before it decode on the driver as final
+   meld catches up and the ones after it can never decode.  The error
+   and the deserialize counters at the raise must equal [seq]'s: every
+   earlier intention parsed and counted, the corrupt one not. *)
+let test_worker_decode_failure_redo () =
+  let config = Pipeline.with_premeld in
+  let prefix = 20 and batch = 21 in
+  let bad = prefix + (batch / 2) in
+  let genesis, wires =
+    chain_stream ~config ~txns:(prefix + batch)
+      ~lag:(fun k -> if k = bad then bad - prefix else 0)
+      ()
+  in
+  let wires =
+    List.mapi
+      (fun k (pos, src) ->
+        if k = bad then (pos, String.sub src 0 (String.length src - 1))
+        else (pos, src))
+      wires
+  in
+  let first = List.filteri (fun k _ -> k < prefix) wires in
+  let second = List.filteri (fun k _ -> k >= prefix) wires in
+  let run runtime =
+    let p = Pipeline.create ~config ~runtime ~genesis () in
+    ignore (Pipeline.submit_wire_batch p first);
+    let _, lpos, _ = Pipeline.lcs p in
+    check "corrupt member offloadable at window start" true
+      (Codec.peek_snapshot (snd (List.nth wires bad)) <= lpos);
+    let msg =
+      match Pipeline.submit_wire_batch p second with
+      | exception Codec.Corrupt m -> m
+      | _ -> Alcotest.fail "truncated intention accepted"
+    in
+    let c = Pipeline.counters p in
+    let off = Pipeline.offload p in
+    Pipeline.shutdown p;
+    ( msg,
+      c.Counters.deserialize.Counters.intentions,
+      c.Counters.deserialize.Counters.nodes_visited,
+      Hyder_util.Stats.Summary.count c.Counters.intention_bytes,
+      off )
+  in
+  let smsg, sn, snodes, sbytes, _ = run Runtime.sequential in
+  check_int "seq: every earlier intention counted" bad sn;
+  let pmsg, pn, pnodes, pbytes, off = run (Runtime.pipelined ~domains:2) in
+  Alcotest.(check string) "same Corrupt message" smsg pmsg;
+  check_int "same deserialize intentions" sn pn;
+  check_int "same deserialize nodes" snodes pnodes;
+  check_int "same intention_bytes count" sbytes pbytes;
+  match off with
+  | None -> Alcotest.fail "pipelined run reported no offload stats"
+  | Some o ->
+      check_int "every decode up to the corrupt one accounted" (bad + 1)
+        (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline)
+
+(* A stream naming a snapshot the log never records fails with one
+   [Failure] text on every backend: the sequential check, the parallel
+   prefix cut, the pipelined window stall and the pipelined [cap < 1]
+   fallback all report it the same way. *)
+let test_invalid_stream_same_error () =
+  let expect_same ~name ~config ~runtimes (genesis, wires) =
+    let run runtime =
+      let p = Pipeline.create ~config ~runtime ~genesis () in
+      let r =
+        match Pipeline.submit_wire_batch p wires with
+        | exception Failure m -> m
+        | _ -> Alcotest.failf "%s: invalid stream accepted" name
+      in
+      Pipeline.shutdown p;
+      r
+    in
+    let want = run Runtime.sequential in
+    check (name ^ ": names the stream invalid") true
+      (String.starts_with ~prefix:"Pipeline.submit_wire_batch: intention at"
+         want);
+    List.iter
+      (fun runtime ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s = seq" name (Runtime.to_string runtime))
+          want (run runtime))
+      runtimes
+  in
+  let config = Pipeline.with_both in
+  expect_same ~name:"window stall" ~config
+    ~runtimes:[ Runtime.parallel ~domains:2; Runtime.pipelined ~domains:2 ]
+    (chain_stream ~config ~txns:25 ~lie:(fun k -> k = 12) ~lag:(fun _ -> 0) ());
+  (* group_size beyond threads * distance + 1: once two members are
+     pending no window is safe, and the third member takes the
+     one-item fallback *)
+  let config =
+    {
+      Pipeline.premeld = Some { Premeld.threads = 1; distance = 1 };
+      group_size = 3;
+    }
+  in
+  expect_same ~name:"cap < 1 fallback" ~config
+    ~runtimes:[ Runtime.parallel ~domains:2; Runtime.pipelined ~domains:2 ]
+    (chain_stream ~config ~txns:3 ~lie:(fun k -> k = 2) ~lag:(fun k -> k) ())
 
 (* Shutdown joins the stage-pool workers, so a later batch must fail
    loudly instead of queueing jobs nobody will run and parking the
@@ -478,7 +650,7 @@ let test_pipelined_flight_inert () =
   let bd, _, _ =
     replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
   in
-  let wd, bfinal, bcounts, _ =
+  let wd, bfinal, bcounts, _, _ =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
   check "wire baseline: decisions identical to in-memory" true
@@ -624,6 +796,11 @@ let () =
             test_pipelined_burst;
           Alcotest.test_case "slab {max_int,17,1} sweep" `Quick
             test_batched_handoff_sweep;
+          QCheck_alcotest.to_alcotest prop_wire_sweep;
+          Alcotest.test_case "worker decode failure redone on the driver"
+            `Quick test_worker_decode_failure_redo;
+          Alcotest.test_case "invalid stream: one error on every backend"
+            `Quick test_invalid_stream_same_error;
           Alcotest.test_case "submit after shutdown raises" `Quick
             test_submit_after_shutdown_raises;
           Alcotest.test_case "stage-pool handoff round allocates nothing"

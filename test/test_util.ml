@@ -324,7 +324,7 @@ let test_spsc_pop_blocks_and_cancels () =
    the contract is that an observer never sees a negative depth (the
    metrics queue-depth sampler feeds lengths to a histogram, which would
    reject them).  Over-counting past capacity is an allowed tear. *)
-let test_spsc_length_never_negative () =
+let test_spsc_never_negative_length () =
   let n = 50_000 in
   let q = Spsc.create ~capacity:16 ~dummy:(-1) () in
   let stop = Atomic.make false in
@@ -702,7 +702,7 @@ let () =
           Alcotest.test_case "blocking pop and cancel" `Quick
             test_spsc_pop_blocks_and_cancels;
           Alcotest.test_case "length never negative under race" `Quick
-            test_spsc_length_never_negative;
+            test_spsc_never_negative_length;
           Alcotest.test_case "doorbell: fill to capacity cannot be slept \
                               through" `Quick
             test_spsc_doorbell_fill_to_capacity;

@@ -319,7 +319,7 @@ let test_prefix_sweep () =
       done)
     (Lazy.force fixed_intentions)
 
-(* ---- pipeline bit-identity: lazy vs eager across backends ------------ *)
+(* ---- pipeline bit-identity across backends --------------------------- *)
 
 let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   a.Pipeline.seq = b.Pipeline.seq
@@ -329,9 +329,10 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
 (* Record a deterministic wire stream with a sequential generator, then
-   replay it on every backend, with driver-side lazy decodes and
-   worker-side eager ones: decisions, final tree and premeld visit
-   counters must be bit-identical throughout. *)
+   replay it on every backend, with lazy views parsed on the driver and
+   on pipelined workers: decisions, final tree and premeld visit
+   counters must be bit-identical throughout.  (The eager decoder is the
+   reference the properties above hold the view to; no backend runs it.) *)
 let test_pipeline_lazy_eager_identical () =
   let config =
     { Pipeline.premeld = Some { Premeld.threads = 3; distance = 8 };
@@ -390,8 +391,8 @@ let test_pipeline_lazy_eager_identical () =
     Pipeline.shutdown p;
     (decisions, final, counts, off)
   in
-  (* The lazy sequential run is the baseline.  The eager side of the
-     comparison is the pipe:2 row: its worker domains decode eagerly. *)
+  (* The sequential run is the baseline; the pipe:2 row parses its views
+     on worker domains and hands them across the stage queues. *)
   let bd, bfinal, bcounts, _ = replay Runtime.sequential in
   check "baseline decided everything" true (List.length bd = List.length wires);
   List.iter
@@ -405,7 +406,7 @@ let test_pipeline_lazy_eager_identical () =
       match off with
       | None -> ()
       | Some o ->
-          check (name ^ ": workers decoded eagerly") true
+          check (name ^ ": workers parsed views") true
             (o.Pipeline.ds_offloaded > 0))
     [
       ("par:2", Runtime.parallel ~domains:2);
