@@ -43,8 +43,10 @@ let () =
   let outcomes = Hashtbl.create 64 in
   Array.iter
     (fun s ->
-      Server.on_decision s (fun ~txn_seq outcome ->
-          Hashtbl.replace outcomes (Server.server_id s, txn_seq) outcome))
+      Server.on_decision s (fun d ->
+          Hashtbl.replace outcomes
+            (Server.server_id s, d.Pipeline.txn_seq)
+            d.Pipeline.committed))
     servers;
 
   (* Deliver all new log blocks to every server (the paper's broadcast). *)
@@ -95,7 +97,7 @@ let () =
   in
   let commits =
     Hashtbl.fold
-      (fun _ o acc -> if o = Server.Committed then acc + 1 else acc)
+      (fun _ committed acc -> if committed then acc + 1 else acc)
       outcomes 0
   in
   Printf.printf "servers: %d; transactions submitted: %d\n" n_servers !submitted;

@@ -6,10 +6,10 @@ module Tree = Hyder_tree.Tree
 module Codec = Hyder_codec.Codec
 module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
+module Server = Hyder_core.Server
 module Premeld = Hyder_core.Premeld
 module Runtime = Hyder_core.Runtime
 module Counters = Hyder_core.Counters
-module Checkpoint = Hyder_core.Checkpoint
 module Ycsb = Hyder_workload.Ycsb
 module Stats = Hyder_util.Stats
 module Metrics = Hyder_obs.Metrics
@@ -166,11 +166,12 @@ let due ~every pos = (pos + 1) mod every = 0
 
 (* {1 Phase A: deterministic workload generation + fault-free baseline}
 
-   One sequential pipeline plays "the cluster without faults": waves of
+   One sequential server plays "the cluster without faults": waves of
    transactions execute concurrently against the wave-start LCS (so they
    genuinely conflict), are encoded, framed and melded through the same
-   wire path the replicas use.  Its decisions, final tree and counters are
-   the ground truth every faulty replica must reproduce bit-for-bit. *)
+   per-server loop the replicas run.  Its decisions, final tree and
+   counters are the ground truth every faulty replica must reproduce
+   bit-for-bit. *)
 
 type generated = {
   genesis : Tree.t;
@@ -187,7 +188,10 @@ type generated = {
 let generate (cfg : config) =
   let workload = Ycsb.create ~seed:cfg.seed cfg.workload in
   let genesis = Ycsb.genesis workload in
-  let pl = Pipeline.create ~config:cfg.pipeline ~genesis () in
+  let server = Server.create ~config:cfg.pipeline ~server_id:0 ~genesis () in
+  Server.on_meld server (fun ~pos ->
+      if due ~every:cfg.prune_every pos then
+        Server.prune server ~keep:cfg.prune_keep);
   let blocks = ref [] and origins = ref [] in
   let decisions : (int, int * int * bool) Hashtbl.t = Hashtbl.create 64 in
   let record ds =
@@ -199,7 +203,7 @@ let generate (cfg : config) =
   in
   let npos = ref 0 and txn_seq = ref 0 and appended = ref 0 in
   while !appended < cfg.txns do
-    let _, lcs_pos, lcs_tree = Pipeline.lcs pl in
+    let _, lcs_pos, lcs_tree = Server.lcs server in
     let want = min cfg.wave (cfg.txns - !appended) in
     (* Execute the whole wave against the wave-start state before melding
        any member, the way concurrently issuing servers would. *)
@@ -241,12 +245,13 @@ let generate (cfg : config) =
         incr appended;
         blocks := framed :: !blocks;
         origins := origin :: !origins;
-        record (Pipeline.submit_wire_batch pl [ (pos, bytes) ]);
-        if due ~every:cfg.prune_every pos then
-          Pipeline.prune pl ~keep:cfg.prune_keep)
+        match Server.observe_block server ~pos framed with
+        | Server.Accepted ds -> record ds
+        | Server.Duplicate | Server.Rejected ->
+            failwith "Replica.generate: own block not accepted")
       (List.rev !drafts)
   done;
-  record (Pipeline.flush pl);
+  record (Server.flush server);
   let n = !npos in
   let baseline =
     Array.init n (fun pos ->
@@ -256,8 +261,8 @@ let generate (cfg : config) =
             failwith
               (Printf.sprintf "Replica.generate: position %d never decided" pos))
   in
-  let _, _, tree = Pipeline.lcs pl in
-  let c = Pipeline.counters pl in
+  let _, _, tree = Server.lcs server in
+  let c = Server.counters server in
   {
     genesis;
     blocks = Array.of_list (List.rev !blocks);
@@ -273,11 +278,7 @@ let generate (cfg : config) =
 
 type rep = {
   id : int;
-  mutable pl : Pipeline.t;
-  mutable reasm : Codec.Blocks.Reassembler.t;
-  buffer : (int, string) Hashtbl.t;
-      (** reassembled intentions at positions > the next to meld *)
-  mutable next_pos : int;
+  mutable server : Server.t;  (** replaced on restart *)
   mutable down : bool;
   mutable pending_restarts : int;
   mutable replaying : bool;
@@ -285,7 +286,7 @@ type rep = {
   mutable restart_time : float;
   mutable repair_in_flight : bool;
   mutable gap_timer : bool;
-  mutable last_ckpt : Checkpoint.t option;
+  mutable last_ckpt : Server.checkpoint option;
   mutable restarted_from : int;
   mutable checkpoints : int;
   mutable crashes : int;
@@ -295,14 +296,7 @@ type rep = {
   mutable missed_down : int;
   mutable caught_up_in : float;
   mutable mismatches : int;
-  decided : (int, bool) Hashtbl.t;
-  flight : Flight.t;
-      (** per-replica recorder: records are keyed by log position and every
-          replica melds every position, so replicas sharing one recorder
-          would stamp each other's records; the sink is shared, the label
-          disambiguates ([<flight_label>/r<id>]).  Survives crash/restart —
-          the rebuilt pipeline reuses it, so a replayed position emits a
-          second record (the replay is real work). *)
+  flight : Flight.t;  (** survives restarts; see [config.flight_sink] *)
 }
 
 let run (cfg : config) =
@@ -315,10 +309,6 @@ let run (cfg : config) =
     Broadcast.create ~config:cfg.broadcast ~faults:cfg.faults eng
       ~senders:cfg.servers ~receivers:cfg.servers
   in
-  let fresh_pipeline ?(flight = Flight.disabled) () =
-    Pipeline.create ~config:cfg.pipeline ~runtime:cfg.runtime ~flight
-      ~genesis:g.genesis ()
-  in
   let flight_for id =
     match cfg.flight_sink with
     | None -> Flight.disabled
@@ -327,15 +317,20 @@ let run (cfg : config) =
           ~label:(Printf.sprintf "%s/r%d" cfg.flight_label id)
           ?metrics:cfg.metrics ~sink:oc ()
   in
+  let boot ~flight id = function
+    | Some c ->
+        Server.restore ~config:cfg.pipeline ~runtime:cfg.runtime ~flight
+          ~server_id:id c
+    | None ->
+        Server.create ~config:cfg.pipeline ~runtime:cfg.runtime ~flight
+          ~server_id:id ~genesis:g.genesis ()
+  in
   let reps =
     Array.init cfg.servers (fun id ->
         let flight = flight_for id in
         {
           id;
-          pl = fresh_pipeline ~flight ();
-          reasm = Codec.Blocks.Reassembler.create ();
-          buffer = Hashtbl.create 16;
-          next_pos = 0;
+          server = boot ~flight id None;
           down = false;
           pending_restarts = 0;
           replaying = false;
@@ -353,107 +348,87 @@ let run (cfg : config) =
           missed_down = 0;
           caught_up_in = 0.0;
           mismatches = 0;
-          decided = Hashtbl.create 64;
           flight;
         })
   in
+  (* A position re-melded after a crash is checked against the baseline
+     again, so it must reproduce the same decision. *)
   let record_decisions r ds =
     List.iter
       (fun (d : Pipeline.decision) ->
         let pos = d.Pipeline.pos in
-        (if pos >= 0 && pos < n then
-           let bs, bt, bc = g.baseline.(pos) in
-           if
-             bs <> d.Pipeline.server || bt <> d.Pipeline.txn_seq
-             || bc <> d.Pipeline.committed
-           then r.mismatches <- r.mismatches + 1);
-        (* re-melding after a crash must reproduce the same decision *)
-        match Hashtbl.find_opt r.decided pos with
-        | Some prev ->
-            if prev <> d.Pipeline.committed then
-              r.mismatches <- r.mismatches + 1
-        | None -> Hashtbl.replace r.decided pos d.Pipeline.committed)
+        if pos >= 0 && pos < n then
+          let bs, bt, bc = g.baseline.(pos) in
+          if
+            bs <> d.Pipeline.server || bt <> d.Pipeline.txn_seq
+            || bc <> d.Pipeline.committed
+          then r.mismatches <- r.mismatches + 1)
       ds
   in
-  let maintenance r pos =
+  let next_pos r = Server.next_pos r.server in
+  (* Runs inside [Server.observe_block], once per fed position. *)
+  let melded r ~pos =
+    if r.replaying then r.replayed <- r.replayed + 1;
     if due ~every:cfg.prune_every pos then
-      Pipeline.prune r.pl ~keep:cfg.prune_keep;
-    if due ~every:cfg.checkpoint_every pos then
-      match Pipeline.checkpoint r.pl with
-      | Some c ->
-          r.last_ckpt <- Some c;
-          r.checkpoints <- r.checkpoints + 1
-      | None -> () (* mid-group; next boundary will do *)
+      Server.prune r.server ~keep:cfg.prune_keep;
+    (if due ~every:cfg.checkpoint_every pos then
+       match Server.checkpoint r.server with
+       | Some c ->
+           r.last_ckpt <- Some c;
+           r.checkpoints <- r.checkpoints + 1
+       | None -> () (* mid-group; next boundary will do *));
+    if r.replaying && pos + 1 > r.replay_target then begin
+      r.replaying <- false;
+      r.caught_up_in <- r.caught_up_in +. (Engine.now eng -. r.restart_time)
+    end
   in
-  let rec drain r =
-    if not r.down then
-      match Hashtbl.find_opt r.buffer r.next_pos with
-      | Some bytes ->
-          let pos = r.next_pos in
-          Hashtbl.remove r.buffer pos;
-          record_decisions r (Pipeline.submit_wire_batch r.pl [ (pos, bytes) ]);
-          if r.replaying then r.replayed <- r.replayed + 1;
-          r.next_pos <- pos + 1;
-          maintenance r pos;
-          if r.replaying && r.next_pos > r.replay_target then begin
-            r.replaying <- false;
-            r.caught_up_in <-
-              r.caught_up_in +. (Engine.now eng -. r.restart_time)
-          end;
-          drain r
-      | None -> arm_gap_timer r
-  and arm_gap_timer r =
+  Array.iter (fun r -> Server.on_meld r.server (melded r)) reps;
+  let rec arm_gap_timer r =
     (* A later position is buffered but the next one is missing: give the
        broadcast [repair_after] to close the gap by itself (out-of-order
        durability is routine), then fall back to the log. *)
     if
-      (not r.down) && (not r.replaying) && (not r.gap_timer) && r.next_pos < n
-      && Hashtbl.length r.buffer > 0
+      (not r.down) && (not r.replaying) && (not r.gap_timer) && next_pos r < n
+      && Server.buffered r.server > 0
     then begin
       r.gap_timer <- true;
-      let target = r.next_pos in
+      let target = next_pos r in
       Engine.schedule eng ~delay:cfg.repair_after (fun () ->
           r.gap_timer <- false;
-          if
-            (not r.down) && (not r.replaying) && r.next_pos = target
-            && not (Hashtbl.mem r.buffer target)
-          then repair r;
+          if (not r.down) && (not r.replaying) && next_pos r = target then
+            repair r;
           arm_gap_timer r)
     end
   and repair r =
-    if (not r.repair_in_flight) && r.next_pos < Corfu.length corfu then begin
+    if (not r.repair_in_flight) && next_pos r < Corfu.length corfu then begin
       r.repair_in_flight <- true;
-      let target = r.next_pos in
+      let target = next_pos r in
       r.repair_reads <- r.repair_reads + 1;
       Corfu.read corfu target (fun block ->
           r.repair_in_flight <- false;
-          if (not r.down) && (not r.replaying) && r.next_pos = target then
+          if (not r.down) && (not r.replaying) && next_pos r = target then
             ingest r ~pos:target block)
     end
   and ingest r ~pos block =
+    (* A rejected block counts as a delivery that never arrived: the gap
+       timer repairs it from the log. *)
     if r.down then r.missed_down <- r.missed_down + 1
-    else if pos < r.next_pos || Hashtbl.mem r.buffer pos then
-      r.dup_ignored <- r.dup_ignored + 1
-    else begin
-      (match Codec.Blocks.Reassembler.feed r.reasm ~pos block with
-      | Some (ipos, bytes) ->
-          assert (ipos = pos);
-          Hashtbl.replace r.buffer pos bytes
-      | None ->
-          failwith
-            "Replica: multi-block intention on the wire (raise \
-             corfu.block_size)");
-      drain r
-    end
+    else
+      match Server.observe_block r.server ~pos block with
+      | Server.Accepted ds ->
+          record_decisions r ds;
+          arm_gap_timer r
+      | Server.Duplicate -> r.dup_ignored <- r.dup_ignored + 1
+      | Server.Rejected -> ()
   and replay_step r =
     if (not r.down) && r.replaying then
-      if r.next_pos > r.replay_target then () (* drain cleared the flag *)
+      if next_pos r > r.replay_target then () (* [melded] cleared the flag *)
       else begin
-        let target = r.next_pos in
+        let target = next_pos r in
         Corfu.read corfu target (fun block ->
             if (not r.down) && r.replaying then begin
               (* a live delivery may have melded [target] meanwhile *)
-              if r.next_pos = target then ingest r ~pos:target block;
+              if next_pos r = target then ingest r ~pos:target block;
               replay_step r
             end)
       end
@@ -462,22 +437,12 @@ let run (cfg : config) =
     if r.down then begin
       r.down <- false;
       r.restart_time <- Engine.now eng;
-      let pl, start_pos =
-        match r.last_ckpt with
-        | Some c ->
-            ( Pipeline.restore ~config:cfg.pipeline ~runtime:cfg.runtime
-                ~flight:r.flight c,
-              c.Checkpoint.pos + 1 )
-        | None -> (fresh_pipeline ~flight:r.flight (), 0)
-      in
-      r.restarted_from <- start_pos - 1;
-      r.pl <- pl;
-      r.reasm <- Codec.Blocks.Reassembler.create ();
-      Hashtbl.reset r.buffer;
-      r.next_pos <- start_pos;
+      r.server <- boot ~flight:r.flight r.id r.last_ckpt;
+      Server.on_meld r.server (melded r);
+      r.restarted_from <- next_pos r - 1;
       let tail = Corfu.length corfu - 1 in
       r.replay_target <- tail;
-      if tail >= start_pos then begin
+      if tail >= next_pos r then begin
         r.replaying <- true;
         replay_step r
       end
@@ -488,9 +453,7 @@ let run (cfg : config) =
       r.down <- true;
       r.crashes <- r.crashes + 1;
       r.replaying <- false;
-      Pipeline.shutdown r.pl;
-      Hashtbl.reset r.buffer;
-      r.reasm <- Codec.Blocks.Reassembler.create ()
+      Server.shutdown r.server
     end
   in
   (* publisher: appends paced on the simulated clock; the constant
@@ -524,11 +487,8 @@ let run (cfg : config) =
   Array.iter
     (fun r ->
       let rec sweep () =
-        if r.next_pos < n && ((not r.down) || r.pending_restarts > 0) then begin
-          if
-            (not r.down) && (not r.replaying)
-            && not (Hashtbl.mem r.buffer r.next_pos)
-          then repair r;
+        if next_pos r < n && ((not r.down) || r.pending_restarts > 0) then begin
+          if (not r.down) && not r.replaying then repair r;
           Engine.schedule eng ~delay:cfg.repair_after sweep
         end
       in
@@ -537,18 +497,18 @@ let run (cfg : config) =
   Engine.run eng;
   let sim_seconds = Engine.now eng in
   Array.iter
-    (fun r -> if not r.down then record_decisions r (Pipeline.flush r.pl))
+    (fun r -> if not r.down then record_decisions r (Server.flush r.server))
     reps;
   let reports =
     Array.to_list
       (Array.map
          (fun r ->
-           let _, _, tree = Pipeline.lcs r.pl in
-           let c = Pipeline.counters r.pl in
+           let _, _, tree = Server.lcs r.server in
+           let c = Server.counters r.server in
            {
              id = r.id;
              alive = not r.down;
-             melded = r.next_pos;
+             melded = next_pos r;
              tree_digest = Tree.digest tree;
              counters_digest = counters_digest c;
              commits = c.Counters.committed;
@@ -557,7 +517,7 @@ let run (cfg : config) =
              checkpoints = r.checkpoints;
              last_checkpoint_pos =
                (match r.last_ckpt with
-               | Some c -> c.Checkpoint.pos
+               | Some c -> Server.replay_from c - 1
                | None -> -1);
              restarted_from_pos = r.restarted_from;
              replayed = r.replayed;
@@ -571,7 +531,7 @@ let run (cfg : config) =
   in
   let converged =
     Array.for_all
-      (fun r -> (not r.down) && r.next_pos = n && r.mismatches = 0)
+      (fun r -> (not r.down) && next_pos r = n && r.mismatches = 0)
       reps
     && List.for_all
          (fun rep ->
@@ -605,7 +565,7 @@ let run (cfg : config) =
           end)
         reps);
   Array.iter (fun r -> Flight.export_percentiles r.flight) reps;
-  Array.iter (fun r -> Pipeline.shutdown r.pl) reps;
+  Array.iter (fun r -> Server.shutdown r.server) reps;
   {
     log_length = n;
     converged;

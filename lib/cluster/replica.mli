@@ -10,23 +10,21 @@ open Hyder_core
     one restarted from a checkpoint — with {e bit-identical} trees,
     ephemeral node ids and work counters, equal to a fault-free run's.
 
-    The harness runs in two phases.  {b Phase A} generates the workload
-    deterministically and melds it through one fault-free sequential
-    pipeline: waves of transactions execute against the wave-start
-    last-committed state (so they genuinely conflict), are encoded, framed
-    into single log blocks and melded via the same wire path the replicas
-    use.  Its decisions, final tree digest and counters digest are the
-    baseline.  {b Phase B} replays the same blocks through the simulated
-    cluster: a paced publisher appends them to CORFU and broadcasts each
-    block on durability; every replica melds in log order, buffering
-    out-of-order arrivals, repairing gaps from the log ({!Corfu.read})
-    after [repair_after] of no progress, checkpointing every
-    [checkpoint_every] melds and pruning every [prune_every] — both pure
-    functions of log position, so all replicas (and a replica rebuilt from
-    a checkpoint) keep identical retention windows.  A crashed replica
-    loses everything but its last checkpoint; on restart it rebuilds the
-    pipeline with {!Pipeline.restore} and replays the log suffix before
-    rejoining the live feed. *)
+    Both phases run {!Server}, the one per-server loop.  {b Phase A}
+    melds a deterministic workload through one fault-free sequential
+    server: waves of transactions execute against the wave-start
+    last-committed state (so they genuinely conflict) and are framed into
+    single log blocks.  Its decisions, tree digest and counters digest
+    are the baseline.  {b Phase B} replays the same blocks through the
+    simulated cluster: a paced publisher appends them to CORFU and
+    broadcasts each on durability; each replica's server buffers
+    out-of-order arrivals, drops duplicates and rejects corrupt blocks,
+    and the replica repairs gaps from the log ({!Corfu.read}) after
+    [repair_after] of no progress, checkpointing every [checkpoint_every]
+    positions and pruning every [prune_every] — pure functions of log
+    position, so every replica keeps identical retention windows.  A
+    crashed replica keeps only its last checkpoint; on restart it
+    restores the server from it and replays the log suffix. *)
 
 type config = {
   servers : int;
@@ -84,9 +82,8 @@ type replica_report = {
   missed_while_down : int;
   caught_up_in : float;  (** simulated seconds from restart to caught-up *)
   decision_mismatches : int;
-      (** decisions disagreeing with the baseline or with this replica's
-          own earlier decision for the same position — always 0 on a
-          correct run *)
+      (** decisions disagreeing with the baseline, re-melds after a
+          restart included — always 0 on a correct run *)
 }
 
 type result = {

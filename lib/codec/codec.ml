@@ -409,52 +409,54 @@ module Blocks = struct
     let chunk = block_size - overhead in
     max 1 ((size + chunk - 1) / chunk)
 
+  (* Check one block's checksum and framing; raises [Corrupt], touches
+     no state. *)
+  let unframe ~pos block =
+    let r = Wire.Reader.of_string block in
+    try
+      let crc = Wire.Reader.u32 r in
+      let body_off = Wire.Reader.pos r in
+      let body_len = String.length block - body_off in
+      let actual =
+        Crc32.digest (Bytes.unsafe_of_string block) ~pos:body_off ~len:body_len
+      in
+      if not (Int32.equal crc actual) then
+        corrupt "block %d checksum mismatch" pos;
+      let server = Wire.Reader.varint r in
+      let txn_seq = Wire.Reader.varint r in
+      let frag_idx = Wire.Reader.varint r in
+      let last = Wire.Reader.u8 r = 1 in
+      let payload = Wire.Reader.bytes r in
+      ((server, txn_seq), frag_idx, last, payload)
+    with Wire.Truncated -> corrupt "block %d truncated" pos
+
+  let verify ~pos block = ignore (unframe ~pos block)
+
   module Reassembler = struct
-    type partial = { buf : Buffer.t; mutable next_frag : int }
-    type t = { partials : (int * int, partial) Hashtbl.t }
+    (* Each partial is its fragments' payloads, newest first; being
+       immutable, [copy] is a shallow table copy. *)
+    type t = { partials : (int * int, string list) Hashtbl.t }
 
     let create () = { partials = Hashtbl.create 64 }
+    let copy t = { partials = Hashtbl.copy t.partials }
 
     let feed t ~pos block =
-      let r = Wire.Reader.of_string block in
-      try
-        let crc = Wire.Reader.u32 r in
-        let body_off = Wire.Reader.pos r in
-        let body_len = String.length block - body_off in
-        let actual =
-          Crc32.digest (Bytes.unsafe_of_string block) ~pos:body_off ~len:body_len
-        in
-        if not (Int32.equal crc actual) then
-          corrupt "block %d checksum mismatch" pos;
-        let server = Wire.Reader.varint r in
-        let txn_seq = Wire.Reader.varint r in
-        let frag_idx = Wire.Reader.varint r in
-        let last = Wire.Reader.u8 r = 1 in
-        let payload = Wire.Reader.bytes r in
-        let key = (server, txn_seq) in
-        let found = Hashtbl.find_opt t.partials key in
-        let expected = match found with Some p -> p.next_frag | None -> 0 in
-        (* check before inserting: a rejected first fragment must not
-           leave an empty partial behind *)
-        if frag_idx <> expected then
-          corrupt "block %d: fragment %d arrived out of order (expected %d)"
-            pos frag_idx expected;
-        let partial =
-          match found with
-          | Some p -> p
-          | None ->
-              let p = { buf = Buffer.create 1024; next_frag = 0 } in
-              Hashtbl.add t.partials key p;
-              p
-        in
-        Buffer.add_string partial.buf payload;
-        partial.next_frag <- partial.next_frag + 1;
-        if last then begin
-          Hashtbl.remove t.partials key;
-          Some (pos, Buffer.contents partial.buf)
-        end
-        else None
-      with Wire.Truncated -> corrupt "block %d truncated" pos
+      let key, frag_idx, last, payload = unframe ~pos block in
+      let rev_payloads =
+        Option.value ~default:[] (Hashtbl.find_opt t.partials key)
+      in
+      let expected = List.length rev_payloads in
+      if frag_idx <> expected then
+        corrupt "block %d: fragment %d arrived out of order (expected %d)" pos
+          frag_idx expected;
+      if last then begin
+        Hashtbl.remove t.partials key;
+        Some (pos, String.concat "" (List.rev (payload :: rev_payloads)))
+      end
+      else begin
+        Hashtbl.replace t.partials key (payload :: rev_payloads);
+        None
+      end
 
     let pending t = Hashtbl.length t.partials
   end

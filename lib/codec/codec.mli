@@ -97,6 +97,11 @@ module Blocks : sig
   val blocks_needed : block_size:int -> int -> int
   (** How many blocks a payload of the given size occupies. *)
 
+  val verify : pos:int -> string -> unit
+  (** Check a block's checksum and framing without reassembling it.
+      Raises {!Corrupt} exactly when {!Reassembler.feed} would for a
+      reason other than fragment order. *)
+
   (** Reassembles interleaved block streams back into intentions.  Blocks
       from different servers interleave arbitrarily in the log; blocks of
       one intention arrive in order because each server appends them in
@@ -106,10 +111,16 @@ module Blocks : sig
 
     val create : unit -> t
 
+    val copy : t -> t
+    (** An independent copy of the outstanding partials: feeding one
+        leaves the other as it was. *)
+
     val feed : t -> pos:int -> string -> (int * string) option
     (** Offer the block at log position [pos].  Returns
         [Some (intention_pos, bytes)] when this block completes an
-        intention; [intention_pos] is [pos] of this (last) block. *)
+        intention; [intention_pos] is [pos] of this (last) block.
+        Raises {!Corrupt} on a checksum mismatch, a truncated frame or a
+        fragment out of order, and then leaves [t] as it was. *)
 
     val pending : t -> int
     (** Intentions with fragments outstanding. *)

@@ -1,23 +1,14 @@
 module Intention = Hyder_codec.Intention
-module Codec = Hyder_codec.Codec
-module Mem_log = Hyder_log.Mem_log
 
 type t = {
   pipeline : Pipeline.t;
-  use_codec : bool;
-  log : Mem_log.t;
-  reassembler : Codec.Blocks.Reassembler.t;
   mutable next_txn_seq : int;
-  mutable fake_pos : int;  (** position source when bypassing the codec *)
+  mutable fake_pos : int;  (** synthetic log position source *)
 }
 
-let create ?(config = Pipeline.plain) ?(use_codec = false)
-    ?(block_size = 8192) ~genesis () =
+let create ?(config = Pipeline.plain) ~genesis () =
   {
     pipeline = Pipeline.create ~config ~genesis ();
-    use_codec;
-    log = Mem_log.create ~block_size ();
-    reassembler = Codec.Blocks.Reassembler.create ();
     next_txn_seq = 0;
     fake_pos = 0;
   }
@@ -25,36 +16,12 @@ let create ?(config = Pipeline.plain) ?(use_codec = false)
 let lcs t = Pipeline.lcs t.pipeline
 let pipeline t = t.pipeline
 let counters t = Pipeline.counters t.pipeline
-let log t = t.log
 
 let submit_draft t (draft : Intention.draft) =
-  if t.use_codec then begin
-    let bytes = Codec.encode draft in
-    let blocks =
-      Codec.Blocks.split ~block_size:(Mem_log.block_size t.log)
-        ~server:draft.server ~txn_seq:draft.txn_seq bytes
-    in
-    let completed = ref None in
-    List.iter
-      (fun block ->
-        let pos = Mem_log.append t.log block in
-        match Codec.Blocks.Reassembler.feed t.reassembler ~pos block with
-        | Some done_ -> completed := Some done_
-        | None -> ())
-      blocks;
-    match !completed with
-    | None -> failwith "Local.submit_draft: intention never completed"
-    | Some (pos, bytes) ->
-        let intention = Pipeline.decode t.pipeline ~pos bytes in
-        Pipeline.submit t.pipeline intention
-  end
-  else begin
-    (* Bypass the codec: hand out synthetic, strictly increasing log
-       positions (two per intention, imitating the paper's ~2 blocks). *)
-    t.fake_pos <- t.fake_pos + 2;
-    let intention = Intention.assign ~pos:t.fake_pos draft in
-    Pipeline.submit t.pipeline intention
-  end
+  (* Hand out synthetic, strictly increasing log positions (two per
+     intention, imitating the paper's ~2 blocks). *)
+  t.fake_pos <- t.fake_pos + 2;
+  Pipeline.submit t.pipeline (Intention.assign ~pos:t.fake_pos draft)
 
 let txn t ?(isolation = Intention.Serializable) body =
   let _seq, pos, tree = Pipeline.lcs t.pipeline in

@@ -1,23 +1,19 @@
 open Hyder_tree
 
-(** Single-process Hyder: one executor, an in-memory log, and the meld
-    pipeline, all in one address space — the setup of the original meld
-    paper [8], and the harness tests and single-node benchmarks drive.
+(** Single-process Hyder: one executor and the meld pipeline in one
+    address space, with no log — the setup of the original meld paper
+    [8], and the in-process algorithmic harness tests and single-node
+    benchmarks drive.
 
-    With [use_codec:true] every transaction takes the full path —
-    serialize → split into blocks → append to an in-memory log →
-    reassemble → deserialize — before melding, so intention byte sizes and
-    codec behaviour are exercised and recorded.  With [use_codec:false]
-    (default) the draft is assigned its log identity directly, which is
-    semantically identical (see {!Hyder_codec.Intention.assign}) and much
-    faster for algorithmic experiments. *)
+    Each draft is assigned its log identity directly
+    ({!Hyder_codec.Intention.assign}), which is semantically identical to
+    serializing, logging and deserializing it.  The wire path — blocks,
+    reassembly and decode — is {!Server}'s. *)
 
 type t
 
 val create :
   ?config:Pipeline.config ->
-  ?use_codec:bool ->
-  ?block_size:int ->
   genesis:Tree.t ->
   unit ->
   t
@@ -33,7 +29,7 @@ val txn :
     transactions return no decisions: they are never logged or melded. *)
 
 val submit_draft : t -> Hyder_codec.Intention.draft -> Pipeline.decision list
-(** Lower-level entry: append and meld an explicit draft. *)
+(** Lower-level entry: meld an explicit draft. *)
 
 val flush : t -> Pipeline.decision list
 (** Flush a pending partial group. *)
@@ -41,6 +37,3 @@ val flush : t -> Pipeline.decision list
 val lcs : t -> int * int * Tree.t
 val pipeline : t -> Pipeline.t
 val counters : t -> Counters.t
-val log : t -> Hyder_log.Mem_log.t
-(** The backing in-memory log ([use_codec:true] only appends blocks to
-    it). *)

@@ -1,51 +1,71 @@
 module Intention = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
-
-type outcome = Committed | Aborted of Meld.abort_reason
+module Reassembler = Codec.Blocks.Reassembler
 
 type t = {
   server_id : int;
   block_size : int;
   pipeline : Pipeline.t;
-  reassembler : Codec.Blocks.Reassembler.t;
+  reassembler : Reassembler.t;
+  buffered : (int, string) Hashtbl.t;  (** raw blocks past the first gap *)
+  mutable next_pos : int;
   mutable next_txn_seq : int;
-  mutable decision_handler : (txn_seq:int -> outcome -> unit) option;
+  mutable decision_handler : Pipeline.decision -> unit;
+  mutable meld_handler : pos:int -> unit;
 }
 
-let create ?(config = Pipeline.plain) ?(block_size = 8192) ~server_id ~genesis
-    () =
+type checkpoint = {
+  replay_from : int;
+  meld : Checkpoint.t;
+  partials : Reassembler.t;
+}
+
+let make ~server_id ~block_size ~next_pos ~next_txn_seq pipeline reassembler =
   {
     server_id;
     block_size;
-    pipeline = Pipeline.create ~config ~genesis ();
-    reassembler = Codec.Blocks.Reassembler.create ();
-    next_txn_seq = 0;
-    decision_handler = None;
-  }
-
-let checkpoint t = Pipeline.checkpoint t.pipeline
-
-let restore ?(config = Pipeline.plain) ?(block_size = 8192)
-    ?(next_txn_seq = 0) ~server_id ckpt =
-  {
-    server_id;
-    block_size;
-    pipeline = Pipeline.restore ~config ckpt;
-    (* Partially reassembled intentions died with the process; their
-       remaining blocks replay from the log, so reassembly restarts
-       cleanly from the checkpoint position. *)
-    reassembler = Codec.Blocks.Reassembler.create ();
+    pipeline;
+    reassembler;
+    buffered = Hashtbl.create 16;
+    next_pos;
     next_txn_seq;
-    decision_handler = None;
+    decision_handler = ignore;
+    meld_handler = (fun ~pos:_ -> ());
   }
 
-let replay_from ckpt = ckpt.Checkpoint.pos + 1
+let create ?(config = Pipeline.plain) ?(block_size = 8192) ?runtime ?flight
+    ~server_id ~genesis () =
+  make ~server_id ~block_size ~next_pos:0 ~next_txn_seq:0
+    (Pipeline.create ~config ?runtime ?flight ~genesis ())
+    (Reassembler.create ())
 
+(* Blocks at positions < [next_pos] are all in the pipeline or in the
+   reassembler's partials, so freezing both makes a replay from
+   [next_pos] exact even when an intention straddles the checkpoint. *)
+let checkpoint t =
+  Option.map
+    (fun meld ->
+      {
+        replay_from = t.next_pos;
+        meld;
+        partials = Reassembler.copy t.reassembler;
+      })
+    (Pipeline.checkpoint t.pipeline)
+
+let restore ?(config = Pipeline.plain) ?(block_size = 8192) ?runtime ?flight
+    ?(next_txn_seq = 0) ~server_id ckpt =
+  make ~server_id ~block_size ~next_pos:ckpt.replay_from ~next_txn_seq
+    (Pipeline.restore ~config ?runtime ?flight ckpt.meld)
+    (Reassembler.copy ckpt.partials)
+
+let replay_from ckpt = ckpt.replay_from
 let server_id t = t.server_id
 let lcs t = Pipeline.lcs t.pipeline
-let pipeline t = t.pipeline
 let counters t = Pipeline.counters t.pipeline
-let on_decision t f = t.decision_handler <- Some f
+let next_pos t = t.next_pos
+let buffered t = Hashtbl.length t.buffered
+let on_decision t f = t.decision_handler <- f
+let on_meld t f = t.meld_handler <- f
 
 let txn t ?(isolation = Intention.Serializable) body =
   let _, pos, tree = Pipeline.lcs t.pipeline in
@@ -66,26 +86,58 @@ let txn t ?(isolation = Intention.Serializable) body =
       in
       (result, Some (txn_seq, blocks))
 
-let observe_block t ~pos block =
-  match Codec.Blocks.Reassembler.feed t.reassembler ~pos block with
-  | None -> []
-  | Some (intention_pos, bytes) ->
-      let intention = Pipeline.decode t.pipeline ~pos:intention_pos bytes in
-      let decisions = Pipeline.submit t.pipeline intention in
-      (match t.decision_handler with
-      | None -> ()
-      | Some handler ->
-          List.iter
-            (fun (d : Pipeline.decision) ->
-              if d.Pipeline.server = t.server_id then
-                handler ~txn_seq:d.Pipeline.txn_seq
-                  (if d.Pipeline.committed then Committed
-                   else
-                     Aborted
-                       (Option.value
-                          ~default:(Meld.Write_conflict (-1))
-                          d.Pipeline.reason)))
-            decisions);
-      decisions
+let deliver t ds =
+  List.iter
+    (fun (d : Pipeline.decision) ->
+      if d.Pipeline.server = t.server_id then t.decision_handler d)
+    ds;
+  ds
 
+type observed = Accepted of Pipeline.decision list | Duplicate | Rejected
+
+(* Feed the block at [next_pos] and meld what it completes; [None] when
+   the reassembler rejects it, which leaves every piece of state as it
+   was.  A CRC-valid intention that fails to decode still raises: every
+   server reads the same bytes, so skipping it would change semantics. *)
+let feed t block =
+  let pos = t.next_pos in
+  match Reassembler.feed t.reassembler ~pos block with
+  | exception Codec.Corrupt _ -> None
+  | completed ->
+      let ds =
+        match completed with
+        | None -> []
+        | Some (ipos, bytes) ->
+            Pipeline.submit_wire_batch t.pipeline [ (ipos, bytes) ]
+      in
+      t.next_pos <- pos + 1;
+      t.meld_handler ~pos;
+      Some ds
+
+(* A buffered block that fails to feed is dropped, as if never delivered:
+   the gap it leaves is the caller's to repair. *)
+let rec drain t rev_ds =
+  match Hashtbl.find_opt t.buffered t.next_pos with
+  | None -> List.rev rev_ds
+  | Some block -> (
+      Hashtbl.remove t.buffered t.next_pos;
+      match feed t block with
+      | None -> List.rev rev_ds
+      | Some ds -> drain t (List.rev_append ds rev_ds))
+
+let observe_block t ~pos block =
+  if pos < t.next_pos || Hashtbl.mem t.buffered pos then Duplicate
+  else if pos > t.next_pos then
+    match Codec.Blocks.verify ~pos block with
+    | () ->
+        Hashtbl.replace t.buffered pos block;
+        Accepted []
+    | exception Codec.Corrupt _ -> Rejected
+  else
+    match feed t block with
+    | None -> Rejected
+    | Some ds -> Accepted (deliver t (drain t (List.rev ds)))
+
+let flush t = deliver t (Pipeline.flush t.pipeline)
 let prune t ~keep = Pipeline.prune t.pipeline ~keep
+let shutdown t = Pipeline.shutdown t.pipeline

@@ -1,92 +1,106 @@
 open Hyder_tree
 
-(** A Hyder II transaction server (Section 5.2).
+(** A Hyder II transaction server (Section 5.2): the one per-server loop
+    that turns log blocks into meld decisions.
 
-    Ties the pieces together the way a deployed server does: transactions
-    execute against the server's current last-committed state and their
-    intentions are serialized and appended to the shared log; every block
-    observed on the log (its own appends and other servers' — in a real
-    deployment via broadcast) is reassembled and fed through the meld
-    pipeline in log order; commit/abort outcomes are delivered back to the
-    issuing transaction's completion callback.
-
-    Several servers sharing one log and observing every block converge to
-    physically identical states — the architecture's core claim, and what
-    the integration tests assert.  For the performance-model version of all
-    this (simulated time, queueing), see {!Hyder_cluster.Cluster}. *)
+    Transactions execute against the server's last-committed state and
+    their intentions are serialized into blocks for the shared log; every
+    block observed on the log (its own and other servers', in any order)
+    is reassembled and melded in log order, and each outcome goes back to
+    the issuing server.  Servers observing one log converge to physically
+    identical states.  {!Hyder_cluster.Replica} runs one per replica under
+    injected faults; {!Hyder_cluster.Cluster} is the performance model. *)
 
 type t
 
 val create :
   ?config:Pipeline.config ->
   ?block_size:int ->
+  ?runtime:Runtime.backend ->
+  ?flight:Hyder_obs.Flight.t ->
   server_id:int ->
   genesis:Tree.t ->
   unit ->
   t
+(** [runtime] and [flight] pass straight to {!Pipeline.create}. *)
 
 val server_id : t -> int
-
-(** {1 Transactions} *)
-
-type outcome = Committed | Aborted of Meld.abort_reason
 
 val txn :
   t ->
   ?isolation:Hyder_codec.Intention.isolation ->
   (Executor.t -> 'a) ->
   'a * (int * string list) option
-(** Execute a transaction on the current LCS.  Read-only transactions
-    return [None] (nothing to log).  Write transactions return
-    [Some (txn_seq, blocks)]: the caller appends the blocks to the shared
-    log (in order) and feeds every log block back via {!observe_block} —
-    the decision arrives through {!on_decision} once this server's own
-    pipeline melds the intention. *)
+(** Execute a transaction on the current LCS.  A write transaction
+    returns [Some (txn_seq, blocks)] for the caller to append to the log
+    in order; its decision arrives through {!on_decision} once the blocks
+    come back through {!observe_block}.  Read-only ones return [None]. *)
 
-val on_decision : t -> (txn_seq:int -> outcome -> unit) -> unit
-(** Register the decision callback for locally issued transactions. *)
+val on_decision : t -> (Pipeline.decision -> unit) -> unit
+(** Register the callback for decisions on this server's own
+    transactions. *)
 
-(** {1 Log ingestion} *)
+type observed =
+  | Accepted of Pipeline.decision list
+      (** decisions that became final, any server's; none while the block
+          waits behind a gap *)
+  | Duplicate  (** already fed, or already waiting *)
+  | Rejected
+      (** checksum mismatch, truncated frame or fragment out of order;
+          nothing changed *)
 
-val observe_block : t -> pos:int -> string -> Pipeline.decision list
-(** Feed the block at log position [pos].  Blocks must arrive in log order
-    (a real deployment's reader guarantees this per server).  Completes
-    intentions, melds them, and returns the decisions that became final
-    (for any server's transactions). *)
+val observe_block : t -> pos:int -> string -> observed
+(** Offer the block at log position [pos], in any order, any number of
+    times.  Blocks past the first gap wait raw; the reassembler sees
+    blocks strictly in log order and each completed intention melds
+    through {!Pipeline.submit_wire_batch}.  A waiting block that fails to
+    feed on its turn is dropped, leaving the gap to the caller.  A
+    checksum-valid intention that fails to decode raises
+    {!Hyder_codec.Codec.Corrupt}. *)
+
+val on_meld : t -> (pos:int -> unit) -> unit
+(** Register the callback run once the block at each position has been
+    fed and what it completed has melded. *)
+
+val next_pos : t -> int
+val buffered : t -> int
+(** Blocks waiting behind the gap at {!next_pos}. *)
+
+val flush : t -> Pipeline.decision list
+(** Force a partially filled group through final meld (stream end). *)
 
 val lcs : t -> int * int * Tree.t
-val pipeline : t -> Pipeline.t
 val counters : t -> Counters.t
-
 val prune : t -> keep:int -> unit
-(** Bound retained history (states + reassembly). *)
+val shutdown : t -> unit
 
 (** {1 Crash recovery}
 
-    The broadcast is an optimization; the log is the ground truth.  A
-    server checkpoints periodically; after a crash it restarts from its
-    latest checkpoint and replays every log block from {!replay_from}
-    through {!observe_block}, producing exactly the decisions and states
-    it would have had — then rejoins the live feed. *)
+    The log is the ground truth: a restarted server restores its latest
+    checkpoint and replays every block from {!replay_from} through
+    {!observe_block}, reproducing exactly the decisions, states and
+    counters it would have had. *)
 
-val checkpoint : t -> Checkpoint.t option
-(** Capture a recovery checkpoint of the meld pipeline.  [None] while a
-    meld group is partially assembled — retry at the next group
-    boundary. *)
+type checkpoint
+
+val checkpoint : t -> checkpoint option
+(** {!Pipeline.checkpoint} plus a frozen copy of the reassembler's
+    partial intentions, so an intention straddling the checkpoint
+    reassembles exactly on replay.  [None] mid-group. *)
 
 val restore :
   ?config:Pipeline.config ->
   ?block_size:int ->
+  ?runtime:Runtime.backend ->
+  ?flight:Hyder_obs.Flight.t ->
   ?next_txn_seq:int ->
   server_id:int ->
-  Checkpoint.t ->
+  checkpoint ->
   t
-(** Rebuild a server from a checkpoint.  [config] must match the shape
-    the checkpoint was captured under.  In-flight transactions and
-    partially reassembled blocks are lost (their blocks replay from the
-    log); [next_txn_seq] restarts transaction numbering — give restarted
-    transactions fresh numbers if old intentions of this server may still
-    be in flight in peers' reassemblers. *)
+(** Rebuild a server from a checkpoint (any number of times).  [config]
+    must match the capturing server's.  Waiting blocks and in-flight
+    transactions are lost; [next_txn_seq] restarts transaction
+    numbering. *)
 
-val replay_from : Checkpoint.t -> int
-(** First log position a restored server must replay: [checkpoint.pos + 1]. *)
+val replay_from : checkpoint -> int
+(** One past the last block fed before the checkpoint. *)

@@ -1,5 +1,7 @@
 open Hyder_tree
 module Local = Hyder_core.Local
+module Server = Hyder_core.Server
+module Codec = Hyder_codec.Codec
 module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
 module Premeld = Hyder_core.Premeld
@@ -390,27 +392,65 @@ let test_premeld_index_arithmetic () =
 (* Codec-path equivalence                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The direct path ([Local]: drafts assigned their log identity) and the
+   wire path ([Server] fed its own blocks: encode, split, reassemble,
+   decode) make the same decisions and reach the same state. *)
 let test_codec_path_equivalence () =
-  let run use_codec =
-    let h = Local.create ~use_codec ~genesis:(Helpers.genesis ~gap:10 100) () in
+  let genesis = Helpers.genesis ~gap:10 100 in
+  let run ~lcs ~submit =
     let rng = Hyder_util.Rng.create 99L in
+    let begin_txn () =
+      let _, pos, tree = lcs () in
+      incr Helpers.txn_counter;
+      Executor.begin_txn ~snapshot_pos:pos ~snapshot:tree ~server:0
+        ~txn_seq:!Helpers.txn_counter ~isolation:I.Serializable ()
+    in
+    let commit1 e =
+      match submit (Option.get (Executor.finish e)) with
+      | [ d ] -> d.Pipeline.committed
+      | ds -> Alcotest.failf "expected one decision, got %d" (List.length ds)
+    in
     let outcomes = ref [] in
     for _ = 1 to 100 do
-      let t1 = Helpers.begin_txn h in
-      let t2 = Helpers.begin_txn h in
+      let t1 = begin_txn () in
+      let t2 = begin_txn () in
       Executor.write t1 (10 * Hyder_util.Rng.int rng 120) "x";
       ignore (Executor.read t2 (10 * Hyder_util.Rng.int rng 100));
       Executor.write t2 (10 * Hyder_util.Rng.int rng 120) "y";
-      outcomes := Helpers.commit1 h t1 :: !outcomes;
-      outcomes := Helpers.commit1 h t2 :: !outcomes
+      outcomes := commit1 t1 :: !outcomes;
+      outcomes := commit1 t2 :: !outcomes
     done;
-    let _, _, lcs = Local.lcs h in
+    let _, _, lcs = lcs () in
     (!outcomes, Tree.to_alist lcs)
   in
   Helpers.txn_counter := 1000;
-  let d1, s1 = run false in
+  let local = Local.create ~genesis () in
+  let d1, s1 =
+    run ~lcs:(fun () -> Local.lcs local) ~submit:(Local.submit_draft local)
+  in
   Helpers.txn_counter := 1000;
-  let d2, s2 = run true in
+  (* small blocks, so some intentions span several *)
+  let block_size = 256 in
+  let server = Server.create ~block_size ~server_id:0 ~genesis () in
+  let multi_block = ref 0 in
+  let submit (draft : I.draft) =
+    let blocks =
+      Codec.Blocks.split ~block_size ~server:0 ~txn_seq:draft.I.txn_seq
+        (Codec.encode draft)
+    in
+    if List.length blocks > 1 then incr multi_block;
+    List.concat_map
+      (fun block ->
+        match
+          Server.observe_block server ~pos:(Server.next_pos server) block
+        with
+        | Server.Accepted ds -> ds
+        | Server.Duplicate | Server.Rejected ->
+            Alcotest.fail "own block refused")
+      blocks
+  in
+  let d2, s2 = run ~lcs:(fun () -> Server.lcs server) ~submit in
+  check "some intentions span several blocks" true (!multi_block > 0);
   check "same decisions" true (d1 = d2);
   Alcotest.check Helpers.alist_testable "same state" s1 s2
 

@@ -12,6 +12,7 @@ module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
 module Mem_log = Hyder_log.Mem_log
 module Rng = Hyder_util.Rng
+module Replica = Hyder_cluster.Replica
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -22,7 +23,7 @@ type deployment = {
   servers : Server.t array;
   log : Mem_log.t;
   mutable delivered : int;
-  decisions : (int * int, Server.outcome) Hashtbl.t;  (* (server, txn_seq) *)
+  decisions : (int * int, bool) Hashtbl.t;  (* (server, txn_seq) -> committed *)
 }
 
 let deploy ?(config = Pipeline.plain) n ~genesis_size =
@@ -41,10 +42,17 @@ let deploy ?(config = Pipeline.plain) n ~genesis_size =
   in
   Array.iter
     (fun s ->
-      Server.on_decision s (fun ~txn_seq outcome ->
-          Hashtbl.replace d.decisions (Server.server_id s, txn_seq) outcome))
+      Server.on_decision s (fun x ->
+          Hashtbl.replace d.decisions
+            (Server.server_id s, x.Pipeline.txn_seq)
+            x.Pipeline.committed))
     servers;
   d
+
+let accepted = function
+  | Server.Accepted ds -> ds
+  | Server.Duplicate -> Alcotest.fail "unexpected duplicate"
+  | Server.Rejected -> Alcotest.fail "unexpected rejection"
 
 let append_blocks d blocks =
   List.iter (fun b -> ignore (Mem_log.append d.log b)) blocks
@@ -56,7 +64,9 @@ let pump d =
   for pos = d.delivered to len - 1 do
     let block = Mem_log.read d.log pos in
     let all =
-      Array.map (fun s -> Server.observe_block s ~pos block) d.servers
+      Array.map
+        (fun s -> accepted (Server.observe_block s ~pos block))
+        d.servers
     in
     (* Every server sees the same decisions, in the same order. *)
     Array.iter
@@ -99,7 +109,7 @@ let test_two_servers_sequential () =
   assert_converged d;
   check_int "all delivered decisions" 20 (Hashtbl.length d.decisions);
   Hashtbl.iter
-    (fun _ outcome -> check "all commit" true (outcome = Server.Committed))
+    (fun _ committed -> check "all commit" true committed)
     d.decisions
 
 let test_conflicting_concurrent_servers () =
@@ -124,7 +134,7 @@ let test_conflicting_concurrent_servers () =
   let outcomes = Hashtbl.fold (fun _ o acc -> o :: acc) d.decisions [] in
   check_int "three decisions" 3 (List.length outcomes);
   check_int "exactly one winner" 1
-    (List.length (List.filter (fun o -> o = Server.Committed) outcomes));
+    (List.length (List.filter Fun.id outcomes));
   let _, _, lcs = Server.lcs d.servers.(0) in
   match Tree.lookup lcs 50 with
   | Some (Payload.Value v) ->
@@ -202,6 +212,189 @@ let test_interleaved_multiblock_intentions () =
   let _, _, lcs = Server.lcs d.servers.(0) in
   check "both inserts present" true (Tree.mem lcs 100 && Tree.mem lcs 200)
 
+(* ------------------------------------------------------------------ *)
+(* Delivery, recovery and corruption: one observer, one log             *)
+(* ------------------------------------------------------------------ *)
+
+(* What an observer ends with: every decision in the order it became
+   final, the tree digest and the counters digest. *)
+let outcome s rev_ds =
+  let ds = List.rev_append rev_ds (Server.flush s) in
+  let _, _, tree = Server.lcs s in
+  (ds, Tree.digest tree, Replica.counters_digest (Server.counters s))
+
+let same_outcome name (ds, tree, counters) (ds', tree', counters') =
+  check (name ^ ": decisions") true (ds = ds');
+  Alcotest.(check string) (name ^ ": tree digest") tree tree';
+  Alcotest.(check string) (name ^ ": counters digest") counters counters'
+
+let observer ~config genesis =
+  Server.create ~config ~block_size:512 ~server_id:99 ~genesis ()
+
+(* Feed one block that must be accepted, its decisions onto [rev_ds]. *)
+let feed_one s ~pos block rev_ds =
+  List.rev_append (accepted (Server.observe_block s ~pos block)) rev_ds
+
+(* Feed positions [from, until) in order onto [rev_ds]. *)
+let feed s log ~from ~until rev_ds =
+  let acc = ref rev_ds in
+  for pos = from to until - 1 do
+    acc := feed_one s ~pos log.(pos) !acc
+  done;
+  !acc
+
+let in_order ~config genesis log =
+  let s = observer ~config genesis in
+  outcome s (feed s log ~from:0 ~until:(Array.length log) [])
+
+(* A seeded multi-server history whose intentions partly span several
+   blocks; returns the genesis and the log. *)
+let seeded_log ~config =
+  let d = deploy ~config 3 ~genesis_size:200 in
+  let rng = Rng.create 2024L in
+  let intentions = ref 0 in
+  for round = 1 to 40 do
+    let batch =
+      List.filter_map
+        (fun _ ->
+          let s = d.servers.(Rng.int rng 3) in
+          snd
+            (Server.txn s (fun e ->
+                 for _ = 1 to 1 + Rng.int rng 3 do
+                   let k = 10 * Rng.int rng 220 in
+                   if Rng.bool rng then ignore (Executor.read e k)
+                   else Executor.write e k (Printf.sprintf "r%d" round)
+                 done;
+                 let big = Rng.int rng 3 = 0 in
+                 Executor.write e
+                   (10 * Rng.int rng 220)
+                   (if big then String.make 700 'b' else "w"))))
+        (List.init (1 + Rng.int rng 3) Fun.id)
+    in
+    List.iter
+      (fun (_, blocks) ->
+        incr intentions;
+        append_blocks d blocks)
+      batch;
+    if Rng.int rng 3 <> 0 then pump d
+  done;
+  pump d;
+  let log = Array.init (Mem_log.length d.log) (Mem_log.read d.log) in
+  check "some intentions span several blocks" true
+    (Array.length log > !intentions);
+  (Helpers.genesis ~gap:10 200, log)
+
+let test_shuffled_delivery_with_duplicates () =
+  List.iter
+    (fun config ->
+      let genesis, log = seeded_log ~config in
+      let n = Array.length log in
+      let rng = Rng.create 7L in
+      let deliveries =
+        Array.of_list
+          (List.init n Fun.id
+          @ List.filter (fun _ -> Rng.int rng 3 = 0) (List.init n Fun.id))
+      in
+      Rng.shuffle rng deliveries;
+      let s = observer ~config genesis in
+      let rev_ds = ref [] and dups = ref 0 in
+      Array.iter
+        (fun pos ->
+          match Server.observe_block s ~pos log.(pos) with
+          | Server.Accepted ds -> rev_ds := List.rev_append ds !rev_ds
+          | Server.Duplicate -> incr dups
+          | Server.Rejected -> Alcotest.fail "clean block rejected")
+        deliveries;
+      check_int "every duplicate reported" (Array.length deliveries - n) !dups;
+      check_int "fed to the end" n (Server.next_pos s);
+      check_int "nothing left waiting" 0 (Server.buffered s);
+      same_outcome "shuffled = in order" (in_order ~config genesis log)
+        (outcome s !rev_ds))
+    [ Pipeline.plain; Pipeline.with_premeld; Pipeline.with_both ]
+
+(* Two servers' three-block intentions, interleaved: a0 b0 a1 b1 a2 b2. *)
+let interleaved_log () =
+  let d = deploy 2 ~genesis_size:50 in
+  let big = String.make 900 'p' in
+  let blocks s k =
+    snd (Option.get (snd (Server.txn s (fun e -> Executor.write e k big))))
+  in
+  let b0 = blocks d.servers.(0) 100 and b1 = blocks d.servers.(1) 200 in
+  check_int "three blocks each" 6 (List.length b0 + List.length b1);
+  ( Helpers.genesis ~gap:10 50,
+    Array.of_list (List.concat (List.map2 (fun x y -> [ x; y ]) b0 b1)) )
+
+(* Crash after every position, restore from the checkpoint taken there
+   (twice, from the one checkpoint) and replay the rest: the partials
+   carried in the checkpoint make intentions straddling it exact. *)
+let test_restore_at_every_boundary () =
+  let genesis, log = interleaved_log () in
+  let n = Array.length log in
+  List.iter
+    (fun (config, boundaries) ->
+      let reference = in_order ~config genesis log in
+      let restored = ref 0 in
+      for crash_after = 0 to n - 1 do
+        let s = observer ~config genesis in
+        let before = feed s log ~from:0 ~until:(crash_after + 1) [] in
+        match Server.checkpoint s with
+        | None -> ()
+        | Some c ->
+            incr restored;
+            check_int "replay starts after the crash" (crash_after + 1)
+              (Server.replay_from c);
+            for _ = 1 to 2 do
+              let s' = Server.restore ~config ~block_size:512 ~server_id:99 c in
+              let after =
+                feed s' log ~from:(Server.replay_from c) ~until:n before
+              in
+              same_outcome
+                (Printf.sprintf "restored after %d" crash_after)
+                reference (outcome s' after)
+            done
+      done;
+      check_int "group boundaries" boundaries !restored)
+    [ (Pipeline.plain, 6); (Pipeline.with_both, 5) ]
+
+let flip_bit rng block =
+  let b = Bytes.of_string block in
+  let i = Rng.int rng (Bytes.length b) in
+  let flipped = Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8) in
+  Bytes.set b i (Char.chr flipped);
+  Bytes.to_string b
+
+(* Before each good block arrives: a bit-flipped copy of it, a truncated
+   copy of it, a bit-flipped copy of the next block, and a CRC-valid
+   block from the same server whose fragment is out of order.  Each is
+   rejected and leaves no state behind. *)
+let test_corrupt_blocks_rejected () =
+  let genesis, log = interleaved_log () in
+  let n = Array.length log in
+  List.iter
+    (fun config ->
+      let rng = Rng.create 5L in
+      let s = observer ~config genesis in
+      let rev_ds = ref [] in
+      let rejected ~pos block =
+        let next = Server.next_pos s in
+        check "rejected" true
+          (Server.observe_block s ~pos block = Server.Rejected);
+        check_int "next_pos unmoved" next (Server.next_pos s);
+        check_int "nothing buffered" 0 (Server.buffered s)
+      in
+      for pos = 0 to n - 1 do
+        rejected ~pos (flip_bit rng log.(pos));
+        rejected ~pos (String.sub log.(pos) 0 (String.length log.(pos) / 2));
+        if pos + 1 < n then
+          rejected ~pos:(pos + 1) (flip_bit rng log.(pos + 1));
+        rejected ~pos log.(if pos + 2 < n then pos + 2 else pos - 4);
+        rev_ds := feed_one s ~pos log.(pos) !rev_ds
+      done;
+      same_outcome "corrupt copies change nothing"
+        (in_order ~config genesis log)
+        (outcome s !rev_ds))
+    [ Pipeline.plain; Pipeline.with_both ]
+
 let () =
   Alcotest.run "server"
     [
@@ -215,5 +408,14 @@ let () =
             test_random_multi_server_convergence;
           Alcotest.test_case "interleaved multiblock" `Quick
             test_interleaved_multiblock_intentions;
+        ] );
+      ( "one log",
+        [
+          Alcotest.test_case "shuffled delivery with duplicates" `Quick
+            test_shuffled_delivery_with_duplicates;
+          Alcotest.test_case "restore at every group boundary" `Quick
+            test_restore_at_every_boundary;
+          Alcotest.test_case "corrupt blocks rejected" `Quick
+            test_corrupt_blocks_rejected;
         ] );
     ]
