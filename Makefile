@@ -12,22 +12,20 @@ test:
 check:
 	dune build && dune runtest
 
-# ~60-second smoke of the benchmark harness: the runtime-backends
-# cross-check replays one premeld-bound history through the sequential
-# and domain-parallel schedulers and verifies bit-identical results,
-# pipeline-overlap replays one wire stream through seq/par:4/pipe:4 and
-# records per-stage stage_us plus the pipelined backend's offload stats,
+# ~60-second smoke of the benchmark harness: pipeline-overlap replays
+# one wire stream through seq and pipe:4, verifies bit-identical results
+# and records per-stage stage_us plus the pipelined backend's offload stats,
 # and fig11 (nodes visited by final meld per optimization) contributes
 # four cluster runs so BENCH_SMOKE.json carries real perf data
 # (write_tps, stage_us, conflict-zone stats) for the trajectory.  The
 # gate script then enforces the pipelining regression contract: pipe:4
 # bit-identical to seq with a strictly lower driver critical path.
 bench-smoke:
-	dune exec bench/main.exe -- --json=BENCH_SMOKE.json --quick runtime pipeline-overlap fig11
+	dune exec bench/main.exe -- --json=BENCH_SMOKE.json --quick pipeline-overlap fig11
 	python3 scripts/check_bench_smoke.py BENCH_SMOKE.json
 
 # Tracked macro-benchmark: replays one mixed read/write history through
-# seq, par:4 and pipe:4, measuring the final-meld critical path
+# seq and pipe:4, measuring the final-meld critical path
 # (fm_ns_per_txn) and exact per-stage GC words/txn.  The fresh run is
 # gated against the committed BENCH_MACRO.json baseline: any backend
 # diverging from sequential, the fm loop allocating more minor words/txn

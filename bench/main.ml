@@ -6,11 +6,10 @@
      dune exec bench/main.exe -- fig10 fig11  -- selected figures
      dune exec bench/main.exe -- --quick      -- fast smoke of everything
      dune exec bench/main.exe -- --paper      -- larger scale (slower)
-     dune exec bench/main.exe -- --runtime=par:4 fig10
+     dune exec bench/main.exe -- --runtime=pipe:4 fig10
                                               -- cluster runs use the
-                                                 domain-parallel premeld
-                                                 backend (see "runtime")
-     dune exec bench/main.exe -- --json=report.json --quick runtime
+                                                 pipelined backend
+     dune exec bench/main.exe -- --json=report.json --quick pipeline-overlap
                                               -- also write a machine-readable
                                                  JSON run report
 
@@ -81,7 +80,7 @@ let paper_scale =
 let scale = ref default_scale
 
 (* Stage runtime for the real pipeline inside cluster runs (see
-   Cluster.config.runtime); settable with --runtime=par:<n>. *)
+   Cluster.config.runtime); settable with --runtime=seq|pipe:<n>. *)
 let runtime = ref Runtime.sequential
 
 (* ---------------------------------------------------------------------- *)
@@ -92,7 +91,7 @@ let json_path : string option ref = ref None
 
 (* Flight-record sink (--flight=FILE): the macro figure records every
    transaction's per-stage wait/service flight, one recorder per backend
-   (labels "seq"/"par:4"/"pipe:4") multiplexed into this JSON-lines file
+   (labels "seq"/"pipe:4") multiplexed into this JSON-lines file
    for [hyder-cli analyze]. *)
 let flight_path : string option ref = ref None
 
@@ -814,132 +813,6 @@ let abl_index_size () =
   Table.print t
 
 (* ---------------------------------------------------------------------- *)
-(* Runtime backends: real domain-parallel premeld vs the sequential         *)
-(* scheduler on one identical intention stream                              *)
-(* ---------------------------------------------------------------------- *)
-
-let runtime_backends () =
-  let module Tree = Hyder_tree.Tree in
-  let module Payload = Hyder_tree.Payload in
-  let module Executor = Hyder_core.Executor in
-  let txns = if !scale.records <= 100_000 then 1_500 else 6_000 in
-  let n = 50_000 in
-  let config =
-    { Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
-      group_size = 2 }
-  in
-  let genesis =
-    Tree.of_sorted_array
-      (Array.init n (fun k -> (k, Payload.value ("v" ^ string_of_int k))))
-  in
-  (* Phase 1: record a premeld-bound intention history with a sequential
-     pipeline.  Snapshots lag far enough behind the log that every
-     intention's designated input state (seq - t*d - 1) postdates its
-     snapshot, so premeld really melds. *)
-  let rng = Hyder_util.Rng.create 424242L in
-  let gen = Pipeline.create ~config ~genesis () in
-  let history = ref [ (-1, genesis) ] (* newest first *) in
-  let hist_len = ref 1 in
-  let intentions = ref [] in
-  let next_pos = ref 0 in
-  for txn_seq = 0 to txns - 1 do
-    let lag = min (60 + Hyder_util.Rng.int rng 40) (!hist_len - 1) in
-    let snapshot_pos, snapshot = List.nth !history lag in
-    let e =
-      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq
-        ~isolation:I.Serializable ()
-    in
-    for _ = 1 to 2 do
-      ignore (Executor.read e (Hyder_util.Rng.int rng n))
-    done;
-    for _ = 1 to 2 do
-      Executor.write e (Hyder_util.Rng.int rng n) ("u" ^ string_of_int txn_seq)
-    done;
-    match Executor.finish e with
-    | None -> ()
-    | Some draft ->
-        next_pos := !next_pos + 2;
-        let intention = I.assign ~pos:!next_pos draft in
-        intentions := intention :: !intentions;
-        ignore (Pipeline.submit gen intention);
-        let _, pos, tree = Pipeline.lcs gen in
-        history := (pos, tree) :: !history;
-        incr hist_len
-  done;
-  ignore (Pipeline.flush gen);
-  let intentions = List.rev !intentions in
-  (* Phase 2: replay the identical stream under each backend, feeding
-     submit_batch in slabs so the parallel backend gets full premeld
-     windows to fan out. *)
-  let slab = 256 in
-  let batches =
-    let rec take k acc = function
-      | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-      | rest -> (List.rev acc, rest)
-    in
-    let rec go = function
-      | [] -> []
-      | l ->
-          let s, rest = take slab [] l in
-          s :: go rest
-    in
-    go intentions
-  in
-  let run backend =
-    let p = Pipeline.create ~config ~runtime:backend ~genesis () in
-    let t0 = Clock.now () in
-    let decisions =
-      List.concat_map (fun b -> Pipeline.submit_batch p b) batches
-      @ Pipeline.flush p
-    in
-    let wall = Clock.elapsed t0 in
-    let pm = (Counters.premeld_total (Pipeline.counters p)).Counters.seconds in
-    let _, _, final = Pipeline.lcs p in
-    Pipeline.shutdown p;
-    (decisions, final, wall, pm)
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Runtime backends: %d premeld-bound txns (t=5, d=10, groups of \
-            2) replayed through identical pipelines — the Parallel backend \
-            must be bit-identical to Sequential (Section 3.4)"
-           (List.length intentions))
-      ~columns:[ "runtime"; "wall s"; "pm busy s"; "speedup"; "same as seq" ]
-  in
-  let base = run Runtime.sequential in
-  let report name (decisions, final, wall, pm) =
-    let bd, bfinal, bwall, _ = base in
-    let same =
-      List.length decisions = List.length bd
-      && List.for_all2
-           (fun (a : Pipeline.decision) (b : Pipeline.decision) ->
-             a.Pipeline.seq = b.Pipeline.seq
-             && a.Pipeline.committed = b.Pipeline.committed
-             && a.Pipeline.decided_at = b.Pipeline.decided_at)
-           decisions bd
-      && Tree.physically_equal final bfinal
-    in
-    Table.add_row t
-      [
-        name; f wall; f pm;
-        Printf.sprintf "%.2fx" (bwall /. wall);
-        (if same then "yes" else "NO");
-      ]
-  in
-  report "seq" base;
-  List.iter
-    (fun d ->
-      report (Printf.sprintf "par:%d" d) (run (Runtime.parallel ~domains:d)))
-    [ 2; 4 ];
-  Table.print t;
-  Printf.printf
-    "(pm busy is summed across premeld shards and so stays ~constant; \
-     wall-clock speedup needs free physical cores — the load-bearing \
-     column is 'same as seq', checked down to ephemeral node ids)\n"
-
-(* ---------------------------------------------------------------------- *)
 (* Pipeline overlap: how much of the pre-fm pipeline the pipelined          *)
 (* backend moves off the driver's critical path, on one wire stream         *)
 (* ---------------------------------------------------------------------- *)
@@ -1135,7 +1008,6 @@ let pipeline_overlap () =
     end
   in
   report "seq" base;
-  report "par:4" (run (Runtime.parallel ~domains:4));
   report "pipe:4" (run (Runtime.pipelined ~domains:4));
   Table.print t;
   Printf.printf
@@ -1151,7 +1023,7 @@ let pipeline_overlap () =
    PRs via `make bench-macro` → BENCH_MACRO.json and gated by
    scripts/check_bench_smoke.py.  A fixed-seed wire stream (identical
    bytes run to run, so gate movement is code, not workload) is replayed
-   under seq/par:4/pipe:4; the first [warm_txns] intentions are warmup —
+   under seq/pipe:4; the first [warm_txns] intentions are warmup —
    counters, metrics and offload stats are snapshotted at the boundary
    and diffed at the end.  Per-stage GC words come from the pipeline's
    Fcounter instruments (Gc.counters deltas around the stage work; each
@@ -1356,7 +1228,6 @@ let macro () =
     end
   in
   report "seq" base;
-  report "par:4" (run "par:4" (Runtime.parallel ~domains:4));
   report "pipe:4" (run "pipe:4" (Runtime.pipelined ~domains:4));
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
@@ -1468,7 +1339,6 @@ let figures =
     ("abl-group-size", abl_group_size);
     ("abl-admission", abl_admission);
     ("abl-index-size", abl_index_size);
-    ("runtime", runtime_backends);
     ("pipeline-overlap", pipeline_overlap);
     ("macro", macro);
     ("micro", micro);
@@ -1506,7 +1376,7 @@ let () =
       [ "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "tango"; "fig14";
         "fig15"; "fig16"; "fig17"; "fig18"; "fig20"; "fig21"; "fig23";
         "abl-premeld-threads"; "abl-group-size"; "abl-admission";
-        "abl-index-size"; "runtime"; "pipeline-overlap"; "micro" ]
+        "abl-index-size"; "pipeline-overlap"; "micro" ]
     else List.rev !selected
   in
   Printf.printf "Hyder II benchmark harness — scale: %s\n" !scale.label;

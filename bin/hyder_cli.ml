@@ -285,11 +285,11 @@ let cluster_cmd =
       value & opt runtime_conv Runtime.sequential
       & info [ "runtime" ]
           ~doc:
-            "Stage runtime for the real meld pipeline: seq; par:N to run \
-             premeld trial melds on N domains; or pipe:N to stage \
-             deserialize/premeld/group-meld across N worker domains through \
-             bounded SPSC queues, leaving only final meld on the driver \
-             (identical results, measured stage times change).")
+            "Stage runtime for the real meld pipeline: seq | pipe:N.  seq runs \
+             every stage inline; pipe:N stages deserialize/premeld/group-meld \
+             across N worker domains through bounded SPSC queues, leaving \
+             only final meld on the driver (identical results, measured \
+             stage times change).")
   in
   let write_threads =
     Arg.(value & opt int 20 & info [ "write-threads" ] ~doc:"Update threads/server.")

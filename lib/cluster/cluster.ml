@@ -27,9 +27,9 @@ type config = {
   pipeline : Pipeline.config;
   runtime : Hyder_core.Runtime.backend;
       (** backend for the {e real} meld pipeline this simulation drives;
-          the simulator's own stage-time model is unaffected, so [par:n]
-          here lets measured parallel premeld be compared against the
-          modelled stage overlap *)
+          the simulator's own stage-time model is unaffected, so [pipe:n]
+          here lets measured staged decode and premeld be compared
+          against the modelled stage overlap *)
   corfu : Corfu.config;
   broadcast : Broadcast.config;
   workload : Ycsb.config;
@@ -310,19 +310,15 @@ let run cfg =
      simulated pipeline. *)
   let clamp_stage t = if t > 0.002 then 0.002 else t in
   let real_submit (info : info) pos =
-    let ds0 = counters.Counters.deserialize.Counters.seconds in
-    let intention = Pipeline.decode pipeline ~pos info.bytes in
-    untrack_snapshot info.snap_seq;
-    info.bytes <- "";
-    (* The decode opened the flight record; stamp the simulated clock
-       onto it before submit can complete (and close) it: when the
-       executor drafted the transaction and when the log order reached
-       its append. *)
+    (* Open the flight record and stamp the simulated clock onto it before
+       the submit can complete (and close) it: when the executor drafted
+       the transaction and when the log order reached its append. *)
     if Flight.enabled cfg.flight then begin
+      Flight.touch cfg.flight ~pos ~now:(now_wall ());
       Flight.sim_edge cfg.flight ~pos ~at:`Submit info.t_created;
       Flight.sim_edge cfg.flight ~pos ~at:`Append (Engine.now eng)
     end;
-    info.t_ds <- clamp_stage (counters.Counters.deserialize.Counters.seconds -. ds0);
+    let ds0 = counters.Counters.deserialize.Counters.seconds in
     let pm_before = Counters.premeld_total counters in
     let pm0 = pm_before.Counters.seconds in
     let pm_n0 = pm_before.Counters.intentions in
@@ -331,13 +327,19 @@ let run cfg =
     let seq = !submit_count in
     incr submit_count;
     info.seq <- seq;
-    (* submit_batch so a [Parallel] runtime's premeld really runs on its
-       domain pool; under [Sequential] this is exactly [submit].  For any
-       given log prefix the decisions are identical across backends, but
-       the *measured* stage seconds parameterize the queueing model, so a
-       backend's real scheduling cost shows up in the modelled throughput
-       — which is what the --runtime knob exists to cross-check. *)
-    let decisions = Pipeline.submit_batch pipeline [ intention ] in
+    (* The wire entry, so a [Pipelined] runtime really decodes and
+       premelds on its workers; under [Sequential] this is exactly
+       [decode] then [submit].  For any given log prefix the decisions
+       are identical across backends, but the *measured* stage seconds
+       parameterize the queueing model, so a backend's real scheduling
+       cost shows up in the modelled throughput — which is what the
+       --runtime knob exists to cross-check. *)
+    let decisions =
+      Pipeline.submit_wire_batch pipeline [ (pos, info.bytes) ]
+    in
+    untrack_snapshot info.snap_seq;
+    info.bytes <- "";
+    info.t_ds <- clamp_stage (counters.Counters.deserialize.Counters.seconds -. ds0);
     let pm_after = Counters.premeld_total counters in
     info.t_pm <- clamp_stage (pm_after.Counters.seconds -. pm0);
     info.premelded <- pm_after.Counters.intentions > pm_n0;

@@ -34,10 +34,12 @@ type config = {
   pipeline : Hyder_core.Pipeline.config;
   runtime : Hyder_core.Runtime.backend;
       (** stage runtime for the real meld pipeline driving the simulation
-          ([Sequential] by default).  [Parallel _] runs the real premeld
-          trial melds on domains; decisions are identical by construction,
-          so this knob exists to cross-check measured parallel premeld
-          time against the simulator's modelled stage overlap *)
+          ([Sequential] by default).  [Pipelined _] runs the real decode,
+          premeld and group meld on worker domains, one wire intention per
+          {!Hyder_core.Pipeline.submit_wire_batch} call; decisions are
+          identical by construction, so this knob exists to cross-check
+          measured staged time against the simulator's modelled stage
+          overlap *)
   corfu : Hyder_log.Corfu.config;
   broadcast : Hyder_log.Broadcast.config;
   workload : Hyder_workload.Ycsb.config;

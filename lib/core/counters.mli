@@ -10,11 +10,11 @@
     premeld thread id (Section 3.4), rather than one shared record.  Two
     reasons:
 
-    - {b thread safety}: the parallel runtime runs one premeld thread's
-      trial melds per pool task, so each shard has exactly one writer at
-      any time and the hot counters need no locks or atomics;
+    - {b thread safety}: the pipelined runtime runs one premeld thread's
+      trial melds on one worker domain, so each shard has exactly one
+      writer at any time and the hot counters need no locks or atomics;
     - {b determinism checking}: the shard an intention's work lands in is
-      [seq mod t], identical under the sequential and parallel backends,
+      [seq mod t], identical under the sequential and pipelined backends,
       so per-shard counts must match exactly across backends (seconds, of
       course, differ — that is the point).
 

@@ -61,8 +61,8 @@ type instruments = {
      gm wherever the single gm writer runs (the driver inline, or the
      dedicated gm worker under the pipelined backend — GC counters are
      domain-local, so the worker's sample measures exactly the gm work).
-     Fan-out stages (worker ds, parallel premeld windows) are not
-     sampled: several domains would race on one accumulator. *)
+     Fan-out stages (worker ds and premeld) are not sampled: several
+     domains would race on one accumulator. *)
   m_ds_gc_minor : Metrics.Fcounter.t;
   m_ds_gc_promoted : Metrics.Fcounter.t;
   m_pm_gc_minor : Metrics.Fcounter.t;
@@ -132,15 +132,12 @@ let gc_end inst ~stage (mw0, pw0) =
 (* Pipelined backend: job/result plumbing types                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A work item for the pipelined backend: either an already-decoded
-   intention or a wire-form encoding still to be deserialized.  [psnap] is
-   the snapshot log position peeked from the encoding header — it gates
-   whether the decode can be offloaded (snapshot state already recorded
-   at window start) or must wait on the driver for final meld to catch
-   up. *)
-type witem =
-  | Wi of Intention.t
-  | Ww of { pos : int; src : string; psnap : int }
+(* A work item for the pipelined backend: a wire-form encoding still to
+   be deserialized.  [psnap] is the snapshot log position peeked from the
+   encoding header — it gates whether the decode can be offloaded
+   (snapshot state already recorded at window start) or must wait on the
+   driver for final meld to catch up. *)
+type witem = { pos : int; src : string; psnap : int }
 
 (* Stage handoff rides on pooled mutable carriers instead of per-item
    job/result variants.  A carrier cycles
@@ -271,7 +268,7 @@ type offload_stats = {
 
 type t = {
   config : config;
-  runtime : Runtime.t;
+  runtime : Runtime.backend;
   flight : Flight.t;
       (** per-transaction lifecycle recorder; only ever touched by the
           driver thread — worker-domain stage timestamps ride back in
@@ -291,14 +288,13 @@ type t = {
 let states t = t.states
 let counters t = t.counters
 let config t = t.config
-let runtime t = Runtime.backend t.runtime
+let runtime t = t.runtime
 let lcs t = State_store.latest t.states
 
 let shutdown t =
-  (match t.pstate with
+  match t.pstate with
   | Some p -> Runtime.Stage_pool.shutdown p.ppool
-  | None -> ());
-  Runtime.shutdown t.runtime
+  | None -> ()
 
 let offload t =
   Option.map
@@ -618,7 +614,7 @@ let submit t (intention : Intention.t) =
   t.next_seq <- seq + 1;
   let flighted = Flight.enabled t.flight in
   (* Open the flight record at submit time when decode did not already
-     (pre-decoded batch entry); idempotent otherwise. *)
+     (a caller holding a decoded intention); idempotent otherwise. *)
   if flighted then begin
     let now = Clock.now () in
     Flight.touch t.flight ~pos:intention.pos ~now;
@@ -650,7 +646,7 @@ let submit t (intention : Intention.t) =
   tail t unit_group
 
 (* ------------------------------------------------------------------ *)
-(* Premeld windows: shared snapshot-seq arithmetic                      *)
+(* Premeld windows: snapshot-seq arithmetic                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-member snapshot sequence numbers for a premeld window, exactly as
@@ -716,89 +712,12 @@ let window_snap_seqs t ~snap ~s0 ~poss ~snaps =
   snap_seqs
 
 (* ------------------------------------------------------------------ *)
-(* Parallel premeld windows                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Run one premeld window in parallel and then drain its tail in log
-   order.  Preconditions established by [submit_batch]: premeld is on,
-   [Array.length window <= threads * distance + 1 - pending_members]
-   (so every member's designated input state is already recorded at
-   window start — group assembly delays recording by up to
-   [group_size - 1] states), and the intentions are the next ones in
-   log order. *)
-let run_window t (pc : Premeld.config) (window : Intention.t array) =
-  let b = Array.length window in
-  let s0 = t.next_seq in
-  t.next_seq <- s0 + b;
-  let snap = State_store.snapshot t.states in
-  let snap_seqs =
-    window_snap_seqs t ~snap ~s0
-      ~poss:(Array.map (fun (i : Intention.t) -> i.Intention.pos) window)
-      ~snaps:(Array.map (fun (i : Intention.t) -> i.Intention.snapshot) window)
-  in
-  let flighted = Flight.enabled t.flight in
-  (* Per-member trial-meld wall brackets, written at disjoint indexes by
-     the pool tasks (same single-writer argument as [outcomes]) and
-     stamped into the recorder by the driver after the join. *)
-  let pm_t0 = if flighted then Array.make b 0.0 else [||] in
-  let pm_t1 = if flighted then Array.make b 0.0 else [||] in
-  if flighted then begin
-    let now = Clock.now () in
-    Array.iter
-      (fun (i : Intention.t) ->
-        Flight.touch t.flight ~pos:i.Intention.pos ~now;
-        Flight.note_identity t.flight ~pos:i.Intention.pos
-          ~server:i.Intention.server ~txn_seq:i.Intention.txn_seq)
-      window
-  end;
-  (* Fan the trial melds out, sharded by paper thread id: pool task [k]
-     impersonates premeld thread [threads.(k)] and owns its allocator and
-     counter shard, processing that thread's members in log order. *)
-  let outcomes = Array.make b (Premeld.Unchanged window.(0)) in
-  let by_thread = Array.make pc.Premeld.threads [] in
-  for i = b - 1 downto 0 do
-    let th = Premeld.thread_for pc ~seq:(s0 + i) in
-    by_thread.(th - 1) <- i :: by_thread.(th - 1)
-  done;
-  let active =
-    Array.of_seq
-      (Seq.filter
-         (fun k -> by_thread.(k) <> [])
-         (Seq.init pc.Premeld.threads Fun.id))
-  in
-  let lookup = State_store.Snapshot.by_seq snap in
-  Runtime.run_tasks t.runtime ~tasks:(Array.length active) (fun task ->
-      let k = active.(task) in
-      let shard = t.counters.premeld_shards.(k) in
-      let t0 = Clock.now () in
-      List.iter
-        (fun i ->
-          let ft0 = if flighted then Clock.now () else 0.0 in
-          outcomes.(i) <-
-            Premeld.trial pc ~snap_seq:snap_seqs.(i) ~lookup
-              ~alloc:t.pm_allocs.(k) ~counters:shard ~seq:(s0 + i)
-              window.(i);
-          if flighted then begin
-            pm_t0.(i) <- ft0;
-            pm_t1.(i) <- Clock.now ()
-          end)
-        by_thread.(k);
-      shard.Counters.seconds <- shard.Counters.seconds +. Clock.elapsed t0);
-  (* Merge back in submission order: group meld and final meld are the
-     same sequential tail the inline scheduler uses. *)
-  let decisions = ref [] in
-  for i = 0 to b - 1 do
-    if flighted then
-      Flight.edge t.flight ~pos:window.(i).Intention.pos ~stage:Flight.Pm
-        ~t0:pm_t0.(i) ~t1:pm_t1.(i);
-    let dgroup = group_of_outcome ~seq:(s0 + i) window.(i) outcomes.(i) in
-    decisions := List.rev_append (tail t dgroup) !decisions
-  done;
-  List.rev !decisions
-
-(* ------------------------------------------------------------------ *)
 (* Pipelined windows                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The driver's decode of a wire item (held, stolen, redone or
+   fallback). *)
+let decode_item t w = decode t ~pos:w.pos w.src
 
 (* Worker-side job execution.  Everything a job touches is either
    carried in the job (whose pusher no longer touches it), owned by the
@@ -894,14 +813,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
      snapshot-lag holds) then lands in that stage's wait column. *)
   if flighted then begin
     let now = Clock.now () in
-    Array.iter
-      (function
-        | Wi (i : Intention.t) ->
-            Flight.touch t.flight ~pos:i.Intention.pos ~now;
-            Flight.note_identity t.flight ~pos:i.Intention.pos
-              ~server:i.Intention.server ~txn_seq:i.Intention.txn_seq
-        | Ww { pos; _ } -> Flight.touch t.flight ~pos ~now)
-      window
+    Array.iter (fun w -> Flight.touch t.flight ~pos:w.pos ~now) window
   end;
   (* Freeze the retention window and publish per-worker resolvers before
      any job of this window is pushed. *)
@@ -916,14 +828,8 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     | None -> [||]
     | Some _ ->
         window_snap_seqs t ~snap ~s0
-          ~poss:
-            (Array.map
-               (function Wi i -> i.Intention.pos | Ww w -> w.pos)
-               window)
-          ~snaps:
-            (Array.map
-               (function Wi i -> i.Intention.snapshot | Ww w -> w.psnap)
-               window)
+          ~poss:(Array.map (fun w -> w.pos) window)
+          ~snaps:(Array.map (fun w -> w.psnap) window)
   in
   let intentions = Array.make b None in
   let outcomes = Array.make b None in
@@ -933,12 +839,9 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   let ds_jobs = Array.make domains [] in
   let held = ref [] in
   for i = b - 1 downto 0 do
-    match window.(i) with
-    | Wi intent -> intentions.(i) <- Some intent
-    | Ww { psnap; _ } ->
-        if psnap <= latest_pos0 then
-          ds_jobs.(i mod domains) <- i :: ds_jobs.(i mod domains)
-        else held := i :: !held
+    if window.(i).psnap <= latest_pos0 then
+      ds_jobs.(i mod domains) <- i :: ds_jobs.(i mod domains)
+    else held := i :: !held
   done;
   (* Premeld release state: per paper thread, the member indexes still to
      premeld, in seq order (head-of-line: a thread's next trial is only
@@ -1023,16 +926,13 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       let rec go () =
         match ds_jobs.(w) with
         | i :: rest when px.outstanding.(w) < qcap ->
-            (match window.(i) with
-            | Ww { pos; src; _ } ->
-                let c = take w in
-                c.kind <- Cds;
-                c.c_idx <- i;
-                c.c_pos <- pos;
-                c.c_src <- src;
-                put ~worker:w c;
-                px.ds_offloaded <- px.ds_offloaded + 1
-            | Wi _ -> assert false);
+            let c = take w in
+            c.kind <- Cds;
+            c.c_idx <- i;
+            c.c_pos <- window.(i).pos;
+            c.c_src <- window.(i).src;
+            put ~worker:w c;
+            px.ds_offloaded <- px.ds_offloaded + 1;
             ds_jobs.(w) <- rest;
             go ()
         | _ -> ()
@@ -1090,18 +990,15 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             put ~worker:gm_worker c;
             incr gm_next;
             go ()
-        | None when List.mem i !ds_failed -> (
+        | None when List.mem i !ds_failed ->
             (* A failed worker decode surfaces once the log-order tail
                reaches it, so every earlier member is decoded and booked
                when it raises, as under [seq].  The driver resolves
                against the same state as the worker, so its redo raises
                the same [Corrupt], now on the driver's thread. *)
             ds_failed := List.filter (fun j -> j <> i) !ds_failed;
-            match window.(i) with
-            | Ww { pos; src; _ } ->
-                intentions.(i) <- Some (decode t ~pos src);
-                progress := true
-            | Wi _ -> assert false)
+            intentions.(i) <- Some (decode_item t window.(i));
+            progress := true
         | None -> ()
       end
     in
@@ -1113,27 +1010,20 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   let release_held () =
     let rec go () =
       match !held with
-      | i :: rest -> (
-          match window.(i) with
-          | Ww { pos; src; psnap } ->
-              let _, lpos, _ = State_store.latest t.states in
-              if psnap <= lpos then begin
-                intentions.(i) <- Some (decode t ~pos src);
-                px.ds_inline_n <- px.ds_inline_n + 1;
-                held := rest;
-                progress := true;
-                go ()
-              end
-          | Wi _ -> assert false)
+      | i :: rest ->
+          let _, lpos, _ = State_store.latest t.states in
+          if window.(i).psnap <= lpos then begin
+            intentions.(i) <- Some (decode_item t window.(i));
+            px.ds_inline_n <- px.ds_inline_n + 1;
+            held := rest;
+            progress := true;
+            go ()
+          end
       | [] -> ()
     in
     go ()
   in
-  let pos_of idx =
-    match window.(idx) with
-    | Wi i -> i.Intention.pos
-    | Ww { pos; _ } -> pos
-  in
+  let pos_of idx = window.(idx).pos in
   let handle (c : carrier) =
     match c.kind with
     | Cnone -> ()
@@ -1187,9 +1077,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       | _ -> ()
     done;
     if !bw >= 0 then begin
-      (match window.(!bi) with
-      | Ww { pos; src; _ } -> intentions.(!bi) <- Some (decode t ~pos src)
-      | Wi _ -> assert false);
+      intentions.(!bi) <- Some (decode_item t window.(!bi));
       ds_jobs.(!bw) <- List.tl ds_jobs.(!bw);
       px.ds_inline_n <- px.ds_inline_n + 1;
       px.driver_steals <- px.driver_steals + 1;
@@ -1281,13 +1169,8 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
            records before it).  Name the starved member. *)
         match !held with
         | i :: _ ->
-            let pos, psnap =
-              match window.(i) with
-              | Ww { pos; psnap; _ } -> (pos, psnap)
-              | Wi _ -> assert false
-            in
             let _, lpos, _ = State_store.latest t.states in
-            invalid_snapshot ~pos ~snap:psnap ~lpos
+            invalid_snapshot ~pos:window.(i).pos ~snap:window.(i).psnap ~lpos
         | [] ->
             failwith
               "Pipeline: pipelined window stalled with no work in flight"
@@ -1304,11 +1187,12 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   List.rev !decisions
 
 (* Cut a stream of work items into safe windows and run each through the
-   staged pipeline.  Same window bound as the parallel backend: every
-   member's designated premeld input state must already be recorded at
-   window start.  Windows are drained completely before the next starts —
-   cross-window pipelining would require premelding against states the
-   previous window has not recorded yet. *)
+   staged pipeline.  The window bound: every member's designated premeld
+   input state must already be recorded at window start (states lag
+   submissions by the group members still being assembled, so the window
+   shrinks by [pending_members]).  Windows are drained completely before
+   the next starts — cross-window pipelining would require premelding
+   against states the previous window has not recorded yet. *)
 let run_pipelined t (px : pctx) (items : witem array) =
   let n = Array.length items in
   let decisions = ref [] in
@@ -1324,17 +1208,12 @@ let run_pipelined t (px : pctx) (items : witem array) =
       (* Pathological config (group_size > threads*distance + 1): no
          window is safe, fall back to the inline scheduler for one item
          and retry. *)
-      let d =
-        match items.(!off) with
-        | Wi i -> submit t i
-        | Ww { pos; src; psnap } ->
-            let _, lpos, _ = State_store.latest t.states in
-            if psnap > lpos then invalid_snapshot ~pos ~snap:psnap ~lpos;
-            let i = decode t ~pos src in
-            px.ds_inline_n <- px.ds_inline_n + 1;
-            submit t i
-      in
-      decisions := List.rev_append d !decisions;
+      let w = items.(!off) in
+      let _, lpos, _ = State_store.latest t.states in
+      if w.psnap > lpos then invalid_snapshot ~pos:w.pos ~snap:w.psnap ~lpos;
+      let i = decode_item t w in
+      px.ds_inline_n <- px.ds_inline_n + 1;
+      decisions := List.rev_append (submit t i) !decisions;
       incr off
     end
     else begin
@@ -1346,94 +1225,20 @@ let run_pipelined t (px : pctx) (items : witem array) =
   done;
   List.rev !decisions
 
-let submit_batch t (intentions : Intention.t list) =
-  match t.pstate with
-  | Some px ->
-      run_pipelined t px
-        (Array.of_list (List.map (fun i -> Wi i) intentions))
-  | None -> (
-      match (Runtime.is_parallel t.runtime, t.config.premeld) with
-      | false, _ | _, None ->
-          (* Sequential backend (or nothing to parallelize): the original
-             inline scheduler, one intention at a time. *)
-          List.concat_map (submit t) intentions
-      | true, Some pc ->
-          let arr = Array.of_list intentions in
-          let n = Array.length arr in
-          let decisions = ref [] in
-          let off = ref 0 in
-          while !off < n do
-            (* The designated input state of the window's last member must
-               already be recorded: states lag submissions by the group
-               members still being assembled, so the window shrinks by
-               [pending_members] (it re-widens as soon as a group inside
-               this window completes). *)
-            let cap =
-              (pc.Premeld.threads * pc.Premeld.distance) + 1
-              - t.pending_members
-            in
-            if cap < 1 then begin
-              (* Pathological config (group_size > threads*distance + 1):
-                 no window is safe, fall back to the inline scheduler for
-                 one intention and retry. *)
-              decisions := List.rev_append (submit t arr.(!off)) !decisions;
-              incr off
-            end
-            else begin
-              let b = min cap (n - !off) in
-              let window = Array.sub arr !off b in
-              decisions := List.rev_append (run_window t pc window) !decisions;
-              off := !off + b
-            end
-          done;
-          List.rev !decisions)
-
 let submit_wire_batch t (items : (int * string) list) =
   match t.pstate with
   | Some px ->
       run_pipelined t px
         (Array.of_list
            (List.map
-              (fun (pos, src) ->
-                Ww { pos; src; psnap = Codec.peek_snapshot src })
+              (fun (pos, src) -> { pos; src; psnap = Codec.peek_snapshot src })
               items))
-  | None when Runtime.is_parallel t.runtime && t.config.premeld <> None ->
-      (* Decode-then-submit in maximal safe prefixes, so [submit_batch]
-         sees whole premeld windows: an intention can only be
-         deserialized once the state its snapshot names is recorded, so
-         each chunk is the longest prefix whose snapshots all precede
-         the states recorded so far; melding the chunk then unlocks the
-         next. *)
-      let arr = Array.of_list items in
-      let n = Array.length arr in
-      let decisions = ref [] in
-      let off = ref 0 in
-      while !off < n do
-        let _, lpos, _ = State_store.latest t.states in
-        let chunk = ref [] in
-        let stop = ref false in
-        while (not !stop) && !off < n do
-          let pos, src = arr.(!off) in
-          if Codec.peek_snapshot src <= lpos then begin
-            chunk := decode t ~pos src :: !chunk;
-            incr off
-          end
-          else stop := true
-        done;
-        if !chunk = [] then begin
-          let pos, src = arr.(!off) in
-          invalid_snapshot ~pos ~snap:(Codec.peek_snapshot src) ~lpos
-        end;
-        decisions :=
-          List.rev_append (submit_batch t (List.rev !chunk)) !decisions
-      done;
-      List.rev !decisions
   | None ->
       (* Meld each intention right after its decode, so everything the
          decode allocated dies young.  An intention's snapshot must be
          recorded before it can decode; checking each item against the
          states its predecessors recorded accepts exactly the streams the
-         chunked loop above accepts. *)
+         pipelined windows accept. *)
       List.concat_map
         (fun (pos, src) ->
           let _, lpos, _ = State_store.latest t.states in
@@ -1541,7 +1346,11 @@ let attach_pstate t runtime =
             driver_steals = 0;
             doorbells_seen = 0;
           }
-  | Runtime.Sequential | Runtime.Parallel _ -> ()
+  | Runtime.Sequential -> ()
+  | Runtime.Parallel _ ->
+      invalid_arg
+        "Pipeline: Runtime.Parallel is not a backend (deleted; the \
+         constructor remains only because benchmark/bench.ml matches it)"
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
     ?(flight = Flight.disabled) ?metrics ~genesis () =
@@ -1549,7 +1358,7 @@ let create ?(config = plain) ?(runtime = Runtime.sequential)
   let t =
     {
       config;
-      runtime = Runtime.create ?metrics runtime;
+      runtime;
       flight;
       inst = make_instruments metrics;
       counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
@@ -1607,7 +1416,7 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
   let t =
     {
       config;
-      runtime = Runtime.create ?metrics runtime;
+      runtime;
       flight;
       inst = make_instruments metrics;
       counters;

@@ -10,12 +10,11 @@ open Hyder_tree
     interleaving.  How stages are scheduled onto hardware is delegated to
     {!Runtime}: the [Sequential] backend runs everything inline (the
     cluster simulator models physical parallelism from its per-stage
-    timings), the [Parallel] backend runs premeld trial melds on real
-    domains via {!submit_batch}, and the [Pipelined] backend stages the
-    whole pre-final-meld pipeline (deserialize, premeld, group meld)
-    across worker domains fed through bounded SPSC queues, leaving only
-    final meld on the driver — and, per the paper's Section 3.4 id
-    scheme, every backend must produce bit-identical results.
+    timings), and the [Pipelined] backend stages the whole
+    pre-final-meld pipeline (deserialize, premeld, group meld) across
+    worker domains fed through bounded SPSC queues, leaving only final
+    meld on the driver — and, per the paper's Section 3.4 id scheme,
+    both backends must produce bit-identical results.
 
     Stage thread ids for ephemeral VNs: final meld = 0, premeld threads =
     1..t, group meld = t+1. *)
@@ -67,24 +66,25 @@ val create :
     ephemeral ids and integer counters are bit-identical to eager
     decoding everywhere.
 
-    [runtime] defaults to {!Runtime.sequential}.  A [Parallel] runtime
-    spawns its domain pool here, a [Pipelined] runtime its stage-pool
-    worker domains; call {!shutdown} when done with the pipeline to join
-    them.
+    [runtime] defaults to {!Runtime.sequential}.  A [Pipelined] runtime
+    spawns its stage-pool worker domains here; call {!shutdown} when
+    done with the pipeline to join them.  [Runtime.Parallel] is rejected
+    with [Invalid_argument] (see {!Runtime.backend}).
 
     [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
-    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn]) and
-    is forwarded to {!Runtime.create}.
+    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn], the
+    per-stage GC words and, under [Pipelined], the handoff
+    instruments).
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage
     queue-wait/service pairs at every edge (decode, premeld trial,
     group-meld combine, final meld) and the decision with abort reason
     and conflict-zone size.  The recorder is driver-only; under
-    [Parallel]/[Pipelined] the worker-side stage brackets travel back in
-    the runtime's result messages and are stamped on the driver, so the
+    [Pipelined] the worker-side stage brackets travel back in the
+    runtime's result messages and are stamped on the driver, so the
     wait column measures real queue residency.
 
     Metrics and flight are independent and both provably observational:
@@ -105,39 +105,27 @@ val submit : t -> Hyder_codec.Intention.t -> decision list
 (** Feed the next intention in log order.  Returns the decisions that
     became final (possibly none while a group is filling, possibly several
     when a group completes), in sequence order.  Always runs the inline
-    sequential scheduler, whatever the runtime backend. *)
-
-val submit_batch : t -> Hyder_codec.Intention.t list -> decision list
-(** Feed the next intentions in log order, allowing the runtime backend
-    to overlap premeld work across them.  Under [Sequential] this is
-    exactly [List.concat_map (submit t)].  Under [Parallel] the batch is
-    cut into premeld windows of at most [threads * distance + 1 -
-    pending_group_members] intentions — the bound that guarantees every
-    member's designated input state is already recorded when the window's
-    store snapshot is taken — each window's trial melds run
-    concurrently on the domain pool (one task per paper premeld thread,
-    owning that thread's allocator and counter shard), and the group/final
-    meld tail then drains sequentially in log order.  Under [Pipelined]
-    the same windows run through the staged ds/pm/gm worker fabric with
-    only final meld on the caller.  Decisions are returned in sequence
-    order and are bit-identical to the sequential backend's. *)
+    sequential scheduler, whatever the runtime backend: this is the
+    single-intention entry for callers that hold decoded intentions.
+    Batches go through {!submit_wire_batch}. *)
 
 val submit_wire_batch : t -> (int * string) list -> decision list
 (** Feed the next intentions in log order in wire form
     ([(log_position, encoded_bytes)]), letting the backend overlap
     deserialization with melding.  Under [Sequential] each intention is
-    melded right after its decode.  Under [Parallel] this decodes
-    maximal safe prefixes (every snapshot reference resolvable against
-    already-recorded states) and melds each chunk before decoding the
-    next.  Under [Pipelined], decodes whose snapshot state is already
-    recorded at window start run on worker domains straight from the
-    wire buffers; the rest decode on the driver as soon as final meld
-    records their snapshot state.  Decisions are identical to decoding
-    everything up front and calling {!submit_batch}.  A stream whose
-    snapshot references can never be satisfied raises the same
-    [Failure] on every backend, and a corrupt intention the same
-    {!Hyder_codec.Codec.Corrupt}, raised once every earlier intention
-    has decoded. *)
+    melded right after its decode: exactly {!decode} then {!submit}.
+    Under [Pipelined] the batch is cut into premeld windows of at most
+    [threads * distance + 1 - pending_group_members] intentions — the
+    bound that guarantees every member's designated input state is
+    already recorded when the window's store snapshot is taken.  Decodes
+    whose snapshot state is recorded at window start run on worker
+    domains straight from the wire buffers; the rest decode on the
+    driver as soon as final meld records their snapshot state.
+    Decisions are returned in sequence order and are bit-identical on
+    both backends.  A stream whose snapshot references can never be
+    satisfied raises the same [Failure] on both backends, and a corrupt
+    intention the same {!Hyder_codec.Codec.Corrupt}, raised once every
+    earlier intention has decoded. *)
 
 (** Offload accounting for the [Pipelined] backend: how much stage work
     left the driver's critical path, and how deep the bounded queues
@@ -181,11 +169,10 @@ val config : t -> config
 val runtime : t -> Runtime.backend
 
 val shutdown : t -> unit
-(** Join the [Parallel] domain pool or the [Pipelined] stage-pool
-    workers, if any.  Idempotent.  Afterwards the pipeline remains usable
-    for {!submit} and {!decode}; under [Parallel] or [Pipelined],
-    {!submit_batch} and {!submit_wire_batch} raise [Invalid_argument]
-    once they reach the joined workers. *)
+(** Join the [Pipelined] stage-pool workers, if any.  Idempotent.
+    Afterwards the pipeline remains usable for {!submit} and {!decode};
+    under [Pipelined], {!submit_wire_batch} raises [Invalid_argument]
+    once it reaches the joined workers. *)
 
 val prune : t -> keep:int -> unit
 (** Drop old retained states, but never below what premeld arithmetic

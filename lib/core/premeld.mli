@@ -16,7 +16,7 @@
     reads immutable data and writes caller-owned records — safe to run on
     any domain — and a {e scheduling shell} ({!run}) that resolves the
     designated input state against the live state store for the inline
-    sequential path.  The parallel runtime calls {!trial} directly with a
+    sequential path.  The pipelined runtime calls {!trial} directly with a
     {!State_store.Snapshot} lookup and window-corrected [snap_seq]. *)
 
 type config = { threads : int; distance : int }

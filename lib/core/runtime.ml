@@ -1,6 +1,4 @@
-module Domain_pool = Hyder_util.Domain_pool
 module Spsc_queue = Hyder_util.Spsc_queue
-module Metrics = Hyder_obs.Metrics
 
 type backend =
   | Sequential
@@ -8,10 +6,6 @@ type backend =
   | Pipelined of { domains : int }
 
 let sequential = Sequential
-
-let parallel ~domains =
-  if domains < 1 then invalid_arg "Runtime.parallel: domains";
-  Parallel { domains }
 
 let pipelined ~domains =
   if domains < 1 then invalid_arg "Runtime.pipelined: domains";
@@ -26,20 +20,16 @@ let parse s =
   in
   match String.split_on_char ':' (String.trim s) with
   | [ "seq" ] | [ "sequential" ] -> Ok Sequential
-  | [ "par" ] | [ "parallel" ] -> Ok (Parallel { domains = 2 })
   | [ "pipe" ] | [ "pipelined" ] -> Ok (Pipelined { domains = 2 })
-  | [ ("par" | "parallel"); n ] ->
-      Result.map (fun domains -> Parallel { domains }) (domains n)
   | [ ("pipe" | "pipelined"); n ] ->
       Result.map (fun domains -> Pipelined { domains }) (domains n)
   | _ ->
-      Error
-        (Printf.sprintf "unknown runtime %S (want seq | par:<n> | pipe:<n>)" s)
+      Error (Printf.sprintf "unknown runtime %S (want seq | pipe:<n>)" s)
 
 let to_string = function
   | Sequential -> "seq"
-  | Parallel { domains } -> Printf.sprintf "par:%d" domains
   | Pipelined { domains } -> Printf.sprintf "pipe:%d" domains
+  | Parallel _ -> invalid_arg "Runtime.to_string: Parallel is not a backend"
 
 (* ------------------------------------------------------------------ *)
 (* Stage pool: the pipelined backend's worker fabric                    *)
@@ -220,62 +210,3 @@ module Stage_pool = struct
       match Atomic.get t.failure with None -> () | Some e -> raise e
     end
 end
-
-(* Scheduling metrics, resolved once at create time so the per-batch cost
-   is two counter bumps (and zero when no registry is wired). *)
-type instruments = {
-  batches : Metrics.Counter.t;  (** [run_tasks] invocations (fan-outs) *)
-  tasks : Metrics.Counter.t;  (** tasks executed across all batches *)
-}
-
-type t = { backend : backend; pool : Domain_pool.t option; inst : instruments option }
-
-let create ?metrics backend =
-  let inst =
-    Option.map
-      (fun m ->
-        let g = Metrics.gauge m "runtime_domains" in
-        Metrics.Gauge.set g
-          (match backend with
-          | Sequential -> 0.0
-          | Parallel { domains } | Pipelined { domains } ->
-              float_of_int domains);
-        {
-          batches = Metrics.counter m "runtime_task_batches";
-          tasks = Metrics.counter m "runtime_tasks";
-        })
-      metrics
-  in
-  match backend with
-  | Sequential -> { backend = Sequential; pool = None; inst }
-  | Parallel { domains } as b ->
-      if domains < 1 then invalid_arg "Runtime.create: domains";
-      { backend = b; pool = Some (Domain_pool.create ~domains); inst }
-  | Pipelined { domains } as b ->
-      if domains < 1 then invalid_arg "Runtime.create: domains";
-      (* The pipelined backend owns its worker fabric (a [Stage_pool]
-         inside the pipeline, typed by the pipeline's job variants); the
-         generic task pool is not used. *)
-      { backend = b; pool = None; inst }
-
-let backend t = t.backend
-let is_parallel t = Option.is_some t.pool
-
-let is_pipelined t =
-  match t.backend with Pipelined _ -> true | Sequential | Parallel _ -> false
-
-let run_tasks t ~tasks f =
-  (match t.inst with
-  | None -> ()
-  | Some i ->
-      Metrics.Counter.incr i.batches;
-      Metrics.Counter.incr ~by:tasks i.tasks);
-  match t.pool with
-  | None ->
-      for i = 0 to tasks - 1 do
-        f i
-      done
-  | Some pool -> Domain_pool.run pool ~tasks f
-
-let shutdown t =
-  match t.pool with None -> () | Some pool -> Domain_pool.shutdown pool

@@ -1,24 +1,18 @@
 (** Pluggable stage runtime for the meld pipeline.
 
     The pipeline is a deterministic semantic machine; {e how} its stages
-    are scheduled onto hardware is this module's concern.  Three
+    are scheduled onto hardware is this module's concern.  Two
     backends:
 
     - {b Sequential} — every stage runs inline on the caller, one
       intention at a time, in log order.  This is the original scheduler,
       preserved bit-for-bit: the cluster simulator measures its per-stage
       wall-clock and models physical parallelism on top of it.
-    - {b Parallel} — premeld trial melds run on a pool of real OCaml 5
-      domains ({!Hyder_util.Domain_pool}).  Each pool task impersonates
-      one paper premeld thread (Section 3.4): it owns that thread's
-      ephemeral-id allocator and counter shard, so ephemeral node ids
-      [(thread, seq)] are identical to the sequential backend's no matter
-      which domain runs the task or in what order tasks finish.  Group
-      meld and final meld stay sequential in log order; results are
-      merged back in submission order.
     - {b Pipelined} — the whole pre-final-meld pipeline is staged across
       domains: deserialization runs on worker domains straight from wire
-      buffers, premeld slices are dealt to workers per paper thread, and
+      buffers, premeld slices are dealt to workers per paper thread (each
+      worker impersonates the paper premeld threads it is dealt, owning
+      their ephemeral-id allocators and counter shards, Section 3.4), and
       group-meld combining is offloaded to a dedicated worker, all fed
       and drained through bounded SPSC queues ({!Hyder_util.Spsc_queue})
       with backpressure.  Final meld alone stays on the driver, in log
@@ -39,19 +33,22 @@
 type backend =
   | Sequential
   | Parallel of { domains : int }
+      (** Not a backend: the domain-parallel premeld scheduler it named
+          never beat [Sequential] and is deleted.  The constructor stays
+          only because [benchmark/bench.ml] still pattern-matches it.
+          Nothing builds it; {!Pipeline.create} and {!Pipeline.restore}
+          reject it with [Invalid_argument], and {!to_string} too. *)
   | Pipelined of { domains : int }
 
 val sequential : backend
-
-val parallel : domains:int -> backend
-(** [domains >= 1], [Invalid_argument] otherwise. *)
 
 val pipelined : domains:int -> backend
 (** [domains >= 1], [Invalid_argument] otherwise. *)
 
 val parse : string -> (backend, string) result
-(** ["seq"], ["par:<n>"] or ["pipe:<n>"]; bare ["par"] / ["pipe"] mean
-    two domains. *)
+(** ["seq"] or ["pipe:<n>"]; bare ["pipe"] means two domains.  Anything
+    else, [par:<n>] included, is an [Error] ending in
+    [(want seq | pipe:<n>)]. *)
 
 val to_string : backend -> string
 (** Inverse of {!parse}. *)
@@ -124,32 +121,3 @@ module Stage_pool : sig
   (** Stop and join every worker domain.  Idempotent.  Re-raises a
       captured worker exception after the join. *)
 end
-
-type t
-(** An instantiated runtime: the backend descriptor plus, for [Parallel],
-    the live domain pool.  A [Pipelined] runtime carries only the
-    descriptor — the pipeline instantiates its own {!Stage_pool}, typed
-    by its job/result variants. *)
-
-val create : ?metrics:Hyder_obs.Metrics.t -> backend -> t
-(** [metrics], when given, registers scheduling instruments
-    ([runtime_domains] gauge, [runtime_task_batches] and [runtime_tasks]
-    counters) that {!run_tasks} updates; purely observational. *)
-
-val backend : t -> backend
-
-val is_parallel : t -> bool
-
-val is_pipelined : t -> bool
-
-val run_tasks : t -> tasks:int -> (int -> unit) -> unit
-(** Execute [tasks] independent tasks: [Sequential] and [Pipelined] run
-    them inline in index order; [Parallel] runs them concurrently on the
-    pool (any order, any domain).  Tasks handed to this function must be
-    pairwise independent — the pipeline shards premeld work by paper
-    thread id to guarantee it. *)
-
-val shutdown : t -> unit
-(** Join the domain pool, if any.  Idempotent; a no-op for [Sequential]
-    and [Pipelined] (the pipeline owns and shuts down its own stage
-    pool). *)

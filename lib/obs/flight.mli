@@ -17,8 +17,7 @@
 
     - [wait.(s)  += max 0 (t0 - t_last)]  — time spent queued between
       the previous edge and this stage starting (SPSC queue residency
-      under [pipe:<n>], window/batch latency under [par:<n>], zero by
-      construction under [seq]);
+      under [pipe:<n>], zero by construction under [seq]);
     - [service.(s) += max 0 (t1 - t0)]    — time the stage actually
       worked on the intention;
     - [t_last <- max t_last t1].
@@ -41,7 +40,7 @@
     {2 Threading}
 
     Single-writer: only the pipeline driver (the thread calling
-    [submit]/[submit_batch]) may touch a recorder.  Worker-domain stage
+    [submit]/[submit_wire_batch]) may touch a recorder.  Worker-domain stage
     timestamps ride back to the driver inside the runtime's result
     messages and are stamped there; [CLOCK_MONOTONIC] is system-wide,
     so cross-domain differences are meaningful. *)
@@ -102,7 +101,7 @@ val label : t -> string
 
 val touch : t -> pos:int -> now:float -> unit
 (** Open the record for [pos] if absent, stamping [t_submit = now].
-    Idempotent: a second touch (batch entry after decode already opened
+    Idempotent: a second touch (the decode after a caller already opened
     the record) is a no-op. *)
 
 val note_identity : t -> pos:int -> server:int -> txn_seq:int -> unit

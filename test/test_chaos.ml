@@ -201,7 +201,7 @@ let test_chaos_backend_independent () =
             (backend ^ " bit-identical to sequential")
             true
             (digests r = digests seq))
-    [ "par:2"; "pipe:2" ]
+    [ "pipe:2" ]
 
 let () =
   Alcotest.run "chaos"

@@ -417,7 +417,9 @@ let test_meld_after_compaction_matches_original () =
   in
   let run genesis =
     let p = Pipeline.create ~genesis () in
-    let ds = Pipeline.submit_batch p intentions @ Pipeline.flush p in
+    let ds =
+      List.concat_map (Pipeline.submit p) intentions @ Pipeline.flush p
+    in
     let _, _, tree = Pipeline.lcs p in
     Pipeline.shutdown p;
     ( List.map

@@ -2,8 +2,7 @@
    offline analyzer — and the inertness contract: wiring a metrics
    registry or a flight recorder into the pipeline changes NOTHING
    observable (decisions, ephemeral node identities, per-shard integer
-   counters), under the Sequential, Parallel and Pipelined runtime
-   backends. *)
+   counters), under the Sequential and Pipelined runtime backends. *)
 
 module Json = Hyder_obs.Json
 module Metrics = Hyder_obs.Metrics
@@ -577,14 +576,15 @@ let genesis_n = 2000
 
 (* Same stream recorder as test_runtime: snapshots lag behind the LCS so
    the stream mixes premeld-bound and premeld-skipped intentions, with
-   real conflicts. *)
+   real conflicts.  The generator is wire-fed and the stream is returned
+   in wire form, [(pos, bytes)] in log order. *)
 let make_stream ~config ~txns ~seed =
   let genesis = Helpers.genesis genesis_n in
   let rng = Rng.create (Int64.of_int seed) in
   let gen = Pipeline.create ~config ~genesis () in
   let history = ref [ (-1, genesis) ] in
   let hist_len = ref 1 in
-  let intentions = ref [] in
+  let wires = ref [] in
   let next_pos = ref 0 in
   for txn_seq = 0 to txns - 1 do
     let lag = min (Rng.int rng 80) (!hist_len - 1) in
@@ -603,17 +603,19 @@ let make_stream ~config ~txns ~seed =
     | None -> ()
     | Some draft ->
         next_pos := !next_pos + 1 + Rng.int rng 2;
-        let intention = I.assign ~pos:!next_pos draft in
-        intentions := intention :: !intentions;
-        ignore (Pipeline.submit gen intention);
+        let src = Hyder_codec.Codec.encode draft in
+        wires := (!next_pos, src) :: !wires;
+        ignore (Pipeline.submit gen (Pipeline.decode gen ~pos:!next_pos src));
         let _, pos, tree = Pipeline.lcs gen in
         history := (pos, tree) :: !history;
         incr hist_len
   done;
   ignore (Pipeline.flush gen);
-  (genesis, List.rev !intentions)
+  (genesis, List.rev !wires)
 
-let replay ?metrics ?flight ~config ~runtime ~slab genesis intentions =
+(* Replay a wire stream through a fresh pipeline, feeding
+   [submit_wire_batch] in slabs of [slab] intentions. *)
+let replay ?metrics ?flight ~config ~runtime ~slab genesis wires =
   let p = Pipeline.create ~config ~runtime ?flight ?metrics ~genesis () in
   let rec take k acc = function
     | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
@@ -623,9 +625,9 @@ let replay ?metrics ?flight ~config ~runtime ~slab genesis intentions =
     | [] -> acc
     | l ->
         let batch, rest = take slab [] l in
-        go (List.rev_append (Pipeline.submit_batch p batch) acc) rest
+        go (List.rev_append (Pipeline.submit_wire_batch p batch) acc) rest
   in
-  let decisions = List.rev (go [] intentions) @ Pipeline.flush p in
+  let decisions = List.rev (go [] wires) @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
   let pm_counts =
     Array.map
@@ -657,10 +659,10 @@ let check_inert ~seed rows =
       group_size = 2;
     }
   in
-  let genesis, intentions = make_stream ~config ~txns:300 ~seed in
-  check "stream not trivial" true (List.length intentions > 150);
+  let genesis, wires = make_stream ~config ~txns:300 ~seed in
+  check "stream not trivial" true (List.length wires > 150);
   let bd, bfinal, bcounts =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
+    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
   let aborts =
     List.length (List.filter (fun d -> not d.Pipeline.committed) bd)
@@ -674,7 +676,7 @@ let check_inert ~seed rows =
         else Flight.disabled
       in
       let d, final, counts =
-        replay ~flight ~metrics ~config ~runtime ~slab genesis intentions
+        replay ~flight ~metrics ~config ~runtime ~slab genesis wires
       in
       check (name ^ ": every decision closed one record") true
         (Flight.completed flight = if flighted then List.length d else 0);
@@ -710,16 +712,15 @@ let test_tracing_is_inert () =
   check_inert ~seed:2024
     [
       ("traced seq", Runtime.sequential, max_int, true);
-      ("traced par:4", Runtime.parallel ~domains:4, 64, true);
+      ("traced pipe:4", Runtime.pipelined ~domains:4, 64, true);
       ("metrics only seq", Runtime.sequential, max_int, false);
     ]
 
-(* All three runtime backends, on a second stream. *)
+(* Both runtime backends, on a second stream. *)
 let test_flight_is_inert () =
   check_inert ~seed:4096
     [
       ("flight seq", Runtime.sequential, max_int, true);
-      ("flight par:2", Runtime.parallel ~domains:2, 64, true);
       ("flight pipe:2", Runtime.pipelined ~domains:2, 64, true);
     ]
 
@@ -763,9 +764,9 @@ let () =
         ] );
       ( "inertness",
         [
-          Alcotest.test_case "tracing on = tracing off (seq and par:4)"
+          Alcotest.test_case "tracing on = tracing off (seq and pipe:4)"
             `Quick test_tracing_is_inert;
-          Alcotest.test_case "flight on = flight off (seq, par:2, pipe:2)"
+          Alcotest.test_case "flight on = flight off (seq, pipe:2)"
             `Quick test_flight_is_inert;
         ] );
     ]

@@ -1,10 +1,10 @@
-(* The Runtime contract (Section 3.4): scheduling premeld onto domains
-   changes wall-clock and nothing else.  Sequential and Parallel backends
-   must produce identical commit/abort decisions, identical ephemeral node
-   identities (checked via physical tree equality), and identical premeld
-   work counts, over randomized histories including group_size > 1 and
-   premeld distance > 1.  Also unit-tests the Domain_pool and Clock
-   utilities the Parallel backend is built from. *)
+(* The Runtime contract (Section 3.4): scheduling pipeline stages onto
+   domains changes wall-clock and nothing else.  Sequential and Pipelined
+   backends must produce identical commit/abort decisions, identical
+   ephemeral node identities (checked via physical tree equality), and
+   identical premeld work counts, over randomized histories including
+   group_size > 1 and premeld distance > 1.  Also unit-tests the stage
+   pool, the Clock and the runtime descriptors. *)
 
 module Tree = Hyder_tree.Tree
 module Pipeline = Hyder_core.Pipeline
@@ -14,7 +14,6 @@ module Counters = Hyder_core.Counters
 module Executor = Hyder_core.Executor
 module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
-module Domain_pool = Hyder_util.Domain_pool
 module Clock = Hyder_util.Clock
 module Rng = Hyder_util.Rng
 module Replica = Hyder_cluster.Replica
@@ -77,29 +76,20 @@ let make_stream ~config ~txns ~seed =
   ignore (Pipeline.flush gen);
   (genesis, List.rev !intentions, List.rev !wires)
 
-(* Replay a recorded stream through a fresh pipeline, feeding
-   [submit_batch] in slabs of [slab] intentions. *)
-let replay ~config ~runtime ~slab genesis intentions =
-  let p = Pipeline.create ~config ~runtime ~genesis () in
-  let rec take k acc = function
-    | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-    | rest -> (List.rev acc, rest)
+let pm_counts p =
+  Array.map
+    (fun (s : Counters.stage) -> (s.Counters.intentions, s.Counters.nodes_visited))
+    (Pipeline.counters p).Counters.premeld_shards
+
+(* The in-memory baseline: replay the recorded intention objects through
+   a sequential pipeline, one [submit] at a time. *)
+let replay_submit ~config genesis intentions =
+  let p = Pipeline.create ~config ~genesis () in
+  let decisions =
+    List.concat_map (Pipeline.submit p) intentions @ Pipeline.flush p
   in
-  let rec go acc = function
-    | [] -> acc
-    | l ->
-        let batch, rest = take slab [] l in
-        go (List.rev_append (Pipeline.submit_batch p batch) acc) rest
-  in
-  let decisions = List.rev (go [] intentions) @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
-  let pm_counts =
-    Array.map
-      (fun (s : Counters.stage) -> (s.Counters.intentions, s.Counters.nodes_visited))
-      (Pipeline.counters p).Counters.premeld_shards
-  in
-  Pipeline.shutdown p;
-  (decisions, final, pm_counts)
+  (decisions, final, pm_counts p)
 
 let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   a.Pipeline.seq = b.Pipeline.seq
@@ -126,15 +116,11 @@ let replay_wire ~config ~runtime ~slab genesis wires =
   in
   let decisions = List.rev (go [] wires) @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
-  let pm_counts =
-    Array.map
-      (fun (s : Counters.stage) -> (s.Counters.intentions, s.Counters.nodes_visited))
-      (Pipeline.counters p).Counters.premeld_shards
-  in
+  let counts = pm_counts p in
   let off = Pipeline.offload p in
   let digest = Replica.counters_digest (Pipeline.counters p) in
   Pipeline.shutdown p;
-  (decisions, final, pm_counts, off, digest)
+  (decisions, final, counts, off, digest)
 
 let compare_to_baseline ~name ~bd ~bfinal ~bcounts (d, final, counts) =
   check (name ^ ": decision count") true (List.length d = List.length bd);
@@ -144,54 +130,45 @@ let compare_to_baseline ~name ~bd ~bfinal ~bcounts (d, final, counts) =
     (Tree.physically_equal final bfinal);
   check (name ^ ": per-thread premeld work identical") true (counts = bcounts)
 
-let check_backends ?(wire_runs = []) ~config ~txns ~seed ~runs () =
+(* Every run replays the stream from its wire form.  Decisions must
+   match the in-memory baseline exactly (the semantic contract), but trees
+   and visit counters are compared against a wire-fed *sequential*
+   baseline.  Meld's pointer-sharing shortcuts make the physical output
+   depend on how the intention's outside pointers alias the replica's own
+   state nodes, and a decoded stream aliases differently from an
+   assign-fed one — what must hold is that every backend agrees
+   bit-for-bit on the same feed. *)
+let check_backends ~config ~txns ~seed ~runs () =
   let genesis, intentions, wires = make_stream ~config ~txns ~seed in
   check "stream not trivial" true (List.length intentions > txns / 2);
-  let bd, bfinal, bcounts =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
-  in
+  let bd, _, bcounts = replay_submit ~config genesis intentions in
   check_int "every intention decided" (List.length intentions)
     (List.length bd);
   if config.Pipeline.premeld <> None then
     check "premeld actually ran" true
       (Array.exists (fun (n, _) -> n > 0) bcounts);
+  let wd, wfinal, wcounts, _, _ =
+    replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
+  in
+  check "wire baseline: decision count" true (List.length wd = List.length bd);
+  check "wire baseline: decisions identical to in-memory" true
+    (List.for_all2 same_decision wd bd);
   List.iter
     (fun (name, runtime, slab) ->
-      compare_to_baseline ~name ~bd ~bfinal ~bcounts
-        (replay ~config ~runtime ~slab genesis intentions))
-    runs;
-  (* Wire-fed runs: decisions must match the in-memory baseline exactly
-     (the semantic contract), but trees and visit counters are compared
-     against a wire-fed *sequential* baseline.  Meld's pointer-sharing
-     shortcuts make the physical output depend on how the intention's
-     outside pointers alias the replica's own state nodes, and a decoded
-     stream aliases differently from an assign-fed one — what must hold
-     is that every backend agrees bit-for-bit on the same feed. *)
-  (if wire_runs <> [] then
-     let wd, wfinal, wcounts, _, _ =
-       replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis
-         wires
-     in
-     check "wire baseline: decision count" true
-       (List.length wd = List.length bd);
-     check "wire baseline: decisions identical to in-memory" true
-       (List.for_all2 same_decision wd bd);
-     List.iter
-       (fun (name, runtime, slab) ->
-         let d, final, counts, off, _ =
-           replay_wire ~config ~runtime ~slab genesis wires
-         in
-         compare_to_baseline ~name ~bd:wd ~bfinal:wfinal ~bcounts:wcounts
-           (d, final, counts);
-         match off with
-         | None -> ()
-         | Some o ->
-             check (name ^ ": every decode accounted") true
-               (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline
-               = List.length intentions);
-             check (name ^ ": queue depth bounded") true
-               (o.Pipeline.max_queue_depth <= o.Pipeline.queue_capacity))
-       wire_runs)
+      let d, final, counts, off, _ =
+        replay_wire ~config ~runtime ~slab genesis wires
+      in
+      compare_to_baseline ~name ~bd:wd ~bfinal:wfinal ~bcounts:wcounts
+        (d, final, counts);
+      match off with
+      | None -> ()
+      | Some o ->
+          check (name ^ ": every decode accounted") true
+            (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline
+            = List.length intentions);
+          check (name ^ ": queue depth bounded") true
+            (o.Pipeline.max_queue_depth <= o.Pipeline.queue_capacity))
+    runs
 
 (* The paper's configuration: 5 premeld threads, distance 10, groups of
    2 — windows span group boundaries and the snapshot-visibility
@@ -207,19 +184,14 @@ let test_paper_config () =
     ~runs:
       [
         ("seq slab 1", Runtime.sequential, 1);
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:3 slab 37", Runtime.parallel ~domains:3, 37);
-        ("par:2 slab 1", Runtime.parallel ~domains:2, 1);
+        ("seq slab 19", Runtime.sequential, 19);
         ("pipe:1", Runtime.pipelined ~domains:1, max_int);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
+        ("pipe:2 slab 1", Runtime.pipelined ~domains:2, 1);
         ("pipe:2 slab 37", Runtime.pipelined ~domains:2, 37);
+        ("pipe:3 slab 23", Runtime.pipelined ~domains:3, 23);
+        ("pipe:3 slab 37", Runtime.pipelined ~domains:3, 37);
         ("pipe:4", Runtime.pipelined ~domains:4, max_int);
-      ]
-    ~wire_runs:
-      [
-        ("wire seq slab 19", Runtime.sequential, 19);
-        ("wire par:2", Runtime.parallel ~domains:2, max_int);
-        ("wire pipe:2", Runtime.pipelined ~domains:2, max_int);
-        ("wire pipe:3 slab 23", Runtime.pipelined ~domains:3, 23);
       ]
     ()
 
@@ -233,11 +205,10 @@ let test_small_distance () =
     ~txns:300 ~seed:21
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:4 slab 5", Runtime.parallel ~domains:4, 5);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("pipe:2 slab 5", Runtime.pipelined ~domains:2, 5);
+        ("pipe:4 slab 5", Runtime.pipelined ~domains:4, 5);
       ]
-    ~wire_runs:[ ("wire pipe:2", Runtime.pipelined ~domains:2, max_int) ]
     ()
 
 let test_big_groups () =
@@ -250,16 +221,15 @@ let test_big_groups () =
     ~txns:300 ~seed:33
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:3 slab 11", Runtime.parallel ~domains:3, 11);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("pipe:3", Runtime.pipelined ~domains:3, max_int);
+        ("pipe:3 slab 11", Runtime.pipelined ~domains:3, 11);
       ]
-    ~wire_runs:[ ("wire pipe:3 slab 11", Runtime.pipelined ~domains:3, 11) ]
     ()
 
 (* group_size = threads*distance + 1, the boundary of the retention
    arithmetic: just before a group completes, every state a premeld
-   could designate is still pending, so parallel windows shrink all the
+   could designate is still pending, so pipelined windows shrink all the
    way down to a single intention — and must still match the inline
    scheduler bit for bit.  (group_size beyond this bound is unsupported:
    premeld-bound intentions would designate states the group assembly
@@ -274,8 +244,7 @@ let test_group_at_window_bound () =
     ~txns:200 ~seed:55
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
-        ("par:2 slab 3", Runtime.parallel ~domains:2, 3);
+        ("pipe:2", Runtime.pipelined ~domains:2, max_int);
         ("pipe:2 slab 3", Runtime.pipelined ~domains:2, 3);
       ]
     ()
@@ -286,10 +255,9 @@ let test_premeld_off () =
     ~txns:200 ~seed:77
     ~runs:
       [
-        ("par:2", Runtime.parallel ~domains:2, max_int);
         ("pipe:2", Runtime.pipelined ~domains:2, max_int);
+        ("pipe:2 slab 7", Runtime.pipelined ~domains:2, 7);
       ]
-    ~wire_runs:[ ("wire pipe:2 slab 7", Runtime.pipelined ~domains:2, 7) ]
     ()
 
 (* One giant wire burst through the pipelined backend: the bounded SPSC
@@ -304,9 +272,7 @@ let test_pipelined_burst () =
     }
   in
   let genesis, intentions, wires = make_stream ~config ~txns:500 ~seed:11 in
-  let bd, _, _ =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
-  in
+  let bd, _, _ = replay_submit ~config genesis intentions in
   let wd, wfinal, wcounts, _, _ =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
@@ -491,9 +457,9 @@ let test_worker_decode_failure_redo () =
         (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline)
 
 (* A stream naming a snapshot the log never records fails with one
-   [Failure] text on every backend: the sequential check, the parallel
-   prefix cut, the pipelined window stall and the pipelined [cap < 1]
-   fallback all report it the same way. *)
+   [Failure] text on both backends: the sequential check, the pipelined
+   window stall and the pipelined [cap < 1] fallback all report it the
+   same way. *)
 let test_invalid_stream_same_error () =
   let expect_same ~name ~config ~runtimes (genesis, wires) =
     let run runtime =
@@ -519,7 +485,7 @@ let test_invalid_stream_same_error () =
   in
   let config = Pipeline.with_both in
   expect_same ~name:"window stall" ~config
-    ~runtimes:[ Runtime.parallel ~domains:2; Runtime.pipelined ~domains:2 ]
+    ~runtimes:[ Runtime.pipelined ~domains:2 ]
     (chain_stream ~config ~txns:25 ~lie:(fun k -> k = 12) ~lag:(fun _ -> 0) ());
   (* group_size beyond threads * distance + 1: once two members are
      pending no window is safe, and the third member takes the
@@ -531,7 +497,7 @@ let test_invalid_stream_same_error () =
     }
   in
   expect_same ~name:"cap < 1 fallback" ~config
-    ~runtimes:[ Runtime.parallel ~domains:2; Runtime.pipelined ~domains:2 ]
+    ~runtimes:[ Runtime.pipelined ~domains:2 ]
     (chain_stream ~config ~txns:3 ~lie:(fun k -> k = 2) ~lag:(fun k -> k) ())
 
 (* Shutdown joins the stage-pool workers, so a later batch must fail
@@ -539,7 +505,7 @@ let test_invalid_stream_same_error () =
    driver forever. *)
 let test_submit_after_shutdown_raises () =
   let config = Pipeline.with_both in
-  let genesis, intentions, wires = make_stream ~config ~txns:20 ~seed:5 in
+  let genesis, _, wires = make_stream ~config ~txns:20 ~seed:5 in
   let p =
     Pipeline.create ~config ~runtime:(Runtime.pipelined ~domains:2) ~genesis ()
   in
@@ -555,8 +521,6 @@ let test_submit_after_shutdown_raises () =
   in
   expect "submit_wire_batch" (fun () ->
       Pipeline.submit_wire_batch p (slice 2 4 wires));
-  expect "submit_batch" (fun () ->
-      Pipeline.submit_batch p (slice 2 4 intentions));
   let pool =
     Runtime.Stage_pool.create ~domains:1 ~dummy_job:0 ~dummy_result:0
       ~exec:(fun ~worker:_ j -> j)
@@ -647,9 +611,7 @@ let test_pipelined_flight_inert () =
     }
   in
   let genesis, intentions, wires = make_stream ~config ~txns:200 ~seed:43 in
-  let bd, _, _ =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis intentions
-  in
+  let bd, _, _ = replay_submit ~config genesis intentions in
   let wd, bfinal, bcounts, _, _ =
     replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
   in
@@ -662,11 +624,7 @@ let test_pipelined_flight_inert () =
   in
   let d = Pipeline.submit_wire_batch p wires @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
-  let counts =
-    Array.map
-      (fun (s : Counters.stage) -> (s.Counters.intentions, s.Counters.nodes_visited))
-      (Pipeline.counters p).Counters.premeld_shards
-  in
+  let counts = pm_counts p in
   let off = Pipeline.offload p in
   Pipeline.shutdown p;
   compare_to_baseline ~name:"flight pipe:2" ~bd:wd ~bfinal ~bcounts
@@ -677,43 +635,6 @@ let test_pipelined_flight_inert () =
   check_int "every decision closed one record" (List.length d)
     (Flight.completed flight);
   check_int "no records leak" 0 (Flight.in_flight flight)
-
-(* ------------------------------------------------------------------ *)
-(* Domain_pool                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_runs_every_task () =
-  let pool = Domain_pool.create ~domains:3 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  check_int "size" 3 (Domain_pool.size pool);
-  let n = 200 in
-  let hits = Array.make n 0 in
-  Domain_pool.run pool ~tasks:n (fun i -> hits.(i) <- hits.(i) + 1);
-  check "each task ran exactly once" true
-    (Array.for_all (fun h -> h = 1) hits);
-  (* the pool is persistent: a second round reuses the same domains *)
-  Domain_pool.run pool ~tasks:n (fun i -> hits.(i) <- hits.(i) + 1);
-  check "reusable" true (Array.for_all (fun h -> h = 2) hits)
-
-let test_pool_propagates_exception () =
-  let pool = Domain_pool.create ~domains:2 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (match Domain_pool.run pool ~tasks:8 (fun i -> if i = 5 then failwith "boom")
-   with
-  | () -> Alcotest.fail "expected the task's exception to propagate"
-  | exception Failure m -> check "message" true (m = "boom"));
-  (* a failed round must not poison the pool *)
-  let c = Atomic.make 0 in
-  Domain_pool.run pool ~tasks:4 (fun _ -> Atomic.incr c);
-  check_int "usable after failure" 4 (Atomic.get c)
-
-let test_pool_single_domain_and_shutdown () =
-  let pool = Domain_pool.create ~domains:1 in
-  let c = Atomic.make 0 in
-  Domain_pool.run pool ~tasks:10 (fun _ -> Atomic.incr c);
-  check_int "ran" 10 (Atomic.get c);
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool (* idempotent *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock and Runtime descriptors                                        *)
@@ -732,8 +653,6 @@ let test_runtime_parse () =
   check "seq" true (Runtime.parse "seq" = Ok Runtime.sequential);
   check "sequential" true
     (Runtime.parse "sequential" = Ok Runtime.sequential);
-  check "par:3" true (Runtime.parse "par:3" = Ok (Runtime.parallel ~domains:3));
-  check "bare par" true (Runtime.parse "par" = Ok (Runtime.parallel ~domains:2));
   check "pipe:4" true
     (Runtime.parse "pipe:4" = Ok (Runtime.pipelined ~domains:4));
   check "bare pipe" true
@@ -743,25 +662,22 @@ let test_runtime_parse () =
   (match Runtime.parse "nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse accepted garbage");
-  (match Runtime.parse "par:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse accepted par:0");
   (match Runtime.parse "pipe:0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse accepted pipe:0");
-  (* A pipe spec takes nothing after the domain count; the error names
-     the grammar. *)
+  (* A pipe spec takes nothing after the domain count, and the deleted
+     par backend is no spec at all; the error names the grammar. *)
   List.iter
     (fun spec ->
       match Runtime.parse spec with
       | Ok _ -> Alcotest.failf "parse accepted %s" spec
       | Error e ->
           check (spec ^ ": error names the grammar") true
-            (String.ends_with ~suffix:"(want seq | par:<n> | pipe:<n>)" e))
-    [ "pipe:4:32"; "pipe:2:adaptive"; "pipe:3:a" ];
+            (String.ends_with ~suffix:"(want seq | pipe:<n>)" e))
+    [ "pipe:4:32"; "pipe:2:adaptive"; "pipe:3:a"; "par"; "par:2"; "parallel";
+      "parallel:4" ];
   check "round-trip" true
-    (Runtime.to_string (Runtime.parallel ~domains:4) = "par:4"
-    && Runtime.to_string (Runtime.pipelined ~domains:4) = "pipe:4"
+    (Runtime.to_string (Runtime.pipelined ~domains:4) = "pipe:4"
     && Runtime.to_string Runtime.sequential = "seq");
   check "canonical strings re-parse to themselves" true
     (List.for_all
@@ -769,13 +685,29 @@ let test_runtime_parse () =
          match Runtime.parse s with
          | Ok b -> Runtime.to_string b = s
          | Error _ -> false)
-       [ "seq"; "par:4"; "pipe:4" ]);
-  (match Runtime.parallel ~domains:0 with
+       [ "seq"; "pipe:4" ]);
+  (match Runtime.pipelined ~domains:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "parallel ~domains:0 accepted");
-  match Runtime.pipelined ~domains:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pipelined ~domains:0 accepted"
+  | _ -> Alcotest.fail "pipelined ~domains:0 accepted");
+  (* The leftover [Parallel] constructor is not a backend: the pipeline
+     refuses it on both entries, and it has no spec to print. *)
+  let par = Runtime.Parallel { domains = 2 } in
+  let genesis = Helpers.genesis 8 in
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted Runtime.Parallel" name
+  in
+  refused "Pipeline.create" (fun () ->
+      ignore (Pipeline.create ~runtime:par ~genesis ()));
+  let ckpt =
+    match Pipeline.checkpoint (Pipeline.create ~genesis ()) with
+    | Some c -> c
+    | None -> Alcotest.fail "fresh pipeline has no checkpoint"
+  in
+  refused "Pipeline.restore" (fun () ->
+      ignore (Pipeline.restore ~runtime:par ckpt));
+  refused "Runtime.to_string" (fun () -> ignore (Runtime.to_string par))
 
 let () =
   Alcotest.run "runtime"
@@ -807,15 +739,6 @@ let () =
             `Quick test_stage_pool_handoff_allocates_nothing;
           Alcotest.test_case "flight stays inert" `Quick
             test_pipelined_flight_inert;
-        ] );
-      ( "domain pool",
-        [
-          Alcotest.test_case "runs every task once" `Quick
-            test_pool_runs_every_task;
-          Alcotest.test_case "propagates exceptions" `Quick
-            test_pool_propagates_exception;
-          Alcotest.test_case "single domain, shutdown idempotent" `Quick
-            test_pool_single_domain_and_shutdown;
         ] );
       ( "clock and descriptors",
         [

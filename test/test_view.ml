@@ -408,10 +408,7 @@ let test_pipeline_lazy_eager_identical () =
       | Some o ->
           check (name ^ ": workers parsed views") true
             (o.Pipeline.ds_offloaded > 0))
-    [
-      ("par:2", Runtime.parallel ~domains:2);
-      ("pipe:2", Runtime.pipelined ~domains:2);
-    ]
+    [ ("pipe:2", Runtime.pipelined ~domains:2) ]
 
 let () =
   Alcotest.run "view"
