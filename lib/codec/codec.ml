@@ -98,8 +98,13 @@ let put_vn buf p = function
   | Vn.Logged { pos; idx } -> put_vn_parts buf p ~eph:false ~a:pos ~b:idx
   | Vn.Ephemeral { thread; seq } -> put_vn_parts buf p ~eph:true ~a:thread ~b:seq
 
-let put_kid buf p idx (c : Node.tree) =
-  if idx >= 0 then put_uint buf (put_u8 buf p tag_inside) idx
+let draft_bits = Meta.owner_bits Intention.draft_owner
+let[@inline] is_draft (n : Node.tree) =
+  n != Node.empty && n.meta land Meta.owner_mask = draft_bits
+
+(* An inside child is the bare tag: its record follows its parent's. *)
+let put_kid buf p (c : Node.tree) =
+  if is_draft c then put_u8 buf p tag_inside
   else if c == Node.empty then put_u8 buf p tag_empty
   else put_zint buf (put_vn buf (put_u8 buf p tag_ref) c.vn) c.key
 
@@ -109,7 +114,7 @@ type encoder = {
   pool : Hyder_util.Buf_pool.t option;
   mutable buf : Bytes.t;
   mutable len : int;  (** bytes written, header gap included *)
-  mutable next_idx : int;  (** post-order index of the next node *)
+  mutable nodes : int;  (** records written *)
 }
 
 let alloc pool size =
@@ -131,18 +136,14 @@ let grow e need =
 
 let[@inline] reserve e n = if e.len + n > Bytes.length e.buf then grow e (e.len + n)
 
-let draft_bits = Meta.owner_bits Intention.draft_owner
-let[@inline] is_draft (n : Node.tree) =
-  n != Node.empty && n.meta land Meta.owner_mask = draft_bits
-
-(* Post-order: children first; an inside child's index is the value the
-   recursion returns ([-1]: not an inside node, the child is written as
-   a ref — kept as a plain int so the walk allocates nothing). *)
+(* Pre-order: a draft node's record, then its left inside subtree's
+   records, then its right one's.  A decoder reads a record right after
+   its parent's, so it can bind the record's references against the
+   parent's snapshot peer in the same pass (DESIGN §13).  Node
+   identities stay post-order: the decoder numbers each node as its walk
+   returns, so no index is written here. *)
 let rec put_node e (n : Node.tree) =
-  if not (is_draft n) then -1
-  else begin
-    let li = put_node e n.left in
-    let ri = put_node e n.right in
+  if is_draft n then begin
     let m = n.meta in
     (* An unaltered node's payload equals its source version's, so it is
        not shipped: the decoder recovers it through ssv.  This is what
@@ -188,10 +189,10 @@ let rec put_node e (n : Node.tree) =
         put_vn_parts buf p ~eph:(m land Meta.scv_ephemeral <> 0) ~a:n.scv_a
           ~b:n.scv_b
     in
-    e.len <- put_kid buf (put_kid buf p li n.left) ri n.right;
-    let idx = e.next_idx in
-    e.next_idx <- idx + 1;
-    idx
+    e.len <- put_kid buf (put_kid buf p n.left) n.right;
+    e.nodes <- e.nodes + 1;
+    put_node e n.left;
+    put_node e n.right
   end
 
 (* The snapshot position is deliberately the FIRST field: schedulers can
@@ -201,15 +202,16 @@ let rec put_node e (n : Node.tree) =
    table. *)
 let encode_with e (d : Intention.draft) =
   e.len <- header_bound;
-  e.next_idx <- 0;
+  e.nodes <- 0;
   reserve e 0;
-  if put_node e d.root < 0 && d.root != Node.empty then
+  put_node e d.root;
+  if e.nodes = 0 && d.root != Node.empty then
     (* Empty intention trees (pure read-only txns under SI produce no
        nodes) are legal; a non-draft root is not. *)
     corrupt "intention root is not a draft node";
   let buf = e.buf in
   let p = put_uint buf (put_uint buf (put_zint buf 0 d.snapshot) d.server) d.txn_seq in
-  let h = put_uint buf (put_u8 buf p (isolation_to_int d.isolation)) e.next_idx in
+  let h = put_uint buf (put_u8 buf p (isolation_to_int d.isolation)) e.nodes in
   let body = e.len - header_bound in
   let out = Bytes.create (h + body) in
   Bytes.blit buf 0 out 0 h;
@@ -220,7 +222,7 @@ module Encoder = struct
   type t = encoder
 
   let create ?pool () =
-    { pool; buf = alloc pool 8192; len = 0; next_idx = 0 }
+    { pool; buf = alloc pool 8192; len = 0; nodes = 0 }
 
   let encode = encode_with
 
@@ -241,7 +243,8 @@ let peek_snapshot = View.peek_snapshot
 
 (* The reference decoder: builds every node eagerly, with the swizzle
    table indexed by post-order position.  No pipeline stage runs it; the
-   lazy decoder below must agree with it node for node. *)
+   lazy decoder ([View.parse]) must agree with it node for node and
+   message for message. *)
 let decode_indexed ~pos ~resolve s =
   let len = String.length s in
   let r = Wire.Reader.of_string s in
@@ -254,13 +257,15 @@ let decode_indexed ~pos ~resolve s =
     if node_count < 0 || node_count > len then
       corrupt "implausible node count %d" node_count;
     let nodes = Array.make (max 1 node_count) Node.empty in
-    let r_child self =
+    let records = ref 0 and next_idx = ref 0 in
+    let count_mismatch () =
+      corrupt "node count %d does not match the records" node_count
+    in
+    (* [None]: an inside child, whose record comes next. *)
+    let r_child () =
       match Wire.Reader.u8 r with
-      | t when t = tag_empty -> Node.empty
-      | t when t = tag_inside ->
-          let i = Wire.Reader.varint r in
-          if i < 0 || i >= self then corrupt "child index %d out of order" i;
-          nodes.(i)
+      | t when t = tag_empty -> Some Node.empty
+      | t when t = tag_inside -> None
       | t when t = tag_ref ->
           let vn = r_vn r in
           let key = r_zint r in
@@ -269,15 +274,19 @@ let decode_indexed ~pos ~resolve s =
             corrupt "unresolvable reference to key %d" key
           else if not (Vn.equal resolved.vn vn) then
             corrupt "reference to key %d resolved to wrong version" key;
-          resolved
+          Some resolved
       | t -> corrupt "bad child tag %d" t
     in
     let ob = Meta.owner_bits pos in
-    for idx = 0 to node_count - 1 do
+    (* One record, then its inside subtrees; the node's index is its
+       post-order position, known once both subtrees are built. *)
+    let rec r_node () =
+      if !records = node_count then count_mismatch ();
+      incr records;
       let key = r_zint r in
       let flags = Wire.Reader.u8 r in
       (* Straight-line part reads into plain ints — no option or boxed VN
-         per source version; the same wire bytes in the same order. *)
+         per source version. *)
       let payload_str =
         if flags land (32 lor 64) = 0 then Wire.Reader.bytes r else ""
       in
@@ -329,18 +338,20 @@ let decode_indexed ~pos ~resolve s =
           m.payload
         end
       in
-      let left = r_child idx in
-      let right = r_child idx in
+      let left = r_child () in
+      let right = r_child () in
       let altered = flags land 1 <> 0 in
+      if (not altered) && not has_scv then
+        corrupt "unaltered node %d lacks a content version" key;
+      let left = match left with Some n -> n | None -> r_node () in
+      let right = match right with Some n -> n | None -> r_node () in
+      let idx = !next_idx in
+      incr next_idx;
       let vn = Vn.logged ~pos ~idx in
       let cv =
         if altered then vn
-        else begin
-          if not has_scv then
-            corrupt "unaltered node %d lacks a content version" key;
-          if scv_eph then Vn.ephemeral ~thread:scv_a ~seq:scv_b
-          else Vn.logged ~pos:scv_a ~idx:scv_b
-        end
+        else if scv_eph then Vn.ephemeral ~thread:scv_a ~seq:scv_b
+        else Vn.logged ~pos:scv_a ~idx:scv_b
       in
       let meta =
         ob lor (flags land 0x7)
@@ -354,12 +365,18 @@ let decode_indexed ~pos ~resolve s =
           else Meta.scv_present
         else 0
       in
-      nodes.(idx) <-
+      let n =
         Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b
           ~scv_a ~scv_b
-    done;
+      in
+      nodes.(idx) <- n;
+      n
+    in
+    (* The header count is checked against the records in both
+       directions: a record past it fails in [r_node], too few fail here. *)
+    let root = if Wire.Reader.remaining r > 0 then r_node () else Node.empty in
+    if !records <> node_count then count_mismatch ();
     if Wire.Reader.remaining r <> 0 then corrupt "trailing bytes";
-    let root = if node_count = 0 then Node.empty else nodes.(node_count - 1) in
     ( {
         Intention.pos;
         snapshot;

@@ -1,10 +1,13 @@
 open Hyder_tree
 (** Intention serialization (Section 5.2).
 
-    An intention tree is serialized by a post-order traversal, so each node
-    is written after its children and can refer to them by index; pointers
-    to nodes outside the intention are written as (VN, key) references.  The
-    byte stream is split into fixed-size {e intention blocks} for the log;
+    An intention tree is serialized by a pre-order traversal: each node's
+    record comes before its left and then its right inside subtree, and an
+    inside child is written as a bare tag, with no index.  Pointers to nodes
+    outside the intention are written as (VN, key) references.  A decoder
+    thus meets each node right after its parent and binds its references
+    in the same pass; it numbers nodes in post order as its walk returns
+    (DESIGN §13).  The byte stream is split into fixed-size {e intention blocks} for the log;
     an intention's blocks need not be contiguous in the log, and the
     intention's identity is the log position of its last block (Section
     5.1).  Deserialization swizzles references back to in-memory nodes via a
@@ -68,8 +71,8 @@ val decode_lazy :
 
 val decode : pos:int -> resolve:resolver -> string -> Intention.t
 (** Rebuild the intention appended at log position [pos].  Inside nodes get
-    owner [pos] and VNs [Logged (pos, idx)] in post-order, matching
-    {!Intention.assign}. *)
+    owner [pos] and VNs [Logged (pos, idx)] numbered in post order,
+    matching {!Intention.assign}. *)
 
 val decode_indexed :
   pos:int -> resolve:resolver -> string -> Intention.t * Node.tree array

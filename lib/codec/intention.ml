@@ -40,7 +40,8 @@ let assign ~pos ?(byte_size = 0) (d : draft) =
   let count = ref 0 in
   let ob = Meta.owner_bits pos in
   (* Post-order renumbering of draft nodes; shared (snapshot) subtrees are
-     left untouched.  Must mirror the decoder exactly. *)
+     left untouched.  Must mirror the decoder exactly: it reads the records
+     in pre-order and numbers each node as its walk returns. *)
   let rec go t =
     (* The sentinel's meta (0) never carries the draft owner bits, so the
        same-owner test also stops the recursion at empty. *)

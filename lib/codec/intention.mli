@@ -49,7 +49,8 @@ val draft_vn : idx:int -> Vn.t
 val assign : pos:int -> ?byte_size:int -> draft -> t
 (** Renumber a draft as the intention at log position [pos]: every draft
     node receives owner [pos] and VN [Logged (pos, post-order index)], and
-    content versions of altered nodes follow.  This is exactly the identity
+    content versions of altered nodes follow.  The wire order is pre-order;
+    the index is not written but counted by the decoder.  This is exactly the identity
     assignment the decoder performs, so [assign ~pos d] and
     [decode (encode d)] agree. *)
 

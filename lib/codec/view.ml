@@ -1,17 +1,17 @@
 (* Flyweight intention view: the wire encoding read in place.
 
-   [parse] makes one linear pass over an intention's encoding and keeps,
+   [parse] makes one pass over an intention's pre-order records and keeps,
    per node, only small arrays of immediate ints (key, packed meta word,
    child descriptors, byte offset) plus the bound external references —
    no heap [Node] is built.  Meld walks the view through the accessors
    below and calls [materialize] only for the nodes it actually grafts
    into its output; everything else never allocates a node.
 
-   External references (ref children and elided payloads) are bound
-   during the parse against the snapshot tree the intention names — an
-   O(log n) key descent per reference, falling back to the caller's
-   resolver with exactly the eager decoder's integrity checks and error
-   messages.  Because every reference is bound up front, [materialize]
+   External references (ref children and elided payloads) are bound as
+   their record is read, against the snapshot tree the intention names —
+   one step down from the parent's snapshot peer in the common case,
+   falling back to the caller's resolver with exactly the eager decoder's
+   integrity checks and error messages.  Because every reference is bound up front, [materialize]
    is total: it can run at any later stage, on any domain, and never
    consults a resolver or fails.
 
@@ -318,58 +318,59 @@ let materialize_root v =
 
 (* BST descent to the unique same-key node of the snapshot tree — the
    same physical object the eager decoder's state-first resolver returns. *)
-let rec find_peer (p : Node.tree) k =
-  if p == Node.empty then p
-  else
-    let c = Key.compare k p.key in
-    if c = 0 then p
-    else if c < 0 then find_peer p.left k
-    else find_peer p.right k
+let rec find_peer (p : Node.tree) (k : Key.t) =
+  if p == Node.empty || k = p.key then p
+  else if k < p.key then find_peer p.left k
+  else find_peer p.right k
 
 let[@inline] vn_matches (x : Vn.t) ~eph ~a ~b =
   match x with
   | Vn.Logged { pos; idx } -> (not eph) && pos = a && idx = b
   | Vn.Ephemeral { thread; seq } -> eph && thread = a && seq = b
 
-(* One child descriptor of node [self], validated: [kid_empty], an inside
-   index, or a reference numbered into the next slot of [nrefs]. *)
-let read_kid c self nrefs =
-  match u8 c with
-  | 0 -> kid_empty
-  | 1 ->
-      let i = uint c in
-      if i < 0 || i >= self then corrupt "child index %d out of order" i;
-      i
-  | 2 ->
-      ignore (skip_vn c);
-      ignore (zint c);
-      (* slot number only; the binding pass fills it *)
-      let slot = !nrefs in
-      nrefs := slot + 1;
-      -slot - 2
-  | tag -> corrupt "bad child tag %d" tag
-
 (* Does child [c] carry this intention's writes ([obh]: its owner bits
    plus has-writes)?  Empty kids never do, and neither do refs: a ref
    resolves to a node owned by an earlier log position, so its owner bits
    can never equal this intention's (the eager decoder computes the same
-   test against the resolved node and always gets false) — which is why
-   unbound ref slots are sound here. *)
+   test against the resolved node and always gets false). *)
 let[@inline] kid_hw hot obh c =
   c >= 0 && Array.unsafe_get hot ((c * 4) + 1) land Node.Meta.hw_mask = obh
 
-(* One pass: validate the whole encoding (the eager decoder's checks, in
-   the eager decoder's order, with its error messages), record per-node
-   offsets and packed meta words, and bind every external reference and
-   elided payload — first by key descent of [peer] (the snapshot tree
-   this intention executed against, [Node.empty] when unavailable), then
-   through [resolve] for anything the snapshot cannot answer.  Bytes are
-   read through the cursor above, never [Wire.Reader]: a cross-module
-   call per byte plus a boxed [Int64] fold per varint were the bulk of
-   the old ds bracket. *)
+(* Per-domain staging for the bound references.  Their number is known
+   only once the last record is read, and the view keeps an exact-size
+   copy.  A parse takes the stage out of its domain's slot and puts it
+   back cleared, so the stage pins no state between parses and a second
+   parse on the same domain meanwhile just allocates its own. *)
+let ref_stage = Domain.DLS.new_key (fun () -> ref [||])
+
+(* One pass over the pre-order records: validate the whole encoding (the
+   eager decoder's checks, in its order, with its messages), record
+   per-node offsets and packed meta words, and bind every external
+   reference and elided payload as its record is read.  Bytes are read
+   through the cursor above, never [Wire.Reader]: a cross-module call
+   per byte plus a boxed [Int64] fold per varint were the bulk of the
+   old ds bracket.
+
+   A record comes right after its parent's, so the walk threads each
+   node's snapshot peer down the tree: a node's same-key peer is searched
+   inside its parent's peer's matching child — depth 0 in the aligned
+   common case — so binding costs O(1) tree touches per node instead of a
+   root descent per reference.  A miss (a key the snapshot lacks, a
+   rotation near an altered node, or a dishonestly shaped buffer) falls
+   through to [resolve], which is all the eager decoder ever uses, with
+   its integrity checks and messages; [peer] is [Node.empty] when the
+   snapshot tree is unavailable. *)
 let parse ~pos ~peer ~(resolve : resolver) s =
   let len = String.length s in
   let c = { src = s; limit = len; at = 0 } in
+  let slot = Domain.DLS.get ref_stage in
+  let stage = ref !slot in
+  slot := [||];
+  let nrefs = ref 0 in
+  let release () =
+    Array.fill !stage 0 !nrefs Node.empty;
+    slot := !stage
+  in
   try
     let snapshot = zint c in
     let server = uint c in
@@ -382,74 +383,15 @@ let parse ~pos ~peer ~(resolve : resolver) s =
     let hot = Array.make (node_count * 4) 0 in
     let offs = Array.make (max 1 node_count) 0 in
     let pays = Array.make (max 1 node_count) unbound in
-    (* The structural pass only numbers the ref slots; the binding pass
-       below fills them.  Deferring the array lets it be allocated at its
-       exact final size. *)
-    let nrefs = ref 0 in
-    (* Structural pass only: binding of ref children and elided payloads
-       is deferred to the top-down pass below, which finds each node's
-       snapshot peer inside its parent's peer subtree instead of paying a
-       root descent per reference — the descents were the bulk of the
-       parse cost on path-copy intentions. *)
+    (* a binary tree of [n] inside nodes has [n + 1] outside child slots *)
+    if Array.length !stage <= node_count then
+      stage := Array.make (node_count + 1) Node.empty;
+    let refs = !stage in
     let ob = Node.Meta.owner_bits pos in
     let obh = ob lor Node.Meta.has_writes in
-    for idx = 0 to node_count - 1 do
-      let key = zint c in
-      offs.(idx) <- c.at;
-      let flags = u8 c in
-      if flags land (32 lor 64) = 0 then skip c (uint c);
-      let has_ssv = flags land 8 <> 0 in
-      let ssv_eph = has_ssv && skip_vn c in
-      let has_scv = flags land 16 <> 0 in
-      let scv_eph = has_scv && skip_vn c in
-      if flags land 64 <> 0 && flags land 32 = 0 && not has_ssv then
-        corrupt "elided payload on a node without a source";
-      let kl = read_kid c idx nrefs in
-      let kr = read_kid c idx nrefs in
-      if flags land 1 = 0 && not has_scv then
-        corrupt "unaltered node %d lacks a content version" key;
-      let m =
-        ob lor (flags land 0x7)
-        lor (if has_ssv then
-               if ssv_eph then Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
-               else Node.Meta.ssv_present
-             else 0)
-        lor (if has_scv then
-               if scv_eph then Node.Meta.scv_present lor Node.Meta.scv_ephemeral
-               else Node.Meta.scv_present
-             else 0)
-        (* bottom-up [Node.pack] has-writes rule: children precede parents
-           in post-order, so their meta words are already final *)
-        lor
-        if flags land 1 <> 0 || (not has_ssv) || kid_hw hot obh kl
-           || kid_hw hot obh kr
-        then Node.Meta.has_writes
-        else 0
-      in
-      let h = idx * 4 in
-      hot.(h) <- key;
-      hot.(h + 1) <- m;
-      hot.(h + 2) <- kl;
-      hot.(h + 3) <- kr
-    done;
-    if c.at <> len then corrupt "trailing bytes";
-    let refs = Array.make !nrefs Node.empty in
-    (* ---- binding pass: top-down from the root ------------------------ *)
-    (* Re-walk the (now validated) records from the root downward,
-       threading each node's snapshot-peer subtree: a node's peer is
-       searched inside its parent's peer's matching child — depth 0 in
-       the aligned common case — so binding costs O(1) tree touches per
-       node.  Checks, fallback resolver calls and error messages are the
-       eager decoder's; a candidate miss (rotation near an altered node,
-       or a dishonestly-shaped buffer) simply falls through to [resolve],
-       which is all the eager decoder ever uses.  Visited nodes are
-       marked by flipping [offs] negative, so sharing in a hand-crafted
-       buffer cannot blow up the walk; nodes unreachable from the root
-       (never emitted by the executor) are swept afterwards against the
-       snapshot root, and the marks are restored before returning. *)
-    let bind_elided idx key m ~eph ~a ~b =
-      if m != Node.empty && vn_matches m.Node.vn ~eph ~a ~b then
-        pays.(idx) <- m.Node.payload
+    let records = ref 0 and next_idx = ref 0 in
+    let bind_elided key m ~eph ~a ~b =
+      if m != Node.empty && vn_matches m.Node.vn ~eph ~a ~b then m.Node.payload
       else begin
         let source_vn =
           if eph then Vn.ephemeral ~thread:a ~seq:b
@@ -461,82 +403,110 @@ let parse ~pos ~peer ~(resolve : resolver) s =
         else if not (Vn.equal m.Node.vn source_vn) then
           corrupt "elided payload: source of key %d is version %s" key
             (Vn.to_string m.Node.vn);
-        pays.(idx) <- m.Node.payload
+        m.Node.payload
       end
     in
-    let bind_ref slot key sub ~eph ~a ~b =
-      let n0 = find_peer sub key in
-      let n =
-        if n0 != Node.empty && vn_matches n0.Node.vn ~eph ~a ~b then n0
-        else begin
-          let x =
-            if eph then Vn.ephemeral ~thread:a ~seq:b
-            else Vn.logged ~pos:a ~idx:b
-          in
-          let resolved = resolve ~snapshot ~key ~vn:x in
-          if resolved == Node.empty then
-            corrupt "unresolvable reference to key %d" key
-          else if not (Vn.equal resolved.Node.vn x) then
-            corrupt "reference to key %d resolved to wrong version" key;
-          resolved
-        end
-      in
-      refs.(slot) <- n
-    in
-    (* [bind_child]/[kid_sub] are part of the recursive group (not inner
-       lets) so their closures are built once per parse, not per node. *)
-    let rec bind_down idx sub =
-      let off0 = offs.(idx) in
-      if off0 >= 0 then begin
-        offs.(idx) <- -off0 - 1;
-        let h = idx * 4 in
-        let key = hot.(h) in
-        let m = find_peer sub key in
-        let flags = Char.code (String.unsafe_get s off0) in
-        c.at <- off0 + 1;
-        if flags land (32 lor 64) = 0 then skip c (uint c);
-        if flags land 8 <> 0 then begin
-          let eph = vn_tag c in
-          let a = if eph then uint c else zint c in
-          let b = uint c in
-          if flags land 64 <> 0 && flags land 32 = 0 then
-            bind_elided idx key m ~eph ~a ~b
-        end;
-        if flags land 16 <> 0 then ignore (skip_vn c);
-        let kl = hot.(h + 2) and kr = hot.(h + 3) in
-        bind_child kl key m sub;
-        bind_child kr key m sub;
-        if kl >= 0 then bind_down kl (kid_sub kl key m sub);
-        if kr >= 0 then bind_down kr (kid_sub kr key m sub)
-      end
-    and bind_child kid key m sub =
+    (* One child descriptor, read and bound against [sub], the peer
+       subtree on its side: [kid_empty], a bound reference's code, or
+       [0] for an inside child, whose record comes next. *)
+    let read_kid sub =
       match u8 c with
-      | 0 -> ()
-      | 1 -> ignore (uint c)
-      | _ ->
+      | 0 -> kid_empty
+      | 1 -> 0
+      | 2 ->
           let eph = vn_tag c in
           let a = if eph then uint c else zint c in
           let b = uint c in
-          let key_r = zint c in
-          let sub_r =
-            if m == Node.empty then sub
-            else if Key.compare key_r key < 0 then m.Node.left
-            else m.Node.right
+          let key = zint c in
+          let n0 = find_peer sub key in
+          let n =
+            if n0 != Node.empty && vn_matches n0.Node.vn ~eph ~a ~b then n0
+            else begin
+              let x =
+                if eph then Vn.ephemeral ~thread:a ~seq:b
+                else Vn.logged ~pos:a ~idx:b
+              in
+              let resolved = resolve ~snapshot ~key ~vn:x in
+              if resolved == Node.empty then
+                corrupt "unresolvable reference to key %d" key
+              else if not (Vn.equal resolved.Node.vn x) then
+                corrupt "reference to key %d resolved to wrong version" key;
+              resolved
+            end
           in
-          bind_ref (-kid - 2) key_r sub_r ~eph ~a ~b
-    and kid_sub kid key m sub =
-      if m == Node.empty then sub
-      else if Key.compare (Array.unsafe_get hot (kid * 4)) key < 0 then
-        m.Node.left
-      else m.Node.right
+          let slot = !nrefs in
+          refs.(slot) <- n;
+          nrefs := slot + 1;
+          -slot - 2
+      | tag -> corrupt "bad child tag %d" tag
     in
-    if node_count > 0 then bind_down (node_count - 1) peer;
-    for idx = node_count - 1 downto 0 do
-      if offs.(idx) >= 0 then bind_down idx peer
-    done;
-    for idx = 0 to node_count - 1 do
-      offs.(idx) <- -offs.(idx) - 1
-    done;
+    (* One record under the peer subtree [sub], then its inside
+       subtrees; returns the node's post-order index. *)
+    let rec node sub =
+      if !records = node_count then
+        corrupt "node count %d does not match the records" node_count;
+      incr records;
+      let key = zint c in
+      let off = c.at in
+      let flags = u8 c in
+      if flags land (32 lor 64) = 0 then skip c (uint c);
+      let has_ssv = flags land 8 <> 0 in
+      let ssv_eph = has_ssv && vn_tag c in
+      let ssv_a = if not has_ssv then 0 else if ssv_eph then uint c else zint c in
+      let ssv_b = if has_ssv then uint c else 0 in
+      let has_scv = flags land 16 <> 0 in
+      let scv_eph = has_scv && skip_vn c in
+      let m = find_peer sub key in
+      let pay =
+        if flags land (32 lor 64) <> 64 then unbound
+        else if not has_ssv then
+          corrupt "elided payload on a node without a source"
+        else bind_elided key m ~eph:ssv_eph ~a:ssv_a ~b:ssv_b
+      in
+      let sub_l = if m == Node.empty then sub else m.Node.left in
+      let sub_r = if m == Node.empty then sub else m.Node.right in
+      let kl = read_kid sub_l in
+      let kr = read_kid sub_r in
+      if flags land 1 = 0 && not has_scv then
+        corrupt "unaltered node %d lacks a content version" key;
+      let kl = if kl >= 0 then node sub_l else kl in
+      let kr = if kr >= 0 then node sub_r else kr in
+      let idx = !next_idx in
+      next_idx := idx + 1;
+      let meta =
+        ob lor (flags land 0x7)
+        lor (if has_ssv then
+               if ssv_eph then Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
+               else Node.Meta.ssv_present
+             else 0)
+        lor (if has_scv then
+               if scv_eph then Node.Meta.scv_present lor Node.Meta.scv_ephemeral
+               else Node.Meta.scv_present
+             else 0)
+        (* bottom-up [Node.pack] has-writes rule: the children were
+           numbered first, so their meta words are already final *)
+        lor
+        if flags land 1 <> 0 || (not has_ssv) || kid_hw hot obh kl
+           || kid_hw hot obh kr
+        then Node.Meta.has_writes
+        else 0
+      in
+      let h = idx * 4 in
+      hot.(h) <- key;
+      hot.(h + 1) <- meta;
+      hot.(h + 2) <- kl;
+      hot.(h + 3) <- kr;
+      offs.(idx) <- off;
+      pays.(idx) <- pay;
+      idx
+    in
+    (* the eager decoder's two-way check of the header count *)
+    if c.at < len then ignore (node peer);
+    if !records <> node_count then
+      corrupt "node count %d does not match the records" node_count;
+    if c.at <> len then corrupt "trailing bytes";
+    let refs = Array.sub refs 0 !nrefs in
+    release ();
     {
       pos;
       snapshot;
@@ -552,4 +522,6 @@ let parse ~pos ~peer ~(resolve : resolver) s =
       pays;
       nodes = [||];
     }
-  with Wire.Truncated -> corrupt "truncated intention"
+  with e -> (
+    release ();
+    match e with Wire.Truncated -> corrupt "truncated intention" | e -> raise e)

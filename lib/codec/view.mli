@@ -64,7 +64,8 @@ val root_index : t -> int
 (** {1 Per-node accessors}
 
     Nodes are indexed [0 .. node_count - 1] in post order (children
-    before parents, root last).  Child descriptors are ints: [>= 0] an
+    before parents, root last), although the wire writes their records
+    in pre order.  Child descriptors are ints: [>= 0] an
     inside node index, [-1] empty, [<= -2] a bound external reference
     (see {!kid_slot}).  None of these allocate. *)
 

@@ -8,32 +8,36 @@ type t = {
   mutable first : int;  (** index of oldest entry *)
   mutable count : int;
   mutable pruned_any : bool;
-  genesis : Tree.t;
+  mutable genesis : Tree.t option;
+      (** [None] after the first prune that leaves a state; kept longer,
+          it would keep the genesis version of every rewritten node live *)
 }
 
 let initial_capacity = 4096 (* must stay a power of two: [nth] masks *)
-
-let create ~genesis () =
-  {
-    entries =
-      Array.make initial_capacity { seq = -1; pos = -1; state = genesis };
-    mask = initial_capacity - 1;
-    first = 0;
-    count = 0;
-    pruned_any = false;
-    genesis;
-  }
-
-let nth t i = t.entries.((t.first + i) land t.mask)
 
 (* Filler for slots that hold no live entry.  Unused and evacuated slots
    must not keep references to real states: a pruned [Tree.t] pinned by a
    stale slot survives until the ring wraps over it, which for a large
    capacity is effectively forever. *)
-let dummy_entry t = { seq = -1; pos = -1; state = t.genesis }
+let dummy = { seq = -1; pos = -1; state = Node.empty }
+
+let create ~genesis () =
+  {
+    entries = Array.make initial_capacity dummy;
+    mask = initial_capacity - 1;
+    first = 0;
+    count = 0;
+    pruned_any = false;
+    genesis = Some genesis;
+  }
+
+let nth t i = t.entries.((t.first + i) land t.mask)
 
 let latest t =
-  if t.count = 0 then (-1, -1, t.genesis)
+  if t.count = 0 then
+    (* [prune] drops genesis only while a state remains, and keeps one
+       after that *)
+    (-1, -1, Option.get t.genesis)
   else begin
     let e = nth t (t.count - 1) in
     (e.seq, e.pos, e.state)
@@ -41,7 +45,7 @@ let latest t =
 
 let grow t =
   let cap = Array.length t.entries in
-  let bigger = Array.make (2 * cap) (dummy_entry t) in
+  let bigger = Array.make (2 * cap) dummy in
   for i = 0 to t.count - 1 do
     bigger.(i) <- nth t i
   done;
@@ -62,7 +66,7 @@ let record t ~seq ~pos state =
   t.count <- t.count + 1
 
 let by_seq t seq =
-  if seq = -1 then Some t.genesis
+  if seq = -1 then t.genesis
   else if t.count = 0 then None
   else begin
     let first_seq = (nth t 0).seq in
@@ -83,14 +87,14 @@ let find_by_pos t pos =
   end
 
 let by_pos t pos =
-  if pos = -1 then Some t.genesis
+  if pos = -1 then t.genesis
   else
     match find_by_pos t pos with
     | Some e -> Some e.state
     | None ->
         (* A position older than every recorded intention is the genesis
            state — unless history has been pruned away. *)
-        if t.pruned_any then None else Some t.genesis
+        if t.pruned_any then None else t.genesis
 
 let seq_of_pos t pos =
   if pos = -1 then -1
@@ -140,7 +144,7 @@ let resolver ?(stage = "ds") t = make_resolver ~stage ~by_pos:(by_pos t)
 module Snapshot = struct
   type nonrec t = {
     entries : entry array;  (** oldest first, dense in seq *)
-    genesis : Tree.t;
+    genesis : Tree.t option;
     pruned : bool;  (** whether the source store had ever pruned *)
   }
 
@@ -149,7 +153,7 @@ module Snapshot = struct
     if n = 0 then (-1, -1) else (s.entries.(n - 1).seq, s.entries.(n - 1).pos)
 
   let by_seq s seq =
-    if seq = -1 then Some s.genesis
+    if seq = -1 then s.genesis
     else begin
       let n = Array.length s.entries in
       if n = 0 then None
@@ -171,9 +175,9 @@ module Snapshot = struct
      [by_pos], frozen. *)
   let by_pos s pos =
     let n = Array.length s.entries in
-    if pos = -1 then Some s.genesis
+    if pos = -1 then s.genesis
     else if n = 0 || s.entries.(0).pos > pos then
-      if s.pruned then None else Some s.genesis
+      if s.pruned then None else s.genesis
     else begin
       let lo = ref 0 and hi = ref (n - 1) in
       while !lo < !hi do
@@ -215,9 +219,7 @@ let restore (s : Snapshot.t) =
   while !cap < n + 1 do
     cap := 2 * !cap
   done;
-  let entries =
-    Array.make !cap { seq = -1; pos = -1; state = s.Snapshot.genesis }
-  in
+  let entries = Array.make !cap dummy in
   Array.blit s.Snapshot.entries 0 entries 0 n;
   {
     entries;
@@ -230,12 +232,17 @@ let restore (s : Snapshot.t) =
 
 let prune t ~keep =
   if keep < 0 then invalid_arg "State_store.prune";
-  if t.count > keep then t.pruned_any <- true;
-  let dummy = dummy_entry t in
-  while t.count > keep do
-    t.entries.(t.first) <- dummy;
-    t.first <- (t.first + 1) land t.mask;
-    t.count <- t.count - 1
-  done
+  (* without genesis, the newest state is all [latest] can answer *)
+  let keep = if Option.is_none t.genesis then max keep 1 else keep in
+  if t.count > keep then begin
+    t.pruned_any <- true;
+    while t.count > keep do
+      t.entries.(t.first) <- dummy;
+      t.first <- (t.first + 1) land t.mask;
+      t.count <- t.count - 1
+    done;
+    (* genesis is now older than every retained state: drop it like them *)
+    if t.count > 0 then t.genesis <- None
+  end
 
 let retained t = t.count

@@ -27,11 +27,11 @@ val record : t -> seq:int -> pos:int -> Tree.t -> unit
 
 val by_seq : t -> int -> Tree.t option
 (** State after intention [seq]; [-1] is genesis.  [None] if pruned or not
-    yet produced. *)
+    yet produced; genesis counts as pruned once {!prune} has dropped it. *)
 
 val by_pos : t -> int -> Tree.t option
 (** State as of log position [pos]: the newest recorded state whose
-    position is [<= pos].  [-1] is genesis. *)
+    position is [<= pos].  [-1] is genesis, pruned like {!by_seq}'s. *)
 
 val seq_of_pos : t -> int -> int
 (** Sequence number of the newest intention with log position [<= pos]. *)
@@ -90,7 +90,9 @@ val restore : Snapshot.t -> t
     snapshot's newest [(seq, pos)]. *)
 
 val prune : t -> keep:int -> unit
-(** Drop states older than the newest [keep] (genesis is always kept as the
-    oldest retained state's stand-in). *)
+(** Drop states older than the newest [keep].  The first prune that drops a
+    state and leaves one drops genesis too, so it no longer pins the
+    genesis version of every node the log has rewritten; from then on
+    the newest state is always kept. *)
 
 val retained : t -> int

@@ -4,7 +4,8 @@
 
     - [Logged] versions are calculated from the log address: the log
       position of the intention that wrote the node, plus the node's
-      post-order index within that intention.  All servers deserialize the
+      post-order index within that intention (the wire writes records in
+      pre-order; decoders number each node as their walk returns).  All servers deserialize the
       same log, so logged VNs agree everywhere by construction.  The
       pseudo-position [-1] is reserved for the genesis state loaded before
       the log starts.

@@ -47,12 +47,8 @@ module Oracle = struct
       if is_draft t then 1 + count t.Node.left + count t.Node.right else 0
     in
     Wire.Writer.varint w (count d.root);
-    let next_idx = ref 0 in
-    let w_child i (c : Node.tree) =
-      if i >= 0 then begin
-        Wire.Writer.u8 w 1;
-        Wire.Writer.varint w i
-      end
+    let w_child (c : Node.tree) =
+      if is_draft c then Wire.Writer.u8 w 1
       else if c == Node.empty then Wire.Writer.u8 w 0
       else begin
         Wire.Writer.u8 w 2;
@@ -60,11 +56,9 @@ module Oracle = struct
         w_zint w c.key
       end
     in
+    (* pre-order: each record before its inside children's *)
     let rec go (n : Node.tree) =
-      if not (is_draft n) then -1
-      else begin
-        let li = go n.left in
-        let ri = go n.right in
+      if is_draft n then begin
         let m = n.meta in
         let elide = m land Meta.altered = 0 && m land Meta.ssv_present <> 0 in
         w_zint w n.key;
@@ -83,15 +77,15 @@ module Oracle = struct
         if m land Meta.scv_present <> 0 then
           w_vn_parts w ~eph:(m land Meta.scv_ephemeral <> 0) ~a:n.scv_a
             ~b:n.scv_b;
-        w_child li n.left;
-        w_child ri n.right;
-        let idx = !next_idx in
-        incr next_idx;
-        idx
+        w_child n.left;
+        w_child n.right;
+        go n.left;
+        go n.right
       end
     in
-    if go d.root < 0 && d.root != Node.empty then
+    if d.root != Node.empty && not (is_draft d.root) then
       raise (Codec.Corrupt "intention root is not a draft node");
+    go d.root;
     Wire.Writer.contents w
 end
 
@@ -361,15 +355,78 @@ let prop_roundtrip =
             List.iter (fun k -> Executor.write e (k * 3) "w") writes)
       in
       let bytes = Codec.encode draft in
-      let decoded =
-        Codec.decode ~pos:11
-          ~resolve:(fun ~snapshot:_ ~key ~vn:_ ->
-            match Tree.find snapshot key with
-            | Some n -> n
-            | None -> Node.empty)
-          bytes
+      let resolve ~snapshot:_ ~key ~vn:_ =
+        match Tree.find snapshot key with Some n -> n | None -> Node.empty
       in
-      Tree.physically_equal decoded.I.root (I.assign ~pos:11 draft).I.root)
+      let decoded = Codec.decode ~pos:11 ~resolve bytes in
+      let parsed = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
+      let assigned = (I.assign ~pos:11 draft).I.root in
+      (* the eager reference and the pipeline's own path both number
+         nodes in post order, as [assign] does *)
+      Tree.physically_equal decoded.I.root assigned
+      && Tree.physically_equal
+           (Hyder_codec.View.materialize_root (Option.get parsed.I.view))
+           assigned)
+
+(* A header node count above or below the records that follow is
+   rejected by both decoders with one message. *)
+let test_node_count_mismatch () =
+  let snapshot = Helpers.genesis ~gap:10 100 in
+  let draft =
+    make_draft ~snapshot ~snapshot_pos:(-1) (fun e ->
+        Executor.write e 10 "v";
+        Executor.write e 500 "w")
+  in
+  let bytes = Codec.encode draft in
+  (* snapshot -1, server 3, txn_seq 17 and the isolation take one byte
+     each, so the count is byte 4 *)
+  let count = Char.code bytes.[4] in
+  check "count is one byte" true (count > 1 && count < 126);
+  let resolve = resolver_of snapshot ~snapshot_pos:(-1) in
+  let outcome decode s =
+    match decode s with _ -> "accepted" | exception Codec.Corrupt m -> m
+  in
+  List.iter
+    (fun claimed ->
+      let b = Bytes.of_string bytes in
+      Bytes.set b 4 (Char.chr claimed);
+      let s = Bytes.to_string b in
+      let want = Printf.sprintf "node count %d does not match the records" claimed in
+      Alcotest.(check string) "eager" want (outcome (Codec.decode ~pos:1 ~resolve) s);
+      Alcotest.(check string) "lazy" want
+        (outcome (Codec.decode_lazy ~pos:1 ~peer:snapshot ~resolve) s))
+    [ 0; count - 1; count + 1; count + 2 ]
+
+(* The encoder, the parser and materialization all recurse to the
+   intention's depth; a chain of 100,000 inside nodes must round-trip on
+   the main domain and on a spawned one, as pipelined workers are. *)
+let deep_chain_roundtrip () =
+  let depth = 100_000 in
+  let vn = I.draft_vn ~idx:0 in
+  let root = ref Node.empty in
+  for key = depth - 1 downto 0 do
+    root :=
+      Node.make ~key ~payload:(Payload.value "v") ~left:Node.empty ~right:!root
+        ~vn ~cv:vn ~ssv:None ~scv:None ~altered:true ~depends_on_content:false
+        ~depends_on_structure:false ~owner:I.draft_owner
+  done;
+  let draft =
+    { I.snapshot = -1; server = 0; txn_seq = 0; isolation = I.Serializable;
+      root = !root }
+  in
+  let parsed =
+    Codec.decode_lazy ~pos:9
+      ~resolve:(fun ~snapshot:_ ~key:_ ~vn:_ -> Node.empty)
+      (Codec.encode draft)
+  in
+  parsed.I.node_count = depth
+  && Tree.physically_equal
+       (Hyder_codec.View.materialize_root (Option.get parsed.I.view))
+       (I.assign ~pos:9 draft).I.root
+
+let test_deep_nesting () =
+  check "main domain" true (deep_chain_roundtrip ());
+  check "spawned domain" true (Domain.join (Domain.spawn deep_chain_roundtrip))
 
 (* ---- encoder = oracle, byte for byte ---------------------------------- *)
 
@@ -515,6 +572,10 @@ let () =
             test_decode_rejects_corruption;
           Alcotest.test_case "untouched regions are refs" `Quick
             test_read_only_regions_become_refs;
+          Alcotest.test_case "node count must match the records" `Quick
+            test_node_count_mismatch;
+          Alcotest.test_case "100,000-deep chain round-trips" `Quick
+            test_deep_nesting;
         ] );
       ( "pooled paths",
         [

@@ -82,7 +82,86 @@ let test_state_store_prune () =
   check "recent state kept" true (State_store.by_seq s 95 <> None);
   (* pruned history: positions before the window are unknown, not genesis *)
   check "by_pos before window" true (State_store.by_pos s 50 = None);
-  check "genesis still addressable" true (State_store.by_pos s (-1) <> None)
+  check "genesis pruned with the rest" true (State_store.by_pos s (-1) = None)
+
+(* The store's only reference to its genesis tree, watched weakly. *)
+let[@inline never] store_with_watched_genesis weak =
+  let genesis = mini_state 8 in
+  Weak.set weak 0 (Some genesis);
+  State_store.create ~genesis ()
+
+(* Genesis is pruned like any other state once a prune leaves a newer
+   one: the store stops pinning it, and both numberings answer [None]. *)
+let test_state_store_prune_drops_genesis () =
+  let weak = Weak.create 1 in
+  let s = store_with_watched_genesis weak in
+  for i = 0 to 3 do
+    State_store.record s ~seq:i ~pos:(10 * i) (mini_state 2)
+  done;
+  State_store.prune s ~keep:10;
+  Gc.full_major ();
+  check "a prune that drops nothing keeps genesis" true
+    (Weak.check weak 0 && State_store.by_seq s (-1) <> None);
+  State_store.prune s ~keep:2;
+  check "by_seq -1 pruned" true (State_store.by_seq s (-1) = None);
+  check "by_pos -1 pruned" true (State_store.by_pos s (-1) = None);
+  let snap = State_store.snapshot s in
+  check "snapshot agrees" true
+    (State_store.Snapshot.by_seq snap (-1) = None
+    && State_store.Snapshot.by_pos snap (-1) = None);
+  let restored = State_store.restore snap in
+  check "restore agrees" true (State_store.by_seq restored (-1) = None);
+  Gc.full_major ();
+  check "genesis tree collected" false (Weak.check weak 0);
+  State_store.prune s ~keep:0;
+  check_int "the newest state stays" 1 (State_store.retained s);
+  let seq, pos, _ = State_store.latest s in
+  check "latest is the newest state" true (seq = 3 && pos = 30)
+
+(* Once genesis is pruned, an intention that names snapshot -1 fails to
+   decode exactly as one naming any other pruned snapshot does. *)
+let test_pruned_genesis_decode () =
+  let genesis = mini_state 2_000 in
+  let p = Pipeline.create ~genesis () in
+  let write ~snapshot_pos ~snapshot key =
+    let e =
+      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq:key
+        ~isolation:I.Serializable ()
+    in
+    Executor.write e key "x";
+    match Executor.finish e with
+    | Some d -> Codec.encode d
+    | None -> assert false
+  in
+  let submit pos =
+    let _, snapshot_pos, snapshot = Pipeline.lcs p in
+    let src = write ~snapshot_pos ~snapshot (100 * pos) in
+    ignore (Pipeline.submit p (Pipeline.decode p ~pos src))
+  in
+  let on_genesis = write ~snapshot_pos:(-1) ~snapshot:genesis 5 in
+  submit 0;
+  let _, _, first = Pipeline.lcs p in
+  let on_first = write ~snapshot_pos:0 ~snapshot:first 7 in
+  for pos = 1 to 3 do
+    submit pos
+  done;
+  (* both decode while their snapshots are retained *)
+  ignore (Pipeline.decode p ~pos:4 on_genesis);
+  ignore (Pipeline.decode p ~pos:4 on_first);
+  Pipeline.prune p ~keep:2;
+  let failure src =
+    match Pipeline.decode p ~pos:4 src with
+    | _ -> "accepted"
+    | exception Failure m -> m
+  in
+  let pruned pos =
+    Printf.sprintf
+      "State_store: ds stage needs the state at position %d but retention \
+       is [-1..-1] — pruned too far for this stage"
+      pos
+  in
+  Alcotest.(check string) "snapshot 0" (pruned 0) (failure on_first);
+  Alcotest.(check string) "snapshot -1" (pruned (-1)) (failure on_genesis)
 
 (* Pruning must actually release the evicted states to the GC.  The ring
    buffer's vacated slots used to keep their old [Tree.t] pointers until
@@ -477,6 +556,10 @@ let () =
           Alcotest.test_case "ordering" `Quick
             test_state_store_ordering_enforced;
           Alcotest.test_case "prune" `Quick test_state_store_prune;
+          Alcotest.test_case "prune drops genesis" `Quick
+            test_state_store_prune_drops_genesis;
+          Alcotest.test_case "pruned genesis fails decode" `Quick
+            test_pruned_genesis_decode;
           Alcotest.test_case "prune releases states to the GC" `Quick
             test_state_store_prune_releases_states;
           Alcotest.test_case "growth" `Quick

@@ -141,52 +141,50 @@ let prop_truncation_rejected =
           done;
           true)
 
+(* Both decoders on one buffer: the tree, or the [Corrupt] message. *)
+let outcomes ~peer ~resolve s =
+  let eager =
+    match Codec.decode ~pos:5 ~resolve s with
+    | d -> Ok d.I.root
+    | exception Codec.Corrupt m -> Error m
+  in
+  let lazy_ =
+    match Codec.decode_lazy ~pos:5 ~peer ~resolve s with
+    | { I.view = Some v; _ } -> Ok (View.materialize_root v)
+    | _ -> Alcotest.fail "decode_lazy carried no view"
+    | exception Codec.Corrupt m -> Error m
+  in
+  (eager, lazy_)
+
+(* Why the two outcomes differ, if they do.  Both decoders run the same
+   checks in the same order, so they reject with the same message. *)
+let disagreement = function
+  | Error e, Error l when e = l -> None
+  | Error e, Error l -> Some (Printf.sprintf "eager %S, lazy %S" e l)
+  | Ok e, Ok l ->
+      if Tree.physically_equal e l then None
+      else Some "both accepted, trees differ"
+  | Ok _, Error l -> Some ("only eager accepted; lazy: " ^ l)
+  | Error e, Ok _ -> Some ("only lazy accepted; eager: " ^ e)
+
 (* Differential fuzz: after a single bit flip, lazy and eager must agree
-   on the outcome — both reject with Corrupt, or both accept with
-   physically identical trees.  (The two decoders may report different
-   Corrupt messages first — the view defers reference binding to a
-   second pass — but the accept/reject decision must match.) *)
+   on the outcome — both reject with the same Corrupt message, or both
+   accept with physically identical trees. *)
 let prop_bit_flip_differential =
   QCheck2.Test.make ~name:"bit flips: lazy and eager agree" ~count:120
     QCheck2.Gen.(pair txn_gen (pair big_nat (int_bound 7)))
     (fun (t, (posn, bit)) ->
       match encode_txn t with
       | None -> true
-      | Some bytes ->
+      | Some bytes -> (
           let i = posn mod String.length bytes in
           let b = Bytes.of_string bytes in
           Bytes.set b i
             (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-          let s = Bytes.to_string b in
-          let eager_r =
-            match Codec.decode ~pos:5 ~resolve s with
-            | d -> Some d
-            | exception Codec.Corrupt _ -> None
-          in
-          let lazy_r =
-            match Codec.decode_lazy ~pos:5 ~peer:snapshot ~resolve s with
-            | d -> Some d
-            | exception Codec.Corrupt _ -> None
-          in
-          match (eager_r, lazy_r) with
-          | None, None -> true
-          | Some e, Some l ->
-              let v =
-                match l.I.view with
-                | Some v -> v
-                | None -> QCheck2.Test.fail_report "no view"
-              in
-              if Tree.physically_equal e.I.root (View.materialize_root v) then
-                true
-              else
-                QCheck2.Test.fail_reportf
-                  "flip at byte %d bit %d: both accepted, trees differ" i bit
-          | Some _, None ->
-              QCheck2.Test.fail_reportf
-                "flip at byte %d bit %d: eager accepted, lazy rejected" i bit
-          | None, Some _ ->
-              QCheck2.Test.fail_reportf
-                "flip at byte %d bit %d: lazy accepted, eager rejected" i bit)
+          match disagreement (outcomes ~peer:snapshot ~resolve (Bytes.to_string b)) with
+          | None -> true
+          | Some why ->
+              QCheck2.Test.fail_reportf "flip at byte %d bit %d: %s" i bit why))
 
 (* ---- exhaustive corruption sweep over fixed intentions --------------- *)
 
@@ -266,7 +264,7 @@ let test_fixtures_cover () =
   | _ -> assert false
 
 (* Every single-bit flip of every byte: the lazy and eager decoders agree
-   on accept or reject, and on the tree when both accept. *)
+   on the tree when both accept, and on the message when both reject. *)
 let test_bit_flip_sweep () =
   List.iter
     (fun (name, snap, bytes) ->
@@ -275,30 +273,10 @@ let test_bit_flip_sweep () =
         for bit = 0 to 7 do
           let b = Bytes.of_string bytes in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-          let s = Bytes.to_string b in
-          let eager =
-            match Codec.decode ~pos:5 ~resolve s with
-            | d -> Some d.I.root
-            | exception Codec.Corrupt _ -> None
-          in
-          let lazy_ =
-            match Codec.decode_lazy ~pos:5 ~peer:snap ~resolve s with
-            | { I.view = Some v; _ } -> Some (View.materialize_root v)
-            | _ -> Alcotest.failf "%s: decode_lazy carried no view" name
-            | exception Codec.Corrupt _ -> None
-          in
-          match (eager, lazy_) with
-          | None, None -> ()
-          | Some e, Some l ->
-              if not (Tree.physically_equal e l) then
-                Alcotest.failf "%s: flip at byte %d bit %d: trees differ" name i
-                  bit
-          | Some _, None ->
-              Alcotest.failf "%s: flip at byte %d bit %d: only eager accepted"
-                name i bit
-          | None, Some _ ->
-              Alcotest.failf "%s: flip at byte %d bit %d: only lazy accepted"
-                name i bit
+          match disagreement (outcomes ~peer:snap ~resolve (Bytes.to_string b)) with
+          | None -> ()
+          | Some why ->
+              Alcotest.failf "%s: flip at byte %d bit %d: %s" name i bit why
         done
       done)
     (Lazy.force fixed_intentions)
