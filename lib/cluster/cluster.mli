@@ -36,10 +36,12 @@ type config = {
       (** stage runtime for the real meld pipeline driving the simulation
           ([Sequential] by default).  [Pipelined _] runs the real decode,
           premeld and group meld on worker domains, one wire intention per
-          {!Hyder_core.Pipeline.submit_wire_batch} call; decisions are
-          identical by construction, so this knob exists to cross-check
-          measured staged time against the simulator's modelled stage
-          overlap *)
+          {!Hyder_core.Pipeline.submit_wire_batch} call, so no two
+          intentions' stages ever overlap here.  For a given log prefix
+          the decisions are identical on both backends, but the measured
+          stage seconds parameterize the queueing model, so this knob
+          shows what the worker hand-off costs per stage — not any
+          overlap gain *)
   corfu : Hyder_log.Corfu.config;
   broadcast : Hyder_log.Broadcast.config;
   workload : Hyder_workload.Ycsb.config;

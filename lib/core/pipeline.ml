@@ -134,9 +134,8 @@ let gc_end inst ~stage (mw0, pw0) =
 
 (* A work item for the pipelined backend: a wire-form encoding still to
    be deserialized.  [psnap] is the snapshot log position peeked from the
-   encoding header — it gates whether the decode can be offloaded
-   (snapshot state already recorded at window start) or must wait on the
-   driver for final meld to catch up. *)
+   encoding header: its decode is released once the live store has
+   recorded that position. *)
 type witem = { pos : int; src : string; psnap : int }
 
 (* Stage handoff rides on pooled mutable carriers instead of per-item
@@ -161,11 +160,14 @@ type ckind = Cnone | Cds | Cpm | Cgm
 
 type carrier = {
   mutable kind : ckind;
-  mutable c_idx : int;  (** window member index *)
+  mutable c_idx : int;  (** batch item index *)
   mutable c_seq : int;
   (* ds job input: the wire encoding *)
   mutable c_pos : int;
   mutable c_src : string;
+  (* ds job input: the snapshot tree; pm job input: the designated input
+     state ([Node.empty] when premeld has nothing to do) *)
+  mutable c_tree : Tree.t;
   (* pm job input ([c_intention] doubles as the ds result output) *)
   mutable c_thread : int;
   mutable c_snap_seq : int;
@@ -191,6 +193,7 @@ let fresh_carrier () =
     c_seq = -1;
     c_pos = 0;
     c_src = "";
+    c_tree = Node.empty;
     c_thread = 0;
     c_snap_seq = 0;
     c_intention = None;
@@ -205,19 +208,12 @@ let fresh_carrier () =
 let ns_of_s s = int_of_float (s *. 1e9)
 let s_of_ns n = float_of_int n *. 1e-9
 
-let null_resolver : Codec.resolver =
- fun ~snapshot:_ ~key:_ ~vn:_ ->
-  failwith "Pipeline: ds resolver used before window publication"
-
-(* Per-window worker context.  The driver writes these fields between
-   windows (before any job of the window is pushed); workers only read
-   them.  Publication rides on the SPSC queue's SC-atomic indices: the
-   driver's writes happen before the job push, the worker's reads after
-   the pop. *)
-type wctx = {
-  mutable wsnap : State_store.Snapshot.t;
-  wresolvers : Codec.resolver array;  (** one memoizing resolver per worker *)
-}
+(* A decode is dealt to a worker only while fewer than [ds_depth] jobs
+   are outstanding on it: one running and one queued keep the worker busy
+   across the driver's round trip.  Releasable decodes beyond that stay
+   in the driver's backlog, where the driver steals them instead of
+   parking — a decode queued on a ring could not be taken back. *)
+let ds_depth = 2
 
 (* Jobs staged per worker before the driver publishes them as one ring
    batch: big enough to amortize the doorbell on bursty input, small
@@ -233,7 +229,6 @@ type pctx = {
       (** jobs staged-or-submitted minus results drained, per worker;
           kept [<= qcap] so a flush and a worker's result push can never
           fail *)
-  wctx : wctx;
   free : carrier array array;  (** per-worker carrier free stacks *)
   free_top : int array;
   stage_buf : carrier array array;
@@ -358,20 +353,13 @@ let force_tree ~note (g : Group_meld.group) =
    meld's graft checks compare node objects physically, so a reference
    must bind to the same object on every backend, replica and GC
    schedule, and the retained state is the one source all of them share.
-   The driver passes its live store; a pipelined worker passes the
-   window's frozen snapshot, which answers identically.  ([by_pos] comes
-   with its store rather than applied to it, so the call allocates no
-   closure.)  A reference the
+   The driver resolves through its live store; a pipelined worker
+   through the snapshot tree the driver looked up in that store and
+   carried with the job, which answers identically.  A reference the
    state cannot answer with the recorded version is rejected as
    [Corrupt].  Nothing outlives the decode but the returned intention,
    so its wire arrays die young once it is melded. *)
-let parse ~by_pos states ~resolve ~pos src =
-  let peer =
-    match by_pos states (Codec.peek_snapshot src) with
-    | Some tree -> tree
-    | None -> Node.empty
-  in
-  Codec.decode_lazy ~pos ~peer ~resolve src
+let parse ~peer ~resolve ~pos src = Codec.decode_lazy ~pos ~peer ~resolve src
 
 (* ds bookkeeping, shared by the driver's decode and the pipelined
    driver's handling of a worker decode.  Only a successful parse is
@@ -395,10 +383,12 @@ let ds_book t ~t0 ~t1 (i : Intention.t) =
 let decode t ~pos src =
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
-  let i =
-    parse ~by_pos:State_store.by_pos t.states
-      ~resolve:(State_store.resolver t.states) ~pos src
+  let peer =
+    match State_store.by_pos t.states (Codec.peek_snapshot src) with
+    | Some tree -> tree
+    | None -> Node.empty
   in
+  let i = parse ~peer ~resolve:(State_store.resolver t.states) ~pos src in
   gc_end t.inst ~stage:`Ds gc0;
   ds_book t ~t0 ~t1:(Clock.now ()) i;
   i
@@ -411,6 +401,15 @@ let invalid_snapshot ~pos ~snap ~lpos =
        "Pipeline.submit_wire_batch: intention at log position %d names \
         snapshot %d but only %d is recorded — invalid stream"
        pos snap lpos)
+
+(* The ds stage as the sequential scheduler runs it: an intention
+   decodes only once the log has recorded its snapshot state.  Every
+   decode the pipelined driver runs itself goes through it too. *)
+let decode_checked t ~pos src =
+  let _, lpos, _ = State_store.latest t.states in
+  let snap = Codec.peek_snapshot src in
+  if snap > lpos then invalid_snapshot ~pos ~snap ~lpos;
+  decode t ~pos src
 
 (* Run final meld on a completed group and emit its decisions. *)
 let final_meld t (group : Group_meld.group) =
@@ -609,6 +608,25 @@ let group_of_outcome ~seq intention = function
   | Premeld.Premelded (i, m) -> Group_meld.single ~premeld_input:m ~seq i
   | Premeld.Dead reason -> Group_meld.dead ~seq intention reason
 
+(* The premeld stage on the driver, against the live store: the
+   sequential scheduler's, and the pipelined driver's when it runs a
+   blocked premeld itself. *)
+let premeld t pc ~seq (intention : Intention.t) =
+  let shard = t.counters.premeld_shards.(Premeld.thread_for pc ~seq - 1) in
+  let mz = mz_hook t ~stage:`Pm in
+  let t0 = Clock.now () in
+  let gc0 = gc_begin t.inst in
+  let outcome =
+    Premeld.run ?mz pc ~allocs:t.pm_allocs ~shards:t.counters.premeld_shards
+      ~states:t.states ~seq intention
+  in
+  gc_end t.inst ~stage:`Pm gc0;
+  let t1 = Clock.now () in
+  shard.Counters.seconds <- shard.Counters.seconds +. (t1 -. t0);
+  if Flight.enabled t.flight then
+    Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
+  outcome
+
 let submit t (intention : Intention.t) =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -621,128 +639,43 @@ let submit t (intention : Intention.t) =
     Flight.note_identity t.flight ~pos:intention.pos
       ~server:intention.server ~txn_seq:intention.txn_seq
   end;
-  (* Premeld stage, inline (the Sequential backend's scheduler). *)
   let unit_group =
     match t.config.premeld with
     | None -> Group_meld.single ~seq intention
-    | Some pc ->
-        let shard =
-          t.counters.premeld_shards.(Premeld.thread_for pc ~seq - 1)
-        in
-        let mz = mz_hook t ~stage:`Pm in
-        let t0 = Clock.now () in
-        let gc0 = gc_begin t.inst in
-        let outcome =
-          Premeld.run ?mz pc ~allocs:t.pm_allocs
-            ~shards:t.counters.premeld_shards ~states:t.states ~seq intention
-        in
-        gc_end t.inst ~stage:`Pm gc0;
-        let t1 = Clock.now () in
-        shard.Counters.seconds <- shard.Counters.seconds +. (t1 -. t0);
-        if flighted then
-          Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
-        group_of_outcome ~seq intention outcome
+    | Some pc -> group_of_outcome ~seq intention (premeld t pc ~seq intention)
   in
   tail t unit_group
 
 (* ------------------------------------------------------------------ *)
-(* Premeld windows: snapshot-seq arithmetic                             *)
+(* Pipelined backend                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-member snapshot sequence numbers for a premeld window, exactly as
-   the sequential scheduler would compute them at each member's own
-   submit time.  [poss].(i) / [snaps].(i) are member [i]'s log position
-   and snapshot position.  A member's snapshot position may name an
-   {e earlier window member}; the sequential scheduler would see that
-   member's state recorded iff its group has already completed, which is
-   pure arithmetic on the group assembly state at window start.  Must be
-   called before the window mutates any group state. *)
-let window_snap_seqs t ~snap ~s0 ~poss ~snaps =
-  let b = Array.length poss in
-  let g = max 1 t.config.group_size in
-  let p0 = t.pending_members in
-  (* (seq, pos) of the group members already pending at window start: the
-     first group completion inside the window records their states too. *)
-  let pending_positions =
-    match t.pending with
-    | None -> [||]
-    | Some grp ->
-        let all =
-          List.map (fun (m : Group_meld.member) -> (m.seq, m.intention.pos))
-            grp.members
-          @ List.map
-              (fun ((m : Group_meld.member), _, _) -> (m.seq, m.intention.pos))
-              grp.early_aborts
-        in
-        let arr = Array.of_list all in
-        Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        arr
-  in
-  let snap_seqs = Array.make b (-1) in
-  let visible = ref (-1) in
-  (* window index of the newest member whose state is visible *)
-  for i = 0 to b - 1 do
-    let pos = snaps.(i) in
-    let rec member_at k =
-      if k < 0 then None
-      else if poss.(k) <= pos then Some k
-      else member_at (k - 1)
-    in
-    let rec pending_at k =
-      if k < 0 then None
-      else if snd pending_positions.(k) <= pos then
-        Some (fst pending_positions.(k))
-      else pending_at (k - 1)
-    in
-    snap_seqs.(i) <-
-      (match member_at !visible with
-      | Some k -> s0 + k
-      | None -> (
-          (* Once any group has completed inside the window, the members
-             pending at window start are recorded as well. *)
-          match
-            if !visible >= 0 then
-              pending_at (Array.length pending_positions - 1)
-            else None
-          with
-          | Some seq -> seq
-          | None -> State_store.Snapshot.seq_of_pos snap pos));
-    if (p0 + i + 1) mod g = 0 then visible := i
-  done;
-  snap_seqs
-
-(* ------------------------------------------------------------------ *)
-(* Pipelined windows                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The driver's decode of a wire item (held, stolen, redone or
-   fallback). *)
-let decode_item t w = decode t ~pos:w.pos w.src
 
 (* Worker-side job execution.  Everything a job touches is either
-   carried in the job (whose pusher no longer touches it), owned by the
-   executing worker for the whole pipeline lifetime (the impersonated
-   premeld threads' allocators and counter shards, the gm allocator and
-   group state), or frozen per window by the driver before any job is
-   pushed (snapshot, resolvers). *)
-let pexec t (w : wctx) ~worker (c : carrier) =
+   carried in the job (whose pusher no longer touches it: the wire
+   bytes, the snapshot or input tree, the snapshot sequence number) or
+   owned by the executing worker for the whole pipeline lifetime (its
+   ds resolver slot, the impersonated premeld threads' allocators and
+   counter shards, the gm allocator and group state).  Workers never
+   read the state store. *)
+let pexec t ~trees ~resolvers ~worker (c : carrier) =
   (match c.kind with
   | Cnone -> ()
-  | Cds -> (
+  | Cds ->
       let t0 = Clock.now () in
-      (* Workers parse against the frozen snapshot, which answers
+      (* Workers parse against the carried snapshot tree, which answers
          exactly as the driver's live store does.  A corrupt stream is
          reported, not raised: the driver redoes the decode inline and
          raises [Corrupt] on its own thread. *)
-      match
-        parse ~by_pos:State_store.Snapshot.by_pos w.wsnap
-          ~resolve:w.wresolvers.(worker) ~pos:c.c_pos c.c_src
-      with
+      trees.(worker) <- c.c_tree;
+      (match
+         parse ~peer:c.c_tree ~resolve:resolvers.(worker) ~pos:c.c_pos c.c_src
+       with
       | exception Codec.Corrupt _ -> c.c_intention <- None
       | i ->
           c.c_intention <- Some i;
           c.c_t0_ns <- ns_of_s t0;
-          c.c_t1_ns <- ns_of_s (Clock.now ()))
+          c.c_t1_ns <- ns_of_s (Clock.now ()));
+      trees.(worker) <- Node.empty
   | Cpm ->
       let pc =
         match t.config.premeld with Some pc -> pc | None -> assert false
@@ -751,11 +684,11 @@ let pexec t (w : wctx) ~worker (c : carrier) =
         match c.c_intention with Some i -> i | None -> assert false
       in
       let shard = t.counters.premeld_shards.(c.c_thread - 1) in
+      let input = c.c_tree in
       let t0 = Clock.now () in
       let outcome =
         Premeld.trial pc ~snap_seq:c.c_snap_seq
-          ~lookup:(fun m ->
-            Some (State_store.Snapshot.require w.wsnap ~stage:"premeld" m))
+          ~lookup:(fun _ -> Some input)
           ~alloc:t.pm_allocs.(c.c_thread - 1)
           ~counters:shard ~seq:c.c_seq intention
       in
@@ -767,7 +700,7 @@ let pexec t (w : wctx) ~worker (c : carrier) =
   | Cgm ->
       (* Report the gm-counter delta, not a wrapper measurement, so the
          offloaded seconds subtract exactly from the stage total.  The gm
-         counter is only ever touched by this worker while a window is in
+         counter is only ever touched by this worker while a batch is in
          flight (every Cgm runs here), so the read is race-free.  Flight
          wall brackets are extra clock reads gated on the recorder (the
          recorder itself is driver-only; only timestamps cross back). *)
@@ -784,7 +717,7 @@ let pexec t (w : wctx) ~worker (c : carrier) =
       c.c_t1_ns <- ns_of_s ft1);
   c
 
-(* Run one window of work items through the staged pipeline:
+(* Run a batch of work items through the staged pipeline:
 
      ds (workers)  ->  pm (workers, sharded by paper thread)
                    ->  gm (one dedicated worker, global log order)
@@ -793,14 +726,26 @@ let pexec t (w : wctx) ~worker (c : carrier) =
    Stage assignment is a pure function of log position: the decode of
    item [i] runs on worker [i mod domains], premeld thread [k]'s trials
    run in seq order on worker [(k-1) mod domains], and every gm combine
-   runs on worker [domains-1] in log order.  The bounded SPSC queues
-   reorder wall-clock only: the driver releases pm jobs per thread in
-   seq order (after the member's decode lands) and gm jobs in global
-   order (after the member's premeld lands), so consumption order — and
-   with it every allocator stream and counter — is independent of
-   arrival timing. *)
-let run_pipelined_window t (px : pctx) (window : witem array) =
-  let b = Array.length window in
+   runs on worker [domains-1] in log order.  Each item's next stage is
+   released as soon as its own inputs are recorded in the live store,
+   and the job carries those inputs:
+
+   - ds of item [i] once its snapshot position is recorded, with the
+     snapshot tree (dealt to its worker while [ds_depth] allows, else
+     left in the backlog the driver steals from);
+   - pm of item [i], next in its paper thread's seq order, once it is
+     decoded and its designated input state either precedes its snapshot
+     or is recorded, with that state and the snapshot's sequence number;
+   - gm and fm in log order.
+
+   Every one of those inputs is stable once recorded (final meld only
+   appends states at later positions), so it equals what the sequential
+   scheduler reads at the item's own submit, and the SPSC rings reorder
+   wall-clock only.  When nothing is in flight and nothing can be
+   released, the gm head's blocked stage runs on the driver through the
+   sequential code, which raises the one invalid-stream error. *)
+let run_batch t (px : pctx) (items : witem array) =
+  let b = Array.length items in
   let s0 = t.next_seq in
   t.next_seq <- s0 + b;
   let pool = px.ppool in
@@ -808,65 +753,35 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   let qcap = px.qcap in
   let gm_worker = domains - 1 in
   let flighted = Flight.enabled t.flight in
-  (* One shared clock read opens every member's flight record at window
+  (* One shared clock read opens every item's flight record at batch
      entry: time spent queued before a stage releases (SPSC residency,
-     snapshot-lag holds) then lands in that stage's wait column. *)
+     waits on an input state) then lands in that stage's wait column. *)
   if flighted then begin
     let now = Clock.now () in
-    Array.iter (fun w -> Flight.touch t.flight ~pos:w.pos ~now) window
+    Array.iter (fun w -> Flight.touch t.flight ~pos:w.pos ~now) items
   end;
-  (* Freeze the retention window and publish per-worker resolvers before
-     any job of this window is pushed. *)
-  let snap = State_store.snapshot t.states in
-  px.wctx.wsnap <- snap;
-  for w = 0 to domains - 1 do
-    px.wctx.wresolvers.(w) <- State_store.Snapshot.resolver ~stage:"ds" snap
-  done;
-  let _, latest_pos0 = State_store.Snapshot.latest snap in
-  let snap_seqs =
-    match t.config.premeld with
-    | None -> [||]
-    | Some _ ->
-        window_snap_seqs t ~snap ~s0
-          ~poss:(Array.map (fun w -> w.pos) window)
-          ~snaps:(Array.map (fun w -> w.psnap) window)
-  in
   let intentions = Array.make b None in
   let outcomes = Array.make b None in
-  (* ds classification: wire items whose snapshot state was recorded at
-     window start are offloadable; the rest wait on the driver until
-     final meld inside this window records their snapshot state. *)
-  let ds_jobs = Array.make domains [] in
-  let held = ref [] in
-  for i = b - 1 downto 0 do
-    if window.(i).psnap <= latest_pos0 then
-      ds_jobs.(i mod domains) <- i :: ds_jobs.(i mod domains)
-    else held := i :: !held
-  done;
-  (* Premeld release state: per paper thread, the member indexes still to
-     premeld, in seq order (head-of-line: a thread's next trial is only
-     released once its member is decoded, keeping that thread's allocator
-     stream in seq order on its owning worker). *)
-  let pm_pending =
-    match t.config.premeld with
-    | None -> [||]
-    | Some pc ->
-        let bt = Array.make pc.Premeld.threads [] in
-        for i = b - 1 downto 0 do
-          let th = Premeld.thread_for pc ~seq:(s0 + i) in
-          bt.(th - 1) <- i :: bt.(th - 1)
-        done;
-        bt
+  (* [ds_failed.(i)]: item [i]'s decode raised ahead of the log-order
+     tail; [release_gm] redoes it when it reaches [i]. *)
+  let ds_failed = Array.make b false in
+  (* Release cursors: worker [w] decodes items [w], [w + domains], ...;
+     paper thread [k+1] premelds the items whose seq is [k] modulo the
+     thread count, in seq order. *)
+  let ds_next = Array.init domains Fun.id in
+  let pm_threads =
+    match t.config.premeld with Some pc -> pc.Premeld.threads | None -> 0
+  in
+  let pm_next =
+    Array.init pm_threads (fun k ->
+        (((k - s0) mod pm_threads) + pm_threads) mod pm_threads)
   in
   let gm_next = ref 0 in
-  let ds_failed = ref [] in
   let rgm = ref 0 in
   let decisions = ref [] in
   let progress = ref false in
-  (* Premeld jobs in flight per paper thread: stealing a thread's
-     head-of-line trial is only safe while this is zero (the allocator
-     stream must stay in seq order). *)
-  let pm_inflight = Array.make (max 1 (Array.length pm_pending)) 0 in
+  (* (seq, pos) of the newest recorded state, re-read after every drain *)
+  let lseq = ref (-1) and lpos = ref (-1) in
   let inst = t.inst in
   let observe_batch n =
     match inst with
@@ -886,6 +801,7 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   let recycle w (c : carrier) =
     c.kind <- Cnone;
     c.c_src <- "";
+    c.c_tree <- Node.empty;
     c.c_intention <- None;
     c.c_group <- None;
     c.c_completed <- None;
@@ -921,68 +837,95 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
     progress := true;
     if px.stage_n.(worker) >= flush_threshold then flush worker
   in
+  let decode_item i = decode_checked t ~pos:items.(i).pos items.(i).src in
+  (* The driver's decode of item [i] ahead of the log-order tail.  A
+     rejected intention is deferred, like a worker's, to the redo at the
+     gm head, so it raises once every earlier intention has decoded, as
+     under [seq]. *)
+  let decode_ahead i =
+    (match decode_item i with
+    | intention -> intentions.(i) <- Some intention
+    | exception (Codec.Corrupt _ | Failure _) -> ds_failed.(i) <- true);
+    ds_next.(i mod domains) <- i + domains;
+    px.ds_inline_n <- px.ds_inline_n + 1;
+    progress := true
+  in
+  let ds_ready i = i < b && items.(i).psnap <= !lpos in
   let release_ds () =
     for w = 0 to domains - 1 do
       let rec go () =
-        match ds_jobs.(w) with
-        | i :: rest when px.outstanding.(w) < qcap ->
-            let c = take w in
-            c.kind <- Cds;
-            c.c_idx <- i;
-            c.c_pos <- window.(i).pos;
-            c.c_src <- window.(i).src;
-            put ~worker:w c;
-            px.ds_offloaded <- px.ds_offloaded + 1;
-            ds_jobs.(w) <- rest;
-            go ()
-        | _ -> ()
+        let i = ds_next.(w) in
+        if ds_ready i && px.outstanding.(w) < ds_depth then begin
+          (match State_store.by_pos t.states items.(i).psnap with
+          | Some tree ->
+              let c = take w in
+              c.kind <- Cds;
+              c.c_idx <- i;
+              c.c_pos <- items.(i).pos;
+              c.c_src <- items.(i).src;
+              c.c_tree <- tree;
+              put ~worker:w c;
+              px.ds_offloaded <- px.ds_offloaded + 1;
+              ds_next.(w) <- i + domains
+          | None -> decode_ahead i);
+          go ()
+        end
       in
       go ()
     done
   in
-  let release_pm () =
-    for k = 0 to Array.length pm_pending - 1 do
+  let release_pm pc =
+    for k = 0 to pm_threads - 1 do
       let w = k mod domains in
       let rec go () =
-        match pm_pending.(k) with
-        | i :: rest when px.outstanding.(w) < qcap -> (
-            match intentions.(i) with
-            | Some _ ->
+        let i = pm_next.(k) in
+        if i < b && px.outstanding.(w) < qcap then
+          match intentions.(i) with
+          | Some intention ->
+              let seq = s0 + i in
+              let m = Premeld.input_seq pc ~seq in
+              let snap_seq =
+                State_store.seq_of_pos t.states intention.Intention.snapshot
+              in
+              if m <= snap_seq || m <= !lseq then begin
                 let c = take w in
                 c.kind <- Cpm;
                 c.c_idx <- i;
-                c.c_seq <- s0 + i;
+                c.c_seq <- seq;
                 c.c_thread <- k + 1;
-                c.c_snap_seq <- snap_seqs.(i);
+                c.c_snap_seq <- snap_seq;
                 c.c_intention <- intentions.(i);
+                c.c_tree <-
+                  (if m <= snap_seq then Node.empty
+                   else State_store.require t.states ~stage:"premeld" m);
                 put ~worker:w c;
-                pm_inflight.(k) <- pm_inflight.(k) + 1;
-                pm_pending.(k) <- rest;
+                pm_next.(k) <- i + pm_threads;
                 go ()
-            | None -> ())
-        | _ -> ()
+              end
+          | None -> ()
       in
       go ()
     done
   in
   let release_gm () =
     let rec go () =
-      if !gm_next < b && px.outstanding.(gm_worker) < qcap then begin
-        let i = !gm_next in
+      let i = !gm_next in
+      if i < b && px.outstanding.(gm_worker) < qcap then begin
         let unit_group =
-          match t.config.premeld with
-          | Some _ -> (
-              match (outcomes.(i), intentions.(i)) with
-              | Some o, Some intent ->
-                  Some (group_of_outcome ~seq:(s0 + i) intent o)
-              | _ -> None)
-          | None -> (
-              match intentions.(i) with
-              | Some intent -> Some (Group_meld.single ~seq:(s0 + i) intent)
-              | None -> None)
+          match (t.config.premeld, intentions.(i)) with
+          | _, None -> None
+          | None, Some intention ->
+              Some (Group_meld.single ~seq:(s0 + i) intention)
+          | Some _, Some intention ->
+              Option.map (group_of_outcome ~seq:(s0 + i) intention) outcomes.(i)
         in
         match unit_group with
         | Some _ ->
+            (* The job carries the item from here on.  Dropping the
+               driver's references lets its decode and premeld output
+               die young instead of living until the batch returns. *)
+            intentions.(i) <- None;
+            outcomes.(i) <- None;
             let c = take gm_worker in
             c.kind <- Cgm;
             c.c_idx <- i;
@@ -990,40 +933,21 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             put ~worker:gm_worker c;
             incr gm_next;
             go ()
-        | None when List.mem i !ds_failed ->
-            (* A failed worker decode surfaces once the log-order tail
-               reaches it, so every earlier member is decoded and booked
-               when it raises, as under [seq].  The driver resolves
-               against the same state as the worker, so its redo raises
-               the same [Corrupt], now on the driver's thread. *)
-            ds_failed := List.filter (fun j -> j <> i) !ds_failed;
-            intentions.(i) <- Some (decode_item t window.(i));
+        | None when ds_failed.(i) ->
+            (* A failed decode surfaces once the log-order tail reaches
+               it, so every earlier member is decoded and booked when it
+               raises, as under [seq].  The driver resolves against the
+               same state as the worker, so its redo raises the same
+               error, now on the driver's thread. *)
+            ds_failed.(i) <- false;
+            intentions.(i) <- Some (decode_item i);
             progress := true
         | None -> ()
       end
     in
     go ()
   in
-  (* Inline-decode held-back wire items whose snapshot state final meld
-     has recorded since window start (in log order: the head unlocks
-     first in any valid stream). *)
-  let release_held () =
-    let rec go () =
-      match !held with
-      | i :: rest ->
-          let _, lpos, _ = State_store.latest t.states in
-          if window.(i).psnap <= lpos then begin
-            intentions.(i) <- Some (decode_item t window.(i));
-            px.ds_inline_n <- px.ds_inline_n + 1;
-            held := rest;
-            progress := true;
-            go ()
-          end
-      | [] -> ()
-    in
-    go ()
-  in
-  let pos_of idx = window.(idx).pos in
+  let pos_of idx = items.(idx).pos in
   let handle (c : carrier) =
     match c.kind with
     | Cnone -> ()
@@ -1036,12 +960,11 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
             px.worker_ds_seconds <- px.worker_ds_seconds +. (t1 -. t0)
         | None ->
             (* The worker decode failed; [release_gm] redoes it inline. *)
-            ds_failed := c.c_idx :: !ds_failed;
+            ds_failed.(c.c_idx) <- true;
             px.ds_offloaded <- px.ds_offloaded - 1;
             px.ds_inline_n <- px.ds_inline_n + 1)
     | Cpm ->
         outcomes.(c.c_idx) <- c.c_outcome;
-        pm_inflight.(c.c_thread - 1) <- pm_inflight.(c.c_thread - 1) - 1;
         let seconds = s_of_ns c.c_seconds_ns in
         px.worker_pm_seconds <- px.worker_pm_seconds +. seconds;
         if flighted then begin
@@ -1061,75 +984,43 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
   in
   (* Driver work-stealing: called when a scheduling round neither drained
      a result nor released a job but work is still in flight — instead of
-     parking, inline the oldest queued ds or pm item.  Steals only come
-     off driver-owned backlog lists (never the rings), ds steals reuse
-     the inline decode path (already bit-identical by the held-item
-     argument), and a pm steal requires its paper thread quiescent, so
-     stage assignment stays a pure function of log position and every
-     allocator stream keeps its seq order. *)
+     parking, decode the oldest releasable item left in the backlog.
+     Steals reuse the driver's decode against the live store, which
+     answers exactly as the carried snapshot tree would. *)
   let steal () =
-    let bw = ref (-1) and bi = ref max_int in
+    let best = ref b in
     for w = 0 to domains - 1 do
-      match ds_jobs.(w) with
-      | i :: _ when i < !bi ->
-          bi := i;
-          bw := w
-      | _ -> ()
+      let i = ds_next.(w) in
+      if i < !best && ds_ready i then best := i
     done;
-    if !bw >= 0 then begin
-      intentions.(!bi) <- Some (decode_item t window.(!bi));
-      ds_jobs.(!bw) <- List.tl ds_jobs.(!bw);
-      px.ds_inline_n <- px.ds_inline_n + 1;
-      px.driver_steals <- px.driver_steals + 1;
-      (match inst with None -> () | Some m -> Metrics.Counter.incr m.m_steals);
-      progress := true;
-      true
-    end
-    else begin
-      let bk = ref (-1) in
-      bi := max_int;
-      for k = 0 to Array.length pm_pending - 1 do
-        match pm_pending.(k) with
-        | i :: _
-          when i < !bi && pm_inflight.(k) = 0 && Option.is_some intentions.(i)
-          ->
-            bi := i;
-            bk := k
-        | _ -> ()
-      done;
-      if !bk < 0 then false
-      else begin
-        let k = !bk and i = !bi in
-        let pc =
-          match t.config.premeld with Some pc -> pc | None -> assert false
-        in
-        let intent =
-          match intentions.(i) with Some x -> x | None -> assert false
-        in
-        let shard = t.counters.premeld_shards.(k) in
-        let t0 = Clock.now () in
-        let outcome =
-          Premeld.trial pc ~snap_seq:snap_seqs.(i)
-            ~lookup:(fun m ->
-              Some
-                (State_store.Snapshot.require px.wctx.wsnap ~stage:"premeld" m))
-            ~alloc:t.pm_allocs.(k) ~counters:shard ~seq:(s0 + i) intent
-        in
-        let dt = Clock.elapsed t0 in
-        shard.Counters.seconds <- shard.Counters.seconds +. dt;
-        outcomes.(i) <- Some outcome;
-        pm_pending.(k) <- List.tl pm_pending.(k);
-        px.driver_steals <- px.driver_steals + 1;
-        (match inst with
-        | None -> ()
-        | Some m -> Metrics.Counter.incr m.m_steals);
-        if flighted then
-          Flight.edge t.flight ~pos:(pos_of i) ~stage:Flight.Pm ~t0
-            ~t1:(t0 +. dt);
-        progress := true;
-        true
-      end
-    end
+    !best < b
+    && begin
+         decode_ahead !best;
+         px.driver_steals <- px.driver_steals + 1;
+         (match inst with
+         | None -> ()
+         | Some m -> Metrics.Counter.incr m.m_steals);
+         true
+       end
+  in
+  (* Nothing in flight and nothing releasable: every item before the gm
+     head has reached final meld, so the store holds exactly what the
+     sequential scheduler holds at the head's submit, and the head's
+     blocked stage runs through the sequential code.  In a valid stream
+     only a decode can be blocked there ([validate_shape] bounds the
+     group size so the head's premeld input is always recorded), and
+     [decode_checked] raises the invalid-stream error. *)
+  let run_stalled_head () =
+    let i = !gm_next in
+    match (intentions.(i), t.config.premeld) with
+    | None, _ ->
+        intentions.(i) <- Some (decode_item i);
+        ds_next.(i mod domains) <- i + domains;
+        px.ds_inline_n <- px.ds_inline_n + 1
+    | Some intention, Some pc ->
+        outcomes.(i) <- Some (premeld t pc ~seq:(s0 + i) intention);
+        pm_next.((s0 + i) mod pm_threads) <- i + pm_threads
+    | Some _, None -> assert false
   in
   while !rgm < b do
     (* Sample the doorbell before draining so a result pushed after the
@@ -1151,8 +1042,10 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
         progress := true
       end
     done;
-    release_held ();
-    release_pm ();
+    (let s, p, _ = State_store.latest t.states in
+     lseq := s;
+     lpos := p);
+    Option.iter release_pm t.config.premeld;
     release_gm ();
     release_ds ();
     (* Partial batches must reach the rings before this round can decide
@@ -1163,20 +1056,10 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       if in_flight > 0 then begin
         if not (steal ()) then Runtime.Stage_pool.wait pool ~seen
       end
-      else
-        (* Nothing in flight and nothing releasable: the stream is
-           invalid (a member names a snapshot state the log never
-           records before it).  Name the starved member. *)
-        match !held with
-        | i :: _ ->
-            let _, lpos, _ = State_store.latest t.states in
-            invalid_snapshot ~pos:window.(i).pos ~snap:window.(i).psnap ~lpos
-        | [] ->
-            failwith
-              "Pipeline: pipelined window stalled with no work in flight"
+      else run_stalled_head ()
     end
   done;
-  (* One counter scrape per window keeps the doorbell metric hot-path
+  (* One counter scrape per batch keeps the doorbell metric hot-path
      free: the wakeup totals live in plain producer-written fields. *)
   (match inst with
   | None -> ()
@@ -1186,65 +1069,19 @@ let run_pipelined_window t (px : pctx) (window : witem array) =
       px.doorbells_seen <- db);
   List.rev !decisions
 
-(* Cut a stream of work items into safe windows and run each through the
-   staged pipeline.  The window bound: every member's designated premeld
-   input state must already be recorded at window start (states lag
-   submissions by the group members still being assembled, so the window
-   shrinks by [pending_members]).  Windows are drained completely before
-   the next starts — cross-window pipelining would require premelding
-   against states the previous window has not recorded yet. *)
-let run_pipelined t (px : pctx) (items : witem array) =
-  let n = Array.length items in
-  let decisions = ref [] in
-  let off = ref 0 in
-  while !off < n do
-    let cap =
-      match t.config.premeld with
-      | Some pc ->
-          (pc.Premeld.threads * pc.Premeld.distance) + 1 - t.pending_members
-      | None -> 64
-    in
-    if cap < 1 then begin
-      (* Pathological config (group_size > threads*distance + 1): no
-         window is safe, fall back to the inline scheduler for one item
-         and retry. *)
-      let w = items.(!off) in
-      let _, lpos, _ = State_store.latest t.states in
-      if w.psnap > lpos then invalid_snapshot ~pos:w.pos ~snap:w.psnap ~lpos;
-      let i = decode_item t w in
-      px.ds_inline_n <- px.ds_inline_n + 1;
-      decisions := List.rev_append (submit t i) !decisions;
-      incr off
-    end
-    else begin
-      let b = min cap (n - !off) in
-      let window = Array.sub items !off b in
-      decisions := List.rev_append (run_pipelined_window t px window) !decisions;
-      off := !off + b
-    end
-  done;
-  List.rev !decisions
-
 let submit_wire_batch t (items : (int * string) list) =
   match t.pstate with
   | Some px ->
-      run_pipelined t px
+      run_batch t px
         (Array.of_list
            (List.map
               (fun (pos, src) -> { pos; src; psnap = Codec.peek_snapshot src })
               items))
   | None ->
       (* Meld each intention right after its decode, so everything the
-         decode allocated dies young.  An intention's snapshot must be
-         recorded before it can decode; checking each item against the
-         states its predecessors recorded accepts exactly the streams the
-         pipelined windows accept. *)
+         decode allocated dies young. *)
       List.concat_map
-        (fun (pos, src) ->
-          let _, lpos, _ = State_store.latest t.states in
-          let snap = Codec.peek_snapshot src in
-          if snap > lpos then invalid_snapshot ~pos ~snap ~lpos;
-          submit t (decode t ~pos src))
+        (fun (pos, src) -> submit t (decode_checked t ~pos src))
         items
 
 let flush t =
@@ -1264,13 +1101,22 @@ let prune t ~keep =
   State_store.prune t.states ~keep:(max keep floor_for_premeld)
 
 (* Config validation shared by [create] and [restore]; returns the
-   premeld thread count. *)
+   premeld thread count.  A group larger than [threads * distance + 1]
+   would hold back the state a member's premeld is designated to read
+   until that member's own group completes. *)
 let validate_shape ~who ~config =
   if config.group_size < 1 then
     invalid_arg (Printf.sprintf "Pipeline.%s: group_size" who);
   (match config.premeld with
   | Some { Premeld.threads; distance } when threads < 1 || distance < 1 ->
       invalid_arg (Printf.sprintf "Pipeline.%s: premeld config" who)
+  | Some { Premeld.threads; distance }
+    when config.group_size > (threads * distance) + 1 ->
+      invalid_arg
+        (Printf.sprintf
+           "Pipeline.%s: group_size %d exceeds threads * distance + 1 = %d"
+           who config.group_size
+           ((threads * distance) + 1))
   | _ -> ());
   match config.premeld with Some c -> c.Premeld.threads | None -> 0
 
@@ -1303,17 +1149,21 @@ let make_instruments metrics =
 let attach_pstate t runtime =
   match runtime with
   | Runtime.Pipelined { domains } ->
-      let wctx =
-        {
-          wsnap = State_store.snapshot t.states;
-          wresolvers = Array.make domains null_resolver;
-        }
+      (* Worker [w]'s ds resolver answers from [trees.(w)], the snapshot
+         tree of the decode it is running; only worker [w] touches
+         either slot. *)
+      let trees = Array.make domains Node.empty in
+      let resolvers =
+        Array.init domains (fun w ~snapshot:_ ~key ~vn:_ ->
+            match Tree.find trees.(w) key with
+            | Some n -> n
+            | None -> Node.empty)
       in
       let dummy = fresh_carrier () in
       let pool =
         Runtime.Stage_pool.create ~queue:32 ~domains ~dummy_job:dummy
           ~dummy_result:dummy
-          ~exec:(fun ~worker c -> pexec t wctx ~worker c)
+          ~exec:(fun ~worker c -> pexec t ~trees ~resolvers ~worker c)
           ()
       in
       let qcap = Runtime.Stage_pool.queue_capacity pool in
@@ -1324,7 +1174,6 @@ let attach_pstate t runtime =
             pdomains = domains;
             qcap;
             outstanding = Array.make domains 0;
-            wctx;
             (* qcap carriers per worker pair: since staged + in-flight
                never exceeds qcap, a release gate passing implies a free
                carrier. *)

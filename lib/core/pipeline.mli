@@ -91,10 +91,11 @@ val create :
     decisions, ephemeral node ids and integer counter values are
     bit-identical with either on or off (see [test/test_obs.ml]).
 
-    Retention arithmetic constraint: with premeld on, [group_size] must
-    not exceed [threads * distance + 1] — beyond that, a premeld-bound
-    intention can designate an input state its own group assembly has not
-    recorded yet, under either backend. *)
+    With premeld on, [group_size] must not exceed
+    [threads * distance + 1]: beyond that, a premeld-bound intention can
+    designate an input state its own group assembly has not recorded
+    yet.  {!create} and {!restore} raise [Invalid_argument] for such a
+    config on every backend. *)
 
 val decode : t -> pos:int -> string -> Hyder_codec.Intention.t
 (** The ds stage: deserialize an encoded intention, resolving references
@@ -114,13 +115,14 @@ val submit_wire_batch : t -> (int * string) list -> decision list
     ([(log_position, encoded_bytes)]), letting the backend overlap
     deserialization with melding.  Under [Sequential] each intention is
     melded right after its decode: exactly {!decode} then {!submit}.
-    Under [Pipelined] the batch is cut into premeld windows of at most
-    [threads * distance + 1 - pending_group_members] intentions — the
-    bound that guarantees every member's designated input state is
-    already recorded when the window's store snapshot is taken.  Decodes
-    whose snapshot state is recorded at window start run on worker
-    domains straight from the wire buffers; the rest decode on the
-    driver as soon as final meld records their snapshot state.
+    Under [Pipelined] each intention's next stage is released as soon
+    as its own inputs are recorded in the live store, and the job
+    carries them: its decode once its snapshot state is recorded, its
+    premeld trial (in its paper thread's seq order) once its designated
+    input state is, group meld and final meld in log order.  Decodes run
+    on worker domains straight from the wire buffers; the driver decodes
+    only what it steals from its backlog instead of parking, and what it
+    redoes after a worker's decode failed.
     Decisions are returned in sequence order and are bit-identical on
     both backends.  A stream whose snapshot references can never be
     satisfied raises the same [Failure] on both backends, and a corrupt
@@ -134,7 +136,9 @@ val submit_wire_batch : t -> (int * string) list -> decision list
     driver-executed (critical-path) share. *)
 type offload_stats = {
   ds_offloaded : int;  (** decodes executed on worker domains *)
-  ds_inline : int;  (** decodes the driver ran inline (snapshot lag) *)
+  ds_inline : int;
+      (** decodes the driver ran itself: steals, redos of a failed worker
+          decode, and snapshots the store no longer retains *)
   worker_ds_seconds : float;
   worker_pm_seconds : float;
   worker_gm_seconds : float;
@@ -150,7 +154,7 @@ type offload_stats = {
       (** condvar round-trips the handoff actually paid for (worker and
           driver parks that were woken) *)
   driver_steals : int;
-      (** backlogged ds/pm items the driver inlined instead of parking *)
+      (** backlogged decodes the driver ran instead of parking *)
 }
 
 val offload : t -> offload_stats option

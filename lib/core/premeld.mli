@@ -16,8 +16,9 @@
     reads immutable data and writes caller-owned records — safe to run on
     any domain — and a {e scheduling shell} ({!run}) that resolves the
     designated input state against the live state store for the inline
-    sequential path.  The pipelined runtime calls {!trial} directly with a
-    {!State_store.Snapshot} lookup and window-corrected [snap_seq]. *)
+    sequential path.  The pipelined runtime calls {!trial} directly on a
+    worker, with the input state and [snap_seq] the driver read from the
+    live store once that state was recorded. *)
 
 type config = { threads : int; distance : int }
 

@@ -21,14 +21,16 @@
       wall-clock only — decisions, ephemeral ids and per-shard counters
       stay bit-identical to [Sequential].
 
-    The determinism argument, concretely: a premeld window only contains
-    intentions whose designated input states {e precede} the window
-    (window size <= t*d + 1), those states are frozen in a
-    {!State_store.Snapshot} before fan-out, and every job's inputs —
-    snapshot sequence number, input state, allocator stream — are
-    computed by log-order arithmetic, not by arrival order.  Parallelism
-    therefore changes wall-clock and nothing else; the cross-backend
-    property test in [test/test_runtime.ml] checks exactly this. *)
+    The determinism argument, concretely: each intention's stage is
+    released only once its own inputs are recorded in the live state
+    store — its snapshot state for the decode, its designated input
+    state [v - t*d - 1] for the premeld trial — and the job carries them.
+    A recorded input never changes (final meld only appends later
+    states), so every job sees what the sequential scheduler sees at
+    that intention's submit, and each paper thread's allocator stream
+    advances in seq order on one worker.  Parallelism therefore changes
+    wall-clock and nothing else; the cross-backend property test in
+    [test/test_runtime.ml] checks exactly this. *)
 
 type backend =
   | Sequential

@@ -118,9 +118,9 @@ let require t ~stage seq =
       let lo = if t.count = 0 then 0 else (nth t 0).seq in
       not_retained ~stage ~what:"seq" seq lo (lo + t.count - 1)
 
-(* Memoizing key resolver over an arbitrary position -> state lookup: one
-   intention resolves many references against the same snapshot. *)
-let make_resolver ~stage ~by_pos : Hyder_codec.Codec.resolver =
+(* Memoizing key resolver: one intention resolves many references
+   against the same snapshot. *)
+let resolver ?(stage = "ds") t : Hyder_codec.Codec.resolver =
   let last = ref None in
   fun ~snapshot ~key ~vn ->
     ignore vn;
@@ -128,7 +128,7 @@ let make_resolver ~stage ~by_pos : Hyder_codec.Codec.resolver =
       match !last with
       | Some (pos, state) when pos = snapshot -> Some state
       | _ ->
-          let s = by_pos snapshot in
+          let s = by_pos t snapshot in
           (match s with Some st -> last := Some (snapshot, st) | None -> ());
           s
     in
@@ -138,8 +138,6 @@ let make_resolver ~stage ~by_pos : Hyder_codec.Codec.resolver =
         match Tree.find state key with
         | None -> Node.empty
         | Some n -> n)
-
-let resolver ?(stage = "ds") t = make_resolver ~stage ~by_pos:(by_pos t)
 
 module Snapshot = struct
   type nonrec t = {
@@ -162,44 +160,6 @@ module Snapshot = struct
         if i < 0 || i >= n then None else Some s.entries.(i).state
       end
     end
-
-  let require s ~stage seq =
-    match by_seq s seq with
-    | Some state -> state
-    | None ->
-        let n = Array.length s.entries in
-        let lo = if n = 0 then 0 else s.entries.(0).seq in
-        not_retained ~stage ~what:"seq" seq lo (lo + n - 1)
-
-  (* Newest entry with position <= pos; same semantics as the live store's
-     [by_pos], frozen. *)
-  let by_pos s pos =
-    let n = Array.length s.entries in
-    if pos = -1 then s.genesis
-    else if n = 0 || s.entries.(0).pos > pos then
-      if s.pruned then None else s.genesis
-    else begin
-      let lo = ref 0 and hi = ref (n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if s.entries.(mid).pos <= pos then lo := mid else hi := mid - 1
-      done;
-      Some s.entries.(!lo).state
-    end
-
-  let seq_of_pos s pos =
-    let n = Array.length s.entries in
-    if pos = -1 || n = 0 || s.entries.(0).pos > pos then -1
-    else begin
-      let lo = ref 0 and hi = ref (n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if s.entries.(mid).pos <= pos then lo := mid else hi := mid - 1
-      done;
-      s.entries.(!lo).seq
-    end
-
-  let resolver ?(stage = "ds") s = make_resolver ~stage ~by_pos:(by_pos s)
 end
 
 let snapshot t =

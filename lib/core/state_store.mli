@@ -11,7 +11,10 @@ open Hyder_tree
     Two numberings coexist: the {e sequence number} (dense: the i-th
     intention melded, genesis = -1) and the {e log position} (sparse: the
     last-block position of that intention).  Premeld arithmetic uses
-    sequence numbers; intention metadata uses log positions. *)
+    sequence numbers; intention metadata uses log positions.
+
+    A store is read and written by the meld driver alone: pipelined
+    workers receive the (immutable) trees their jobs need in the job. *)
 
 type t
 
@@ -46,16 +49,7 @@ val resolver : ?stage:string -> t -> Hyder_codec.Codec.resolver
     intention's snapshot position.  [stage] (default ["ds"]) names the
     caller in prune-safety failures. *)
 
-(** An immutable view of the retained states at a moment in time.
-
-    {b Thread safety}: the store itself is single-writer, single-reader
-    (the meld driver); a snapshot, by contrast, is a frozen copy of the
-    retention window and may be read concurrently from any number of
-    domains without synchronization.  The trees it hands out are
-    immutable, so they are likewise safe to traverse in parallel.  The
-    pipelined backend takes one snapshot per window, before any decode
-    or trial meld is fanned out, and workers only ever read through
-    it. *)
+(** A frozen copy of the retention window, as a checkpoint carries it. *)
 module Snapshot : sig
   type t
 
@@ -64,19 +58,6 @@ module Snapshot : sig
 
   val by_seq : t -> int -> Hyder_tree.Tree.t option
   (** Same contract as {!val:by_seq} on the live store, frozen. *)
-
-  val by_pos : t -> int -> Hyder_tree.Tree.t option
-  (** Same contract as {!val:by_pos} on the live store, frozen. *)
-
-  val seq_of_pos : t -> int -> int
-  (** Same contract as {!val:seq_of_pos} on the live store, frozen. *)
-
-  val require : t -> stage:string -> int -> Hyder_tree.Tree.t
-  (** Same contract as {!val:require} on the live store, frozen. *)
-
-  val resolver : ?stage:string -> t -> Hyder_codec.Codec.resolver
-  (** Same contract as {!val:resolver} on the live store, frozen — safe
-      to call from worker domains (each call builds its own memo). *)
 end
 
 val snapshot : t -> Snapshot.t

@@ -10,7 +10,9 @@ Checks the pipeline-overlap figure's records:
      strictly lower than the sequential backend's, and a non-zero share
      of decodes ran on worker domains;
   3. queue accounting is sane: every decode accounted for, peak queue
-     depth within the configured capacity.
+     depth within the configured capacity;
+  4. every decode the driver ran itself was a steal (ds_inline equals
+     driver_steals): none waited on the driver for its snapshot state.
 
 The driver-critical-path metric is deliberately wall-clock-free: it sums
 the stage seconds the driver itself executed, so the gate holds even on
@@ -72,9 +74,10 @@ DS_MINOR_BUDGET = 500.0
 # Handoff-allocation budget, in driver minor words per measured txn not
 # already booked by a stage instrument (fm/ds/pm/gm/mz).  The carrier
 # pool plus batched rings make the steady-state handoff itself
-# allocation-free; the residual covers list/closure churn in
-# submit_wire_batch's windowing, which predates this gate.  Generous on
-# purpose — the signal is "handoff stopped being ~free", not noise.
+# allocation-free; the residual covers the per-batch scheduling state
+# and per-item option/closure churn in submit_wire_batch's release loop.
+# Generous on purpose — the signal is "handoff stopped being ~free", not
+# noise.
 HANDOFF_RESIDUAL_BUDGET = 400.0
 
 
@@ -301,6 +304,13 @@ def main() -> None:
     if off["ds_offloaded"] + off["ds_inline"] != n:
         fail(f"decode accounting off: {off['ds_offloaded']} offloaded "
              f"+ {off['ds_inline']} inline != {n}")
+    # On a valid stream the driver decodes only what it steals: a decode
+    # that ran inline for any other reason is a decode that waited on
+    # the driver for its snapshot state.
+    if off["ds_inline"] != off["driver_steals"]:
+        fail(f"{off['ds_inline']} driver decodes but "
+             f"{off['driver_steals']} steals: some decode ran inline "
+             f"for snapshot lag")
     if not 0 < off["max_queue_depth"] <= off["queue_capacity"]:
         fail(f"queue depth {off['max_queue_depth']} outside "
              f"(0, {off['queue_capacity']}]")

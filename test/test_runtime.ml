@@ -171,8 +171,9 @@ let check_backends ~config ~txns ~seed ~runs () =
     runs
 
 (* The paper's configuration: 5 premeld threads, distance 10, groups of
-   2 — windows span group boundaries and the snapshot-visibility
-   arithmetic inside a window is fully exercised. *)
+   2 — decodes and premeld trials keep waiting on states that a pending
+   group member has not recorded yet.  Slab 256 is the batch size the
+   macro benchmark feeds. *)
 let test_paper_config () =
   check_backends
     ~config:
@@ -191,6 +192,7 @@ let test_paper_config () =
         ("pipe:2 slab 37", Runtime.pipelined ~domains:2, 37);
         ("pipe:3 slab 23", Runtime.pipelined ~domains:3, 23);
         ("pipe:3 slab 37", Runtime.pipelined ~domains:3, 37);
+        ("pipe:2 slab 256", Runtime.pipelined ~domains:2, 256);
         ("pipe:4", Runtime.pipelined ~domains:4, max_int);
       ]
     ()
@@ -227,13 +229,12 @@ let test_big_groups () =
       ]
     ()
 
-(* group_size = threads*distance + 1, the boundary of the retention
-   arithmetic: just before a group completes, every state a premeld
-   could designate is still pending, so pipelined windows shrink all the
-   way down to a single intention — and must still match the inline
-   scheduler bit for bit.  (group_size beyond this bound is unsupported:
-   premeld-bound intentions would designate states the group assembly
-   has not recorded yet, under either backend.) *)
+(* group_size = threads*distance + 1, the largest group [create]
+   accepts: just before a group completes, the state the next premeld is
+   designated to read is the newest one recorded, so premeld releases
+   wait on every group completion — and must still match the inline
+   scheduler bit for bit.  (Larger groups are rejected, see
+   [test_invalid_stream_same_error].) *)
 let test_group_at_window_bound () =
   check_backends
     ~config:
@@ -399,12 +400,13 @@ let chain_stream ?(lie = fun _ -> false) ~config ~txns ~lag () =
 
 (* A worker decode that fails is redone on the driver, which raises the
    worker's [Corrupt].  The corrupt member sits in the middle of a
-   [pipe:2] batch and names the state recorded at window start, so its
-   decode is dealt to a worker; every other member of that batch names
-   its predecessor, so the ones before it decode on the driver as final
-   meld catches up and the ones after it can never decode.  The error
-   and the deserialize counters at the raise must equal [seq]'s: every
-   earlier intention parsed and counted, the corrupt one not. *)
+   [pipe:2] batch and names the state recorded before the batch, so its
+   decode is dealt to a worker at once; every other member of that batch
+   names its predecessor, so the ones before it decode one by one as
+   final meld records their predecessors and the ones after it can
+   never decode.  The error and the deserialize counters at the raise
+   must equal [seq]'s: every earlier intention parsed and counted, the
+   corrupt one not. *)
 let test_worker_decode_failure_redo () =
   let config = Pipeline.with_premeld in
   let prefix = 20 and batch = 21 in
@@ -427,7 +429,7 @@ let test_worker_decode_failure_redo () =
     let p = Pipeline.create ~config ~runtime ~genesis () in
     ignore (Pipeline.submit_wire_batch p first);
     let _, lpos, _ = Pipeline.lcs p in
-    check "corrupt member offloadable at window start" true
+    check "corrupt member decodable at batch start" true
       (Codec.peek_snapshot (snd (List.nth wires bad)) <= lpos);
     let msg =
       match Pipeline.submit_wire_batch p second with
@@ -457,9 +459,8 @@ let test_worker_decode_failure_redo () =
         (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline)
 
 (* A stream naming a snapshot the log never records fails with one
-   [Failure] text on both backends: the sequential check, the pipelined
-   window stall and the pipelined [cap < 1] fallback all report it the
-   same way. *)
+   [Failure] text on both backends: the sequential check, and the
+   pipelined stall that runs the blocked decode through it. *)
 let test_invalid_stream_same_error () =
   let expect_same ~name ~config ~runtimes (genesis, wires) =
     let run runtime =
@@ -484,21 +485,78 @@ let test_invalid_stream_same_error () =
       runtimes
   in
   let config = Pipeline.with_both in
-  expect_same ~name:"window stall" ~config
+  expect_same ~name:"stall" ~config
     ~runtimes:[ Runtime.pipelined ~domains:2 ]
     (chain_stream ~config ~txns:25 ~lie:(fun k -> k = 12) ~lag:(fun _ -> 0) ());
-  (* group_size beyond threads * distance + 1: once two members are
-     pending no window is safe, and the third member takes the
-     one-item fallback *)
+  (* group_size beyond threads * distance + 1 would hold back a member's
+     designated premeld input until its own group completes: both
+     backends refuse it at [create] and at [restore] *)
   let config =
     {
       Pipeline.premeld = Some { Premeld.threads = 1; distance = 1 };
       group_size = 3;
     }
   in
-  expect_same ~name:"cap < 1 fallback" ~config
-    ~runtimes:[ Runtime.pipelined ~domains:2 ]
-    (chain_stream ~config ~txns:3 ~lie:(fun k -> k = 2) ~lag:(fun k -> k) ())
+  let genesis = Helpers.genesis 8 in
+  let ckpt =
+    let src =
+      Pipeline.create
+        ~config:{ config with Pipeline.group_size = 2 }
+        ~genesis ()
+    in
+    match Pipeline.checkpoint src with
+    | Some c -> c
+    | None -> Alcotest.fail "fresh pipeline has no checkpoint"
+  in
+  let rejected name f =
+    match f () with
+    | exception Invalid_argument m ->
+        check (name ^ ": names the group size") true
+          (String.ends_with ~suffix:"exceeds threads * distance + 1 = 2" m)
+    | p ->
+        Pipeline.shutdown p;
+        Alcotest.failf "%s accepted group_size 3 at t=1 d=1" name
+  in
+  List.iter
+    (fun runtime ->
+      let rt = Runtime.to_string runtime in
+      rejected (rt ^ " create") (fun () ->
+          Pipeline.create ~config ~runtime ~genesis ());
+      rejected (rt ^ " restore") (fun () ->
+          Pipeline.restore ~config ~runtime ckpt))
+    [ Runtime.sequential; Runtime.pipelined ~domains:2 ]
+
+(* A chained stream, every intention naming its predecessor's state, is
+   the worst case for snapshot lag: no decode can start before final
+   meld records the state just before it.  Replayed in one batch, it
+   must still equal [seq], and every decode the driver runs must be a
+   steal — none waits inline for its snapshot state. *)
+let test_chained_stream () =
+  List.iter
+    (fun (name, config) ->
+      let genesis, wires =
+        chain_stream ~config ~txns:60 ~lag:(fun _ -> 0) ()
+      in
+      let sd, sfinal, scounts, _, sdigest =
+        replay_wire ~config ~runtime:Runtime.sequential ~slab:max_int genesis
+          wires
+      in
+      let d, final, counts, off, digest =
+        replay_wire ~config
+          ~runtime:(Runtime.pipelined ~domains:2)
+          ~slab:max_int genesis wires
+      in
+      compare_to_baseline ~name ~bd:sd ~bfinal:sfinal ~bcounts:scounts
+        (d, final, counts);
+      Alcotest.(check string) (name ^ ": counters identical") sdigest digest;
+      match off with
+      | None -> Alcotest.fail (name ^ ": no offload stats")
+      | Some o ->
+          check_int (name ^ ": every decode accounted") (List.length wires)
+            (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline);
+          check_int (name ^ ": driver decodes only what it steals")
+            o.Pipeline.driver_steals o.Pipeline.ds_inline)
+    [ ("chain plain", Pipeline.plain); ("chain both", Pipeline.with_both) ]
 
 (* Shutdown joins the stage-pool workers, so a later batch must fail
    loudly instead of queueing jobs nobody will run and parking the
@@ -733,6 +791,8 @@ let () =
             `Quick test_worker_decode_failure_redo;
           Alcotest.test_case "invalid stream: one error on every backend"
             `Quick test_invalid_stream_same_error;
+          Alcotest.test_case "chained stream: no decode waits inline" `Quick
+            test_chained_stream;
           Alcotest.test_case "submit after shutdown raises" `Quick
             test_submit_after_shutdown_raises;
           Alcotest.test_case "stage-pool handoff round allocates nothing"
