@@ -6,10 +6,7 @@
      dune exec bench/main.exe -- fig10 fig11  -- selected figures
      dune exec bench/main.exe -- --quick      -- fast smoke of everything
      dune exec bench/main.exe -- --paper      -- larger scale (slower)
-     dune exec bench/main.exe -- --runtime=pipe:4 fig10
-                                              -- cluster runs use the
-                                                 pipelined backend
-     dune exec bench/main.exe -- --json=report.json --quick pipeline-overlap
+     dune exec bench/main.exe -- --json=report.json macro
                                               -- also write a machine-readable
                                                  JSON run report
 
@@ -79,10 +76,6 @@ let paper_scale =
 
 let scale = ref default_scale
 
-(* Stage runtime for the real pipeline inside cluster runs (see
-   Cluster.config.runtime); settable with --runtime=seq|pipe:<n>. *)
-let runtime = ref Runtime.sequential
-
 (* ---------------------------------------------------------------------- *)
 (* Machine-readable run report (--json=FILE)                                *)
 (* ---------------------------------------------------------------------- *)
@@ -148,7 +141,6 @@ let run_cluster ?(servers = 6) ?(pipeline = Pipeline.plain) ?(read_threads = 0)
       Cluster.default_config with
       Cluster.servers;
       pipeline;
-      runtime = !runtime;
       read_threads;
       write_threads;
       workload;
@@ -157,9 +149,8 @@ let run_cluster ?(servers = 6) ?(pipeline = Pipeline.plain) ?(read_threads = 0)
     }
   in
   let key =
-    Printf.sprintf "s%d|%s|%s|r%d|w%d|%d/%d/%.2f/%.2f/%d/%s|%d" servers
+    Printf.sprintf "s%d|%s|r%d|w%d|%d/%d/%.2f/%.2f/%d/%s|%d" servers
       (pipeline_name pipeline)
-      (Runtime.to_string !runtime)
       read_threads write_threads
       workload.Ycsb.record_count workload.Ycsb.ops_per_txn
       workload.Ycsb.update_fraction workload.Ycsb.scan_fraction
@@ -813,11 +804,10 @@ let abl_index_size () =
   Table.print t
 
 (* ---------------------------------------------------------------------- *)
-(* Pipeline overlap: how much of the pre-fm pipeline the pipelined          *)
-(* backend moves off the driver's critical path, on one wire stream         *)
+(* Macro benchmark: the tracked perf trajectory (BENCH_MACRO.json)          *)
 (* ---------------------------------------------------------------------- *)
 
-(* Record a deterministic wire stream for replay figures.  The generator
+(* Record a deterministic wire stream for the replay.  The generator
    is wire-fed, like a real replica — it melds what it decodes — so the
    encoder's payload elisions and version references resolve on any
    replay of the same bytes.  Returns the (pos, bytes) list in log
@@ -872,160 +862,14 @@ let batches_of ~slab wires =
   in
   go wires
 
-let pipeline_overlap () =
-  let module Tree = Hyder_tree.Tree in
-  let module Payload = Hyder_tree.Payload in
-  let txns = if !scale.records <= 100_000 then 1_500 else 6_000 in
-  let n = 50_000 in
-  let config =
-    { Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
-      group_size = 2 }
-  in
-  let genesis =
-    Tree.of_sorted_array
-      (Array.init n (fun k -> (k, Payload.value ("v" ^ string_of_int k))))
-  in
-  let wires = record_wire_stream ~seed:171717L ~txns ~n ~config ~genesis in
-  let count = List.length wires in
-  let batches = batches_of ~slab:256 wires in
-  (* Phase 2: replay the identical bytes under each backend through
-     submit_wire_batch.  The driver's critical path per intention is the
-     stage seconds it executed itself: total stage time minus what worker
-     domains absorbed. *)
-  let run backend =
-    let p = Pipeline.create ~config ~runtime:backend ~genesis () in
-    let t0 = Clock.now () in
-    let decisions =
-      List.concat_map (fun b -> Pipeline.submit_wire_batch p b) batches
-      @ Pipeline.flush p
-    in
-    let wall = Clock.elapsed t0 in
-    let c = Pipeline.counters p in
-    let ds = c.Counters.deserialize.Counters.seconds in
-    let pm = (Counters.premeld_total c).Counters.seconds in
-    let gm = c.Counters.group_meld.Counters.seconds in
-    let fm = c.Counters.final_meld.Counters.seconds in
-    let off = Pipeline.offload p in
-    let _, _, final = Pipeline.lcs p in
-    Pipeline.shutdown p;
-    (decisions, final, wall, (ds, pm, gm, fm), off)
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Pipeline overlap: %d intentions replayed from wire bytes — \
-            driver-executed stage time per intention (fm critical path) \
-            under the staged ds/pm/gm worker fabric vs inline decoding"
-           count)
-      ~columns:
-        [ "runtime"; "wall s"; "driver us/int"; "ds offload"; "gm offload";
-          "same as seq" ]
-  in
-  let base = run Runtime.sequential in
-  let fcount = float_of_int count in
-  let driver_us (ds, pm, gm, fm) off =
-    let wds, wpm, wgm =
-      match off with
-      | Some o ->
-          ( o.Pipeline.worker_ds_seconds,
-            o.Pipeline.worker_pm_seconds,
-            o.Pipeline.worker_gm_seconds )
-      | None -> (0.0, 0.0, 0.0)
-    in
-    (ds -. wds +. (pm -. wpm) +. (gm -. wgm) +. fm) /. fcount *. 1e6
-  in
-  let report name (decisions, final, wall, stages, off) =
-    let bd, bfinal, _, _, _ = base in
-    let same =
-      List.length decisions = List.length bd
-      && List.for_all2
-           (fun (a : Pipeline.decision) (b : Pipeline.decision) ->
-             a.Pipeline.seq = b.Pipeline.seq
-             && a.Pipeline.committed = b.Pipeline.committed
-             && a.Pipeline.decided_at = b.Pipeline.decided_at)
-           decisions bd
-      && Tree.physically_equal final bfinal
-    in
-    let ds_off, gm_off =
-      match off with
-      | Some o ->
-          let dsr = float_of_int o.Pipeline.ds_offloaded /. fcount in
-          let (dss, _, gms, _) = stages in
-          let gmr = if gms > 0.0 then o.Pipeline.worker_gm_seconds /. gms else 0.0 in
-          ignore dss;
-          (dsr, gmr)
-      | None -> (0.0, 0.0)
-    in
-    let dus = driver_us stages off in
-    Table.add_row t
-      [
-        name; f wall;
-        Printf.sprintf "%.2f" dus;
-        Printf.sprintf "%.0f%%" (100.0 *. ds_off);
-        Printf.sprintf "%.0f%%" (100.0 *. gm_off);
-        (if same then "yes" else "NO");
-      ];
-    (* feed the machine-readable report (BENCH_SMOKE regression gate) *)
-    if !json_path <> None then begin
-      let ds, pm, gm, fm = stages in
-      let us x = Json.Float (x /. fcount *. 1e6) in
-      report_runs :=
-        Json.Obj
-          [
-            ("figure", Json.String "pipeline-overlap");
-            ("runtime", Json.String name);
-            ("intentions", Json.Int count);
-            ("wall_s", Json.Float wall);
-            ( "stage_us",
-              Json.Obj
-                [
-                  ("ds", us ds); ("pm", us pm); ("gm", us gm); ("fm", us fm);
-                  ("driver_critical_path", Json.Float dus);
-                ] );
-            ( "offload",
-              match off with
-              | None -> Json.Null
-              | Some o ->
-                  Json.Obj
-                    [
-                      ("ds_offloaded", Json.Int o.Pipeline.ds_offloaded);
-                      ("ds_inline", Json.Int o.Pipeline.ds_inline);
-                      ("worker_ds_s", Json.Float o.Pipeline.worker_ds_seconds);
-                      ("worker_pm_s", Json.Float o.Pipeline.worker_pm_seconds);
-                      ("worker_gm_s", Json.Float o.Pipeline.worker_gm_seconds);
-                      ("max_queue_depth", Json.Int o.Pipeline.max_queue_depth);
-                      ("queue_capacity", Json.Int o.Pipeline.queue_capacity);
-                      ("handoff_batches", Json.Int o.Pipeline.handoff_batches);
-                      ("handoff_items", Json.Int o.Pipeline.handoff_items);
-                      ( "doorbell_wakeups",
-                        Json.Int o.Pipeline.doorbell_wakeups );
-                      ("driver_steals", Json.Int o.Pipeline.driver_steals);
-                    ] );
-            ("same_as_seq", Json.Bool same);
-          ]
-        :: !report_runs
-    end
-  in
-  report "seq" base;
-  report "pipe:4" (run (Runtime.pipelined ~domains:4));
-  Table.print t;
-  Printf.printf
-    "(driver us/int = (ds+pm+gm+fm seconds the driver itself executed) / \
-     intentions; on a free-core machine the wall column drops too — on a \
-     loaded one the offload columns carry the signal)\n"
-
-(* ---------------------------------------------------------------------- *)
-(* Macro benchmark: the tracked perf trajectory (BENCH_MACRO.json)          *)
-(* ---------------------------------------------------------------------- *)
-
-(* Steady-state numbers for the final-meld critical path, tracked across
-   PRs via `make bench-macro` → BENCH_MACRO.json and gated by
-   scripts/check_bench_smoke.py.  A fixed-seed wire stream (identical
-   bytes run to run, so gate movement is code, not workload) is replayed
-   under seq/pipe:4; the first [warm_txns] intentions are warmup —
-   counters, metrics and offload stats are snapshotted at the boundary
-   and diffed at the end.  Per-stage GC words come from the pipeline's
+(* Steady-state numbers for the final-meld and driver critical paths,
+   tracked via `make bench-macro` → BENCH_MACRO.json and gated by
+   scripts/check_bench_smoke.py; this is the one place the pipelined
+   backend is measured.  A fixed-seed wire stream (identical bytes run
+   to run, so gate movement is code, not workload) is replayed under
+   seq/pipe:4; the first [warm_txns] intentions are warmup — counters,
+   metrics and offload stats are snapshotted at the boundary and diffed
+   at the end.  Per-stage GC words come from the pipeline's
    Fcounter instruments (Gc.counters deltas around the stage work; each
    sample covers the stage work executed on the domain that owns the
    stage — see Pipeline's instruments for the exact coverage; under
@@ -1161,6 +1005,28 @@ let macro () =
       ];
     if !json_path <> None then begin
       let us x = Json.Float (x /. meldedf *. 1e6) in
+      let handoff, offload =
+        match (off0, off1) with
+        | Some a, Some b ->
+            (* The counters are cumulative; the measured window is the
+               diff.  The peak queue depth covers the whole replay. *)
+            let d f = Json.Int (f b - f a) in
+            ( Json.Obj
+                [
+                  ("batches", d (fun o -> o.Pipeline.handoff_batches));
+                  ("items", d (fun o -> o.Pipeline.handoff_items));
+                  ("doorbell_wakeups", d (fun o -> o.Pipeline.doorbell_wakeups));
+                  ("driver_steals", d (fun o -> o.Pipeline.driver_steals));
+                ],
+              Json.Obj
+                [
+                  ("ds_offloaded", d (fun o -> o.Pipeline.ds_offloaded));
+                  ("ds_inline", d (fun o -> o.Pipeline.ds_inline));
+                  ("max_queue_depth", Json.Int b.Pipeline.max_queue_depth);
+                  ("queue_capacity", Json.Int b.Pipeline.queue_capacity);
+                ] )
+        | _ -> (Json.Null, Json.Null)
+      in
       report_runs :=
         Json.Obj
           [
@@ -1176,31 +1042,8 @@ let macro () =
             ("driver_share_of_wall", Json.Float (driver_s /. wall));
             ( "driver_minor_w_per_txn",
               Json.Float (driver_minor_w /. meldedf) );
-            ( "handoff",
-              match (off0, off1) with
-              | Some a, Some b ->
-                  (* Publication/doorbell/steal counters are cumulative;
-                     the measured window is the diff. *)
-                  Json.Obj
-                    [
-                      ( "batches",
-                        Json.Int
-                          (b.Pipeline.handoff_batches
-                          - a.Pipeline.handoff_batches) );
-                      ( "items",
-                        Json.Int
-                          (b.Pipeline.handoff_items
-                          - a.Pipeline.handoff_items) );
-                      ( "doorbell_wakeups",
-                        Json.Int
-                          (b.Pipeline.doorbell_wakeups
-                          - a.Pipeline.doorbell_wakeups) );
-                      ( "driver_steals",
-                        Json.Int
-                          (b.Pipeline.driver_steals
-                          - a.Pipeline.driver_steals) );
-                    ]
-              | _ -> Json.Null );
+            ("handoff", handoff);
+            ("offload", offload);
             ( "stage_us",
               Json.Obj
                 [ ("ds", us ds); ("pm", us pm); ("gm", us gm); ("fm", us fm) ]
@@ -1339,7 +1182,6 @@ let figures =
     ("abl-group-size", abl_group_size);
     ("abl-admission", abl_admission);
     ("abl-index-size", abl_index_size);
-    ("pipeline-overlap", pipeline_overlap);
     ("macro", macro);
     ("micro", micro);
   ]
@@ -1352,13 +1194,6 @@ let () =
       match a with
       | "--quick" -> scale := quick_scale
       | "--paper" -> scale := paper_scale
-      | a when String.length a > 10 && String.sub a 0 10 = "--runtime=" -> (
-          let spec = String.sub a 10 (String.length a - 10) in
-          match Runtime.parse spec with
-          | Ok b -> runtime := b
-          | Error msg ->
-              Printf.eprintf "bad --runtime %S: %s\n" spec msg;
-              exit 2)
       | a when String.length a > 7 && String.sub a 0 7 = "--json=" ->
           json_path := Some (String.sub a 7 (String.length a - 7))
       | a when String.length a > 9 && String.sub a 0 9 = "--flight=" ->
@@ -1376,7 +1211,7 @@ let () =
       [ "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "tango"; "fig14";
         "fig15"; "fig16"; "fig17"; "fig18"; "fig20"; "fig21"; "fig23";
         "abl-premeld-threads"; "abl-group-size"; "abl-admission";
-        "abl-index-size"; "pipeline-overlap"; "micro" ]
+        "abl-index-size"; "macro"; "micro" ]
     else List.rev !selected
   in
   Printf.printf "Hyder II benchmark harness — scale: %s\n" !scale.label;
@@ -1398,7 +1233,6 @@ let () =
           [
             ("harness", Json.String "hyder-bench");
             ("scale", Json.String !scale.label);
-            ("runtime", Json.String (Runtime.to_string !runtime));
             ( "figures_run",
               Json.List (List.map (fun n -> Json.String n) to_run) );
             ("runs", Json.List (List.rev !report_runs));

@@ -205,6 +205,12 @@ let cluster_cmd =
            closed-loop throughput experiment. *)
         run_chaos servers pipeline runtime workload seed faults
           checkpoint_every chaos_txns flight_file metrics_file json_file
+    | None when runtime <> Runtime.sequential ->
+        Printf.eprintf
+          "cluster: --runtime %s applies only to chaos mode (--faults); the \
+           throughput experiment always melds on seq\n%!"
+          (Runtime.to_string runtime);
+        exit 2
     | None ->
     with_flight_sink flight_file @@ fun flight_sink ->
     let metrics =
@@ -215,14 +221,13 @@ let cluster_cmd =
       match flight_sink with
       | None -> Flight.disabled
       | Some oc ->
-          Flight.create ~label:(Runtime.to_string runtime) ?metrics ~sink:oc ()
+          Flight.create ~label:"seq" ?metrics ~sink:oc ()
     in
     let cfg =
       {
         Cluster.default_config with
         Cluster.servers;
         pipeline;
-        runtime;
         write_threads;
         read_threads;
         inflight_per_thread = inflight;
@@ -254,7 +259,6 @@ let cluster_cmd =
                    [
                      ("servers", Json.Int servers);
                      ("pipeline", Json.String (pipeline_to_string pipeline));
-                     ("runtime", Json.String (Runtime.to_string runtime));
                      ("write_threads", Json.Int write_threads);
                      ("read_threads", Json.Int read_threads);
                      ("inflight_per_thread", Json.Int inflight);
@@ -285,11 +289,12 @@ let cluster_cmd =
       value & opt runtime_conv Runtime.sequential
       & info [ "runtime" ]
           ~doc:
-            "Stage runtime for the real meld pipeline: seq | pipe:N.  seq runs \
-             every stage inline; pipe:N stages deserialize/premeld/group-meld \
-             across N worker domains through bounded SPSC queues, leaving \
-             only final meld on the driver (identical results, measured \
-             stage times change).")
+            "Chaos mode only: stage runtime for every replica's meld \
+             pipeline, seq | pipe:N.  seq runs every stage inline; pipe:N \
+             stages deserialize/premeld/group-meld across N worker domains \
+             through bounded SPSC queues, leaving only final meld on the \
+             driver, with results identical to seq.  The throughput \
+             experiment always runs seq and rejects any other value.")
   in
   let write_threads =
     Arg.(value & opt int 20 & info [ "write-threads" ] ~doc:"Update threads/server.")

@@ -7,7 +7,6 @@ module Premeld = Hyder_core.Premeld
 module Executor = Hyder_core.Executor
 module State_store = Hyder_core.State_store
 module Counters = Hyder_core.Counters
-module Meld = Hyder_core.Meld
 module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
 module Ycsb = Hyder_workload.Ycsb
@@ -25,11 +24,6 @@ type config = {
       (** [Some _] replaces the fixed window with the AIMD controller *)
   cores_per_server : int;
   pipeline : Pipeline.config;
-  runtime : Hyder_core.Runtime.backend;
-      (** backend for the {e real} meld pipeline this simulation drives;
-          the simulator's own stage-time model is unaffected, so [pipe:n]
-          here lets measured staged decode and premeld be compared
-          against the modelled stage overlap *)
   corfu : Corfu.config;
   broadcast : Broadcast.config;
   workload : Ycsb.config;
@@ -57,7 +51,6 @@ let default_config =
        the general pool gets the rest. *)
     cores_per_server = 32;
     pipeline = Pipeline.plain;
-    runtime = Hyder_core.Runtime.sequential;
     corfu = Corfu.default_config;
     broadcast = Broadcast.default_config;
     workload = Ycsb.default;
@@ -89,7 +82,6 @@ type result = {
   gc_promoted_words_per_txn : float;
   gc_major_words_per_txn : float;
   abort_reasons : (string * int) list;
-  handoff : Pipeline.offload_stats option;
 }
 
 (* Per-intention bookkeeping shared between the real pipeline and the
@@ -119,12 +111,6 @@ type cluster_inst = {
   h_commit_latency : Metrics.Histogram.t;
       (** simulated seconds from draft to origin-server commit delivery *)
   c_appends : Metrics.Counter.t;
-  (* Abort-reason breakdown as scrapeable counters (the registry
-     sanitizes label syntax away, so the reason is suffix-encoded). *)
-  c_ab_write : Metrics.Counter.t;
-  c_ab_read : Metrics.Counter.t;
-  c_ab_phantom : Metrics.Counter.t;
-  c_ab_unknown : Metrics.Counter.t;
 }
 
 type group_progress = {
@@ -169,8 +155,8 @@ let run cfg =
   let workload = Ycsb.create ~seed:cfg.seed cfg.workload in
   let genesis = Ycsb.genesis workload in
   let pipeline =
-    Pipeline.create ~config:cfg.pipeline ~runtime:cfg.runtime
-      ~flight:cfg.flight ?metrics:cfg.metrics ~genesis ()
+    Pipeline.create ~config:cfg.pipeline ~flight:cfg.flight
+      ?metrics:cfg.metrics ~genesis ()
   in
   let inst =
     Option.map
@@ -178,10 +164,6 @@ let run cfg =
         {
           h_commit_latency = Metrics.histogram m "cluster_commit_latency_seconds";
           c_appends = Metrics.counter m "cluster_log_appends";
-          c_ab_write = Metrics.counter m "cluster_aborts_write_conflict";
-          c_ab_read = Metrics.counter m "cluster_aborts_read_conflict";
-          c_ab_phantom = Metrics.counter m "cluster_aborts_phantom_conflict";
-          c_ab_unknown = Metrics.counter m "cluster_aborts_unknown";
         })
       cfg.metrics
   in
@@ -271,23 +253,14 @@ let run cfg =
   in
   let commits = ref 0 and aborts = ref 0 and reads_done = ref 0 in
   let abort_reasons_tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Abort-reason breakdown, keyed by {!Pipeline.reason_slug}; the
+     scrapeable counters are suffix-encoded because the registry
+     sanitizes label syntax away. *)
   let note_abort reason =
-    let k =
-      match reason with
-      | None -> "unknown"
-      | Some (Meld.Write_conflict _) -> "write_conflict"
-      | Some (Meld.Read_conflict _) -> "read_conflict"
-      | Some (Meld.Phantom_conflict _) -> "phantom_conflict"
-    in
-    (match inst with
-    | None -> ()
-    | Some i ->
-        Metrics.Counter.incr
-          (match reason with
-          | None -> i.c_ab_unknown
-          | Some (Meld.Write_conflict _) -> i.c_ab_write
-          | Some (Meld.Read_conflict _) -> i.c_ab_read
-          | Some (Meld.Phantom_conflict _) -> i.c_ab_phantom));
+    let k = Option.fold ~none:"unknown" ~some:Pipeline.reason_slug reason in
+    Option.iter
+      (fun m -> Metrics.Counter.incr (Metrics.counter m ("cluster_aborts_" ^ k)))
+      cfg.metrics;
     Hashtbl.replace abort_reasons_tbl k
       (1 + Option.value ~default:0 (Hashtbl.find_opt abort_reasons_tbl k))
   in
@@ -740,26 +713,6 @@ let run cfg =
 
   Flight.export_percentiles cfg.flight;
 
-  if Sys.getenv_opt "HYDER_CLUSTER_DEBUG" <> None then begin
-    Printf.eprintf
-      "DEBUG: t=%.3f pending=%d submits=%d feed_next=%d feed_buf=%d appends=%d\n"
-      (Engine.now eng) (Engine.pending eng) !submit_count !next_feed_pos
-      (Hashtbl.length feed_buffer) !appends;
-    Array.iteri
-      (fun i s ->
-        let blocked =
-          Array.fold_left
-            (fun acc th -> if th.blocked then acc + 1 else acc)
-            0 s.threads
-        in
-        Printf.eprintf
-          "DEBUG: srv %d fm_done=%d next_fm_group=%d stash=%d groups=%d            pm_blocked=%d blocked_threads=%d gen_q=%d fm_q=%d\n"
-          i s.fm_done_seq s.next_fm_group (Hashtbl.length s.fm_stash)
-          (Hashtbl.length s.groups) (Hashtbl.length s.pm_blocked) blocked
-          (Resource.queue_length s.general) (Resource.queue_length s.fm_res))
-      servers
-  end;
-
   (* ---------------- results ---------------- *)
   let base =
     match !counters_at_window_start with
@@ -843,7 +796,6 @@ let run cfg =
              match Int.compare nb na with
              | 0 -> String.compare ka kb
              | c -> c);
-    handoff = Pipeline.offload pipeline;
   }
 
 let pp_result fmt r =
@@ -864,19 +816,7 @@ let pp_result fmt r =
   | [] -> ()
   | reasons ->
       Format.fprintf fmt "; abort reasons:";
-      List.iter (fun (k, n) -> Format.fprintf fmt " %s=%d" k n) reasons);
-  match r.handoff with
-  | None -> ()
-  | Some h ->
-      Format.fprintf fmt
-        "; handoff %d batches/%d items (%.1f per publication), %d doorbell \
-         wakeups, %d steals"
-        h.Pipeline.handoff_batches h.Pipeline.handoff_items
-        (if h.Pipeline.handoff_batches = 0 then 0.0
-         else
-           float_of_int h.Pipeline.handoff_items
-           /. float_of_int h.Pipeline.handoff_batches)
-        h.Pipeline.doorbell_wakeups h.Pipeline.driver_steals
+      List.iter (fun (k, n) -> Format.fprintf fmt " %s=%d" k n) reasons)
 
 let result_to_json r =
   let ds, pm, gm, fm = r.stage_us in
@@ -914,19 +854,4 @@ let result_to_json r =
             ("promoted", Json.Float r.gc_promoted_words_per_txn);
             ("major", Json.Float r.gc_major_words_per_txn);
           ] );
-      ( "handoff",
-        match r.handoff with
-        | None -> Json.Null
-        | Some h ->
-            Json.Obj
-              [
-                ("batches", Json.Int h.Pipeline.handoff_batches);
-                ("items", Json.Int h.Pipeline.handoff_items);
-                ("doorbell_wakeups", Json.Int h.Pipeline.doorbell_wakeups);
-                ("driver_steals", Json.Int h.Pipeline.driver_steals);
-                ("ds_offloaded", Json.Int h.Pipeline.ds_offloaded);
-                ("ds_inline", Json.Int h.Pipeline.ds_inline);
-                ("max_queue_depth", Json.Int h.Pipeline.max_queue_depth);
-                ("queue_capacity", Json.Int h.Pipeline.queue_capacity);
-              ] );
     ]

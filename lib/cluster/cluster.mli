@@ -32,16 +32,6 @@ type config = {
           "future work" §5.2) instead of the fixed window *)
   cores_per_server : int;  (** paper: 16 physical cores / 32 logical *)
   pipeline : Hyder_core.Pipeline.config;
-  runtime : Hyder_core.Runtime.backend;
-      (** stage runtime for the real meld pipeline driving the simulation
-          ([Sequential] by default).  [Pipelined _] runs the real decode,
-          premeld and group meld on worker domains, one wire intention per
-          {!Hyder_core.Pipeline.submit_wire_batch} call, so no two
-          intentions' stages ever overlap here.  For a given log prefix
-          the decisions are identical on both backends, but the measured
-          stage seconds parameterize the queueing model, so this knob
-          shows what the worker hand-off costs per stage — not any
-          overlap gain *)
   corfu : Hyder_log.Corfu.config;
   broadcast : Hyder_log.Broadcast.config;
   workload : Hyder_workload.Ycsb.config;
@@ -98,13 +88,9 @@ type result = {
       (** words allocated directly on the major heap per melded
           intention (same quantization) *)
   abort_reasons : (string * int) list;
-      (** in-window aborts at their origin server, keyed by conflict kind
-          ([write_conflict] / [read_conflict] / [phantom_conflict]),
-          most frequent first *)
-  handoff : Hyder_core.Pipeline.offload_stats option;
-      (** stage-handoff accounting ([None] unless the runtime backend is
-          [Pipelined]): ring publications vs items carried, doorbell
-          wakeups actually paid, and driver steals *)
+      (** in-window aborts at their origin server, keyed by
+          {!Hyder_core.Pipeline.reason_slug} ([unknown] when the decision
+          carries no reason), most frequent first *)
 }
 
 val run : config -> result

@@ -21,8 +21,8 @@ let with_both =
 
 type decided_at = At_premeld | At_group_meld | At_final_meld
 
-(* Short machine labels shared by the abort-reason metric counters and
-   the flight-record sink (the cluster simulator uses the same slugs). *)
+(* Short machine labels shared by the abort-reason metric counters, the
+   flight-record sink and the cluster simulator's abort breakdown. *)
 let reason_slug = function
   | Meld.Write_conflict _ -> "write_conflict"
   | Meld.Read_conflict _ -> "read_conflict"
@@ -82,12 +82,6 @@ type instruments = {
      materialize in premeld trials and gm forcing goes unsampled like
      every other fan-out stage. *)
   m_mz_gc_minor : Metrics.Fcounter.t;
-  (* Batched-handoff instruments (pipelined backend, driver-written):
-     every job-ring publication and every result drain observes its size,
-     so the histogram shows how well the doorbell cost amortizes. *)
-  m_spsc_batch : Metrics.Histogram.t;
-  m_doorbells : Metrics.Counter.t;
-  m_steals : Metrics.Counter.t;
 }
 
 (* GC sampling around a stage, inert when metrics are off: one branch,
@@ -244,7 +238,6 @@ type pctx = {
   mutable handoff_batches : int;  (** job-ring publications (flushes) *)
   mutable handoff_items : int;  (** jobs published through those *)
   mutable driver_steals : int;
-  mutable doorbells_seen : int;  (** scrape cursor for the wakeup counter *)
 }
 
 type offload_stats = {
@@ -782,12 +775,6 @@ let run_batch t (px : pctx) (items : witem array) =
   let progress = ref false in
   (* (seq, pos) of the newest recorded state, re-read after every drain *)
   let lseq = ref (-1) and lpos = ref (-1) in
-  let inst = t.inst in
-  let observe_batch n =
-    match inst with
-    | None -> ()
-    | Some i -> Metrics.Histogram.observe i.m_spsc_batch (float_of_int n)
-  in
   (* Pooled-carrier handoff: [take] pops worker [w]'s free stack (the
      outstanding budget proves it is never empty when a release gate
      passes), [put] stages the filled carrier for the next flush, and
@@ -819,8 +806,7 @@ let run_batch t (px : pctx) (items : witem array) =
         failwith "Pipeline: stage pool job queue unexpectedly full";
       px.stage_n.(w) <- 0;
       px.handoff_batches <- px.handoff_batches + 1;
-      px.handoff_items <- px.handoff_items + n;
-      observe_batch n
+      px.handoff_items <- px.handoff_items + n
     end
   in
   let flush_all () =
@@ -997,9 +983,6 @@ let run_batch t (px : pctx) (items : witem array) =
     && begin
          decode_ahead !best;
          px.driver_steals <- px.driver_steals + 1;
-         (match inst with
-         | None -> ()
-         | Some m -> Metrics.Counter.incr m.m_steals);
          true
        end
   in
@@ -1032,7 +1015,6 @@ let run_batch t (px : pctx) (items : witem array) =
         Runtime.Stage_pool.result_batch pool ~worker:w px.drain_buf ~max:qcap
       in
       if n > 0 then begin
-        observe_batch n;
         for i = 0 to n - 1 do
           let c = px.drain_buf.(i) in
           px.outstanding.(w) <- px.outstanding.(w) - 1;
@@ -1059,14 +1041,6 @@ let run_batch t (px : pctx) (items : witem array) =
       else run_stalled_head ()
     end
   done;
-  (* One counter scrape per batch keeps the doorbell metric hot-path
-     free: the wakeup totals live in plain producer-written fields. *)
-  (match inst with
-  | None -> ()
-  | Some i ->
-      let db = Runtime.Stage_pool.doorbell_wakeups pool in
-      Metrics.Counter.incr ~by:(db - px.doorbells_seen) i.m_doorbells;
-      px.doorbells_seen <- db);
   List.rev !decisions
 
 let submit_wire_batch t (items : (int * string) list) =
@@ -1140,9 +1114,6 @@ let make_instruments metrics =
         m_fm_gc_minor = Metrics.fcounter m "pipeline_fm_gc_minor_words";
         m_fm_gc_promoted = Metrics.fcounter m "pipeline_fm_gc_promoted_words";
         m_mz_gc_minor = Metrics.fcounter m "pipeline_mz_gc_minor_words";
-        m_spsc_batch = Metrics.histogram m "spsc_batch_size";
-        m_doorbells = Metrics.counter m "spsc_doorbell_wakeups_total";
-        m_steals = Metrics.counter m "driver_steals_total";
       })
     metrics
 
@@ -1193,7 +1164,6 @@ let attach_pstate t runtime =
             handoff_batches = 0;
             handoff_items = 0;
             driver_steals = 0;
-            doorbells_seen = 0;
           }
   | Runtime.Sequential -> ()
   | Runtime.Parallel _ ->

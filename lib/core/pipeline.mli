@@ -43,6 +43,10 @@ type decision = {
   decided_at : decided_at;
 }
 
+val reason_slug : Meld.abort_reason -> string
+(** Machine label of an abort reason ([write_conflict], [read_conflict]
+    or [phantom_conflict]), shared by abort counters and flight records. *)
+
 type t
 
 val create :
@@ -74,9 +78,9 @@ val create :
     [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
-    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn], the
-    per-stage GC words and, under [Pipelined], the handoff
-    instruments).
+    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn] and
+    the per-stage GC words).  Handoff accounting lives only in
+    {!offload}.
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage

@@ -1,44 +1,37 @@
 #!/usr/bin/env python3
-"""Regression gate over BENCH_SMOKE.json.
+"""Regression gates over the benchmark harness's JSON reports.
 
-Checks the pipeline-overlap figure's records:
+With --macro, gates a `macro` run (see `make bench-macro`):
 
   1. every backend reproduced the sequential run bit-for-bit
-     (same_as_seq is true for all rows);
+     (same_as_seq is true for all rows) with sane throughput;
   2. the pipelined backend moved real work off the driver: its
-     driver-executed stage time per intention (driver_critical_path) is
-     strictly lower than the sequential backend's, and a non-zero share
-     of decodes ran on worker domains;
-  3. queue accounting is sane: every decode accounted for, peak queue
-     depth within the configured capacity;
+     driver-executed stage time per intention (driver_critical_path_us)
+     is strictly lower than the sequential backend's, on every core
+     count, and a non-zero share of decodes ran on worker domains;
+  3. queue accounting is sane: every measured decode accounted for
+     (ds_offloaded + ds_inline = intentions_measured), peak queue depth
+     within the configured capacity, publications carrying >= 1 item on
+     average, doorbell wakeups not exceeding publications plus items;
   4. every decode the driver ran itself was a steal (ds_inline equals
-     driver_steals): none waited on the driver for its snapshot state.
+     driver_steals): none waited on the driver for its snapshot state;
+  5. allocation budgets: the driver's ds minor words/txn, and the
+     driver-domain bracket (driver_minor_w_per_txn minus the
+     driver-booked stage minors) — batched handoff itself must not
+     allocate;
+  6. when a committed baseline is given, no regression of the fm
+     critical path.  The GC words/txn comparison is tight (the fm loop's
+     minor allocation is deterministic, measured with the exact
+     Gc.minor_words counter); the fm-ns/txn comparison is loose, because
+     wall time on a shared CI box is not;
+  7. on a machine with >= 2 cores, the pipelined backend's melds/s
+     strictly exceeds the sequential backend's.  This wall-clock gate
+     runs last, so its failure message lists every check that passed.
 
 The driver-critical-path metric is deliberately wall-clock-free: it sums
-the stage seconds the driver itself executed, so the gate holds even on
-a loaded single-core CI box where true overlap cannot show up in elapsed
+the stage seconds the driver itself executed, so it holds even on a
+loaded single-core CI box where true overlap cannot show up in elapsed
 time.
-
-With --macro, gates a BENCH_MACRO.json run instead (see `make
-bench-macro`): every backend bit-identical to sequential, sane
-throughput, and — when a committed baseline is given via --baseline —
-no regression of the fm critical path.  The GC words/txn comparison is
-tight (the fm loop's minor allocation is deterministic, measured with
-the exact Gc.minor_words counter); the fm-ns/txn comparison is loose,
-because wall time on a shared CI box is not.
-
-The pipe-beats-seq gate is core-count-aware: on a machine with >= 2
-cores the pipelined backend's melds/s must strictly exceed the
-sequential backend's (that is the whole point of batched handoff); on
-a 1-core box real overlap is physically impossible, so the gate falls
-back to the wall-clock-free criterion — the pipelined driver's
-critical-path stage seconds per intention must be strictly below
-sequential's.  The handoff columns are gated for presence and sanity
-either way: publications carry >= 1 item on average, doorbell wakeups
-do not exceed items, and the driver-domain allocation bracket
-(driver_minor_w_per_txn minus the driver-booked stage minors) stays
-under a generous per-txn budget — batched handoff itself must not
-allocate.
 
 With --flight, sanity-checks a flight-analysis report (the JSON written
 by `hyder-cli analyze --json`) instead: for every backend, records were
@@ -82,7 +75,7 @@ HANDOFF_RESIDUAL_BUDGET = 400.0
 
 
 def fail(msg: str) -> None:
-    print(f"bench-smoke gate: FAIL: {msg}", file=sys.stderr)
+    print(f"bench gate: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -132,37 +125,39 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
 
     msgs = []
 
-    # ---- pipe-beats-seq (core-count-aware) + handoff sanity ----
+    # ---- the pipelined row: offload, queue and handoff accounting ----
     seq = rows["seq"]
     pipe = next((r for n, r in sorted(rows.items())
                  if n.startswith("pipe")), None)
     if pipe is None:
         fail("no pipe:<n> macro row")
-    cores = pipe.get("cores", 1)
-    if cores >= 2:
-        if not pipe["melds_per_s"] > seq["melds_per_s"]:
-            fail(f"pipe melds/s {pipe['melds_per_s']:.0f} does not beat "
-                 f"seq {seq['melds_per_s']:.0f} on a {cores}-core machine")
-        msgs.append(f"pipe beats seq "
-                    f"{pipe['melds_per_s'] / seq['melds_per_s']:.2f}x "
-                    f"melds/s ({cores} cores)")
-    else:
-        # 1 core: overlap cannot show in wall clock; gate the
-        # wall-clock-free criterion instead (stage seconds the driver
-        # itself executed).
-        pipe_us = pipe["driver_critical_path_us"]
-        seq_us = seq["driver_critical_path_us"]
-        if not pipe_us < seq_us:
-            fail(f"1-core fallback: pipe driver critical path "
-                 f"{pipe_us:.2f} us/txn is not below seq {seq_us:.2f}")
-        msgs.append(f"1-core box: pipe driver critical path "
-                    f"{seq_us:.2f} -> {pipe_us:.2f} us/txn "
-                    f"(melds/s {pipe['melds_per_s']:.0f} vs "
-                    f"{seq['melds_per_s']:.0f}, not gated)")
+    pipe_us = pipe["driver_critical_path_us"]
+    seq_us = seq["driver_critical_path_us"]
+    if not pipe_us < seq_us:
+        fail(f"pipe driver critical path {pipe_us:.2f} us/txn is not "
+             f"below seq {seq_us:.2f}")
+    msgs.append(f"driver critical path {seq_us:.2f} -> {pipe_us:.2f} us/txn")
 
+    off = pipe.get("offload")
     h = pipe.get("handoff")
-    if not h:
-        fail("pipelined macro row carries no handoff stats")
+    if not off or not h:
+        fail("pipelined macro row carries no offload/handoff stats")
+    n = pipe["intentions_measured"]
+    if off["ds_offloaded"] <= 0:
+        fail("no decodes ran on worker domains")
+    if off["ds_offloaded"] + off["ds_inline"] != n:
+        fail(f"decode accounting off: {off['ds_offloaded']} offloaded "
+             f"+ {off['ds_inline']} inline != {n}")
+    # On a valid stream the driver decodes only what it steals: a decode
+    # that ran inline for any other reason is a decode that waited on
+    # the driver for its snapshot state.
+    if off["ds_inline"] != h["driver_steals"]:
+        fail(f"{off['ds_inline']} driver decodes but "
+             f"{h['driver_steals']} steals: some decode ran inline "
+             f"for snapshot lag")
+    if not 0 < off["max_queue_depth"] <= off["queue_capacity"]:
+        fail(f"queue depth {off['max_queue_depth']} outside "
+             f"(0, {off['queue_capacity']}]")
     if h["batches"] <= 0 or h["items"] < h["batches"]:
         fail(f"handoff accounting off: {h['batches']} publications "
              f"carrying {h['items']} items")
@@ -183,9 +178,11 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
              f"over budget ({HANDOFF_RESIDUAL_BUDGET:.0f}): "
              f"driver {pipe['driver_minor_w_per_txn']:.0f} w/txn, "
              f"stage-booked {booked:.0f}")
-    msgs.append(f"handoff {h['items'] / h['batches']:.1f} items/publication, "
+    msgs.append(f"{off['ds_offloaded']}/{n} decodes on workers, "
+                f"{off['ds_inline']} steals, peak queue depth "
+                f"{off['max_queue_depth']}/{off['queue_capacity']}, "
+                f"handoff {h['items'] / h['batches']:.1f} items/publication, "
                 f"{h['doorbell_wakeups']} doorbells, "
-                f"{h['driver_steals']} steals, "
                 f"residual driver alloc {residual:.0f} w/txn")
     if baseline_path is not None:
         base = load_rows(baseline_path, "macro")
@@ -213,6 +210,20 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         msgs += [f"{n} fm {r['fm_ns_per_txn']:.0f}ns/txn "
                  f"{r['gc_words_per_txn']['fm_minor']:.1f}w/txn"
                  for n, r in sorted(rows.items())]
+
+    # ---- pipe-beats-seq in wall clock, where cores allow overlap ----
+    cores = pipe.get("cores", 1)
+    if cores >= 2:
+        if not pipe["melds_per_s"] > seq["melds_per_s"]:
+            fail(f"pipe melds/s {pipe['melds_per_s']:.0f} does not beat "
+                 f"seq {seq['melds_per_s']:.0f} on a {cores}-core machine "
+                 f"(passed: {'; '.join(msgs)})")
+        msgs.append(f"pipe beats seq "
+                    f"{pipe['melds_per_s'] / seq['melds_per_s']:.2f}x "
+                    f"melds/s ({cores} cores)")
+    else:
+        msgs.append(f"1-core box: melds/s {pipe['melds_per_s']:.0f} vs "
+                    f"{seq['melds_per_s']:.0f}, not gated")
 
     print("bench-macro gate: OK: all backends bit-identical to sequential; "
           + "; ".join(msgs))
@@ -256,82 +267,13 @@ def check_flight(report_path: str) -> None:
 
 def main() -> None:
     argv = sys.argv[1:]
-    if argv and argv[0] == "--macro":
-        if len(argv) < 2:
-            fail("usage: check_bench_smoke.py --macro RUN.json [BASELINE.json]")
+    if len(argv) >= 2 and argv[0] == "--macro":
         check_macro(argv[1], argv[2] if len(argv) > 2 else None)
-        return
-    if argv and argv[0] == "--flight":
-        if len(argv) < 2:
-            fail("usage: check_bench_smoke.py --flight REPORT.json")
+    elif len(argv) >= 2 and argv[0] == "--flight":
         check_flight(argv[1])
-        return
-
-    path = argv[0] if argv else "BENCH_SMOKE.json"
-    with open(path) as f:
-        report = json.load(f)
-
-    rows = {
-        r["runtime"]: r
-        for r in report.get("runs", [])
-        if r.get("figure") == "pipeline-overlap"
-    }
-    if not rows:
-        fail("no pipeline-overlap rows in the report "
-             "(was the figure run with --json?)")
-
-    seq = rows.get("seq")
-    pipe = next((r for name, r in rows.items() if name.startswith("pipe")), None)
-    if seq is None or pipe is None:
-        fail(f"need seq and pipe:<n> rows, got {sorted(rows)}")
-
-    for name, r in sorted(rows.items()):
-        if r["same_as_seq"] is not True:
-            fail(f"{name}: results diverged from the sequential backend")
-
-    seq_us = seq["stage_us"]["driver_critical_path"]
-    pipe_us = pipe["stage_us"]["driver_critical_path"]
-    if not pipe_us < seq_us:
-        fail(f"pipelined driver critical path {pipe_us:.2f} us/intention "
-             f"is not below sequential {seq_us:.2f}")
-
-    off = pipe.get("offload")
-    if not off:
-        fail("pipelined row carries no offload stats")
-    n = pipe["intentions"]
-    if off["ds_offloaded"] <= 0:
-        fail("no decodes ran on worker domains")
-    if off["ds_offloaded"] + off["ds_inline"] != n:
-        fail(f"decode accounting off: {off['ds_offloaded']} offloaded "
-             f"+ {off['ds_inline']} inline != {n}")
-    # On a valid stream the driver decodes only what it steals: a decode
-    # that ran inline for any other reason is a decode that waited on
-    # the driver for its snapshot state.
-    if off["ds_inline"] != off["driver_steals"]:
-        fail(f"{off['ds_inline']} driver decodes but "
-             f"{off['driver_steals']} steals: some decode ran inline "
-             f"for snapshot lag")
-    if not 0 < off["max_queue_depth"] <= off["queue_capacity"]:
-        fail(f"queue depth {off['max_queue_depth']} outside "
-             f"(0, {off['queue_capacity']}]")
-    if "handoff_batches" in off:
-        if off["handoff_batches"] <= 0:
-            fail("no batched job publications recorded")
-        if off["handoff_items"] < off["handoff_batches"]:
-            fail(f"handoff accounting off: {off['handoff_batches']} "
-                 f"publications carrying {off['handoff_items']} items")
-
-    batching = (f", {off['handoff_items'] / off['handoff_batches']:.1f} "
-                f"items/publication, {off['doorbell_wakeups']} doorbells"
-                if off.get("handoff_batches") else "")
-    print(
-        f"bench-smoke gate: OK: driver critical path "
-        f"{seq_us:.2f} -> {pipe_us:.2f} us/intention "
-        f"({100 * (1 - pipe_us / seq_us):.0f}% off the driver), "
-        f"{off['ds_offloaded']}/{n} decodes on workers, "
-        f"peak queue depth {off['max_queue_depth']}/{off['queue_capacity']}"
-        f"{batching}, all backends bit-identical to sequential"
-    )
+    else:
+        fail("usage: check_bench_smoke.py --macro RUN.json [BASELINE.json] "
+             "| --flight REPORT.json")
 
 
 if __name__ == "__main__":
