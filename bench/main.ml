@@ -1040,6 +1040,15 @@ let macro () =
             ("fm_ns_per_txn", Json.Float fm_ns);
             ("driver_critical_path_us", Json.Float driver_us);
             ("driver_share_of_wall", Json.Float (driver_s /. wall));
+            (* ds minor words are gated per decoded node: a view's index
+               grows with the intention, heap nodes built in ds would
+               add a block per node *)
+            ( "ds_nodes_per_txn",
+              Json.Float
+                (sdelta (fun c ->
+                     float_of_int
+                       c.Counters.deserialize.Counters.nodes_visited)
+                /. meldedf) );
             ( "driver_minor_w_per_txn",
               Json.Float (driver_minor_w /. meldedf) );
             ("handoff", handoff);

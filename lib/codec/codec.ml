@@ -94,10 +94,6 @@ let put_vn_parts buf p ~eph ~a ~b =
   if eph then put_uint buf (put_uint buf (put_u8 buf p 1) a) b
   else put_uint buf (put_zint buf (put_u8 buf p 0) a) b
 
-let put_vn buf p = function
-  | Vn.Logged { pos; idx } -> put_vn_parts buf p ~eph:false ~a:pos ~b:idx
-  | Vn.Ephemeral { thread; seq } -> put_vn_parts buf p ~eph:true ~a:thread ~b:seq
-
 let draft_bits = Meta.owner_bits Intention.draft_owner
 let[@inline] is_draft (n : Node.tree) =
   n != Node.empty && n.meta land Meta.owner_mask = draft_bits
@@ -106,7 +102,11 @@ let[@inline] is_draft (n : Node.tree) =
 let put_kid buf p (c : Node.tree) =
   if is_draft c then put_u8 buf p tag_inside
   else if c == Node.empty then put_u8 buf p tag_empty
-  else put_zint buf (put_vn buf (put_u8 buf p tag_ref) c.vn) c.key
+  else
+    put_zint buf
+      (put_vn_parts buf (put_u8 buf p tag_ref)
+         ~eph:(c.meta land Meta.vn_ephemeral <> 0) ~a:c.vn_a ~b:c.vn_b)
+      c.key
 
 (* A growable buffer, optionally backed by a per-domain Buf_pool, so the
    steady state allocates only the result string. *)
@@ -272,7 +272,7 @@ let decode_indexed ~pos ~resolve s =
           let resolved = resolve ~snapshot ~key ~vn in
           if resolved == Node.empty then
             corrupt "unresolvable reference to key %d" key
-          else if not (Vn.equal resolved.vn vn) then
+          else if not (Vn.equal (Node.vn resolved) vn) then
             corrupt "reference to key %d resolved to wrong version" key;
           Some resolved
       | t -> corrupt "bad child tag %d" t
@@ -332,9 +332,9 @@ let decode_indexed ~pos ~resolve s =
           let m = resolve ~snapshot ~key ~vn:source_vn in
           if m == Node.empty then
             corrupt "elided payload: key %d missing from snapshot" key
-          else if not (Vn.equal m.vn source_vn) then
+          else if not (Vn.equal (Node.vn m) source_vn) then
             corrupt "elided payload: source of key %d is version %s" key
-              (Vn.to_string m.vn);
+              (Vn.to_string (Node.vn m));
           m.payload
         end
       in
@@ -347,12 +347,6 @@ let decode_indexed ~pos ~resolve s =
       let right = match right with Some n -> n | None -> r_node () in
       let idx = !next_idx in
       incr next_idx;
-      let vn = Vn.logged ~pos ~idx in
-      let cv =
-        if altered then vn
-        else if scv_eph then Vn.ephemeral ~thread:scv_a ~seq:scv_b
-        else Vn.logged ~pos:scv_a ~idx:scv_b
-      in
       let meta =
         ob lor (flags land 0x7)
         lor (if has_ssv then
@@ -365,9 +359,17 @@ let decode_indexed ~pos ~resolve s =
           else Meta.scv_present
         else 0
       in
+      (* vn := (pos, idx); an altered node's cv is its vn, an unaltered
+         one's is its scv *)
       let n =
-        Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b
-          ~scv_a ~scv_b
+        if altered then
+          Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx ~cv_a:pos
+            ~cv_b:idx ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+        else
+          Node.pack ~key ~payload ~left ~right ~vn_a:pos ~vn_b:idx ~cv_a:scv_a
+            ~cv_b:scv_b
+            ~meta:(if scv_eph then meta lor Meta.cv_ephemeral else meta)
+            ~ssv_a ~ssv_b ~scv_a ~scv_b
       in
       nodes.(idx) <- n;
       n

@@ -30,10 +30,9 @@ type t = {
 
 (* The draft owner must outrank every real log position and still leave
    [Meta.owner_bits draft_owner] an immediate int (owner + 1 shifted left
-   by [Meta.owner_shift] has to fit in 62 bits — [max_int] would wrap to
-   the state owner's zero bits). *)
-let draft_owner = 1 lsl 53
-let draft_vn ~idx = Vn.logged ~pos:max_int ~idx
+   by [Meta.owner_shift] = 10 has to fit in 62 bits — [max_int] would
+   wrap to the state owner's zero bits). *)
+let draft_owner = 1 lsl 51
 let draft_owner_bits = Meta.owner_bits draft_owner
 
 let assign ~pos ?(byte_size = 0) (d : draft) =
@@ -51,11 +50,17 @@ let assign ~pos ?(byte_size = 0) (d : draft) =
       let right = go t.right in
       let idx = !count in
       incr count;
-      let vn = Vn.logged ~pos ~idx in
-      let cv = if t.meta land Meta.altered <> 0 then vn else t.cv in
-      Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn ~cv
-        ~meta:(ob lor (t.meta land Meta.carry_mask))
-        ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
+      (* vn := (pos, idx), logged; an altered node's cv follows it *)
+      let meta = ob lor (t.meta land Meta.carry_mask) in
+      if t.meta land Meta.altered <> 0 then
+        Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn_a:pos
+          ~vn_b:idx ~cv_a:pos ~cv_b:idx
+          ~meta:(meta land lnot Meta.cv_ephemeral)
+          ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
+      else
+        Node.pack ~key:t.key ~payload:t.payload ~left ~right ~vn_a:pos
+          ~vn_b:idx ~cv_a:t.cv_a ~cv_b:t.cv_b ~meta ~ssv_a:t.ssv_a
+          ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
     end
   in
   let root = go d.root in

@@ -8,10 +8,11 @@ open Hyder_tree
 
     A {e draft} is the in-memory intention a transaction executor builds:
     its nodes carry the placeholder owner {!draft_owner} and placeholder
-    VNs.  Real identities exist only once a log position is known — either
-    via {!assign} (in-process experiments and tests) or by the
-    encode → append → decode path (the distributed pipeline) — because VNs
-    are calculated from log addresses and must agree on every server. *)
+    VNs (logged at position [max_int]; see [Tree]).  Real identities
+    exist only once a log position is known — either via {!assign}
+    (in-process experiments and tests) or by the encode → append → decode
+    path (the distributed pipeline) — because VNs are calculated from log
+    addresses and must agree on every server. *)
 
 type isolation = Serializable | Snapshot_isolation | Read_committed
 
@@ -42,9 +43,6 @@ type t = {
 
 val draft_owner : int
 (** Owner tag of not-yet-appended draft nodes. *)
-
-val draft_vn : idx:int -> Vn.t
-(** Placeholder VN for the [idx]-th draft node of a transaction. *)
 
 val assign : pos:int -> ?byte_size:int -> draft -> t
 (** Renumber a draft as the intention at log position [pos]: every draft

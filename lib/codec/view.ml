@@ -3,9 +3,13 @@
    [parse] makes one pass over an intention's pre-order records and keeps,
    per node, only small arrays of immediate ints (key, packed meta word,
    child descriptors, byte offset) plus the bound external references —
-   no heap [Node] is built.  Meld walks the view through the accessors
-   below and calls [materialize] only for the nodes it actually grafts
-   into its output; everything else never allocates a node.
+   no heap [Node] is built.  Each per-node field is its own array of
+   [node_count] words, so an intention of up to 256 nodes (the minor
+   heap's largest young block) allocates its whole index on the minor
+   heap, where it dies young (DESIGN §13).  Meld walks the view through
+   the accessors below and calls [materialize] only for the nodes it
+   actually grafts into its output; everything else never allocates a
+   node.
 
    External references (ref children and elided payloads) are bound as
    their record is read, against the snapshot tree the intention names —
@@ -35,8 +39,8 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 
-(* Child descriptor codes in [hot]: [>= 0] inside node index, [-1] empty,
-   [<= -2] bound external reference in slot [-c - 2]. *)
+(* Child descriptor codes in [kid_ls]/[kid_rs]: [>= 0] inside node index,
+   [-1] empty, [<= -2] bound external reference in slot [-c - 2]. *)
 let kid_empty = -1
 let[@inline] kid_is_inside c = c >= 0
 let[@inline] kid_is_empty c = c = -1
@@ -136,7 +140,10 @@ type t = {
   cur : cursor;
       (** over the backing buffer, read in place (never pooled); the
           scratch position for cold re-reads (single walker) *)
-  hot : int array;  (** stride 4 per node: key, meta, kid_l, kid_r *)
+  keys : int array;
+  metas : int array;  (** packed meta words, [Node.pack]'s *)
+  kid_ls : int array;  (** child descriptors *)
+  kid_rs : int array;
   offs : int array;  (** absolute offset of each node's flags byte *)
   refs : Node.tree array;  (** bound external references, by slot *)
   pays : Payload.t array;  (** payload memo; [unbound] until forced *)
@@ -152,10 +159,10 @@ let isolation_code v = v.isolation
 let node_count v = v.node_count
 let byte_size v = v.byte_size
 let root_index v = v.node_count - 1
-let[@inline] key v idx = Array.unsafe_get v.hot (idx * 4)
-let[@inline] meta v idx = Array.unsafe_get v.hot ((idx * 4) + 1)
-let[@inline] kid_l v idx = Array.unsafe_get v.hot ((idx * 4) + 2)
-let[@inline] kid_r v idx = Array.unsafe_get v.hot ((idx * 4) + 3)
+let[@inline] key v idx = Array.unsafe_get v.keys idx
+let[@inline] meta v idx = Array.unsafe_get v.metas idx
+let[@inline] kid_l v idx = Array.unsafe_get v.kid_ls idx
+let[@inline] kid_r v idx = Array.unsafe_get v.kid_rs idx
 let[@inline] ref_of v c = Array.unsafe_get v.refs (-c - 2)
 let[@inline] vn v idx = Vn.logged ~pos:v.pos ~idx
 
@@ -174,40 +181,34 @@ let seek_sources v idx =
   if f land (32 lor 64) = 0 then skip c (uint c);
   f
 
-(* The version words at the cursor equal [x]'s. *)
-let vn_at_equals c (x : Vn.t) =
-  let eph = u8 c = 1 in
-  match x with
-  | Vn.Logged { pos; idx } -> (not eph) && zint c = pos && uint c = idx
-  | Vn.Ephemeral { thread; seq } -> eph && uint c = thread && uint c = seq
+(* The version words at the cursor, past their tag, equal [(a, b)]; the
+   caller has matched the class bit already. *)
+let words_equal c ~eph a b =
+  c.at <- c.at + 1;
+  let x = if eph then uint c else zint c in
+  x = a && uint c = b
 
 (* Mirrors [Node.ssv_equals] over the packed wire words: presence and
    value class come from the meta word, the version words are re-read in
    place.  No allocation — this runs once per meld visit. *)
-let ssv_equals v idx (x : Vn.t) =
-  let cls =
-    match x with
-    | Vn.Logged _ -> Node.Meta.ssv_present
-    | Vn.Ephemeral _ -> Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral
-  in
+let ssv_equals v idx (m : Node.node) =
+  let cls = Node.Meta.ssv_of_vn m.meta in
   meta v idx land (Node.Meta.ssv_present lor Node.Meta.ssv_ephemeral) = cls
   &&
   (ignore (seek_sources v idx);
-   vn_at_equals v.cur x)
+   words_equal v.cur ~eph:(cls land Node.Meta.ssv_ephemeral <> 0) m.vn_a
+     m.vn_b)
 
 let seek_scv v idx =
   if seek_sources v idx land 8 <> 0 then ignore (skip_vn v.cur)
 
-let scv_equals v idx (x : Vn.t) =
-  let cls =
-    match x with
-    | Vn.Logged _ -> Node.Meta.scv_present
-    | Vn.Ephemeral _ -> Node.Meta.scv_present lor Node.Meta.scv_ephemeral
-  in
+let scv_equals v idx (m : Node.node) =
+  let cls = Node.Meta.scv_of_cv m.meta in
   meta v idx land (Node.Meta.scv_present lor Node.Meta.scv_ephemeral) = cls
   &&
   (seek_scv v idx;
-   vn_at_equals v.cur x)
+   words_equal v.cur ~eph:(cls land Node.Meta.scv_ephemeral <> 0) m.cv_a
+     m.cv_b)
 
 let vn_at c =
   let eph = u8 c = 1 in
@@ -259,16 +260,6 @@ let payload v idx =
     p
   end
 
-(* Content version as the eager decoder computes it: an altered node's cv
-   is its own vn; an unaltered node's comes from its scv (whose presence
-   the parse enforced). *)
-let cv v idx =
-  if meta v idx land Node.Meta.altered <> 0 then Vn.logged ~pos:v.pos ~idx
-  else begin
-    seek_scv v idx;
-    vn_at v.cur
-  end
-
 (* Option view of the ssv — cold paths only (corrupt-intention reports). *)
 let ssv v idx =
   if meta v idx land Node.Meta.ssv_present = 0 then None
@@ -285,22 +276,21 @@ let rec materialize v idx =
   let n = v.nodes.(idx) in
   if n != Node.empty then n
   else begin
-    let h = idx * 4 in
-    let key = v.hot.(h) and meta = v.hot.(h + 1) in
-    let left = mat_kid v v.hot.(h + 2) in
-    let right = mat_kid v v.hot.(h + 3) in
+    let key = v.keys.(idx) and meta = v.metas.(idx) in
+    let left = mat_kid v v.kid_ls.(idx) in
+    let right = mat_kid v v.kid_rs.(idx) in
     let payload = payload v idx in
     let ssv_a, ssv_b, scv_a, scv_b = sources v idx in
-    let vn = Vn.logged ~pos:v.pos ~idx in
-    let cv =
-      if meta land Node.Meta.altered <> 0 then vn
-      else if meta land Node.Meta.scv_ephemeral <> 0 then
-        Vn.ephemeral ~thread:scv_a ~seq:scv_b
-      else Vn.logged ~pos:scv_a ~idx:scv_b
-    in
+    (* vn := (pos, idx); cv as the eager decoder computes it: an altered
+       node's is its vn, an unaltered one's its scv (whose presence the
+       parse enforced) *)
     let n =
-      Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta ~ssv_a ~ssv_b ~scv_a
-        ~scv_b
+      if meta land Node.Meta.altered <> 0 then
+        Node.pack ~key ~payload ~left ~right ~vn_a:v.pos ~vn_b:idx
+          ~cv_a:v.pos ~cv_b:idx ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
+      else
+        Node.pack ~key ~payload ~left ~right ~vn_a:v.pos ~vn_b:idx
+          ~cv_a:scv_a ~cv_b:scv_b ~meta ~ssv_a ~ssv_b ~scv_a ~scv_b
     in
     v.nodes.(idx) <- n;
     n
@@ -323,18 +313,17 @@ let rec find_peer (p : Node.tree) (k : Key.t) =
   else if k < p.key then find_peer p.left k
   else find_peer p.right k
 
-let[@inline] vn_matches (x : Vn.t) ~eph ~a ~b =
-  match x with
-  | Vn.Logged { pos; idx } -> (not eph) && pos = a && idx = b
-  | Vn.Ephemeral { thread; seq } -> eph && thread = a && seq = b
+(* [n]'s vn is the wire version [(a, b)] of class [eph]. *)
+let[@inline] vn_matches (n : Node.node) ~eph ~a ~b =
+  (n.meta land Node.Meta.vn_ephemeral <> 0) = eph && n.vn_a = a && n.vn_b = b
 
 (* Does child [c] carry this intention's writes ([obh]: its owner bits
    plus has-writes)?  Empty kids never do, and neither do refs: a ref
    resolves to a node owned by an earlier log position, so its owner bits
    can never equal this intention's (the eager decoder computes the same
    test against the resolved node and always gets false). *)
-let[@inline] kid_hw hot obh c =
-  c >= 0 && Array.unsafe_get hot ((c * 4) + 1) land Node.Meta.hw_mask = obh
+let[@inline] kid_hw metas obh c =
+  c >= 0 && Array.unsafe_get metas c land Node.Meta.hw_mask = obh
 
 (* Per-domain staging for the bound references.  Their number is known
    only once the last record is read, and the view keeps an exact-size
@@ -380,7 +369,10 @@ let parse ~pos ~peer ~(resolve : resolver) s =
     let node_count = uint c in
     if node_count < 0 || node_count > len then
       corrupt "implausible node count %d" node_count;
-    let hot = Array.make (node_count * 4) 0 in
+    let keys = Array.make node_count 0 in
+    let metas = Array.make node_count 0 in
+    let kid_ls = Array.make node_count 0 in
+    let kid_rs = Array.make node_count 0 in
     let offs = Array.make (max 1 node_count) 0 in
     let pays = Array.make (max 1 node_count) unbound in
     (* a binary tree of [n] inside nodes has [n + 1] outside child slots *)
@@ -391,7 +383,7 @@ let parse ~pos ~peer ~(resolve : resolver) s =
     let obh = ob lor Node.Meta.has_writes in
     let records = ref 0 and next_idx = ref 0 in
     let bind_elided key m ~eph ~a ~b =
-      if m != Node.empty && vn_matches m.Node.vn ~eph ~a ~b then m.Node.payload
+      if m != Node.empty && vn_matches m ~eph ~a ~b then m.Node.payload
       else begin
         let source_vn =
           if eph then Vn.ephemeral ~thread:a ~seq:b
@@ -400,9 +392,9 @@ let parse ~pos ~peer ~(resolve : resolver) s =
         let m = resolve ~snapshot ~key ~vn:source_vn in
         if m == Node.empty then
           corrupt "elided payload: key %d missing from snapshot" key
-        else if not (Vn.equal m.Node.vn source_vn) then
+        else if not (vn_matches m ~eph ~a ~b) then
           corrupt "elided payload: source of key %d is version %s" key
-            (Vn.to_string m.Node.vn);
+            (Vn.to_string (Node.vn m));
         m.Node.payload
       end
     in
@@ -420,7 +412,7 @@ let parse ~pos ~peer ~(resolve : resolver) s =
           let key = zint c in
           let n0 = find_peer sub key in
           let n =
-            if n0 != Node.empty && vn_matches n0.Node.vn ~eph ~a ~b then n0
+            if n0 != Node.empty && vn_matches n0 ~eph ~a ~b then n0
             else begin
               let x =
                 if eph then Vn.ephemeral ~thread:a ~seq:b
@@ -429,7 +421,7 @@ let parse ~pos ~peer ~(resolve : resolver) s =
               let resolved = resolve ~snapshot ~key ~vn:x in
               if resolved == Node.empty then
                 corrupt "unresolvable reference to key %d" key
-              else if not (Vn.equal resolved.Node.vn x) then
+              else if not (vn_matches resolved ~eph ~a ~b) then
                 corrupt "reference to key %d resolved to wrong version" key;
               resolved
             end
@@ -483,19 +475,21 @@ let parse ~pos ~peer ~(resolve : resolver) s =
                if scv_eph then Node.Meta.scv_present lor Node.Meta.scv_ephemeral
                else Node.Meta.scv_present
              else 0)
+        (* the cv class: an unaltered node's cv is its scv *)
+        lor (if flags land 1 = 0 && scv_eph then Node.Meta.cv_ephemeral
+             else 0)
         (* bottom-up [Node.pack] has-writes rule: the children were
            numbered first, so their meta words are already final *)
         lor
-        if flags land 1 <> 0 || (not has_ssv) || kid_hw hot obh kl
-           || kid_hw hot obh kr
+        if flags land 1 <> 0 || (not has_ssv) || kid_hw metas obh kl
+           || kid_hw metas obh kr
         then Node.Meta.has_writes
         else 0
       in
-      let h = idx * 4 in
-      hot.(h) <- key;
-      hot.(h + 1) <- meta;
-      hot.(h + 2) <- kl;
-      hot.(h + 3) <- kr;
+      keys.(idx) <- key;
+      metas.(idx) <- meta;
+      kid_ls.(idx) <- kl;
+      kid_rs.(idx) <- kr;
       offs.(idx) <- off;
       pays.(idx) <- pay;
       idx
@@ -516,7 +510,10 @@ let parse ~pos ~peer ~(resolve : resolver) s =
       node_count;
       byte_size = len;
       cur = c;
-      hot;
+      keys;
+      metas;
+      kid_ls;
+      kid_rs;
       offs;
       refs;
       pays;

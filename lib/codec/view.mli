@@ -85,24 +85,25 @@ val ref_of : t -> int -> Node.tree
 (** The bound reference behind a [<= -2] child descriptor. *)
 
 val vn : t -> int -> Vn.t
-(** The node's version — [Vn.logged ~pos ~idx].  Allocates the vn. *)
+(** The node's version — [Vn.logged ~pos ~idx].  Allocates the vn; cold
+    paths only. *)
 
-val ssv_equals : t -> int -> Vn.t -> bool
-(** Mirrors [Node.ssv_equals], re-reading the wire words in place. *)
+val ssv_equals : t -> int -> Node.node -> bool
+(** [ssv_equals v idx m]: the node's ssv is [m]'s vn.  Mirrors
+    [Node.ssv_equals], re-reading the wire words in place. *)
 
-val scv_equals : t -> int -> Vn.t -> bool
-(** Mirrors [Node.scv_equals]. *)
+val scv_equals : t -> int -> Node.node -> bool
+(** [scv_equals v idx m]: the node's scv is [m]'s cv.  Mirrors
+    [Node.scv_equals]. *)
 
 val sources : t -> int -> int * int * int * int
 (** [(ssv_a, ssv_b, scv_a, scv_b)] packed words, [0, 0] when absent —
-    exactly what the eager decoder passes to [Node.pack]. *)
+    exactly what the eager decoder passes to [Node.pack].  An unaltered
+    node's cv is its scv; an altered node's is its vn. *)
 
 val payload : t -> int -> Payload.t
 (** Memoized: tombstones and bound elided payloads are immediate; an
     inline wire payload is copied out once on first use. *)
-
-val cv : t -> int -> Vn.t
-(** Content version as the eager decoder computes it. *)
 
 val ssv : t -> int -> Vn.t option
 (** Boxed ssv; cold paths only (corrupt-intention reports). *)

@@ -10,7 +10,7 @@ let compact ~pos state =
   let dropped = ref 0 in
   Tree.iter state (fun n ->
       if Payload.is_tombstone n.payload then incr dropped
-      else live := (n.key, n.payload, n.cv) :: !live);
+      else live := n :: !live);
   let items = Array.of_list (List.rev !live) in
   let n = Array.length items in
   let rec build lo hi =
@@ -18,16 +18,17 @@ let compact ~pos state =
     else begin
       let best = ref lo in
       for i = lo + 1 to hi - 1 do
-        let k, _, _ = items.(i) and b, _, _ = items.(!best) in
-        if Key.priority_greater k b then best := i
+        if Key.priority_greater items.(i).key items.(!best).key then best := i
       done;
-      let key, payload, cv = items.(!best) in
+      let src = items.(!best) in
       let left = build lo !best in
       let right = build (!best + 1) hi in
-      let vn = Vn.logged ~pos ~idx:!best in
-      Node.make ~key ~payload ~left ~right ~vn ~cv ~ssv:None ~scv:None
-        ~altered:false ~depends_on_content:false ~depends_on_structure:false
-        ~owner:state_owner
+      (* vn := (pos, idx), logged; cv and its class kept; no sources *)
+      Node.pack ~key:src.key ~payload:src.payload ~left ~right ~vn_a:pos
+        ~vn_b:!best ~cv_a:src.cv_a ~cv_b:src.cv_b
+        ~meta:
+          (Meta.owner_bits state_owner lor (src.meta land Meta.cv_ephemeral))
+        ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
     end
   in
   let tree = build 0 n in

@@ -34,10 +34,12 @@ let begin_txn ?current ~snapshot_pos ~snapshot ~server ~txn_seq ~isolation ()
 let check_active t op =
   if t.finished then invalid_arg (Printf.sprintf "Executor.%s: finished" op)
 
+(* The next draft version's index: [Tree] gives the node the logged
+   version [(max_int, idx)], a word pair, not a box. *)
 let fresh t () =
   let idx = t.next_draft in
   t.next_draft <- idx + 1;
-  Intention.draft_vn ~idx
+  idx
 
 let owner = Intention.draft_owner
 

@@ -34,16 +34,17 @@ exception
    between them. *)
 
 (* The hot loop works directly on the packed metadata word (Node.Meta):
-   every per-visit test is a mask-and-compare on [meta], every constructed
-   node is a single [Node.pack] — no options, tuples or [caml_equal] per
-   visit.  The workers below are top-level functions over one [env] record
-   so a meld call allocates exactly one block of bookkeeping; the happy
-   path then allocates only the ephemeral nodes themselves and their
-   fresh VNs. *)
+   every per-visit test is a mask-and-compare on [meta] or a word compare
+   of two versions, every constructed node is a single [Node.pack] — no
+   options, tuples, version boxes or [caml_equal] per visit.  The workers
+   below are top-level functions over one [env] record so a meld call
+   allocates exactly one block of bookkeeping; the happy path then
+   allocates only the ephemeral nodes themselves. *)
 
 type env = {
   counters : Counters.stage;
   alloc : Vn.Alloc.t;
+  thread : int;  (** [Vn.Alloc.thread alloc]: every ephemeral vn's [a] word *)
   (* Owner bits of the melding members: [b0]/[b1] cover the common
      one-intention and group-pair shapes with straight compares ([b1 = b0]
      for a singleton); [more] holds any further members (empty in
@@ -75,9 +76,21 @@ let[@inline] visit env =
   env.counters.Counters.nodes_visited <-
     env.counters.Counters.nodes_visited + 1
 
+(* The next ephemeral vn, [(env.thread, seq)], as its [seq] word. *)
 let[@inline] fresh env =
   env.counters.Counters.ephemerals <- env.counters.Counters.ephemerals + 1;
-  Vn.Alloc.next env.alloc
+  Vn.Alloc.next_seq env.alloc
+
+(* A meld-made node: its vn is the ephemeral [(env.thread, seq)].  [meta]
+   carries the cv class; the vn class is set here. *)
+let[@inline] mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta ~ssv_a
+    ~ssv_b ~scv_a ~scv_b =
+  Node.pack ~key ~payload ~left ~right ~vn_a:env.thread ~vn_b:seq ~cv_a ~cv_b
+    ~meta:(meta lor Meta.vn_ephemeral) ~ssv_a ~ssv_b ~scv_a ~scv_b
+
+(* Presence + class bits of a degrafted ssv: the node's own fresh,
+   ephemeral vn. *)
+let degrafted = Meta.ssv_present lor Meta.ssv_ephemeral
 
 (* A node's ssv doubles as the graft precondition: "this subtree equals
    version ssv plus my own changes".  A copy made on a SPLIT PATH holds
@@ -92,10 +105,11 @@ let[@inline] fresh env =
 
 (* Ephemeral copy of a state-side (or snapshot) node with new children. *)
 let eph_of_state env ~restructured (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
+  let cvc = nl.meta land Meta.cv_ephemeral in
   if not env.transaction_mode then
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-      ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+    mk env ~seq ~key:nl.key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+      ~cv_b:nl.cv_b ~meta:cvc ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
   else if env.state_is_intention && inside_meta env nl.meta then begin
     (* mine: keep snapshot-relative metadata, new owner *)
     let m = env.out_bits lor (nl.meta land Meta.flags_mask) in
@@ -103,128 +117,129 @@ let eph_of_state env ~restructured (nl : node) ~left ~right =
       nl.meta land Meta.ssv_present <> 0
       && (restructured || env.state_is_intention)
     then
-      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-        ~meta:(m lor Meta.ssv_ephemeral)
-        ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-        ~scv_b:nl.scv_b
+      mk env ~seq ~key:nl.key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+        ~cv_b:nl.cv_b ~meta:(m lor Meta.ssv_ephemeral) ~ssv_a:env.thread
+        ~ssv_b:seq ~scv_a:nl.scv_a ~scv_b:nl.scv_b
     else
-      Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-        ~meta:m ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a
+      mk env ~seq ~key:nl.key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+        ~cv_b:nl.cv_b ~meta:m ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a
         ~scv_b:nl.scv_b
   end
   else if restructured || env.state_is_intention then
     (* snapshot node becomes the source, immediately degrafted *)
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-      ~meta:
-        (env.out_bits lor Meta.ssv_present lor Meta.ssv_ephemeral
-       lor Node.scv_class nl.cv)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:(Node.vn_a nl.cv)
-      ~scv_b:(Node.vn_b nl.cv)
+    mk env ~seq ~key:nl.key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+      ~cv_b:nl.cv_b
+      ~meta:(env.out_bits lor cvc lor degrafted lor Meta.scv_of_cv nl.meta)
+      ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.cv_a ~scv_b:nl.cv_b
   else
-    Node.pack ~key:nl.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-      ~meta:(env.out_bits lor Node.ssv_class nl.vn lor Node.scv_class nl.cv)
-      ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-      ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+    mk env ~seq ~key:nl.key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+      ~cv_b:nl.cv_b
+      ~meta:(env.out_bits lor cvc lor Meta.sources_of nl.meta)
+      ~ssv_a:nl.vn_a ~ssv_b:nl.vn_b ~scv_a:nl.cv_a ~scv_b:nl.cv_b
 
 (* Ephemeral copy of an intention-side node whose conflict checks have not
    happened yet (restructuring around a concurrent insert): metadata and
    ownership must survive so the checks still fire deeper in the merge. *)
 let eph_of_intention env ~restructured (ni : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   if
     ni.meta land Meta.ssv_present <> 0
     && (restructured || env.state_is_intention)
   then
-    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-      ~meta:(ni.meta lor Meta.ssv_ephemeral)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:ni.scv_a
-      ~scv_b:ni.scv_b
+    mk env ~seq ~key:ni.key ~payload:ni.payload ~left ~right ~cv_a:ni.cv_a
+      ~cv_b:ni.cv_b ~meta:(ni.meta lor Meta.ssv_ephemeral) ~ssv_a:env.thread
+      ~ssv_b:seq ~scv_a:ni.scv_a ~scv_b:ni.scv_b
   else
-    Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-      ~meta:ni.meta ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a
-      ~scv_b:ni.scv_b
+    mk env ~seq ~key:ni.key ~payload:ni.payload ~left ~right ~cv_a:ni.cv_a
+      ~cv_b:ni.cv_b ~meta:ni.meta ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b
+      ~scv_a:ni.scv_a ~scv_b:ni.scv_b
 
-(* Merged node for a key present on both sides, after conflict checks.
+(* Which side a merged node's metadata comes from (transaction mode).
    The source metadata (ssv/scv) — and, for unaltered nodes, the payload
-   it must stay consistent with — comes from whichever side speaks for the
-   earlier history. *)
+   and content version it must stay consistent with — comes from whichever
+   side speaks for the earlier history. *)
+let[@inline] meta_from_state env ~mi ~nl_mine (nl : node) =
+  if not env.state_is_intention then true (* premeld: refresh vs LCS *)
+  else begin
+    let ni_dep = mi land Meta.dependent_mask <> 0 in
+    let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
+    if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
+    else if nl_dep then true
+    else if ni_dep then false
+    else nl_mine
+  end
+
+(* A merged node whose source metadata comes from the state side [nl]
+   (degrafted under group meld); [meta] carries the dependency flags and
+   the chosen cv's class. *)
+let merged_from_state env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta
+    ~nl_mine (nl : node) =
+  if nl_mine then begin
+    let m = meta lor (nl.meta land Meta.source_mask) in
+    if env.state_is_intention && nl.meta land Meta.ssv_present <> 0 then
+      mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
+        ~meta:(m lor Meta.ssv_ephemeral) ~ssv_a:env.thread ~ssv_b:seq
+        ~scv_a:nl.scv_a ~scv_b:nl.scv_b
+    else
+      mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta:m
+        ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
+  end
+  else if env.state_is_intention then
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
+      ~meta:(meta lor degrafted lor Meta.scv_of_cv nl.meta)
+      ~ssv_a:env.thread ~ssv_b:seq ~scv_a:nl.cv_a ~scv_b:nl.cv_b
+  else
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
+      ~meta:(meta lor Meta.sources_of nl.meta)
+      ~ssv_a:nl.vn_a ~ssv_b:nl.vn_b ~scv_a:nl.cv_a ~scv_b:nl.cv_b
+
+(* A merged node whose source metadata comes from the intention side:
+   [mi] its meta, [ssv_a .. scv_b] its source words. *)
+let[@inline] merged_from_intention env ~seq ~key ~payload ~left ~right ~cv_a
+    ~cv_b ~meta ~mi ~ssv_a ~ssv_b ~scv_a ~scv_b =
+  let m = meta lor (mi land Meta.source_mask) in
+  if env.state_is_intention && mi land Meta.ssv_present <> 0 then
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
+      ~meta:(m lor Meta.ssv_ephemeral) ~ssv_a:env.thread ~ssv_b:seq ~scv_a
+      ~scv_b
+  else
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta:m ~ssv_a ~ssv_b
+      ~scv_a ~scv_b
+
+(* Merged node for a key present on both sides, after conflict checks. *)
 let merged_node env (ni : node) (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
+  let key = ni.key in
   if not env.transaction_mode then begin
     if ni.meta land Meta.altered <> 0 then
-      Node.pack ~key:ni.key ~payload:ni.payload ~left ~right ~vn ~cv:ni.cv
-        ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+      mk env ~seq ~key ~payload:ni.payload ~left ~right ~cv_a:ni.cv_a
+        ~cv_b:ni.cv_b ~meta:(ni.meta land Meta.cv_ephemeral) ~ssv_a:0 ~ssv_b:0
+        ~scv_a:0 ~scv_b:0
     else
-      Node.pack ~key:ni.key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv
-        ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+      mk env ~seq ~key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+        ~cv_b:nl.cv_b ~meta:(nl.meta land Meta.cv_ephemeral) ~ssv_a:0 ~ssv_b:0
+        ~scv_a:0 ~scv_b:0
   end
   else begin
     let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    let meta_from_state =
-      if not env.state_is_intention then true (* premeld: refresh vs LCS *)
-      else begin
-        let ni_dep = ni.meta land Meta.dependent_mask <> 0 in
-        let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
-        if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
-        else if nl_dep then true
-        else if ni_dep then false
-        else nl_mine
-      end
-    in
+    let from_state = meta_from_state env ~mi:ni.meta ~nl_mine nl in
     let dep =
       ni.meta land Meta.dependent_mask
       lor if nl_mine then nl.meta land Meta.dependent_mask else 0
     in
     let ni_w = ni.meta land Meta.altered <> 0 in
     let nl_w = nl_mine && nl.meta land Meta.altered <> 0 in
-    let payload =
-      if ni_w then ni.payload
-      else if nl_w || meta_from_state then nl.payload
-      else ni.payload
-    in
-    let cv =
-      if ni_w then ni.cv
-      else if nl_w || meta_from_state then nl.cv
-      else ni.cv
-    in
+    (* payload and content version travel together *)
+    let c = if ni_w || not (nl_w || from_state) then ni else nl in
+    let meta = env.out_bits lor dep lor (c.meta land Meta.cv_ephemeral) in
     (* degraft created nodes under group meld *)
-    if meta_from_state then
-      if nl_mine then begin
-        let m = env.out_bits lor dep lor (nl.meta land Meta.source_mask) in
-        if env.state_is_intention && nl.meta land Meta.ssv_present <> 0 then
-          Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
-            ~meta:(m lor Meta.ssv_ephemeral)
-            ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-            ~scv_b:nl.scv_b
-        else
-          Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv ~meta:m
-            ~ssv_a:nl.ssv_a ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
-      end
-      else if env.state_is_intention then
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Meta.ssv_present lor Meta.ssv_ephemeral
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
-      else
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Node.ssv_class nl.vn
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
-    else begin
-      let m = env.out_bits lor dep lor (ni.meta land Meta.source_mask) in
-      if env.state_is_intention && ni.meta land Meta.ssv_present <> 0 then
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv
-          ~meta:(m lor Meta.ssv_ephemeral)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:ni.scv_a
-          ~scv_b:ni.scv_b
-      else
-        Node.pack ~key:ni.key ~payload ~left ~right ~vn ~cv ~meta:m
-          ~ssv_a:ni.ssv_a ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a ~scv_b:ni.scv_b
-    end
+    if from_state then
+      merged_from_state env ~seq ~key ~payload:c.payload ~left ~right
+        ~cv_a:c.cv_a ~cv_b:c.cv_b ~meta ~nl_mine nl
+    else
+      merged_from_intention env ~seq ~key ~payload:c.payload ~left ~right
+        ~cv_a:c.cv_a ~cv_b:c.cv_b ~meta ~mi:ni.meta ~ssv_a:ni.ssv_a
+        ~ssv_b:ni.ssv_b ~scv_a:ni.scv_a ~scv_b:ni.scv_b
   end
 
 (* Split the state side around a key it does not contain; the copies along
@@ -296,7 +311,7 @@ let check_node env (ni : node) (nl : node) =
           raise
             (Corrupt_intention
                (Printf.sprintf "node %d has ssv but no scv" ni.key));
-        if not (Node.scv_equals ni nl.cv) then
+        if not (Node.scv_equals ni nl) then
           raise
             (Abort
                (if ni.meta land Meta.altered <> 0 then Write_conflict ni.key
@@ -334,7 +349,7 @@ let rec go env i l =
   else begin
     let ni = i and nl = l in
     visit env;
-        if Node.ssv_equals ni nl.vn then begin
+        if Node.ssv_equals ni nl then begin
           (* Graft fast path: the version this subtree was derived from
              is still current — nothing concurrent happened below. *)
           env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
@@ -384,7 +399,8 @@ let rec go env i l =
                       (match Node.ssv ni with
                       | Some v -> Vn.to_string v
                       | None -> "-")
-                      (Node.owner ni) (Node.altered ni) (Vn.to_string ni.vn)
+                      (Node.owner ni) (Node.altered ni)
+                      (Vn.to_string (Node.vn ni))
                       (if env.transaction_mode then "txn" else "final")));
             let ll, lr = split_state env l ni.key in
             let left = go env ni.left ll in
@@ -432,102 +448,75 @@ let kid_tree env v c =
   else View.ref_of v c
 
 (* Ephemeral copy of view node [j] with new children ([eph_of_intention]
-   over the packed wire words). *)
+   over the packed wire words).  A view node's meta carries its cv class;
+   its cv is its vn [(pos, j)] when altered, else its scv. *)
 let eph_of_intention_v env v j ~restructured ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   let mi = View.meta v j in
   let key = View.key v j in
   let payload = View.payload v j in
-  let cv = View.cv v j in
   let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
+  let altered = mi land Meta.altered <> 0 in
+  let cv_a = if altered then View.pos v else scv_a in
+  let cv_b = if altered then j else scv_b in
   if
     mi land Meta.ssv_present <> 0 && (restructured || env.state_is_intention)
   then
-    Node.pack ~key ~payload ~left ~right ~vn ~cv
-      ~meta:(mi lor Meta.ssv_ephemeral)
-      ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a ~scv_b
-  else
-    Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:mi ~ssv_a ~ssv_b ~scv_a
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
+      ~meta:(mi lor Meta.ssv_ephemeral) ~ssv_a:env.thread ~ssv_b:seq ~scv_a
       ~scv_b
+  else
+    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta:mi ~ssv_a ~ssv_b
+      ~scv_a ~scv_b
 
 (* [merged_node] with the intention side read from the view. *)
 let merged_node_v env v j (nl : node) ~left ~right =
-  let vn = fresh env in
+  let seq = fresh env in
   let mi = View.meta v j in
   let key = View.key v j in
+  let ni_w = mi land Meta.altered <> 0 in
   if not env.transaction_mode then begin
-    if mi land Meta.altered <> 0 then
-      Node.pack ~key ~payload:(View.payload v j) ~left ~right ~vn
-        ~cv:(View.cv v j) ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+    if ni_w then
+      mk env ~seq ~key ~payload:(View.payload v j) ~left ~right
+        ~cv_a:(View.pos v) ~cv_b:j ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
     else
-      Node.pack ~key ~payload:nl.payload ~left ~right ~vn ~cv:nl.cv ~meta:0
-        ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
+      mk env ~seq ~key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
+        ~cv_b:nl.cv_b ~meta:(nl.meta land Meta.cv_ephemeral) ~ssv_a:0 ~ssv_b:0
+        ~scv_a:0 ~scv_b:0
   end
   else begin
     let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    let meta_from_state =
-      if not env.state_is_intention then true
-      else begin
-        let ni_dep = mi land Meta.dependent_mask <> 0 in
-        let nl_dep = nl_mine && nl.meta land Meta.dependent_mask <> 0 in
-        if ni_dep && nl_dep then env.state_snapshot <= env.intention_snapshot
-        else if nl_dep then true
-        else if ni_dep then false
-        else nl_mine
-      end
-    in
+    let from_state = meta_from_state env ~mi ~nl_mine nl in
     let dep =
       mi land Meta.dependent_mask
       lor if nl_mine then nl.meta land Meta.dependent_mask else 0
     in
-    let ni_w = mi land Meta.altered <> 0 in
     let nl_w = nl_mine && nl.meta land Meta.altered <> 0 in
-    let payload =
-      if ni_w then View.payload v j
-      else if nl_w || meta_from_state then nl.payload
-      else View.payload v j
-    in
-    let cv =
-      if ni_w then View.cv v j
-      else if nl_w || meta_from_state then nl.cv
-      else View.cv v j
-    in
-    if meta_from_state then
-      if nl_mine then begin
-        let m = env.out_bits lor dep lor (nl.meta land Meta.source_mask) in
-        if env.state_is_intention && nl.meta land Meta.ssv_present <> 0 then
-          Node.pack ~key ~payload ~left ~right ~vn ~cv
-            ~meta:(m lor Meta.ssv_ephemeral)
-            ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:nl.scv_a
-            ~scv_b:nl.scv_b
-        else
-          Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:m ~ssv_a:nl.ssv_a
-            ~ssv_b:nl.ssv_b ~scv_a:nl.scv_a ~scv_b:nl.scv_b
-      end
-      else if env.state_is_intention then
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Meta.ssv_present lor Meta.ssv_ephemeral
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a:(Node.vn_a nl.cv)
-          ~scv_b:(Node.vn_b nl.cv)
+    let meta = env.out_bits lor dep in
+    if from_state then
+      (* the view's cv is needed only when altered: its own vn *)
+      if ni_w then
+        merged_from_state env ~seq ~key ~payload:(View.payload v j) ~left
+          ~right ~cv_a:(View.pos v) ~cv_b:j ~meta ~nl_mine nl
       else
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
-          ~meta:
-            (env.out_bits lor dep lor Node.ssv_class nl.vn
-           lor Node.scv_class nl.cv)
-          ~ssv_a:(Node.vn_a nl.vn) ~ssv_b:(Node.vn_b nl.vn)
-          ~scv_a:(Node.vn_a nl.cv) ~scv_b:(Node.vn_b nl.cv)
+        merged_from_state env ~seq ~key ~payload:nl.payload ~left ~right
+          ~cv_a:nl.cv_a ~cv_b:nl.cv_b
+          ~meta:(meta lor (nl.meta land Meta.cv_ephemeral))
+          ~nl_mine nl
     else begin
-      let m = env.out_bits lor dep lor (mi land Meta.source_mask) in
       let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
-      if env.state_is_intention && mi land Meta.ssv_present <> 0 then
-        Node.pack ~key ~payload ~left ~right ~vn ~cv
-          ~meta:(m lor Meta.ssv_ephemeral)
-          ~ssv_a:(Node.vn_a vn) ~ssv_b:(Node.vn_b vn) ~scv_a ~scv_b
+      if ni_w || not nl_w then
+        merged_from_intention env ~seq ~key ~payload:(View.payload v j) ~left
+          ~right
+          ~cv_a:(if ni_w then View.pos v else scv_a)
+          ~cv_b:(if ni_w then j else scv_b)
+          ~meta:(meta lor (mi land Meta.cv_ephemeral))
+          ~mi ~ssv_a ~ssv_b ~scv_a ~scv_b
       else
-        Node.pack ~key ~payload ~left ~right ~vn ~cv ~meta:m ~ssv_a ~ssv_b
-          ~scv_a ~scv_b
+        merged_from_intention env ~seq ~key ~payload:nl.payload ~left ~right
+          ~cv_a:nl.cv_a ~cv_b:nl.cv_b
+          ~meta:(meta lor (nl.meta land Meta.cv_ephemeral))
+          ~mi ~ssv_a ~ssv_b ~scv_a ~scv_b
     end
   end
 
@@ -554,7 +543,7 @@ let check_node_v env v j (nl : node) =
           raise
             (Corrupt_intention
                (Printf.sprintf "node %d has ssv but no scv" key));
-        if not (View.scv_equals v j nl.cv) then
+        if not (View.scv_equals v j nl) then
           raise
             (Abort
                (if mi land Meta.altered <> 0 then Write_conflict key
@@ -583,7 +572,7 @@ and go_v env v j l =
   if l == empty then (matz env v j, true)
   else begin
     visit env;
-    if View.ssv_equals v j l.vn then begin
+    if View.ssv_equals v j l then begin
       env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
       if View.meta v j land Meta.has_writes <> 0 then (matz env v j, true)
       else if env.transaction_mode then (matz env v j, true)
@@ -691,6 +680,7 @@ let meld ~mode ?(state_is_intention = false) ?(intention_snapshot = 0)
     {
       counters;
       alloc;
+      thread = Vn.Alloc.thread alloc;
       b0;
       b1;
       more;

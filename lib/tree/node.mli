@@ -6,16 +6,16 @@
     Metadata per node (Section 2 / Appendix A of the paper, recast in the
     content-version formulation described in DESIGN.md):
 
-    - [vn]: this version's identity.
-    - [cv]: the {e content version} — the VN of the version that first
+    - vn: this version's identity.
+    - cv: the {e content version} — the VN of the version that first
       generated this node's payload.  Appendix A calls the same information
       SCV when talking about the source node; carrying it on every node
       makes the conflict rules uniform:  a dependent access of key [k]
-      conflicts iff the LCS's [cv] for [k] differs from the [scv] the
+      conflicts iff the LCS's cv for [k] differs from the scv the
       intention recorded.
     - ssv: source structure version — the VN of the same-key node in the
       state this node was derived from (absent for a fresh insert).
-    - scv: source content version — the [cv] of that same-key source node.
+    - scv: source content version — the cv of that same-key source node.
     - altered: the producing transaction changed the payload.
     - depends_on_content: the transaction read the payload and runs at an
       isolation level that validates reads (the paper's DependsOn flag).
@@ -33,28 +33,39 @@
 
     {2 Packed representation}
 
-    All of the above except [vn]/[cv] is packed into one immediate [int]
-    ([meta]) plus four plain int words, so the meld/premeld/group-meld hot
-    loops test metadata with masks — no option allocation, no [caml_equal]
-    — and constructing an ephemeral node allocates exactly one block:
+    All of the above is packed into one immediate [int] ([meta]) plus
+    eight plain int words, two per version, so the meld/premeld/group-meld
+    hot loops test metadata with masks and compare versions word by word
+    — no option allocation, no [caml_equal], no second cache miss into a
+    boxed [Vn.t] — and constructing an ephemeral node allocates exactly
+    one 14-word block:
 
-    - [meta] bits 0..7 are flags (see {!Meta}; the low three equal the
-      wire codec's flag-byte bits), bits 8.. hold [owner + 1] so state
+    - [meta] bits 0..9 are flags (see {!Meta}; the low three equal the
+      wire codec's flag-byte bits), bits 10.. hold [owner + 1] so state
       nodes ([owner = -1]) have zero owner bits.
-    - [ssv_a]/[ssv_b] hold the ssv's payload when the
-      {!Meta.ssv_present} bit is set: [(pos, idx)] of a logged VN, or
-      [(thread, seq)] of an ephemeral one ({!Meta.ssv_ephemeral} selects
-      which).  [scv_a]/[scv_b] likewise for the scv.
+    - Each version is two words: [(pos, idx)] of a logged VN, or
+      [(thread, seq)] of an ephemeral one.  Its value class is a meta
+      bit ({!Meta.vn_ephemeral}, {!Meta.cv_ephemeral},
+      {!Meta.ssv_ephemeral}, {!Meta.scv_ephemeral}), never the sign of a
+      word: a wire varint wraps modulo 2{^63}, so a sign-encoded class
+      would let a corrupt logged reference alias an ephemeral node.
+    - [vn_a]/[vn_b] and [cv_a]/[cv_b] are always present;
+      [ssv_a]/[ssv_b] and [scv_a]/[scv_b] hold a source version when the
+      {!Meta.ssv_present} / {!Meta.scv_present} bit is set, and are
+      [0, 0] otherwise.
+    - [key], [meta], the vn words and the child links come first, so a
+      descent mostly stays within one cache line per node.
 
-    The packing is a pure re-encoding of the old record — the wire format
-    and all meld decisions are unchanged (DESIGN.md §11).
+    The packing is a pure re-encoding of the boxed record it replaced —
+    the wire format, {!Tree.digest} and all meld decisions are unchanged
+    (DESIGN.md §11).
 
     {2 Sentinel empty}
 
     The empty tree is the statically-allocated sentinel {!empty} (its
     children point to itself) rather than a variant constructor: child
     links reference node records directly, so an ephemeral node is one
-    12-word block with no [Node of node] wrapper, and traversals follow
+    block with no [Node of node] wrapper, and traversals follow
     one pointer per child.  Test emptiness with {!is_empty} (physical
     equality); recursions must check it before touching children — the
     sentinel's children are the sentinel itself. *)
@@ -63,12 +74,14 @@ type tree = node
 
 and node = {
   key : Key.t;
-  payload : Payload.t;
+  meta : int;  (** flag and class bits + biased owner; see {!Meta} *)
+  vn_a : int;  (** this version: [pos] or [thread] *)
+  vn_b : int;  (** [idx] or [seq] *)
   left : tree;
   right : tree;
-  vn : Vn.t;
-  cv : Vn.t;
-  meta : int;  (** flag bits + biased owner; see {!Meta} *)
+  cv_a : int;  (** content version, same encoding *)
+  cv_b : int;
+  payload : Payload.t;
   ssv_a : int;
   ssv_b : int;
   scv_a : int;
@@ -105,7 +118,11 @@ module Meta : sig
 
   val scv_ephemeral : int  (** 0x80 *)
 
-  val flags_mask : int  (** 0xff *)
+  val vn_ephemeral : int  (** 0x100 — value class of [vn_a]/[vn_b] *)
+
+  val cv_ephemeral : int  (** 0x200 — value class of [cv_a]/[cv_b] *)
+
+  val flags_mask : int  (** 0x3ff *)
 
   val dependent_mask : int
   (** [altered lor dep_content lor dep_structure]: non-zero meta
@@ -115,10 +132,25 @@ module Meta : sig
   (** The four ssv/scv presence + class bits. *)
 
   val carry_mask : int
-  (** Flag bits that survive an owner rewrite ([flags_mask] minus
-      [has_writes]). *)
+  (** Flag bits that survive an owner rewrite that gives the node a new
+      logged vn: [flags_mask] minus [has_writes] and [vn_ephemeral]. *)
 
-  val owner_shift : int
+  (** {3 Class moves}
+
+      Branch-free shifts of a class bit between version slots, for
+      storing one version word pair in another slot. *)
+
+  val ssv_of_vn : int -> int
+  (** [ssv_present] plus the ssv class of the meta's vn. *)
+
+  val scv_of_cv : int -> int
+  (** [scv_present] plus the scv class of the meta's cv. *)
+
+  val sources_of : int -> int
+  (** [ssv_of_vn m lor scv_of_cv m]: the source bits of a copy whose ssv
+      is this node's vn and whose scv is its cv. *)
+
+  val owner_shift : int  (** 10 *)
 
   val owner_mask : int
   (** All bits above the flags. *)
@@ -138,8 +170,10 @@ val pack :
   payload:Payload.t ->
   left:tree ->
   right:tree ->
-  vn:Vn.t ->
-  cv:Vn.t ->
+  vn_a:int ->
+  vn_b:int ->
+  cv_a:int ->
+  cv_b:int ->
   meta:int ->
   ssv_a:int ->
   ssv_b:int ->
@@ -147,10 +181,10 @@ val pack :
   scv_b:int ->
   node
 (** Low-level constructor over the packed representation: [meta] supplies
-    flag and owner bits, and the [has_writes] bit is recomputed from the
-    other bits and the same-owner children (any [has_writes] bit in the
-    given [meta] is ignored).  This is the hot-path constructor — one
-    block allocated, no closures. *)
+    flag, class and owner bits, and the [has_writes] bit is recomputed
+    from the other bits and the same-owner children (any [has_writes] bit
+    in the given [meta] is ignored).  This is the hot-path constructor —
+    one block allocated, no closures. *)
 
 val make :
   key:Key.t ->
@@ -169,9 +203,6 @@ val make :
 (** Smart constructor over the unpacked field view; computes [has_writes]
     from the fields and the same-owner children.  Cold paths only. *)
 
-val with_children : node -> left:tree -> right:tree -> vn:Vn.t -> node
-(** Copy-on-write: same key/payload/metadata, new children and identity. *)
-
 (** {2 Metadata accessors} *)
 
 val owner : node -> int
@@ -182,27 +213,25 @@ val has_writes : node -> bool
 val has_ssv : node -> bool
 val has_scv : node -> bool
 
-val ssv : node -> Vn.t option
-(** Option view of the packed ssv — allocates; cold paths only. *)
+(** {2 Boxed views}
 
+    Each allocates; cold paths only (error messages, {!Tree.digest}-style
+    dumps, tests).  The hot loops compare the words. *)
+
+val vn : node -> Vn.t
+val cv : node -> Vn.t
+val ssv : node -> Vn.t option
 val scv : node -> Vn.t option
 
-val ssv_equals : node -> Vn.t -> bool
-(** Allocation-free [ssv n = Some vn]; false when the ssv is absent. *)
+(** {2 Word-level version tests} *)
 
-val scv_equals : node -> Vn.t -> bool
+val ssv_equals : node -> node -> bool
+(** [ssv_equals n m]: [n]'s ssv is [m]'s vn — the graft test.  False when
+    [n] has no ssv.  No allocation. *)
 
-(** {2 Packed-word views of a boxed VN}
-
-    For storing a [Vn.t] as a source version without allocating:
-    [vn_a]/[vn_b] extract the two payload words ([pos]/[idx] of a logged
-    VN, [thread]/[seq] of an ephemeral one); [ssv_class]/[scv_class] give
-    the matching presence + value-class meta bits. *)
-
-val vn_a : Vn.t -> int
-val vn_b : Vn.t -> int
-val ssv_class : Vn.t -> int
-val scv_class : Vn.t -> int
+val scv_equals : node -> node -> bool
+(** [scv_equals n m]: [n]'s scv is [m]'s cv — the content-conflict
+    test.  False when [n] has no scv. *)
 
 val size : tree -> int
 (** Total nodes (including tombstones). *)

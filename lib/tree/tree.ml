@@ -82,21 +82,40 @@ let to_alist t =
    intention keeps its snapshot-relative metadata (flags and packed
    source versions); a snapshot node becomes the source — ssv := its vn,
    scv := its cv, access flags cleared.  Both arms are single packed
-   constructions, no option or tuple allocation. *)
+   constructions, no option, tuple or version box.  A new node's vn is
+   the logged version [(draft_pos, fresh ())]. *)
+
+(* A pseudo-position no log reaches: drafts are renumbered once their
+   real position is known ([Intention.assign], or the decoder). *)
+let draft_pos = max_int
+
+(* The meta of a copy of [n] owned by [owner], plus [extra] flags: an own
+   node keeps its flags and sources; a snapshot node becomes the source.
+   The vn class is always logged (a draft version); the cv class stays
+   [n]'s, since the copy keeps [n]'s content version. *)
+let[@inline] copy_meta ~owner (n : node) ~extra =
+  if Node.owner n = owner then (n.meta land lnot Meta.vn_ephemeral) lor extra
+  else
+    Meta.owner_bits owner lor extra
+    lor (n.meta land Meta.cv_ephemeral)
+    lor Meta.sources_of n.meta
+
+(* That copy, with the matching source words: [n]'s own sources, or its
+   vn and cv. *)
+let[@inline] copy_of ~owner (n : node) ~key ~payload ~left ~right ~vn_b ~cv_a
+    ~cv_b ~meta =
+  if Node.owner n = owner then
+    Node.pack ~key ~payload ~left ~right ~vn_a:draft_pos ~vn_b ~cv_a ~cv_b
+      ~meta ~ssv_a:n.ssv_a ~ssv_b:n.ssv_b ~scv_a:n.scv_a ~scv_b:n.scv_b
+  else
+    Node.pack ~key ~payload ~left ~right ~vn_a:draft_pos ~vn_b ~cv_a ~cv_b
+      ~meta ~ssv_a:n.vn_a ~ssv_b:n.vn_b ~scv_a:n.cv_a ~scv_b:n.cv_b
 
 (* Structural copy: same payload and access flags, new children. *)
 let copy ~owner ~fresh (old : node) ~left ~right =
-  if Node.owner old = owner then
-    Node.pack ~key:old.key ~payload:old.payload ~left ~right ~vn:(fresh ())
-      ~cv:old.cv ~meta:old.meta ~ssv_a:old.ssv_a ~ssv_b:old.ssv_b
-      ~scv_a:old.scv_a ~scv_b:old.scv_b
-  else
-    let meta =
-      Meta.owner_bits owner lor Node.ssv_class old.vn lor Node.scv_class old.cv
-    in
-    Node.pack ~key:old.key ~payload:old.payload ~left ~right ~vn:(fresh ())
-      ~cv:old.cv ~meta ~ssv_a:(Node.vn_a old.vn) ~ssv_b:(Node.vn_b old.vn)
-      ~scv_a:(Node.vn_a old.cv) ~scv_b:(Node.vn_b old.cv)
+  copy_of ~owner old ~key:old.key ~payload:old.payload ~left ~right
+    ~vn_b:(fresh ()) ~cv_a:old.cv_a ~cv_b:old.cv_b
+    ~meta:(copy_meta ~owner old ~extra:0)
 
 (* Split a subtree around an absent key, copying the split path. *)
 let rec split t key ~owner ~fresh =
@@ -112,8 +131,9 @@ let rec split t key ~owner ~fresh =
 
 let upsert t ~owner ~fresh key payload =
   let fresh_insert ~left ~right =
-    let vn = fresh () in
-    Node.pack ~key ~payload ~left ~right ~vn ~cv:vn
+    let idx = fresh () in
+    Node.pack ~key ~payload ~left ~right ~vn_a:draft_pos ~vn_b:idx
+      ~cv_a:draft_pos ~cv_b:idx
       ~meta:(Meta.owner_bits owner lor Meta.altered)
       ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
   in
@@ -122,20 +142,14 @@ let upsert t ~owner ~fresh key payload =
     else
       let c = Key.compare key t.key in
       if c = 0 then begin
-        (* Payload update in place (copy-on-write). *)
-        let vn = fresh () in
-        if Node.owner t = owner then
-          Node.pack ~key ~payload ~left:t.left ~right:t.right ~vn ~cv:vn
-            ~meta:(t.meta lor Meta.altered)
-            ~ssv_a:t.ssv_a ~ssv_b:t.ssv_b ~scv_a:t.scv_a ~scv_b:t.scv_b
-        else
-          let meta =
-            Meta.owner_bits owner lor Meta.altered lor Node.ssv_class t.vn
-            lor Node.scv_class t.cv
-          in
-          Node.pack ~key ~payload ~left:t.left ~right:t.right ~vn ~cv:vn ~meta
-            ~ssv_a:(Node.vn_a t.vn) ~ssv_b:(Node.vn_b t.vn)
-            ~scv_a:(Node.vn_a t.cv) ~scv_b:(Node.vn_b t.cv)
+        (* Payload update in place (copy-on-write): the new content
+           version is the new vn, a logged one. *)
+        let idx = fresh () in
+        copy_of ~owner t ~key ~payload ~left:t.left ~right:t.right ~vn_b:idx
+          ~cv_a:draft_pos ~cv_b:idx
+          ~meta:
+            (copy_meta ~owner t ~extra:Meta.altered
+            land lnot Meta.cv_ephemeral)
       end
       else if Key.priority_greater key t.key then begin
         (* The new key outranks this subtree's root: splice it here. *)
@@ -153,19 +167,9 @@ let mark ~owner ~fresh (n : node) ~content ~structure =
     (if content then Meta.dep_content else 0)
     lor if structure then Meta.dep_structure else 0
   in
-  if Node.owner n = owner then
-    Node.pack ~key:n.key ~payload:n.payload ~left:n.left ~right:n.right
-      ~vn:(fresh ()) ~cv:n.cv ~meta:(n.meta lor extra)
-      ~ssv_a:n.ssv_a ~ssv_b:n.ssv_b ~scv_a:n.scv_a ~scv_b:n.scv_b
-  else
-    let meta =
-      Meta.owner_bits owner lor extra lor Node.ssv_class n.vn
-      lor Node.scv_class n.cv
-    in
-    Node.pack ~key:n.key ~payload:n.payload ~left:n.left ~right:n.right
-      ~vn:(fresh ()) ~cv:n.cv ~meta
-      ~ssv_a:(Node.vn_a n.vn) ~ssv_b:(Node.vn_b n.vn)
-      ~scv_a:(Node.vn_a n.cv) ~scv_b:(Node.vn_b n.cv)
+  copy_of ~owner n ~key:n.key ~payload:n.payload ~left:n.left ~right:n.right
+    ~vn_b:(fresh ()) ~cv_a:n.cv_a ~cv_b:n.cv_b
+    ~meta:(copy_meta ~owner n ~extra)
 
 let touch_read t ~owner ~fresh key =
   (* Returns the rebuilt subtree, or physically the same subtree when no
@@ -297,10 +301,10 @@ let of_sorted_array items =
       let key, payload = items.(!best) in
       let left = build lo !best in
       let right = build (!best + 1) hi in
-      let vn = Vn.genesis ~idx:!best in
-      Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv:None ~scv:None
-        ~altered:false ~depends_on_content:false ~depends_on_structure:false
-        ~owner:state_owner
+      (* genesis version [(-1, idx)], logged, no sources *)
+      Node.pack ~key ~payload ~left ~right ~vn_a:(-1) ~vn_b:!best ~cv_a:(-1)
+        ~cv_b:!best ~meta:(Meta.owner_bits state_owner) ~ssv_a:0 ~ssv_b:0
+        ~scv_a:0 ~scv_b:0
     end
   in
   build 0 n
@@ -369,18 +373,15 @@ let path_length t key =
    chaos harness compare whole-cluster convergence by fingerprint. *)
 let digest t =
   let b = Buffer.create 4096 in
-  let vn b v =
-    match (v : Vn.t) with
-    | Vn.Logged { pos; idx } -> Printf.bprintf b "L%d.%d" pos idx
-    | Vn.Ephemeral { thread; seq } -> Printf.bprintf b "E%d.%d" thread seq
-  in
-  let vn_opt b = function
-    | None -> Buffer.add_char b '-'
-    | Some v -> vn b v
+  (* A version from its class bit and words, as [Vn.pp] would print it,
+     without boxing it. *)
+  let vn b ~eph x y =
+    Printf.bprintf b "%c%d.%d" (if eph then 'E' else 'L') x y
   in
   let rec go t =
     if t == empty then Buffer.add_char b '.'
     else begin
+      let m = t.meta in
       Buffer.add_char b '(';
       Printf.bprintf b "%d|" t.key;
       (match t.payload with
@@ -389,13 +390,15 @@ let digest t =
           Printf.bprintf b "V%d:" (String.length v);
           Buffer.add_string b v);
       Buffer.add_char b '|';
-      vn b t.vn;
+      vn b ~eph:(m land Meta.vn_ephemeral <> 0) t.vn_a t.vn_b;
       Buffer.add_char b '|';
-      vn b t.cv;
+      vn b ~eph:(m land Meta.cv_ephemeral <> 0) t.cv_a t.cv_b;
       Buffer.add_char b '|';
-      vn_opt b (Node.ssv t);
+      if m land Meta.ssv_present = 0 then Buffer.add_char b '-'
+      else vn b ~eph:(m land Meta.ssv_ephemeral <> 0) t.ssv_a t.ssv_b;
       Buffer.add_char b '|';
-      vn_opt b (Node.scv t);
+      if m land Meta.scv_present = 0 then Buffer.add_char b '-'
+      else vn b ~eph:(m land Meta.scv_ephemeral <> 0) t.scv_a t.scv_b;
       Printf.bprintf b "|%b%b%b|%d" (Node.altered t)
         (Node.depends_on_content t)
         (Node.depends_on_structure t)
@@ -413,8 +416,9 @@ let rec physically_equal a b =
   || a != empty && b != empty
      && Key.equal a.key b.key
      && Payload.equal a.payload b.payload
-     && Vn.equal a.vn b.vn && Vn.equal a.cv b.cv
      && a.meta = b.meta
+     && a.vn_a = b.vn_a && a.vn_b = b.vn_b
+     && a.cv_a = b.cv_a && a.cv_b = b.cv_b
      && a.ssv_a = b.ssv_a && a.ssv_b = b.ssv_b
      && a.scv_a = b.scv_a && a.scv_b = b.scv_b
      && physically_equal a.left b.left

@@ -9,7 +9,10 @@
     meld needs.
 
     Mutators take an [owner] (the intention id under construction, or
-    {!Node.state_owner} for bootstrap) and a [fresh] VN supplier.  A node
+    {!Node.state_owner} for bootstrap) and a [fresh] index supplier: each
+    node a mutator creates gets the logged VN [(max_int, fresh ())], a
+    draft version at a position no log reaches, renumbered once the real
+    position is known.  A node
     whose [owner] equals the mutator's is an in-progress draft of the same
     transaction and keeps its snapshot-relative metadata when copied again;
     any other node is a snapshot node and the copy's ssv/scv are derived
@@ -46,19 +49,19 @@ val to_alist : t -> (Key.t * Payload.t) list
 (** {1 Copy-on-write mutators (intention building)} *)
 
 val upsert :
-  t -> owner:int -> fresh:(unit -> Vn.t) -> Key.t -> Payload.t -> t
+  t -> owner:int -> fresh:(unit -> int) -> Key.t -> Payload.t -> t
 (** Insert or update; writing {!Payload.tombstone} is a delete.  Copies the
     root-to-node path (and the split path, for a fresh insert) as draft
     nodes of [owner]. *)
 
-val touch_read : t -> owner:int -> fresh:(unit -> Vn.t) -> Key.t -> t
+val touch_read : t -> owner:int -> fresh:(unit -> int) -> Key.t -> t
 (** Record a validated point read: materializes the path to the key and
     marks the node [depends_on_content].  A read of an absent key marks the
     node where the search ended [depends_on_structure] (phantom guard).
     Reading the transaction's own write is a no-op. *)
 
 val touch_range :
-  t -> owner:int -> fresh:(unit -> Vn.t) -> lo:Key.t -> hi:Key.t -> t
+  t -> owner:int -> fresh:(unit -> int) -> lo:Key.t -> hi:Key.t -> t
 (** Record a validated range read: marks every in-range node visited
     [depends_on_structure]; if the range is empty, marks its neighbours
     instead.  Conservative but sound (see DESIGN.md). *)

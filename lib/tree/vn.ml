@@ -36,16 +36,15 @@ let pp fmt = function
 let to_string v = Format.asprintf "%a" pp v
 
 module Alloc = struct
-  type vn = t
-  type nonrec t = { thread : int; mutable seq : int }
+  type t = { thread : int; mutable seq : int }
 
   let create ~thread = { thread; seq = 0 }
   let thread t = t.thread
 
-  let next t : vn =
+  let next_seq t =
     let seq = t.seq in
     t.seq <- seq + 1;
-    Ephemeral { thread = t.thread; seq }
+    seq
 
   let issued t = t.seq
   let reset t = t.seq <- 0

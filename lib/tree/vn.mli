@@ -37,12 +37,15 @@ val to_string : t -> string
 
 (** Deterministic per-thread allocator for ephemeral VNs. *)
 module Alloc : sig
-  type vn := t
   type t
 
   val create : thread:int -> t
   val thread : t -> int
-  val next : t -> vn
+
+  val next_seq : t -> int
+  (** Issue the next VN, [Ephemeral { thread; seq }], as its [seq] word
+      alone — meld stores versions unboxed (see [Node]). *)
+
   val issued : t -> int
   val reset : t -> unit
 

@@ -15,8 +15,8 @@ With --macro, gates a `macro` run (see `make bench-macro`):
      average, doorbell wakeups not exceeding publications plus items;
   4. every decode the driver ran itself was a steal (ds_inline equals
      driver_steals): none waited on the driver for its snapshot state;
-  5. allocation budgets: the driver's ds minor words/txn, and the
-     driver-domain bracket (driver_minor_w_per_txn minus the
+  5. allocation budgets: the driver's ds minor words per decoded node,
+     and the driver-domain bracket (driver_minor_w_per_txn minus the
      driver-booked stage minors) — batched handoff itself must not
      allocate;
   6. when a committed baseline is given, no regression of the fm
@@ -59,11 +59,14 @@ FM_NS_TOLERANCE_MULTI = 3.0
 # chain invariant makes coverage exactly 1.0 up to clock jitter, and the
 # acceptance contract allows 5%.
 FLIGHT_COVERAGE_SLACK = 0.05
-# Driver-side ds allocation budget, in minor words per txn.  The
-# flyweight-view ds path builds only index arrays; node allocation lands
-# in the mz column as meld materializes.  Under pipe:<n> the column
-# covers only the driver-inline decodes.
-DS_MINOR_BUDGET = 500.0
+# Driver-side ds allocation budget, in minor words per decoded node
+# (ds_minor over ds_nodes_per_txn).  The flyweight-view ds path builds
+# only its per-node index arrays, about 8.4 words per node; node
+# allocation lands in the mz column as meld materializes, and building
+# heap nodes in ds again would add at least 14 words per node.  Under
+# pipe:<n> ds_minor covers only the driver-inline decodes while the node
+# count covers every decode, so that row reads low.
+DS_MINOR_PER_NODE_BUDGET = 10.0
 # Handoff-allocation budget, in driver minor words per measured txn not
 # already booked by a stage instrument (fm/ds/pm/gm/mz).  The carrier
 # pool plus batched rings make the steady-state handoff itself
@@ -119,9 +122,13 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         ds = r["gc_words_per_txn"].get("ds_minor")
         if ds is None:
             fail(f"{name}: row is missing the ds_minor column")
-        if not ds < DS_MINOR_BUDGET:
-            fail(f"{name}: ds minor words/txn {ds:.1f} not under the "
-                 f"budget of {DS_MINOR_BUDGET:.0f}")
+        nodes = r.get("ds_nodes_per_txn")
+        if not nodes:
+            fail(f"{name}: row is missing the ds_nodes_per_txn column")
+        if not ds / nodes < DS_MINOR_PER_NODE_BUDGET:
+            fail(f"{name}: ds minor words/node {ds / nodes:.2f} "
+                 f"({ds:.1f} w/txn over {nodes:.1f} nodes/txn) not under "
+                 f"the budget of {DS_MINOR_PER_NODE_BUDGET:.0f}")
 
     msgs = []
 

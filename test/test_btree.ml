@@ -95,7 +95,7 @@ let test_btree_intentions_bigger_than_binary () =
   let rng = Rng.create 4L in
   let b_bytes = ref 0 and t_bytes = ref 0 in
   let c = ref 0 in
-  let fresh () = incr c; I.draft_vn ~idx:!c in
+  let fresh () = incr c; !c in
   for _ = 1 to 200 do
     let k = Rng.int rng n in
     let _, stats = B.update btree k "new-value-xxxxxx" in

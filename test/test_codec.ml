@@ -52,7 +52,7 @@ module Oracle = struct
       else if c == Node.empty then Wire.Writer.u8 w 0
       else begin
         Wire.Writer.u8 w 2;
-        w_vn w c.vn;
+        w_vn w (Node.vn c);
         w_zint w c.key
       end
     in
@@ -169,6 +169,56 @@ let test_decode_rejects_corruption () =
     ignore (Codec.decode ~pos:1 ~resolve (bytes ^ "zz"));
     Alcotest.fail "expected Corrupt"
   with Codec.Corrupt _ -> ()
+
+(* A reference's [idx] varint that wraps negative (both decoders keep a
+   varint's low 63 bits) must not alias an ephemeral node.  The snapshot
+   holds key 4 at the ephemeral version E(3, 5); the reference names the
+   logged version L(3, -6).  A value class carried in the sign of a word
+   would store E(3, 5) as the words (3, lnot 5) = (3, -6) and accept the
+   reference; with the class in its own bit, both decoders reject it with
+   one message. *)
+let test_wrapped_ref_idx_rejected () =
+  let module W = Hyder_util.Wire.Writer in
+  let target =
+    Node.make ~key:4 ~payload:(Payload.value "s") ~left:Node.empty
+      ~right:Node.empty
+      ~vn:(Vn.ephemeral ~thread:3 ~seq:5)
+      ~cv:(Vn.ephemeral ~thread:3 ~seq:5)
+      ~ssv:None ~scv:None ~altered:false ~depends_on_content:false
+      ~depends_on_structure:false ~owner:Node.state_owner
+  in
+  let w = W.create () in
+  Oracle.w_zint w (-1) (* snapshot *);
+  W.varint w 0 (* server *);
+  W.varint w 0 (* txn_seq *);
+  W.u8 w 0 (* serializable *);
+  W.varint w 1 (* one record *);
+  (* an inserted node, key 10: altered, inline payload, no sources *)
+  Oracle.w_zint w 10;
+  W.u8 w 1;
+  W.bytes w "v";
+  (* left: a reference, logged, pos 3, idx -6 as a wrapping 10-byte
+     varint; then its key *)
+  W.u8 w 2;
+  W.u8 w 0;
+  Oracle.w_zint w 3;
+  W.varint64 w (Int64.of_int (-6));
+  Oracle.w_zint w 4;
+  (* right: empty *)
+  W.u8 w 0;
+  let bytes = W.contents w in
+  let resolve ~snapshot:_ ~key ~vn:_ =
+    if key = 4 then target else Node.empty
+  in
+  let expected = "reference to key 4 resolved to wrong version" in
+  (match Codec.decode ~pos:7 ~resolve bytes with
+  | _ -> Alcotest.fail "eager decoder accepted a wrapped reference"
+  | exception Codec.Corrupt m ->
+      Alcotest.(check string) "eager message" expected m);
+  match Codec.decode_lazy ~pos:7 ~peer:target ~resolve bytes with
+  | _ -> Alcotest.fail "View.parse accepted a wrapped reference"
+  | exception Codec.Corrupt m ->
+      Alcotest.(check string) "lazy message" expected m
 
 (* ---- header peek and pooled encoder ---------------------------------- *)
 
@@ -402,7 +452,7 @@ let test_node_count_mismatch () =
    the main domain and on a spawned one, as pipelined workers are. *)
 let deep_chain_roundtrip () =
   let depth = 100_000 in
-  let vn = I.draft_vn ~idx:0 in
+  let vn = Vn.logged ~pos:max_int ~idx:0 in
   let root = ref Node.empty in
   for key = depth - 1 downto 0 do
     root :=
@@ -482,7 +532,7 @@ let tree_gen =
              let* key = int_gen and* payload = payload_gen in
              let* ssv = opt vn_gen and* scv = opt vn_gen in
              let+ f = int_bound 7 in
-             let vn = I.draft_vn ~idx:0 in
+             let vn = Vn.logged ~pos:max_int ~idx:0 in
              Node.make ~key ~payload ~left ~right ~vn ~cv:vn ~ssv ~scv
                ~altered:(f land 1 <> 0) ~depends_on_content:(f land 2 <> 0)
                ~depends_on_structure:(f land 4 <> 0) ~owner:I.draft_owner))
@@ -576,6 +626,8 @@ let () =
             test_node_count_mismatch;
           Alcotest.test_case "100,000-deep chain round-trips" `Quick
             test_deep_nesting;
+          Alcotest.test_case "wrapped ref index: both reject alike" `Quick
+            test_wrapped_ref_idx_rejected;
         ] );
       ( "pooled paths",
         [

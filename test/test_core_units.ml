@@ -335,7 +335,7 @@ let test_forged_reference_rejected () =
   check "root is on neither path" true
     (lcs.Node.key <> 0 && lcs.Node.key <> 1_999);
   check "left child logged by x" true
-    (Vn.intention_pos lcs.Node.left.Node.vn = Some 0);
+    (Vn.intention_pos (Node.vn lcs.Node.left) = Some 0);
   let forged = run ~snapshot_pos:(-1) ~snapshot:lcs 1_999 in
   (match Pipeline.decode p ~pos:1 forged with
   | exception Codec.Corrupt _ -> ()
@@ -360,7 +360,7 @@ let test_executor_read_committed_sees_fresh () =
   let fresh = ref 0 in
   let upd =
     Tree.upsert snap ~owner:Node.state_owner
-      ~fresh:(fun () -> incr fresh; Vn.genesis ~idx:(1000 + !fresh))
+      ~fresh:(fun () -> incr fresh; 1000 + !fresh)
       3 (Payload.value "fresh")
   in
   current := upd;
@@ -432,7 +432,7 @@ let test_checkpoint_compacts_tombstones () =
   (* content versions preserved so later conflict checks still work *)
   let before = Option.get (Tree.find state 30) in
   let after = Option.get (Tree.find compacted 30) in
-  check "cv preserved" true (Vn.equal before.Node.cv after.Node.cv)
+  check "cv preserved" true (Vn.equal (Node.cv before) (Node.cv after))
 
 let test_checkpoint_deterministic () =
   let module Local = Hyder_core.Local in
@@ -515,7 +515,7 @@ let test_meld_after_compaction_matches_original () =
   List.iter
     (fun (k, _) ->
       let a = Option.get (Tree.find ta k) and b = Option.get (Tree.find tb k) in
-      check "content versions equal" true (Vn.equal a.Node.cv b.Node.cv))
+      check "content versions equal" true (Vn.equal (Node.cv a) (Node.cv b)))
     (Tree.to_alist ta)
 
 (* --- oracle ---------------------------------------------------------------- *)

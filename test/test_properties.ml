@@ -236,7 +236,7 @@ let prop_mutators_preserve_invariants =
       let c = ref 0 in
       let fresh () =
         incr c;
-        I.draft_vn ~idx:!c
+        !c
       in
       let owner = I.draft_owner in
       let t =
@@ -336,7 +336,9 @@ let prop_packed_meta_matches_reference =
       (* leaf round-trip: every accessor recovers the reference fields *)
       let n = node_of_ref ~vn ~cv r in
       let roundtrip =
-        opt_eq (Node.ssv n) r.r_ssv
+        Vn.equal (Node.vn n) vn
+        && Vn.equal (Node.cv n) cv
+        && opt_eq (Node.ssv n) r.r_ssv
         && opt_eq (Node.scv n) r.r_scv
         && Node.altered n = r.r_altered
         && Node.depends_on_content n = r.r_dep_content
@@ -345,14 +347,13 @@ let prop_packed_meta_matches_reference =
         && Node.has_writes n
            = ref_has_writes ~left:Node.empty ~right:Node.empty r
       in
-      (* the mask tests meld uses decide exactly like the option compares *)
-      let decisions =
-        Node.ssv_equals n state_vn = ref_graftable r ~state_vn
-        && Node.scv_equals n state_cv
-           = not (ref_scv_conflict r ~state_cv)
-      in
       (* has_writes summary over same/other-owner children *)
       let left = node_of_ref ~vn:state_vn ~cv:state_cv rl in
+      (* the mask tests meld uses decide exactly like the option compares *)
+      let decisions =
+        Node.ssv_equals n left = ref_graftable r ~state_vn
+        && Node.scv_equals n left = not (ref_scv_conflict r ~state_cv)
+      in
       let right = node_of_ref ~vn:state_vn ~cv:state_cv rr in
       let parent = node_of_ref ~left ~right ~vn ~cv r in
       let summary =
@@ -362,12 +363,74 @@ let prop_packed_meta_matches_reference =
          meta words) changes nothing *)
       let repacked =
         Node.pack ~key:parent.Node.key ~payload:parent.Node.payload ~left
-          ~right ~vn ~cv ~meta:parent.Node.meta ~ssv_a:parent.Node.ssv_a
+          ~right ~vn_a:parent.Node.vn_a ~vn_b:parent.Node.vn_b
+          ~cv_a:parent.Node.cv_a ~cv_b:parent.Node.cv_b ~meta:parent.Node.meta
+          ~ssv_a:parent.Node.ssv_a
           ~ssv_b:parent.Node.ssv_b ~scv_a:parent.Node.scv_a
           ~scv_b:parent.Node.scv_b
       in
       let stable = repacked.Node.meta = parent.Node.meta in
       roundtrip && decisions && summary && stable)
+
+(* The versions a node can hold, extremes included: logged, genesis
+   ([pos = -1]), draft ([pos = max_int]), the empty sentinel's
+   ([min_int]) and ephemeral ones — and pairs whose words coincide across
+   classes, such as [L(3, -6)] and [E(3, 5)], which a class carried in
+   the sign of a word ([lnot 5 = -6]) would confuse. *)
+let special_vns =
+  [
+    Vn.logged ~pos:0 ~idx:0;
+    Vn.logged ~pos:3 ~idx:5;
+    Vn.logged ~pos:3 ~idx:(-6);
+    Vn.logged ~pos:3 ~idx:(lnot 5);
+    Vn.genesis ~idx:0;
+    Vn.genesis ~idx:7;
+    Vn.logged ~pos:max_int ~idx:0;
+    Vn.logged ~pos:max_int ~idx:max_int;
+    Vn.logged ~pos:min_int ~idx:0;
+    Vn.logged ~pos:(-6) ~idx:3;
+    Vn.ephemeral ~thread:0 ~seq:0;
+    Vn.ephemeral ~thread:3 ~seq:5;
+    Vn.ephemeral ~thread:3 ~seq:(-6);
+    Vn.ephemeral ~thread:max_int ~seq:max_int;
+    Vn.ephemeral ~thread:0 ~seq:min_int;
+  ]
+
+let prop_version_words_match_boxed =
+  QCheck2.Test.make ~name:"version words == boxed Vn" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 6) vn_gen)
+    (fun extra ->
+      let vns = special_vns @ extra in
+      let node ?ssv ?scv ~vn ~cv () =
+        Node.make ~key:1 ~payload:(Payload.value "p") ~left:Node.empty
+          ~right:Node.empty ~vn ~cv ~ssv ~scv ~altered:false
+          ~depends_on_content:false ~depends_on_structure:false ~owner:(-1)
+      in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y ->
+              (* round trip of every slot *)
+              let n = node ~ssv:x ~scv:y ~vn:x ~cv:y () in
+              let opt_eq = Option.equal Vn.equal in
+              let roundtrip =
+                Vn.equal (Node.vn n) x
+                && Vn.equal (Node.cv n) y
+                && opt_eq (Node.ssv n) (Some x)
+                && opt_eq (Node.scv n) (Some y)
+              in
+              (* word tests against the boxed oracle: [p]'s ssv and scv
+                 are [x], [q]'s vn and cv are [y] *)
+              let p = node ~ssv:x ~scv:x ~vn:y ~cv:y () in
+              let q = node ~vn:y ~cv:y () in
+              let absent = node ~vn:x ~cv:x () in
+              roundtrip
+              && Node.ssv_equals p q = Vn.equal x y
+              && Node.scv_equals p q = Vn.equal x y
+              && (not (Node.ssv_equals absent q))
+              && not (Node.scv_equals absent q))
+            vns)
+        vns)
 
 let () =
   Alcotest.run "properties"
@@ -391,5 +454,6 @@ let () =
           [ prop_mutators_preserve_invariants ] );
       ( "packed metadata",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_packed_meta_matches_reference ] );
+          [ prop_packed_meta_matches_reference; prop_version_words_match_boxed ]
+      );
     ]

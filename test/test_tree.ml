@@ -7,7 +7,7 @@ let make_fresh () =
   let c = ref 0 in
   fun () ->
     incr c;
-    I.draft_vn ~idx:!c
+    !c
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -69,8 +69,8 @@ let test_upsert_update () =
   check "altered" true (Node.altered n);
   check "owner" true (Node.owner n = owner);
   let src = Option.get (Tree.find t0 42) in
-  check "ssv points at source" true (Node.ssv_equals n src.Node.vn);
-  check "scv is source content" true (Node.scv_equals n src.Node.cv)
+  check "ssv points at source" true (Node.ssv_equals n src);
+  check "scv is source content" true (Node.scv_equals n src)
 
 let test_upsert_insert () =
   let t0 = Helpers.genesis ~gap:10 100 in

@@ -52,6 +52,14 @@ let encode_txn t =
   | Some d -> Some (Codec.encode d)
   | None -> None
 
+(* A state node whose vn and cv are both [v]: the other side of a
+   source-version comparison. *)
+let holder v =
+  Node.make ~key:0 ~payload:Payload.tombstone ~left:Node.empty
+    ~right:Node.empty ~vn:v ~cv:v ~ssv:None ~scv:None ~altered:false
+    ~depends_on_content:false ~depends_on_structure:false
+    ~owner:Node.state_owner
+
 let vn_opt_equal a b =
   match (a, b) with
   | None, None -> true
@@ -96,24 +104,30 @@ let prop_view_matches_eager =
             (fun idx (n : Node.node) ->
               ok idx "key" (View.key v idx = n.Node.key);
               ok idx "meta" (View.meta v idx = n.Node.meta);
-              ok idx "vn" (Vn.equal (View.vn v idx) n.Node.vn);
-              ok idx "cv" (Vn.equal (View.cv v idx) n.Node.cv);
+              ok idx "vn" (Vn.equal (View.vn v idx) (Node.vn n));
               let sa, sb, ca, cb = View.sources v idx in
               ok idx "sources"
                 (sa = n.Node.ssv_a && sb = n.Node.ssv_b && ca = n.Node.scv_a
                 && cb = n.Node.scv_b);
+              (* an altered node's cv is its vn, an unaltered one's its scv *)
+              ok idx "cv"
+                (if Node.altered n then
+                   n.Node.cv_a = View.pos v && n.Node.cv_b = idx
+                 else n.Node.cv_a = ca && n.Node.cv_b = cb);
               ok idx "payload" (Payload.equal (View.payload v idx) n.Node.payload);
               ok idx "ssv" (vn_opt_equal (View.ssv v idx) (Node.ssv n));
               (* the in-place source comparators mirror the packed ones *)
               ok idx "ssv_equals vn"
-                (View.ssv_equals v idx n.Node.vn = Node.ssv_equals n n.Node.vn);
+                (View.ssv_equals v idx n = Node.ssv_equals n n);
               (match Node.ssv n with
-              | Some s -> ok idx "ssv_equals hit" (View.ssv_equals v idx s)
+              | Some s ->
+                  ok idx "ssv_equals hit" (View.ssv_equals v idx (holder s))
               | None -> ());
               ok idx "scv_equals cv"
-                (View.scv_equals v idx n.Node.cv = Node.scv_equals n n.Node.cv);
+                (View.scv_equals v idx n = Node.scv_equals n n);
               (match Node.scv n with
-              | Some s -> ok idx "scv_equals hit" (View.scv_equals v idx s)
+              | Some s ->
+                  ok idx "scv_equals hit" (View.scv_equals v idx (holder s))
               | None -> ());
               kid_agrees idx "left child" (View.kid_l v idx) n.Node.left;
               kid_agrees idx "right child" (View.kid_r v idx) n.Node.right)
@@ -198,7 +212,7 @@ let rec with_ephemerals (t : Node.tree) =
     let right = with_ephemerals t.Node.right in
     let vn =
       if t.Node.key mod 2 = 0 then Vn.ephemeral ~thread:(t.Node.key mod 7) ~seq:t.Node.key
-      else t.Node.vn
+      else Node.vn t
     in
     Node.make ~key:t.Node.key ~payload:t.Node.payload ~left ~right ~vn ~cv:vn
       ~ssv:None ~scv:None ~altered:false ~depends_on_content:false
@@ -388,6 +402,41 @@ let test_pipeline_lazy_eager_identical () =
             (o.Pipeline.ds_offloaded > 0))
     [ ("pipe:2", Runtime.pipelined ~domains:2) ]
 
+(* ---- allocation ------------------------------------------------------ *)
+
+(* [View.parse] of a 200-node intention allocates nothing directly on the
+   major heap: each per-node index array is [node_count] words, within
+   the minor heap's 256-word limit for young blocks.  [Gc.counters]'
+   major words minus promoted words counts exactly the direct-major
+   allocations (a one-piece stride-4 index would read 4 * 200 + 1). *)
+let test_parse_stays_young () =
+  let snap = Helpers.genesis ~gap:3 4000 in
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:snap ~server:3
+      ~txn_seq:17 ~isolation:I.Serializable ()
+  in
+  let rec drafts (t : Node.tree) =
+    if Node.is_empty t || Node.owner t <> I.draft_owner then 0
+    else 1 + drafts t.Node.left + drafts t.Node.right
+  in
+  let k = ref 0 in
+  while drafts (Executor.working_tree e) < 200 do
+    Executor.write e (!k * 3) "w";
+    k := (!k + 97) mod 4000
+  done;
+  let bytes = Codec.encode (Option.get (Executor.finish e)) in
+  let parse () =
+    View.parse ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes
+  in
+  let v = parse () (* warm the per-domain reference stage *) in
+  let n = View.node_count v in
+  check (Printf.sprintf "200..256 nodes (%d)" n) true (n >= 200 && n <= 256);
+  let _, p0, m0 = Gc.counters () in
+  let v = parse () in
+  let _, p1, m1 = Gc.counters () in
+  ignore (Sys.opaque_identity v);
+  Alcotest.(check (float 0.)) "direct-major words" 0. (m1 -. m0 -. (p1 -. p0))
+
 let () =
   Alcotest.run "view"
     [
@@ -411,5 +460,10 @@ let () =
         [
           Alcotest.test_case "lazy = eager across backends" `Quick
             test_pipeline_lazy_eager_identical;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "parse of 200 nodes stays young" `Quick
+            test_parse_stays_young;
         ] );
     ]
