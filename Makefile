@@ -21,12 +21,14 @@ bench-smoke:
 	dune exec bench/main.exe -- --json=BENCH_SMOKE.json --quick fig11
 
 # Tracked macro-benchmark: replays one mixed read/write history through
-# seq and pipe:4, measuring the final-meld critical path
-# (fm_ns_per_txn), the driver critical path and exact per-stage GC
-# words/txn.  The fresh run is gated against the committed
+# seq and pipe:<n>, n sized from the host (one domain fewer than
+# Domain.recommended_domain_count, at least 1), measuring the final-meld
+# critical path (fm_ns_per_txn), the driver critical path and exact
+# per-stage GC words/txn.  The fresh run is gated against the committed
 # BENCH_MACRO.json baseline: any backend diverging from sequential, pipe
-# not moving stage work off the driver (driver critical path, decode
-# offload, queue and handoff accounting), the fm loop allocating more
+# not moving decodes off the driver (driver critical path, decode
+# offload, queue and handoff accounting), the pm/gm/fm/mz minor
+# words/txn differing between backends, the fm loop allocating more
 # minor words/txn (tight tolerance — the number is deterministic) or a
 # large fm-ns/txn regression (loose tolerance — wall clock on shared CI)
 # fails the make.

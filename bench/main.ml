@@ -84,7 +84,7 @@ let json_path : string option ref = ref None
 
 (* Flight-record sink (--flight=FILE): the macro figure records every
    transaction's per-stage wait/service flight, one recorder per backend
-   (labels "seq"/"pipe:4") multiplexed into this JSON-lines file
+   (labels "seq" and "pipe:<n>") multiplexed into this JSON-lines file
    for [hyder-cli analyze]. *)
 let flight_path : string option ref = ref None
 
@@ -866,14 +866,15 @@ let batches_of ~slab wires =
    tracked via `make bench-macro` → BENCH_MACRO.json and gated by
    scripts/check_bench_smoke.py; this is the one place the pipelined
    backend is measured.  A fixed-seed wire stream (identical bytes run
-   to run, so gate movement is code, not workload) is replayed under
-   seq/pipe:4; the first [warm_txns] intentions are warmup — counters,
+   to run, so gate movement is code, not workload) is replayed under seq
+   and under pipe:<n>, with [n] one less than the host's recommended
+   domain count (at least 1), so the workers and the driver fit the
+   cores; the first [warm_txns] intentions are warmup — counters,
    metrics and offload stats are snapshotted at the boundary and diffed
    at the end.  Per-stage GC words come from the pipeline's
-   Fcounter instruments (Gc.counters deltas around the stage work; each
-   sample covers the stage work executed on the domain that owns the
-   stage — see Pipeline's instruments for the exact coverage; under
-   pipe:<n>, fm on the driver is precisely what the figure is about). *)
+   Fcounter instruments (Gc.counters deltas around the stage work on the
+   driver, which runs pm, gm and fm on every backend; under pipe:<n> the
+   ds column covers only the decodes the driver ran itself). *)
 let macro () =
   let module Tree = Hyder_tree.Tree in
   let module Payload = Hyder_tree.Payload in
@@ -976,15 +977,13 @@ let macro () =
     let pm = sdelta (fun c -> (Counters.premeld_total c).Counters.seconds) in
     let gm = sdelta (fun c -> c.Counters.group_meld.Counters.seconds) in
     let fm = sdelta (fun c -> c.Counters.final_meld.Counters.seconds) in
-    let wds, wpm, wgm =
+    let wds =
       match (off0, off1) with
       | Some a, Some b ->
-          ( b.Pipeline.worker_ds_seconds -. a.Pipeline.worker_ds_seconds,
-            b.Pipeline.worker_pm_seconds -. a.Pipeline.worker_pm_seconds,
-            b.Pipeline.worker_gm_seconds -. a.Pipeline.worker_gm_seconds )
-      | _ -> (0.0, 0.0, 0.0)
+          b.Pipeline.worker_ds_seconds -. a.Pipeline.worker_ds_seconds
+      | _ -> 0.0
     in
-    let driver_s = ds -. wds +. (pm -. wpm) +. (gm -. wgm) +. fm in
+    let driver_s = ds -. wds +. pm +. gm +. fm in
     let melds_per_s = meldedf /. wall in
     let fm_ns = fm /. meldedf *. 1e9 in
     let driver_us = driver_s /. meldedf *. 1e6 in
@@ -1080,7 +1079,12 @@ let macro () =
     end
   in
   report "seq" base;
-  report "pipe:4" (run "pipe:4" (Runtime.pipelined ~domains:4));
+  let pipe =
+    Runtime.pipelined
+      ~domains:(max 1 (Domain.recommended_domain_count () - 1))
+  in
+  let pipe_name = Runtime.to_string pipe in
+  report pipe_name (run pipe_name pipe);
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
       close_out oc;
@@ -1089,8 +1093,9 @@ let macro () =
   Table.print t;
   Printf.printf
     "(fm minor w/txn = minor-heap words allocated by the driver's final \
-     meld per measured intention; under pipe:4 the ds/pm GC columns in \
-     the JSON cover only the driver-inline share of those stages)\n"
+     meld per measured intention; under %s the ds GC columns cover only \
+     the decodes the driver ran itself)\n"
+    pipe_name
 
 (* ---------------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks of the meld operator                           *)

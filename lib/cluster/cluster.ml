@@ -300,13 +300,10 @@ let run cfg =
     let seq = !submit_count in
     incr submit_count;
     info.seq <- seq;
-    (* The wire entry, so a [Pipelined] runtime really decodes and
-       premelds on its workers; under [Sequential] this is exactly
-       [decode] then [submit].  For any given log prefix the decisions
-       are identical across backends, but the *measured* stage seconds
-       parameterize the queueing model, so a backend's real scheduling
-       cost shows up in the modelled throughput — which is what the
-       --runtime knob exists to cross-check. *)
+    (* The wire entry; the cluster's pipeline always melds on [seq], so
+       this is exactly [decode] then [submit] plus the snapshot check
+       every wire path runs.  The measured stage seconds parameterize
+       the queueing model. *)
     let decisions =
       Pipeline.submit_wire_batch pipeline [ (pos, info.bytes) ]
     in

@@ -7,16 +7,11 @@
     {2 Premeld shards}
 
     Premeld work is counted into {e per-thread shards}, one per paper
-    premeld thread id (Section 3.4), rather than one shared record.  Two
-    reasons:
-
-    - {b thread safety}: the pipelined runtime runs one premeld thread's
-      trial melds on one worker domain, so each shard has exactly one
-      writer at any time and the hot counters need no locks or atomics;
-    - {b determinism checking}: the shard an intention's work lands in is
-      [seq mod t], identical under the sequential and pipelined backends,
-      so per-shard counts must match exactly across backends (seconds, of
-      course, differ — that is the point).
+    premeld thread id (Section 3.4), rather than one shared record.  The
+    shard an intention's work lands in is [seq mod t], identical under
+    the sequential and pipelined backends, so per-shard counts must match
+    exactly across backends (seconds, of course, differ).  Every shard
+    is written on the pipeline's driver.
 
     Readers merge the shards on demand with {!premeld_total}. *)
 
@@ -38,8 +33,7 @@ type t = {
   deserialize : stage;
   premeld_shards : stage array;
       (** per premeld-thread work records; shard [i] belongs to paper
-          thread [i + 1] and is only ever written by the worker currently
-          acting as that thread *)
+          thread [i + 1] *)
   group_meld : stage;
   final_meld : stage;
   mutable committed : int;

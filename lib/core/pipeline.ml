@@ -56,13 +56,10 @@ type instruments = {
   m_aborts_read : Metrics.Counter.t;
   m_aborts_phantom : Metrics.Counter.t;
   (* Per-stage GC deltas ([Gc.counters] minor/promoted words), sampled
-     around the stage work executed on the domain that owns the stage:
-     fm on the driver (every backend), ds/pm on the driver's inline path,
-     gm wherever the single gm writer runs (the driver inline, or the
-     dedicated gm worker under the pipelined backend — GC counters are
-     domain-local, so the worker's sample measures exactly the gm work).
-     Fan-out stages (worker ds and premeld) are not sampled: several
-     domains would race on one accumulator. *)
+     around the stage work on the driver, which runs pm, gm and fm on
+     every backend and ds for every decode it runs itself.  Pipelined
+     workers' decodes are not sampled: several domains would race on one
+     accumulator (and GC counters are domain-local). *)
   m_ds_gc_minor : Metrics.Fcounter.t;
   m_ds_gc_promoted : Metrics.Fcounter.t;
   m_pm_gc_minor : Metrics.Fcounter.t;
@@ -78,9 +75,8 @@ type instruments = {
      not a bracket of its own: meld reports materialization deltas
      through its [?mz] hook, which adds here and subtracts from the
      enclosing stage's minor counter, keeping each stage honest and the
-     total unchanged.  Driver-written only: what pipelined workers
-     materialize in premeld trials and gm forcing goes unsampled like
-     every other fan-out stage. *)
+     total unchanged.  Driver-written only, and complete on every
+     backend: a worker's decode materializes nothing. *)
   m_mz_gc_minor : Metrics.Fcounter.t;
 }
 
@@ -132,69 +128,44 @@ let gc_end inst ~stage (mw0, pw0) =
    recorded that position. *)
 type witem = { pos : int; src : string; psnap : int }
 
-(* Stage handoff rides on pooled mutable carriers instead of per-item
-   job/result variants.  A carrier cycles
+(* Decode handoff rides on pooled mutable carriers instead of per-item
+   job/result records.  A carrier cycles
 
      driver free list -> job ring -> worker (result fields written in
      place) -> result ring -> driver free list
 
-   so a steady-state handoff round allocates nothing and — unlike the
-   old [Rds]/[Rpm]/[Rgm] records, freshly allocated on a worker minor
-   heap and promoted the moment the driver read them — never churns
-   promoted words.  Each worker pair owns [qcap] carriers; the driver's
-   outstanding-[<= qcap] budget doubles as the free-list availability
-   proof.  The driver clears payload references when it recycles a
-   carrier, so the pool pins nothing between rounds.
+   so a steady-state handoff round allocates nothing and never churns
+   promoted words (a result record freshly allocated on a worker minor
+   heap would be promoted the moment the driver read it).  The driver's
+   outstanding-[<= ds_depth] budget per worker doubles as the free-list
+   availability proof.  The driver clears payload references when it
+   recycles a carrier, so the pool pins nothing between rounds.
 
    Stage timestamps travel as integer nanoseconds: a float field in a
-   mixed record is boxed, and re-boxing three floats per item on the
-   worker would reintroduce exactly the promoted-word churn the pool
-   exists to kill. *)
-type ckind = Cnone | Cds | Cpm | Cgm
-
+   mixed record is boxed, and re-boxing floats per item on the worker
+   would reintroduce exactly the promoted-word churn the pool exists to
+   kill. *)
 type carrier = {
-  mutable kind : ckind;
   mutable c_idx : int;  (** batch item index *)
-  mutable c_seq : int;
-  (* ds job input: the wire encoding *)
   mutable c_pos : int;
-  mutable c_src : string;
-  (* ds job input: the snapshot tree; pm job input: the designated input
-     state ([Node.empty] when premeld has nothing to do) *)
-  mutable c_tree : Tree.t;
-  (* pm job input ([c_intention] doubles as the ds result output) *)
-  mutable c_thread : int;
-  mutable c_snap_seq : int;
+  mutable c_src : string;  (** the wire encoding *)
+  mutable c_tree : Tree.t;  (** the snapshot tree the decode binds to *)
   mutable c_intention : Intention.t option;
-      (** ds out — [None]: the worker decode raised [Corrupt]; the
-          driver redoes the decode inline so the error surfaces there *)
-  (* gm job input / result output *)
-  mutable c_group : Group_meld.group option;
-  mutable c_completed : Group_meld.group option;
-  (* result outputs *)
-  mutable c_outcome : Premeld.outcome option;
-  mutable c_seconds_ns : int;
+      (** [None]: the worker decode raised [Corrupt]; the driver redoes
+          the decode inline so the error surfaces there *)
   mutable c_t0_ns : int;
-      (** worker-side stage start ([CLOCK_MONOTONIC] is system-wide, so
+      (** worker-side decode start ([CLOCK_MONOTONIC] is system-wide, so
           the driver stamps flight edges from it directly) *)
   mutable c_t1_ns : int;
 }
 
 let fresh_carrier () =
   {
-    kind = Cnone;
     c_idx = -1;
-    c_seq = -1;
     c_pos = 0;
     c_src = "";
     c_tree = Node.empty;
-    c_thread = 0;
-    c_snap_seq = 0;
     c_intention = None;
-    c_group = None;
-    c_completed = None;
-    c_outcome = None;
-    c_seconds_ns = 0;
     c_t0_ns = 0;
     c_t1_ns = 0;
   }
@@ -206,14 +177,10 @@ let s_of_ns n = float_of_int n *. 1e-9
    are outstanding on it: one running and one queued keep the worker busy
    across the driver's round trip.  Releasable decodes beyond that stay
    in the driver's backlog, where the driver steals them instead of
-   parking — a decode queued on a ring could not be taken back. *)
+   parking — a decode queued on a ring could not be taken back.  It also
+   sizes each worker's rings and carrier pool: a worker never holds
+   more. *)
 let ds_depth = 2
-
-(* Jobs staged per worker before the driver publishes them as one ring
-   batch: big enough to amortize the doorbell on bursty input, small
-   enough that a latency-bound trickle is not delayed (the driver flushes
-   partial batches every round). *)
-let flush_threshold = 8
 
 type pctx = {
   ppool : (carrier, carrier) Runtime.Stage_pool.t;
@@ -221,19 +188,17 @@ type pctx = {
   qcap : int;
   outstanding : int array;
       (** jobs staged-or-submitted minus results drained, per worker;
-          kept [<= qcap] so a flush and a worker's result push can never
-          fail *)
+          kept [<= ds_depth <= qcap] so a flush and a worker's result
+          push can never fail *)
   free : carrier array array;  (** per-worker carrier free stacks *)
   free_top : int array;
   stage_buf : carrier array array;
-      (** jobs staged per worker, published as one batch on flush *)
+      (** jobs staged per worker, published as one batch each round *)
   stage_n : int array;
   drain_buf : carrier array;  (** scratch for batched result drains *)
   mutable ds_offloaded : int;
   mutable ds_inline_n : int;
   mutable worker_ds_seconds : float;
-  mutable worker_pm_seconds : float;
-  mutable worker_gm_seconds : float;
   mutable max_depth : int;
   mutable handoff_batches : int;  (** job-ring publications (flushes) *)
   mutable handoff_items : int;  (** jobs published through those *)
@@ -259,8 +224,8 @@ type t = {
   runtime : Runtime.backend;
   flight : Flight.t;
       (** per-transaction lifecycle recorder; only ever touched by the
-          driver thread — worker-domain stage timestamps ride back in
-          the {!presult} messages and are stamped on result handling *)
+          driver thread — worker-domain decode timestamps ride back in
+          the carriers and are stamped on result handling *)
   inst : instruments option;
   counters : Counters.t;
   states : State_store.t;
@@ -291,8 +256,8 @@ let offload t =
         ds_offloaded = p.ds_offloaded;
         ds_inline = p.ds_inline_n;
         worker_ds_seconds = p.worker_ds_seconds;
-        worker_pm_seconds = p.worker_pm_seconds;
-        worker_gm_seconds = p.worker_gm_seconds;
+        worker_pm_seconds = 0.0;
+        worker_gm_seconds = 0.0;
         max_queue_depth = p.max_depth;
         queue_capacity = p.qcap;
         handoff_batches = p.handoff_batches;
@@ -328,16 +293,14 @@ let mz_hook t ~stage =
           Metrics.Fcounter.add enclosing (-.d))
 
 (* Force a still-lazy group to a real tree (the pending state side of the
-   next combine needs one).  [note] observes the materialization words —
-   [mz_note t] on the driver, [ignore] on the gm worker (fan-out stages
-   are unsampled). *)
-let force_tree ~note (g : Group_meld.group) =
+   next combine needs one), booking the materialization words. *)
+let force_tree t (g : Group_meld.group) =
   match g.Group_meld.view with
   | None -> g
   | Some v ->
       let mw0 = Gc.minor_words () in
       let root = View.materialize_root v in
-      note (Gc.minor_words () -. mw0);
+      mz_note t (Gc.minor_words () -. mw0);
       { g with Group_meld.root; view = None }
 
 (* The ds parse, the one decode every pipeline stage runs: index the
@@ -534,9 +497,7 @@ let final_meld t (group : Group_meld.group) =
 
 (* Stamp a group-meld flight edge on every member the incoming unit
    group carries (the combine's work is attributed to the member being
-   folded in; the waiting members' gm time shows up as fm wait).  Driver
-   thread only — the pipelined backend stamps from the returned [Cgm]
-   carrier instead. *)
+   folded in; the waiting members' gm time shows up as fm wait). *)
 let flight_gm_edge t ~t0 ~t1 (g : Group_meld.group) =
   List.iter
     (fun (m : Group_meld.member) ->
@@ -549,10 +510,8 @@ let flight_gm_edge t ~t0 ~t1 (g : Group_meld.group) =
 
 (* Group-meld step: fold [unit_group] into the group being assembled.
    Returns the completed group when it fills (always, with group meld
-   off), [None] while it is still filling.  [on_driver] is false only on
-   the pipelined backend's gm worker, which must touch neither the
-   (single-writer) mz counter nor the flight recorder. *)
-let gm_step t ~on_driver (unit_group : Group_meld.group) =
+   off), [None] while it is still filling. *)
+let gm_step t (unit_group : Group_meld.group) =
   if t.config.group_size <= 1 then Some unit_group
   else begin
     let merged =
@@ -560,7 +519,7 @@ let gm_step t ~on_driver (unit_group : Group_meld.group) =
       | None -> unit_group
       | Some g ->
           let gm = t.counters.group_meld in
-          let mz = if on_driver then mz_hook t ~stage:`Gm else None in
+          let mz = mz_hook t ~stage:`Gm in
           let t0 = Clock.now () in
           let gc0 = gc_begin t.inst in
           let merged =
@@ -569,7 +528,7 @@ let gm_step t ~on_driver (unit_group : Group_meld.group) =
           gc_end t.inst ~stage:`Gm gc0;
           let t1 = Clock.now () in
           gm.seconds <- gm.seconds +. (t1 -. t0);
-          if on_driver && Flight.enabled t.flight then
+          if Flight.enabled t.flight then
             flight_gm_edge t ~t0 ~t1 unit_group;
           merged
     in
@@ -582,8 +541,7 @@ let gm_step t ~on_driver (unit_group : Group_meld.group) =
     else begin
       (* The pending group becomes the state side of the next combine,
          which needs a real tree: force a still-lazy singleton now. *)
-      let note = if on_driver then mz_note t else ignore in
-      t.pending <- Some (force_tree ~note merged);
+      t.pending <- Some (force_tree t merged);
       None
     end
   end
@@ -592,7 +550,7 @@ let gm_step t ~on_driver (unit_group : Group_meld.group) =
    backend.  [unit_group] is the single-intention group produced by the
    premeld stage (or the raw intention when premeld is off). *)
 let tail t (unit_group : Group_meld.group) =
-  match gm_step t ~on_driver:true unit_group with
+  match gm_step t unit_group with
   | Some g -> final_meld t g
   | None -> []
 
@@ -601,9 +559,8 @@ let group_of_outcome ~seq intention = function
   | Premeld.Premelded (i, m) -> Group_meld.single ~premeld_input:m ~seq i
   | Premeld.Dead reason -> Group_meld.dead ~seq intention reason
 
-(* The premeld stage on the driver, against the live store: the
-   sequential scheduler's, and the pipelined driver's when it runs a
-   blocked premeld itself. *)
+(* The premeld stage, on the driver against the live store under every
+   backend. *)
 let premeld t pc ~seq (intention : Intention.t) =
   let shard = t.counters.premeld_shards.(Premeld.thread_for pc ~seq - 1) in
   let mz = mz_hook t ~stage:`Pm in
@@ -643,156 +600,75 @@ let submit t (intention : Intention.t) =
 (* Pipelined backend                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker-side job execution.  Everything a job touches is either
-   carried in the job (whose pusher no longer touches it: the wire
-   bytes, the snapshot or input tree, the snapshot sequence number) or
-   owned by the executing worker for the whole pipeline lifetime (its
-   ds resolver slot, the impersonated premeld threads' allocators and
-   counter shards, the gm allocator and group state).  Workers never
-   read the state store. *)
-let pexec t ~trees ~resolvers ~worker (c : carrier) =
-  (match c.kind with
-  | Cnone -> ()
-  | Cds ->
-      let t0 = Clock.now () in
-      (* Workers parse against the carried snapshot tree, which answers
-         exactly as the driver's live store does.  A corrupt stream is
-         reported, not raised: the driver redoes the decode inline and
-         raises [Corrupt] on its own thread. *)
-      trees.(worker) <- c.c_tree;
-      (match
-         parse ~peer:c.c_tree ~resolve:resolvers.(worker) ~pos:c.c_pos c.c_src
-       with
-      | exception Codec.Corrupt _ -> c.c_intention <- None
-      | i ->
-          c.c_intention <- Some i;
-          c.c_t0_ns <- ns_of_s t0;
-          c.c_t1_ns <- ns_of_s (Clock.now ()));
-      trees.(worker) <- Node.empty
-  | Cpm ->
-      let pc =
-        match t.config.premeld with Some pc -> pc | None -> assert false
-      in
-      let intention =
-        match c.c_intention with Some i -> i | None -> assert false
-      in
-      let shard = t.counters.premeld_shards.(c.c_thread - 1) in
-      let input = c.c_tree in
-      let t0 = Clock.now () in
-      let outcome =
-        Premeld.trial pc ~snap_seq:c.c_snap_seq
-          ~lookup:(fun _ -> Some input)
-          ~alloc:t.pm_allocs.(c.c_thread - 1)
-          ~counters:shard ~seq:c.c_seq intention
-      in
-      let dt = Clock.elapsed t0 in
-      shard.Counters.seconds <- shard.Counters.seconds +. dt;
-      c.c_outcome <- Some outcome;
-      c.c_seconds_ns <- ns_of_s dt;
-      c.c_t0_ns <- ns_of_s t0
-  | Cgm ->
-      (* Report the gm-counter delta, not a wrapper measurement, so the
-         offloaded seconds subtract exactly from the stage total.  The gm
-         counter is only ever touched by this worker while a batch is in
-         flight (every Cgm runs here), so the read is race-free.  Flight
-         wall brackets are extra clock reads gated on the recorder (the
-         recorder itself is driver-only; only timestamps cross back). *)
-      let group = match c.c_group with Some g -> g | None -> assert false in
-      let flighted = Flight.enabled t.flight in
-      let ft0 = if flighted then Clock.now () else 0.0 in
-      let s0 = t.counters.group_meld.Counters.seconds in
-      let completed = gm_step t ~on_driver:false group in
-      let ft1 = if flighted then Clock.now () else 0.0 in
-      c.c_completed <- completed;
-      c.c_seconds_ns <-
-        ns_of_s (t.counters.group_meld.Counters.seconds -. s0);
-      c.c_t0_ns <- ns_of_s ft0;
-      c.c_t1_ns <- ns_of_s ft1);
+(* Worker-side decode.  Everything it touches is either carried in the
+   job (whose pusher no longer touches it: the wire bytes and the
+   snapshot tree) or owned by the executing worker for the whole
+   pipeline lifetime (its resolver slot).  Workers never read the state
+   store.  A corrupt stream is reported, not raised: the driver redoes
+   the decode inline and raises [Corrupt] on its own thread. *)
+let pexec ~trees ~resolvers ~worker (c : carrier) =
+  let t0 = Clock.now () in
+  trees.(worker) <- c.c_tree;
+  (match
+     parse ~peer:c.c_tree ~resolve:resolvers.(worker) ~pos:c.c_pos c.c_src
+   with
+  | exception Codec.Corrupt _ -> c.c_intention <- None
+  | i ->
+      c.c_intention <- Some i;
+      c.c_t0_ns <- ns_of_s t0;
+      c.c_t1_ns <- ns_of_s (Clock.now ()));
+  trees.(worker) <- Node.empty;
   c
 
-(* Run a batch of work items through the staged pipeline:
+(* Run a batch of work items through the pipelined backend: workers
+   decode ahead, the driver melds in log order.
 
-     ds (workers)  ->  pm (workers, sharded by paper thread)
-                   ->  gm (one dedicated worker, global log order)
-                   ->  fm (the driver, log order)
+   The decode of item [i] runs on worker [i mod domains], released once
+   its snapshot position is recorded in the live store, with the
+   snapshot tree in the job (dealt while fewer than [ds_depth] jobs are
+   outstanding on that worker, else left in the backlog the driver
+   steals from).  A recorded snapshot never changes (final meld only
+   appends later states), so a worker's decode equals the one the
+   sequential scheduler runs.  The driver takes each decoded intention
+   at the log-order head and runs [submit] on it: premeld against the
+   live store, group meld and final meld, the sequential scheduler's own
+   code.  Decisions, trees, ephemeral ids and counters therefore match
+   [seq], and the rings reorder wall-clock only.
 
-   Stage assignment is a pure function of log position: the decode of
-   item [i] runs on worker [i mod domains], premeld thread [k]'s trials
-   run in seq order on worker [(k-1) mod domains], and every gm combine
-   runs on worker [domains-1] in log order.  Each item's next stage is
-   released as soon as its own inputs are recorded in the live store,
-   and the job carries those inputs:
-
-   - ds of item [i] once its snapshot position is recorded, with the
-     snapshot tree (dealt to its worker while [ds_depth] allows, else
-     left in the backlog the driver steals from);
-   - pm of item [i], next in its paper thread's seq order, once it is
-     decoded and its designated input state either precedes its snapshot
-     or is recorded, with that state and the snapshot's sequence number;
-   - gm and fm in log order.
-
-   Every one of those inputs is stable once recorded (final meld only
-   appends states at later positions), so it equals what the sequential
-   scheduler reads at the item's own submit, and the SPSC rings reorder
-   wall-clock only.  When nothing is in flight and nothing can be
-   released, the gm head's blocked stage runs on the driver through the
-   sequential code, which raises the one invalid-stream error. *)
+   When nothing is in flight, nothing is releasable and the head is
+   still undecoded, every earlier item has been melded, so the store
+   holds exactly what the sequential scheduler holds at the head's
+   submit: the head's decode runs through the sequential code, which
+   raises the one invalid-stream error. *)
 let run_batch t (px : pctx) (items : witem array) =
   let b = Array.length items in
-  let s0 = t.next_seq in
-  t.next_seq <- s0 + b;
   let pool = px.ppool in
   let domains = px.pdomains in
-  let qcap = px.qcap in
-  let gm_worker = domains - 1 in
-  let flighted = Flight.enabled t.flight in
-  (* One shared clock read opens every item's flight record at batch
-     entry: time spent queued before a stage releases (SPSC residency,
-     waits on an input state) then lands in that stage's wait column. *)
-  if flighted then begin
-    let now = Clock.now () in
-    Array.iter (fun w -> Flight.touch t.flight ~pos:w.pos ~now) items
-  end;
   let intentions = Array.make b None in
-  let outcomes = Array.make b None in
-  (* [ds_failed.(i)]: item [i]'s decode raised ahead of the log-order
-     tail; [release_gm] redoes it when it reaches [i]. *)
+  (* [ds_failed.(i)]: item [i]'s decode raised ahead of the head, which
+     redoes it on reaching [i]. *)
   let ds_failed = Array.make b false in
-  (* Release cursors: worker [w] decodes items [w], [w + domains], ...;
-     paper thread [k+1] premelds the items whose seq is [k] modulo the
-     thread count, in seq order. *)
+  (* Release cursors: worker [w] decodes items [w], [w + domains], ... *)
   let ds_next = Array.init domains Fun.id in
-  let pm_threads =
-    match t.config.premeld with Some pc -> pc.Premeld.threads | None -> 0
-  in
-  let pm_next =
-    Array.init pm_threads (fun k ->
-        (((k - s0) mod pm_threads) + pm_threads) mod pm_threads)
-  in
-  let gm_next = ref 0 in
-  let rgm = ref 0 in
+  let head = ref 0 in
   let decisions = ref [] in
   let progress = ref false in
-  (* (seq, pos) of the newest recorded state, re-read after every drain *)
-  let lseq = ref (-1) and lpos = ref (-1) in
+  (* position of the newest recorded state, re-read every round *)
+  let lpos = ref (-1) in
   (* Pooled-carrier handoff: [take] pops worker [w]'s free stack (the
      outstanding budget proves it is never empty when a release gate
-     passes), [put] stages the filled carrier for the next flush, and
-     [flush] publishes every staged job with one ring publication and at
-     most one doorbell.  Nothing in this path allocates. *)
+     passes), [put] stages the filled carrier, and [flush] publishes
+     every staged job with one ring publication and at most one
+     doorbell.  Nothing in this path allocates. *)
   let take w =
     let top = px.free_top.(w) - 1 in
     px.free_top.(w) <- top;
     px.free.(w).(top)
   in
   let recycle w (c : carrier) =
-    c.kind <- Cnone;
     c.c_src <- "";
     c.c_tree <- Node.empty;
     c.c_intention <- None;
-    c.c_group <- None;
-    c.c_completed <- None;
-    c.c_outcome <- None;
     px.free.(w).(px.free_top.(w)) <- c;
     px.free_top.(w) <- px.free_top.(w) + 1
   in
@@ -809,25 +685,19 @@ let run_batch t (px : pctx) (items : witem array) =
       px.handoff_items <- px.handoff_items + n
     end
   in
-  let flush_all () =
-    for w = 0 to domains - 1 do
-      flush w
-    done
-  in
   let put ~worker c =
     px.stage_buf.(worker).(px.stage_n.(worker)) <- c;
     px.stage_n.(worker) <- px.stage_n.(worker) + 1;
     px.outstanding.(worker) <- px.outstanding.(worker) + 1;
     if px.outstanding.(worker) > px.max_depth then
       px.max_depth <- px.outstanding.(worker);
-    progress := true;
-    if px.stage_n.(worker) >= flush_threshold then flush worker
+    progress := true
   in
   let decode_item i = decode_checked t ~pos:items.(i).pos items.(i).src in
-  (* The driver's decode of item [i] ahead of the log-order tail.  A
-     rejected intention is deferred, like a worker's, to the redo at the
-     gm head, so it raises once every earlier intention has decoded, as
-     under [seq]. *)
+  (* The driver's decode of item [i] ahead of the head.  A rejected
+     intention is deferred, like a worker's, to the redo at the head, so
+     it raises once every earlier intention has decoded, as under
+     [seq]. *)
   let decode_ahead i =
     (match decode_item i with
     | intention -> intentions.(i) <- Some intention
@@ -845,7 +715,6 @@ let run_batch t (px : pctx) (items : witem array) =
           (match State_store.by_pos t.states items.(i).psnap with
           | Some tree ->
               let c = take w in
-              c.kind <- Cds;
               c.c_idx <- i;
               c.c_pos <- items.(i).pos;
               c.c_src <- items.(i).src;
@@ -857,122 +726,49 @@ let run_batch t (px : pctx) (items : witem array) =
           go ()
         end
       in
-      go ()
+      go ();
+      (* Staged work must reach the ring before this round can decide to
+         park: staged-but-unpublished work never wakes a worker. *)
+      flush w
     done
   in
-  let release_pm pc =
-    for k = 0 to pm_threads - 1 do
-      let w = k mod domains in
-      let rec go () =
-        let i = pm_next.(k) in
-        if i < b && px.outstanding.(w) < qcap then
-          match intentions.(i) with
-          | Some intention ->
-              let seq = s0 + i in
-              let m = Premeld.input_seq pc ~seq in
-              let snap_seq =
-                State_store.seq_of_pos t.states intention.Intention.snapshot
-              in
-              if m <= snap_seq || m <= !lseq then begin
-                let c = take w in
-                c.kind <- Cpm;
-                c.c_idx <- i;
-                c.c_seq <- seq;
-                c.c_thread <- k + 1;
-                c.c_snap_seq <- snap_seq;
-                c.c_intention <- intentions.(i);
-                c.c_tree <-
-                  (if m <= snap_seq then Node.empty
-                   else State_store.require t.states ~stage:"premeld" m);
-                put ~worker:w c;
-                pm_next.(k) <- i + pm_threads;
-                go ()
-              end
-          | None -> ()
-      in
-      go ()
-    done
-  in
-  let release_gm () =
-    let rec go () =
-      let i = !gm_next in
-      if i < b && px.outstanding.(gm_worker) < qcap then begin
-        let unit_group =
-          match (t.config.premeld, intentions.(i)) with
-          | _, None -> None
-          | None, Some intention ->
-              Some (Group_meld.single ~seq:(s0 + i) intention)
-          | Some _, Some intention ->
-              Option.map (group_of_outcome ~seq:(s0 + i) intention) outcomes.(i)
-        in
-        match unit_group with
-        | Some _ ->
-            (* The job carries the item from here on.  Dropping the
-               driver's references lets its decode and premeld output
-               die young instead of living until the batch returns. *)
-            intentions.(i) <- None;
-            outcomes.(i) <- None;
-            let c = take gm_worker in
-            c.kind <- Cgm;
-            c.c_idx <- i;
-            c.c_group <- unit_group;
-            put ~worker:gm_worker c;
-            incr gm_next;
-            go ()
-        | None when ds_failed.(i) ->
-            (* A failed decode surfaces once the log-order tail reaches
-               it, so every earlier member is decoded and booked when it
-               raises, as under [seq].  The driver resolves against the
-               same state as the worker, so its redo raises the same
-               error, now on the driver's thread. *)
-            ds_failed.(i) <- false;
-            intentions.(i) <- Some (decode_item i);
-            progress := true
-        | None -> ()
-      end
-    in
-    go ()
-  in
-  let pos_of idx = items.(idx).pos in
   let handle (c : carrier) =
-    match c.kind with
-    | Cnone -> ()
-    | Cds -> (
-        match c.c_intention with
-        | Some i ->
-            intentions.(c.c_idx) <- c.c_intention;
-            let t0 = s_of_ns c.c_t0_ns and t1 = s_of_ns c.c_t1_ns in
-            ds_book t ~t0 ~t1 i;
-            px.worker_ds_seconds <- px.worker_ds_seconds +. (t1 -. t0)
-        | None ->
-            (* The worker decode failed; [release_gm] redoes it inline. *)
-            ds_failed.(c.c_idx) <- true;
-            px.ds_offloaded <- px.ds_offloaded - 1;
-            px.ds_inline_n <- px.ds_inline_n + 1)
-    | Cpm ->
-        outcomes.(c.c_idx) <- c.c_outcome;
-        let seconds = s_of_ns c.c_seconds_ns in
-        px.worker_pm_seconds <- px.worker_pm_seconds +. seconds;
-        if flighted then begin
-          let t0 = s_of_ns c.c_t0_ns in
-          Flight.edge t.flight ~pos:(pos_of c.c_idx) ~stage:Flight.Pm ~t0
-            ~t1:(t0 +. seconds)
-        end
-    | Cgm -> (
-        incr rgm;
-        px.worker_gm_seconds <- px.worker_gm_seconds +. s_of_ns c.c_seconds_ns;
-        if flighted then
-          Flight.edge t.flight ~pos:(pos_of c.c_idx) ~stage:Flight.Gm
-            ~t0:(s_of_ns c.c_t0_ns) ~t1:(s_of_ns c.c_t1_ns);
-        match c.c_completed with
-        | Some g -> decisions := List.rev_append (final_meld t g) !decisions
-        | None -> ())
+    match c.c_intention with
+    | Some i ->
+        intentions.(c.c_idx) <- c.c_intention;
+        let t0 = s_of_ns c.c_t0_ns and t1 = s_of_ns c.c_t1_ns in
+        ds_book t ~t0 ~t1 i;
+        px.worker_ds_seconds <- px.worker_ds_seconds +. (t1 -. t0)
+    | None ->
+        (* The worker decode failed; the head redoes it inline. *)
+        ds_failed.(c.c_idx) <- true;
+        px.ds_offloaded <- px.ds_offloaded - 1;
+        px.ds_inline_n <- px.ds_inline_n + 1
   in
-  (* Driver work-stealing: called when a scheduling round neither drained
-     a result nor released a job but work is still in flight — instead of
-     parking, decode the oldest releasable item left in the backlog.
-     Steals reuse the driver's decode against the live store, which
-     answers exactly as the carried snapshot tree would. *)
+  (* Meld the head if it is decoded.  Dropping the batch's reference
+     first lets the decode die young once melded.  A failed decode
+     surfaces here, once every earlier item is decoded and melded, as
+     under [seq]: the driver resolves against the same state as the
+     worker, so its redo raises the same error on the driver's thread. *)
+  let meld_head () =
+    let i = !head in
+    if ds_failed.(i) then begin
+      ds_failed.(i) <- false;
+      intentions.(i) <- Some (decode_item i)
+    end;
+    match intentions.(i) with
+    | Some intention ->
+        intentions.(i) <- None;
+        incr head;
+        decisions := List.rev_append (submit t intention) !decisions;
+        progress := true
+    | None -> ()
+  in
+  (* Driver work-stealing: called when a round neither drained, released
+     nor melded but work is still in flight — instead of parking, decode
+     the oldest releasable item left in the backlog.  Steals reuse the
+     driver's decode against the live store, which answers exactly as
+     the carried snapshot tree would. *)
   let steal () =
     let best = ref b in
     for w = 0 to domains - 1 do
@@ -986,59 +782,39 @@ let run_batch t (px : pctx) (items : witem array) =
          true
        end
   in
-  (* Nothing in flight and nothing releasable: every item before the gm
-     head has reached final meld, so the store holds exactly what the
-     sequential scheduler holds at the head's submit, and the head's
-     blocked stage runs through the sequential code.  In a valid stream
-     only a decode can be blocked there ([validate_shape] bounds the
-     group size so the head's premeld input is always recorded), and
-     [decode_checked] raises the invalid-stream error. *)
-  let run_stalled_head () =
-    let i = !gm_next in
-    match (intentions.(i), t.config.premeld) with
-    | None, _ ->
-        intentions.(i) <- Some (decode_item i);
-        ds_next.(i mod domains) <- i + domains;
-        px.ds_inline_n <- px.ds_inline_n + 1
-    | Some intention, Some pc ->
-        outcomes.(i) <- Some (premeld t pc ~seq:(s0 + i) intention);
-        pm_next.((s0 + i) mod pm_threads) <- i + pm_threads
-    | Some _, None -> assert false
-  in
-  while !rgm < b do
+  while !head < b do
     (* Sample the doorbell before draining so a result pushed after the
        final drain pass makes the park below return immediately. *)
     let seen = Runtime.Stage_pool.events pool in
     progress := false;
     for w = 0 to domains - 1 do
       let n =
-        Runtime.Stage_pool.result_batch pool ~worker:w px.drain_buf ~max:qcap
+        Runtime.Stage_pool.result_batch pool ~worker:w px.drain_buf
+          ~max:px.qcap
       in
-      if n > 0 then begin
-        for i = 0 to n - 1 do
-          let c = px.drain_buf.(i) in
-          px.outstanding.(w) <- px.outstanding.(w) - 1;
-          handle c;
-          recycle w c
-        done;
+      for k = 0 to n - 1 do
+        let c = px.drain_buf.(k) in
+        px.outstanding.(w) <- px.outstanding.(w) - 1;
+        handle c;
+        recycle w c;
         progress := true
-      end
+      done
     done;
-    (let s, p, _ = State_store.latest t.states in
-     lseq := s;
+    (let _, p, _ = State_store.latest t.states in
      lpos := p);
-    Option.iter release_pm t.config.premeld;
-    release_gm ();
     release_ds ();
-    (* Partial batches must reach the rings before this round can decide
-       to park — staged-but-unpublished work never wakes a worker. *)
-    flush_all ();
-    if (not !progress) && !rgm < b then begin
-      let in_flight = Array.fold_left ( + ) 0 px.outstanding in
-      if in_flight > 0 then begin
+    meld_head ();
+    if not !progress then begin
+      if Array.exists (fun n -> n > 0) px.outstanding then begin
         if not (steal ()) then Runtime.Stage_pool.wait pool ~seen
       end
-      else run_stalled_head ()
+      else begin
+        (* The stalled head: see above. *)
+        let i = !head in
+        intentions.(i) <- Some (decode_item i);
+        ds_next.(i mod domains) <- i + domains;
+        px.ds_inline_n <- px.ds_inline_n + 1
+      end
     end
   done;
   List.rev !decisions
@@ -1132,9 +908,9 @@ let attach_pstate t runtime =
       in
       let dummy = fresh_carrier () in
       let pool =
-        Runtime.Stage_pool.create ~queue:32 ~domains ~dummy_job:dummy
+        Runtime.Stage_pool.create ~queue:ds_depth ~domains ~dummy_job:dummy
           ~dummy_result:dummy
-          ~exec:(fun ~worker c -> pexec t ~trees ~resolvers ~worker c)
+          ~exec:(fun ~worker c -> pexec ~trees ~resolvers ~worker c)
           ()
       in
       let qcap = Runtime.Stage_pool.queue_capacity pool in
@@ -1145,9 +921,9 @@ let attach_pstate t runtime =
             pdomains = domains;
             qcap;
             outstanding = Array.make domains 0;
-            (* qcap carriers per worker pair: since staged + in-flight
-               never exceeds qcap, a release gate passing implies a free
-               carrier. *)
+            (* qcap carriers per worker: since staged + in-flight never
+               exceeds ds_depth <= qcap, a release gate passing implies a
+               free carrier. *)
             free =
               Array.init domains (fun _ ->
                   Array.init qcap (fun _ -> fresh_carrier ()));
@@ -1158,8 +934,6 @@ let attach_pstate t runtime =
             ds_offloaded = 0;
             ds_inline_n = 0;
             worker_ds_seconds = 0.0;
-            worker_pm_seconds = 0.0;
-            worker_gm_seconds = 0.0;
             max_depth = 0;
             handoff_batches = 0;
             handoff_items = 0;

@@ -10,11 +10,10 @@ open Hyder_tree
     interleaving.  How stages are scheduled onto hardware is delegated to
     {!Runtime}: the [Sequential] backend runs everything inline (the
     cluster simulator models physical parallelism from its per-stage
-    timings), and the [Pipelined] backend stages the whole
-    pre-final-meld pipeline (deserialize, premeld, group meld) across
-    worker domains fed through bounded SPSC queues, leaving only final
-    meld on the driver — and, per the paper's Section 3.4 id scheme,
-    both backends must produce bit-identical results.
+    timings), and the [Pipelined] backend decodes ahead on worker
+    domains fed through bounded SPSC queues, leaving premeld, group meld
+    and final meld on the driver — and, per the paper's Section 3.4 id
+    scheme, both backends must produce bit-identical results.
 
     Stage thread ids for ephemeral VNs: final meld = 0, premeld threads =
     1..t, group meld = t+1. *)
@@ -64,32 +63,38 @@ val create :
     [pipeline_mz_gc_minor_words] instrument rather than the ds bracket.
     Every backend runs this one decode
     ({!Hyder_codec.Codec.decode_lazy}, bound against the snapshot state),
-    on the driver and on pipelined workers alike, and views cross the
-    stage queues under one ownership rule: whoever pushes an intention
-    onto a queue never touches it or its view again.  Decisions, trees,
+    on the driver and on pipelined workers alike, and a worker's view
+    crosses the result queue under one ownership rule: once pushed, the
+    worker never touches it again.  Decisions, trees,
     ephemeral ids and integer counters are bit-identical to eager
     decoding everywhere.
 
     [runtime] defaults to {!Runtime.sequential}.  A [Pipelined] runtime
-    spawns its stage-pool worker domains here; call {!shutdown} when
-    done with the pipeline to join them.  [Runtime.Parallel] is rejected
+    spawns its decode worker domains here, each with rings and a carrier
+    pool two jobs deep; call {!shutdown} when done with the pipeline to
+    join them.  [Runtime.Parallel] is rejected
     with [Invalid_argument] (see {!Runtime.backend}).
 
     [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
     [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn] and
-    the per-stage GC words).  Handoff accounting lives only in
-    {!offload}.
+    the per-stage GC words).  Premeld, group meld, final meld and the
+    materialization they cause are sampled on every backend, and their
+    GC words are backend-invariant; under [Pipelined] the ds words cover
+    only the decodes the driver ran itself.  Handoff accounting lives
+    only in {!offload}.
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage
     queue-wait/service pairs at every edge (decode, premeld trial,
     group-meld combine, final meld) and the decision with abort reason
-    and conflict-zone size.  The recorder is driver-only; under
-    [Pipelined] the worker-side stage brackets travel back in the
-    runtime's result messages and are stamped on the driver, so the
-    wait column measures real queue residency.
+    and conflict-zone size.  A record opens when its decode starts, on
+    every backend.  The recorder is driver-only; under [Pipelined] a
+    worker's decode bracket travels back in the runtime's result
+    messages and is stamped on the driver, so the wait after the decode
+    measures how long a decoded intention waited for the log-order
+    head.
 
     Metrics and flight are independent and both provably observational:
     decisions, ephemeral node ids and integer counter values are
@@ -119,25 +124,23 @@ val submit_wire_batch : t -> (int * string) list -> decision list
     ([(log_position, encoded_bytes)]), letting the backend overlap
     deserialization with melding.  Under [Sequential] each intention is
     melded right after its decode: exactly {!decode} then {!submit}.
-    Under [Pipelined] each intention's next stage is released as soon
-    as its own inputs are recorded in the live store, and the job
-    carries them: its decode once its snapshot state is recorded, its
-    premeld trial (in its paper thread's seq order) once its designated
-    input state is, group meld and final meld in log order.  Decodes run
-    on worker domains straight from the wire buffers; the driver decodes
-    only what it steals from its backlog instead of parking, and what it
-    redoes after a worker's decode failed.
+    Under [Pipelined] an intention's decode is released to worker
+    [i mod domains] once its snapshot state is recorded in the live
+    store, with that state's tree in the job, and the driver runs
+    {!submit} on each decoded intention at the log-order head.  The
+    driver decodes only what it steals from its backlog instead of
+    parking, and what it redoes after a worker's decode failed.
     Decisions are returned in sequence order and are bit-identical on
     both backends.  A stream whose snapshot references can never be
     satisfied raises the same [Failure] on both backends, and a corrupt
     intention the same {!Hyder_codec.Codec.Corrupt}, raised once every
     earlier intention has decoded. *)
 
-(** Offload accounting for the [Pipelined] backend: how much stage work
+(** Offload accounting for the [Pipelined] backend: how many decodes
     left the driver's critical path, and how deep the bounded queues
     ran.  Worker seconds are summed across worker domains; subtracting
-    them from the corresponding {!Counters} stage totals gives the
-    driver-executed (critical-path) share. *)
+    them from the {!Counters} ds total gives the driver-executed
+    (critical-path) share. *)
 type offload_stats = {
   ds_offloaded : int;  (** decodes executed on worker domains *)
   ds_inline : int;
@@ -145,7 +148,11 @@ type offload_stats = {
           decode, and snapshots the store no longer retains *)
   worker_ds_seconds : float;
   worker_pm_seconds : float;
+      (** Always [0.0]: premeld runs on the driver.  The field stays only
+          because [benchmark/bench.ml] still reads it. *)
   worker_gm_seconds : float;
+      (** Always [0.0]: group meld runs on the driver.  Kept for the same
+          reason. *)
   max_queue_depth : int;
       (** peak jobs-in-flight to any single worker (never exceeds
           [queue_capacity] by construction) *)

@@ -12,13 +12,9 @@
     arithmetic, so every server premelds every intention against the same
     state with the same ephemeral-id stream.
 
-    The module is split into a {e pure trial-meld core} ({!trial}) that only
-    reads immutable data and writes caller-owned records — safe to run on
-    any domain — and a {e scheduling shell} ({!run}) that resolves the
-    designated input state against the live state store for the inline
-    sequential path.  The pipelined runtime calls {!trial} directly on a
-    worker, with the input state and [snap_seq] the driver read from the
-    live store once that state was recorded. *)
+    Premeld runs on the driver under every runtime backend, against the
+    live state store, which already holds the designated input state
+    when the intention is submitted (final meld is always ahead of it). *)
 
 type config = { threads : int; distance : int }
 
@@ -38,28 +34,6 @@ type outcome =
       (** substitute intention and the input state's sequence number *)
   | Dead of Meld.abort_reason  (** conflict found early *)
 
-val trial :
-  ?mz:(float -> unit) ->
-  config ->
-  snap_seq:int ->
-  lookup:(int -> Hyder_tree.Tree.t option) ->
-  alloc:Hyder_tree.Vn.Alloc.t ->
-  counters:Counters.stage ->
-  seq:int ->
-  Hyder_codec.Intention.t ->
-  outcome
-(** The pure core.  [snap_seq] is the sequence number of the intention's
-    snapshot state (what {!State_store.seq_of_pos} of its snapshot position
-    would report at submit time); [lookup] resolves a state by sequence
-    number and must cover the designated input state.  [alloc] and
-    [counters] belong exclusively to the premeld thread [thread_for ~seq],
-    making the call free of shared mutable state.
-
-    [mz] is forwarded to {!Meld.meld}: it observes the minor words spent
-    materializing flyweight view nodes when the intention carries a lazy
-    view.  Only pass it from a caller whose accumulator is single-writer
-    (the inline sequential path). *)
-
 val run :
   ?mz:(float -> unit) ->
   config ->
@@ -69,7 +43,12 @@ val run :
   seq:int ->
   Hyder_codec.Intention.t ->
   outcome
-(** The inline scheduling shell: picks the thread's allocator and counter
-    shard ([allocs.(i)] and [shards.(i)] belong to premeld thread [i+1])
-    and resolves states against the live store, which must already hold
-    the designated input state (final meld is always ahead of it). *)
+(** Premeld intention [seq]: [Unchanged] when its designated input state
+    precedes its snapshot, otherwise a trial meld against that state.
+    [allocs.(i)] and [shards.(i)] are premeld thread [i+1]'s ephemeral-id
+    allocator and counter shard; the call uses thread
+    [thread_for ~seq]'s.
+
+    [mz] is forwarded to {!Meld.meld}: it observes the minor words spent
+    materializing flyweight view nodes when the intention carries a lazy
+    view. *)

@@ -8,29 +8,20 @@
       intention at a time, in log order.  This is the original scheduler,
       preserved bit-for-bit: the cluster simulator measures its per-stage
       wall-clock and models physical parallelism on top of it.
-    - {b Pipelined} — the whole pre-final-meld pipeline is staged across
-      domains: deserialization runs on worker domains straight from wire
-      buffers, premeld slices are dealt to workers per paper thread (each
-      worker impersonates the paper premeld threads it is dealt, owning
-      their ephemeral-id allocators and counter shards, Section 3.4), and
-      group-meld combining is offloaded to a dedicated worker, all fed
-      and drained through bounded SPSC queues ({!Hyder_util.Spsc_queue})
-      with backpressure.  Final meld alone stays on the driver, in log
-      order.  Stage assignment is a pure function of log position, and
-      the driver consumes every queue in log order, so queues reorder
-      wall-clock only — decisions, ephemeral ids and per-shard counters
-      stay bit-identical to [Sequential].
+    - {b Pipelined} — deserialization runs ahead on worker domains,
+      straight from wire buffers, fed and drained through bounded SPSC
+      queues ({!Hyder_util.Spsc_queue}).  The driver takes each decoded
+      intention in log order and runs premeld, group meld and final meld
+      on it through the sequential scheduler's own code.
 
-    The determinism argument, concretely: each intention's stage is
-    released only once its own inputs are recorded in the live state
-    store — its snapshot state for the decode, its designated input
-    state [v - t*d - 1] for the premeld trial — and the job carries them.
-    A recorded input never changes (final meld only appends later
-    states), so every job sees what the sequential scheduler sees at
-    that intention's submit, and each paper thread's allocator stream
-    advances in seq order on one worker.  Parallelism therefore changes
-    wall-clock and nothing else; the cross-backend property test in
-    [test/test_runtime.ml] checks exactly this. *)
+    The determinism argument, concretely: an intention's decode is
+    released only once its snapshot state is recorded in the live state
+    store, and the job carries that state's tree.  A recorded state never
+    changes (final meld only appends later states), so a worker's decode
+    equals the one the sequential scheduler runs, and everything after
+    the decode is the sequential scheduler.  Parallelism therefore
+    changes wall-clock and nothing else; the cross-backend property test
+    in [test/test_runtime.ml] checks exactly this. *)
 
 type backend =
   | Sequential

@@ -4,7 +4,9 @@
 With --macro, gates a `macro` run (see `make bench-macro`):
 
   1. every backend reproduced the sequential run bit-for-bit
-     (same_as_seq is true for all rows) with sane throughput;
+     (same_as_seq is true for all rows) with sane throughput, and the
+     pm, gm, fm and mz minor words per intention, which the driver
+     allocates on every backend, are the same on every row;
   2. the pipelined backend moved real work off the driver: its
      driver-executed stage time per intention (driver_critical_path_us)
      is strictly lower than the sequential backend's, on every core
@@ -108,15 +110,17 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
         if not r["fm_ns_per_txn"] > 0:
             fail(f"{name}: fm critical path not measured")
 
-    # The fm loop's minor allocation per intention is backend-invariant
-    # (same melds, same nodes); a spread here means the measurement or the
-    # determinism contract broke.  With group meld on, final meld always
-    # receives a combined real tree, and the mz hook keeps
-    # materialization out of the fm column.
-    fm_minors = {n: r["gc_words_per_txn"]["fm_minor"] for n, r in rows.items()}
-    lo, hi = min(fm_minors.values()), max(fm_minors.values())
-    if lo <= 0 or hi > lo * 1.01:
-        fail(f"fm minor words/txn not backend-invariant: {fm_minors}")
+    # Premeld, group meld, final meld and the materialization they cause
+    # run on the driver through the same code on every backend, so their
+    # minor allocation per intention is backend-invariant (same melds,
+    # same nodes); a spread here means the measurement or the
+    # determinism contract broke, or a stage left the driver.  The mz
+    # hook keeps materialization out of the stage columns.
+    for col in ("pm_minor", "gm_minor", "fm_minor", "mz_minor"):
+        per_row = {n: r["gc_words_per_txn"][col] for n, r in rows.items()}
+        lo, hi = min(per_row.values()), max(per_row.values())
+        if lo <= 0 or hi > lo * 1.01:
+            fail(f"{col} words/txn not backend-invariant: {per_row}")
 
     for name, r in sorted(rows.items()):
         ds = r["gc_words_per_txn"].get("ds_minor")

@@ -171,8 +171,8 @@ let check_backends ~config ~txns ~seed ~runs () =
     runs
 
 (* The paper's configuration: 5 premeld threads, distance 10, groups of
-   2 — decodes and premeld trials keep waiting on states that a pending
-   group member has not recorded yet.  Slab 256 is the batch size the
+   2 — decodes keep waiting on states that a pending group member has
+   not recorded yet.  Slab 256 is the batch size the
    macro benchmark feeds. *)
 let test_paper_config () =
   check_backends
@@ -231,9 +231,8 @@ let test_big_groups () =
 
 (* group_size = threads*distance + 1, the largest group [create]
    accepts: just before a group completes, the state the next premeld is
-   designated to read is the newest one recorded, so premeld releases
-   wait on every group completion — and must still match the inline
-   scheduler bit for bit.  (Larger groups are rejected, see
+   designated to read is the newest one recorded — and every backend
+   must still match the inline scheduler bit for bit.  (Larger groups are rejected, see
    [test_invalid_stream_same_error].) *)
 let test_group_at_window_bound () =
   check_backends
@@ -299,8 +298,8 @@ let test_pipelined_burst () =
       check "worker ds time measured" true (o.Pipeline.worker_ds_seconds > 0.0)
 
 (* The batched-handoff slab sweep, and with it the ownership rule for
-   views crossing stage queues: worker-parsed views travel to the driver,
-   driver-parsed ones to premeld workers, both on to the gm worker.
+   views crossing stage queues: worker-parsed views travel to the
+   driver's premeld, group meld and final meld.
    Every feed of [pipe:<domains>] must equal the sequential baseline on
    decisions, physical trees and every integer counter, decodes must
    really leave the driver, and every decode must be accounted once. *)
@@ -344,8 +343,7 @@ let check_wire_sweep ~seed ~domains ~slabs =
             (o.Pipeline.ds_offloaded + o.Pipeline.ds_inline))
     slabs
 
-(* One giant burst, a mid-size slab and a one-intention trickle, so both
-   the flush-on-threshold and the flush-partial paths run. *)
+(* One giant burst, a mid-size slab and a one-intention trickle. *)
 let test_batched_handoff_sweep () =
   check_wire_sweep ~seed:99 ~domains:2 ~slabs:[ max_int; 17; 1 ]
 
@@ -656,6 +654,37 @@ let test_stage_pool_handoff_allocates_nothing () =
     true
     (delta < 64.0)
 
+(* Premeld, group meld and final meld run on the driver under every
+   backend, through the same code, so the minor words each allocates —
+   and what meld materializes on their behalf — are the same under
+   [seq] and [pipe:2]; only the ds column differs, because worker
+   decodes are not sampled. *)
+let test_stage_gc_backend_invariant () =
+  let module Metrics = Hyder_obs.Metrics in
+  let config = Pipeline.with_both in
+  let genesis, _, wires = make_stream ~config ~txns:300 ~seed:61 in
+  let run runtime =
+    let metrics = Metrics.create () in
+    let p = Pipeline.create ~config ~runtime ~metrics ~genesis () in
+    ignore (Pipeline.submit_wire_batch p wires @ Pipeline.flush p);
+    Pipeline.shutdown p;
+    let snap = Metrics.snapshot metrics in
+    List.map
+      (fun stage ->
+        let name = Printf.sprintf "pipeline_%s_gc_minor_words" stage in
+        match List.assoc_opt name snap with
+        | Some (Metrics.Fcounter_v x) -> (name, x)
+        | _ -> Alcotest.failf "%s not registered" name)
+      [ "pm"; "gm"; "fm"; "mz" ]
+  in
+  let seq = run Runtime.sequential in
+  let pipe = run (Runtime.pipelined ~domains:2) in
+  List.iter2
+    (fun (name, s) (_, p) ->
+      check (name ^ " sampled") true (s > 0.0);
+      check (Printf.sprintf "%s: pipe:2 %.0f = seq %.0f" name p s) true (p = s))
+    seq pipe
+
 (* The flight recorder must stay observational under the pipelined
    backend too: decisions, trees and counters bit-identical with the
    recorder on or off while decodes run on workers, and every decision
@@ -799,6 +828,8 @@ let () =
             `Quick test_stage_pool_handoff_allocates_nothing;
           Alcotest.test_case "flight stays inert" `Quick
             test_pipelined_flight_inert;
+          Alcotest.test_case "pm/gm/fm/mz GC words = seq" `Quick
+            test_stage_gc_backend_invariant;
         ] );
       ( "clock and descriptors",
         [
