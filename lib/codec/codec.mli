@@ -55,31 +55,14 @@ val peek_snapshot : string -> int
 val decode_lazy :
   pos:int -> ?peer:Node.tree -> resolve:resolver -> string -> Intention.t
 (** The production decoder, and the only one any pipeline stage runs.
-    Flyweight decode: one validation pass (same checks and {!Corrupt}
-    messages as {!decode}), binding every external reference and elided
+    Flyweight decode: one validation pass (the same checks and {!Corrupt}
+    messages as the eager reference decoder kept beside the tests),
+    binding every external reference and elided
     payload — against [peer], the snapshot tree the intention executed
     under, with [resolve] as fallback — but building no heap nodes.  The
     result carries [view = Some v] and a placeholder [root]; meld walks
     the view directly and {!View.materialize_root} recovers the eager
     tree on demand. *)
-
-(** {1 Reference decoder}
-
-    Eager decoding, kept as the specification {!decode_lazy} is tested
-    against (node-for-node field and physical equality, identical
-    {!Corrupt} messages).  No pipeline stage calls these. *)
-
-val decode : pos:int -> resolve:resolver -> string -> Intention.t
-(** Rebuild the intention appended at log position [pos].  Inside nodes get
-    owner [pos] and VNs [Logged (pos, idx)] numbered in post order,
-    matching {!Intention.assign}. *)
-
-val decode_indexed :
-  pos:int -> resolve:resolver -> string -> Intention.t * Node.tree array
-(** Like {!decode}, and also returns the decoded nodes indexed by their
-    post-order position -- the object table that lets later intentions'
-    references to this one be swizzled in O(1) (Section 5.2's "node pointer
-    to object pointer" transformation). *)
 
 (** Fragmentation of intention byte streams into log blocks. *)
 module Blocks : sig

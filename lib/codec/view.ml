@@ -32,6 +32,7 @@
 
 open Hyder_tree
 module Wire = Hyder_util.Wire
+module Prefetch = Hyder_util.Prefetch
 
 exception Corrupt of string
 
@@ -68,10 +69,11 @@ let[@inline] u8 c =
   c.at <- p + 1;
   Char.code (String.unsafe_get c.src p)
 
-(* The varint whose first byte [b0] (a continuation byte) was just read. *)
-let uint_slow c b0 =
+(* The rest of the varint from offset [p] on, [x] holding the groups
+   below [shift] already read. *)
+let uint_loop c p x shift =
   let s = c.src and limit = c.limit in
-  let x = ref (b0 land 0x7F) and shift = ref 7 and p = ref c.at in
+  let x = ref x and shift = ref shift and p = ref p in
   let continue = ref true in
   while !continue do
     if !shift > 63 || !p >= limit then raise Wire.Truncated;
@@ -84,11 +86,47 @@ let uint_slow c b0 =
   c.at <- !p;
   !x
 
+(* A varint of two or more bytes at [c.at].  Keys, log positions and
+   most version words are two or three bytes, so those lengths are
+   unrolled behind one bounds test; a varint within three bytes of the
+   buffer's end, or longer than three, takes the loop. *)
+let uint_multi c =
+  let s = c.src and p = c.at in
+  if p + 3 > c.limit then uint_loop c p 0 0
+  else begin
+    let b0 = Char.code (String.unsafe_get s p) in
+    let b1 = Char.code (String.unsafe_get s (p + 1)) in
+    let x = b0 land 0x7F lor ((b1 land 0x7F) lsl 7) in
+    if b1 < 0x80 then begin
+      c.at <- p + 2;
+      x
+    end
+    else
+      let b2 = Char.code (String.unsafe_get s (p + 2)) in
+      if b2 < 0x80 then begin
+        c.at <- p + 3;
+        x lor (b2 lsl 14)
+      end
+      else uint_loop c (p + 3) (x lor ((b2 land 0x7F) lsl 14)) 21
+  end
+
 (* Single-byte fast path inline: most wire integers (child indexes,
    version counters, payload lengths) fit in seven bits. *)
 let[@inline] uint c =
-  let b = u8 c in
-  if b < 0x80 then b else uint_slow c b
+  let p = c.at in
+  if p >= c.limit then raise Wire.Truncated;
+  let b = Char.code (String.unsafe_get c.src p) in
+  if b < 0x80 then begin
+    c.at <- p + 1;
+    b
+  end
+  else uint_multi c
+
+(* [uint] over a fresh cursor at [p]: the value and the offset past it. *)
+let uint_at s p =
+  let c = { src = s; limit = String.length s; at = p } in
+  let x = uint c in
+  (x, c.at)
 
 (* Zigzag decode over that 63-bit wrap.  Encoder output never sets bit 63
    (the zigzag of a 63-bit int fits in 63 bits), so this agrees with the
@@ -325,13 +363,6 @@ let[@inline] vn_matches (n : Node.node) ~eph ~a ~b =
 let[@inline] kid_hw metas obh c =
   c >= 0 && Array.unsafe_get metas c land Node.Meta.hw_mask = obh
 
-(* Per-domain staging for the bound references.  Their number is known
-   only once the last record is read, and the view keeps an exact-size
-   copy.  A parse takes the stage out of its domain's slot and puts it
-   back cleared, so the stage pins no state between parses and a second
-   parse on the same domain meanwhile just allocates its own. *)
-let ref_stage = Domain.DLS.new_key (fun () -> ref [||])
-
 (* One pass over the pre-order records: validate the whole encoding (the
    eager decoder's checks, in its order, with its messages), record
    per-node offsets and packed meta words, and bind every external
@@ -352,14 +383,7 @@ let ref_stage = Domain.DLS.new_key (fun () -> ref [||])
 let parse ~pos ~peer ~(resolve : resolver) s =
   let len = String.length s in
   let c = { src = s; limit = len; at = 0 } in
-  let slot = Domain.DLS.get ref_stage in
-  let stage = ref !slot in
-  slot := [||];
   let nrefs = ref 0 in
-  let release () =
-    Array.fill !stage 0 !nrefs Node.empty;
-    slot := !stage
-  in
   try
     let snapshot = zint c in
     let server = uint c in
@@ -375,10 +399,12 @@ let parse ~pos ~peer ~(resolve : resolver) s =
     let kid_rs = Array.make node_count 0 in
     let offs = Array.make (max 1 node_count) 0 in
     let pays = Array.make (max 1 node_count) unbound in
-    (* a binary tree of [n] inside nodes has [n + 1] outside child slots *)
-    if Array.length !stage <= node_count then
-      stage := Array.make (node_count + 1) Node.empty;
-    let refs = !stage in
+    (* Bound references are staged here until their number is known; a
+       binary tree of [n] inside nodes has [n + 1] outside child slots.
+       Up to 255 nodes the stage is a young block, like the index arrays
+       above, so its stores skip the write barrier's slow path and it
+       dies in the next minor collection. *)
+    let refs = Array.make (node_count + 1) Node.empty in
     let ob = Node.Meta.owner_bits pos in
     let obh = ob lor Node.Meta.has_writes in
     let records = ref 0 and next_idx = ref 0 in
@@ -410,7 +436,12 @@ let parse ~pos ~peer ~(resolve : resolver) s =
           let a = if eph then uint c else zint c in
           let b = uint c in
           let key = zint c in
-          let n0 = find_peer sub key in
+          (* [find_peer]'s first test, inline: a reference usually
+             names the peer subtree's root itself *)
+          let n0 =
+            if sub == Node.empty || key = sub.Node.key then sub
+            else find_peer sub key
+          in
           let n =
             if n0 != Node.empty && vn_matches n0 ~eph ~a ~b then n0
             else begin
@@ -448,7 +479,16 @@ let parse ~pos ~peer ~(resolve : resolver) s =
       let ssv_b = if has_ssv then uint c else 0 in
       let has_scv = flags land 16 <> 0 in
       let scv_eph = has_scv && skip_vn c in
-      let m = find_peer sub key in
+      let m =
+        if sub == Node.empty || key = sub.Node.key then sub
+        else find_peer sub key
+      in
+      (* Both of the peer's children are read next: one by this record's
+         left descriptor or its left subtree's first record, the other
+         only after that whole subtree.  Start both loads now so the
+         misses overlap instead of queueing. *)
+      Prefetch.block m.Node.left;
+      Prefetch.block m.Node.right;
       let pay =
         if flags land (32 lor 64) <> 64 then unbound
         else if not has_ssv then
@@ -500,7 +540,6 @@ let parse ~pos ~peer ~(resolve : resolver) s =
       corrupt "node count %d does not match the records" node_count;
     if c.at <> len then corrupt "trailing bytes";
     let refs = Array.sub refs 0 !nrefs in
-    release ();
     {
       pos;
       snapshot;
@@ -519,6 +558,4 @@ let parse ~pos ~peer ~(resolve : resolver) s =
       pays;
       nodes = [||];
     }
-  with e -> (
-    release ();
-    match e with Wire.Truncated -> corrupt "truncated intention" | e -> raise e)
+  with Wire.Truncated -> corrupt "truncated intention"

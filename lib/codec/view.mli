@@ -45,6 +45,14 @@ val peek_snapshot : string -> int
     further and without allocating.  Raises {!Corrupt} on a truncated
     header. *)
 
+val uint_at : string -> int -> int * int
+(** [uint_at s p] reads the varint at offset [p] of [s] as {!parse}
+    reads every wire integer: [(x, p')] with [p'] the offset past it,
+    [x] equal to [Int64.to_int] of {!Hyder_util.Wire.Reader.varint64}'s
+    value over the same bytes.  Raises {!Hyder_util.Wire.Truncated}
+    exactly when that reader would.  Exposed so the parse's unrolled
+    short paths can be checked against the reference reader. *)
+
 (** {1 Header} *)
 
 val pos : t -> int

@@ -47,8 +47,8 @@ let read t key =
   check_active t "read";
   match t.isolation with
   | Intention.Serializable ->
-      let result = Tree.lookup t.working key in
-      t.working <- Tree.touch_read t.working ~owner ~fresh:(fresh t) key;
+      let working, result = Tree.read t.working ~owner ~fresh:(fresh t) key in
+      t.working <- working;
       t.reads <- key :: t.reads;
       result
   | Intention.Snapshot_isolation ->

@@ -1,4 +1,5 @@
 open Node
+module Prefetch = Hyder_util.Prefetch
 
 type t = Node.tree
 
@@ -117,14 +118,22 @@ let copy ~owner ~fresh (old : node) ~left ~right =
     ~vn_b:(fresh ()) ~cv_a:old.cv_a ~cv_b:old.cv_b
     ~meta:(copy_meta ~owner old ~extra:0)
 
+(* The copying walks below prefetch the off-path child of each node they
+   copy before descending: the encoder writes that child as a reference
+   (its key and version words) once the walk returns, and on a tree far
+   beyond cache that read would otherwise be one more miss per path node,
+   taken one at a time (DESIGN §13). *)
+
 (* Split a subtree around an absent key, copying the split path. *)
 let rec split t key ~owner ~fresh =
   if t == empty then (empty, empty)
   else if Key.compare t.key key < 0 then begin
+    Prefetch.block t.left;
     let l2, r2 = split t.right key ~owner ~fresh in
     (copy ~owner ~fresh t ~left:t.left ~right:l2, r2)
   end
   else begin
+    Prefetch.block t.right;
     let l2, r2 = split t.left key ~owner ~fresh in
     (l2, copy ~owner ~fresh t ~left:r2 ~right:t.right)
   end
@@ -144,6 +153,8 @@ let upsert t ~owner ~fresh key payload =
       if c = 0 then begin
         (* Payload update in place (copy-on-write): the new content
            version is the new vn, a logged one. *)
+        Prefetch.block t.left;
+        Prefetch.block t.right;
         let idx = fresh () in
         copy_of ~owner t ~key ~payload ~left:t.left ~right:t.right ~vn_b:idx
           ~cv_a:draft_pos ~cv_b:idx
@@ -156,13 +167,22 @@ let upsert t ~owner ~fresh key payload =
         let left, right = split t key ~owner ~fresh in
         fresh_insert ~left ~right
       end
-      else if c < 0 then copy ~owner ~fresh t ~left:(go t.left) ~right:t.right
-      else copy ~owner ~fresh t ~left:t.left ~right:(go t.right)
+      else if c < 0 then begin
+        Prefetch.block t.right;
+        copy ~owner ~fresh t ~left:(go t.left) ~right:t.right
+      end
+      else begin
+        Prefetch.block t.left;
+        copy ~owner ~fresh t ~left:t.left ~right:(go t.right)
+      end
   in
   go t
 
 (* Mark the node (copying it) with extra dependency flags; keep payload. *)
 let mark ~owner ~fresh (n : node) ~content ~structure =
+  (* the copy keeps both children, which the encoder writes as references *)
+  Prefetch.block n.left;
+  Prefetch.block n.right;
   let extra =
     (if content then Meta.dep_content else 0)
     lor if structure then Meta.dep_structure else 0
@@ -171,20 +191,25 @@ let mark ~owner ~fresh (n : node) ~content ~structure =
     ~vn_b:(fresh ()) ~cv_a:n.cv_a ~cv_b:n.cv_b
     ~meta:(copy_meta ~owner n ~extra)
 
-let touch_read t ~owner ~fresh key =
-  (* Returns the rebuilt subtree, or physically the same subtree when no
-     marking was needed (so repeated reads do not churn versions). *)
+(* One descent that both reads [key] and marks the read: the payload
+   [lookup] would return, and the rebuilt tree — physically the same
+   tree when no marking was needed, so repeated reads do not churn
+   versions. *)
+let read t ~owner ~fresh key =
   let ob = Meta.owner_bits owner in
+  let found = ref None in
   let rec go t =
     if t == empty then empty
     else
       let c = Key.compare key t.key in
-      if c = 0 then
+      if c = 0 then begin
+        if not (Payload.is_tombstone t.payload) then found := Some t.payload;
         if
           t.meta land Meta.owner_mask = ob
           && t.meta land (Meta.altered lor Meta.dep_content) <> 0
         then t
         else mark ~owner ~fresh t ~content:true ~structure:false
+      end
       else begin
         let child = if c < 0 then t.left else t.right in
         if child == empty then begin
@@ -197,6 +222,7 @@ let touch_read t ~owner ~fresh key =
           else mark ~owner ~fresh t ~content:false ~structure:true
         end
         else begin
+          Prefetch.block (if c < 0 then t.right else t.left);
           let child' = go child in
           if child' == child then t
           else if c < 0 then copy ~owner ~fresh t ~left:child' ~right:t.right
@@ -204,7 +230,8 @@ let touch_read t ~owner ~fresh key =
         end
       end
   in
-  go t
+  let t' = go t in
+  (t', !found)
 
 (* Materialize the path to an existing key and set depends_on_structure on
    it; used as the phantom guard for empty-range neighbours. *)
@@ -222,6 +249,7 @@ let mark_structure t ~owner ~fresh key =
         else mark ~owner ~fresh t ~content:false ~structure:true
       else begin
         let child = if c < 0 then t.left else t.right in
+        Prefetch.block (if c < 0 then t.right else t.left);
         let child' = go child in
         if child' == child then t
         else if c < 0 then copy ~owner ~fresh t ~left:child' ~right:t.right

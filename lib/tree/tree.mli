@@ -54,11 +54,14 @@ val upsert :
     root-to-node path (and the split path, for a fresh insert) as draft
     nodes of [owner]. *)
 
-val touch_read : t -> owner:int -> fresh:(unit -> int) -> Key.t -> t
-(** Record a validated point read: materializes the path to the key and
-    marks the node [depends_on_content].  A read of an absent key marks the
-    node where the search ended [depends_on_structure] (phantom guard).
-    Reading the transaction's own write is a no-op. *)
+val read :
+  t -> owner:int -> fresh:(unit -> int) -> Key.t -> t * Payload.t option
+(** Record a validated point read, in one descent: materializes the path
+    to the key and marks the node [depends_on_content].  A read of an
+    absent key marks the node where the search ended
+    [depends_on_structure] (phantom guard).  Reading the transaction's
+    own write is a no-op: the tree comes back physically unchanged.  The
+    second component is what {!lookup} returns on the input tree. *)
 
 val touch_range :
   t -> owner:int -> fresh:(unit -> int) -> lo:Key.t -> hi:Key.t -> t

@@ -119,7 +119,7 @@ let test_roundtrip_matches_assign () =
   in
   let bytes = Codec.encode draft in
   let decoded =
-    Codec.decode ~pos:7 ~resolve:(resolver_of snapshot ~snapshot_pos:(-1)) bytes
+    Eager_decoder.decode ~pos:7 ~resolve:(resolver_of snapshot ~snapshot_pos:(-1)) bytes
   in
   let assigned = I.assign ~pos:7 draft in
   check "physically identical to assign" true
@@ -161,12 +161,12 @@ let test_decode_rejects_corruption () =
   (* Truncation *)
   (try
      ignore
-       (Codec.decode ~pos:1 ~resolve (String.sub bytes 0 (String.length bytes / 2)));
+       (Eager_decoder.decode ~pos:1 ~resolve (String.sub bytes 0 (String.length bytes / 2)));
      Alcotest.fail "expected Corrupt"
    with Codec.Corrupt _ -> ());
   (* Trailing garbage *)
   try
-    ignore (Codec.decode ~pos:1 ~resolve (bytes ^ "zz"));
+    ignore (Eager_decoder.decode ~pos:1 ~resolve (bytes ^ "zz"));
     Alcotest.fail "expected Corrupt"
   with Codec.Corrupt _ -> ()
 
@@ -211,7 +211,7 @@ let test_wrapped_ref_idx_rejected () =
     if key = 4 then target else Node.empty
   in
   let expected = "reference to key 4 resolved to wrong version" in
-  (match Codec.decode ~pos:7 ~resolve bytes with
+  (match Eager_decoder.decode ~pos:7 ~resolve bytes with
   | _ -> Alcotest.fail "eager decoder accepted a wrapped reference"
   | exception Codec.Corrupt m ->
       Alcotest.(check string) "eager message" expected m);
@@ -408,7 +408,7 @@ let prop_roundtrip =
       let resolve ~snapshot:_ ~key ~vn:_ =
         match Tree.find snapshot key with Some n -> n | None -> Node.empty
       in
-      let decoded = Codec.decode ~pos:11 ~resolve bytes in
+      let decoded = Eager_decoder.decode ~pos:11 ~resolve bytes in
       let parsed = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
       let assigned = (I.assign ~pos:11 draft).I.root in
       (* the eager reference and the pipeline's own path both number
@@ -442,7 +442,7 @@ let test_node_count_mismatch () =
       Bytes.set b 4 (Char.chr claimed);
       let s = Bytes.to_string b in
       let want = Printf.sprintf "node count %d does not match the records" claimed in
-      Alcotest.(check string) "eager" want (outcome (Codec.decode ~pos:1 ~resolve) s);
+      Alcotest.(check string) "eager" want (outcome (Eager_decoder.decode ~pos:1 ~resolve) s);
       Alcotest.(check string) "lazy" want
         (outcome (Codec.decode_lazy ~pos:1 ~peer:snapshot ~resolve) s))
     [ 0; count - 1; count + 1; count + 2 ]

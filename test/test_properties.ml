@@ -245,7 +245,7 @@ let prop_mutators_preserve_invariants =
             match kind with
             | 0 -> Tree.upsert t ~owner ~fresh a (Payload.value "v")
             | 1 -> Tree.upsert t ~owner ~fresh a Payload.tombstone
-            | 2 -> Tree.touch_read t ~owner ~fresh a
+            | 2 -> fst (Tree.read t ~owner ~fresh a)
             | 3 ->
                 Tree.touch_range t ~owner ~fresh ~lo:(min a b) ~hi:(max a b)
             | 4 -> (

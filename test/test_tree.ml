@@ -102,26 +102,29 @@ let test_delete_is_tombstone () =
 let test_touch_read_marks () =
   let t0 = Helpers.genesis 100 in
   let fresh = make_fresh () in
-  let t1 = Tree.touch_read t0 ~owner ~fresh 10 in
+  let t1, v = Tree.read t0 ~owner ~fresh 10 in
+  check "read payload" true (v = Some (Helpers.payload 10));
   let n = Option.get (Tree.find t1 10) in
   check "dep content" true (Node.depends_on_content n);
   check "not altered" false (Node.altered n);
   check "payload kept" true (Payload.equal n.Node.payload (Helpers.payload 10));
   (* Marking again is a no-op (physically). *)
-  let t2 = Tree.touch_read t1 ~owner ~fresh 10 in
+  let t2, _ = Tree.read t1 ~owner ~fresh 10 in
   check "idempotent" true (t2 == t1)
 
 let test_touch_read_own_write_noop () =
   let t0 = Helpers.genesis 100 in
   let fresh = make_fresh () in
   let t1 = Tree.upsert t0 ~owner ~fresh 10 (Payload.value "mine") in
-  let t2 = Tree.touch_read t1 ~owner ~fresh 10 in
-  check "no-op" true (t2 == t1)
+  let t2, v = Tree.read t1 ~owner ~fresh 10 in
+  check "no-op" true (t2 == t1);
+  check "own write read" true (v = Some (Payload.value "mine"))
 
 let test_touch_read_absent_guards_structure () =
   let t0 = Helpers.genesis ~gap:10 100 in
   let fresh = make_fresh () in
-  let t1 = Tree.touch_read t0 ~owner ~fresh 55 in
+  let t1, v = Tree.read t0 ~owner ~fresh 55 in
+  check "absent reads None" true (v = None);
   (* Some node on the search path must carry the structural guard. *)
   let guarded = ref 0 in
   Tree.iter t1 (fun n -> if Node.depends_on_structure n then incr guarded);
@@ -248,6 +251,41 @@ let prop_shape_canonical =
       in
       String.equal (Helpers.shape a) (Helpers.shape b))
 
+(* [Tree.read] returns what [lookup] returns on the tree it was given,
+   over snapshots mixed with own writes, tombstones and absent keys, and
+   leaves a valid treap whose read key carries the content guard. *)
+let prop_read_is_lookup =
+  QCheck2.Test.make ~name:"read payload = lookup, one descent" ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 30) (pair (int_bound 120) bool))
+        (list_size (int_range 1 20) (int_bound 130)))
+    (fun (edits, reads) ->
+      let fresh = make_fresh () in
+      let t =
+        List.fold_left
+          (fun t (k, del) ->
+            Tree.upsert t ~owner ~fresh k
+              (if del then Payload.tombstone else Payload.value "w"))
+          (Helpers.genesis ~gap:2 60) edits
+      in
+      List.fold_left
+        (fun t k ->
+          let t', v = Tree.read t ~owner ~fresh k in
+          if v <> Tree.lookup t k then
+            QCheck2.Test.fail_reportf "key %d: read <> lookup" k;
+          (match Tree.validate t' with
+          | Ok () -> ()
+          | Error e -> QCheck2.Test.fail_reportf "invalid: %s" e);
+          (match Tree.find t' k with
+          | Some n when not (Node.depends_on_content n || Node.altered n) ->
+              QCheck2.Test.fail_reportf "key %d: read left unguarded" k
+          | _ -> ());
+          t')
+        t reads
+      |> ignore;
+      true)
+
 let prop_range_matches_model =
   QCheck2.Test.make ~name:"range scan agrees with Map model" ~count:200
     QCheck2.Gen.(
@@ -298,6 +336,7 @@ let qcheck_cases =
       prop_model_agreement;
       prop_shape_canonical;
       prop_range_matches_model;
+      prop_read_is_lookup;
       prop_priority_greater_unboxed;
     ]
 

@@ -7,6 +7,27 @@ module Crc32 = Hyder_util.Crc32
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* --- prefetch ------------------------------------------------------------ *)
+
+(* A hint with no semantics: immediates, the static empty-tree sentinel
+   and heap blocks are all accepted and nothing they hold changes. *)
+let test_prefetch_accepts_anything () =
+  let module Prefetch = Hyder_util.Prefetch in
+  let module Node = Hyder_tree.Node in
+  Prefetch.block 0;
+  Prefetch.block max_int;
+  Prefetch.block min_int;
+  Prefetch.block ();
+  Prefetch.block None;
+  Prefetch.block Node.empty;
+  Prefetch.block Node.empty.Node.left;
+  let s = String.make 3 'x' and a = [| 1; 2 |] in
+  Prefetch.block s;
+  Prefetch.block a;
+  Prefetch.block 1.5;
+  check "sentinel unchanged" true (Node.is_empty Node.empty);
+  check "blocks unchanged" true (s = "xxx" && a = [| 1; 2 |])
+
 (* --- rng ---------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -687,6 +708,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "truncated" `Quick test_wire_truncated;
           Alcotest.test_case "varint sizes" `Quick test_wire_varint_sizes;
+        ] );
+      ( "prefetch",
+        [
+          Alcotest.test_case "immediates, sentinel and blocks" `Quick
+            test_prefetch_accepts_anything;
         ] );
       ( "crc32",
         [

@@ -74,7 +74,7 @@ let prop_view_matches_eager =
       match encode_txn t with
       | None -> true
       | Some bytes ->
-          let eager, nodes = Codec.decode_indexed ~pos:11 ~resolve bytes in
+          let eager, nodes = Eager_decoder.decode_indexed ~pos:11 ~resolve bytes in
           let li = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
           let v =
             match li.I.view with
@@ -158,7 +158,7 @@ let prop_truncation_rejected =
 (* Both decoders on one buffer: the tree, or the [Corrupt] message. *)
 let outcomes ~peer ~resolve s =
   let eager =
-    match Codec.decode ~pos:5 ~resolve s with
+    match Eager_decoder.decode ~pos:5 ~resolve s with
     | d -> Ok d.I.root
     | exception Codec.Corrupt m -> Error m
   in
@@ -302,7 +302,7 @@ let test_prefix_sweep () =
       let resolve = resolver_of snap in
       for len = 0 to String.length bytes - 1 do
         let s = String.sub bytes 0 len in
-        (match Codec.decode ~pos:5 ~resolve s with
+        (match Eager_decoder.decode ~pos:5 ~resolve s with
         | _ -> Alcotest.failf "%s: eager accepted a %d-byte prefix" name len
         | exception Codec.Corrupt _ -> ());
         match Codec.decode_lazy ~pos:5 ~peer:snap ~resolve s with
@@ -310,6 +310,78 @@ let test_prefix_sweep () =
         | exception Codec.Corrupt _ -> ()
       done)
     (Lazy.force fixed_intentions)
+
+(* ---- varints ---------------------------------------------------------- *)
+
+(* [View.uint_at] (the parse's varint reader, with its unrolled two- and
+   three-byte paths) against [Wire.Reader.varint64]: same value mod 2^63,
+   same end offset, [Truncated] on the same buffers.  Every encoded
+   length from 1 to 10 bytes, non-canonical forms, the shift-63 group
+   (only its low bit lands, on bit 63, which the conversion drops) and
+   an 11th group, each placed after 0-2 bytes of prefix and cut at every
+   length, so the buffer ends 0, 1, 2, ... bytes past the first byte. *)
+let test_uint_matches_reader () =
+  let module Wire = Hyder_util.Wire in
+  let encode v =
+    let w = Wire.Writer.create ~capacity:16 () in
+    Wire.Writer.varint64 w v;
+    Wire.Writer.contents w
+  in
+  let rng = Rng.create 99L in
+  (* values of each length: the ends of its range and random ones *)
+  let of_length l =
+    let lo = if l = 1 then 0L else Int64.shift_left 1L (7 * (l - 1)) in
+    let hi =
+      if l >= 10 then -1L else Int64.pred (Int64.shift_left 1L (7 * l))
+    in
+    lo :: hi
+    :: List.init 20 (fun _ ->
+           if l >= 10 then Int64.logor Int64.min_int (Rng.next_int64 rng)
+           else
+             Int64.add lo
+               (Int64.rem
+                  (Int64.logand (Rng.next_int64 rng) Int64.max_int)
+                  (Int64.add (Int64.sub hi lo) 1L)))
+  in
+  let encodings =
+    List.concat_map (fun l -> List.map encode (of_length l)) (List.init 10 succ)
+    @ [
+        "\x80\x00"; "\xff\x80\x00"; "\x80\x80\x80\x00";
+        (* ten bytes, the last at shift 63: only bit 63, dropped *)
+        "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+        "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01";
+        (* an eleventh group is past any 64-bit value *)
+        "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01";
+      ]
+  in
+  List.iter
+    (fun (e : string) ->
+      let l = String.length e in
+      for pre = 0 to 2 do
+        let full = String.make pre '\x85' ^ e ^ "\x81\x02" in
+        for cut = pre to String.length full do
+          let s = String.sub full 0 cut in
+          let want =
+            let r = Wire.Reader.of_string ~pos:pre s in
+            match Wire.Reader.varint64 r with
+            | x -> Some (Int64.to_int x, Wire.Reader.pos r)
+            | exception Wire.Truncated -> None
+          in
+          let got =
+            match View.uint_at s pre with
+            | x -> Some x
+            | exception Wire.Truncated -> None
+          in
+          if got <> want then
+            Alcotest.failf "%d-byte varint, prefix %d, cut at %d: disagree" l
+              pre cut
+        done
+      done)
+    encodings;
+  check "every length 1..10 covered" true
+    (List.for_all
+       (fun l -> List.exists (fun e -> String.length e = l) encodings)
+       (List.init 10 succ))
 
 (* ---- pipeline bit-identity across backends --------------------------- *)
 
@@ -428,13 +500,47 @@ let test_parse_stays_young () =
   let parse () =
     View.parse ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes
   in
-  let v = parse () (* warm the per-domain reference stage *) in
+  let v = parse () in
   let n = View.node_count v in
   check (Printf.sprintf "200..256 nodes (%d)" n) true (n >= 200 && n <= 256);
   let _, p0, m0 = Gc.counters () in
   let v = parse () in
   let _, p1, m1 = Gc.counters () in
   ignore (Sys.opaque_identity v);
+  Alcotest.(check (float 0.)) "direct-major words" 0. (m1 -. m0 -. (p1 -. p0))
+
+(* The bound-reference stage is a per-parse array like the index arrays:
+   a parse binding 100 or more references allocates nothing directly on
+   the major heap either, and needs no warm-up parse. *)
+let test_parse_refs_stay_young () =
+  let snap = Helpers.genesis ~gap:3 4000 in
+  let e =
+    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:snap ~server:3
+      ~txn_seq:17 ~isolation:I.Serializable ()
+  in
+  let rec drafts (t : Node.tree) =
+    if Node.is_empty t || Node.owner t <> I.draft_owner then 0
+    else 1 + drafts t.Node.left + drafts t.Node.right
+  in
+  Executor.write e 3 "w";
+  let k = ref 0 in
+  while drafts (Executor.working_tree e) < 180 do
+    ignore (Executor.read e (!k * 3));
+    k := (!k + 149) mod 4000
+  done;
+  let bytes = Codec.encode (Option.get (Executor.finish e)) in
+  let _, p0, m0 = Gc.counters () in
+  let v = View.parse ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes in
+  let _, p1, m1 = Gc.counters () in
+  let n = View.node_count v in
+  let refs = ref 0 in
+  for idx = 0 to n - 1 do
+    List.iter
+      (fun c -> if c < -1 then incr refs)
+      [ View.kid_l v idx; View.kid_r v idx ]
+  done;
+  check (Printf.sprintf ">= 100 references (%d), <= 255 nodes (%d)" !refs n)
+    true (!refs >= 100 && n <= 255);
   Alcotest.(check (float 0.)) "direct-major words" 0. (m1 -. m0 -. (p1 -. p0))
 
 let () =
@@ -465,5 +571,12 @@ let () =
         [
           Alcotest.test_case "parse of 200 nodes stays young" `Quick
             test_parse_stays_young;
+          Alcotest.test_case "parse of 100+ references stays young" `Quick
+            test_parse_refs_stay_young;
+        ] );
+      ( "varints",
+        [
+          Alcotest.test_case "uint = Wire.Reader.varint64, lengths 1..10"
+            `Quick test_uint_matches_reader;
         ] );
     ]
