@@ -15,23 +15,19 @@ check:
 # Smoke of the cluster simulation: fig11 (nodes visited by final meld
 # per optimization) contributes four cluster runs so BENCH_SMOKE.json
 # carries real perf data (write_tps, stage_us, conflict-zone stats) for
-# the trajectory.  The pipelined backend is measured and gated by
-# bench-macro.
+# the trajectory.
 bench-smoke:
 	dune exec bench/main.exe -- --json=BENCH_SMOKE.json --quick fig11
 
-# Tracked macro-benchmark: replays one mixed read/write history through
-# seq and pipe:<n>, n sized from the host (one domain fewer than
-# Domain.recommended_domain_count, at least 1), measuring the final-meld
-# critical path (fm_ns_per_txn), the driver critical path and exact
-# per-stage GC words/txn.  The fresh run is gated against the committed
-# BENCH_MACRO.json baseline: any backend diverging from sequential, pipe
-# not moving decodes off the driver (driver critical path, decode
-# offload, queue and handoff accounting), the pm/gm/fm/mz minor
-# words/txn differing between backends, the fm loop allocating more
-# minor words/txn (tight tolerance — the number is deterministic) or a
-# large fm-ns/txn regression (loose tolerance — wall clock on shared CI)
-# fails the make.
+# Tracked macro-benchmark: replays one fixed-seed, mixed read/write wire
+# stream, measuring the final-meld critical path (fm_ns_per_txn), exact
+# per-stage GC words/txn and the stream's mean encoded size
+# (wire_bytes_per_txn).  The fresh run is gated against the committed
+# BENCH_MACRO.json baseline: ds allocating more than its per-node budget,
+# the fm loop allocating more minor words/txn (tight tolerance — the
+# number is deterministic), a large fm-ns/txn regression (loose
+# tolerance — wall clock on shared CI) or the wire format growing by
+# more than 1% fails the make.
 # A second, flight-recorded run (kept out of the gated timing run so the
 # recorder cannot touch the tracked melds/s) then feeds the analyzer,
 # whose per-stage wait/service waterfall (FLIGHT_REPORT.json) is itself

@@ -19,7 +19,6 @@ module Cluster = Hyder_cluster.Cluster
 module Ycsb = Hyder_workload.Ycsb
 module Pipeline = Hyder_core.Pipeline
 module Premeld = Hyder_core.Premeld
-module Runtime = Hyder_core.Runtime
 module Counters = Hyder_core.Counters
 module Clock = Hyder_util.Clock
 module Corfu = Hyder_log.Corfu
@@ -83,9 +82,8 @@ let scale = ref default_scale
 let json_path : string option ref = ref None
 
 (* Flight-record sink (--flight=FILE): the macro figure records every
-   transaction's per-stage wait/service flight, one recorder per backend
-   (labels "seq" and "pipe:<n>") multiplexed into this JSON-lines file
-   for [hyder-cli analyze]. *)
+   transaction's per-stage wait/service flight (label "seq") into this
+   JSON-lines file for [hyder-cli analyze]. *)
 let flight_path : string option ref = ref None
 
 let current_figure = ref ""
@@ -862,19 +860,16 @@ let batches_of ~slab wires =
   in
   go wires
 
-(* Steady-state numbers for the final-meld and driver critical paths,
-   tracked via `make bench-macro` → BENCH_MACRO.json and gated by
-   scripts/check_bench_smoke.py; this is the one place the pipelined
-   backend is measured.  A fixed-seed wire stream (identical bytes run
-   to run, so gate movement is code, not workload) is replayed under seq
-   and under pipe:<n>, with [n] one less than the host's recommended
-   domain count (at least 1), so the workers and the driver fit the
-   cores; the first [warm_txns] intentions are warmup — counters,
-   metrics and offload stats are snapshotted at the boundary and diffed
-   at the end.  Per-stage GC words come from the pipeline's
-   Fcounter instruments (Gc.counters deltas around the stage work on the
-   driver, which runs pm, gm and fm on every backend; under pipe:<n> the
-   ds column covers only the decodes the driver ran itself). *)
+(* Steady-state numbers for the final-meld critical path, tracked via
+   `make bench-macro` → BENCH_MACRO.json and gated by
+   scripts/check_bench_smoke.py.  A fixed-seed wire stream (identical
+   bytes run to run, so gate movement is code, not workload) is replayed
+   once; the first [warm_txns] intentions are warmup — counters and
+   metrics are snapshotted at the boundary and diffed at the end.
+   Per-stage GC words come from the pipeline's Fcounter instruments
+   (Gc.counters deltas around each stage's work).  The stream's mean
+   encoded size is reported too: it depends on the wire format alone, so
+   the gate on it sees format changes and nothing else. *)
 let macro () =
   let module Tree = Hyder_tree.Tree in
   let module Payload = Hyder_tree.Payload in
@@ -891,6 +886,9 @@ let macro () =
   in
   let wires = record_wire_stream ~seed:271828L ~txns ~n ~config ~genesis in
   let count = List.length wires in
+  let wire_bytes =
+    List.fold_left (fun acc (_, src) -> acc + String.length src) 0 wires
+  in
   let warm, rest =
     let rec split k acc = function
       | x :: tl when k > 0 -> split (k - 1) (x :: acc) tl
@@ -905,47 +903,51 @@ let macro () =
     | Some (Metrics.Fcounter_v x) -> x
     | _ -> 0.0
   in
+  let name = "seq" in
+  let metrics = Metrics.create () in
   let flight_sink =
     match !flight_path with None -> None | Some path -> Some (open_out path)
   in
-  let run name backend =
-    let metrics = Metrics.create () in
-    let flight =
-      match flight_sink with
-      | None -> Flight.disabled
-      | Some oc -> Flight.create ~label:name ~metrics ~sink:oc ()
-    in
-    let p =
-      Pipeline.create ~config ~runtime:backend ~metrics ~flight ~genesis ()
-    in
-    let warm_decisions =
-      List.concat_map (fun b -> Pipeline.submit_wire_batch p b) warm_batches
-    in
-    let c0 = Counters.copy (Pipeline.counters p) in
-    let m0 = Metrics.snapshot metrics in
-    let off0 = Pipeline.offload p in
-    (* Driver-domain allocation bracket: Gc.minor_words is per-domain in
-       OCaml 5, so this measures exactly the driver's share — worker-side
-       stage allocation never shows up here.  The handoff-allocation gate
-       in check_bench_smoke.py lives on this number. *)
-    let mw0 = Gc.minor_words () in
-    let t0 = Clock.now () in
-    let decisions =
-      List.concat_map (fun b -> Pipeline.submit_wire_batch p b) meas_batches
-      @ Pipeline.flush p
-    in
-    let wall = Clock.elapsed t0 in
-    let driver_minor_w = Gc.minor_words () -. mw0 in
-    let c1 = Pipeline.counters p in
-    let gc = Metrics.diff ~base:m0 (Metrics.snapshot metrics) in
-    let off1 = Pipeline.offload p in
-    let _, _, final = Pipeline.lcs p in
-    Flight.export_percentiles flight;
-    Pipeline.shutdown p;
-    (warm_decisions @ decisions, List.length decisions, final, wall,
-     (c0, c1), gc, (off0, off1), driver_minor_w)
+  let flight =
+    match flight_sink with
+    | None -> Flight.disabled
+    | Some oc -> Flight.create ~label:name ~metrics ~sink:oc ()
   in
-  let base = run "seq" Runtime.sequential in
+  let p = Pipeline.create ~config ~metrics ~flight ~genesis () in
+  List.iter (fun b -> ignore (Pipeline.submit_wire_batch p b)) warm_batches;
+  let c0 = Counters.copy (Pipeline.counters p) in
+  let m0 = Metrics.snapshot metrics in
+  let t0 = Clock.now () in
+  let melded =
+    List.fold_left
+      (fun acc b -> acc + List.length (Pipeline.submit_wire_batch p b))
+      0 meas_batches
+    + List.length (Pipeline.flush p)
+  in
+  let wall = Clock.elapsed t0 in
+  let c1 = Pipeline.counters p in
+  let gc = Metrics.diff ~base:m0 (Metrics.snapshot metrics) in
+  Flight.export_percentiles flight;
+  (match (flight_sink, !flight_path) with
+  | Some oc, Some path ->
+      close_out oc;
+      Printf.printf "flight records -> %s\n" path
+  | _ -> ());
+  let meldedf = float_of_int melded in
+  let sdelta f = f c1 -. f c0 in
+  let ds = sdelta (fun c -> c.Counters.deserialize.Counters.seconds) in
+  let pm = sdelta (fun c -> (Counters.premeld_total c).Counters.seconds) in
+  let gm = sdelta (fun c -> c.Counters.group_meld.Counters.seconds) in
+  let fm = sdelta (fun c -> c.Counters.final_meld.Counters.seconds) in
+  let driver_s = ds +. pm +. gm +. fm in
+  let melds_per_s = meldedf /. wall in
+  let fm_ns = fm /. meldedf *. 1e9 in
+  let driver_us = driver_s /. meldedf *. 1e6 in
+  let wire_bytes_per_txn = float_of_int wire_bytes /. float_of_int count in
+  let per_txn name = fval gc name /. meldedf in
+  let fm_minor = per_txn "pipeline_fm_gc_minor_words" in
+  let ds_minor = per_txn "pipeline_ds_gc_minor_words" in
+  let mz_minor = per_txn "pipeline_mz_gc_minor_words" in
   let t =
     Table.create
       ~title:
@@ -955,147 +957,72 @@ let macro () =
            count (count - warm_txns))
       ~columns:
         [ "runtime"; "melds/s"; "fm ns/txn"; "driver us/int";
-          "ds minor w/txn"; "mz minor w/txn"; "fm minor w/txn"; "same as seq" ]
+          "ds minor w/txn"; "mz minor w/txn"; "fm minor w/txn"; "wire B/txn" ]
   in
-  let report name
-      (decisions, melded, final, wall, (c0, c1), gc, (off0, off1),
-       driver_minor_w) =
-    let bdecisions, _, bfinal, _, _, _, _, _ = base in
-    let same =
-      List.length decisions = List.length bdecisions
-      && List.for_all2
-           (fun (a : Pipeline.decision) (b : Pipeline.decision) ->
-             a.Pipeline.seq = b.Pipeline.seq
-             && a.Pipeline.committed = b.Pipeline.committed
-             && a.Pipeline.decided_at = b.Pipeline.decided_at)
-           decisions bdecisions
-      && Tree.physically_equal final bfinal
-    in
-    let meldedf = float_of_int melded in
-    let sdelta f = f c1 -. f c0 in
-    let ds = sdelta (fun c -> c.Counters.deserialize.Counters.seconds) in
-    let pm = sdelta (fun c -> (Counters.premeld_total c).Counters.seconds) in
-    let gm = sdelta (fun c -> c.Counters.group_meld.Counters.seconds) in
-    let fm = sdelta (fun c -> c.Counters.final_meld.Counters.seconds) in
-    let wds =
-      match (off0, off1) with
-      | Some a, Some b ->
-          b.Pipeline.worker_ds_seconds -. a.Pipeline.worker_ds_seconds
-      | _ -> 0.0
-    in
-    let driver_s = ds -. wds +. pm +. gm +. fm in
-    let melds_per_s = meldedf /. wall in
-    let fm_ns = fm /. meldedf *. 1e9 in
-    let driver_us = driver_s /. meldedf *. 1e6 in
-    let per_txn name = fval gc name /. meldedf in
-    let fm_minor = per_txn "pipeline_fm_gc_minor_words" in
-    let ds_minor = per_txn "pipeline_ds_gc_minor_words" in
-    let mz_minor = per_txn "pipeline_mz_gc_minor_words" in
-    Table.add_row t
-      [
-        name;
-        Printf.sprintf "%.0f" melds_per_s;
-        Printf.sprintf "%.0f" fm_ns;
-        Printf.sprintf "%.2f" driver_us;
-        Printf.sprintf "%.1f" ds_minor;
-        Printf.sprintf "%.1f" mz_minor;
-        Printf.sprintf "%.1f" fm_minor;
-        (if same then "yes" else "NO");
-      ];
-    if !json_path <> None then begin
-      let us x = Json.Float (x /. meldedf *. 1e6) in
-      let handoff, offload =
-        match (off0, off1) with
-        | Some a, Some b ->
-            (* The counters are cumulative; the measured window is the
-               diff.  The peak queue depth covers the whole replay. *)
-            let d f = Json.Int (f b - f a) in
-            ( Json.Obj
-                [
-                  ("batches", d (fun o -> o.Pipeline.handoff_batches));
-                  ("items", d (fun o -> o.Pipeline.handoff_items));
-                  ("doorbell_wakeups", d (fun o -> o.Pipeline.doorbell_wakeups));
-                  ("driver_steals", d (fun o -> o.Pipeline.driver_steals));
-                ],
-              Json.Obj
-                [
-                  ("ds_offloaded", d (fun o -> o.Pipeline.ds_offloaded));
-                  ("ds_inline", d (fun o -> o.Pipeline.ds_inline));
-                  ("max_queue_depth", Json.Int b.Pipeline.max_queue_depth);
-                  ("queue_capacity", Json.Int b.Pipeline.queue_capacity);
-                ] )
-        | _ -> (Json.Null, Json.Null)
-      in
-      report_runs :=
-        Json.Obj
-          [
-            ("figure", Json.String "macro");
-            ("runtime", Json.String name);
-            ("cores", Json.Int (Domain.recommended_domain_count ()));
-            ("intentions_total", Json.Int count);
-            ("intentions_measured", Json.Int melded);
-            ("wall_s", Json.Float wall);
-            ("melds_per_s", Json.Float melds_per_s);
-            ("fm_ns_per_txn", Json.Float fm_ns);
-            ("driver_critical_path_us", Json.Float driver_us);
-            ("driver_share_of_wall", Json.Float (driver_s /. wall));
-            (* ds minor words are gated per decoded node: a view's index
-               grows with the intention, heap nodes built in ds would
-               add a block per node *)
-            ( "ds_nodes_per_txn",
-              Json.Float
-                (sdelta (fun c ->
-                     float_of_int
-                       c.Counters.deserialize.Counters.nodes_visited)
-                /. meldedf) );
-            ( "driver_minor_w_per_txn",
-              Json.Float (driver_minor_w /. meldedf) );
-            ("handoff", handoff);
-            ("offload", offload);
-            ( "stage_us",
-              Json.Obj
-                [ ("ds", us ds); ("pm", us pm); ("gm", us gm); ("fm", us fm) ]
-            );
-            ( "gc_words_per_txn",
-              Json.Obj
-                [
-                  ("ds_minor", Json.Float (per_txn "pipeline_ds_gc_minor_words"));
-                  ( "ds_promoted",
-                    Json.Float (per_txn "pipeline_ds_gc_promoted_words") );
-                  ("pm_minor", Json.Float (per_txn "pipeline_pm_gc_minor_words"));
-                  ( "pm_promoted",
-                    Json.Float (per_txn "pipeline_pm_gc_promoted_words") );
-                  ("gm_minor", Json.Float (per_txn "pipeline_gm_gc_minor_words"));
-                  ( "gm_promoted",
-                    Json.Float (per_txn "pipeline_gm_gc_promoted_words") );
-                  ("fm_minor", Json.Float fm_minor);
-                  ( "fm_promoted",
-                    Json.Float (per_txn "pipeline_fm_gc_promoted_words") );
-                  ("mz_minor", Json.Float mz_minor);
-                ] );
-            ("same_as_seq", Json.Bool same);
-          ]
-        :: !report_runs
-    end
-  in
-  report "seq" base;
-  let pipe =
-    Runtime.pipelined
-      ~domains:(max 1 (Domain.recommended_domain_count () - 1))
-  in
-  let pipe_name = Runtime.to_string pipe in
-  report pipe_name (run pipe_name pipe);
-  (match (flight_sink, !flight_path) with
-  | Some oc, Some path ->
-      close_out oc;
-      Printf.printf "flight records -> %s\n" path
-  | _ -> ());
+  Table.add_row t
+    [
+      name;
+      Printf.sprintf "%.0f" melds_per_s;
+      Printf.sprintf "%.0f" fm_ns;
+      Printf.sprintf "%.2f" driver_us;
+      Printf.sprintf "%.1f" ds_minor;
+      Printf.sprintf "%.1f" mz_minor;
+      Printf.sprintf "%.1f" fm_minor;
+      Printf.sprintf "%.2f" wire_bytes_per_txn;
+    ];
+  if !json_path <> None then begin
+    let us x = Json.Float (x /. meldedf *. 1e6) in
+    report_runs :=
+      Json.Obj
+        [
+          ("figure", Json.String "macro");
+          ("runtime", Json.String name);
+          ("cores", Json.Int (Domain.recommended_domain_count ()));
+          ("intentions_total", Json.Int count);
+          ("intentions_measured", Json.Int melded);
+          ("wall_s", Json.Float wall);
+          ("melds_per_s", Json.Float melds_per_s);
+          ("fm_ns_per_txn", Json.Float fm_ns);
+          ("driver_critical_path_us", Json.Float driver_us);
+          ("driver_share_of_wall", Json.Float (driver_s /. wall));
+          ("wire_bytes_per_txn", Json.Float wire_bytes_per_txn);
+          (* ds minor words are gated per decoded node: a view's index
+             grows with the intention, heap nodes built in ds would add a
+             block per node *)
+          ( "ds_nodes_per_txn",
+            Json.Float
+              (sdelta (fun c ->
+                   float_of_int c.Counters.deserialize.Counters.nodes_visited)
+              /. meldedf) );
+          ( "stage_us",
+            Json.Obj
+              [ ("ds", us ds); ("pm", us pm); ("gm", us gm); ("fm", us fm) ] );
+          ( "gc_words_per_txn",
+            Json.Obj
+              [
+                ("ds_minor", Json.Float ds_minor);
+                ( "ds_promoted",
+                  Json.Float (per_txn "pipeline_ds_gc_promoted_words") );
+                ("pm_minor", Json.Float (per_txn "pipeline_pm_gc_minor_words"));
+                ( "pm_promoted",
+                  Json.Float (per_txn "pipeline_pm_gc_promoted_words") );
+                ("gm_minor", Json.Float (per_txn "pipeline_gm_gc_minor_words"));
+                ( "gm_promoted",
+                  Json.Float (per_txn "pipeline_gm_gc_promoted_words") );
+                ("fm_minor", Json.Float fm_minor);
+                ( "fm_promoted",
+                  Json.Float (per_txn "pipeline_fm_gc_promoted_words") );
+                ("mz_minor", Json.Float mz_minor);
+              ] );
+        ]
+      :: !report_runs
+  end;
   Table.print t;
   Printf.printf
-    "(fm minor w/txn = minor-heap words allocated by the driver's final \
-     meld per measured intention; under %s the ds GC columns cover only \
-     the decodes the driver ran itself)\n"
-    pipe_name
+    "(fm minor w/txn = minor-heap words allocated by final meld per \
+     measured intention; wire B/txn = mean encoded size over all %d \
+     intentions)\n"
+    count
 
 (* ---------------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks of the meld operator                           *)

@@ -13,7 +13,6 @@ module Replica = Hyder_cluster.Replica
 module Faults = Hyder_sim.Faults
 module Ycsb = Hyder_workload.Ycsb
 module Pipeline = Hyder_core.Pipeline
-module Runtime = Hyder_core.Runtime
 module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Analyze = Hyder_obs.Analyze
@@ -44,12 +43,6 @@ let pipeline_to_string (c : Pipeline.config) =
   | Some _, 1 -> "premeld"
   | None, _ -> "group"
   | Some _, _ -> "both"
-
-let runtime_conv =
-  let parse s =
-    match Runtime.parse s with Ok b -> Ok b | Error m -> Error (`Msg m)
-  in
-  Arg.conv (parse, fun fmt b -> Format.fprintf fmt "%s" (Runtime.to_string b))
 
 let pipeline_conv =
   let parse = function
@@ -134,7 +127,7 @@ let workload_term =
 (* --- cluster ------------------------------------------------------------ *)
 
 let cluster_cmd =
-  let run_chaos servers pipeline runtime workload seed faults checkpoint_every
+  let run_chaos servers pipeline workload seed faults checkpoint_every
       chaos_txns flight_file metrics_file json_file =
     let metrics =
       if metrics_file <> None || json_file <> None then Some (Metrics.create ())
@@ -147,7 +140,6 @@ let cluster_cmd =
               Replica.default_config with
               Replica.servers;
               pipeline;
-              runtime;
               workload;
               faults;
               checkpoint_every;
@@ -155,7 +147,6 @@ let cluster_cmd =
               seed = Int64.of_int seed;
               metrics;
               flight_sink;
-              flight_label = "chaos/" ^ Runtime.to_string runtime;
             }
           in
           Replica.run cfg)
@@ -179,7 +170,6 @@ let cluster_cmd =
                    [
                      ("servers", Json.Int servers);
                      ("pipeline", Json.String (pipeline_to_string pipeline));
-                     ("runtime", Json.String (Runtime.to_string runtime));
                      ("txns", Json.Int chaos_txns);
                      ("checkpoint_every", Json.Int checkpoint_every);
                      ("faults", Json.String (Faults.to_string faults));
@@ -196,21 +186,15 @@ let cluster_cmd =
         Printf.eprintf "run report -> %s\n%!" path);
     if not r.Replica.converged then exit 1
   in
-  let run servers pipeline runtime write_threads read_threads inflight
-      duration warmup workload seed faults checkpoint_every chaos_txns
-      flight_file metrics_file json_file =
+  let run servers pipeline write_threads read_threads inflight duration warmup
+      workload seed faults checkpoint_every chaos_txns flight_file
+      metrics_file json_file =
     match faults with
     | Some faults ->
         (* Chaos mode: fault injection + crash recovery instead of the
            closed-loop throughput experiment. *)
-        run_chaos servers pipeline runtime workload seed faults
-          checkpoint_every chaos_txns flight_file metrics_file json_file
-    | None when runtime <> Runtime.sequential ->
-        Printf.eprintf
-          "cluster: --runtime %s applies only to chaos mode (--faults); the \
-           throughput experiment always melds on seq\n%!"
-          (Runtime.to_string runtime);
-        exit 2
+        run_chaos servers pipeline workload seed faults checkpoint_every
+          chaos_txns flight_file metrics_file json_file
     | None ->
     with_flight_sink flight_file @@ fun flight_sink ->
     let metrics =
@@ -283,18 +267,6 @@ let cluster_cmd =
     Arg.(
       value & opt pipeline_conv Pipeline.plain
       & info [ "pipeline" ] ~doc:"plain | premeld | group | both")
-  in
-  let runtime =
-    Arg.(
-      value & opt runtime_conv Runtime.sequential
-      & info [ "runtime" ]
-          ~doc:
-            "Chaos mode only: stage runtime for every replica's meld \
-             pipeline, seq | pipe:N.  seq runs every stage inline; pipe:N \
-             stages deserialize/premeld/group-meld across N worker domains \
-             through bounded SPSC queues, leaving only final meld on the \
-             driver, with results identical to seq.  The throughput \
-             experiment always runs seq and rejects any other value.")
   in
   let write_threads =
     Arg.(value & opt int 20 & info [ "write-threads" ] ~doc:"Update threads/server.")
@@ -377,10 +349,10 @@ let cluster_cmd =
   Cmd.v
     (Cmd.info "cluster" ~doc:"Run a distributed Hyder II experiment")
     Term.(
-      const run $ servers $ pipeline $ runtime $ write_threads
-      $ read_threads $ inflight $ duration $ warmup $ workload_term $ seed
-      $ faults $ checkpoint_every $ chaos_txns $ flight_file
-      $ metrics_file $ json_file)
+      const run $ servers $ pipeline $ write_threads $ read_threads
+      $ inflight $ duration $ warmup $ workload_term $ seed $ faults
+      $ checkpoint_every $ chaos_txns $ flight_file $ metrics_file
+      $ json_file)
 
 (* --- analyze -------------------------------------------------------------- *)
 

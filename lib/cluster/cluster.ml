@@ -31,7 +31,7 @@ type config = {
   warmup : float;
   seed : int64;
   metrics : Metrics.t option;
-      (** registry for pipeline/runtime instruments, the commit-latency
+      (** registry for pipeline instruments, the commit-latency
           histogram and the simulated queue-depth sampler *)
   flight : Flight.t;
       (** per-transaction flight recorder threaded into the real
@@ -167,7 +167,6 @@ let run cfg =
         })
       cfg.metrics
   in
-  Fun.protect ~finally:(fun () -> Pipeline.shutdown pipeline) @@ fun () ->
   (* All executor encodes run on the simulator's single driver thread, so
      one pooled encoder serves every server: each encode reuses the same
      power-of-two backing buffer instead of growing a fresh [Buffer]. *)

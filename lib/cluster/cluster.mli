@@ -39,7 +39,7 @@ type config = {
   warmup : float;  (** simulated seconds before measurement starts *)
   seed : int64;
   metrics : Hyder_obs.Metrics.t option;
-      (** when set, registers pipeline/runtime instruments, a
+      (** when set, registers pipeline instruments, a
           [cluster_commit_latency_seconds] histogram (simulated seconds,
           draft to origin-server decision), a [cluster_log_appends]
           counter, per-reason [cluster_aborts_*] counters, and a periodic

@@ -8,7 +8,6 @@ module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
 module Server = Hyder_core.Server
 module Premeld = Hyder_core.Premeld
-module Runtime = Hyder_core.Runtime
 module Counters = Hyder_core.Counters
 module Ycsb = Hyder_workload.Ycsb
 module Stats = Hyder_util.Stats
@@ -21,7 +20,6 @@ type config = {
   txns : int;
   wave : int;
   pipeline : Pipeline.config;
-  runtime : Runtime.backend;
   workload : Ycsb.config;
   corfu : Corfu.config;
   broadcast : Broadcast.config;
@@ -34,7 +32,6 @@ type config = {
   seed : int64;
   metrics : Metrics.t option;
   flight_sink : out_channel option;
-  flight_label : string;
 }
 
 let default_config =
@@ -47,7 +44,6 @@ let default_config =
         Pipeline.premeld = Some { Premeld.threads = 2; distance = 4 };
         group_size = 2;
       };
-    runtime = Runtime.sequential;
     workload =
       {
         Ycsb.default with
@@ -69,7 +65,6 @@ let default_config =
     seed = 0xC0FFEEL;
     metrics = None;
     flight_sink = None;
-    flight_label = "chaos";
   }
 
 type replica_report = {
@@ -109,7 +104,7 @@ type result = {
 }
 
 (* Digest of everything in the counters that must be bit-identical across
-   replicas, backends and crash/recovery — i.e. everything except wall-clock
+   replicas and crash/recovery — i.e. everything except wall-clock
    seconds, which measure the host, not the computation. *)
 let counters_digest (c : Counters.t) =
   let b = Buffer.create 256 in
@@ -314,16 +309,15 @@ let run (cfg : config) =
     | None -> Flight.disabled
     | Some oc ->
         Flight.create
-          ~label:(Printf.sprintf "%s/r%d" cfg.flight_label id)
+          ~label:(Printf.sprintf "chaos/r%d" id)
           ?metrics:cfg.metrics ~sink:oc ()
   in
   let boot ~flight id = function
     | Some c ->
-        Server.restore ~config:cfg.pipeline ~runtime:cfg.runtime ~flight
-          ~server_id:id c
+        Server.restore ~config:cfg.pipeline ~flight ~server_id:id c
     | None ->
-        Server.create ~config:cfg.pipeline ~runtime:cfg.runtime ~flight
-          ~server_id:id ~genesis:g.genesis ()
+        Server.create ~config:cfg.pipeline ~flight ~server_id:id
+          ~genesis:g.genesis ()
   in
   let reps =
     Array.init cfg.servers (fun id ->
@@ -452,8 +446,7 @@ let run (cfg : config) =
     if not r.down then begin
       r.down <- true;
       r.crashes <- r.crashes + 1;
-      r.replaying <- false;
-      Server.shutdown r.server
+      r.replaying <- false
     end
   in
   (* publisher: appends paced on the simulated clock; the constant
@@ -565,7 +558,6 @@ let run (cfg : config) =
           end)
         reps);
   Array.iter (fun r -> Flight.export_percentiles r.flight) reps;
-  Array.iter (fun r -> Server.shutdown r.server) reps;
   {
     log_length = n;
     converged;

@@ -31,7 +31,6 @@ type config = {
   txns : int;  (** intentions appended to the log *)
   wave : int;  (** transactions executed against one snapshot *)
   pipeline : Pipeline.config;
-  runtime : Runtime.backend;  (** replicas' meld backend *)
   workload : Hyder_workload.Ycsb.config;
   corfu : Hyder_log.Corfu.config;
   broadcast : Hyder_log.Broadcast.config;
@@ -51,11 +50,9 @@ type config = {
       (** when given, each replica gets its own flight recorder (records
           are keyed by log position and every replica melds every
           position, so a shared recorder would conflate them) streaming
-          JSON lines to this shared channel, labeled
-          [<flight_label>/r<id>].  Recorders survive crash/restart, so a
-          replayed position emits a second record.  [None] (default) is
-          the inert path. *)
-  flight_label : string;
+          JSON lines to this shared channel, labeled [chaos/r<id>].
+          Recorders survive crash/restart, so a replayed position emits a
+          second record.  [None] (default) is the inert path. *)
 }
 
 val default_config : config
@@ -106,7 +103,7 @@ type result = {
 
 val run : config -> result
 (** Deterministic: a pure function of [config] (including the fault
-    schedule), identical across runs and across runtime backends. *)
+    schedule), identical across runs. *)
 
 val counters_digest : Counters.t -> string
 (** Digest over every deterministic counter — stage work records, commit

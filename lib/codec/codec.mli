@@ -47,10 +47,9 @@ type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 
 val peek_snapshot : string -> int
 (** The snapshot log position of the encoded intention, read from the
-    header without decoding.  The pipelined runtime uses this to decide
-    whether a decode can be offloaded to a worker domain (its snapshot
-    state is already recorded) or must wait for final meld to catch up.
-    Allocates nothing.  Raises {!Corrupt} on a truncated header. *)
+    header without decoding.  The pipeline uses it to look up the
+    snapshot state a decode binds against, and to refuse an intention
+    whose snapshot the log has not recorded yet.  Allocates nothing.  Raises {!Corrupt} on a truncated header. *)
 
 val decode_lazy :
   pos:int -> ?peer:Node.tree -> resolve:resolver -> string -> Intention.t

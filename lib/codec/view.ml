@@ -15,20 +15,18 @@
    their record is read, against the snapshot tree the intention names —
    one step down from the parent's snapshot peer in the common case,
    falling back to the caller's resolver with exactly the eager decoder's
-   integrity checks and error messages.  Because every reference is bound up front, [materialize]
-   is total: it can run at any later stage, on any domain, and never
-   consults a resolver or fails.
+   integrity checks and error messages.  Because every reference is
+   bound up front, [materialize] is total: it can run at any later stage
+   and never consults a resolver or fails.
 
    Lifetime: a view pins its backing string (immutable, the intention's
    whole encoding) for as long as it lives.  Decode-side buffers are
    therefore never pooled — pools are for encode-side scratch only.
 
    Ownership: one walker at a time.  [cur] is a scratch cursor for the
-   cold re-reads and the [nodes] memo is unsynchronized.  Views cross
-   pipeline stage queues under one rule: whoever pushes an intention
-   onto a queue never touches it or its view again.  The queue's
-   publication orders the pusher's last access before the popper's
-   first, so a view is never walked concurrently. *)
+   cold re-reads and the [nodes] memo is unsynchronized; the pipeline
+   runs every stage on one thread, so a view is never walked
+   concurrently. *)
 
 open Hyder_tree
 module Wire = Hyder_util.Wire

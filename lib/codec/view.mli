@@ -16,12 +16,10 @@
     - the backing string is immutable and never pooled — a view pins it.
 
     Ownership: one walker at a time — the cold accessors share a scratch
-    cursor and the materialization memo is unsynchronized.  Views cross
-    pipeline stage queues (a worker's parse to the driver, the driver's
-    parse to a premeld worker, premeld to the group-meld worker, and
-    back to final meld) under one rule: whoever pushes an intention onto
-    a queue never touches it or its view again.  The queue's publication
-    orders the pusher's last access before the popper's first. *)
+    cursor and the materialization memo is unsynchronized.  The pipeline
+    runs every stage on one thread, so a view passes from parse to
+    premeld, group meld and final meld without ever being walked
+    concurrently. *)
 
 open Hyder_tree
 

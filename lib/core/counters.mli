@@ -8,10 +8,9 @@
 
     Premeld work is counted into {e per-thread shards}, one per paper
     premeld thread id (Section 3.4), rather than one shared record.  The
-    shard an intention's work lands in is [seq mod t], identical under
-    the sequential and pipelined backends, so per-shard counts must match
-    exactly across backends (seconds, of course, differ).  Every shard
-    is written on the pipeline's driver.
+    shard an intention's work lands in is [seq mod t], so per-shard counts
+    match exactly across replicas and replays (seconds, of course,
+    differ).
 
     Readers merge the shards on demand with {!premeld_total}. *)
 

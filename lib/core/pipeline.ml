@@ -56,10 +56,7 @@ type instruments = {
   m_aborts_read : Metrics.Counter.t;
   m_aborts_phantom : Metrics.Counter.t;
   (* Per-stage GC deltas ([Gc.counters] minor/promoted words), sampled
-     around the stage work on the driver, which runs pm, gm and fm on
-     every backend and ds for every decode it runs itself.  Pipelined
-     workers' decodes are not sampled: several domains would race on one
-     accumulator (and GC counters are domain-local). *)
+     around each stage's work. *)
   m_ds_gc_minor : Metrics.Fcounter.t;
   m_ds_gc_promoted : Metrics.Fcounter.t;
   m_pm_gc_minor : Metrics.Fcounter.t;
@@ -75,8 +72,7 @@ type instruments = {
      not a bracket of its own: meld reports materialization deltas
      through its [?mz] hook, which adds here and subtracts from the
      enclosing stage's minor counter, keeping each stage honest and the
-     total unchanged.  Driver-written only, and complete on every
-     backend: a worker's decode materializes nothing. *)
+     total unchanged. *)
   m_mz_gc_minor : Metrics.Fcounter.t;
 }
 
@@ -118,93 +114,7 @@ let gc_end inst ~stage (mw0, pw0) =
       Metrics.Fcounter.add minor (mw1 -. mw0);
       Metrics.Fcounter.add promoted (pw1 -. pw0)
 
-(* ------------------------------------------------------------------ *)
-(* Pipelined backend: job/result plumbing types                         *)
-(* ------------------------------------------------------------------ *)
-
-(* A work item for the pipelined backend: a wire-form encoding still to
-   be deserialized.  [psnap] is the snapshot log position peeked from the
-   encoding header: its decode is released once the live store has
-   recorded that position. *)
-type witem = { pos : int; src : string; psnap : int }
-
-(* Decode handoff rides on pooled mutable carriers instead of per-item
-   job/result records.  A carrier cycles
-
-     driver free list -> job ring -> worker (result fields written in
-     place) -> result ring -> driver free list
-
-   so a steady-state handoff round allocates nothing and never churns
-   promoted words (a result record freshly allocated on a worker minor
-   heap would be promoted the moment the driver read it).  The driver's
-   outstanding-[<= ds_depth] budget per worker doubles as the free-list
-   availability proof.  The driver clears payload references when it
-   recycles a carrier, so the pool pins nothing between rounds.
-
-   Stage timestamps travel as integer nanoseconds: a float field in a
-   mixed record is boxed, and re-boxing floats per item on the worker
-   would reintroduce exactly the promoted-word churn the pool exists to
-   kill. *)
-type carrier = {
-  mutable c_idx : int;  (** batch item index *)
-  mutable c_pos : int;
-  mutable c_src : string;  (** the wire encoding *)
-  mutable c_tree : Tree.t;  (** the snapshot tree the decode binds to *)
-  mutable c_intention : Intention.t option;
-      (** [None]: the worker decode raised [Corrupt]; the driver redoes
-          the decode inline so the error surfaces there *)
-  mutable c_t0_ns : int;
-      (** worker-side decode start ([CLOCK_MONOTONIC] is system-wide, so
-          the driver stamps flight edges from it directly) *)
-  mutable c_t1_ns : int;
-}
-
-let fresh_carrier () =
-  {
-    c_idx = -1;
-    c_pos = 0;
-    c_src = "";
-    c_tree = Node.empty;
-    c_intention = None;
-    c_t0_ns = 0;
-    c_t1_ns = 0;
-  }
-
-let ns_of_s s = int_of_float (s *. 1e9)
-let s_of_ns n = float_of_int n *. 1e-9
-
-(* A decode is dealt to a worker only while fewer than [ds_depth] jobs
-   are outstanding on it: one running and one queued keep the worker busy
-   across the driver's round trip.  Releasable decodes beyond that stay
-   in the driver's backlog, where the driver steals them instead of
-   parking — a decode queued on a ring could not be taken back.  It also
-   sizes each worker's rings and carrier pool: a worker never holds
-   more. *)
-let ds_depth = 2
-
-type pctx = {
-  ppool : (carrier, carrier) Runtime.Stage_pool.t;
-  pdomains : int;
-  qcap : int;
-  outstanding : int array;
-      (** jobs staged-or-submitted minus results drained, per worker;
-          kept [<= ds_depth <= qcap] so a flush and a worker's result
-          push can never fail *)
-  free : carrier array array;  (** per-worker carrier free stacks *)
-  free_top : int array;
-  stage_buf : carrier array array;
-      (** jobs staged per worker, published as one batch each round *)
-  stage_n : int array;
-  drain_buf : carrier array;  (** scratch for batched result drains *)
-  mutable ds_offloaded : int;
-  mutable ds_inline_n : int;
-  mutable worker_ds_seconds : float;
-  mutable max_depth : int;
-  mutable handoff_batches : int;  (** job-ring publications (flushes) *)
-  mutable handoff_items : int;  (** jobs published through those *)
-  mutable driver_steals : int;
-}
-
+(* Kept only for [benchmark/] (see the interface); nothing builds one. *)
 type offload_stats = {
   ds_offloaded : int;
   ds_inline : int;
@@ -221,11 +131,7 @@ type offload_stats = {
 
 type t = {
   config : config;
-  runtime : Runtime.backend;
-  flight : Flight.t;
-      (** per-transaction lifecycle recorder; only ever touched by the
-          driver thread — worker-domain decode timestamps ride back in
-          the carriers and are stamped on result handling *)
+  flight : Flight.t;  (** per-transaction lifecycle recorder *)
   inst : instruments option;
   counters : Counters.t;
   states : State_store.t;
@@ -235,43 +141,20 @@ type t = {
   mutable next_seq : int;
   mutable pending : Group_meld.group option;  (** group being assembled *)
   mutable pending_members : int;
-  mutable pstate : pctx option;  (** worker fabric, [Pipelined] only *)
 }
 
 let states t = t.states
 let counters t = t.counters
 let config t = t.config
-let runtime t = t.runtime
 let lcs t = State_store.latest t.states
 
-let shutdown t =
-  match t.pstate with
-  | Some p -> Runtime.Stage_pool.shutdown p.ppool
-  | None -> ()
-
-let offload t =
-  Option.map
-    (fun (p : pctx) ->
-      {
-        ds_offloaded = p.ds_offloaded;
-        ds_inline = p.ds_inline_n;
-        worker_ds_seconds = p.worker_ds_seconds;
-        worker_pm_seconds = 0.0;
-        worker_gm_seconds = 0.0;
-        max_queue_depth = p.max_depth;
-        queue_capacity = p.qcap;
-        handoff_batches = p.handoff_batches;
-        handoff_items = p.handoff_items;
-        doorbell_wakeups = Runtime.Stage_pool.doorbell_wakeups p.ppool;
-        driver_steals = p.driver_steals;
-      })
-    t.pstate
+let shutdown _ = ()
+let offload _ = None
 
 (* Materialization ("mz") accounting helpers.  [mz_note] books an
    explicit delta; [mz_hook] builds the meld-side hook that also
    subtracts the delta from the enclosing stage bracket (which sampled
-   those words too).  Both are driver-side single-writer — never hand
-   the hook to a worker domain. *)
+   those words too). *)
 let mz_note t d =
   match t.inst with
   | None -> ()
@@ -303,24 +186,29 @@ let force_tree t (g : Group_meld.group) =
       mz_note t (Gc.minor_words () -. mw0);
       { g with Group_meld.root; view = None }
 
-(* The ds parse, the one decode every pipeline stage runs: index the
-   wire record in place (zero-copy) as a flyweight view.  The snapshot
-   state is both the binding peer and the resolver, and nothing else is:
-   meld's graft checks compare node objects physically, so a reference
-   must bind to the same object on every backend, replica and GC
-   schedule, and the retained state is the one source all of them share.
-   The driver resolves through its live store; a pipelined worker
-   through the snapshot tree the driver looked up in that store and
-   carried with the job, which answers identically.  A reference the
-   state cannot answer with the recorded version is rejected as
-   [Corrupt].  Nothing outlives the decode but the returned intention,
-   so its wire arrays die young once it is melded. *)
-let parse ~peer ~resolve ~pos src = Codec.decode_lazy ~pos ~peer ~resolve src
-
-(* ds bookkeeping, shared by the driver's decode and the pipelined
-   driver's handling of a worker decode.  Only a successful parse is
-   booked: a rejected intention leaves every counter as it was. *)
-let ds_book t ~t0 ~t1 (i : Intention.t) =
+(* The ds stage: index the wire record in place (zero-copy) as a
+   flyweight view.  The snapshot state is both the binding peer and the
+   resolver, and nothing else is: meld's graft checks compare node
+   objects physically, so a reference must bind to the same object on
+   every replica and GC schedule, and the retained state is the one
+   source all of them share.  A reference the state cannot answer with
+   the recorded version is rejected as [Corrupt].  Nothing outlives the
+   decode but the returned intention, so its wire arrays die young once
+   it is melded.  Only a successful parse is booked: a rejected
+   intention leaves every counter as it was. *)
+let decode t ~pos src =
+  let t0 = Clock.now () in
+  let gc0 = gc_begin t.inst in
+  let peer =
+    match State_store.by_pos t.states (Codec.peek_snapshot src) with
+    | Some tree -> tree
+    | None -> Node.empty
+  in
+  let i =
+    Codec.decode_lazy ~pos ~peer ~resolve:(State_store.resolver t.states) src
+  in
+  gc_end t.inst ~stage:`Ds gc0;
+  let t1 = Clock.now () in
   let ds = t.counters.deserialize in
   ds.intentions <- ds.intentions + 1;
   ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
@@ -332,39 +220,20 @@ let ds_book t ~t0 ~t1 (i : Intention.t) =
     Flight.note_identity t.flight ~pos ~server:i.Intention.server
       ~txn_seq:i.Intention.txn_seq;
     Flight.edge t.flight ~pos ~stage:Flight.Ds ~t0 ~t1
-  end
-
-(* The driver's ds stage, on every backend: the parse against the live
-   store, GC-sampled and booked. *)
-let decode t ~pos src =
-  let t0 = Clock.now () in
-  let gc0 = gc_begin t.inst in
-  let peer =
-    match State_store.by_pos t.states (Codec.peek_snapshot src) with
-    | Some tree -> tree
-    | None -> Node.empty
-  in
-  let i = parse ~peer ~resolve:(State_store.resolver t.states) ~pos src in
-  gc_end t.inst ~stage:`Ds gc0;
-  ds_book t ~t0 ~t1:(Clock.now ()) i;
+  end;
   i
 
-(* The one invalid-stream error, raised by every backend: a member names
-   a snapshot state the log has not recorded before it. *)
-let invalid_snapshot ~pos ~snap ~lpos =
-  failwith
-    (Printf.sprintf
-       "Pipeline.submit_wire_batch: intention at log position %d names \
-        snapshot %d but only %d is recorded — invalid stream"
-       pos snap lpos)
-
-(* The ds stage as the sequential scheduler runs it: an intention
-   decodes only once the log has recorded its snapshot state.  Every
-   decode the pipelined driver runs itself goes through it too. *)
+(* An intention decodes only once the log has recorded its snapshot
+   state; a member naming a later one makes the stream invalid. *)
 let decode_checked t ~pos src =
   let _, lpos, _ = State_store.latest t.states in
   let snap = Codec.peek_snapshot src in
-  if snap > lpos then invalid_snapshot ~pos ~snap ~lpos;
+  if snap > lpos then
+    failwith
+      (Printf.sprintf
+         "Pipeline.submit_wire_batch: intention at log position %d names \
+          snapshot %d but only %d is recorded — invalid stream"
+         pos snap lpos);
   decode t ~pos src
 
 (* Run final meld on a completed group and emit its decisions. *)
@@ -546,9 +415,9 @@ let gm_step t (unit_group : Group_meld.group) =
     end
   end
 
-(* Group-meld + final-meld tail: sequential in log order under every
-   backend.  [unit_group] is the single-intention group produced by the
-   premeld stage (or the raw intention when premeld is off). *)
+(* Group-meld + final-meld tail, in log order.  [unit_group] is the
+   single-intention group produced by the premeld stage (or the raw
+   intention when premeld is off). *)
 let tail t (unit_group : Group_meld.group) =
   match gm_step t unit_group with
   | Some g -> final_meld t g
@@ -559,8 +428,7 @@ let group_of_outcome ~seq intention = function
   | Premeld.Premelded (i, m) -> Group_meld.single ~premeld_input:m ~seq i
   | Premeld.Dead reason -> Group_meld.dead ~seq intention reason
 
-(* The premeld stage, on the driver against the live store under every
-   backend. *)
+(* The premeld stage, against the live store. *)
 let premeld t pc ~seq (intention : Intention.t) =
   let shard = t.counters.premeld_shards.(Premeld.thread_for pc ~seq - 1) in
   let mz = mz_hook t ~stage:`Pm in
@@ -596,243 +464,10 @@ let submit t (intention : Intention.t) =
   in
   tail t unit_group
 
-(* ------------------------------------------------------------------ *)
-(* Pipelined backend                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Worker-side decode.  Everything it touches is either carried in the
-   job (whose pusher no longer touches it: the wire bytes and the
-   snapshot tree) or owned by the executing worker for the whole
-   pipeline lifetime (its resolver slot).  Workers never read the state
-   store.  A corrupt stream is reported, not raised: the driver redoes
-   the decode inline and raises [Corrupt] on its own thread. *)
-let pexec ~trees ~resolvers ~worker (c : carrier) =
-  let t0 = Clock.now () in
-  trees.(worker) <- c.c_tree;
-  (match
-     parse ~peer:c.c_tree ~resolve:resolvers.(worker) ~pos:c.c_pos c.c_src
-   with
-  | exception Codec.Corrupt _ -> c.c_intention <- None
-  | i ->
-      c.c_intention <- Some i;
-      c.c_t0_ns <- ns_of_s t0;
-      c.c_t1_ns <- ns_of_s (Clock.now ()));
-  trees.(worker) <- Node.empty;
-  c
-
-(* Run a batch of work items through the pipelined backend: workers
-   decode ahead, the driver melds in log order.
-
-   The decode of item [i] runs on worker [i mod domains], released once
-   its snapshot position is recorded in the live store, with the
-   snapshot tree in the job (dealt while fewer than [ds_depth] jobs are
-   outstanding on that worker, else left in the backlog the driver
-   steals from).  A recorded snapshot never changes (final meld only
-   appends later states), so a worker's decode equals the one the
-   sequential scheduler runs.  The driver takes each decoded intention
-   at the log-order head and runs [submit] on it: premeld against the
-   live store, group meld and final meld, the sequential scheduler's own
-   code.  Decisions, trees, ephemeral ids and counters therefore match
-   [seq], and the rings reorder wall-clock only.
-
-   When nothing is in flight, nothing is releasable and the head is
-   still undecoded, every earlier item has been melded, so the store
-   holds exactly what the sequential scheduler holds at the head's
-   submit: the head's decode runs through the sequential code, which
-   raises the one invalid-stream error. *)
-let run_batch t (px : pctx) (items : witem array) =
-  let b = Array.length items in
-  let pool = px.ppool in
-  let domains = px.pdomains in
-  let intentions = Array.make b None in
-  (* [ds_failed.(i)]: item [i]'s decode raised ahead of the head, which
-     redoes it on reaching [i]. *)
-  let ds_failed = Array.make b false in
-  (* Release cursors: worker [w] decodes items [w], [w + domains], ... *)
-  let ds_next = Array.init domains Fun.id in
-  let head = ref 0 in
-  let decisions = ref [] in
-  let progress = ref false in
-  (* position of the newest recorded state, re-read every round *)
-  let lpos = ref (-1) in
-  (* Pooled-carrier handoff: [take] pops worker [w]'s free stack (the
-     outstanding budget proves it is never empty when a release gate
-     passes), [put] stages the filled carrier, and [flush] publishes
-     every staged job with one ring publication and at most one
-     doorbell.  Nothing in this path allocates. *)
-  let take w =
-    let top = px.free_top.(w) - 1 in
-    px.free_top.(w) <- top;
-    px.free.(w).(top)
-  in
-  let recycle w (c : carrier) =
-    c.c_src <- "";
-    c.c_tree <- Node.empty;
-    c.c_intention <- None;
-    px.free.(w).(px.free_top.(w)) <- c;
-    px.free_top.(w) <- px.free_top.(w) + 1
-  in
-  let flush w =
-    let n = px.stage_n.(w) in
-    if n > 0 then begin
-      let accepted =
-        Runtime.Stage_pool.submit_batch pool ~worker:w px.stage_buf.(w) ~len:n
-      in
-      if accepted <> n then
-        failwith "Pipeline: stage pool job queue unexpectedly full";
-      px.stage_n.(w) <- 0;
-      px.handoff_batches <- px.handoff_batches + 1;
-      px.handoff_items <- px.handoff_items + n
-    end
-  in
-  let put ~worker c =
-    px.stage_buf.(worker).(px.stage_n.(worker)) <- c;
-    px.stage_n.(worker) <- px.stage_n.(worker) + 1;
-    px.outstanding.(worker) <- px.outstanding.(worker) + 1;
-    if px.outstanding.(worker) > px.max_depth then
-      px.max_depth <- px.outstanding.(worker);
-    progress := true
-  in
-  let decode_item i = decode_checked t ~pos:items.(i).pos items.(i).src in
-  (* The driver's decode of item [i] ahead of the head.  A rejected
-     intention is deferred, like a worker's, to the redo at the head, so
-     it raises once every earlier intention has decoded, as under
-     [seq]. *)
-  let decode_ahead i =
-    (match decode_item i with
-    | intention -> intentions.(i) <- Some intention
-    | exception (Codec.Corrupt _ | Failure _) -> ds_failed.(i) <- true);
-    ds_next.(i mod domains) <- i + domains;
-    px.ds_inline_n <- px.ds_inline_n + 1;
-    progress := true
-  in
-  let ds_ready i = i < b && items.(i).psnap <= !lpos in
-  let release_ds () =
-    for w = 0 to domains - 1 do
-      let rec go () =
-        let i = ds_next.(w) in
-        if ds_ready i && px.outstanding.(w) < ds_depth then begin
-          (match State_store.by_pos t.states items.(i).psnap with
-          | Some tree ->
-              let c = take w in
-              c.c_idx <- i;
-              c.c_pos <- items.(i).pos;
-              c.c_src <- items.(i).src;
-              c.c_tree <- tree;
-              put ~worker:w c;
-              px.ds_offloaded <- px.ds_offloaded + 1;
-              ds_next.(w) <- i + domains
-          | None -> decode_ahead i);
-          go ()
-        end
-      in
-      go ();
-      (* Staged work must reach the ring before this round can decide to
-         park: staged-but-unpublished work never wakes a worker. *)
-      flush w
-    done
-  in
-  let handle (c : carrier) =
-    match c.c_intention with
-    | Some i ->
-        intentions.(c.c_idx) <- c.c_intention;
-        let t0 = s_of_ns c.c_t0_ns and t1 = s_of_ns c.c_t1_ns in
-        ds_book t ~t0 ~t1 i;
-        px.worker_ds_seconds <- px.worker_ds_seconds +. (t1 -. t0)
-    | None ->
-        (* The worker decode failed; the head redoes it inline. *)
-        ds_failed.(c.c_idx) <- true;
-        px.ds_offloaded <- px.ds_offloaded - 1;
-        px.ds_inline_n <- px.ds_inline_n + 1
-  in
-  (* Meld the head if it is decoded.  Dropping the batch's reference
-     first lets the decode die young once melded.  A failed decode
-     surfaces here, once every earlier item is decoded and melded, as
-     under [seq]: the driver resolves against the same state as the
-     worker, so its redo raises the same error on the driver's thread. *)
-  let meld_head () =
-    let i = !head in
-    if ds_failed.(i) then begin
-      ds_failed.(i) <- false;
-      intentions.(i) <- Some (decode_item i)
-    end;
-    match intentions.(i) with
-    | Some intention ->
-        intentions.(i) <- None;
-        incr head;
-        decisions := List.rev_append (submit t intention) !decisions;
-        progress := true
-    | None -> ()
-  in
-  (* Driver work-stealing: called when a round neither drained, released
-     nor melded but work is still in flight — instead of parking, decode
-     the oldest releasable item left in the backlog.  Steals reuse the
-     driver's decode against the live store, which answers exactly as
-     the carried snapshot tree would. *)
-  let steal () =
-    let best = ref b in
-    for w = 0 to domains - 1 do
-      let i = ds_next.(w) in
-      if i < !best && ds_ready i then best := i
-    done;
-    !best < b
-    && begin
-         decode_ahead !best;
-         px.driver_steals <- px.driver_steals + 1;
-         true
-       end
-  in
-  while !head < b do
-    (* Sample the doorbell before draining so a result pushed after the
-       final drain pass makes the park below return immediately. *)
-    let seen = Runtime.Stage_pool.events pool in
-    progress := false;
-    for w = 0 to domains - 1 do
-      let n =
-        Runtime.Stage_pool.result_batch pool ~worker:w px.drain_buf
-          ~max:px.qcap
-      in
-      for k = 0 to n - 1 do
-        let c = px.drain_buf.(k) in
-        px.outstanding.(w) <- px.outstanding.(w) - 1;
-        handle c;
-        recycle w c;
-        progress := true
-      done
-    done;
-    (let _, p, _ = State_store.latest t.states in
-     lpos := p);
-    release_ds ();
-    meld_head ();
-    if not !progress then begin
-      if Array.exists (fun n -> n > 0) px.outstanding then begin
-        if not (steal ()) then Runtime.Stage_pool.wait pool ~seen
-      end
-      else begin
-        (* The stalled head: see above. *)
-        let i = !head in
-        intentions.(i) <- Some (decode_item i);
-        ds_next.(i mod domains) <- i + domains;
-        px.ds_inline_n <- px.ds_inline_n + 1
-      end
-    end
-  done;
-  List.rev !decisions
-
-let submit_wire_batch t (items : (int * string) list) =
-  match t.pstate with
-  | Some px ->
-      run_batch t px
-        (Array.of_list
-           (List.map
-              (fun (pos, src) -> { pos; src; psnap = Codec.peek_snapshot src })
-              items))
-  | None ->
-      (* Meld each intention right after its decode, so everything the
-         decode allocated dies young. *)
-      List.concat_map
-        (fun (pos, src) -> submit t (decode_checked t ~pos src))
-        items
+(* Meld each intention right after its decode, so everything the decode
+   allocated dies young. *)
+let submit_wire_batch t items =
+  List.concat_map (fun (pos, src) -> submit t (decode_checked t ~pos src)) items
 
 let flush t =
   match t.pending with
@@ -893,53 +528,10 @@ let make_instruments metrics =
       })
     metrics
 
-let attach_pstate t runtime =
-  match runtime with
-  | Runtime.Pipelined { domains } ->
-      (* Worker [w]'s ds resolver answers from [trees.(w)], the snapshot
-         tree of the decode it is running; only worker [w] touches
-         either slot. *)
-      let trees = Array.make domains Node.empty in
-      let resolvers =
-        Array.init domains (fun w ~snapshot:_ ~key ~vn:_ ->
-            match Tree.find trees.(w) key with
-            | Some n -> n
-            | None -> Node.empty)
-      in
-      let dummy = fresh_carrier () in
-      let pool =
-        Runtime.Stage_pool.create ~queue:ds_depth ~domains ~dummy_job:dummy
-          ~dummy_result:dummy
-          ~exec:(fun ~worker c -> pexec ~trees ~resolvers ~worker c)
-          ()
-      in
-      let qcap = Runtime.Stage_pool.queue_capacity pool in
-      t.pstate <-
-        Some
-          {
-            ppool = pool;
-            pdomains = domains;
-            qcap;
-            outstanding = Array.make domains 0;
-            (* qcap carriers per worker: since staged + in-flight never
-               exceeds ds_depth <= qcap, a release gate passing implies a
-               free carrier. *)
-            free =
-              Array.init domains (fun _ ->
-                  Array.init qcap (fun _ -> fresh_carrier ()));
-            free_top = Array.make domains qcap;
-            stage_buf = Array.init domains (fun _ -> Array.make qcap dummy);
-            stage_n = Array.make domains 0;
-            drain_buf = Array.make qcap dummy;
-            ds_offloaded = 0;
-            ds_inline_n = 0;
-            worker_ds_seconds = 0.0;
-            max_depth = 0;
-            handoff_batches = 0;
-            handoff_items = 0;
-            driver_steals = 0;
-          }
-  | Runtime.Sequential -> ()
+(* [Pipelined] is accepted only for [benchmark/], which still names it
+   (see {!Runtime.backend}); every runtime runs the one scheduler. *)
+let check_runtime = function
+  | Runtime.Sequential | Runtime.Pipelined _ -> ()
   | Runtime.Parallel _ ->
       invalid_arg
         "Pipeline: Runtime.Parallel is not a backend (deleted; the \
@@ -947,27 +539,22 @@ let attach_pstate t runtime =
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
     ?(flight = Flight.disabled) ?metrics ~genesis () =
+  check_runtime runtime;
   let pm_threads = validate_shape ~who:"create" ~config in
-  let t =
-    {
-      config;
-      runtime;
-      flight;
-      inst = make_instruments metrics;
-      counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
-      states = State_store.create ~genesis ();
-      fm_alloc = Vn.Alloc.create ~thread:0;
-      pm_allocs =
-        Array.init pm_threads (fun i -> Vn.Alloc.create ~thread:(i + 1));
-      gm_alloc = Vn.Alloc.create ~thread:(pm_threads + 1);
-      next_seq = 0;
-      pending = None;
-      pending_members = 0;
-      pstate = None;
-    }
-  in
-  attach_pstate t runtime;
-  t
+  {
+    config;
+    flight;
+    inst = make_instruments metrics;
+    counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
+    states = State_store.create ~genesis ();
+    fm_alloc = Vn.Alloc.create ~thread:0;
+    pm_allocs =
+      Array.init pm_threads (fun i -> Vn.Alloc.create ~thread:(i + 1));
+    gm_alloc = Vn.Alloc.create ~thread:(pm_threads + 1);
+    next_seq = 0;
+    pending = None;
+    pending_members = 0;
+  }
 
 (* --- checkpoint / restore ----------------------------------------------- *)
 
@@ -987,8 +574,8 @@ let checkpoint t =
               ])
          ~counters:t.counters)
 
-let restore ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(flight = Flight.disabled) ?metrics (ckpt : Checkpoint.t) =
+let restore ?(config = plain) ?(flight = Flight.disabled) ?metrics
+    (ckpt : Checkpoint.t) =
   let pm_threads = validate_shape ~who:"restore" ~config in
   if Array.length ckpt.Checkpoint.alloc_issued <> pm_threads + 2 then
     invalid_arg
@@ -1006,25 +593,19 @@ let restore ?(config = plain) ?(runtime = Runtime.sequential)
     alloc
   in
   let issued = ckpt.Checkpoint.alloc_issued in
-  let t =
-    {
-      config;
-      runtime;
-      flight;
-      inst = make_instruments metrics;
-      counters;
-      states = State_store.restore ckpt.Checkpoint.store;
-      fm_alloc = resume (Vn.Alloc.create ~thread:0) issued.(0);
-      pm_allocs =
-        Array.init pm_threads (fun i ->
-            resume (Vn.Alloc.create ~thread:(i + 1)) issued.(i + 1));
-      gm_alloc =
-        resume (Vn.Alloc.create ~thread:(pm_threads + 1)) issued.(pm_threads + 1);
-      next_seq = ckpt.Checkpoint.seq + 1;
-      pending = None;
-      pending_members = 0;
-      pstate = None;
-    }
-  in
-  attach_pstate t runtime;
-  t
+  {
+    config;
+    flight;
+    inst = make_instruments metrics;
+    counters;
+    states = State_store.restore ckpt.Checkpoint.store;
+    fm_alloc = resume (Vn.Alloc.create ~thread:0) issued.(0);
+    pm_allocs =
+      Array.init pm_threads (fun i ->
+          resume (Vn.Alloc.create ~thread:(i + 1)) issued.(i + 1));
+    gm_alloc =
+      resume (Vn.Alloc.create ~thread:(pm_threads + 1)) issued.(pm_threads + 1);
+    next_seq = ckpt.Checkpoint.seq + 1;
+    pending = None;
+    pending_members = 0;
+  }

@@ -12,9 +12,9 @@
     arithmetic, so every server premelds every intention against the same
     state with the same ephemeral-id stream.
 
-    Premeld runs on the driver under every runtime backend, against the
-    live state store, which already holds the designated input state
-    when the intention is submitted (final meld is always ahead of it). *)
+    Premeld runs inline in the pipeline, against the live state store,
+    which already holds the designated input state when the intention is
+    submitted (final meld is always ahead of it). *)
 
 type config = { threads : int; distance : int }
 

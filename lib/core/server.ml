@@ -33,10 +33,10 @@ let make ~server_id ~block_size ~next_pos ~next_txn_seq pipeline reassembler =
     meld_handler = (fun ~pos:_ -> ());
   }
 
-let create ?(config = Pipeline.plain) ?(block_size = 8192) ?runtime ?flight
-    ~server_id ~genesis () =
+let create ?(config = Pipeline.plain) ?(block_size = 8192) ?flight ~server_id
+    ~genesis () =
   make ~server_id ~block_size ~next_pos:0 ~next_txn_seq:0
-    (Pipeline.create ~config ?runtime ?flight ~genesis ())
+    (Pipeline.create ~config ?flight ~genesis ())
     (Reassembler.create ())
 
 (* Blocks at positions < [next_pos] are all in the pipeline or in the
@@ -52,10 +52,10 @@ let checkpoint t =
       })
     (Pipeline.checkpoint t.pipeline)
 
-let restore ?(config = Pipeline.plain) ?(block_size = 8192) ?runtime ?flight
+let restore ?(config = Pipeline.plain) ?(block_size = 8192) ?flight
     ?(next_txn_seq = 0) ~server_id ckpt =
   make ~server_id ~block_size ~next_pos:ckpt.replay_from ~next_txn_seq
-    (Pipeline.restore ~config ?runtime ?flight ckpt.meld)
+    (Pipeline.restore ~config ?flight ckpt.meld)
     (Reassembler.copy ckpt.partials)
 
 let replay_from ckpt = ckpt.replay_from
@@ -140,4 +140,3 @@ let observe_block t ~pos block =
 
 let flush t = deliver t (Pipeline.flush t.pipeline)
 let prune t ~keep = Pipeline.prune t.pipeline ~keep
-let shutdown t = Pipeline.shutdown t.pipeline

@@ -16,13 +16,12 @@ type t
 val create :
   ?config:Pipeline.config ->
   ?block_size:int ->
-  ?runtime:Runtime.backend ->
   ?flight:Hyder_obs.Flight.t ->
   server_id:int ->
   genesis:Tree.t ->
   unit ->
   t
-(** [runtime] and [flight] pass straight to {!Pipeline.create}. *)
+(** [flight] passes straight to {!Pipeline.create}. *)
 
 val server_id : t -> int
 
@@ -72,7 +71,6 @@ val flush : t -> Pipeline.decision list
 val lcs : t -> int * int * Tree.t
 val counters : t -> Counters.t
 val prune : t -> keep:int -> unit
-val shutdown : t -> unit
 
 (** {1 Crash recovery}
 
@@ -91,7 +89,6 @@ val checkpoint : t -> checkpoint option
 val restore :
   ?config:Pipeline.config ->
   ?block_size:int ->
-  ?runtime:Runtime.backend ->
   ?flight:Hyder_obs.Flight.t ->
   ?next_txn_seq:int ->
   server_id:int ->

@@ -13,8 +13,7 @@ open Hyder_tree
     last-block position of that intention).  Premeld arithmetic uses
     sequence numbers; intention metadata uses log positions.
 
-    A store is read and written by the meld driver alone: pipelined
-    workers receive the (immutable) trees their jobs need in the job. *)
+    A store is read and written by its pipeline alone. *)
 
 type t
 

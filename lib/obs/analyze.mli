@@ -6,8 +6,8 @@
     stage bounds the run (critical-path decomposition), how abort
     reasons distribute across deciding stages, and which individual
     transactions were slowest.  Records carry their recorder's label
-    (backend string), so a single dump from a multi-backend run is
-    grouped into one analysis section per label. *)
+    (["seq"], ["chaos/r0"], ...), so a single dump from several
+    recorders is grouped into one analysis section per label. *)
 
 (** One parsed flight record.  [wait]/[service] are indexed by
     {!Flight.stage} order (ds, pm, gm, fm); times in seconds. *)
@@ -38,7 +38,7 @@ val load_file : string -> txn list
 
 val report : ?top_k:int -> txn list -> Json.t
 (** The machine-readable report ([top_k] slowest transactions per
-    backend, default 10).  Per backend label: transaction/commit/abort
+    label, default 10).  Per label: transaction/commit/abort
     counts, end-to-end percentiles, the per-stage wait/service waterfall
     with each stage's share of total attributed time, the critical-path
     stage (largest total service share), the abort-reason ×
@@ -61,4 +61,4 @@ val to_chrome : txn list -> Json.t
 
 val print_report : ?top_k:int -> txn list -> unit
 (** Human-readable rendering to stdout: one waterfall table, critical
-    path line, abort matrix and slowest-transaction table per backend. *)
+    path line, abort matrix and slowest-transaction table per label. *)

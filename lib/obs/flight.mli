@@ -15,9 +15,9 @@
     A record chains a cursor [t_last] through its edges.  For an edge
     of stage [s] bracketed by monotonic timestamps [(t0, t1)]:
 
-    - [wait.(s)  += max 0 (t0 - t_last)]  — time spent queued between
-      the previous edge and this stage starting (SPSC queue residency
-      under [pipe:<n>], zero by construction under [seq]);
+    - [wait.(s)  += max 0 (t0 - t_last)]  — time between the previous
+      edge and this stage starting (a decoded intention waiting for its
+      turn, or a group member waiting for its group to fill);
     - [service.(s) += max 0 (t1 - t0)]    — time the stage actually
       worked on the intention;
     - [t_last <- max t_last t1].
@@ -39,11 +39,8 @@
 
     {2 Threading}
 
-    Single-writer: only the pipeline driver (the thread calling
-    [submit]/[submit_wire_batch]) may touch a recorder.  Worker-domain stage
-    timestamps ride back to the driver inside the runtime's result
-    messages and are stamped there; [CLOCK_MONOTONIC] is system-wide,
-    so cross-domain differences are meaningful. *)
+    Single-writer: only the thread calling the pipeline's
+    [submit]/[submit_wire_batch] may touch a recorder. *)
 
 type stage = Ds | Pm | Gm | Fm
 
@@ -85,7 +82,7 @@ val disabled : t
 
 val create :
   ?label:string -> ?metrics:Metrics.t -> ?sink:out_channel -> unit -> t
-(** [label] names the run (backend string, replica id, ...) and is
+(** [label] names the run (["seq"], a replica id, ...) and is
     carried on every emitted record so one sink can multiplex several
     recorders.  [metrics] registers per-stage wait/service histograms
     ([flight_<stage>_wait_us] / [flight_<stage>_service_us]), the

@@ -1,7 +1,6 @@
 (* Single-owner freelist of byte buffers, bucketed by power-of-two size.
 
-   No synchronization: a pool belongs to one domain (each pipeline worker
-   and the driver keep their own).  Buckets are LIFO so the hottest buffer
+   No synchronization: a pool belongs to one domain.  Buckets are LIFO so the hottest buffer
    — still warm in cache — is reused first. *)
 
 let min_log = 4 (* 16-byte floor, matching Wire.Writer's minimum *)

@@ -1,8 +1,7 @@
 (** Single-owner freelist of [Bytes.t] scratch buffers.
 
-    The codec hot path allocates a fresh backing buffer per encode and a
-    fresh swizzle table per decode; under a pipelined runtime that churn
-    lands on every worker's minor heap and poisons the calibrated stage
+    The codec hot path would allocate a fresh backing buffer per encode;
+    that churn lands on the minor heap and poisons the calibrated stage
     costs (DESIGN.md §6.6).  A pool turns it into pointer bumps on a
     per-domain freelist.
 

@@ -9,7 +9,6 @@
 
 module Faults = Hyder_sim.Faults
 module Replica = Hyder_cluster.Replica
-module Runtime = Hyder_core.Runtime
 module Metrics = Hyder_obs.Metrics
 
 let check_bool = Alcotest.(check bool)
@@ -116,8 +115,8 @@ let chaos_faults () =
   | Ok f -> f
   | Error e -> Alcotest.failf "chaos spec rejected: %s" e
 
-let chaos_config ?(runtime = Runtime.sequential) ?metrics () =
-  { base_config with Replica.faults = chaos_faults (); runtime; metrics }
+let chaos_config ?metrics () =
+  { base_config with Replica.faults = chaos_faults (); metrics }
 
 let test_chaos_converges () =
   let m = Metrics.create () in
@@ -186,23 +185,6 @@ let test_chaos_deterministic () =
   check_bool "identical sim clock" true
     (a.Replica.sim_seconds = b.Replica.sim_seconds)
 
-let test_chaos_backend_independent () =
-  let cfg = chaos_config () in
-  let seq = Replica.run cfg in
-  check_bool "seq converges" true seq.Replica.converged;
-  List.iter
-    (fun backend ->
-      match Runtime.parse backend with
-      | Error e -> Alcotest.failf "parse %s: %s" backend e
-      | Ok runtime ->
-          let r = Replica.run { cfg with Replica.runtime } in
-          check_bool (backend ^ " converges") true r.Replica.converged;
-          check_bool
-            (backend ^ " bit-identical to sequential")
-            true
-            (digests r = digests seq))
-    [ "pipe:2" ]
-
 let () =
   Alcotest.run "chaos"
     [
@@ -223,7 +205,5 @@ let () =
             test_chaos_converges;
           Alcotest.test_case "chaos run is deterministic" `Quick
             test_chaos_deterministic;
-          Alcotest.test_case "chaos convergence is backend-independent" `Slow
-            test_chaos_backend_independent;
         ] );
     ]

@@ -449,7 +449,7 @@ let test_node_count_mismatch () =
 
 (* The encoder, the parser and materialization all recurse to the
    intention's depth; a chain of 100,000 inside nodes must round-trip on
-   the main domain and on a spawned one, as pipelined workers are. *)
+   the main domain and on a spawned one. *)
 let deep_chain_roundtrip () =
   let depth = 100_000 in
   let vn = Vn.logged ~pos:max_int ~idx:0 in

@@ -254,7 +254,6 @@ let ycsb_wire_stream ~config ~isolation ~txns =
     done;
     if !next - !submitted > in_flight then submit_upto (!submitted + slab)
   done;
-  Pipeline.shutdown gen;
   (genesis, Array.to_list wires)
 
 let decision_key (d : Pipeline.decision) =
@@ -498,7 +497,6 @@ let test_meld_after_compaction_matches_original () =
       List.concat_map (Pipeline.submit p) intentions @ Pipeline.flush p
     in
     let _, _, tree = Pipeline.lcs p in
-    Pipeline.shutdown p;
     ( List.map
         (fun (d : Pipeline.decision) -> (d.seq, d.pos, d.committed, d.reason))
         ds,

@@ -2,7 +2,7 @@
    offline analyzer — and the inertness contract: wiring a metrics
    registry or a flight recorder into the pipeline changes NOTHING
    observable (decisions, ephemeral node identities, per-shard integer
-   counters), under the Sequential and Pipelined runtime backends. *)
+   counters), whatever the wire batch size. *)
 
 module Json = Hyder_obs.Json
 module Metrics = Hyder_obs.Metrics
@@ -11,7 +11,6 @@ module Analyze = Hyder_obs.Analyze
 module Tree = Hyder_tree.Tree
 module Pipeline = Hyder_core.Pipeline
 module Premeld = Hyder_core.Premeld
-module Runtime = Hyder_core.Runtime
 module Counters = Hyder_core.Counters
 module Executor = Hyder_core.Executor
 module I = Hyder_codec.Intention
@@ -343,7 +342,7 @@ let jstring name j =
   | Json.String s -> s
   | _ -> Alcotest.fail ("not a string: " ^ name)
 
-(* A hand-written dump with exact binary-fraction times: three backends
+(* A hand-written dump with exact binary-fraction times: three labels
    (first-seen order), one abort, one corrupted-looking record with a
    negative wait, plus blank/malformed/non-record lines the loader must
    skip.  Every aggregate the report derives from it is exact. *)
@@ -483,7 +482,7 @@ let test_chrome_golden () =
    exactly where the next begins. *)
 let test_chrome_tiles () =
   let rng = Rng.create 7L in
-  let labels = [| "seq"; "pipe:2"; "chaos/r0" |] in
+  let labels = [| "seq"; "chaos/r1"; "chaos/r0" |] in
   let dur () = if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 2e-4 in
   let txns =
     List.init 200 (fun pos ->
@@ -615,8 +614,8 @@ let make_stream ~config ~txns ~seed =
 
 (* Replay a wire stream through a fresh pipeline, feeding
    [submit_wire_batch] in slabs of [slab] intentions. *)
-let replay ?metrics ?flight ~config ~runtime ~slab genesis wires =
-  let p = Pipeline.create ~config ~runtime ?flight ?metrics ~genesis () in
+let replay ?metrics ?flight ~config ~slab genesis wires =
+  let p = Pipeline.create ~config ?flight ?metrics ~genesis () in
   let rec take k acc = function
     | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
     | rest -> (List.rev acc, rest)
@@ -635,7 +634,6 @@ let replay ?metrics ?flight ~config ~runtime ~slab genesis wires =
         (s.Counters.intentions, s.Counters.nodes_visited))
       (Pipeline.counters p).Counters.premeld_shards
   in
-  Pipeline.shutdown p;
   (decisions, final, pm_counts)
 
 let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
@@ -647,8 +645,8 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
 
 (* Recording every intention's lifecycle changes nothing observable,
    and neither does a metrics registry on its own (flight and metrics are
-   independent).  Each row replays one stream under a runtime backend and
-   compares it with an unrecorded sequential replay.  The recorded rows
+   independent).  Each row replays one stream in slabs of its own size
+   and compares it with an unrecorded replay in one batch.  The recorded rows
    double as a lifecycle audit at scale: every decision closes exactly
    one record, none leak, and the commit and per-reason abort counters
    agree with the decision stream. *)
@@ -662,21 +660,21 @@ let check_inert ~seed rows =
   let genesis, wires = make_stream ~config ~txns:300 ~seed in
   check "stream not trivial" true (List.length wires > 150);
   let bd, bfinal, bcounts =
-    replay ~config ~runtime:Runtime.sequential ~slab:max_int genesis wires
+    replay ~config ~slab:max_int genesis wires
   in
   let aborts =
     List.length (List.filter (fun d -> not d.Pipeline.committed) bd)
   in
   check "stream has aborts" true (aborts > 0);
   List.iter
-    (fun (name, runtime, slab, flighted) ->
+    (fun (name, slab, flighted) ->
       let metrics = Metrics.create () in
       let flight =
         if flighted then Flight.create ~label:name ~metrics ()
         else Flight.disabled
       in
       let d, final, counts =
-        replay ~flight ~metrics ~config ~runtime ~slab genesis wires
+        replay ~flight ~metrics ~config ~slab genesis wires
       in
       check (name ^ ": every decision closed one record") true
         (Flight.completed flight = if flighted then List.length d else 0);
@@ -706,23 +704,21 @@ let check_inert ~seed rows =
         (counter "flight_records_total"))
     rows
 
-(* Tracing is the flight recorder: a traced run at full domain fan-out,
-   and a run with metrics but no recorder, against the untraced one. *)
+(* Tracing is the flight recorder: traced runs in one batch and in
+   slabs of 64, and a run with metrics but no recorder, against the
+   untraced one. *)
 let test_tracing_is_inert () =
   check_inert ~seed:2024
     [
-      ("traced seq", Runtime.sequential, max_int, true);
-      ("traced pipe:4", Runtime.pipelined ~domains:4, 64, true);
-      ("metrics only seq", Runtime.sequential, max_int, false);
+      ("traced seq", max_int, true);
+      ("traced seq slab 64", 64, true);
+      ("metrics only seq", max_int, false);
     ]
 
-(* Both runtime backends, on a second stream. *)
+(* The same on a second stream. *)
 let test_flight_is_inert () =
   check_inert ~seed:4096
-    [
-      ("flight seq", Runtime.sequential, max_int, true);
-      ("flight pipe:2", Runtime.pipelined ~domains:2, 64, true);
-    ]
+    [ ("flight seq", max_int, true); ("flight seq slab 64", 64, true) ]
 
 let () =
   Alcotest.run "obs"
@@ -764,9 +760,9 @@ let () =
         ] );
       ( "inertness",
         [
-          Alcotest.test_case "tracing on = tracing off (seq and pipe:4)"
+          Alcotest.test_case "tracing on = tracing off (seq and slab 64)"
             `Quick test_tracing_is_inert;
-          Alcotest.test_case "flight on = flight off (seq, pipe:2)"
+          Alcotest.test_case "flight on = flight off (seq, slab 64)"
             `Quick test_flight_is_inert;
         ] );
     ]

@@ -273,336 +273,6 @@ let test_crc32_detects_corruption () =
   let b = Crc32.digest_string "hello worle" in
   check "differs" false (Int32.equal a b)
 
-(* ---- Spsc_queue ------------------------------------------------------ *)
-
-module Spsc = Hyder_util.Spsc_queue
-
-let test_spsc_fifo_and_capacity () =
-  let q = Spsc.create ~capacity:5 ~dummy:(-1) () in
-  check_int "capacity rounds up to a power of two" 8 (Spsc.capacity q);
-  check "empty pop" true (Spsc.try_pop q = None);
-  for i = 0 to 7 do
-    check "push accepted" true (Spsc.try_push q i)
-  done;
-  check "push on full rejected" false (Spsc.try_push q 99);
-  check_int "length" 8 (Spsc.length q);
-  for i = 0 to 7 do
-    check "fifo order" true (Spsc.try_pop q = Some i)
-  done;
-  check "drained" true (Spsc.try_pop q = None);
-  (* wrap around the ring several times *)
-  for round = 0 to 30 do
-    check "push" true (Spsc.try_push q round);
-    check "pop" true (Spsc.try_pop q = Some round)
-  done
-
-let test_spsc_cross_domain () =
-  let n = 20_000 in
-  let q = Spsc.create ~capacity:64 ~dummy:(-1) () in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Spsc.try_push q i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let sum = ref 0 and seen = ref 0 and ordered = ref true and last = ref (-1) in
-  while !seen < n do
-    match Spsc.try_pop q with
-    | Some v ->
-        if v <= !last then ordered := false;
-        last := v;
-        sum := !sum + v;
-        incr seen
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  check "all elements in order" true !ordered;
-  check "no element lost or duplicated" true (!sum = n * (n - 1) / 2);
-  check "queue empty at the end" true (Spsc.try_pop q = None)
-
-let test_spsc_pop_blocks_and_cancels () =
-  let q = Spsc.create ~capacity:4 ~dummy:"" () in
-  (* a parked consumer is woken by a push *)
-  let consumer = Domain.spawn (fun () -> Spsc.pop q ~cancel:(fun () -> false)) in
-  Unix.sleepf 0.02;
-  check "push wakes parked consumer" true (Spsc.try_push q "hello");
-  check "blocking pop returns the element" true
-    (Domain.join consumer = Some "hello");
-  (* a parked consumer is woken by cancellation *)
-  let stop = Atomic.make false in
-  let consumer =
-    Domain.spawn (fun () -> Spsc.pop q ~cancel:(fun () -> Atomic.get stop))
-  in
-  Unix.sleepf 0.02;
-  Atomic.set stop true;
-  Spsc.wake q;
-  check "cancelled pop returns None" true (Domain.join consumer = None)
-
-(* A third domain — neither producer nor consumer — samples [length] while
-   both endpoints run flat out.  The head/tail reads tear under this race;
-   the contract is that an observer never sees a negative depth (the
-   metrics queue-depth sampler feeds lengths to a histogram, which would
-   reject them).  Over-counting past capacity is an allowed tear. *)
-let test_spsc_never_negative_length () =
-  let n = 50_000 in
-  let q = Spsc.create ~capacity:16 ~dummy:(-1) () in
-  let stop = Atomic.make false in
-  let bad = Atomic.make 0 and samples = Atomic.make 0 in
-  let sampler =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          let l = Spsc.length q in
-          Atomic.incr samples;
-          if l < 0 then Atomic.incr bad
-        done)
-  in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Spsc.try_push q i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let seen = ref 0 in
-  while !seen < n do
-    match Spsc.try_pop q with
-    | Some _ -> incr seen
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  Atomic.set stop true;
-  Domain.join sampler;
-  check "sampler actually raced the endpoints" true (Atomic.get samples > 0);
-  check_int "no negative length observed" 0 (Atomic.get bad)
-
-(* The park/unpark handshake's narrowest window: the consumer has just
-   decided the ring is empty and is about to park while the producer fills
-   it to exactly capacity — if the producer's sleeper check could pass
-   before the consumer registered (or the consumer's emptiness re-check
-   could miss the published tail), the consumer would sleep through the
-   only wakeup it will ever get and the handoff would deadlock.  Drive
-   many fill-to-capacity bursts against a parking consumer; a missed
-   doorbell shows up as the watchdog timing out. *)
-let test_spsc_doorbell_fill_to_capacity () =
-  let rounds = 400 in
-  let q = Spsc.create ~capacity:4 ~dummy:(-1) () in
-  let cap = Spsc.capacity q in
-  let total = rounds * cap in
-  let cancel = Atomic.make false in
-  let consumed = Atomic.make 0 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let ok = ref true in
-        for _ = 1 to total do
-          match Spsc.pop q ~cancel:(fun () -> Atomic.get cancel) with
-          | Some _ -> Atomic.incr consumed
-          | None -> ok := false
-        done;
-        !ok)
-  in
-  let producer =
-    Domain.spawn (fun () ->
-        for round = 0 to rounds - 1 do
-          (* Wait until the previous burst is fully drained (the consumer
-             is heading for the park path), then fill the ring to exactly
-             capacity in one burst. *)
-          while Atomic.get consumed < round * cap && not (Atomic.get cancel) do
-            Domain.cpu_relax ()
-          done;
-          for i = 0 to cap - 1 do
-            while
-              (not (Spsc.try_push q ((round * cap) + i)))
-              && not (Atomic.get cancel)
-            do
-              Domain.cpu_relax ()
-            done
-          done
-        done)
-  in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while Atomic.get consumed < total && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  let timed_out = Atomic.get consumed < total in
-  Atomic.set cancel true;
-  Spsc.wake q;
-  Domain.join producer;
-  let consumer_ok = Domain.join consumer in
-  check "no missed doorbell (every burst drained)" false timed_out;
-  check "every blocking pop returned an element" true consumer_ok
-
-(* Batched transfer semantics, single-domain: partial accepts against a
-   full ring, FIFO across mixed single/batched pushes and pops, and slot
-   scrubbing (popped slots revert to the dummy so the ring retains no
-   consumed values). *)
-let test_spsc_batch_basics () =
-  let q = Spsc.create ~capacity:8 ~dummy:(-1) () in
-  let buf = Array.init 16 (fun i -> i) in
-  check_int "batch push capped by capacity" 8 (Spsc.push_batch q buf ~len:12);
-  check_int "push on full accepts nothing" 0 (Spsc.push_batch q buf ~len:3);
-  let out = Array.make 16 (-2) in
-  check_int "batch pop returns what is there" 8 (Spsc.pop_batch q out ~max:16);
-  for i = 0 to 7 do
-    check_int "fifo across the batch" i out.(i)
-  done;
-  check_int "pop on empty returns nothing" 0 (Spsc.pop_batch q out ~max:4);
-  (* mixed: single pushes drain through batched pops and vice versa *)
-  check "single push" true (Spsc.try_push q 100);
-  check_int "batched tail behind a single push" 2
-    (Spsc.push_batch q [| 101; 102 |] ~len:2);
-  check_int "batch pop spans both push kinds" 3 (Spsc.pop_batch q out ~max:8);
-  check "order preserved" true
-    (out.(0) = 100 && out.(1) = 101 && out.(2) = 102);
-  check_int "batched push" 2 (Spsc.push_batch q [| 7; 8 |] ~len:2);
-  check "single pop sees batched elements in order" true
-    (Spsc.try_pop q = Some 7 && Spsc.try_pop q = Some 8);
-  check "zero len accepted" true (Spsc.push_batch q [||] ~len:0 = 0);
-  (match Spsc.push_batch q [| 1 |] ~len:2 with
-  | _ -> Alcotest.fail "len beyond the buffer accepted"
-  | exception Invalid_argument _ -> ());
-  match Spsc.pop_batch q out ~max:17 with
-  | _ -> Alcotest.fail "max beyond the buffer accepted"
-  | exception Invalid_argument _ -> ()
-
-(* QCheck2: an arbitrary schedule of batched/single pushes against
-   batched/single pops, with a third domain sampling [length], keeps
-   FIFO order end to end and never shows the observer a negative
-   depth.  This is the wire-level contract the pipelined driver's
-   batched handoff rides on. *)
-let prop_spsc_batch_interleaving =
-  let gen =
-    QCheck2.Gen.(
-      pair (list_size (int_range 1 40) (int_range 0 8))
-        (list_size (int_range 1 40) (int_range 0 8)))
-  in
-  QCheck2.Test.make ~name:"spsc batched interleaving keeps fifo" ~count:25 gen
-    (fun (push_sizes, pop_sizes) ->
-      let q = Spsc.create ~capacity:8 ~dummy:(-1) () in
-      let total = List.fold_left ( + ) 0 push_sizes in
-      let stop = Atomic.make false in
-      let negative = Atomic.make false in
-      let sampler =
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              if Spsc.length q < 0 then Atomic.set negative true
-            done)
-      in
-      let producer =
-        Domain.spawn (fun () ->
-            let next = ref 0 in
-            List.iter
-              (fun sz ->
-                if sz = 1 then (
-                  while not (Spsc.try_push q !next) do
-                    Domain.cpu_relax ()
-                  done;
-                  incr next)
-                else
-                  let buf = Array.init sz (fun i -> !next + i) in
-                  let sent = ref 0 in
-                  while !sent < sz do
-                    let accepted =
-                      Spsc.push_batch q
-                        (Array.sub buf !sent (sz - !sent))
-                        ~len:(sz - !sent)
-                    in
-                    if accepted = 0 then Domain.cpu_relax ()
-                    else sent := !sent + accepted
-                  done;
-                  next := !next + sz)
-              push_sizes)
-      in
-      (* consume on this domain with the generated pop schedule, cycling
-         through it until every pushed element arrived *)
-      let out = Array.make 16 (-2) in
-      let expect = ref 0 in
-      let ok = ref true in
-      let schedule = if pop_sizes = [] then [ 4 ] else pop_sizes in
-      let rec consume = function
-        | [] -> consume schedule
-        | sz :: rest when !expect < total ->
-            (if sz <= 1 then (
-               match Spsc.try_pop q with
-               | Some v ->
-                   if v <> !expect then ok := false;
-                   incr expect
-               | None -> Domain.cpu_relax ())
-             else
-               let n = Spsc.pop_batch q out ~max:sz in
-               for i = 0 to n - 1 do
-                 if out.(i) <> !expect + i then ok := false
-               done;
-               if n = 0 then Domain.cpu_relax () else expect := !expect + n);
-            consume rest
-        | _ -> ()
-      in
-      consume schedule;
-      Domain.join producer;
-      Atomic.set stop true;
-      Domain.join sampler;
-      !ok && !expect = total && Spsc.try_pop q = None
-      && not (Atomic.get negative))
-
-(* The doorbell race of [test_spsc_doorbell_fill_to_capacity], but each
-   burst is a single [push_batch] publication: the whole capacity lands
-   under one tail store and at most one doorbell.  If the batched
-   publication's sleeper check could miss a consumer that is heading to
-   park, that one doorbell is the only wakeup the consumer will ever
-   get and the handoff deadlocks (watchdog timeout). *)
-let test_spsc_batched_doorbell_fill_to_capacity () =
-  let rounds = 400 in
-  let q = Spsc.create ~capacity:4 ~dummy:(-1) () in
-  let cap = Spsc.capacity q in
-  let total = rounds * cap in
-  let cancel = Atomic.make false in
-  let consumed = Atomic.make 0 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let ok = ref true in
-        for _ = 1 to total do
-          match Spsc.pop q ~cancel:(fun () -> Atomic.get cancel) with
-          | Some _ -> Atomic.incr consumed
-          | None -> ok := false
-        done;
-        !ok)
-  in
-  let producer =
-    Domain.spawn (fun () ->
-        let buf = Array.make cap 0 in
-        for round = 0 to rounds - 1 do
-          while Atomic.get consumed < round * cap && not (Atomic.get cancel) do
-            Domain.cpu_relax ()
-          done;
-          for i = 0 to cap - 1 do
-            buf.(i) <- (round * cap) + i
-          done;
-          let sent = ref 0 in
-          while !sent < cap && not (Atomic.get cancel) do
-            let accepted =
-              Spsc.push_batch q (Array.sub buf !sent (cap - !sent))
-                ~len:(cap - !sent)
-            in
-            if accepted = 0 then Domain.cpu_relax ()
-            else sent := !sent + accepted
-          done
-        done)
-  in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while Atomic.get consumed < total && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  let timed_out = Atomic.get consumed < total in
-  Atomic.set cancel true;
-  Spsc.wake q;
-  Domain.join producer;
-  let consumer_ok = Domain.join consumer in
-  check "no missed doorbell (every batched burst drained)" false timed_out;
-  check "every blocking pop returned an element" true consumer_ok;
-  check "doorbells were actually exercised" true (Spsc.wakeups q > 0)
-
 (* ---- Buf_pool -------------------------------------------------------- *)
 
 module Buf_pool = Hyder_util.Buf_pool
@@ -669,7 +339,6 @@ let qcheck_cases =
     [
       prop_wire_varint_roundtrip;
       prop_wire_varint_matches_varint64;
-      prop_spsc_batch_interleaving;
     ]
 
 let () =
@@ -718,25 +387,6 @@ let () =
         [
           Alcotest.test_case "known value" `Quick test_crc32_known_value;
           Alcotest.test_case "corruption" `Quick test_crc32_detects_corruption;
-        ] );
-      ( "spsc queue",
-        [
-          Alcotest.test_case "fifo, capacity, wrap" `Quick
-            test_spsc_fifo_and_capacity;
-          Alcotest.test_case "cross-domain handoff" `Quick
-            test_spsc_cross_domain;
-          Alcotest.test_case "blocking pop and cancel" `Quick
-            test_spsc_pop_blocks_and_cancels;
-          Alcotest.test_case "length never negative under race" `Quick
-            test_spsc_never_negative_length;
-          Alcotest.test_case "doorbell: fill to capacity cannot be slept \
-                              through" `Quick
-            test_spsc_doorbell_fill_to_capacity;
-          Alcotest.test_case "batched push/pop semantics" `Quick
-            test_spsc_batch_basics;
-          Alcotest.test_case "batched doorbell: one publication per burst \
-                              cannot be slept through" `Quick
-            test_spsc_batched_doorbell_fill_to_capacity;
         ] );
       ( "buf pool",
         [

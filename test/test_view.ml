@@ -10,7 +10,6 @@ module View = Hyder_codec.View
 module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
 module Premeld = Hyder_core.Premeld
-module Runtime = Hyder_core.Runtime
 module Counters = Hyder_core.Counters
 module Rng = Hyder_util.Rng
 
@@ -392,12 +391,13 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.reason = b.Pipeline.reason
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
-(* Record a deterministic wire stream with a sequential generator, then
-   replay it on every backend, with lazy views parsed on the driver and
-   on pipelined workers: decisions, final tree and premeld visit
-   counters must be bit-identical throughout.  (The eager decoder is the
-   reference the properties above hold the view to; no backend runs it.) *)
-let test_pipeline_lazy_eager_identical () =
+(* Record a deterministic wire stream with a generator that melds each
+   intention from its lazy view right after encoding it, then replay the
+   stream in one wire batch through a fresh pipeline: decisions, final
+   tree and premeld visit counters must equal the generator's.  (The
+   eager decoder is the reference the properties above hold the view to;
+   no pipeline runs it.) *)
+let test_wire_replay_matches_generator () =
   let config =
     { Pipeline.premeld = Some { Premeld.threads = 3; distance = 8 };
       group_size = 2 }
@@ -409,6 +409,7 @@ let test_pipeline_lazy_eager_identical () =
   let history = ref [ (-1, genesis) ] in
   let hist_len = ref 1 in
   let wires = ref [] in
+  let gen_decisions = ref [] in
   let next_pos = ref 0 in
   for txn_seq = 0 to 399 do
     let lag = min (Rng.int rng 40) (!hist_len - 1) in
@@ -433,46 +434,32 @@ let test_pipeline_lazy_eager_identical () =
         let src = Codec.encode draft in
         let intention = Pipeline.decode gen ~pos:!next_pos src in
         wires := (!next_pos, src) :: !wires;
-        ignore (Pipeline.submit gen intention);
+        gen_decisions :=
+          List.rev_append (Pipeline.submit gen intention) !gen_decisions;
         let _, pos, tree = Pipeline.lcs gen in
         history := (pos, tree) :: !history;
         incr hist_len
   done;
-  ignore (Pipeline.flush gen);
+  let gd = List.rev (List.rev_append (Pipeline.flush gen) !gen_decisions) in
+  let _, _, gfinal = Pipeline.lcs gen in
+  let pm_counts p =
+    Array.map
+      (fun (s : Counters.stage) ->
+        (s.Counters.intentions, s.Counters.nodes_visited))
+      (Pipeline.counters p).Counters.premeld_shards
+  in
   let wires = List.rev !wires in
   check "stream not trivial" true (List.length wires > 150);
-  let replay runtime =
-    let p = Pipeline.create ~config ~runtime ~genesis () in
-    let decisions = Pipeline.submit_wire_batch p wires @ Pipeline.flush p in
-    let _, _, final = Pipeline.lcs p in
-    let counts =
-      Array.map
-        (fun (s : Counters.stage) ->
-          (s.Counters.intentions, s.Counters.nodes_visited))
-        (Pipeline.counters p).Counters.premeld_shards
-    in
-    let off = Pipeline.offload p in
-    Pipeline.shutdown p;
-    (decisions, final, counts, off)
-  in
-  (* The sequential run is the baseline; the pipe:2 row parses its views
-     on worker domains and hands them across the stage queues. *)
-  let bd, bfinal, bcounts, _ = replay Runtime.sequential in
-  check "baseline decided everything" true (List.length bd = List.length wires);
-  List.iter
-    (fun (name, runtime) ->
-      let d, final, counts, off = replay runtime in
-      check (name ^ ": decisions identical to lazy seq") true
-        (List.length d = List.length bd && List.for_all2 same_decision d bd);
-      check (name ^ ": final tree physically identical") true
-        (Tree.physically_equal final bfinal);
-      check (name ^ ": premeld work identical") true (counts = bcounts);
-      match off with
-      | None -> ()
-      | Some o ->
-          check (name ^ ": workers parsed views") true
-            (o.Pipeline.ds_offloaded > 0))
-    [ ("pipe:2", Runtime.pipelined ~domains:2) ]
+  check "generator decided everything" true
+    (List.length gd = List.length wires);
+  let p = Pipeline.create ~config ~genesis () in
+  let d = Pipeline.submit_wire_batch p wires @ Pipeline.flush p in
+  let _, _, final = Pipeline.lcs p in
+  check "decisions identical to the generator's" true
+    (List.length d = List.length gd && List.for_all2 same_decision d gd);
+  check "final tree physically identical" true
+    (Tree.physically_equal final gfinal);
+  check "premeld work identical" true (pm_counts p = pm_counts gen)
 
 (* ---- allocation ------------------------------------------------------ *)
 
@@ -564,8 +551,8 @@ let () =
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "lazy = eager across backends" `Quick
-            test_pipeline_lazy_eager_identical;
+          Alcotest.test_case "wire replay = wire-fed generator" `Quick
+            test_wire_replay_matches_generator;
         ] );
       ( "allocation",
         [
