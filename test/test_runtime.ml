@@ -102,8 +102,8 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
    [submit_wire_batch] in slabs of [slab] encoded intentions.  Also
    returns the digest of every integer counter (wall-clock seconds
    excluded). *)
-let replay_wire ~config ~slab genesis wires =
-  let p = Pipeline.create ~config ~genesis () in
+let replay_wire ?runtime ~config ~slab genesis wires =
+  let p = Pipeline.create ~config ?runtime ~genesis () in
   let rec take k acc = function
     | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
     | rest -> (List.rev acc, rest)
@@ -204,6 +204,40 @@ let test_premeld_off () =
   check_slabs
     ~config:{ Pipeline.premeld = None; group_size = 2 }
     ~txns:200 ~seed:77 ~slabs ()
+
+(* The frozen [Runtime.pipelined] descriptor that [benchmark/] still
+   passes runs the one scheduler: one giant burst, a mid-size slab and a
+   one-intention trickle fed through it must equal the in-memory
+   baseline's decisions and the default one-batch wire replay's trees,
+   premeld work and integer counters. *)
+let test_pipelined_slab_sweep () =
+  let config =
+    {
+      Pipeline.premeld = Some { Premeld.threads = 5; distance = 10 };
+      group_size = 2;
+    }
+  in
+  let genesis, intentions, wires = make_stream ~config ~txns:300 ~seed:99 in
+  let bd, _, _ = replay_submit ~config genesis intentions in
+  check_int "every intention decided" (List.length intentions)
+    (List.length bd);
+  let _, wfinal, wcounts, wdigest =
+    replay_wire ~config ~slab:max_int genesis wires
+  in
+  let runtime = Runtime.pipelined ~domains:2 in
+  List.iter
+    (fun slab ->
+      let name = Printf.sprintf "pipe:2 slab %d" (min slab 999_999) in
+      let d, final, counts, digest =
+        replay_wire ~runtime ~config ~slab genesis wires
+      in
+      same_decisions ~name d bd;
+      check (name ^ ": final state physically identical") true
+        (Tree.physically_equal final wfinal);
+      check (name ^ ": per-thread premeld work identical") true
+        (counts = wcounts);
+      Alcotest.(check string) (name ^ ": counters identical") wdigest digest)
+    [ max_int; 17; 1 ]
 
 let prop_wire_sweep =
   QCheck2.Test.make ~name:"wire = submit over stream and slab" ~count:20
@@ -448,6 +482,12 @@ let () =
             test_invalid_stream_same_error;
           Alcotest.test_case "chained stream = wire-fed generator" `Quick
             test_chained_stream;
+        ] );
+      (* Only the frozen descriptor is left of the pipelined backend. *)
+      ( "pipelined backend",
+        [
+          Alcotest.test_case "slab {max_int,17,1} sweep" `Quick
+            test_pipelined_slab_sweep;
         ] );
       ( "clock and descriptors",
         [
