@@ -936,7 +936,7 @@ let macro () =
   let meldedf = float_of_int melded in
   let sdelta f = f c1 -. f c0 in
   let ds = sdelta (fun c -> c.Counters.deserialize.Counters.seconds) in
-  let pm = sdelta (fun c -> (Counters.premeld_total c).Counters.seconds) in
+  let pm = sdelta (fun c -> c.Counters.premeld.Counters.seconds) in
   let gm = sdelta (fun c -> c.Counters.group_meld.Counters.seconds) in
   let fm = sdelta (fun c -> c.Counters.final_meld.Counters.seconds) in
   let driver_s = ds +. pm +. gm +. fm in

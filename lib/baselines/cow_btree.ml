@@ -20,13 +20,6 @@ let node_size = function
   | Internal (keys, children) ->
       node_header + (8 * Array.length keys) + (8 * Array.length children)
 
-let rec subtree_bytes = function
-  | Leaf _ as n -> node_size n
-  | Internal (_, children) as n ->
-      Array.fold_left (fun acc c -> acc + subtree_bytes c) (node_size n) children
-
-let node_bytes t = subtree_bytes t.root
-
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -43,6 +43,3 @@ val to_alist : t -> (Key.t * string) list
 
 val validate : t -> (unit, string) result
 (** Checks key ordering, node occupancy bounds and uniform leaf depth. *)
-
-val node_bytes : t -> int
-(** Serialized footprint of the whole tree (for per-record comparisons). *)

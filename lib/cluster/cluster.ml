@@ -168,18 +168,9 @@ let run cfg =
       cfg.metrics
   in
   (* All executor encodes run on the simulator's single driver thread, so
-     one pooled encoder serves every server: each encode reuses the same
-     power-of-two backing buffer instead of growing a fresh [Buffer]. *)
-  let enc_pool = Hyder_util.Buf_pool.create () in
-  let encoder = Codec.Encoder.create ~pool:enc_pool () in
-  (* Return the encoder's backing buffer on every exit path and verify
-     the pool's books balance: a run must end with zero pool-eligible
-     buffers still checked out (leak) and never a negative balance
-     (double release) — [Buf_pool] raises on the latter. *)
-  Fun.protect ~finally:(fun () ->
-      Codec.Encoder.free encoder;
-      assert (Hyder_util.Buf_pool.in_flight enc_pool = 0))
-  @@ fun () ->
+     one encoder serves every server: each encode reuses its backing
+     buffer instead of growing a fresh one. *)
+  let encoder = Codec.Encoder.create () in
   let states = Pipeline.states pipeline in
   let counters = Pipeline.counters pipeline in
   let pm_threads, pm_distance =
@@ -291,9 +282,9 @@ let run cfg =
       Flight.sim_edge cfg.flight ~pos ~at:`Append (Engine.now eng)
     end;
     let ds0 = counters.Counters.deserialize.Counters.seconds in
-    let pm_before = Counters.premeld_total counters in
-    let pm0 = pm_before.Counters.seconds in
-    let pm_n0 = pm_before.Counters.intentions in
+    let pm = counters.Counters.premeld in
+    let pm0 = pm.Counters.seconds in
+    let pm_n0 = pm.Counters.intentions in
     let gm0 = counters.Counters.group_meld.Counters.seconds in
     let fm0 = counters.Counters.final_meld.Counters.seconds in
     let seq = !submit_count in
@@ -309,9 +300,8 @@ let run cfg =
     untrack_snapshot info.snap_seq;
     info.bytes <- "";
     info.t_ds <- clamp_stage (counters.Counters.deserialize.Counters.seconds -. ds0);
-    let pm_after = Counters.premeld_total counters in
-    info.t_pm <- clamp_stage (pm_after.Counters.seconds -. pm0);
-    info.premelded <- pm_after.Counters.intentions > pm_n0;
+    info.t_pm <- clamp_stage (pm.Counters.seconds -. pm0);
+    info.premelded <- pm.Counters.intentions > pm_n0;
     info.t_gm <- clamp_stage (counters.Counters.group_meld.Counters.seconds -. gm0);
     info.t_fm <- clamp_stage (counters.Counters.final_meld.Counters.seconds -. fm0);
     info.decisions <- decisions;
@@ -764,17 +754,17 @@ let run cfg =
        else float_of_int !aborts /. float_of_int decided);
     fm_nodes_per_txn = per_txn counters.Counters.final_meld base.Counters.final_meld;
     pm_nodes_per_txn =
-      per_txn (Counters.premeld_total counters) (Counters.premeld_total base);
+      per_txn counters.Counters.premeld base.Counters.premeld;
     gm_nodes_per_txn = per_txn counters.Counters.group_meld base.Counters.group_meld;
     conflict_zone_intentions = cz;
     conflict_zone_blocks = cz *. avg_blocks;
     ephemerals_per_txn =
       float_of_int
         (counters.Counters.final_meld.Counters.ephemerals
-        + (Counters.premeld_total counters).Counters.ephemerals
+        + counters.Counters.premeld.Counters.ephemerals
         + counters.Counters.group_meld.Counters.ephemerals
         - base.Counters.final_meld.Counters.ephemerals
-        - (Counters.premeld_total base).Counters.ephemerals
+        - base.Counters.premeld.Counters.ephemerals
         - base.Counters.group_meld.Counters.ephemerals)
       /. melded_f;
     intention_bytes =

@@ -118,9 +118,7 @@ let counters_digest (c : Counters.t) =
       (Stats.Summary.total s)
   in
   stage "ds" c.Counters.deserialize;
-  Array.iteri
-    (fun i s -> stage (Printf.sprintf "pm%d" (i + 1)) s)
-    c.Counters.premeld_shards;
+  stage "pm" c.Counters.premeld;
   stage "gm" c.Counters.group_meld;
   stage "fm" c.Counters.final_meld;
   Printf.bprintf b "committed:%d;aborted:%d;" c.Counters.committed

@@ -86,30 +86,21 @@ let put_kid buf p (c : Node.tree) =
          ~eph:(c.meta land Meta.vn_ephemeral <> 0) ~a:c.vn_a ~b:c.vn_b)
       c.key
 
-(* A growable buffer, optionally backed by a per-domain Buf_pool, so the
+(* A growable buffer the encoder owns and reuses across encodes, so the
    steady state allocates only the result string. *)
 type encoder = {
-  pool : Hyder_util.Buf_pool.t option;
   mutable buf : Bytes.t;
   mutable len : int;  (** bytes written, header gap included *)
   mutable nodes : int;  (** records written *)
 }
-
-let alloc pool size =
-  match pool with
-  | None -> Bytes.create size
-  | Some p -> Hyder_util.Buf_pool.acquire p size
 
 let grow e need =
   let cap = ref (max 16 (2 * Bytes.length e.buf)) in
   while !cap < need do
     cap := 2 * !cap
   done;
-  let bigger = alloc e.pool !cap in
+  let bigger = Bytes.create !cap in
   Bytes.blit e.buf 0 bigger 0 e.len;
-  (match e.pool with
-  | None -> ()
-  | Some p -> Hyder_util.Buf_pool.release p e.buf);
   e.buf <- bigger
 
 let[@inline] reserve e n = if e.len + n > Bytes.length e.buf then grow e (e.len + n)
@@ -199,17 +190,8 @@ let encode_with e (d : Intention.draft) =
 module Encoder = struct
   type t = encoder
 
-  let create ?pool () =
-    { pool; buf = alloc pool 8192; len = 0; nodes = 0 }
-
+  let create () = { buf = Bytes.create 8192; len = 0; nodes = 0 }
   let encode = encode_with
-
-  let free t =
-    (match t.pool with
-    | None -> ()
-    | Some p -> Hyder_util.Buf_pool.release p t.buf);
-    t.buf <- Bytes.empty;
-    t.len <- 0
 end
 
 let encode d = encode_with (Encoder.create ()) d
@@ -223,7 +205,7 @@ module Blocks = struct
   (* Framing: crc32 | server | txn_seq | frag_idx | last flag | payload. *)
   let overhead = 4 + 10 + 10 + 10 + 1 + 10
 
-  let split ?pool ~block_size ~server ~txn_seq s =
+  let split ~block_size ~server ~txn_seq s =
     if block_size <= overhead then invalid_arg "Codec.Blocks.split: tiny block";
     let chunk = block_size - overhead in
     let total = String.length s in
@@ -231,24 +213,21 @@ module Blocks = struct
     List.init nfrags (fun i ->
         let off = i * chunk in
         let len = min chunk (total - off) in
-        let body = Wire.Writer.create ?pool ~capacity:(len + 32) () in
+        let body = Wire.Writer.create ~capacity:(len + 32) () in
         Wire.Writer.varint body server;
         Wire.Writer.varint body txn_seq;
         Wire.Writer.varint body i;
         Wire.Writer.u8 body (if i = nfrags - 1 then 1 else 0);
         Wire.Writer.substring body s ~pos:off ~len;
         let payload = Wire.Writer.contents body in
-        Wire.Writer.free body;
         let framed =
-          Wire.Writer.create ?pool ~capacity:(String.length payload + 4) ()
+          Wire.Writer.create ~capacity:(String.length payload + 4) ()
         in
         Wire.Writer.u32 framed (Crc32.digest_string payload);
         Wire.Writer.raw framed
           (Bytes.unsafe_of_string payload)
           ~pos:0 ~len:(String.length payload);
-        let block = Wire.Writer.contents framed in
-        Wire.Writer.free framed;
-        block)
+        Wire.Writer.contents framed)
 
   let blocks_needed ~block_size size =
     let chunk = block_size - overhead in

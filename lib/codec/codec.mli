@@ -24,20 +24,16 @@ val encode : Intention.draft -> string
 
 val encoded_size : Intention.draft -> int
 
-(** Reusable encoder: one growable buffer (optionally backed by a
-    per-domain {!Hyder_util.Buf_pool}) serves every encode, so the steady
-    state allocates only the result string.  Single-owner: one encoder
-    per domain. *)
+(** Reusable encoder: it owns one growable buffer, which serves every
+    encode, so the steady state allocates only the result string.  Not
+    shareable between concurrent callers. *)
 module Encoder : sig
   type t
 
-  val create : ?pool:Hyder_util.Buf_pool.t -> unit -> t
+  val create : unit -> t
 
   val encode : t -> Intention.draft -> string
   (** Byte-identical to {!val:Codec.encode}. *)
-
-  val free : t -> unit
-  (** Release the backing buffer to the pool (if any). *)
 end
 
 type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
@@ -69,15 +65,9 @@ module Blocks : sig
   (** Per-block framing bytes (upper bound). *)
 
   val split :
-    ?pool:Hyder_util.Buf_pool.t ->
-    block_size:int ->
-    server:int ->
-    txn_seq:int ->
-    string ->
-    string list
+    block_size:int -> server:int -> txn_seq:int -> string -> string list
   (** Fragment an encoded intention into checksummed blocks of at most
-      [block_size] bytes.  [pool] supplies (and takes back) the staging
-      buffers, eliminating two buffer allocations per fragment. *)
+      [block_size] bytes. *)
 
   val blocks_needed : block_size:int -> int -> int
   (** How many blocks a payload of the given size occupies. *)

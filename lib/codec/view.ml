@@ -21,7 +21,7 @@
 
    Lifetime: a view pins its backing string (immutable, the intention's
    whole encoding) for as long as it lives.  Decode-side buffers are
-   therefore never pooled — pools are for encode-side scratch only.
+   therefore never reused; only an encoder reuses its own scratch.
 
    Ownership: one walker at a time.  [cur] is a scratch cursor for the
    cold re-reads and the [nodes] memo is unsynchronized; the pipeline
@@ -43,7 +43,6 @@ type resolver = snapshot:int -> key:Key.t -> vn:Vn.t -> Node.tree
 let kid_empty = -1
 let[@inline] kid_is_inside c = c >= 0
 let[@inline] kid_is_empty c = c = -1
-let[@inline] kid_slot c = -c - 2
 
 (* Physically-unique sentinel marking an unmaterialized payload slot; the
    block identity is what matters, the contents are never read. *)
@@ -174,7 +173,7 @@ type t = {
   node_count : int;
   byte_size : int;
   cur : cursor;
-      (** over the backing buffer, read in place (never pooled); the
+      (** over the backing buffer, read in place (never reused); the
           scratch position for cold re-reads (single walker) *)
   keys : int array;
   metas : int array;  (** packed meta words, [Node.pack]'s *)

@@ -13,7 +13,7 @@
       error messages as the eager decoder), so accessors never fail;
     - every ref child and elided payload is bound to a real resolved
       node, so {!materialize} is total and never consults a resolver;
-    - the backing string is immutable and never pooled — a view pins it.
+    - the backing string is immutable and never reused — a view pins it.
 
     Ownership: one walker at a time — the cold accessors share a scratch
     cursor and the materialization memo is unsynchronized.  The pipeline
@@ -73,19 +73,15 @@ val root_index : t -> int
     before parents, root last), although the wire writes their records
     in pre order.  Child descriptors are ints: [>= 0] an
     inside node index, [-1] empty, [<= -2] a bound external reference
-    (see {!kid_slot}).  None of these allocate. *)
+    (see {!ref_of}).  None of these allocate. *)
 
 val key : t -> int -> Key.t
 val meta : t -> int -> int
 
 val kid_l : t -> int -> int
 val kid_r : t -> int -> int
-val kid_empty : int
 val kid_is_inside : int -> bool
 val kid_is_empty : int -> bool
-
-val kid_slot : int -> int
-(** Reference slot of a [<= -2] child descriptor. *)
 
 val ref_of : t -> int -> Node.tree
 (** The bound reference behind a [<= -2] child descriptor. *)

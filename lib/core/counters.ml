@@ -17,27 +17,11 @@ let make_stage () =
     seconds = 0.0;
   }
 
-let reset_stage s =
-  s.intentions <- 0;
-  s.nodes_visited <- 0;
-  s.ephemerals <- 0;
-  s.grafts <- 0;
-  s.aborts <- 0;
-  s.seconds <- 0.0
-
-let add_stage ~into s =
-  into.intentions <- into.intentions + s.intentions;
-  into.nodes_visited <- into.nodes_visited + s.nodes_visited;
-  into.ephemerals <- into.ephemerals + s.ephemerals;
-  into.grafts <- into.grafts + s.grafts;
-  into.aborts <- into.aborts + s.aborts;
-  into.seconds <- into.seconds +. s.seconds
-
 let copy_stage s = { s with intentions = s.intentions }
 
 type t = {
   deserialize : stage;
-  premeld_shards : stage array;
+  premeld : stage;
   group_meld : stage;
   final_meld : stage;
   mutable committed : int;
@@ -47,11 +31,10 @@ type t = {
   intention_bytes : Hyder_util.Stats.Summary.t;
 }
 
-let create ?(premeld_shards = 1) () =
-  if premeld_shards < 1 then invalid_arg "Counters.create: premeld_shards";
+let create () =
   {
     deserialize = make_stage ();
-    premeld_shards = Array.init premeld_shards (fun _ -> make_stage ());
+    premeld = make_stage ();
     group_meld = make_stage ();
     final_meld = make_stage ();
     committed = 0;
@@ -61,15 +44,12 @@ let create ?(premeld_shards = 1) () =
     intention_bytes = Hyder_util.Stats.Summary.create ();
   }
 
-let premeld_total t =
-  let total = make_stage () in
-  Array.iter (fun s -> add_stage ~into:total s) t.premeld_shards;
-  total
+let premeld_total t = copy_stage t.premeld
 
 let copy t =
   {
     deserialize = copy_stage t.deserialize;
-    premeld_shards = Array.map copy_stage t.premeld_shards;
+    premeld = copy_stage t.premeld;
     group_meld = copy_stage t.group_meld;
     final_meld = copy_stage t.final_meld;
     committed = t.committed;
@@ -78,14 +58,3 @@ let copy t =
     fm_nodes_per_txn = Hyder_util.Stats.Summary.copy t.fm_nodes_per_txn;
     intention_bytes = Hyder_util.Stats.Summary.copy t.intention_bytes;
   }
-
-let reset t =
-  reset_stage t.deserialize;
-  Array.iter reset_stage t.premeld_shards;
-  reset_stage t.group_meld;
-  reset_stage t.final_meld;
-  t.committed <- 0;
-  t.aborted <- 0;
-  Hyder_util.Stats.Summary.clear t.conflict_zone;
-  Hyder_util.Stats.Summary.clear t.fm_nodes_per_txn;
-  Hyder_util.Stats.Summary.clear t.intention_bytes

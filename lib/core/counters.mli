@@ -2,17 +2,10 @@
 
     Figures 11, 13, 17, 19, 22 and 24 of the paper report exactly these
     quantities, so every stage keeps its own {!stage} record and the
-    benchmark harness reads them after a run.
-
-    {2 Premeld shards}
-
-    Premeld work is counted into {e per-thread shards}, one per paper
-    premeld thread id (Section 3.4), rather than one shared record.  The
-    shard an intention's work lands in is [seq mod t], so per-shard counts
-    match exactly across replicas and replays (seconds, of course,
-    differ).
-
-    Readers merge the shards on demand with {!premeld_total}. *)
+    benchmark harness reads them after a run.  Premeld keeps one record
+    for all its paper threads (Section 3.4).  The integer counts depend
+    only on the log, so they match exactly across replicas and replays
+    (seconds, of course, differ). *)
 
 type stage = {
   mutable intentions : int;  (** intentions processed by this stage *)
@@ -24,15 +17,11 @@ type stage = {
 }
 
 val make_stage : unit -> stage
-val reset_stage : stage -> unit
-val add_stage : into:stage -> stage -> unit
 val copy_stage : stage -> stage
 
 type t = {
   deserialize : stage;
-  premeld_shards : stage array;
-      (** per premeld-thread work records; shard [i] belongs to paper
-          thread [i + 1] *)
+  premeld : stage;  (** the work of every premeld thread *)
   group_meld : stage;
   final_meld : stage;
   mutable committed : int;
@@ -47,18 +36,14 @@ type t = {
           accounting in Figure 12) *)
 }
 
-val create : ?premeld_shards:int -> unit -> t
-(** [premeld_shards] defaults to 1; the pipeline passes its premeld
-    thread count. *)
+val create : unit -> t
 
 val premeld_total : t -> stage
-(** Merge the premeld shards into a fresh aggregate record (the
-    merged-on-read view; never returns a shard itself). *)
+(** A copy of the [premeld] record, which later premeld work leaves as
+    it was. *)
 
 val copy : t -> t
 (** Independent copy of the stage records, commit/abort tallies {e and}
     the streaming summaries, for snapshotting counters at a
     measurement-window edge: window statistics are the difference between
     the live counters and the copy. *)
-
-val reset : t -> unit

@@ -430,17 +430,17 @@ let group_of_outcome ~seq intention = function
 
 (* The premeld stage, against the live store. *)
 let premeld t pc ~seq (intention : Intention.t) =
-  let shard = t.counters.premeld_shards.(Premeld.thread_for pc ~seq - 1) in
+  let pm = t.counters.premeld in
   let mz = mz_hook t ~stage:`Pm in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
   let outcome =
-    Premeld.run ?mz pc ~allocs:t.pm_allocs ~shards:t.counters.premeld_shards
-      ~states:t.states ~seq intention
+    Premeld.run ?mz pc ~allocs:t.pm_allocs ~counters:pm ~states:t.states ~seq
+      intention
   in
   gc_end t.inst ~stage:`Pm gc0;
   let t1 = Clock.now () in
-  shard.Counters.seconds <- shard.Counters.seconds +. (t1 -. t0);
+  pm.Counters.seconds <- pm.Counters.seconds +. (t1 -. t0);
   if Flight.enabled t.flight then
     Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
   outcome
@@ -545,7 +545,7 @@ let create ?(config = plain) ?(runtime = Runtime.sequential)
     config;
     flight;
     inst = make_instruments metrics;
-    counters = Counters.create ~premeld_shards:(max 1 pm_threads) ();
+    counters = Counters.create ();
     states = State_store.create ~genesis ();
     fm_alloc = Vn.Alloc.create ~thread:0;
     pm_allocs =
@@ -585,9 +585,6 @@ let restore ?(config = plain) ?(flight = Flight.disabled) ?metrics
          (Array.length ckpt.Checkpoint.alloc_issued)
          (pm_threads + 2));
   let counters = Counters.copy ckpt.Checkpoint.counters in
-  if Array.length counters.Counters.premeld_shards <> max 1 pm_threads then
-    invalid_arg
-      "Pipeline.restore: checkpoint counter shards do not match this config";
   let resume alloc issued =
     Vn.Alloc.resume alloc ~issued;
     alloc

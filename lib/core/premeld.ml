@@ -16,16 +16,14 @@ type outcome =
   | Dead of Meld.abort_reason
 
 (* Trial-meld [intention] against its designated input state, read from
-   the live store, with the premeld thread's own allocator and counter
-   shard. *)
-let run ?mz config ~allocs ~shards ~states ~seq (intention : Intention.t) =
+   the live store, with the premeld thread's own allocator. *)
+let run ?mz config ~allocs ~counters ~states ~seq (intention : Intention.t) =
   let m = input_seq config ~seq in
   if m <= State_store.seq_of_pos states intention.snapshot then
     Unchanged intention
   else begin
     let state = State_store.require states ~stage:"premeld" m in
     let thread = thread_for config ~seq in
-    let counters = shards.(thread - 1) in
     counters.Counters.intentions <- counters.Counters.intentions + 1;
     match
       Meld.meld

@@ -38,16 +38,16 @@ val run :
   ?mz:(float -> unit) ->
   config ->
   allocs:Hyder_tree.Vn.Alloc.t array ->
-  shards:Counters.stage array ->
+  counters:Counters.stage ->
   states:State_store.t ->
   seq:int ->
   Hyder_codec.Intention.t ->
   outcome
 (** Premeld intention [seq]: [Unchanged] when its designated input state
     precedes its snapshot, otherwise a trial meld against that state.
-    [allocs.(i)] and [shards.(i)] are premeld thread [i+1]'s ephemeral-id
-    allocator and counter shard; the call uses thread
-    [thread_for ~seq]'s.
+    [allocs.(i)] is premeld thread [i+1]'s ephemeral-id allocator; the
+    call uses thread [thread_for ~seq]'s, and counts its work into
+    [counters].
 
     [mz] is forwarded to {!Meld.meld}: it observes the minor words spent
     materializing flyweight view nodes when the intention carries a lazy

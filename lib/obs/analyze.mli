@@ -31,10 +31,8 @@ type txn = {
 val txn_of_json : Json.t -> txn option
 (** [None] when the document is not a flight record (missing fields). *)
 
-val load_channel : in_channel -> txn list
-(** Parse a JSON-lines stream, skipping blank and malformed lines. *)
-
 val load_file : string -> txn list
+(** Parse a JSON-lines file, skipping blank and malformed lines. *)
 
 val report : ?top_k:int -> txn list -> Json.t
 (** The machine-readable report ([top_k] slowest transactions per

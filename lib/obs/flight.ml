@@ -1,7 +1,6 @@
 type stage = Ds | Pm | Gm | Fm
 
 let stage_index = function Ds -> 0 | Pm -> 1 | Gm -> 2 | Fm -> 3
-let stage_name = function Ds -> "ds" | Pm -> "pm" | Gm -> "gm" | Fm -> "fm"
 let stage_names = [| "ds"; "pm"; "gm"; "fm" |]
 let n_stages = 4
 

@@ -44,12 +44,10 @@
 
 type stage = Ds | Pm | Gm | Fm
 
-val stage_name : stage -> string
-(** ["ds"], ["pm"], ["gm"], ["fm"]. *)
-
 val stage_names : string array
-(** Every {!stage_name} in pipeline order, the index order of
-    {!record.wait} and {!record.service}.  Do not mutate. *)
+(** ["ds"], ["pm"], ["gm"], ["fm"]: every stage's name in pipeline order,
+    the index order of {!record.wait} and {!record.service}.  Do not
+    mutate. *)
 
 (** One intention's flight record.  Fields are exposed read-only in
     spirit (tests and exporters inspect them); mutate only through the
@@ -139,8 +137,3 @@ val export_percentiles : t -> unit
 (** Refresh the [flight_e2e_p{50,95,99}_us] gauges from the exact
     end-to-end sample (call once at end of run; no-op without
     [metrics] or before the first completion). *)
-
-val record_to_json : label:string -> record -> Json.t
-(** The sink line schema (exposed for tests and the analyzer golden):
-    times in seconds, [e2e = t_done - t_submit], [wait]/[service] keyed
-    by stage name, [sim] only when any simulation edge was stamped. *)

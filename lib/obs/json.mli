@@ -18,10 +18,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-(** Compact (single-line) serialization. *)
-
 val to_string : t -> string
+(** Compact (single-line) serialization. *)
 
 val to_channel : out_channel -> t -> unit
 

@@ -27,8 +27,6 @@ let intention_pos = function
   | Logged { pos; _ } -> Some pos
   | Ephemeral _ -> None
 
-let is_ephemeral = function Ephemeral _ -> true | Logged _ -> false
-
 let pp fmt = function
   | Logged { pos; idx } -> Format.fprintf fmt "L(%d,%d)" pos idx
   | Ephemeral { thread; seq } -> Format.fprintf fmt "E(%d,%d)" thread seq

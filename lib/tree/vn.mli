@@ -31,7 +31,6 @@ val compare : t -> t -> int
 val intention_pos : t -> int option
 (** The log position of the intention that logged this version, if any. *)
 
-val is_ephemeral : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -89,42 +89,3 @@ module Sample = struct
     let idx = if rank <= 0 then 0 else Stdlib.min (t.n - 1) (rank - 1) in
     t.data.(idx)
 end
-
-module Histogram = struct
-  type t = { bucket_width : float; counts : int array; mutable n : int }
-
-  let create ~bucket_width ~buckets =
-    if bucket_width <= 0.0 || buckets <= 0 then
-      invalid_arg "Stats.Histogram.create";
-    { bucket_width; counts = Array.make buckets 0; n = 0 }
-
-  let add t x =
-    let b = int_of_float (x /. t.bucket_width) in
-    let b = if b < 0 then 0 else Stdlib.min b (Array.length t.counts - 1) in
-    t.counts.(b) <- t.counts.(b) + 1;
-    t.n <- t.n + 1
-
-  let count t = t.n
-  let bucket_counts t = Array.copy t.counts
-
-  let pp fmt t =
-    Array.iteri
-      (fun i c ->
-        if c > 0 then
-          Format.fprintf fmt "[%8.1f, %8.1f): %d@."
-            (float_of_int i *. t.bucket_width)
-            (float_of_int (i + 1) *. t.bucket_width)
-            c)
-      t.counts
-end
-
-module Meter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let mark ?(n = 1) t = t.n <- t.n + n
-  let count t = t.n
-
-  let rate t ~elapsed =
-    if elapsed <= 0.0 then 0.0 else float_of_int t.n /. elapsed
-end

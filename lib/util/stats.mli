@@ -35,24 +35,3 @@ module Sample : sig
   (** [percentile s p] with [p] in [\[0, 100\]]; nearest-rank on the sorted
       sample.  Raises [Invalid_argument] on an empty sample. *)
 end
-
-(** Fixed-bucket histogram for work counters (e.g. nodes visited). *)
-module Histogram : sig
-  type t
-
-  val create : bucket_width:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Counter with a rate: events per simulated or real second. *)
-module Meter : sig
-  type t
-
-  val create : unit -> t
-  val mark : ?n:int -> t -> unit
-  val count : t -> int
-  val rate : t -> elapsed:float -> float
-end

@@ -13,11 +13,6 @@ let add_row t cells =
          (List.length t.columns) (List.length cells));
   t.rows <- cells :: t.rows
 
-let add_rowf t fmt =
-  Printf.ksprintf
-    (fun s -> add_row t (String.split_on_char '|' s |> List.map String.trim))
-    fmt
-
 let print t =
   let rows = List.rev t.rows in
   let widths =

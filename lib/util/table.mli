@@ -8,9 +8,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** Row cells; must match the column count. *)
 
-val add_rowf : t -> ('a, unit, string, unit) format4 -> 'a
-(** Convenience: a single preformatted row split on ['|']. *)
-
 val print : t -> unit
 (** Render to stdout with aligned columns and a rule under the header. *)
 

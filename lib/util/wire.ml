@@ -1,23 +1,12 @@
 exception Truncated
 
 module Writer = struct
-  type t = { mutable buf : Bytes.t; mutable len : int; pool : Buf_pool.t option }
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let alloc pool size =
-    match pool with
-    | None -> Bytes.create size
-    | Some p -> Buf_pool.acquire p size
-
-  let create ?pool ?(capacity = 256) () =
-    { buf = alloc pool (max 16 capacity); len = 0; pool }
+  let create ?(capacity = 256) () =
+    { buf = Bytes.create (max 16 capacity); len = 0 }
 
   let length t = t.len
-  let clear t = t.len <- 0
-
-  let free t =
-    (match t.pool with None -> () | Some p -> Buf_pool.release p t.buf);
-    t.buf <- Bytes.empty;
-    t.len <- 0
 
   let ensure t extra =
     let needed = t.len + extra in
@@ -26,9 +15,8 @@ module Writer = struct
       while !cap < needed do
         cap := 2 * !cap
       done;
-      let bigger = alloc t.pool !cap in
+      let bigger = Bytes.create !cap in
       Bytes.blit t.buf 0 bigger 0 t.len;
-      (match t.pool with None -> () | Some p -> Buf_pool.release p t.buf);
       t.buf <- bigger
     end
 
@@ -90,8 +78,6 @@ module Writer = struct
     t.len <- t.len + len
 
   let contents t = Bytes.sub_string t.buf 0 t.len
-
-  let blit_into t dst ~dst_pos = Bytes.blit t.buf 0 dst dst_pos t.len
 end
 
 module Reader = struct

@@ -12,17 +12,11 @@ exception Truncated
 module Writer : sig
   type t
 
-  val create : ?pool:Buf_pool.t -> ?capacity:int -> unit -> t
-  (** With [pool], the backing buffer comes from (and grows through) the
-      given per-domain {!Buf_pool}; call {!free} to hand it back. *)
+  val create : ?capacity:int -> unit -> t
+  (** A writer whose backing buffer starts at [capacity] bytes (default
+      256) and doubles as appends need; it owns that buffer alone. *)
 
   val length : t -> int
-  val clear : t -> unit
-
-  val free : t -> unit
-  (** Release the backing buffer to the writer's pool (no-op without
-      one) and reset to empty.  The writer stays usable — the next
-      append allocates afresh. *)
 
   val u8 : t -> int -> unit
   val u32 : t -> int32 -> unit
@@ -40,7 +34,6 @@ module Writer : sig
 
   val raw : t -> Bytes.t -> pos:int -> len:int -> unit
   val contents : t -> string
-  val blit_into : t -> Bytes.t -> dst_pos:int -> unit
 end
 
 module Reader : sig

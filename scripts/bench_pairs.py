@@ -14,14 +14,25 @@ side that goes first alternating from pair to pair, so slow drift of a
 shared host lands on both sides alike.  One run at a time: nothing runs
 beside a measured process.
 
-For every end-to-end and per-layer metric (or only those named with
---metric) it prints both sides' median and interquartile range, how many
-pairs the working tree won (by the metric's direction in BENCHMARK.json;
-ties count for neither side), the ratio of the medians work/base, and whether
-the work median beats the base median by more than the base IQR.  A run
-whose output checks fail is reported and left out of the statistics.
---json writes every run's metrics to FILE.  Nothing under benchmark/
-is written.
+The workloads default to those BENCHMARK.json declares.  For every
+end-to-end and per-layer metric (or only those named with --metric) it
+prints both sides' median and interquartile range, how many pairs the
+working tree won (by the metric's direction in BENCHMARK.json; ties count
+for neither side), the ratio of the medians work/base, and whether the
+work median beats the base median by more than the base IQR.  Each
+end-to-end metric also gets a no-regression verdict against its
+BENCHMARK.json bound (a share of the base median):
+
+  unresolved  the base IQR, as a share of the base median, is wider than
+              the bound, so the runs cannot tell, unless every work run
+              reads better than every base run;
+  worse       the work median is worse than the base median by more than
+              the bound;
+  ok          otherwise.
+
+A run whose output checks fail is reported and left out of the
+statistics.  --json writes every run's metrics to FILE.  Nothing under
+benchmark/ is written.
 """
 
 import argparse
@@ -75,18 +86,23 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def directions(path):
-    with open(path) as f:
-        spec = json.load(f)
-    return {m["name"]: m["better"]
-            for part in ("end_to_end", "per_layer") for m in spec[part]}
+def verdict(b, w, higher, bound):
+    """No-regression verdict for one end-to-end metric."""
+    bq1, bm, bq3 = quartiles(b)
+    gain = (statistics.median(w) - bm) * (1 if higher else -1)
+    every_run_better = (min(w) > max(b)) if higher else (max(w) < min(b))
+    if bq3 - bq1 > bound * abs(bm) and not every_run_better:
+        return "unresolved"
+    if -gain > bound * abs(bm):
+        return "worse"
+    return "ok"
 
 
-def report(workload, pairs, better, only):
+def report(workload, pairs, better, bounds, only):
     names = [n for n in pairs[0][0] if not only or n in only]
     print(f"== {workload}: {len(pairs)} pairs")
     print(f"{'metric':28} {'base median [q1-q3]':>30} {'work median [q1-q3]':>30}"
-          f" {'wins':>6} {'ratio':>6}  beats IQR")
+          f" {'wins':>6} {'ratio':>6}  beats IQR  verdict")
     for n in names:
         b = [p[0][n] for p in pairs]
         w = [p[1][n] for p in pairs]
@@ -97,9 +113,11 @@ def report(workload, pairs, better, only):
         gain = (wm - bm) if higher else (bm - wm)
         ratio = f"{wm / bm:6.3f}" if bm else "     -"
         side = lambda m, q1, q3: f"{m:.4g} [{q1:.4g}-{q3:.4g}]"
-        print(f"{n:28} {side(bm, bq1, bq3):>30} {side(wm, wq1, wq3):>30}"
-              f" {wins:>3}/{len(pairs):<2} {ratio}  "
-              + ("yes" if gain > bq3 - bq1 else "no"))
+        v = verdict(b, w, higher, bounds[n]) if n in bounds else ""
+        line = (f"{n:28} {side(bm, bq1, bq3):>30} {side(wm, wq1, wq3):>30}"
+                f" {wins:>3}/{len(pairs):<2} {ratio}  "
+                + ("yes" if gain > bq3 - bq1 else "no ") + f"        {v}")
+        print(line.rstrip())
 
 
 def main():
@@ -113,7 +131,12 @@ def main():
     ap.add_argument("--out", default=".bench_pairs")
     ap.add_argument("--json")
     args = ap.parse_args()
-    workloads = args.workload or ["sr-opt-1m", "si-plain-50k", "hot-write-50k"]
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    better = {m["name"]: m["better"]
+              for part in ("end_to_end", "per_layer") for m in spec[part]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     out = os.path.abspath(args.out)
     base_root = os.path.join(out, "base")
@@ -122,7 +145,6 @@ def main():
         (base_root, build(base_root, os.path.join(out, "base-build"))),
         (os.getcwd(), build(os.getcwd(), os.path.join(out, "work-build"))),
     ]
-    better = directions("BENCHMARK.json")
 
     results = {w: [] for w in workloads}
     for i in range(args.pairs):
@@ -143,7 +165,7 @@ def main():
 
     for w in workloads:
         if results[w]:
-            report(w, results[w], better, set(args.metric))
+            report(w, results[w], better, bounds, set(args.metric))
         else:
             print(f"== {w}: no complete pair")
     if args.json:

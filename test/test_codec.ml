@@ -220,7 +220,7 @@ let test_wrapped_ref_idx_rejected () =
   | exception Codec.Corrupt m ->
       Alcotest.(check string) "lazy message" expected m
 
-(* ---- header peek and pooled encoder ---------------------------------- *)
+(* ---- header peek and reusable encoder -------------------------------- *)
 
 let test_peek_snapshot () =
   let snapshot = Helpers.genesis ~gap:10 500 in
@@ -236,8 +236,7 @@ let test_peek_snapshot () =
 
 let test_encoder_matches_encode () =
   let snapshot = Helpers.genesis ~gap:10 500 in
-  let pool = Hyder_util.Buf_pool.create () in
-  let enc = Codec.Encoder.create ~pool () in
+  let enc = Codec.Encoder.create () in
   (* interleave drafts of very different sizes so the writer grows and is
      reused across encodes *)
   let drafts =
@@ -252,12 +251,9 @@ let test_encoder_matches_encode () =
   List.iter
     (fun draft ->
       Alcotest.(check string)
-        "pooled encoder byte-identical to Codec.encode" (Codec.encode draft)
+        "reused encoder byte-identical to Codec.encode" (Codec.encode draft)
         (Codec.Encoder.encode enc draft))
-    drafts;
-  Codec.Encoder.free enc;
-  check "backing buffer returned to the pool" true
-    (Hyder_util.Buf_pool.pooled pool > 0)
+    drafts
 
 let test_encoder_steady_state_allocation () =
   (* Regression guard for the encode hot-path copy bug: once the backing
@@ -266,8 +262,7 @@ let test_encoder_steady_state_allocation () =
      budget is the result string's own words plus slack for Gc counter
      noise; the copy bug doubled the real figure. *)
   let snapshot = Helpers.genesis ~gap:10 500 in
-  let pool = Hyder_util.Buf_pool.create () in
-  let enc = Codec.Encoder.create ~pool () in
+  let enc = Codec.Encoder.create () in
   let draft =
     make_draft ~snapshot ~snapshot_pos:(-1) (fun e ->
         for i = 0 to 24 do
@@ -282,7 +277,6 @@ let test_encoder_steady_state_allocation () =
   done;
   let per = (Gc.minor_words () -. w0) /. float_of_int reps in
   let result_words = float_of_int ((String.length bytes + 8) / 8 + 1) in
-  Codec.Encoder.free enc;
   check
     (Printf.sprintf
        "steady-state encode allocates only the result string (%.1f words \
@@ -577,8 +571,8 @@ let prop_encode_matches_oracle =
     | s -> Ok s
     | exception Codec.Corrupt m -> Error m
   in
-  (* one pooled encoder across all cases: reuse and growth are covered *)
-  let enc = Codec.Encoder.create ~pool:(Hyder_util.Buf_pool.create ()) () in
+  (* one encoder across all cases: reuse and growth are covered *)
+  let enc = Codec.Encoder.create () in
   QCheck2.Test.make ~name:"encode = Wire.Writer oracle, byte for byte"
     ~count:400
     (QCheck2.Gen.oneof [ random_draft_gen; executed_draft_gen ])

@@ -1,7 +1,7 @@
 (* Hyder_obs: metrics registry, exporters, flight recorder and its
    offline analyzer — and the inertness contract: wiring a metrics
    registry or a flight recorder into the pipeline changes NOTHING
-   observable (decisions, ephemeral node identities, per-shard integer
+   observable (decisions, ephemeral node identities, integer
    counters), whatever the wire batch size. *)
 
 module Json = Hyder_obs.Json
@@ -210,14 +210,20 @@ let test_summary_copy () =
   check_int "copies are independent both ways" 4 (Summary.count s)
 
 let test_counters_copy_preserves_summaries () =
-  let c = Counters.create ~premeld_shards:2 () in
+  let c = Counters.create () in
   List.iter (Summary.add c.Counters.conflict_zone) [ 10.0; 20.0 ];
   Summary.add c.Counters.fm_nodes_per_txn 7.0;
   Summary.add c.Counters.intention_bytes 512.0;
   c.Counters.committed <- 5;
+  c.Counters.premeld.Counters.intentions <- 3;
   let snap = Counters.copy c in
   List.iter (Summary.add c.Counters.conflict_zone) [ 30.0; 40.0 ];
   c.Counters.committed <- 9;
+  c.Counters.premeld.Counters.intentions <- 8;
+  check "copied premeld is its own record" true
+    (snap.Counters.premeld != c.Counters.premeld);
+  check_int "copied premeld kept its count" 3
+    snap.Counters.premeld.Counters.intentions;
   check_int "copied conflict_zone count" 2
     (Summary.count snap.Counters.conflict_zone);
   check "copied conflict_zone total" true
@@ -629,10 +635,8 @@ let replay ?metrics ?flight ~config ~slab genesis wires =
   let decisions = List.rev (go [] wires) @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
   let pm_counts =
-    Array.map
-      (fun (s : Counters.stage) ->
-        (s.Counters.intentions, s.Counters.nodes_visited))
-      (Pipeline.counters p).Counters.premeld_shards
+    let s = (Pipeline.counters p).Counters.premeld in
+    (s.Counters.intentions, s.Counters.nodes_visited)
   in
   (decisions, final, pm_counts)
 
@@ -684,7 +688,7 @@ let check_inert ~seed rows =
         (List.for_all2 same_decision d bd);
       check (name ^ ": final state physically identical") true
         (Tree.physically_equal final bfinal);
-      check (name ^ ": per-thread premeld work identical") true
+      check (name ^ ": premeld work identical") true
         (counts = bcounts);
       let counter n =
         match List.assoc_opt n (Metrics.snapshot metrics) with

@@ -181,15 +181,6 @@ let test_sample_interleaved_sort () =
   Stats.Sample.add s 0.5;
   check "re-sorts after add" true (Stats.Sample.percentile s 0.0 = 0.5)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~bucket_width:10.0 ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ 0.0; 5.0; 15.0; 100.0 ];
-  let c = Stats.Histogram.bucket_counts h in
-  check_int "bucket 0" 2 c.(0);
-  check_int "bucket 1" 1 c.(1);
-  check_int "overflow clamps" 1 c.(4);
-  check_int "count" 4 (Stats.Histogram.count h)
-
 (* --- wire --------------------------------------------------------------- *)
 
 let test_wire_roundtrip () =
@@ -273,67 +264,6 @@ let test_crc32_detects_corruption () =
   let b = Crc32.digest_string "hello worle" in
   check "differs" false (Int32.equal a b)
 
-(* ---- Buf_pool -------------------------------------------------------- *)
-
-module Buf_pool = Hyder_util.Buf_pool
-
-let test_buf_pool_reuse () =
-  let p = Buf_pool.create () in
-  let b1 = Buf_pool.acquire p 100 in
-  check "rounded to a power of two" true (Bytes.length b1 = 128);
-  check_int "first acquire misses" 1 (Buf_pool.misses p);
-  Buf_pool.release p b1;
-  check_int "parked" 1 (Buf_pool.pooled p);
-  let b2 = Buf_pool.acquire p 65 in
-  check "same bucket reuses the buffer" true (b1 == b2);
-  check_int "hit served from freelist" 1 (Buf_pool.hits p);
-  check_int "freelist drained" 0 (Buf_pool.pooled p)
-
-let test_buf_pool_size_classes () =
-  let p = Buf_pool.create () in
-  let small = Buf_pool.acquire p 10 in
-  check "16-byte floor" true (Bytes.length small = 16);
-  let big = Buf_pool.acquire p 5000 in
-  check "large rounds up" true (Bytes.length big = 8192);
-  Buf_pool.release p small;
-  Buf_pool.release p big;
-  let big' = Buf_pool.acquire p 4100 in
-  check "buckets are per size class" true (big == big');
-  let small' = Buf_pool.acquire p 16 in
-  check "small bucket intact" true (small == small');
-  (* foreign (non-power-of-two) buffers are not retained *)
-  Buf_pool.release p (Bytes.create 100);
-  let fresh = Buf_pool.acquire p 100 in
-  check "odd-sized release left to the GC" true (Bytes.length fresh = 128)
-
-let test_buf_pool_lifetime_canaries () =
-  (* The accounting that caught the cluster encoder leak: in_flight
-     balances acquires against pool-eligible releases, and the release
-     canaries turn the two classic lifetime bugs — double release and
-     releasing a buffer the pool never issued — into immediate
-     Invalid_argument instead of silent aliasing. *)
-  let p = Buf_pool.create () in
-  let b1 = Buf_pool.acquire p 64 in
-  let b2 = Buf_pool.acquire p 64 in
-  check_int "two in flight" 2 (Buf_pool.in_flight p);
-  Buf_pool.release p b1;
-  check_int "one released" 1 (Buf_pool.in_flight p);
-  (* a caller-made odd-sized buffer is not pool-eligible: ignored by
-     both the freelist and the balance *)
-  Buf_pool.release p (Bytes.create 100);
-  check_int "foreign release not counted" 1 (Buf_pool.in_flight p);
-  (match Buf_pool.release p b1 with
-  | () -> Alcotest.fail "double release accepted"
-  | exception Invalid_argument _ -> ());
-  check_int "double release left the balance alone" 1 (Buf_pool.in_flight p);
-  Buf_pool.release p b2;
-  check_int "drained run balances to zero" 0 (Buf_pool.in_flight p);
-  (* releasing a pool-eligible buffer that was never acquired would make
-     the balance negative — a leak in the other direction *)
-  match Buf_pool.release p (Bytes.create 128) with
-  | () -> Alcotest.fail "over-release accepted"
-  | exception Invalid_argument _ -> ()
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -370,7 +300,6 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_sample_percentiles;
           Alcotest.test_case "interleaved sort" `Quick
             test_sample_interleaved_sort;
-          Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "wire",
         [
@@ -387,13 +316,6 @@ let () =
         [
           Alcotest.test_case "known value" `Quick test_crc32_known_value;
           Alcotest.test_case "corruption" `Quick test_crc32_detects_corruption;
-        ] );
-      ( "buf pool",
-        [
-          Alcotest.test_case "reuse" `Quick test_buf_pool_reuse;
-          Alcotest.test_case "size classes" `Quick test_buf_pool_size_classes;
-          Alcotest.test_case "lifetime canaries" `Quick
-            test_buf_pool_lifetime_canaries;
         ] );
       ("properties", qcheck_cases);
     ]

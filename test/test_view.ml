@@ -443,10 +443,8 @@ let test_wire_replay_matches_generator () =
   let gd = List.rev (List.rev_append (Pipeline.flush gen) !gen_decisions) in
   let _, _, gfinal = Pipeline.lcs gen in
   let pm_counts p =
-    Array.map
-      (fun (s : Counters.stage) ->
-        (s.Counters.intentions, s.Counters.nodes_visited))
-      (Pipeline.counters p).Counters.premeld_shards
+    let s = (Pipeline.counters p).Counters.premeld in
+    (s.Counters.intentions, s.Counters.nodes_visited)
   in
   let wires = List.rev !wires in
   check "stream not trivial" true (List.length wires > 150);
