@@ -21,13 +21,15 @@ bench-smoke:
 
 # Tracked macro-benchmark: replays one fixed-seed, mixed read/write wire
 # stream, measuring the final-meld critical path (fm_ns_per_txn), exact
-# per-stage GC words/txn and the stream's mean encoded size
-# (wire_bytes_per_txn).  The fresh run is gated against the committed
-# BENCH_MACRO.json baseline: ds allocating more than its per-node budget,
-# the fm loop allocating more minor words/txn (tight tolerance — the
-# number is deterministic), a large fm-ns/txn regression (loose
-# tolerance — wall clock on shared CI) or the wire format growing by
-# more than 1% fails the make.
+# per-stage GC words/txn and their total, the share of wall time the
+# stage timers cover (driver_share_of_wall) and the stream's mean encoded
+# size (wire_bytes_per_txn).  The fresh run is gated against the
+# committed BENCH_MACRO.json baseline: the stage timers covering less
+# than their floor of wall time, the fm loop or all stages together
+# allocating more minor words/txn (tight tolerance — the numbers are
+# deterministic), a large fm-ns/txn regression (loose tolerance — wall
+# clock on shared CI) or the wire format growing by more than 1% fails
+# the make.
 # A second, flight-recorded run (kept out of the gated timing run so the
 # recorder cannot touch the tracked melds/s) then feeds the analyzer,
 # whose per-stage wait/service waterfall (FLIGHT_REPORT.json) is itself

@@ -195,6 +195,7 @@ let generate (cfg : config) =
       ds
   in
   let npos = ref 0 and txn_seq = ref 0 and appended = ref 0 in
+  let encoder = Codec.Encoder.create () in
   while !appended < cfg.txns do
     let _, lcs_pos, lcs_tree = Server.lcs server in
     let want = min cfg.wave (cfg.txns - !appended) in
@@ -219,7 +220,7 @@ let generate (cfg : config) =
     done;
     List.iter
       (fun (origin, ts, draft) ->
-        let bytes = Codec.encode draft in
+        let bytes = Codec.Encoder.encode encoder draft in
         let framed =
           match
             Codec.Blocks.split ~block_size:cfg.corfu.Corfu.block_size

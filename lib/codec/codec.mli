@@ -6,11 +6,11 @@ open Hyder_tree
     inside child is written as a bare tag, with no index.  Pointers to nodes
     outside the intention are written as (VN, key) references.  A decoder
     thus meets each node right after its parent and binds its references
-    in the same pass; it numbers nodes in post order as its walk returns
-    (DESIGN §13).  The byte stream is split into fixed-size {e intention blocks} for the log;
-    an intention's blocks need not be contiguous in the log, and the
-    intention's identity is the log position of its last block (Section
-    5.1).  Deserialization swizzles references back to in-memory nodes via a
+    in the same pass; it builds and numbers nodes in post order as its
+    walk returns (DESIGN §13).  The byte stream is split into fixed-size
+    {e intention blocks} for the log; an intention's blocks need not be
+    contiguous in the log, and the intention's identity is the log
+    position of its last block (Section 5.1).  Deserialization swizzles references back to in-memory nodes via a
     caller-supplied resolver (the server's retained-state cache) and assigns
     node identities from the log address. *)
 
@@ -45,19 +45,31 @@ val peek_snapshot : string -> int
 (** The snapshot log position of the encoded intention, read from the
     header without decoding.  The pipeline uses it to look up the
     snapshot state a decode binds against, and to refuse an intention
-    whose snapshot the log has not recorded yet.  Allocates nothing.  Raises {!Corrupt} on a truncated header. *)
+    whose snapshot the log has not recorded yet.  Allocates nothing.
+    Raises {!Corrupt} on a truncated header. *)
 
-val decode_lazy :
+val decode :
   pos:int -> ?peer:Node.tree -> resolve:resolver -> string -> Intention.t
-(** The production decoder, and the only one any pipeline stage runs.
-    Flyweight decode: one validation pass (the same checks and {!Corrupt}
-    messages as the eager reference decoder kept beside the tests),
-    binding every external reference and elided
-    payload — against [peer], the snapshot tree the intention executed
-    under, with [resolve] as fallback — but building no heap nodes.  The
-    result carries [view = Some v] and a placeholder [root]; meld walks
-    the view directly and {!View.materialize_root} recovers the eager
-    tree on demand. *)
+(** The decoder every pipeline stage runs: one pass over the pre-order
+    records that validates the encoding, binds every external reference
+    and elided payload, and builds the intention's tree as its walk
+    returns.  [pos] is the log position the intention is (or will be)
+    appended at: every node gets owner [pos] and version
+    [Logged (pos, post-order index)], as {!Intention.assign} numbers
+    them.  References are first looked up by key in [peer], the
+    snapshot tree the intention executed against ([Node.empty], the
+    default, when unavailable), and fall back to [resolve] when it
+    cannot answer.  A bound reference or elided payload is the snapshot's
+    own object; an inline payload is copied out of [s] once.  Raises
+    {!Corrupt} on malformed input. *)
+
+val uint_at : string -> int -> int * int
+(** [uint_at s p] reads the varint at offset [p] of [s] as {!decode}
+    reads every wire integer: [(x, p')] with [p'] the offset past it,
+    [x] equal to [Int64.to_int] of {!Hyder_util.Wire.Reader.varint64}'s
+    value over the same bytes.  Raises {!Hyder_util.Wire.Truncated}
+    exactly when that reader would.  Exposed so the decoder's unrolled
+    short paths can be checked against the reference reader. *)
 
 (** Fragmentation of intention byte streams into log blocks. *)
 module Blocks : sig

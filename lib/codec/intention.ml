@@ -25,7 +25,6 @@ type t = {
   root : Node.tree;
   node_count : int;
   byte_size : int;
-  view : View.t option;
 }
 
 (* The draft owner must outrank every real log position and still leave
@@ -73,7 +72,6 @@ let assign ~pos ?(byte_size = 0) (d : draft) =
     root;
     node_count = !count;
     byte_size;
-    view = None;
   }
 
 let node_count t = t.node_count

@@ -32,13 +32,9 @@ type t = {
   server : int;
   txn_seq : int;
   isolation : isolation;
-  root : Node.tree;  (** materialized tree; inside nodes owned by [pos] *)
+  root : Node.tree;  (** the intention's tree; inside nodes owned by [pos] *)
   node_count : int;  (** nodes belonging to the intention *)
   byte_size : int;  (** encoded size in bytes (0 if never encoded) *)
-  view : View.t option;
-      (** lazily-decoded flyweight, when this intention came off the wire
-          via [Codec.decode_lazy]; [Some v] implies [root] is a
-          placeholder ([Node.empty]) until someone materializes [v] *)
 }
 
 val draft_owner : int

@@ -12,12 +12,6 @@ type group = {
   root : Node.tree;
   member_positions : int list;
   snapshot : int;
-  view : Hyder_codec.View.t option;
-      (** lazily-decoded flyweight of a still-unmaterialized singleton;
-          [root] is a placeholder while this is set.  {!combine} walks the
-          {e second} (intention-side) group's view directly; the first
-          (state-side) group must be a real tree, so the pipeline forces a
-          group when it becomes the pending state side. *)
 }
 
 let single ?premeld_input ~seq intention =
@@ -27,7 +21,6 @@ let single ?premeld_input ~seq intention =
     root = intention.Hyder_codec.Intention.root;
     member_positions = [ intention.Hyder_codec.Intention.pos ];
     snapshot = intention.Hyder_codec.Intention.snapshot;
-    view = intention.Hyder_codec.Intention.view;
   }
 
 let dead ?premeld_input ~seq intention reason =
@@ -37,19 +30,14 @@ let dead ?premeld_input ~seq intention reason =
     root = Node.empty;
     member_positions = [];
     snapshot = intention.Hyder_codec.Intention.snapshot;
-    view = None;
   }
 
-let combine ?mz ~alloc ~counters first second =
+let combine ~alloc ~counters first second =
   let early_aborts = first.early_aborts @ second.early_aborts in
   match (first.members, second.members) with
   | [], _ -> { second with early_aborts }
   | _, [] -> { first with early_aborts }
   | _, second_members -> begin
-      (* The state side is split and rebuilt, so it must be a real tree;
-         the intention side is only walked, so a still-lazy view is fine
-         (meld reads it in place and materializes just what it grafts). *)
-      assert (first.view == None);
       (* Meld the later group's tree into the earlier one's, treating the
          earlier tree as the "state" side that still carries transaction
          metadata. *)
@@ -64,9 +52,8 @@ let combine ?mz ~alloc ~counters first second =
         Meld.meld
           ~mode:(Meld.Transaction { out_owner })
           ~state_is_intention:true ~intention_snapshot:second.snapshot
-          ~state_snapshot:first.snapshot ?intention_view:second.view ?mz
-          ~members ~alloc ~counters ~intention:second.root ~state:first.root
-          ()
+          ~state_snapshot:first.snapshot ~members ~alloc ~counters
+          ~intention:second.root ~state:first.root ()
       with
       | Meld.Merged root ->
           {
@@ -75,7 +62,6 @@ let combine ?mz ~alloc ~counters first second =
             root;
             member_positions = members;
             snapshot = min first.snapshot second.snapshot;
-            view = None;
           }
       | Meld.Conflict reason ->
           (* The earlier member conflicts with the later one: the later

@@ -27,10 +27,6 @@ type group = {
   root : Node.tree;  (** Empty iff no survivors *)
   member_positions : int list;  (** "inside" owners for final meld *)
   snapshot : int;  (** earliest member snapshot (log position) *)
-  view : Hyder_codec.View.t option;
-      (** flyweight of a still-unmaterialized singleton; [root] is a
-          placeholder while set.  {!combine} walks the second group's
-          view in place; the {e first} group must carry a real tree. *)
 }
 
 val single : ?premeld_input:int -> seq:int -> Hyder_codec.Intention.t -> group
@@ -45,13 +41,11 @@ val dead :
 (** A group whose only member was already killed by premeld. *)
 
 val combine :
-  ?mz:(float -> unit) ->
   alloc:Vn.Alloc.t ->
   counters:Counters.stage ->
   group ->
   group ->
   group
-(** Meld the second group's intention into the first's, in log order.
-    The second group may still be a lazy view (walked in place); the
-    first must be materialized.  [mz] observes view-materialization
-    minor words (forwarded to {!Meld.meld}). *)
+(** Meld the second group's tree into the first's, in log order: the
+    first group's tree is the state side of {!Meld.meld}, the second's
+    its intention side. *)

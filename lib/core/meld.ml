@@ -1,6 +1,5 @@
 open Hyder_tree
 open Node
-module View = Hyder_codec.View
 
 type mode = Final | Transaction of { out_owner : int }
 
@@ -57,10 +56,6 @@ type env = {
   out_bits : int;
   intention_snapshot : int;
   state_snapshot : int;
-  (* Materialization hook: called with the minor words a lazy-view
-     materialization allocated, so the pipeline can attribute that GC
-     churn to its own bracket instead of the stage it happens inside. *)
-  mz : (float -> unit) option;
 }
 
 (* Owner bits are [(owner + 1) lsl owner_shift] with owner >= -1, so any
@@ -349,318 +344,80 @@ let rec go env i l =
   else begin
     let ni = i and nl = l in
     visit env;
-        if Node.ssv_equals ni nl then begin
-          (* Graft fast path: the version this subtree was derived from
-             is still current — nothing concurrent happened below. *)
-          env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
-          if ni.meta land Meta.has_writes <> 0 then i
-          else if env.transaction_mode then
-            (* Section 3.3: keep the intention's read-only subtree so
-               the output retains readset metadata. *)
-            i
-          else l
-        end
-        else begin
-          let c = Key.compare ni.key nl.key in
-          if c = 0 then begin
-            check_node env ni nl;
-            let left = go env ni.left nl.left in
-            let right = go env ni.right nl.right in
-            if
-              ni.meta land Meta.dependent_mask = 0
-              && left == nl.left && right == nl.right
-            then l
-            else if
-              (not env.transaction_mode)
-              && ni.meta land Meta.altered <> 0
-              && left == ni.left && right == ni.right
-            then i
-            else if
-              (not env.transaction_mode)
-              && ni.meta land Meta.altered = 0
-              && left == nl.left && right == nl.right
-            then l
-            else merged_node env ni nl ~left ~right
-          end
-          else if Key.priority_greater ni.key nl.key then begin
-            (* The intention holds a key that outranks this whole state
-               region: splice it in, splitting the state around it.  In
-               a full state this can only be a fresh insert; under group
-               meld it can also be snapshot data the earlier member
-               cannot see yet. *)
-            if ni.meta land Meta.ssv_present <> 0 && not env.state_is_intention
-            then
-              raise
-                (Corrupt_intention
-                   (Printf.sprintf
-                      "node %d outranks state root %d but has a source \
-                       (ssv=%s owner=%d altered=%b vn=%s mode=%s)"
-                      ni.key nl.key
-                      (match Node.ssv ni with
-                      | Some v -> Vn.to_string v
-                      | None -> "-")
-                      (Node.owner ni) (Node.altered ni)
-                      (Vn.to_string (Node.vn ni))
-                      (if env.transaction_mode then "txn" else "final")));
-            let ll, lr = split_state env l ni.key in
-            let left = go env ni.left ll in
-            let right = go env ni.right lr in
-            if left == ni.left && right == ni.right then i
-            else eph_of_intention env ~restructured:false ni ~left ~right
-          end
-          else begin
-            (* A key unknown to the intention outranks its region: the
-               state's node roots the merge and the intention splits. *)
-            let il, ir = split_intention env i nl.key in
-            let left = go env il nl.left in
-            let right = go env ir nl.right in
-            if left == nl.left && right == nl.right then l
-            else eph_of_state env ~restructured:false nl ~left ~right
-          end
-        end
-  end
-
-(* ---- the same walk over a flyweight view ------------------------------ *)
-(* [go_view] mirrors [go] branch for branch when the intention side is a
-   [Codec.View] instead of a decoded tree: same visits, same ephemeral
-   draws, same conflict checks, same output — but a heap node is built
-   (via the view's memo) only when a branch of [go] would have returned
-   or copied an intention node.  Aborted walks and state-resolved
-   subtrees build nothing.
-
-   Unreachable branches of [go], given that every view node is owned by
-   the view's position (a member): [i == l] and the not-inside early
-   return.  Child descriptors play those roles instead, in [go_kid]. *)
-
-let matz env v idx =
-  match env.mz with
-  | None -> View.materialize v idx
-  | Some f ->
-      let t0 = Gc.minor_words () in
-      let n = View.materialize v idx in
-      f (Gc.minor_words () -. t0);
-      n
-
-(* Intact (non-split, non-melded) child of a view node as a tree. *)
-let kid_tree env v c =
-  if View.kid_is_inside c then matz env v c
-  else if View.kid_is_empty c then empty
-  else View.ref_of v c
-
-(* Ephemeral copy of view node [j] with new children ([eph_of_intention]
-   over the packed wire words).  A view node's meta carries its cv class;
-   its cv is its vn [(pos, j)] when altered, else its scv. *)
-let eph_of_intention_v env v j ~restructured ~left ~right =
-  let seq = fresh env in
-  let mi = View.meta v j in
-  let key = View.key v j in
-  let payload = View.payload v j in
-  let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
-  let altered = mi land Meta.altered <> 0 in
-  let cv_a = if altered then View.pos v else scv_a in
-  let cv_b = if altered then j else scv_b in
-  if
-    mi land Meta.ssv_present <> 0 && (restructured || env.state_is_intention)
-  then
-    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b
-      ~meta:(mi lor Meta.ssv_ephemeral) ~ssv_a:env.thread ~ssv_b:seq ~scv_a
-      ~scv_b
-  else
-    mk env ~seq ~key ~payload ~left ~right ~cv_a ~cv_b ~meta:mi ~ssv_a ~ssv_b
-      ~scv_a ~scv_b
-
-(* [merged_node] with the intention side read from the view. *)
-let merged_node_v env v j (nl : node) ~left ~right =
-  let seq = fresh env in
-  let mi = View.meta v j in
-  let key = View.key v j in
-  let ni_w = mi land Meta.altered <> 0 in
-  if not env.transaction_mode then begin
-    if ni_w then
-      mk env ~seq ~key ~payload:(View.payload v j) ~left ~right
-        ~cv_a:(View.pos v) ~cv_b:j ~meta:0 ~ssv_a:0 ~ssv_b:0 ~scv_a:0 ~scv_b:0
-    else
-      mk env ~seq ~key ~payload:nl.payload ~left ~right ~cv_a:nl.cv_a
-        ~cv_b:nl.cv_b ~meta:(nl.meta land Meta.cv_ephemeral) ~ssv_a:0 ~ssv_b:0
-        ~scv_a:0 ~scv_b:0
-  end
-  else begin
-    let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    let from_state = meta_from_state env ~mi ~nl_mine nl in
-    let dep =
-      mi land Meta.dependent_mask
-      lor if nl_mine then nl.meta land Meta.dependent_mask else 0
-    in
-    let nl_w = nl_mine && nl.meta land Meta.altered <> 0 in
-    let meta = env.out_bits lor dep in
-    if from_state then
-      (* the view's cv is needed only when altered: its own vn *)
-      if ni_w then
-        merged_from_state env ~seq ~key ~payload:(View.payload v j) ~left
-          ~right ~cv_a:(View.pos v) ~cv_b:j ~meta ~nl_mine nl
-      else
-        merged_from_state env ~seq ~key ~payload:nl.payload ~left ~right
-          ~cv_a:nl.cv_a ~cv_b:nl.cv_b
-          ~meta:(meta lor (nl.meta land Meta.cv_ephemeral))
-          ~nl_mine nl
-    else begin
-      let ssv_a, ssv_b, scv_a, scv_b = View.sources v j in
-      if ni_w || not nl_w then
-        merged_from_intention env ~seq ~key ~payload:(View.payload v j) ~left
-          ~right
-          ~cv_a:(if ni_w then View.pos v else scv_a)
-          ~cv_b:(if ni_w then j else scv_b)
-          ~meta:(meta lor (mi land Meta.cv_ephemeral))
-          ~mi ~ssv_a ~ssv_b ~scv_a ~scv_b
-      else
-        merged_from_intention env ~seq ~key ~payload:nl.payload ~left ~right
-          ~cv_a:nl.cv_a ~cv_b:nl.cv_b
-          ~meta:(meta lor (nl.meta land Meta.cv_ephemeral))
-          ~mi ~ssv_a ~ssv_b ~scv_a ~scv_b
-    end
-  end
-
-(* [check_node] with the intention side read from the view. *)
-let check_node_v env v j (nl : node) =
-  let mi = View.meta v j in
-  let key = View.key v j in
-  if mi land Meta.ssv_present = 0 then begin
-    if mi land Meta.altered <> 0 then raise (Abort (Write_conflict key))
-    else
-      raise
-        (Corrupt_intention
-           (Printf.sprintf "non-insert node %d without ssv" key))
-  end
-  else begin
-    let nl_mine = env.state_is_intention && inside_meta env nl.meta in
-    if mi land (Meta.altered lor Meta.dep_content) <> 0 then begin
-      let do_check =
-        if not env.state_is_intention then true
-        else nl_mine && nl.meta land Meta.altered <> 0
-      in
-      if do_check then begin
-        if mi land Meta.scv_present = 0 then
-          raise
-            (Corrupt_intention
-               (Printf.sprintf "node %d has ssv but no scv" key));
-        if not (View.scv_equals v j nl) then
-          raise
-            (Abort
-               (if mi land Meta.altered <> 0 then Write_conflict key
-                else Read_conflict key))
-      end
-    end;
-    if mi land Meta.dep_structure <> 0 then begin
-      if not env.state_is_intention then raise (Abort (Phantom_conflict key))
-      else if nl_mine && nl.meta land Meta.has_writes <> 0 then
-        raise (Abort (Phantom_conflict key))
-      else if env.intention_snapshot < env.state_snapshot then
-        raise (Abort (Phantom_conflict key))
-    end
-  end
-
-(* Walk child descriptor [c] against state subtree [l].  The bool is the
-   eager walk's [result == ni.child] test — physical adoption of the
-   intention child — computed without materializing anything. *)
-let rec go_kid env v c l =
-  if View.kid_is_inside c then go_v env v c l
-  else if View.kid_is_empty c then (l, l == empty)
-  else (l, l == View.ref_of v c)
-
-(* [go] with the intention side at view node [j] (always a member's). *)
-and go_v env v j l =
-  if l == empty then (matz env v j, true)
-  else begin
-    visit env;
-    if View.ssv_equals v j l then begin
+    if Node.ssv_equals ni nl then begin
+      (* Graft fast path: the version this subtree was derived from
+         is still current — nothing concurrent happened below. *)
       env.counters.Counters.grafts <- env.counters.Counters.grafts + 1;
-      if View.meta v j land Meta.has_writes <> 0 then (matz env v j, true)
-      else if env.transaction_mode then (matz env v j, true)
-      else (l, false)
+      if ni.meta land Meta.has_writes <> 0 then i
+      else if env.transaction_mode then
+        (* Section 3.3: keep the intention's read-only subtree so
+           the output retains readset metadata. *)
+        i
+      else l
     end
     else begin
-      let nl = l in
-      let c = Key.compare (View.key v j) nl.key in
+      let c = Key.compare ni.key nl.key in
       if c = 0 then begin
-        check_node_v env v j nl;
-        let left, gl = go_kid env v (View.kid_l v j) nl.left in
-        let right, gr = go_kid env v (View.kid_r v j) nl.right in
-        let mi = View.meta v j in
+        check_node env ni nl;
+        let left = go env ni.left nl.left in
+        let right = go env ni.right nl.right in
         if
-          mi land Meta.dependent_mask = 0
+          ni.meta land Meta.dependent_mask = 0
           && left == nl.left && right == nl.right
-        then (l, false)
-        else if (not env.transaction_mode) && mi land Meta.altered <> 0 && gl
-                && gr
-        then (matz env v j, true)
+        then l
         else if
           (not env.transaction_mode)
-          && mi land Meta.altered = 0
+          && ni.meta land Meta.altered <> 0
+          && left == ni.left && right == ni.right
+        then i
+        else if
+          (not env.transaction_mode)
+          && ni.meta land Meta.altered = 0
           && left == nl.left && right == nl.right
-        then (l, false)
-        else (merged_node_v env v j nl ~left ~right, false)
+        then l
+        else merged_node env ni nl ~left ~right
       end
-      else if Key.priority_greater (View.key v j) nl.key then begin
-        let mi = View.meta v j in
-        if mi land Meta.ssv_present <> 0 && not env.state_is_intention then
+      else if Key.priority_greater ni.key nl.key then begin
+        (* The intention holds a key that outranks this whole state
+           region: splice it in, splitting the state around it.  In
+           a full state this can only be a fresh insert; under group
+           meld it can also be snapshot data the earlier member
+           cannot see yet. *)
+        if ni.meta land Meta.ssv_present <> 0 && not env.state_is_intention
+        then
           raise
             (Corrupt_intention
                (Printf.sprintf
                   "node %d outranks state root %d but has a source \
                    (ssv=%s owner=%d altered=%b vn=%s mode=%s)"
-                  (View.key v j) nl.key
-                  (match View.ssv v j with
-                  | Some x -> Vn.to_string x
+                  ni.key nl.key
+                  (match Node.ssv ni with
+                  | Some v -> Vn.to_string v
                   | None -> "-")
-                  (View.pos v)
-                  (mi land Meta.altered <> 0)
-                  (Vn.to_string (View.vn v j))
+                  (Node.owner ni) (Node.altered ni)
+                  (Vn.to_string (Node.vn ni))
                   (if env.transaction_mode then "txn" else "final")));
-        let ll, lr = split_state env l (View.key v j) in
-        let left, gl = go_kid env v (View.kid_l v j) ll in
-        let right, gr = go_kid env v (View.kid_r v j) lr in
-        if gl && gr then (matz env v j, true)
-        else
-          (eph_of_intention_v env v j ~restructured:false ~left ~right, false)
+        let ll, lr = split_state env l ni.key in
+        let left = go env ni.left ll in
+        let right = go env ni.right lr in
+        if left == ni.left && right == ni.right then i
+        else eph_of_intention env ~restructured:false ni ~left ~right
       end
       else begin
-        let il, ir = split_intention_v env v j nl.key in
+        (* A key unknown to the intention outranks its region: the
+           state's node roots the merge and the intention splits. *)
+        let il, ir = split_intention env i nl.key in
         let left = go env il nl.left in
         let right = go env ir nl.right in
-        if left == nl.left && right == nl.right then (l, false)
-        else (eph_of_state env ~restructured:false nl ~left ~right, false)
+        if left == nl.left && right == nl.right then l
+        else eph_of_state env ~restructured:false nl ~left ~right
       end
     end
   end
 
-(* [split_intention] over a view subtree: the split-path copies come from
-   the view; an external reference on the path falls back to the eager
-   split (its nodes are real). *)
-and split_intention_kid env v c key =
-  if View.kid_is_inside c then split_intention_v env v c key
-  else if View.kid_is_empty c then (empty, empty)
-  else split_intention env (View.ref_of v c) key
-
-and split_intention_v env v j key =
-  visit env;
-  if Key.compare (View.key v j) key < 0 then begin
-    let a, b = split_intention_kid env v (View.kid_r v j) key in
-    let left = kid_tree env v (View.kid_l v j) in
-    (eph_of_intention_v env v j ~restructured:true ~left ~right:a, b)
-  end
-  else begin
-    let a, b = split_intention_kid env v (View.kid_l v j) key in
-    let right = kid_tree env v (View.kid_r v j) in
-    (a, eph_of_intention_v env v j ~restructured:true ~left:b ~right)
-  end
-
-let go_view env v state =
-  if View.node_count v = 0 then go env empty state
-  else fst (go_v env v (View.root_index v) state)
-
 let meld ~mode ?(state_is_intention = false) ?(intention_snapshot = 0)
-    ?(state_snapshot = -1) ?intention_view ?mz ~members ~alloc
-    ~(counters : Counters.stage) ~intention ~state () =
+    ?(state_snapshot = -1) ~members ~alloc ~(counters : Counters.stage)
+    ~intention ~state () =
   let transaction_mode, out_owner =
     match mode with
     | Final -> (false, Node.state_owner)
@@ -689,14 +446,9 @@ let meld ~mode ?(state_is_intention = false) ?(intention_snapshot = 0)
       out_bits = Meta.owner_bits out_owner;
       intention_snapshot;
       state_snapshot;
-      mz;
     }
   in
-  match
-    match intention_view with
-    | Some v -> go_view env v state
-    | None -> go env intention state
-  with
+  match go env intention state with
   | merged -> Merged merged
   | exception Abort reason ->
       counters.aborts <- counters.aborts + 1;

@@ -55,8 +55,6 @@ val meld :
   ?state_is_intention:bool ->
   ?intention_snapshot:int ->
   ?state_snapshot:int ->
-  ?intention_view:Hyder_codec.View.t ->
-  ?mz:(float -> unit) ->
   members:int list ->
   alloc:Vn.Alloc.t ->
   counters:Counters.stage ->
@@ -70,11 +68,4 @@ val meld :
     [intention_snapshot]/[state_snapshot] are the members' snapshot log
     positions and matter only under group meld ([state_is_intention]),
     where they decide which side's source metadata refers to the earlier
-    history and whether a structural mismatch is a committed change.
-
-    [intention_view], when given, replaces [intention] (pass [Node.empty]
-    there) with a lazily-decoded flyweight: the walk is branch-identical
-    — same decisions, visits, grafts and ephemeral draws — but heap nodes
-    are built only for subtrees the meld actually adopts or copies.
-    [mz] is called with the minor words each such materialization
-    allocated, letting callers attribute that churn separately. *)
+    history and whether a structural mismatch is a committed change. *)

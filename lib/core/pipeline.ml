@@ -1,7 +1,6 @@
 open Hyder_tree
 module Intention = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
-module View = Hyder_codec.View
 module Summary = Hyder_util.Stats.Summary
 module Clock = Hyder_util.Clock
 module Metrics = Hyder_obs.Metrics
@@ -65,15 +64,6 @@ type instruments = {
   m_gm_gc_promoted : Metrics.Fcounter.t;
   m_fm_gc_minor : Metrics.Fcounter.t;
   m_fm_gc_promoted : Metrics.Fcounter.t;
-  (* Minor words spent materializing flyweight view nodes into heap
-     nodes.  Lazy decoding moves node allocation out of the ds bracket
-     and into whichever stage first needs the node; without this split,
-     the move would be misbooked as pm/gm/fm allocation growth.  It is
-     not a bracket of its own: meld reports materialization deltas
-     through its [?mz] hook, which adds here and subtracts from the
-     enclosing stage's minor counter, keeping each stage honest and the
-     total unchanged. *)
-  m_mz_gc_minor : Metrics.Fcounter.t;
 }
 
 (* GC sampling around a stage, inert when metrics are off: one branch,
@@ -151,51 +141,14 @@ let lcs t = State_store.latest t.states
 let shutdown _ = ()
 let offload _ = None
 
-(* Materialization ("mz") accounting helpers.  [mz_note] books an
-   explicit delta; [mz_hook] builds the meld-side hook that also
-   subtracts the delta from the enclosing stage bracket (which sampled
-   those words too). *)
-let mz_note t d =
-  match t.inst with
-  | None -> ()
-  | Some i -> Metrics.Fcounter.add i.m_mz_gc_minor d
-
-let mz_hook t ~stage =
-  match t.inst with
-  | None -> None
-  | Some i ->
-      let enclosing =
-        match stage with
-        | `Pm -> i.m_pm_gc_minor
-        | `Gm -> i.m_gm_gc_minor
-        | `Fm -> i.m_fm_gc_minor
-      in
-      Some
-        (fun d ->
-          Metrics.Fcounter.add i.m_mz_gc_minor d;
-          Metrics.Fcounter.add enclosing (-.d))
-
-(* Force a still-lazy group to a real tree (the pending state side of the
-   next combine needs one), booking the materialization words. *)
-let force_tree t (g : Group_meld.group) =
-  match g.Group_meld.view with
-  | None -> g
-  | Some v ->
-      let mw0 = Gc.minor_words () in
-      let root = View.materialize_root v in
-      mz_note t (Gc.minor_words () -. mw0);
-      { g with Group_meld.root; view = None }
-
-(* The ds stage: index the wire record in place (zero-copy) as a
-   flyweight view.  The snapshot state is both the binding peer and the
-   resolver, and nothing else is: meld's graft checks compare node
-   objects physically, so a reference must bind to the same object on
-   every replica and GC schedule, and the retained state is the one
-   source all of them share.  A reference the state cannot answer with
-   the recorded version is rejected as [Corrupt].  Nothing outlives the
-   decode but the returned intention, so its wire arrays die young once
-   it is melded.  Only a successful parse is booked: a rejected
-   intention leaves every counter as it was. *)
+(* The ds stage: decode the wire record straight to the intention's
+   tree.  The snapshot state is both the binding peer and the resolver,
+   and nothing else is: meld's graft checks compare node objects
+   physically, so a reference must bind to the same object on every
+   replica and GC schedule, and the retained state is the one source all
+   of them share.  A reference the state cannot answer with the recorded
+   version is rejected as [Corrupt].  Only a successful decode is booked:
+   a rejected intention leaves every counter as it was. *)
 let decode t ~pos src =
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
@@ -204,9 +157,7 @@ let decode t ~pos src =
     | Some tree -> tree
     | None -> Node.empty
   in
-  let i =
-    Codec.decode_lazy ~pos ~peer ~resolve:(State_store.resolver t.states) src
-  in
+  let i = Codec.decode ~pos ~peer ~resolve:(State_store.resolver t.states) src in
   gc_end t.inst ~stage:`Ds gc0;
   let t1 = Clock.now () in
   let ds = t.counters.deserialize in
@@ -258,14 +209,13 @@ let final_meld t (group : Group_meld.group) =
       Meld.Merged lcs_tree
     end
     else begin
-      let mz = mz_hook t ~stage:`Fm in
       let t0 = Clock.now () in
       let gc0 = gc_begin t.inst in
       fm.intentions <- fm.intentions + alive;
       let r =
         Meld.meld ~mode:Meld.Final ~members:group.member_positions
-          ?intention_view:group.view ?mz ~alloc:t.fm_alloc ~counters:fm
-          ~intention:group.root ~state:lcs_tree ()
+          ~alloc:t.fm_alloc ~counters:fm ~intention:group.root
+          ~state:lcs_tree ()
       in
       gc_end t.inst ~stage:`Fm gc0;
       let t1 = Clock.now () in
@@ -388,11 +338,10 @@ let gm_step t (unit_group : Group_meld.group) =
       | None -> unit_group
       | Some g ->
           let gm = t.counters.group_meld in
-          let mz = mz_hook t ~stage:`Gm in
           let t0 = Clock.now () in
           let gc0 = gc_begin t.inst in
           let merged =
-            Group_meld.combine ?mz ~alloc:t.gm_alloc ~counters:gm g unit_group
+            Group_meld.combine ~alloc:t.gm_alloc ~counters:gm g unit_group
           in
           gc_end t.inst ~stage:`Gm gc0;
           let t1 = Clock.now () in
@@ -408,9 +357,7 @@ let gm_step t (unit_group : Group_meld.group) =
       Some merged
     end
     else begin
-      (* The pending group becomes the state side of the next combine,
-         which needs a real tree: force a still-lazy singleton now. *)
-      t.pending <- Some (force_tree t merged);
+      t.pending <- Some merged;
       None
     end
   end
@@ -431,11 +378,10 @@ let group_of_outcome ~seq intention = function
 (* The premeld stage, against the live store. *)
 let premeld t pc ~seq (intention : Intention.t) =
   let pm = t.counters.premeld in
-  let mz = mz_hook t ~stage:`Pm in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
   let outcome =
-    Premeld.run ?mz pc ~allocs:t.pm_allocs ~counters:pm ~states:t.states ~seq
+    Premeld.run pc ~allocs:t.pm_allocs ~counters:pm ~states:t.states ~seq
       intention
   in
   gc_end t.inst ~stage:`Pm gc0;
@@ -524,7 +470,6 @@ let make_instruments metrics =
         m_gm_gc_promoted = Metrics.fcounter m "pipeline_gm_gc_promoted_words";
         m_fm_gc_minor = Metrics.fcounter m "pipeline_fm_gc_minor_words";
         m_fm_gc_promoted = Metrics.fcounter m "pipeline_fm_gc_promoted_words";
-        m_mz_gc_minor = Metrics.fcounter m "pipeline_mz_gc_minor_words";
       })
     metrics
 

@@ -54,14 +54,10 @@ val create :
   genesis:Tree.t ->
   unit ->
   t
-(** The ds stage indexes wire records in place as flyweight
-    {!Hyder_codec.View} values instead of eagerly building heap trees;
-    meld walks the view and materializes only the nodes it grafts, and
-    the allocation it does spend is booked under the
-    [pipeline_mz_gc_minor_words] instrument rather than the ds bracket.
-    The decode is {!Hyder_codec.Codec.decode_lazy}, bound against the
-    snapshot state.  Decisions, trees, ephemeral ids and integer counters
-    are bit-identical to eager decoding.
+(** The ds stage decodes each wire record straight to the intention's
+    tree with {!Hyder_codec.Codec.decode}, bound against the snapshot
+    state; premeld, group meld and final meld all walk that one tree, so
+    every node an intention allocates is booked in the ds bracket.
 
     [runtime] exists only because [benchmark/] still passes it (see
     {!Runtime.backend}): [Sequential] and [Pipelined] both run the one
@@ -72,8 +68,7 @@ val create :
     ([pipeline_commits], [pipeline_aborts], the per-reason
     [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
     [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn] and
-    the per-stage GC words of ds, premeld, group meld, final meld and the
-    materialization they cause).
+    the per-stage GC words of ds, premeld, group meld and final meld).
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage

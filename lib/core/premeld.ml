@@ -17,7 +17,7 @@ type outcome =
 
 (* Trial-meld [intention] against its designated input state, read from
    the live store, with the premeld thread's own allocator. *)
-let run ?mz config ~allocs ~counters ~states ~seq (intention : Intention.t) =
+let run config ~allocs ~counters ~states ~seq (intention : Intention.t) =
   let m = input_seq config ~seq in
   if m <= State_store.seq_of_pos states intention.snapshot then
     Unchanged intention
@@ -28,12 +28,9 @@ let run ?mz config ~allocs ~counters ~states ~seq (intention : Intention.t) =
     match
       Meld.meld
         ~mode:(Meld.Transaction { out_owner = intention.pos })
-        ?intention_view:intention.view ?mz ~members:[ intention.pos ]
-        ~alloc:allocs.(thread - 1) ~counters ~intention:intention.root ~state
-        ()
+        ~members:[ intention.pos ] ~alloc:allocs.(thread - 1) ~counters
+        ~intention:intention.root ~state ()
     with
-    (* A premelded intention is a real tree from here on — drop the
-       view so no one walks stale wire bytes. *)
-    | Meld.Merged root -> Premelded ({ intention with root; view = None }, m)
+    | Meld.Merged root -> Premelded ({ intention with root }, m)
     | Meld.Conflict reason -> Dead reason
   end

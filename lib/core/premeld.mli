@@ -35,7 +35,6 @@ type outcome =
   | Dead of Meld.abort_reason  (** conflict found early *)
 
 val run :
-  ?mz:(float -> unit) ->
   config ->
   allocs:Hyder_tree.Vn.Alloc.t array ->
   counters:Counters.stage ->
@@ -47,8 +46,4 @@ val run :
     precedes its snapshot, otherwise a trial meld against that state.
     [allocs.(i)] is premeld thread [i+1]'s ephemeral-id allocator; the
     call uses thread [thread_for ~seq]'s, and counts its work into
-    [counters].
-
-    [mz] is forwarded to {!Meld.meld}: it observes the minor words spent
-    materializing flyweight view nodes when the intention carries a lazy
-    view. *)
+    [counters]. *)

@@ -7,6 +7,7 @@ type t = {
   block_size : int;
   pipeline : Pipeline.t;
   reassembler : Reassembler.t;
+  encoder : Codec.Encoder.t;  (** serves every [txn]'s encode *)
   buffered : (int, string) Hashtbl.t;  (** raw blocks past the first gap *)
   mutable next_pos : int;
   mutable next_txn_seq : int;
@@ -26,6 +27,7 @@ let make ~server_id ~block_size ~next_pos ~next_txn_seq pipeline reassembler =
     block_size;
     pipeline;
     reassembler;
+    encoder = Codec.Encoder.create ();
     buffered = Hashtbl.create 16;
     next_pos;
     next_txn_seq;
@@ -79,7 +81,7 @@ let txn t ?(isolation = Intention.Serializable) body =
   match Executor.finish e with
   | None -> (result, None)
   | Some draft ->
-      let bytes = Codec.encode draft in
+      let bytes = Codec.Encoder.encode t.encoder draft in
       let blocks =
         Codec.Blocks.split ~block_size:t.block_size ~server:t.server_id
           ~txn_seq bytes

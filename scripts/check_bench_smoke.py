@@ -4,16 +4,19 @@
 With --macro, gates a `macro` run (see `make bench-macro`):
 
   1. the `seq` row is present, with sane throughput, a measured fm
-     critical path and every stage's minor words sampled;
-  2. allocation budget: ds minor words per decoded node;
-  3. when a committed baseline is given, no regression of the fm
-     critical path and no growth of the wire format.  The GC words/txn
-     comparison is tight (the fm loop's minor allocation is
-     deterministic, measured with the exact Gc.minor_words counter); the
-     fm-ns/txn comparison is loose, because wall time on a shared CI box
-     is not.  The wire-size comparison allows 1%: the macro stream is
-     fixed-seed and byte-identical run to run, so its mean encoded size
-     moves only when the encoding does.
+     critical path and every stage's minor words sampled, and the stage
+     timers (ds, pm, gm, fm) cover at least DRIVER_SHARE_FLOOR of the
+     wall time, so untimed work on the serial path cannot grow unseen;
+  2. when a committed baseline is given, no regression of the fm
+     critical path, of the total allocation and of the wire format.  The
+     GC words/txn comparisons are tight (minor allocation is
+     deterministic for the fixed stream, measured with the exact
+     Gc.minor_words counter): fm minor words, and the sum of every
+     `*_minor` column, which sees allocation moving between stages as
+     well as growing.  The fm-ns/txn comparison is loose, because wall
+     time on a shared CI box is not.  The wire-size comparison allows 1%:
+     the macro stream is fixed-seed and byte-identical run to run, so its
+     mean encoded size moves only when the encoding does.
 
 With --flight, sanity-checks a flight-analysis report (the JSON written
 by `hyder-cli analyze --json`) instead: for every recorder label, records were
@@ -28,9 +31,9 @@ sampling a fraction of it.
 import json
 import sys
 
-# fm minor words/txn are exact and deterministic for a fixed seed; allow
-# only rounding-level drift.  Promoted words are quantized to minor
-# collections, so they breathe with collection timing.
+# fm and total minor words/txn are exact and deterministic for a fixed
+# seed; allow only rounding-level drift.  Promoted words are quantized to
+# minor collections, so they breathe with collection timing.
 GC_MINOR_TOLERANCE = 1.05
 # Wall-clock metric on shared CI hardware.
 FM_NS_TOLERANCE_SEQ = 1.75
@@ -38,16 +41,15 @@ FM_NS_TOLERANCE_SEQ = 1.75
 # so the figure is exact run to run; 1% over the baseline is a format
 # change, such as redundant bytes returning to the wire.
 WIRE_BYTES_TOLERANCE = 1.01
+# Share of the macro run's wall time the four stage timers account for
+# (driver_share_of_wall).  With intentions decoded straight to trees,
+# eleven runs on a 2-core host read 0.904-0.930; with the untimed
+# materialization of the pending group they read 0.840-0.857.
+DRIVER_SHARE_FLOOR = 0.88
 # The stage waterfall must account for the measured end-to-end p50; the
 # chain invariant makes coverage exactly 1.0 up to clock jitter, and the
 # acceptance contract allows 5%.
 FLIGHT_COVERAGE_SLACK = 0.05
-# Driver-side ds allocation budget, in minor words per decoded node
-# (ds_minor over ds_nodes_per_txn).  The flyweight-view ds path builds
-# only its per-node index arrays, about 8.4 words per node; node
-# allocation lands in the mz column as meld materializes, and building
-# heap nodes in ds again would add at least 14 words per node.
-DS_MINOR_PER_NODE_BUDGET = 10.0
 
 
 def fail(msg: str) -> None:
@@ -65,6 +67,11 @@ def load_rows(path: str, figure: str) -> dict:
     }
 
 
+def total_minor(gcw: dict) -> float:
+    """Minor words/txn summed over every stage's `*_minor` column."""
+    return sum(v for k, v in gcw.items() if k.endswith("_minor"))
+
+
 def check_macro(run_path: str, baseline_path: str | None) -> None:
     rows = load_rows(run_path, "macro")
     r = rows.get("seq")
@@ -76,24 +83,21 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
     if not r["fm_ns_per_txn"] > 0:
         fail("seq: fm critical path not measured")
     gcw = r["gc_words_per_txn"]
-    for col in ("pm_minor", "gm_minor", "fm_minor", "mz_minor"):
+    for col in ("ds_minor", "pm_minor", "gm_minor", "fm_minor"):
         if not gcw.get(col, 0) > 0:
             fail(f"seq: {col} words/txn not sampled: {gcw.get(col)}")
-
-    ds = gcw.get("ds_minor")
-    if ds is None:
-        fail("seq: row is missing the ds_minor column")
-    nodes = r.get("ds_nodes_per_txn")
-    if not nodes:
-        fail("seq: row is missing the ds_nodes_per_txn column")
-    if not ds / nodes < DS_MINOR_PER_NODE_BUDGET:
-        fail(f"seq: ds minor words/node {ds / nodes:.2f} "
-             f"({ds:.1f} w/txn over {nodes:.1f} nodes/txn) not under "
-             f"the budget of {DS_MINOR_PER_NODE_BUDGET:.0f}")
+    share = r.get("driver_share_of_wall")
+    if share is None:
+        fail("seq: row is missing the driver_share_of_wall column")
+    if share < DRIVER_SHARE_FLOOR:
+        fail(f"seq: stage timers cover only {share:.3f} of wall time "
+             f"(floor {DRIVER_SHARE_FLOOR})")
+    cur_total = total_minor(gcw)
     wire = r.get("wire_bytes_per_txn")
     if not wire:
         fail("seq: row is missing the wire_bytes_per_txn column")
-    msgs = [f"ds {ds / nodes:.2f} minor words/node"]
+    msgs = [f"stage timers cover {share:.3f} of wall",
+            f"total {cur_total:.1f} minor words/txn"]
 
     cur_gc = gcw["fm_minor"]
     cur_ns = r["fm_ns_per_txn"]
@@ -106,6 +110,12 @@ def check_macro(run_path: str, baseline_path: str | None) -> None:
             fail(f"seq: fm minor words/txn regressed "
                  f"{base_gc:.1f} -> {cur_gc:.1f} "
                  f"(tolerance x{GC_MINOR_TOLERANCE})")
+        base_total = total_minor(b["gc_words_per_txn"])
+        if cur_total > base_total * GC_MINOR_TOLERANCE:
+            fail(f"seq: total minor words/txn regressed "
+                 f"{base_total:.1f} -> {cur_total:.1f} "
+                 f"(tolerance x{GC_MINOR_TOLERANCE})")
+        msgs[1] += f" (base {base_total:.1f})"
         base_ns = b["fm_ns_per_txn"]
         if cur_ns > base_ns * FM_NS_TOLERANCE_SEQ:
             fail(f"seq: fm ns/txn regressed {base_ns:.0f} -> {cur_ns:.0f} "

@@ -1,9 +1,10 @@
-(* The reference decoder: builds every node of an intention eagerly,
-   through [Wire.Reader], with the swizzle table indexed by post-order
-   position.  No pipeline stage runs it.  It is the specification the
-   production decoder ([Codec.decode_lazy], over [View.parse]) is tested
-   against: node for node (field and physical equality after
-   materialization) and message for message on corrupt input. *)
+(* The reference decoder: builds every node of an intention through
+   [Wire.Reader], resolving every reference with the resolver alone.  No
+   pipeline stage runs it.  It is the specification
+   [Codec.decode] (cursor readers, peer-threaded binding) is tested
+   against: node for node in post order (every field, with references
+   and elided payloads physically the snapshot's objects) and message
+   for message on corrupt input. *)
 
 open Hyder_tree
 open Node
@@ -48,8 +49,8 @@ let tag_inside = 1
 let tag_ref = 2
 
 (* [decode_indexed ~pos ~resolve s] rebuilds the intention appended at log
-   position [pos], and also returns its nodes indexed by post-order
-   position.  Inside nodes get owner [pos] and versions [(pos, idx)],
+   position [pos], and also returns which nodes' payloads were elided
+   (bound from the snapshot), indexed by post-order position.  Inside nodes get owner [pos] and versions [(pos, idx)],
    numbered in post order as [Intention.assign] numbers them. *)
 let decode_indexed ~pos ~resolve s =
   let len = String.length s in
@@ -62,7 +63,7 @@ let decode_indexed ~pos ~resolve s =
     let node_count = Wire.Reader.varint r in
     if node_count < 0 || node_count > len then
       corrupt "implausible node count %d" node_count;
-    let nodes = Array.make (max 1 node_count) Node.empty in
+    let elided = Array.make (max 1 node_count) false in
     let records = ref 0 and next_idx = ref 0 in
     let count_mismatch () =
       corrupt "node count %d does not match the records" node_count
@@ -177,7 +178,7 @@ let decode_indexed ~pos ~resolve s =
             ~meta:(if scv_eph then meta lor Meta.cv_ephemeral else meta)
             ~ssv_a ~ssv_b ~scv_a ~scv_b
       in
-      nodes.(idx) <- n;
+      elided.(idx) <- flags land (32 lor 64) = 64;
       n
     in
     (* The header count is checked against the records in both
@@ -194,9 +195,58 @@ let decode_indexed ~pos ~resolve s =
         root;
         node_count;
         byte_size = len;
-        view = None;
       },
-      nodes )
+      elided )
   with Wire.Truncated -> corrupt "truncated intention"
 
 let decode ~pos ~resolve s = fst (decode_indexed ~pos ~resolve s)
+
+(* The first disagreement between [want], the reference tree of the
+   intention at [pos], and [got], node by node in post order: key, meta,
+   version words and payload of every inside node.  A child outside the
+   intention (empty, or a reference into the snapshot) and a payload
+   [elided] marks must be physically the object [want] holds — the
+   snapshot's own. *)
+let disagreement ~pos ~elided (want : Node.tree) (got : Node.tree) =
+  let idx = ref 0 in
+  let exception Differ of string in
+  let differ what = raise (Differ (Printf.sprintf "node %d: %s" !idx what)) in
+  let rec go (w : Node.tree) (g : Node.tree) =
+    if w == Node.empty || Node.owner w <> pos then begin
+      if g != w then differ "a child outside the intention is not the same object"
+    end
+    else if g == Node.empty || Node.owner g <> pos then
+      differ "an inside node is missing"
+    else begin
+      go w.left g.left;
+      go w.right g.right;
+      if w.key <> g.key then differ "key";
+      if w.meta <> g.meta then differ "meta";
+      if
+        not
+          (w.vn_a = g.vn_a && w.vn_b = g.vn_b && w.cv_a = g.cv_a
+         && w.cv_b = g.cv_b && w.ssv_a = g.ssv_a && w.ssv_b = g.ssv_b
+         && w.scv_a = g.scv_a && w.scv_b = g.scv_b)
+      then differ "version words";
+      if elided.(!idx) then begin
+        if g.payload != w.payload then
+          differ "elided payload is not the snapshot's object"
+      end
+      else if not (Payload.equal g.payload w.payload) then differ "payload";
+      incr idx
+    end
+  in
+  match go want got with () -> None | exception Differ why -> Some why
+
+(* How [got], some decoder's result for [s] at [pos], differs from the
+   reference decode: header fields, then [disagreement]; [None] when it
+   does not.  Raises [Corrupt] when the reference rejects [s]. *)
+let diff_decode ~pos ~resolve s (got : Intention.t) =
+  let want, elided = decode_indexed ~pos ~resolve s in
+  if
+    not
+      (got.snapshot = want.snapshot && got.server = want.server
+     && got.txn_seq = want.txn_seq && got.isolation = want.isolation
+     && got.node_count = want.node_count && got.byte_size = want.byte_size)
+  then Some "header"
+  else disagreement ~pos ~elided want.root got.root

@@ -215,10 +215,10 @@ let test_wrapped_ref_idx_rejected () =
   | _ -> Alcotest.fail "eager decoder accepted a wrapped reference"
   | exception Codec.Corrupt m ->
       Alcotest.(check string) "eager message" expected m);
-  match Codec.decode_lazy ~pos:7 ~peer:target ~resolve bytes with
-  | _ -> Alcotest.fail "View.parse accepted a wrapped reference"
+  match Codec.decode ~pos:7 ~peer:target ~resolve bytes with
+  | _ -> Alcotest.fail "Codec.decode accepted a wrapped reference"
   | exception Codec.Corrupt m ->
-      Alcotest.(check string) "lazy message" expected m
+      Alcotest.(check string) "decode message" expected m
 
 (* ---- header peek and reusable encoder -------------------------------- *)
 
@@ -402,15 +402,14 @@ let prop_roundtrip =
       let resolve ~snapshot:_ ~key ~vn:_ =
         match Tree.find snapshot key with Some n -> n | None -> Node.empty
       in
-      let decoded = Eager_decoder.decode ~pos:11 ~resolve bytes in
-      let parsed = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
+      let reference = Eager_decoder.decode ~pos:11 ~resolve bytes in
+      let decoded = Codec.decode ~pos:11 ~peer:snapshot ~resolve bytes in
       let assigned = (I.assign ~pos:11 draft).I.root in
-      (* the eager reference and the pipeline's own path both number
-         nodes in post order, as [assign] does *)
-      Tree.physically_equal decoded.I.root assigned
-      && Tree.physically_equal
-           (Hyder_codec.View.materialize_root (Option.get parsed.I.view))
-           assigned)
+      (* the reference decoder and the pipeline's own both number nodes
+         in post order, as [assign] does *)
+      Tree.physically_equal reference.I.root assigned
+      && Tree.physically_equal decoded.I.root assigned
+      && Eager_decoder.diff_decode ~pos:11 ~resolve bytes decoded = None)
 
 (* A header node count above or below the records that follow is
    rejected by both decoders with one message. *)
@@ -437,13 +436,13 @@ let test_node_count_mismatch () =
       let s = Bytes.to_string b in
       let want = Printf.sprintf "node count %d does not match the records" claimed in
       Alcotest.(check string) "eager" want (outcome (Eager_decoder.decode ~pos:1 ~resolve) s);
-      Alcotest.(check string) "lazy" want
-        (outcome (Codec.decode_lazy ~pos:1 ~peer:snapshot ~resolve) s))
+      Alcotest.(check string) "decode" want
+        (outcome (Codec.decode ~pos:1 ~peer:snapshot ~resolve) s))
     [ 0; count - 1; count + 1; count + 2 ]
 
-(* The encoder, the parser and materialization all recurse to the
-   intention's depth; a chain of 100,000 inside nodes must round-trip on
-   the main domain and on a spawned one. *)
+(* The encoder and the decoder both recurse to the intention's depth; a
+   chain of 100,000 inside nodes must round-trip on the main domain and
+   on a spawned one. *)
 let deep_chain_roundtrip () =
   let depth = 100_000 in
   let vn = Vn.logged ~pos:max_int ~idx:0 in
@@ -458,15 +457,12 @@ let deep_chain_roundtrip () =
     { I.snapshot = -1; server = 0; txn_seq = 0; isolation = I.Serializable;
       root = !root }
   in
-  let parsed =
-    Codec.decode_lazy ~pos:9
-      ~resolve:(fun ~snapshot:_ ~key:_ ~vn:_ -> Node.empty)
-      (Codec.encode draft)
-  in
-  parsed.I.node_count = depth
-  && Tree.physically_equal
-       (Hyder_codec.View.materialize_root (Option.get parsed.I.view))
-       (I.assign ~pos:9 draft).I.root
+  let bytes = Codec.encode draft in
+  let resolve ~snapshot:_ ~key:_ ~vn:_ = Node.empty in
+  let decoded = Codec.decode ~pos:9 ~resolve bytes in
+  decoded.I.node_count = depth
+  && Tree.physically_equal decoded.I.root (I.assign ~pos:9 draft).I.root
+  && Eager_decoder.diff_decode ~pos:9 ~resolve bytes decoded = None
 
 let test_deep_nesting () =
   check "main domain" true (deep_chain_roundtrip ());
@@ -581,7 +577,7 @@ let prop_encode_matches_oracle =
       outcome Codec.encode d = want
       && outcome (Codec.Encoder.encode enc) d = want)
 
-(* [peek_snapshot] reads exactly the snapshot the parser reads, and
+(* [peek_snapshot] reads exactly the snapshot the decoder reads, and
    allocates nothing. *)
 let prop_peek_snapshot =
   let resolve ~snapshot:_ ~key ~vn:_ =
@@ -595,13 +591,14 @@ let prop_peek_snapshot =
       | true -> true
       | false ->
           let bytes = Codec.encode d in
-          let parsed = Codec.decode_lazy ~pos:11 ~peer:exec_snapshot ~resolve bytes in
+          let parsed = Codec.decode ~pos:11 ~peer:exec_snapshot ~resolve bytes in
           let w0 = Gc.minor_words () in
           let a = Codec.peek_snapshot bytes in
           let words = Gc.minor_words () -. w0 in
           if words <> 0. then
             QCheck2.Test.fail_reportf "peek_snapshot allocated %.0f words" words;
-          a = parsed.I.snapshot && a = d.I.snapshot)
+          a = parsed.I.snapshot && a = d.I.snapshot
+          && a = (Eager_decoder.decode ~pos:11 ~resolve bytes).I.snapshot)
 
 let () =
   Alcotest.run "codec"

@@ -395,6 +395,27 @@ let test_corrupt_blocks_rejected () =
         (outcome s !rev_ds))
     [ Pipeline.plain; Pipeline.with_both ]
 
+(* [Server.txn] encodes through the server's own encoder, so a write
+   transaction allocates nothing directly on the major heap beyond noise:
+   a fresh 8 KB encoder buffer per call would be about 1,030 words.
+   Direct-major words are [Gc.counters]' major words minus its promoted
+   words. *)
+let test_txn_reuses_encoder () =
+  let genesis = Helpers.genesis ~gap:10 100 in
+  let s = Server.create ~server_id:0 ~genesis () in
+  let calls = 200 in
+  let _, p0, m0 = Gc.counters () in
+  for i = 1 to calls do
+    match Server.txn s (fun e -> Executor.write e (i mod 100 * 10) "x") with
+    | _, Some (_, blocks) -> ignore (Sys.opaque_identity blocks)
+    | _, None -> Alcotest.fail "expected blocks"
+  done;
+  let _, p1, m1 = Gc.counters () in
+  let per_call = (m1 -. m0 -. (p1 -. p0)) /. float_of_int calls in
+  check
+    (Printf.sprintf "direct-major words per txn %.1f < 100" per_call)
+    true (per_call < 100.)
+
 let () =
   Alcotest.run "server"
     [
@@ -408,6 +429,8 @@ let () =
             test_random_multi_server_convergence;
           Alcotest.test_case "interleaved multiblock" `Quick
             test_interleaved_multiblock_intentions;
+          Alcotest.test_case "txn reuses the server's encoder" `Quick
+            test_txn_reuses_encoder;
         ] );
       ( "one log",
         [

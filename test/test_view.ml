@@ -1,16 +1,16 @@
-(* The flyweight view must be indistinguishable from the eager decoder:
-   field by field through the accessors, node by node through
-   materialization, decision by decision through the pipeline, and
-   outcome by outcome on corrupt input.  DESIGN.md §13. *)
+(* [Codec.decode] must be indistinguishable from the reference decoder
+   kept beside the tests: node by node in post order on valid input,
+   decision by decision through the pipeline, and message by message on
+   corrupt input.  DESIGN.md §13. *)
 
 open Hyder_tree
 module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
-module View = Hyder_codec.View
 module Executor = Hyder_core.Executor
 module Pipeline = Hyder_core.Pipeline
 module Premeld = Hyder_core.Premeld
 module Counters = Hyder_core.Counters
+module State_store = Hyder_core.State_store
 module Rng = Hyder_util.Rng
 
 let check = Alcotest.(check bool)
@@ -51,91 +51,51 @@ let encode_txn t =
   | Some d -> Some (Codec.encode d)
   | None -> None
 
-(* A state node whose vn and cv are both [v]: the other side of a
-   source-version comparison. *)
-let holder v =
-  Node.make ~key:0 ~payload:Payload.tombstone ~left:Node.empty
-    ~right:Node.empty ~vn:v ~cv:v ~ssv:None ~scv:None ~altered:false
-    ~depends_on_content:false ~depends_on_structure:false
-    ~owner:Node.state_owner
-
-let vn_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> Vn.equal x y
-  | _ -> false
-
-(* Every accessor agrees with the corresponding field of the eagerly
-   decoded node, and materialization reproduces the eager tree. *)
+(* Header and tree of [Codec.decode] agree with the reference decoder's:
+   every inside node's key, meta, version words and payload in post
+   order, with references and elided payloads physically the snapshot's
+   objects. *)
 let prop_view_matches_eager =
   QCheck2.Test.make ~name:"view accessors = eager decode, field by field"
     ~count:150 txn_gen (fun t ->
       match encode_txn t with
       | None -> true
-      | Some bytes ->
-          let eager, nodes = Eager_decoder.decode_indexed ~pos:11 ~resolve bytes in
-          let li = Codec.decode_lazy ~pos:11 ~peer:snapshot ~resolve bytes in
-          let v =
-            match li.I.view with
-            | Some v -> v
-            | None -> QCheck2.Test.fail_report "decode_lazy carried no view"
-          in
-          let ok idx what b =
-            if not b then
-              QCheck2.Test.fail_reportf "node %d: %s disagrees" idx what
-          in
-          if View.node_count v <> eager.I.node_count then
-            QCheck2.Test.fail_report "node_count disagrees";
-          if
-            not
-              (li.I.snapshot = eager.I.snapshot
-              && li.I.server = eager.I.server
-              && li.I.txn_seq = eager.I.txn_seq
-              && li.I.isolation = eager.I.isolation
-              && li.I.byte_size = eager.I.byte_size)
-          then QCheck2.Test.fail_report "header disagrees";
-          let kid_agrees idx what c (n : Node.tree) =
-            if View.kid_is_empty c then ok idx what (Node.is_empty n)
-            else if View.kid_is_inside c then ok idx what (n == nodes.(c))
-            else ok idx what (n == View.ref_of v c)
-          in
-          Array.iteri
-            (fun idx (n : Node.node) ->
-              ok idx "key" (View.key v idx = n.Node.key);
-              ok idx "meta" (View.meta v idx = n.Node.meta);
-              ok idx "vn" (Vn.equal (View.vn v idx) (Node.vn n));
-              let sa, sb, ca, cb = View.sources v idx in
-              ok idx "sources"
-                (sa = n.Node.ssv_a && sb = n.Node.ssv_b && ca = n.Node.scv_a
-                && cb = n.Node.scv_b);
-              (* an altered node's cv is its vn, an unaltered one's its scv *)
-              ok idx "cv"
-                (if Node.altered n then
-                   n.Node.cv_a = View.pos v && n.Node.cv_b = idx
-                 else n.Node.cv_a = ca && n.Node.cv_b = cb);
-              ok idx "payload" (Payload.equal (View.payload v idx) n.Node.payload);
-              ok idx "ssv" (vn_opt_equal (View.ssv v idx) (Node.ssv n));
-              (* the in-place source comparators mirror the packed ones *)
-              ok idx "ssv_equals vn"
-                (View.ssv_equals v idx n = Node.ssv_equals n n);
-              (match Node.ssv n with
-              | Some s ->
-                  ok idx "ssv_equals hit" (View.ssv_equals v idx (holder s))
-              | None -> ());
-              ok idx "scv_equals cv"
-                (View.scv_equals v idx n = Node.scv_equals n n);
-              (match Node.scv n with
-              | Some s ->
-                  ok idx "scv_equals hit" (View.scv_equals v idx (holder s))
-              | None -> ());
-              kid_agrees idx "left child" (View.kid_l v idx) n.Node.left;
-              kid_agrees idx "right child" (View.kid_r v idx) n.Node.right)
-            nodes;
-          Tree.physically_equal (View.materialize_root v) eager.I.root)
+      | Some bytes -> (
+          let got = Codec.decode ~pos:11 ~peer:snapshot ~resolve bytes in
+          match Eager_decoder.diff_decode ~pos:11 ~resolve bytes got with
+          | None -> true
+          | Some why -> QCheck2.Test.fail_reportf "%s disagrees" why))
+
+(* Both decoders on one buffer: the tree, or the [Corrupt] message. *)
+let outcomes ~peer ~resolve s =
+  let decode f =
+    match f s with d -> Ok d | exception Codec.Corrupt m -> Error m
+  in
+  ( decode (Eager_decoder.decode_indexed ~pos:5 ~resolve),
+    decode (fun s -> (Codec.decode ~pos:5 ~peer ~resolve s).I.root) )
+
+(* Why the two outcomes differ, if they do.  Both decoders run the same
+   checks in the same order, so they reject with the same message. *)
+let disagreement = function
+  | Error e, Error d when e = d -> None
+  | Error e, Error d -> Some (Printf.sprintf "eager %S, decode %S" e d)
+  | Ok (e, elided), Ok d ->
+      Option.map
+        (fun why -> "both accepted, trees differ at " ^ why)
+        (Eager_decoder.disagreement ~pos:5 ~elided e.I.root d)
+  | Ok _, Error d -> Some ("only eager accepted; decode: " ^ d)
+  | Error e, Ok _ -> Some ("only decode accepted; eager: " ^ e)
+
+(* A strict prefix: both decoders reject it, with one message. *)
+let prefix_rejected ~peer ~resolve s =
+  match outcomes ~peer ~resolve s with
+  | Ok _, _ -> Some "eager accepted it"
+  | _, Ok _ -> Some "decode accepted it"
+  | o -> disagreement o
 
 (* Every strict prefix of a valid encoding must be rejected with Corrupt
-   — never accepted, never any other exception (pool/cursor state stays
-   intact because parse fails before a view escapes). *)
+   — never accepted, never any other exception — by both decoders with
+   one message. *)
 let prop_truncation_rejected =
   QCheck2.Test.make ~name:"every truncation raises Corrupt" ~count:40 txn_gen
     (fun t ->
@@ -144,45 +104,18 @@ let prop_truncation_rejected =
       | Some bytes ->
           for len = 0 to String.length bytes - 1 do
             match
-              Codec.decode_lazy ~pos:5 ~peer:snapshot ~resolve
-                (String.sub bytes 0 len)
+              prefix_rejected ~peer:snapshot ~resolve (String.sub bytes 0 len)
             with
-            | _ ->
-                QCheck2.Test.fail_reportf "prefix of %d/%d bytes accepted" len
-                  (String.length bytes)
-            | exception Codec.Corrupt _ -> ()
+            | None -> ()
+            | Some why ->
+                QCheck2.Test.fail_reportf "prefix of %d/%d bytes: %s" len
+                  (String.length bytes) why
           done;
           true)
 
-(* Both decoders on one buffer: the tree, or the [Corrupt] message. *)
-let outcomes ~peer ~resolve s =
-  let eager =
-    match Eager_decoder.decode ~pos:5 ~resolve s with
-    | d -> Ok d.I.root
-    | exception Codec.Corrupt m -> Error m
-  in
-  let lazy_ =
-    match Codec.decode_lazy ~pos:5 ~peer ~resolve s with
-    | { I.view = Some v; _ } -> Ok (View.materialize_root v)
-    | _ -> Alcotest.fail "decode_lazy carried no view"
-    | exception Codec.Corrupt m -> Error m
-  in
-  (eager, lazy_)
-
-(* Why the two outcomes differ, if they do.  Both decoders run the same
-   checks in the same order, so they reject with the same message. *)
-let disagreement = function
-  | Error e, Error l when e = l -> None
-  | Error e, Error l -> Some (Printf.sprintf "eager %S, lazy %S" e l)
-  | Ok e, Ok l ->
-      if Tree.physically_equal e l then None
-      else Some "both accepted, trees differ"
-  | Ok _, Error l -> Some ("only eager accepted; lazy: " ^ l)
-  | Error e, Ok _ -> Some ("only lazy accepted; eager: " ^ e)
-
-(* Differential fuzz: after a single bit flip, lazy and eager must agree
-   on the outcome — both reject with the same Corrupt message, or both
-   accept with physically identical trees. *)
+(* Differential fuzz: after a single bit flip, [Codec.decode] and the
+   reference decoder must agree on the outcome — both reject with the
+   same Corrupt message, or both accept with the same tree. *)
 let prop_bit_flip_differential =
   QCheck2.Test.make ~name:"bit flips: lazy and eager agree" ~count:120
     QCheck2.Gen.(pair txn_gen (pair big_nat (int_bound 7)))
@@ -245,29 +178,29 @@ let fixed_intentions =
 let resolver_of snap ~snapshot:_ ~key ~vn:_ =
   match Tree.find snap key with Some n -> n | None -> Node.empty
 
+(* The inside nodes of the intention decoded at position 5. *)
+let rec inside_nodes (t : Node.tree) =
+  if Node.is_empty t || Node.owner t <> 5 then []
+  else (t :: inside_nodes t.Node.left) @ inside_nodes t.Node.right
+
+(* A child that is neither empty nor inside: a bound reference. *)
+let is_ref (c : Node.tree) = not (Node.is_empty c) && Node.owner c <> 5
+
 (* The fixtures carry what their names promise. *)
 let test_fixtures_cover () =
   let count (_, snap, bytes) f =
-    let li = Codec.decode_lazy ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes in
-    let v = Option.get li.I.view in
-    let n = ref 0 in
-    for idx = 0 to View.node_count v - 1 do
-      if f v idx then incr n
-    done;
-    !n
+    let d = Codec.decode ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes in
+    List.length (List.filter f (inside_nodes d.I.root))
   in
-  let has_ref v idx =
-    not (View.kid_is_inside (View.kid_l v idx) || View.kid_is_empty (View.kid_l v idx))
-    || not
-         (View.kid_is_inside (View.kid_r v idx)
-         || View.kid_is_empty (View.kid_r v idx))
+  let has_ref (n : Node.node) = is_ref n.Node.left || is_ref n.Node.right in
+  let elided (n : Node.node) =
+    n.Node.meta land Node.Meta.altered = 0
+    && n.Node.meta land Node.Meta.ssv_present <> 0
   in
-  let elided v idx =
-    let m = View.meta v idx in
-    m land Node.Meta.altered = 0 && m land Node.Meta.ssv_present <> 0
+  let reads (n : Node.node) = n.Node.meta land Node.Meta.dep_content <> 0 in
+  let ephemeral (n : Node.node) =
+    n.Node.meta land Node.Meta.ssv_ephemeral <> 0
   in
-  let reads v idx = View.meta v idx land Node.Meta.dep_content <> 0 in
-  let ephemeral v idx = View.meta v idx land Node.Meta.ssv_ephemeral <> 0 in
   match Lazy.force fixed_intentions with
   | [ sr; si; eph ] ->
       check "SR has refs" true (count sr has_ref > 0);
@@ -276,8 +209,9 @@ let test_fixtures_cover () =
       check "ephemeral sources present" true (count eph ephemeral > 0)
   | _ -> assert false
 
-(* Every single-bit flip of every byte: the lazy and eager decoders agree
-   on the tree when both accept, and on the message when both reject. *)
+(* Every single-bit flip of every byte: [Codec.decode] and the reference
+   decoder agree on the tree when both accept, and on the message when
+   both reject. *)
 let test_bit_flip_sweep () =
   List.iter
     (fun (name, snap, bytes) ->
@@ -294,25 +228,22 @@ let test_bit_flip_sweep () =
       done)
     (Lazy.force fixed_intentions)
 
-(* Every strict prefix is rejected with Corrupt by both decoders. *)
+(* Every strict prefix is rejected with Corrupt by both decoders, with
+   one message. *)
 let test_prefix_sweep () =
   List.iter
     (fun (name, snap, bytes) ->
       let resolve = resolver_of snap in
       for len = 0 to String.length bytes - 1 do
-        let s = String.sub bytes 0 len in
-        (match Eager_decoder.decode ~pos:5 ~resolve s with
-        | _ -> Alcotest.failf "%s: eager accepted a %d-byte prefix" name len
-        | exception Codec.Corrupt _ -> ());
-        match Codec.decode_lazy ~pos:5 ~peer:snap ~resolve s with
-        | _ -> Alcotest.failf "%s: lazy accepted a %d-byte prefix" name len
-        | exception Codec.Corrupt _ -> ()
+        match prefix_rejected ~peer:snap ~resolve (String.sub bytes 0 len) with
+        | None -> ()
+        | Some why -> Alcotest.failf "%s: %d-byte prefix: %s" name len why
       done)
     (Lazy.force fixed_intentions)
 
 (* ---- varints ---------------------------------------------------------- *)
 
-(* [View.uint_at] (the parse's varint reader, with its unrolled two- and
+(* [Codec.uint_at] (the decoder's varint reader, with its unrolled two- and
    three-byte paths) against [Wire.Reader.varint64]: same value mod 2^63,
    same end offset, [Truncated] on the same buffers.  Every encoded
    length from 1 to 10 bytes, non-canonical forms, the shift-63 group
@@ -367,7 +298,7 @@ let test_uint_matches_reader () =
             | exception Wire.Truncated -> None
           in
           let got =
-            match View.uint_at s pre with
+            match Codec.uint_at s pre with
             | x -> Some x
             | exception Wire.Truncated -> None
           in
@@ -391,12 +322,12 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.reason = b.Pipeline.reason
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
-(* Record a deterministic wire stream with a generator that melds each
-   intention from its lazy view right after encoding it, then replay the
-   stream in one wire batch through a fresh pipeline: decisions, final
-   tree and premeld visit counters must equal the generator's.  (The
-   eager decoder is the reference the properties above hold the view to;
-   no pipeline runs it.) *)
+(* Record a deterministic wire stream with a generator that decodes and
+   melds each intention right after encoding it, then replay the stream
+   in one wire batch through a fresh pipeline: decisions, final tree and
+   premeld visit counters must equal the generator's.  (The reference
+   decoder is what the properties above hold [Codec.decode] to; no
+   pipeline runs it.) *)
 let test_wire_replay_matches_generator () =
   let config =
     { Pipeline.premeld = Some { Premeld.threads = 3; distance = 8 };
@@ -433,6 +364,15 @@ let test_wire_replay_matches_generator () =
         next_pos := !next_pos + 1 + Rng.int rng 2;
         let src = Codec.encode draft in
         let intention = Pipeline.decode gen ~pos:!next_pos src in
+        (match
+           Eager_decoder.diff_decode ~pos:!next_pos
+             ~resolve:(State_store.resolver (Pipeline.states gen))
+             src intention
+         with
+        | None -> ()
+        | Some why ->
+            Alcotest.failf "intention at %d differs from the reference: %s"
+              !next_pos why);
         wires := (!next_pos, src) :: !wires;
         gen_decisions :=
           List.rev_append (Pipeline.submit gen intention) !gen_decisions;
@@ -461,12 +401,10 @@ let test_wire_replay_matches_generator () =
 
 (* ---- allocation ------------------------------------------------------ *)
 
-(* [View.parse] of a 200-node intention allocates nothing directly on the
-   major heap: each per-node index array is [node_count] words, within
-   the minor heap's 256-word limit for young blocks.  [Gc.counters]'
-   major words minus promoted words counts exactly the direct-major
-   allocations (a one-piece stride-4 index would read 4 * 200 + 1). *)
-let test_parse_stays_young () =
+(* A serializable draft over a 4,000-key snapshot with at least [nodes]
+   inside nodes, built by [touch] on spread-out keys; its snapshot and
+   wire bytes. *)
+let spread_draft ~nodes touch =
   let snap = Helpers.genesis ~gap:3 4000 in
   let e =
     Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:snap ~server:3
@@ -476,57 +414,73 @@ let test_parse_stays_young () =
     if Node.is_empty t || Node.owner t <> I.draft_owner then 0
     else 1 + drafts t.Node.left + drafts t.Node.right
   in
-  let k = ref 0 in
-  while drafts (Executor.working_tree e) < 200 do
-    Executor.write e (!k * 3) "w";
-    k := (!k + 97) mod 4000
+  touch e 0;
+  let k = ref 1 in
+  while drafts (Executor.working_tree e) < nodes do
+    touch e !k;
+    incr k
   done;
-  let bytes = Codec.encode (Option.get (Executor.finish e)) in
-  let parse () =
-    View.parse ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes
-  in
-  let v = parse () in
-  let n = View.node_count v in
-  check (Printf.sprintf "200..256 nodes (%d)" n) true (n >= 200 && n <= 256);
+  (snap, Codec.encode (Option.get (Executor.finish e)))
+
+(* Words [f ()] allocates directly on the major heap: [Gc.counters]'
+   major words minus its promoted words. *)
+let direct_major f =
   let _, p0, m0 = Gc.counters () in
-  let v = parse () in
+  let v = f () in
   let _, p1, m1 = Gc.counters () in
   ignore (Sys.opaque_identity v);
-  Alcotest.(check (float 0.)) "direct-major words" 0. (m1 -. m0 -. (p1 -. p0))
+  m1 -. m0 -. (p1 -. p0)
 
-(* The bound-reference stage is a per-parse array like the index arrays:
-   a parse binding 100 or more references allocates nothing directly on
-   the major heap either, and needs no warm-up parse. *)
+(* [Codec.decode] allocates nothing directly on the major heap, whatever
+   the intention's size: each node is one young block as its walk
+   returns, with no per-intention index array (a 1,000-word array would
+   be born on the major heap, past the minor heap's 256-word limit for
+   young blocks). *)
+let test_parse_stays_young () =
+  List.iter
+    (fun target ->
+      let snap, bytes =
+        spread_draft ~nodes:target (fun e i ->
+            Executor.write e (i * 97 mod 4000 * 3) "w")
+      in
+      let decode () =
+        Codec.decode ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes
+      in
+      let n = (decode ()).I.node_count in
+      check (Printf.sprintf "%d+ nodes (%d)" target n) true (n >= target);
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "direct-major words, %d nodes" n)
+        0.
+        (direct_major decode))
+    [ 200; 1000 ]
+
+(* Binding references allocates nothing directly on the major heap
+   either: a decode binding 100 or more references, with no warm-up
+   decode. *)
 let test_parse_refs_stay_young () =
-  let snap = Helpers.genesis ~gap:3 4000 in
-  let e =
-    Executor.begin_txn ~snapshot_pos:(-1) ~snapshot:snap ~server:3
-      ~txn_seq:17 ~isolation:I.Serializable ()
+  let snap, bytes =
+    spread_draft ~nodes:180 (fun e i ->
+        if i = 0 then Executor.write e 3 "w";
+        ignore (Executor.read e (i * 149 mod 4000 * 3)))
   in
-  let rec drafts (t : Node.tree) =
-    if Node.is_empty t || Node.owner t <> I.draft_owner then 0
-    else 1 + drafts t.Node.left + drafts t.Node.right
+  let d = ref None in
+  let words =
+    direct_major (fun () ->
+        d := Some (Codec.decode ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes))
   in
-  Executor.write e 3 "w";
-  let k = ref 0 in
-  while drafts (Executor.working_tree e) < 180 do
-    ignore (Executor.read e (!k * 3));
-    k := (!k + 149) mod 4000
-  done;
-  let bytes = Codec.encode (Option.get (Executor.finish e)) in
-  let _, p0, m0 = Gc.counters () in
-  let v = View.parse ~pos:5 ~peer:snap ~resolve:(resolver_of snap) bytes in
-  let _, p1, m1 = Gc.counters () in
-  let n = View.node_count v in
-  let refs = ref 0 in
-  for idx = 0 to n - 1 do
-    List.iter
-      (fun c -> if c < -1 then incr refs)
-      [ View.kid_l v idx; View.kid_r v idx ]
-  done;
-  check (Printf.sprintf ">= 100 references (%d), <= 255 nodes (%d)" !refs n)
-    true (!refs >= 100 && n <= 255);
-  Alcotest.(check (float 0.)) "direct-major words" 0. (m1 -. m0 -. (p1 -. p0))
+  let d = Option.get !d in
+  let refs =
+    List.fold_left
+      (fun acc (n : Node.node) ->
+        acc + Bool.to_int (is_ref n.Node.left) + Bool.to_int (is_ref n.Node.right))
+      0 (inside_nodes d.I.root)
+  in
+  check
+    (Printf.sprintf ">= 100 references (%d), <= 255 nodes (%d)" refs
+       d.I.node_count)
+    true
+    (refs >= 100 && d.I.node_count <= 255);
+  Alcotest.(check (float 0.)) "direct-major words" 0. words
 
 let () =
   Alcotest.run "view"
