@@ -26,7 +26,6 @@ type config = {
   faults : Faults.t;
   checkpoint_every : int;
   prune_every : int;
-  prune_keep : int;
   repair_after : float;
   append_gap : float;
   seed : int64;
@@ -59,7 +58,6 @@ let default_config =
     faults = Faults.none;
     checkpoint_every = 64;
     prune_every = 32;
-    prune_keep = 64;
     repair_after = 1.0e-3;
     append_gap = 2.0e-5;
     seed = 0xC0FFEEL;
@@ -141,15 +139,14 @@ let validate (cfg : config) =
   if cfg.checkpoint_every < 1 then fail "Replica: checkpoint_every must be >= 1";
   if cfg.prune_every < 1 then fail "Replica: prune_every must be >= 1";
   if cfg.append_gap <= 0.0 then fail "Replica: append_gap must be > 0";
-  if cfg.repair_after <= 0.0 then fail "Replica: repair_after must be > 0";
-  let floor =
-    cfg.wave + premeld_window cfg + cfg.pipeline.Pipeline.group_size + 2
-  in
-  if cfg.prune_keep < floor then
-    fail
-      "Replica: prune_keep = %d starves decode/premeld arithmetic; need >= \
-       wave + premeld window + group_size + 2 = %d"
-      cfg.prune_keep floor
+  if cfg.repair_after <= 0.0 then fail "Replica: repair_after must be > 0"
+
+(* States a prune keeps: as far back as a wave's snapshot, the premeld
+   window and a filling group reach, plus the two [Pipeline.prune] keeps
+   beyond its own premeld floor.  Decode and premeld never name an older
+   state. *)
+let prune_keep (cfg : config) =
+  cfg.wave + premeld_window cfg + cfg.pipeline.Pipeline.group_size + 2
 
 (* The prune/checkpoint cadence is a pure function of the melded log
    position, so every replica — including one rebuilt from a checkpoint —
@@ -184,7 +181,7 @@ let generate (cfg : config) =
   let server = Server.create ~config:cfg.pipeline ~server_id:0 ~genesis () in
   Server.on_meld server (fun ~pos ->
       if due ~every:cfg.prune_every pos then
-        Server.prune server ~keep:cfg.prune_keep);
+        Server.prune server ~keep:(prune_keep cfg));
   let blocks = ref [] and origins = ref [] in
   let decisions : (int, int * int * bool) Hashtbl.t = Hashtbl.create 64 in
   let record ds =
@@ -363,7 +360,7 @@ let run (cfg : config) =
   let melded r ~pos =
     if r.replaying then r.replayed <- r.replayed + 1;
     if due ~every:cfg.prune_every pos then
-      Server.prune r.server ~keep:cfg.prune_keep;
+      Server.prune r.server ~keep:(prune_keep cfg);
     (if due ~every:cfg.checkpoint_every pos then
        match Server.checkpoint r.server with
        | Some c ->

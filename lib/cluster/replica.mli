@@ -39,7 +39,9 @@ type config = {
       (** capture a checkpoint after melding every this-many positions;
           multiples of [group_size] land on group boundaries *)
   prune_every : int;
-  prune_keep : int;
+      (** prune every this-many positions, down to the states decode and
+          premeld can still name: [wave + threads * distance +
+          group_size + 2] *)
   repair_after : float;
       (** simulated seconds a gap may age before a CORFU repair read *)
   append_gap : float;  (** publisher pacing between appends *)

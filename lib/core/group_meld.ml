@@ -1,76 +1,63 @@
 open Hyder_tree
+module Intention = Hyder_codec.Intention
+
+type decided_at = At_premeld | At_group_meld | At_final_meld
 
 type member = {
   seq : int;
-  intention : Hyder_codec.Intention.t;
+  intention : Intention.t;
   premeld_input : int option;
+  aborted : (Meld.abort_reason * decided_at) option;
 }
 
-type group = {
-  members : member list;
-  early_aborts : (member * Meld.abort_reason * [ `Premeld | `Group ]) list;
-  root : Node.tree;
-  member_positions : int list;
-  snapshot : int;
-}
+type group = { members : member list; root : Node.tree; snapshot : int }
 
-let single ?premeld_input ~seq intention =
+let alive m = Option.is_none m.aborted
+
+let single m =
   {
-    members = [ { seq; intention; premeld_input } ];
-    early_aborts = [];
-    root = intention.Hyder_codec.Intention.root;
-    member_positions = [ intention.Hyder_codec.Intention.pos ];
-    snapshot = intention.Hyder_codec.Intention.snapshot;
+    members = [ m ];
+    root = (if alive m then m.intention.Intention.root else Node.empty);
+    snapshot = m.intention.Intention.snapshot;
   }
 
-let dead ?premeld_input ~seq intention reason =
-  {
-    members = [];
-    early_aborts = [ ({ seq; intention; premeld_input }, reason, `Premeld) ];
-    root = Node.empty;
-    member_positions = [];
-    snapshot = intention.Hyder_codec.Intention.snapshot;
-  }
+let survivors g =
+  List.filter_map
+    (fun m -> if alive m then Some m.intention.Intention.pos else None)
+    g.members
+
+let rec last = function [ x ] -> x | _ :: tl -> last tl | [] -> assert false
 
 let combine ~alloc ~counters first second =
-  let early_aborts = first.early_aborts @ second.early_aborts in
-  match (first.members, second.members) with
-  | [], _ -> { second with early_aborts }
-  | _, [] -> { first with early_aborts }
-  | _, second_members -> begin
+  let members = first.members @ second.members in
+  match (survivors first, survivors second) with
+  | [], _ -> { second with members }
+  | _, [] -> { first with members }
+  | first_alive, second_alive -> begin
       (* Meld the later group's tree into the earlier one's, treating the
          earlier tree as the "state" side that still carries transaction
          metadata. *)
-      let out_owner =
-        match List.rev second.member_positions with
-        | last :: _ -> last
-        | [] -> assert false
-      in
-      let members = first.member_positions @ second.member_positions in
+      let out_owner = last second_alive in
       counters.Counters.intentions <- counters.Counters.intentions + 1;
       match
         Meld.meld
           ~mode:(Meld.Transaction { out_owner })
           ~state_is_intention:true ~intention_snapshot:second.snapshot
-          ~state_snapshot:first.snapshot ~members ~alloc ~counters
-          ~intention:second.root ~state:first.root ()
+          ~state_snapshot:first.snapshot ~members:(first_alive @ second_alive)
+          ~alloc ~counters ~intention:second.root ~state:first.root ()
       with
       | Meld.Merged root ->
-          {
-            members = first.members @ second_members;
-            early_aborts;
-            root;
-            member_positions = members;
-            snapshot = min first.snapshot second.snapshot;
-          }
+          { members; root; snapshot = min first.snapshot second.snapshot }
       | Meld.Conflict reason ->
           (* The earlier member conflicts with the later one: the later
              members abort and the earlier group survives alone (Figure 8:
              no fate sharing in this direction). *)
+          let abort m =
+            if alive m then { m with aborted = Some (reason, At_group_meld) }
+            else m
+          in
           {
             first with
-            early_aborts =
-              early_aborts
-              @ List.map (fun m -> (m, reason, `Group)) second_members;
+            members = first.members @ List.map abort second.members;
           }
     end

@@ -11,34 +11,36 @@ open Hyder_tree
     an earlier member's update conflicts with a later member, the later
     member alone aborts (it would have aborted anyway: the earlier member
     is inside its conflict zone, Figure 8) and the survivors form the
-    group. *)
+    group.
+
+    Every intention is one {!member} from premeld to decision: premeld or
+    group meld may stamp it [aborted], and final meld decides the rest. *)
+
+type decided_at = At_premeld | At_group_meld | At_final_meld
 
 type member = {
   seq : int;
   intention : Hyder_codec.Intention.t;
   premeld_input : int option;
-      (** input-state seq if the member was premelded *)
+      (** input-state seq if premeld merged the member *)
+  aborted : (Meld.abort_reason * decided_at) option;
+      (** [None] while the member survives into final meld *)
 }
 
 type group = {
-  members : member list;  (** surviving members, in log order *)
-  early_aborts : (member * Meld.abort_reason * [ `Premeld | `Group ]) list;
-      (** members killed while forming the group, and by which stage *)
-  root : Node.tree;  (** Empty iff no survivors *)
-  member_positions : int list;  (** "inside" owners for final meld *)
-  snapshot : int;  (** earliest member snapshot (log position) *)
+  members : member list;  (** every folded member, in log order *)
+  root : Node.tree;  (** the survivors' tree; Empty iff no survivors *)
+  snapshot : int;
+      (** earliest survivor snapshot (log position); read only while the
+          group has survivors *)
 }
 
-val single : ?premeld_input:int -> seq:int -> Hyder_codec.Intention.t -> group
-(** A trivial group (group meld off, or a lone trailing intention). *)
+val single : member -> group
+(** A one-member group (group meld off, or the member being folded in). *)
 
-val dead :
-  ?premeld_input:int ->
-  seq:int ->
-  Hyder_codec.Intention.t ->
-  Meld.abort_reason ->
-  group
-(** A group whose only member was already killed by premeld. *)
+val survivors : group -> int list
+(** Log positions of the members not yet aborted: the "inside" owners
+    {!Meld.meld} takes as [members]. *)
 
 val combine :
   alloc:Vn.Alloc.t ->

@@ -18,7 +18,10 @@ let with_group_meld = { premeld = None; group_size = 2 }
 let with_both =
   { premeld = Some Premeld.default_config; group_size = 2 }
 
-type decided_at = At_premeld | At_group_meld | At_final_meld
+type decided_at = Group_meld.decided_at =
+  | At_premeld
+  | At_group_meld
+  | At_final_meld
 
 (* Short machine labels shared by the abort-reason metric counters, the
    flight-record sink and the cluster simulator's abort breakdown. *)
@@ -45,8 +48,6 @@ type decision = {
 (* Pipeline-level metrics, resolved once at create time so the hot path
    never does a registry lookup. *)
 type instruments = {
-  m_conflict_zone : Metrics.Histogram.t;
-  m_fm_nodes : Metrics.Histogram.t;
   m_commits : Metrics.Counter.t;
   m_aborts : Metrics.Counter.t;
   (* Abort-reason breakdown (the registry sanitizes names to
@@ -130,7 +131,6 @@ type t = {
   gm_alloc : Vn.Alloc.t;
   mutable next_seq : int;
   mutable pending : Group_meld.group option;  (** group being assembled *)
-  mutable pending_members : int;
 }
 
 let states t = t.states
@@ -147,13 +147,22 @@ let offload _ = None
    physically, so a reference must bind to the same object on every
    replica and GC schedule, and the retained state is the one source all
    of them share.  A reference the state cannot answer with the recorded
-   version is rejected as [Corrupt].  Only a successful decode is booked:
-   a rejected intention leaves every counter as it was. *)
+   version is rejected as [Corrupt], and a snapshot the log has not
+   recorded yet makes the stream invalid.  Only a successful decode is
+   booked: a rejected intention leaves every counter as it was. *)
 let decode t ~pos src =
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
+  let snap = Codec.peek_snapshot src in
+  let _, lpos, _ = State_store.latest t.states in
+  if snap > lpos then
+    failwith
+      (Printf.sprintf
+         "Pipeline.submit_wire_batch: intention at log position %d names \
+          snapshot %d but only %d is recorded — invalid stream"
+         pos snap lpos);
   let peer =
-    match State_store.by_pos t.states (Codec.peek_snapshot src) with
+    match State_store.by_pos t.states snap with
     | Some tree -> tree
     | None -> Node.empty
   in
@@ -174,108 +183,63 @@ let decode t ~pos src =
   end;
   i
 
-(* An intention decodes only once the log has recorded its snapshot
-   state; a member naming a later one makes the stream invalid. *)
-let decode_checked t ~pos src =
-  let _, lpos, _ = State_store.latest t.states in
-  let snap = Codec.peek_snapshot src in
-  if snap > lpos then
-    failwith
-      (Printf.sprintf
-         "Pipeline.submit_wire_batch: intention at log position %d names \
-          snapshot %d but only %d is recorded — invalid stream"
-         pos snap lpos);
-  decode t ~pos src
-
-(* Run final meld on a completed group and emit its decisions. *)
+(* Run final meld on a completed group and decide every member, in
+   sequence order: a member premeld or group meld aborted keeps that
+   fate, the survivors share final meld's.  Each member's state is
+   recorded at its position so later snapshot references resolve. *)
 let final_meld t (group : Group_meld.group) =
   let fm = t.counters.final_meld in
   let lcs_seq, _lcs_pos, lcs_tree = State_store.latest t.states in
-  let alive = List.length group.members in
-  let nodes_before = fm.nodes_visited in
+  let survivors = Group_meld.survivors group in
+  let alive = List.length survivors in
   let flighted = Flight.enabled t.flight in
   (* Flight attribution brackets the whole final-meld operation; every
      member of the group (early aborts included) gets the same edge, so
      each record's wait/service chain stays gapless through decision
      time. *)
-  let fm_t0 = ref 0.0 and fm_t1 = ref 0.0 in
-  let result =
-    if alive = 0 then begin
-      if flighted then begin
-        let now = Clock.now () in
-        fm_t0 := now;
-        fm_t1 := now
-      end;
-      Meld.Merged lcs_tree
-    end
+  let fm_t0, fm_t1, new_state, fate, per_member =
+    if alive = 0 then
+      let now = if flighted then Clock.now () else 0.0 in
+      (now, now, lcs_tree, None, 0.0)
     else begin
+      let nodes_before = fm.nodes_visited in
       let t0 = Clock.now () in
       let gc0 = gc_begin t.inst in
       fm.intentions <- fm.intentions + alive;
       let r =
-        Meld.meld ~mode:Meld.Final ~members:group.member_positions
-          ~alloc:t.fm_alloc ~counters:fm ~intention:group.root
-          ~state:lcs_tree ()
+        Meld.meld ~mode:Meld.Final ~members:survivors ~alloc:t.fm_alloc
+          ~counters:fm ~intention:group.root ~state:lcs_tree ()
       in
       gc_end t.inst ~stage:`Fm gc0;
       let t1 = Clock.now () in
       fm.seconds <- fm.seconds +. (t1 -. t0);
-      fm_t0 := t0;
-      fm_t1 := t1;
-      r
+      let per_member =
+        float_of_int (fm.nodes_visited - nodes_before) /. float_of_int alive
+      in
+      match r with
+      | Meld.Merged s -> (t0, t1, s, None, per_member)
+      | Meld.Conflict reason -> (t0, t1, lcs_tree, Some reason, per_member)
     end
   in
-  let new_state, fate =
-    match result with
-    | Meld.Merged s -> (s, None)
-    | Meld.Conflict reason -> (lcs_tree, Some reason)
-  in
-
-  if alive > 0 then begin
-    let nodes = fm.nodes_visited - nodes_before in
-    let per_member = float_of_int nodes /. float_of_int alive in
-    List.iter
-      (fun (m : Group_meld.member) ->
-        Summary.add t.counters.fm_nodes_per_txn per_member;
-        let effective_snap =
+  List.map
+    (fun (m : Group_meld.member) ->
+      let conflict_zone =
+        max 0
+          (lcs_seq
+          -
           match m.premeld_input with
           | Some s -> s
-          | None -> State_store.seq_of_pos t.states m.intention.snapshot
-        in
-        let cz = float_of_int (max 0 (lcs_seq - effective_snap)) in
-        Summary.add t.counters.conflict_zone cz;
-        match t.inst with
-        | None -> ()
-        | Some i ->
-            Metrics.Histogram.observe i.m_fm_nodes per_member;
-            Metrics.Histogram.observe i.m_conflict_zone cz)
-      group.members
-  end;
-  (* Decisions for every member, in sequence order; states recorded at each
-     member's position so later snapshot references resolve. *)
-  let decided =
-    List.map
-      (fun (m : Group_meld.member) ->
-        match fate with
-        | None -> (m, true, None, At_final_meld)
-        | Some reason -> (m, false, Some reason, At_final_meld))
-      group.members
-    @ List.map
-        (fun ((m : Group_meld.member), reason, stage) ->
-          let decided_at =
-            match stage with `Premeld -> At_premeld | `Group -> At_group_meld
-          in
-          (m, false, Some reason, decided_at))
-        group.early_aborts
-  in
-  let decided =
-    List.sort
-      (fun ((a : Group_meld.member), _, _, _) (b, _, _, _) ->
-        Int.compare a.seq b.seq)
-      decided
-  in
-  List.map
-    (fun ((m : Group_meld.member), committed, reason, decided_at) ->
+          | None -> State_store.seq_of_pos t.states m.intention.snapshot)
+      in
+      let reason, decided_at =
+        match m.aborted with
+        | Some (reason, at) -> (Some reason, at)
+        | None ->
+            Summary.add t.counters.fm_nodes_per_txn per_member;
+            Summary.add t.counters.conflict_zone (float_of_int conflict_zone);
+            (fate, At_final_meld)
+      in
+      let committed = Option.is_none reason in
       State_store.record t.states ~seq:m.seq ~pos:m.intention.pos new_state;
       if committed then t.counters.committed <- t.counters.committed + 1
       else t.counters.aborted <- t.counters.aborted + 1;
@@ -292,16 +256,10 @@ let final_meld t (group : Group_meld.group) =
           | None -> ()));
       if flighted then begin
         let pos = m.intention.pos in
-        Flight.edge t.flight ~pos ~stage:Flight.Fm ~t0:!fm_t0 ~t1:!fm_t1;
-        let effective_snap =
-          match m.premeld_input with
-          | Some s -> s
-          | None -> State_store.seq_of_pos t.states m.intention.snapshot
-        in
-        Flight.complete t.flight ~pos ~now:!fm_t1 ~seq:m.seq ~committed
+        Flight.edge t.flight ~pos ~stage:Flight.Fm ~t0:fm_t0 ~t1:fm_t1;
+        Flight.complete t.flight ~pos ~now:fm_t1 ~seq:m.seq ~committed
           ~reason:(match reason with None -> "" | Some r -> reason_slug r)
-          ~decided_at:(decided_at_slug decided_at)
-          ~conflict_zone:(max 0 (lcs_seq - effective_snap))
+          ~decided_at:(decided_at_slug decided_at) ~conflict_zone
       end;
       {
         seq = m.seq;
@@ -312,75 +270,48 @@ let final_meld t (group : Group_meld.group) =
         reason;
         decided_at;
       })
-    decided
+    group.members
 
-(* Stamp a group-meld flight edge on every member the incoming unit
-   group carries (the combine's work is attributed to the member being
-   folded in; the waiting members' gm time shows up as fm wait). *)
-let flight_gm_edge t ~t0 ~t1 (g : Group_meld.group) =
-  List.iter
-    (fun (m : Group_meld.member) ->
-      Flight.edge t.flight ~pos:m.intention.pos ~stage:Flight.Gm ~t0 ~t1)
-    g.members;
-  List.iter
-    (fun ((m : Group_meld.member), _, _) ->
-      Flight.edge t.flight ~pos:m.intention.pos ~stage:Flight.Gm ~t0 ~t1)
-    g.early_aborts
-
-(* Group-meld step: fold [unit_group] into the group being assembled.
+(* Group-meld step: fold [member] into the group being assembled.
    Returns the completed group when it fills (always, with group meld
-   off), [None] while it is still filling. *)
-let gm_step t (unit_group : Group_meld.group) =
-  if t.config.group_size <= 1 then Some unit_group
-  else begin
-    let merged =
-      match t.pending with
-      | None -> unit_group
-      | Some g ->
-          let gm = t.counters.group_meld in
-          let t0 = Clock.now () in
-          let gc0 = gc_begin t.inst in
-          let merged =
-            Group_meld.combine ~alloc:t.gm_alloc ~counters:gm g unit_group
-          in
-          gc_end t.inst ~stage:`Gm gc0;
-          let t1 = Clock.now () in
-          gm.seconds <- gm.seconds +. (t1 -. t0);
-          if Flight.enabled t.flight then
-            flight_gm_edge t ~t0 ~t1 unit_group;
-          merged
-    in
-    t.pending_members <- t.pending_members + 1;
-    if t.pending_members >= t.config.group_size then begin
-      t.pending <- None;
-      t.pending_members <- 0;
-      Some merged
-    end
-    else begin
-      t.pending <- Some merged;
-      None
-    end
+   off), [None] while it is still filling.  The combine's work is
+   attributed to the member being folded in; the waiting members' gm
+   time shows up as fm wait. *)
+let gm_step t (member : Group_meld.member) =
+  let unit_group = Group_meld.single member in
+  let merged =
+    match t.pending with
+    | None -> unit_group
+    | Some g ->
+        let gm = t.counters.group_meld in
+        let t0 = Clock.now () in
+        let gc0 = gc_begin t.inst in
+        let merged =
+          Group_meld.combine ~alloc:t.gm_alloc ~counters:gm g unit_group
+        in
+        gc_end t.inst ~stage:`Gm gc0;
+        let t1 = Clock.now () in
+        gm.seconds <- gm.seconds +. (t1 -. t0);
+        if Flight.enabled t.flight then
+          Flight.edge t.flight ~pos:member.intention.pos ~stage:Flight.Gm ~t0
+            ~t1;
+        merged
+  in
+  if List.length merged.members >= t.config.group_size then begin
+    t.pending <- None;
+    Some merged
   end
-
-(* Group-meld + final-meld tail, in log order.  [unit_group] is the
-   single-intention group produced by the premeld stage (or the raw
-   intention when premeld is off). *)
-let tail t (unit_group : Group_meld.group) =
-  match gm_step t unit_group with
-  | Some g -> final_meld t g
-  | None -> []
-
-let group_of_outcome ~seq intention = function
-  | Premeld.Unchanged i -> Group_meld.single ~seq i
-  | Premeld.Premelded (i, m) -> Group_meld.single ~premeld_input:m ~seq i
-  | Premeld.Dead reason -> Group_meld.dead ~seq intention reason
+  else begin
+    t.pending <- Some merged;
+    None
+  end
 
 (* The premeld stage, against the live store. *)
 let premeld t pc ~seq (intention : Intention.t) =
   let pm = t.counters.premeld in
   let t0 = Clock.now () in
   let gc0 = gc_begin t.inst in
-  let outcome =
+  let member =
     Premeld.run pc ~allocs:t.pm_allocs ~counters:pm ~states:t.states ~seq
       intention
   in
@@ -389,7 +320,7 @@ let premeld t pc ~seq (intention : Intention.t) =
   pm.Counters.seconds <- pm.Counters.seconds +. (t1 -. t0);
   if Flight.enabled t.flight then
     Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
-  outcome
+  member
 
 let submit t (intention : Intention.t) =
   let seq = t.next_seq in
@@ -403,24 +334,24 @@ let submit t (intention : Intention.t) =
     Flight.note_identity t.flight ~pos:intention.pos
       ~server:intention.server ~txn_seq:intention.txn_seq
   end;
-  let unit_group =
+  let member =
     match t.config.premeld with
-    | None -> Group_meld.single ~seq intention
-    | Some pc -> group_of_outcome ~seq intention (premeld t pc ~seq intention)
+    | None ->
+        { Group_meld.seq; intention; premeld_input = None; aborted = None }
+    | Some pc -> premeld t pc ~seq intention
   in
-  tail t unit_group
+  match gm_step t member with Some g -> final_meld t g | None -> []
 
 (* Meld each intention right after its decode, so everything the decode
    allocated dies young. *)
 let submit_wire_batch t items =
-  List.concat_map (fun (pos, src) -> submit t (decode_checked t ~pos src)) items
+  List.concat_map (fun (pos, src) -> submit t (decode t ~pos src)) items
 
 let flush t =
   match t.pending with
   | None -> []
   | Some g ->
       t.pending <- None;
-      t.pending_members <- 0;
       final_meld t g
 
 let prune t ~keep =
@@ -455,8 +386,6 @@ let make_instruments metrics =
   Option.map
     (fun m ->
       {
-        m_conflict_zone = Metrics.histogram m "pipeline_conflict_zone_intentions";
-        m_fm_nodes = Metrics.histogram m "pipeline_fm_nodes_per_txn";
         m_commits = Metrics.counter m "pipeline_commits";
         m_aborts = Metrics.counter m "pipeline_aborts";
         m_aborts_write = Metrics.counter m "pipeline_aborts_write_conflict";
@@ -498,7 +427,6 @@ let create ?(config = plain) ?(runtime = Runtime.sequential)
     gm_alloc = Vn.Alloc.create ~thread:(pm_threads + 1);
     next_seq = 0;
     pending = None;
-    pending_members = 0;
   }
 
 (* --- checkpoint / restore ----------------------------------------------- *)
@@ -549,5 +477,4 @@ let restore ?(config = plain) ?(flight = Flight.disabled) ?metrics
       resume (Vn.Alloc.create ~thread:(pm_threads + 1)) issued.(pm_threads + 1);
     next_seq = ckpt.Checkpoint.seq + 1;
     pending = None;
-    pending_members = 0;
   }

@@ -28,7 +28,10 @@ val with_premeld : config
 val with_group_meld : config
 val with_both : config
 
-type decided_at = At_premeld | At_group_meld | At_final_meld
+type decided_at = Group_meld.decided_at =
+  | At_premeld
+  | At_group_meld
+  | At_final_meld
 
 type decision = {
   seq : int;  (** dense intention sequence number *)
@@ -66,9 +69,8 @@ val create :
 
     [metrics], when given, registers pipeline instruments
     ([pipeline_commits], [pipeline_aborts], the per-reason
-    [pipeline_aborts_{write,read,phantom}_conflict] breakdown,
-    [pipeline_conflict_zone_intentions], [pipeline_fm_nodes_per_txn] and
-    the per-stage GC words of ds, premeld, group meld and final meld).
+    [pipeline_aborts_{write,read,phantom}_conflict] breakdown and the
+    per-stage GC words of ds, premeld, group meld and final meld).
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage
@@ -88,8 +90,11 @@ val create :
 
 val decode : t -> pos:int -> string -> Hyder_codec.Intention.t
 (** The ds stage: deserialize an encoded intention, resolving references
-    against retained states.  Timed into the ds counters; a rejected
-    intention raises {!Hyder_codec.Codec.Corrupt} and counts nothing. *)
+    against retained states.  Timed into the ds counters.  An intention
+    naming a snapshot position beyond the last recorded state raises
+    [Failure "Pipeline.submit_wire_batch: intention at log position …"]
+    (the stream is invalid), and a corrupt one raises
+    {!Hyder_codec.Codec.Corrupt}; a rejected intention counts nothing. *)
 
 val submit : t -> Hyder_codec.Intention.t -> decision list
 (** Feed the next intention in log order.  Returns the decisions that

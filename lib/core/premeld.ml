@@ -10,17 +10,14 @@ let thread_for config ~seq =
 
 let input_seq config ~seq = seq - (config.threads * config.distance) - 1
 
-type outcome =
-  | Unchanged of Intention.t
-  | Premelded of Intention.t * int
-  | Dead of Meld.abort_reason
-
 (* Trial-meld [intention] against its designated input state, read from
    the live store, with the premeld thread's own allocator. *)
 let run config ~allocs ~counters ~states ~seq (intention : Intention.t) =
+  let member =
+    { Group_meld.seq; intention; premeld_input = None; aborted = None }
+  in
   let m = input_seq config ~seq in
-  if m <= State_store.seq_of_pos states intention.snapshot then
-    Unchanged intention
+  if m <= State_store.seq_of_pos states intention.snapshot then member
   else begin
     let state = State_store.require states ~stage:"premeld" m in
     let thread = thread_for config ~seq in
@@ -31,6 +28,12 @@ let run config ~allocs ~counters ~states ~seq (intention : Intention.t) =
         ~members:[ intention.pos ] ~alloc:allocs.(thread - 1) ~counters
         ~intention:intention.root ~state ()
     with
-    | Meld.Merged root -> Premelded ({ intention with root }, m)
-    | Meld.Conflict reason -> Dead reason
+    | Meld.Merged root ->
+        {
+          member with
+          intention = { intention with root };
+          premeld_input = Some m;
+        }
+    | Meld.Conflict reason ->
+        { member with aborted = Some (reason, Group_meld.At_premeld) }
   end

@@ -27,13 +27,6 @@ val thread_for : config -> seq:int -> int
 val input_seq : config -> seq:int -> int
 (** Sequence number of the state to premeld intention [seq] against. *)
 
-type outcome =
-  | Unchanged of Hyder_codec.Intention.t
-      (** the designated state precedes the snapshot: nothing to do *)
-  | Premelded of Hyder_codec.Intention.t * int
-      (** substitute intention and the input state's sequence number *)
-  | Dead of Meld.abort_reason  (** conflict found early *)
-
 val run :
   config ->
   allocs:Hyder_tree.Vn.Alloc.t array ->
@@ -41,9 +34,11 @@ val run :
   states:State_store.t ->
   seq:int ->
   Hyder_codec.Intention.t ->
-  outcome
-(** Premeld intention [seq]: [Unchanged] when its designated input state
-    precedes its snapshot, otherwise a trial meld against that state.
-    [allocs.(i)] is premeld thread [i+1]'s ephemeral-id allocator; the
-    call uses thread [thread_for ~seq]'s, and counts its work into
-    [counters]. *)
+  Group_meld.member
+(** Premeld intention [seq] into its {!Group_meld.member}: unchanged when
+    its designated input state precedes its snapshot, otherwise a trial
+    meld against that state, which either substitutes the merged
+    intention (with [premeld_input] set) or stamps the member aborted
+    [At_premeld].  [allocs.(i)] is premeld thread [i+1]'s ephemeral-id
+    allocator; the call uses thread [thread_for ~seq]'s, and counts its
+    work into [counters]. *)

@@ -343,6 +343,90 @@ let test_group_fate_sharing_partner_dragged_down () =
     "w's write stands" "w"
     (Helpers.value_exn (Tree.lookup lcs 30))
 
+(* One group of three under t=1 d=2, each member decided by a different
+   stage: member 1 dies at premeld (its designated input state, seq - 3,
+   holds an earlier write to its key), member 3 conflicts with member 2
+   inside the group and dies at group meld, and member 2 commits at final
+   meld.  Decisions come out in seq order, and every member's flight
+   record closes exactly once, with its own deciding stage. *)
+let test_group_mixed_fates () =
+  let config =
+    {
+      Pipeline.premeld = Some { Premeld.threads = 1; distance = 2 };
+      group_size = 3;
+    }
+  in
+  let genesis = Helpers.genesis 100 in
+  let path = Filename.temp_file "mixed_fates" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let flight = Hyder_obs.Flight.create ~sink:oc () in
+  let p = Pipeline.create ~config ~flight ~genesis () in
+  let submit ~pos ~snapshot:(snapshot_pos, snapshot) key value =
+    let e =
+      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq:pos
+        ~isolation:I.Serializable ()
+    in
+    Executor.write e key value;
+    match Executor.finish e with
+    | None -> Alcotest.fail "no draft"
+    | Some draft -> Pipeline.submit p (I.assign ~pos draft)
+  in
+  let genesis_snap = (-1, genesis) in
+  (* group 0: three commits, the first writing key 1 *)
+  ignore (submit ~pos:0 ~snapshot:genesis_snap 1 "first");
+  ignore (submit ~pos:1 ~snapshot:genesis_snap 2 "x");
+  check_int "group 0 decided" 3
+    (List.length (submit ~pos:2 ~snapshot:genesis_snap 3 "y"));
+  let _, lcs_pos, lcs = Pipeline.lcs p in
+  (* group 1: member 1 rewrites key 1 on genesis, premelded against
+     state 0 *)
+  check_int "member 1 waits" 0
+    (List.length (submit ~pos:3 ~snapshot:genesis_snap 1 "stale"));
+  check_int "member 2 waits" 0
+    (List.length (submit ~pos:4 ~snapshot:(lcs_pos, lcs) 50 "kept"));
+  let ds = submit ~pos:5 ~snapshot:(lcs_pos, lcs) 50 "lost" in
+  let fate (d : Pipeline.decision) =
+    (d.Pipeline.seq, d.Pipeline.committed, d.Pipeline.decided_at)
+  in
+  check "seq order, one fate per stage" true
+    (List.map fate ds
+    = [
+        (3, false, Pipeline.At_premeld);
+        (4, true, Pipeline.At_final_meld);
+        (5, false, Pipeline.At_group_meld);
+      ]);
+  check "premeld ran" true
+    ((Counters.premeld_total (Pipeline.counters p)).Counters.intentions > 0);
+  let _, _, lcs = Pipeline.lcs p in
+  Alcotest.(check string)
+    "member 2's write stands" "kept"
+    (Helpers.value_exn (Tree.lookup lcs 50));
+  Alcotest.(check string)
+    "member 1's write absent" "first"
+    (Helpers.value_exn (Tree.lookup lcs 1));
+  check_int "every record closed" 6 (Hyder_obs.Flight.completed flight);
+  check_int "none left open" 0 (Hyder_obs.Flight.in_flight flight);
+  close_out oc;
+  let closed =
+    List.filter_map
+      (fun (t : Hyder_obs.Analyze.txn) ->
+        if t.Hyder_obs.Analyze.pos >= 3 then
+          Some
+            ( t.Hyder_obs.Analyze.pos,
+              t.Hyder_obs.Analyze.committed,
+              t.Hyder_obs.Analyze.decided_at )
+        else None)
+      (Hyder_obs.Analyze.load_file path)
+  in
+  check "one sink line per member, with its stage" true
+    (closed
+    = [
+        (3, false, "premeld");
+        (4, true, "final_meld");
+        (5, false, "group_meld");
+      ])
+
 (* ------------------------------------------------------------------ *)
 (* Premeld mechanics                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -508,6 +592,8 @@ let () =
             test_group_figure8_no_fate_sharing;
           Alcotest.test_case "partner dragged down" `Quick
             test_group_fate_sharing_partner_dragged_down;
+          Alcotest.test_case "mixed fates in one group" `Quick
+            test_group_mixed_fates;
         ] );
       ( "premeld",
         [
