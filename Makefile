@@ -20,10 +20,12 @@ bench-smoke:
 	dune exec bench/main.exe -- --json=BENCH_SMOKE.json --quick fig11
 
 # Tracked macro-benchmark: replays one fixed-seed, mixed read/write wire
-# stream, measuring the final-meld critical path (fm_ns_per_txn), exact
-# per-stage GC words/txn and their total, the share of wall time the
-# stage timers cover (driver_share_of_wall) and the stream's mean encoded
-# size (wire_bytes_per_txn).  The fresh run is gated against the
+# stream, measuring the final-meld critical path (fm_ns_per_txn, which
+# covers final meld's decision pass), exact per-stage minor words/txn
+# and their total (both read from the pipeline's Counters, booked by the
+# same bracket as the stage times), the share of wall time the stage
+# timers cover (driver_share_of_wall) and the stream's mean encoded size
+# (wire_bytes_per_txn).  The fresh run is gated against the
 # committed BENCH_MACRO.json baseline: the stage timers covering less
 # than their floor of wall time, the fm loop or all stages together
 # allocating more minor words/txn (tight tolerance — the numbers are

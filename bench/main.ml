@@ -27,7 +27,6 @@ module Stats = Hyder_util.Stats
 module Table = Hyder_util.Table
 module I = Hyder_codec.Intention
 module Json = Hyder_obs.Json
-module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 
 (* ---------------------------------------------------------------------- *)
@@ -864,10 +863,11 @@ let batches_of ~slab wires =
    `make bench-macro` → BENCH_MACRO.json and gated by
    scripts/check_bench_smoke.py.  A fixed-seed wire stream (identical
    bytes run to run, so gate movement is code, not workload) is replayed
-   once; the first [warm_txns] intentions are warmup — counters and
-   metrics are snapshotted at the boundary and diffed at the end.
-   Per-stage GC words come from the pipeline's Fcounter instruments
-   (Gc.counters deltas around each stage's work).  The stream's mean
+   once; the first [warm_txns] intentions are warmup — the pipeline's
+   counters are copied at the boundary and diffed at the end.  Each
+   stage's seconds and minor words come from the same [Counters.stage]
+   record, booked by the pipeline's one stage bracket (exact
+   [Gc.minor_words] deltas around the stage's work).  The stream's mean
    encoded size is reported too: it depends on the wire format alone, so
    the gate on it sees format changes and nothing else. *)
 let macro () =
@@ -898,25 +898,18 @@ let macro () =
   in
   let warm_batches = batches_of ~slab:256 warm in
   let meas_batches = batches_of ~slab:256 rest in
-  let fval snap name =
-    match List.assoc_opt name snap with
-    | Some (Metrics.Fcounter_v x) -> x
-    | _ -> 0.0
-  in
   let name = "seq" in
-  let metrics = Metrics.create () in
   let flight_sink =
     match !flight_path with None -> None | Some path -> Some (open_out path)
   in
   let flight =
     match flight_sink with
     | None -> Flight.disabled
-    | Some oc -> Flight.create ~label:name ~metrics ~sink:oc ()
+    | Some oc -> Flight.create ~label:name ~sink:oc ()
   in
-  let p = Pipeline.create ~config ~metrics ~flight ~genesis () in
+  let p = Pipeline.create ~config ~flight ~genesis () in
   List.iter (fun b -> ignore (Pipeline.submit_wire_batch p b)) warm_batches;
   let c0 = Counters.copy (Pipeline.counters p) in
-  let m0 = Metrics.snapshot metrics in
   let t0 = Clock.now () in
   let melded =
     List.fold_left
@@ -926,7 +919,6 @@ let macro () =
   in
   let wall = Clock.elapsed t0 in
   let c1 = Pipeline.counters p in
-  let gc = Metrics.diff ~base:m0 (Metrics.snapshot metrics) in
   Flight.export_percentiles flight;
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
@@ -935,20 +927,20 @@ let macro () =
   | _ -> ());
   let meldedf = float_of_int melded in
   let sdelta f = f c1 -. f c0 in
-  let ds = sdelta (fun c -> c.Counters.deserialize.Counters.seconds) in
-  let pm = sdelta (fun c -> c.Counters.premeld.Counters.seconds) in
-  let gm = sdelta (fun c -> c.Counters.group_meld.Counters.seconds) in
-  let fm = sdelta (fun c -> c.Counters.final_meld.Counters.seconds) in
+  (* A stage's seconds and minor words/txn over the measured window. *)
+  let stage get =
+    let s1 : Counters.stage = get c1 and s0 : Counters.stage = get c0 in
+    (s1.seconds -. s0.seconds, (s1.minor_words -. s0.minor_words) /. meldedf)
+  in
+  let ds, ds_minor = stage (fun c -> c.Counters.deserialize) in
+  let pm, pm_minor = stage (fun c -> c.Counters.premeld) in
+  let gm, gm_minor = stage (fun c -> c.Counters.group_meld) in
+  let fm, fm_minor = stage (fun c -> c.Counters.final_meld) in
   let driver_s = ds +. pm +. gm +. fm in
   let melds_per_s = meldedf /. wall in
   let fm_ns = fm /. meldedf *. 1e9 in
   let driver_us = driver_s /. meldedf *. 1e6 in
   let wire_bytes_per_txn = float_of_int wire_bytes /. float_of_int count in
-  let per_txn name = fval gc name /. meldedf in
-  let fm_minor = per_txn "pipeline_fm_gc_minor_words" in
-  let ds_minor = per_txn "pipeline_ds_gc_minor_words" in
-  let pm_minor = per_txn "pipeline_pm_gc_minor_words" in
-  let gm_minor = per_txn "pipeline_gm_gc_minor_words" in
   let total_minor = ds_minor +. pm_minor +. gm_minor +. fm_minor in
   let t =
     Table.create
@@ -1001,17 +993,9 @@ let macro () =
             Json.Obj
               [
                 ("ds_minor", Json.Float ds_minor);
-                ( "ds_promoted",
-                  Json.Float (per_txn "pipeline_ds_gc_promoted_words") );
                 ("pm_minor", Json.Float pm_minor);
-                ( "pm_promoted",
-                  Json.Float (per_txn "pipeline_pm_gc_promoted_words") );
                 ("gm_minor", Json.Float gm_minor);
-                ( "gm_promoted",
-                  Json.Float (per_txn "pipeline_gm_gc_promoted_words") );
                 ("fm_minor", Json.Float fm_minor);
-                ( "fm_promoted",
-                  Json.Float (per_txn "pipeline_fm_gc_promoted_words") );
               ] );
           ("total_minor", Json.Float total_minor);
         ]

@@ -155,8 +155,7 @@ let run cfg =
   let workload = Ycsb.create ~seed:cfg.seed cfg.workload in
   let genesis = Ycsb.genesis workload in
   let pipeline =
-    Pipeline.create ~config:cfg.pipeline ~flight:cfg.flight
-      ?metrics:cfg.metrics ~genesis ()
+    Pipeline.create ~config:cfg.pipeline ~flight:cfg.flight ~genesis ()
   in
   let inst =
     Option.map
@@ -242,15 +241,10 @@ let run cfg =
     t >= cfg.warmup && t < stop_time
   in
   let commits = ref 0 and aborts = ref 0 and reads_done = ref 0 in
+  (* Abort-reason breakdown, keyed by {!Pipeline.reason_slug}. *)
   let abort_reasons_tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  (* Abort-reason breakdown, keyed by {!Pipeline.reason_slug}; the
-     scrapeable counters are suffix-encoded because the registry
-     sanitizes label syntax away. *)
   let note_abort reason =
     let k = Option.fold ~none:"unknown" ~some:Pipeline.reason_slug reason in
-    Option.iter
-      (fun m -> Metrics.Counter.incr (Metrics.counter m ("cluster_aborts_" ^ k)))
-      cfg.metrics;
     Hashtbl.replace abort_reasons_tbl k
       (1 + Option.value ~default:0 (Hashtbl.find_opt abort_reasons_tbl k))
   in
@@ -698,6 +692,15 @@ let run cfg =
   Engine.run ~until:stop_time eng;
 
   Flight.export_percentiles cfg.flight;
+  (* The scrapeable abort-reason counters, suffix-encoded because the
+     registry sanitizes label syntax away. *)
+  Option.iter
+    (fun m ->
+      Hashtbl.iter
+        (fun k n ->
+          Metrics.Counter.incr ~by:n (Metrics.counter m ("cluster_aborts_" ^ k)))
+        abort_reasons_tbl)
+    cfg.metrics;
 
   (* ---------------- results ---------------- *)
   let base =

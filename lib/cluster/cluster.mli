@@ -39,10 +39,10 @@ type config = {
   warmup : float;  (** simulated seconds before measurement starts *)
   seed : int64;
   metrics : Hyder_obs.Metrics.t option;
-      (** when set, registers pipeline instruments, a
-          [cluster_commit_latency_seconds] histogram (simulated seconds,
-          draft to origin-server decision), a [cluster_log_appends]
-          counter, per-reason [cluster_aborts_*] counters, and a periodic
+      (** when set, registers a [cluster_commit_latency_seconds]
+          histogram (simulated seconds, draft to origin-server decision),
+          a [cluster_log_appends] counter, per-reason [cluster_aborts_*]
+          counters (added at run end from [abort_reasons]), and a periodic
           sampler of simulated queue depths (CORFU sequencer / storage units,
           broadcast NICs, blocked executor threads) plus process GC
           gauges ([gc_minor_collections], [gc_major_collections],

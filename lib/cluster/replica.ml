@@ -103,7 +103,8 @@ type result = {
 
 (* Digest of everything in the counters that must be bit-identical across
    replicas and crash/recovery — i.e. everything except wall-clock
-   seconds, which measure the host, not the computation. *)
+   seconds and minor words, which measure the host and the build, not
+   the computation. *)
 let counters_digest (c : Counters.t) =
   let b = Buffer.create 256 in
   let stage name (s : Counters.stage) =

@@ -5,7 +5,11 @@
     benchmark harness reads them after a run.  Premeld keeps one record
     for all its paper threads (Section 3.4).  The integer counts depend
     only on the log, so they match exactly across replicas and replays
-    (seconds, of course, differ). *)
+    (seconds, of course, differ).  This is the pipeline's one ledger:
+    each stage's [seconds] and [minor_words] are booked by the same
+    bracket around its work.  [minor_words] is deterministic for a given
+    log and config in one build, but it measures the build's allocation,
+    not the log, so replica digests leave it out with [seconds]. *)
 
 type stage = {
   mutable intentions : int;  (** intentions processed by this stage *)
@@ -14,6 +18,9 @@ type stage = {
   mutable grafts : int;  (** subtree grafts (early terminations) *)
   mutable aborts : int;  (** conflicts detected at this stage *)
   mutable seconds : float;  (** accumulated monotonic time in the stage *)
+  mutable minor_words : float;
+      (** minor-heap words the stage's work allocated
+          ([Gc.minor_words] deltas over the same span as [seconds]) *)
 }
 
 val make_stage : unit -> stage

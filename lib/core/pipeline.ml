@@ -3,7 +3,6 @@ module Intention = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
 module Summary = Hyder_util.Stats.Summary
 module Clock = Hyder_util.Clock
-module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 
 type config = {
@@ -23,8 +22,8 @@ type decided_at = Group_meld.decided_at =
   | At_group_meld
   | At_final_meld
 
-(* Short machine labels shared by the abort-reason metric counters, the
-   flight-record sink and the cluster simulator's abort breakdown. *)
+(* Short machine labels shared by the flight-record sink and the cluster
+   simulator's abort breakdown. *)
 let reason_slug = function
   | Meld.Write_conflict _ -> "write_conflict"
   | Meld.Read_conflict _ -> "read_conflict"
@@ -45,66 +44,6 @@ type decision = {
   decided_at : decided_at;
 }
 
-(* Pipeline-level metrics, resolved once at create time so the hot path
-   never does a registry lookup. *)
-type instruments = {
-  m_commits : Metrics.Counter.t;
-  m_aborts : Metrics.Counter.t;
-  (* Abort-reason breakdown (the registry sanitizes names to
-     [a-zA-Z0-9_:], so the label is suffix-encoded into the name). *)
-  m_aborts_write : Metrics.Counter.t;
-  m_aborts_read : Metrics.Counter.t;
-  m_aborts_phantom : Metrics.Counter.t;
-  (* Per-stage GC deltas ([Gc.counters] minor/promoted words), sampled
-     around each stage's work. *)
-  m_ds_gc_minor : Metrics.Fcounter.t;
-  m_ds_gc_promoted : Metrics.Fcounter.t;
-  m_pm_gc_minor : Metrics.Fcounter.t;
-  m_pm_gc_promoted : Metrics.Fcounter.t;
-  m_gm_gc_minor : Metrics.Fcounter.t;
-  m_gm_gc_promoted : Metrics.Fcounter.t;
-  m_fm_gc_minor : Metrics.Fcounter.t;
-  m_fm_gc_promoted : Metrics.Fcounter.t;
-}
-
-(* GC sampling around a stage, inert when metrics are off: one branch,
-   no allocation (the off-branch pair is a static constant).
-
-   Minor words come from [Gc.minor_words] — the only cumulative-allocation
-   reading that includes words allocated since the last minor collection
-   (on OCaml 5.1, [Gc.counters] and [Gc.quick_stat] update their
-   minor_words only AT minor collections, which turns small bracket
-   deltas into collection-timing noise).  Promoted words have no such
-   exact reading — promotion only happens at minor collections — so that
-   column is naturally quantized to the collections that fired inside
-   the bracket. *)
-let gc_begin inst =
-  match inst with
-  | None -> (0.0, 0.0)
-  | Some _ ->
-      (* Promoted first: [Gc.counters]'s own result tuple then lands
-         before the minor reading, outside the measured span. *)
-      let _, pw, _ = Gc.counters () in
-      let mw = Gc.minor_words () in
-      (mw, pw)
-
-let gc_end inst ~stage (mw0, pw0) =
-  match inst with
-  | None -> ()
-  | Some i ->
-      (* Minor first, for the same reason. *)
-      let mw1 = Gc.minor_words () in
-      let _, pw1, _ = Gc.counters () in
-      let minor, promoted =
-        match stage with
-        | `Ds -> (i.m_ds_gc_minor, i.m_ds_gc_promoted)
-        | `Pm -> (i.m_pm_gc_minor, i.m_pm_gc_promoted)
-        | `Gm -> (i.m_gm_gc_minor, i.m_gm_gc_promoted)
-        | `Fm -> (i.m_fm_gc_minor, i.m_fm_gc_promoted)
-      in
-      Metrics.Fcounter.add minor (mw1 -. mw0);
-      Metrics.Fcounter.add promoted (pw1 -. pw0)
-
 (* Kept only for [benchmark/] (see the interface); nothing builds one. *)
 type offload_stats = {
   ds_offloaded : int;
@@ -120,11 +59,15 @@ type offload_stats = {
   driver_steals : int;
 }
 
+(* The readings of the stage bracket last opened.  An all-float record
+   is stored flat, so a bracket allocates nothing and needs no closure. *)
+type span = { mutable t0 : float; mutable words0 : float; mutable t1 : float }
+
 type t = {
   config : config;
   flight : Flight.t;  (** per-transaction lifecycle recorder *)
-  inst : instruments option;
   counters : Counters.t;
+  span : span;  (** the stage bracket's readings *)
   states : State_store.t;
   fm_alloc : Vn.Alloc.t;
   pm_allocs : Vn.Alloc.t array;
@@ -133,6 +76,7 @@ type t = {
   mutable pending : Group_meld.group option;  (** group being assembled *)
 }
 
+let new_span () = { t0 = 0.0; words0 = 0.0; t1 = 0.0 }
 let states t = t.states
 let counters t = t.counters
 let config t = t.config
@@ -140,6 +84,28 @@ let lcs t = State_store.latest t.states
 
 let shutdown _ = ()
 let offload _ = None
+
+(* The one stage bracket: every stage opens it before its work and
+   closes it after its tallies, booking the span's time and minor-heap
+   words into its {!Counters.stage}.  The clock is read outside the
+   allocation reading at both ends, so the clock's boxed result and the
+   booking are charged to no stage; flight edges are stamped after the
+   close from the same readings. *)
+let open_stage t =
+  t.span.t0 <- Clock.now ();
+  t.span.words0 <- Gc.minor_words ()
+
+let close_stage t (stage : Counters.stage) =
+  let words1 = Gc.minor_words () in
+  let t1 = Clock.now () in
+  let s = t.span in
+  s.t1 <- t1;
+  stage.seconds <- stage.seconds +. (t1 -. s.t0);
+  stage.minor_words <- stage.minor_words +. (words1 -. s.words0)
+
+let flight_edge t ~pos stage =
+  if Flight.enabled t.flight then
+    Flight.edge t.flight ~pos ~stage ~t0:t.span.t0 ~t1:t.span.t1
 
 (* The ds stage: decode the wire record straight to the intention's
    tree.  The snapshot state is both the binding peer and the resolver,
@@ -151,15 +117,14 @@ let offload _ = None
    recorded yet makes the stream invalid.  Only a successful decode is
    booked: a rejected intention leaves every counter as it was. *)
 let decode t ~pos src =
-  let t0 = Clock.now () in
-  let gc0 = gc_begin t.inst in
+  open_stage t;
   let snap = Codec.peek_snapshot src in
   let _, lpos, _ = State_store.latest t.states in
   if snap > lpos then
     failwith
       (Printf.sprintf
-         "Pipeline.submit_wire_batch: intention at log position %d names \
-          snapshot %d but only %d is recorded — invalid stream"
+         "Pipeline.decode: intention at log position %d names snapshot %d \
+          but only %d is recorded — invalid stream"
          pos snap lpos);
   let peer =
     match State_store.by_pos t.states snap with
@@ -167,110 +132,99 @@ let decode t ~pos src =
     | None -> Node.empty
   in
   let i = Codec.decode ~pos ~peer ~resolve:(State_store.resolver t.states) src in
-  gc_end t.inst ~stage:`Ds gc0;
-  let t1 = Clock.now () in
   let ds = t.counters.deserialize in
   ds.intentions <- ds.intentions + 1;
   ds.nodes_visited <- ds.nodes_visited + i.Intention.node_count;
-  ds.seconds <- ds.seconds +. (t1 -. t0);
   Summary.add t.counters.intention_bytes (float_of_int i.Intention.byte_size);
+  close_stage t ds;
   if Flight.enabled t.flight then begin
     let pos = i.Intention.pos in
-    Flight.touch t.flight ~pos ~now:t0;
+    Flight.touch t.flight ~pos ~now:t.span.t0;
     Flight.note_identity t.flight ~pos ~server:i.Intention.server
       ~txn_seq:i.Intention.txn_seq;
-    Flight.edge t.flight ~pos ~stage:Flight.Ds ~t0 ~t1
+    flight_edge t ~pos Flight.Ds
   end;
   i
+
+(* Intentions between a member's (effective) snapshot and the LCS final
+   meld runs against. *)
+let conflict_zone t ~lcs_seq (m : Group_meld.member) =
+  max 0
+    (lcs_seq
+    -
+    match m.premeld_input with
+    | Some s -> s
+    | None -> State_store.seq_of_pos t.states m.intention.snapshot)
 
 (* Run final meld on a completed group and decide every member, in
    sequence order: a member premeld or group meld aborted keeps that
    fate, the survivors share final meld's.  Each member's state is
-   recorded at its position so later snapshot references resolve. *)
+   recorded at its position so later snapshot references resolve.  The
+   fm bracket covers the whole decision pass; every member of the group
+   (early aborts included) then gets the bracket's flight edge, so each
+   record's wait/service chain stays gapless through decision time. *)
 let final_meld t (group : Group_meld.group) =
   let fm = t.counters.final_meld in
+  open_stage t;
   let lcs_seq, _lcs_pos, lcs_tree = State_store.latest t.states in
   let survivors = Group_meld.survivors group in
   let alive = List.length survivors in
-  let flighted = Flight.enabled t.flight in
-  (* Flight attribution brackets the whole final-meld operation; every
-     member of the group (early aborts included) gets the same edge, so
-     each record's wait/service chain stays gapless through decision
-     time. *)
-  let fm_t0, fm_t1, new_state, fate, per_member =
-    if alive = 0 then
-      let now = if flighted then Clock.now () else 0.0 in
-      (now, now, lcs_tree, None, 0.0)
+  let new_state, fate, per_member =
+    if alive = 0 then (lcs_tree, None, 0.0)
     else begin
       let nodes_before = fm.nodes_visited in
-      let t0 = Clock.now () in
-      let gc0 = gc_begin t.inst in
       fm.intentions <- fm.intentions + alive;
       let r =
         Meld.meld ~mode:Meld.Final ~members:survivors ~alloc:t.fm_alloc
           ~counters:fm ~intention:group.root ~state:lcs_tree ()
       in
-      gc_end t.inst ~stage:`Fm gc0;
-      let t1 = Clock.now () in
-      fm.seconds <- fm.seconds +. (t1 -. t0);
       let per_member =
         float_of_int (fm.nodes_visited - nodes_before) /. float_of_int alive
       in
       match r with
-      | Meld.Merged s -> (t0, t1, s, None, per_member)
-      | Meld.Conflict reason -> (t0, t1, lcs_tree, Some reason, per_member)
+      | Meld.Merged s -> (s, None, per_member)
+      | Meld.Conflict reason -> (lcs_tree, Some reason, per_member)
     end
   in
-  List.map
-    (fun (m : Group_meld.member) ->
-      let conflict_zone =
-        max 0
-          (lcs_seq
-          -
-          match m.premeld_input with
-          | Some s -> s
-          | None -> State_store.seq_of_pos t.states m.intention.snapshot)
-      in
-      let reason, decided_at =
-        match m.aborted with
-        | Some (reason, at) -> (Some reason, at)
-        | None ->
-            Summary.add t.counters.fm_nodes_per_txn per_member;
-            Summary.add t.counters.conflict_zone (float_of_int conflict_zone);
-            (fate, At_final_meld)
-      in
-      let committed = Option.is_none reason in
-      State_store.record t.states ~seq:m.seq ~pos:m.intention.pos new_state;
-      if committed then t.counters.committed <- t.counters.committed + 1
-      else t.counters.aborted <- t.counters.aborted + 1;
-      (match t.inst with
-      | None -> ()
-      | Some i ->
-          Metrics.Counter.incr (if committed then i.m_commits else i.m_aborts);
-          (match reason with
-          | Some (Meld.Write_conflict _) ->
-              Metrics.Counter.incr i.m_aborts_write
-          | Some (Meld.Read_conflict _) -> Metrics.Counter.incr i.m_aborts_read
-          | Some (Meld.Phantom_conflict _) ->
-              Metrics.Counter.incr i.m_aborts_phantom
-          | None -> ()));
-      if flighted then begin
-        let pos = m.intention.pos in
-        Flight.edge t.flight ~pos ~stage:Flight.Fm ~t0:fm_t0 ~t1:fm_t1;
-        Flight.complete t.flight ~pos ~now:fm_t1 ~seq:m.seq ~committed
-          ~reason:(match reason with None -> "" | Some r -> reason_slug r)
-          ~decided_at:(decided_at_slug decided_at) ~conflict_zone
-      end;
-      {
-        seq = m.seq;
-        pos = m.intention.pos;
-        server = m.intention.server;
-        txn_seq = m.intention.txn_seq;
-        committed;
-        reason;
-        decided_at;
-      })
-    group.members
+  let decisions =
+    List.map
+      (fun (m : Group_meld.member) ->
+        let reason, decided_at =
+          match m.aborted with
+          | Some (reason, at) -> (Some reason, at)
+          | None ->
+              Summary.add t.counters.fm_nodes_per_txn per_member;
+              Summary.add t.counters.conflict_zone
+                (float_of_int (conflict_zone t ~lcs_seq m));
+              (fate, At_final_meld)
+        in
+        let committed = Option.is_none reason in
+        State_store.record t.states ~seq:m.seq ~pos:m.intention.pos new_state;
+        if committed then t.counters.committed <- t.counters.committed + 1
+        else t.counters.aborted <- t.counters.aborted + 1;
+        {
+          seq = m.seq;
+          pos = m.intention.pos;
+          server = m.intention.server;
+          txn_seq = m.intention.txn_seq;
+          committed;
+          reason;
+          decided_at;
+        })
+      group.members
+  in
+  close_stage t fm;
+  if Flight.enabled t.flight then
+    List.iter2
+      (fun m d ->
+        flight_edge t ~pos:d.pos Flight.Fm;
+        Flight.complete t.flight ~pos:d.pos ~now:t.span.t1 ~seq:d.seq
+          ~committed:d.committed
+          ~reason:(match d.reason with None -> "" | Some r -> reason_slug r)
+          ~decided_at:(decided_at_slug d.decided_at)
+          ~conflict_zone:(conflict_zone t ~lcs_seq m))
+      group.members decisions;
+  decisions
 
 (* Group-meld step: fold [member] into the group being assembled.
    Returns the completed group when it fills (always, with group meld
@@ -284,17 +238,12 @@ let gm_step t (member : Group_meld.member) =
     | None -> unit_group
     | Some g ->
         let gm = t.counters.group_meld in
-        let t0 = Clock.now () in
-        let gc0 = gc_begin t.inst in
+        open_stage t;
         let merged =
           Group_meld.combine ~alloc:t.gm_alloc ~counters:gm g unit_group
         in
-        gc_end t.inst ~stage:`Gm gc0;
-        let t1 = Clock.now () in
-        gm.seconds <- gm.seconds +. (t1 -. t0);
-        if Flight.enabled t.flight then
-          Flight.edge t.flight ~pos:member.intention.pos ~stage:Flight.Gm ~t0
-            ~t1;
+        close_stage t gm;
+        flight_edge t ~pos:member.intention.pos Flight.Gm;
         merged
   in
   if List.length merged.members >= t.config.group_size then begin
@@ -308,18 +257,13 @@ let gm_step t (member : Group_meld.member) =
 
 (* The premeld stage, against the live store. *)
 let premeld t pc ~seq (intention : Intention.t) =
-  let pm = t.counters.premeld in
-  let t0 = Clock.now () in
-  let gc0 = gc_begin t.inst in
+  open_stage t;
   let member =
-    Premeld.run pc ~allocs:t.pm_allocs ~counters:pm ~states:t.states ~seq
-      intention
+    Premeld.run pc ~allocs:t.pm_allocs ~counters:t.counters.premeld
+      ~states:t.states ~seq intention
   in
-  gc_end t.inst ~stage:`Pm gc0;
-  let t1 = Clock.now () in
-  pm.Counters.seconds <- pm.Counters.seconds +. (t1 -. t0);
-  if Flight.enabled t.flight then
-    Flight.edge t.flight ~pos:intention.pos ~stage:Flight.Pm ~t0 ~t1;
+  close_stage t t.counters.premeld;
+  flight_edge t ~pos:intention.pos Flight.Pm;
   member
 
 let submit t (intention : Intention.t) =
@@ -382,26 +326,6 @@ let validate_shape ~who ~config =
   | _ -> ());
   match config.premeld with Some c -> c.Premeld.threads | None -> 0
 
-let make_instruments metrics =
-  Option.map
-    (fun m ->
-      {
-        m_commits = Metrics.counter m "pipeline_commits";
-        m_aborts = Metrics.counter m "pipeline_aborts";
-        m_aborts_write = Metrics.counter m "pipeline_aborts_write_conflict";
-        m_aborts_read = Metrics.counter m "pipeline_aborts_read_conflict";
-        m_aborts_phantom = Metrics.counter m "pipeline_aborts_phantom_conflict";
-        m_ds_gc_minor = Metrics.fcounter m "pipeline_ds_gc_minor_words";
-        m_ds_gc_promoted = Metrics.fcounter m "pipeline_ds_gc_promoted_words";
-        m_pm_gc_minor = Metrics.fcounter m "pipeline_pm_gc_minor_words";
-        m_pm_gc_promoted = Metrics.fcounter m "pipeline_pm_gc_promoted_words";
-        m_gm_gc_minor = Metrics.fcounter m "pipeline_gm_gc_minor_words";
-        m_gm_gc_promoted = Metrics.fcounter m "pipeline_gm_gc_promoted_words";
-        m_fm_gc_minor = Metrics.fcounter m "pipeline_fm_gc_minor_words";
-        m_fm_gc_promoted = Metrics.fcounter m "pipeline_fm_gc_promoted_words";
-      })
-    metrics
-
 (* [Pipelined] is accepted only for [benchmark/], which still names it
    (see {!Runtime.backend}); every runtime runs the one scheduler. *)
 let check_runtime = function
@@ -412,14 +336,14 @@ let check_runtime = function
          constructor remains only because benchmark/bench.ml matches it)"
 
 let create ?(config = plain) ?(runtime = Runtime.sequential)
-    ?(flight = Flight.disabled) ?metrics ~genesis () =
+    ?(flight = Flight.disabled) ~genesis () =
   check_runtime runtime;
   let pm_threads = validate_shape ~who:"create" ~config in
   {
     config;
     flight;
-    inst = make_instruments metrics;
     counters = Counters.create ();
+    span = new_span ();
     states = State_store.create ~genesis ();
     fm_alloc = Vn.Alloc.create ~thread:0;
     pm_allocs =
@@ -447,8 +371,8 @@ let checkpoint t =
               ])
          ~counters:t.counters)
 
-let restore ?(config = plain) ?(flight = Flight.disabled) ?metrics
-    (ckpt : Checkpoint.t) =
+let restore ?(config = plain) ?(flight = Flight.disabled) (ckpt : Checkpoint.t)
+    =
   let pm_threads = validate_shape ~who:"restore" ~config in
   if Array.length ckpt.Checkpoint.alloc_issued <> pm_threads + 2 then
     invalid_arg
@@ -466,8 +390,8 @@ let restore ?(config = plain) ?(flight = Flight.disabled) ?metrics
   {
     config;
     flight;
-    inst = make_instruments metrics;
     counters;
+    span = new_span ();
     states = State_store.restore ckpt.Checkpoint.store;
     fm_alloc = resume (Vn.Alloc.create ~thread:0) issued.(0);
     pm_allocs =

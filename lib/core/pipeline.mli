@@ -45,7 +45,8 @@ type decision = {
 
 val reason_slug : Meld.abort_reason -> string
 (** Machine label of an abort reason ([write_conflict], [read_conflict]
-    or [phantom_conflict]), shared by abort counters and flight records. *)
+    or [phantom_conflict]), shared by the cluster's abort breakdown and
+    flight records. *)
 
 type t
 
@@ -53,7 +54,6 @@ val create :
   ?config:config ->
   ?runtime:Runtime.backend ->
   ?flight:Hyder_obs.Flight.t ->
-  ?metrics:Hyder_obs.Metrics.t ->
   genesis:Tree.t ->
   unit ->
   t
@@ -67,10 +67,11 @@ val create :
     inline scheduler and spawn nothing; [Parallel] is rejected with
     [Invalid_argument].
 
-    [metrics], when given, registers pipeline instruments
-    ([pipeline_commits], [pipeline_aborts], the per-reason
-    [pipeline_aborts_{write,read,phantom}_conflict] breakdown and the
-    per-stage GC words of ds, premeld, group meld and final meld).
+    Every stage books its work into {!counters} through one bracket:
+    the span's monotonic seconds and minor-heap words go into the
+    stage's {!Counters.stage}, on every run.  Final meld's bracket
+    covers the whole decision pass (recording each member's state, the
+    tallies and building the decisions).
 
     [flight] (default {!Hyder_obs.Flight.disabled}) records one
     lifecycle record per intention, keyed by log position: per-stage
@@ -78,9 +79,10 @@ val create :
     group-meld combine, final meld) and the decision with abort reason
     and conflict-zone size.  A record opens when its decode starts.
 
-    Metrics and flight are independent and both provably observational:
-    decisions, ephemeral node ids and integer counter values are
-    bit-identical with either on or off (see [test/test_obs.ml]).
+    The flight recorder is provably observational: decisions, ephemeral
+    node ids, integer counter values and each stage's minor words are
+    identical with it on or off, since its edges are stamped outside the
+    stage brackets (see [test/test_obs.ml]).
 
     With premeld on, [group_size] must not exceed
     [threads * distance + 1]: beyond that, a premeld-bound intention can
@@ -92,9 +94,10 @@ val decode : t -> pos:int -> string -> Hyder_codec.Intention.t
 (** The ds stage: deserialize an encoded intention, resolving references
     against retained states.  Timed into the ds counters.  An intention
     naming a snapshot position beyond the last recorded state raises
-    [Failure "Pipeline.submit_wire_batch: intention at log position …"]
+    [Failure "Pipeline.decode: intention at log position …"]
     (the stream is invalid), and a corrupt one raises
-    {!Hyder_codec.Codec.Corrupt}; a rejected intention counts nothing. *)
+    {!Hyder_codec.Codec.Corrupt}; a rejected intention counts nothing.
+    {!submit_wire_batch} raises the same [Failure]. *)
 
 val submit : t -> Hyder_codec.Intention.t -> decision list
 (** Feed the next intention in log order.  Returns the decisions that
@@ -160,7 +163,6 @@ val checkpoint : t -> Checkpoint.t option
 val restore :
   ?config:config ->
   ?flight:Hyder_obs.Flight.t ->
-  ?metrics:Hyder_obs.Metrics.t ->
   Checkpoint.t ->
   t
 (** Build a fresh pipeline from a checkpoint, as a crashed server does on

@@ -1,8 +1,8 @@
 (* Hyder_obs: metrics registry, exporters, flight recorder and its
-   offline analyzer — and the inertness contract: wiring a metrics
-   registry or a flight recorder into the pipeline changes NOTHING
-   observable (decisions, ephemeral node identities, integer
-   counters), whatever the wire batch size. *)
+   offline analyzer — and the inertness contract: wiring a flight
+   recorder into the pipeline changes NOTHING observable (decisions,
+   ephemeral node identities, integer counters, each stage's minor
+   words), whatever the wire batch size. *)
 
 module Json = Hyder_obs.Json
 module Metrics = Hyder_obs.Metrics
@@ -233,6 +233,11 @@ let test_counters_copy_preserves_summaries () =
   check "copied intention_bytes" true
     (Summary.total snap.Counters.intention_bytes = 512.0);
   check_int "copied scalar fields" 5 snap.Counters.committed;
+  c.Counters.final_meld.Counters.minor_words <- 12.0;
+  let snap = Counters.copy c in
+  c.Counters.final_meld.Counters.minor_words <- 20.0;
+  check "copy carries minor_words" true
+    (snap.Counters.final_meld.Counters.minor_words = 12.0);
   check_int "live kept moving" 4 (Summary.count c.Counters.conflict_zone)
 
 (* ------------------------------------------------------------------ *)
@@ -620,8 +625,8 @@ let make_stream ~config ~txns ~seed =
 
 (* Replay a wire stream through a fresh pipeline, feeding
    [submit_wire_batch] in slabs of [slab] intentions. *)
-let replay ?metrics ?flight ~config ~slab genesis wires =
-  let p = Pipeline.create ~config ?flight ?metrics ~genesis () in
+let replay ?flight ~config ~slab genesis wires =
+  let p = Pipeline.create ~config ?flight ~genesis () in
   let rec take k acc = function
     | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
     | rest -> (List.rev acc, rest)
@@ -634,11 +639,7 @@ let replay ?metrics ?flight ~config ~slab genesis wires =
   in
   let decisions = List.rev (go [] wires) @ Pipeline.flush p in
   let _, _, final = Pipeline.lcs p in
-  let pm_counts =
-    let s = (Pipeline.counters p).Counters.premeld in
-    (s.Counters.intentions, s.Counters.nodes_visited)
-  in
-  (decisions, final, pm_counts)
+  (decisions, final, Pipeline.counters p)
 
 let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   a.Pipeline.seq = b.Pipeline.seq
@@ -647,13 +648,24 @@ let same_decision (a : Pipeline.decision) (b : Pipeline.decision) =
   && a.Pipeline.reason = b.Pipeline.reason
   && a.Pipeline.decided_at = b.Pipeline.decided_at
 
+let stages (c : Counters.t) =
+  Counters.
+    [
+      ("ds", c.deserialize);
+      ("pm", c.premeld);
+      ("gm", c.group_meld);
+      ("fm", c.final_meld);
+    ]
+
 (* Recording every intention's lifecycle changes nothing observable,
-   and neither does a metrics registry on its own (flight and metrics are
-   independent).  Each row replays one stream in slabs of its own size
-   and compares it with an unrecorded replay in one batch.  The recorded rows
-   double as a lifecycle audit at scale: every decision closes exactly
-   one record, none leak, and the commit and per-reason abort counters
-   agree with the decision stream. *)
+   and neither does the slab size.  Each row replays one stream in slabs
+   of its own size and compares it with an unrecorded replay in one
+   batch: the same decisions, final state and premeld work, and the same
+   minor words in every stage, so neither the recorder's allocations nor
+   the batching are ever charged to a stage.  The recorded rows double
+   as a lifecycle audit at scale: every decision closes exactly one
+   record, none leak, and the commit and abort tallies agree with the
+   decision stream. *)
 let check_inert ~seed rows =
   let config =
     {
@@ -663,9 +675,7 @@ let check_inert ~seed rows =
   in
   let genesis, wires = make_stream ~config ~txns:300 ~seed in
   check "stream not trivial" true (List.length wires > 150);
-  let bd, bfinal, bcounts =
-    replay ~config ~slab:max_int genesis wires
-  in
+  let bd, bfinal, bcounters = replay ~config ~slab:max_int genesis wires in
   let aborts =
     List.length (List.filter (fun d -> not d.Pipeline.committed) bd)
   in
@@ -677,9 +687,7 @@ let check_inert ~seed rows =
         if flighted then Flight.create ~label:name ~metrics ()
         else Flight.disabled
       in
-      let d, final, counts =
-        replay ~flight ~metrics ~config ~slab genesis wires
-      in
+      let d, final, counters = replay ~flight ~config ~slab genesis wires in
       check (name ^ ": every decision closed one record") true
         (Flight.completed flight = if flighted then List.length d else 0);
       check_int (name ^ ": no records leak") 0 (Flight.in_flight flight);
@@ -688,35 +696,41 @@ let check_inert ~seed rows =
         (List.for_all2 same_decision d bd);
       check (name ^ ": final state physically identical") true
         (Tree.physically_equal final bfinal);
-      check (name ^ ": premeld work identical") true
-        (counts = bcounts);
-      let counter n =
-        match List.assoc_opt n (Metrics.snapshot metrics) with
-        | Some (Metrics.Counter_v v) -> v
-        | _ -> 0
+      let pm (c : Counters.t) =
+        (c.premeld.Counters.intentions, c.premeld.Counters.nodes_visited)
       in
-      check_int (name ^ ": metric commits")
+      check (name ^ ": premeld work identical") true
+        (pm counters = pm bcounters);
+      check_int (name ^ ": committed tally")
         (List.length bd - aborts)
-        (counter "pipeline_commits");
-      check_int (name ^ ": per-reason abort counters sum to aborts") aborts
-        (counter "pipeline_aborts_write_conflict"
-        + counter "pipeline_aborts_read_conflict"
-        + counter "pipeline_aborts_phantom_conflict");
+        counters.Counters.committed;
+      check_int (name ^ ": aborted tally") aborts counters.Counters.aborted;
+      List.iter2
+        (fun (stage, (s : Counters.stage)) (_, (b : Counters.stage)) ->
+          check
+            (Printf.sprintf "%s: %s minor words %.0f = unrecorded %.0f" name
+               stage s.minor_words b.minor_words)
+            true
+            (s.minor_words = b.minor_words && s.minor_words > 0.0))
+        (stages counters) (stages bcounters);
       check_int
         (name ^ ": flight_records_total agrees")
         (if flighted then List.length d else 0)
-        (counter "flight_records_total"))
+        (match List.assoc_opt "flight_records_total" (Metrics.snapshot metrics)
+         with
+        | Some (Metrics.Counter_v v) -> v
+        | _ -> 0))
     rows
 
 (* Tracing is the flight recorder: traced runs in one batch and in
-   slabs of 64, and a run with metrics but no recorder, against the
-   untraced one. *)
+   slabs of 64, and an unrecorded run in slabs of 64, against the
+   unrecorded one-batch replay. *)
 let test_tracing_is_inert () =
   check_inert ~seed:2024
     [
       ("traced seq", max_int, true);
       ("traced seq slab 64", 64, true);
-      ("metrics only seq", max_int, false);
+      ("unrecorded seq slab 64", 64, false);
     ]
 
 (* The same on a second stream. *)

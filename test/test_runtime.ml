@@ -363,8 +363,7 @@ let test_invalid_stream_same_error () =
   in
   let want = run [ wires ] in
   check "names the stream invalid" true
-    (String.starts_with ~prefix:"Pipeline.submit_wire_batch: intention at"
-       want);
+    (String.starts_with ~prefix:"Pipeline.decode: intention at" want);
   Alcotest.(check string) "trickle: same error" want
     (run (List.map (fun w -> [ w ]) wires));
   (* group_size beyond threads * distance + 1 would hold back a member's
