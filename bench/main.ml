@@ -919,7 +919,6 @@ let macro () =
   in
   let wall = Clock.elapsed t0 in
   let c1 = Pipeline.counters p in
-  Flight.export_percentiles flight;
   (match (flight_sink, !flight_path) with
   | Some oc, Some path ->
       close_out oc;
@@ -930,7 +929,8 @@ let macro () =
   (* A stage's seconds and minor words/txn over the measured window. *)
   let stage get =
     let s1 : Counters.stage = get c1 and s0 : Counters.stage = get c0 in
-    (s1.seconds -. s0.seconds, (s1.minor_words -. s0.minor_words) /. meldedf)
+    ( s1.seconds -. s0.seconds,
+      float_of_int (s1.minor_words - s0.minor_words) /. meldedf )
   in
   let ds, ds_minor = stage (fun c -> c.Counters.deserialize) in
   let pm, pm_minor = stage (fun c -> c.Counters.premeld) in

@@ -13,7 +13,6 @@ module Replica = Hyder_cluster.Replica
 module Faults = Hyder_sim.Faults
 module Ycsb = Hyder_workload.Ycsb
 module Pipeline = Hyder_core.Pipeline
-module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Analyze = Hyder_obs.Analyze
 module Json = Hyder_obs.Json
@@ -128,11 +127,7 @@ let workload_term =
 
 let cluster_cmd =
   let run_chaos servers pipeline workload seed faults checkpoint_every
-      chaos_txns flight_file metrics_file json_file =
-    let metrics =
-      if metrics_file <> None || json_file <> None then Some (Metrics.create ())
-      else None
-    in
+      chaos_txns flight_file json_file =
     let r =
       with_flight_sink flight_file (fun flight_sink ->
           let cfg =
@@ -145,67 +140,50 @@ let cluster_cmd =
               checkpoint_every;
               txns = chaos_txns;
               seed = Int64.of_int seed;
-              metrics;
               flight_sink;
             }
           in
           Replica.run cfg)
     in
     Format.printf "%a@." Replica.pp r;
-    (match metrics_file with
-    | None -> ()
-    | Some path ->
-        let m = Option.get metrics in
-        write_file path (Metrics.to_prometheus (Metrics.snapshot m));
-        Printf.eprintf "metrics -> %s\n%!" path);
     (match json_file with
     | None -> ()
     | Some path ->
         let report =
           Json.Obj
-            ([
-               ("experiment", Json.String "cluster-chaos");
-               ( "config",
-                 Json.Obj
-                   [
-                     ("servers", Json.Int servers);
-                     ("pipeline", Json.String (pipeline_to_string pipeline));
-                     ("txns", Json.Int chaos_txns);
-                     ("checkpoint_every", Json.Int checkpoint_every);
-                     ("faults", Json.String (Faults.to_string faults));
-                     ("seed", Json.Int seed);
-                   ] );
-               ("result", Replica.result_to_json r);
-             ]
-            @
-            match metrics with
-            | Some m -> [ ("metrics", Metrics.to_json (Metrics.snapshot m)) ]
-            | None -> [])
+            [
+              ("experiment", Json.String "cluster-chaos");
+              ( "config",
+                Json.Obj
+                  [
+                    ("servers", Json.Int servers);
+                    ("pipeline", Json.String (pipeline_to_string pipeline));
+                    ("txns", Json.Int chaos_txns);
+                    ("checkpoint_every", Json.Int checkpoint_every);
+                    ("faults", Json.String (Faults.to_string faults));
+                    ("seed", Json.Int seed);
+                  ] );
+              ("result", Replica.result_to_json r);
+            ]
         in
         write_file path (Json.to_string report);
         Printf.eprintf "run report -> %s\n%!" path);
     if not r.Replica.converged then exit 1
   in
   let run servers pipeline write_threads read_threads inflight duration warmup
-      workload seed faults checkpoint_every chaos_txns flight_file
-      metrics_file json_file =
+      workload seed faults checkpoint_every chaos_txns flight_file json_file =
     match faults with
     | Some faults ->
         (* Chaos mode: fault injection + crash recovery instead of the
            closed-loop throughput experiment. *)
         run_chaos servers pipeline workload seed faults checkpoint_every
-          chaos_txns flight_file metrics_file json_file
+          chaos_txns flight_file json_file
     | None ->
     with_flight_sink flight_file @@ fun flight_sink ->
-    let metrics =
-      if metrics_file <> None || json_file <> None then Some (Metrics.create ())
-      else None
-    in
     let flight =
       match flight_sink with
       | None -> Flight.disabled
-      | Some oc ->
-          Flight.create ~label:"seq" ?metrics ~sink:oc ()
+      | Some oc -> Flight.create ~label:"seq" ~sink:oc ()
     in
     let cfg =
       {
@@ -220,42 +198,31 @@ let cluster_cmd =
         workload;
         seed = Int64.of_int seed;
         flight;
-        metrics;
       }
     in
     let r = Cluster.run cfg in
     Format.printf "%a@." Cluster.pp_result r;
-    (match metrics_file with
-    | None -> ()
-    | Some path ->
-        let m = Option.get metrics in
-        write_file path (Metrics.to_prometheus (Metrics.snapshot m));
-        Printf.eprintf "metrics -> %s\n%!" path);
     match json_file with
     | None -> ()
     | Some path ->
         let report =
           Json.Obj
-            ([
-               ("experiment", Json.String "cluster");
-               ( "config",
-                 Json.Obj
-                   [
-                     ("servers", Json.Int servers);
-                     ("pipeline", Json.String (pipeline_to_string pipeline));
-                     ("write_threads", Json.Int write_threads);
-                     ("read_threads", Json.Int read_threads);
-                     ("inflight_per_thread", Json.Int inflight);
-                     ("duration", Json.Float duration);
-                     ("warmup", Json.Float warmup);
-                     ("seed", Json.Int seed);
-                   ] );
-               ("result", Cluster.result_to_json r);
-             ]
-            @
-            match metrics with
-            | Some m -> [ ("metrics", Metrics.to_json (Metrics.snapshot m)) ]
-            | None -> [])
+            [
+              ("experiment", Json.String "cluster");
+              ( "config",
+                Json.Obj
+                  [
+                    ("servers", Json.Int servers);
+                    ("pipeline", Json.String (pipeline_to_string pipeline));
+                    ("write_threads", Json.Int write_threads);
+                    ("read_threads", Json.Int read_threads);
+                    ("inflight_per_thread", Json.Int inflight);
+                    ("duration", Json.Float duration);
+                    ("warmup", Json.Float warmup);
+                    ("seed", Json.Int seed);
+                  ] );
+              ("result", Cluster.result_to_json r);
+            ]
         in
         write_file path (Json.to_string report);
         Printf.eprintf "run report -> %s\n%!" path
@@ -330,29 +297,21 @@ let cluster_cmd =
              Perfetto timeline. Works in both the throughput and the chaos \
              experiment; off (zero-cost) when absent.")
   in
-  let metrics_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write Prometheus text-format metrics to $(docv).")
-  in
   let json_file =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable JSON run report (config, result, \
-             metrics) to $(docv).")
+            "Write a machine-readable JSON run report (config and result) \
+             to $(docv).")
   in
   Cmd.v
     (Cmd.info "cluster" ~doc:"Run a distributed Hyder II experiment")
     Term.(
       const run $ servers $ pipeline $ write_threads $ read_threads
       $ inflight $ duration $ warmup $ workload_term $ seed $ faults
-      $ checkpoint_every $ chaos_txns $ flight_file $ metrics_file
-      $ json_file)
+      $ checkpoint_every $ chaos_txns $ flight_file $ json_file)
 
 (* --- analyze -------------------------------------------------------------- *)
 

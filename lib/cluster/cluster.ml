@@ -11,7 +11,6 @@ module I = Hyder_codec.Intention
 module Codec = Hyder_codec.Codec
 module Ycsb = Hyder_workload.Ycsb
 module Summary = Hyder_util.Stats.Summary
-module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Json = Hyder_obs.Json
 
@@ -30,9 +29,6 @@ type config = {
   duration : float;
   warmup : float;
   seed : int64;
-  metrics : Metrics.t option;
-      (** registry for pipeline instruments, the commit-latency
-          histogram and the simulated queue-depth sampler *)
   flight : Flight.t;
       (** per-transaction flight recorder threaded into the real
           pipeline; {!Flight.disabled} (the default) costs one branch
@@ -57,7 +53,6 @@ let default_config =
     duration = 1.0;
     warmup = 0.3;
     seed = 0x5EEDL;
-    metrics = None;
     flight = Flight.disabled;
   }
 
@@ -106,13 +101,6 @@ type info = {
 
 type thread_state = { mutable inflight : int; mutable blocked : bool }
 
-(* Cluster-level instruments, resolved once per run. *)
-type cluster_inst = {
-  h_commit_latency : Metrics.Histogram.t;
-      (** simulated seconds from draft to origin-server commit delivery *)
-  c_appends : Metrics.Counter.t;
-}
-
 type group_progress = {
   mutable done_members : int;
   mutable members : info list;  (** in seq order, reversed *)
@@ -156,15 +144,6 @@ let run cfg =
   let genesis = Ycsb.genesis workload in
   let pipeline =
     Pipeline.create ~config:cfg.pipeline ~flight:cfg.flight ~genesis ()
-  in
-  let inst =
-    Option.map
-      (fun m ->
-        {
-          h_commit_latency = Metrics.histogram m "cluster_commit_latency_seconds";
-          c_appends = Metrics.counter m "cluster_log_appends";
-        })
-      cfg.metrics
   in
   (* All executor encodes run on the simulator's single driver thread, so
      one encoder serves every server: each encode reuses its backing
@@ -248,7 +227,7 @@ let run cfg =
     Hashtbl.replace abort_reasons_tbl k
       (1 + Option.value ~default:0 (Hashtbl.find_opt abort_reasons_tbl k))
   in
-  let appends = ref 0 and appends_in_window = ref 0 in
+  let appends_in_window = ref 0 in
   let counters_at_window_start = ref None in
   let gc_at_window_start = ref None in
   let stage_sums = Array.make 4 0.0 in
@@ -354,11 +333,6 @@ let run cfg =
                     incr aborts;
                     note_abort d.Pipeline.reason
                   end;
-                (match inst with
-                | Some i when d.Pipeline.committed ->
-                    Metrics.Histogram.observe i.h_commit_latency
-                      (Engine.now eng -. m.t_created)
-                | _ -> ());
                 (match servers.(s_idx).admission with
                 | Some a -> Admission.observe a ~committed:d.Pipeline.committed
                 | None -> ());
@@ -515,10 +489,6 @@ let run cfg =
     if remaining = 0 then k ()
     else
       Corfu.append corfu "" (fun pos ->
-          incr appends;
-          (match inst with
-          | Some i -> Metrics.Counter.incr i.c_appends
-          | None -> ());
           if in_window () then incr appends_in_window;
           if remaining = 1 then begin
             (* Last block: its position names the intention. *)
@@ -625,58 +595,6 @@ let run cfg =
       done)
     servers;
 
-  (* Periodic queue-depth sampler (simulated time): gauges hold the last
-     sample, histograms the distribution over the measurement window. *)
-  (match cfg.metrics with
-  | None -> ()
-  | Some m ->
-      let g_seq = Metrics.gauge m "corfu_sequencer_queue" in
-      let g_unit = Metrics.gauge m "corfu_unit_queue_max" in
-      let g_nic = Metrics.gauge m "broadcast_nic_queue_max" in
-      let g_inflight = Metrics.gauge m "corfu_appends_inflight" in
-      let g_blocked = Metrics.gauge m "cluster_blocked_threads" in
-      let h_seq = Metrics.histogram m "corfu_sequencer_queue_depth" in
-      let h_unit = Metrics.histogram m "corfu_unit_queue_depth_max" in
-      (* GC observer (same cadence as the queue-depth sampler): collection
-         counts and promoted/heap words as gauges, plus the wall clock of
-         the latest sample so GC activity can be correlated with
-         flight-record timestamps (both use {!Hyder_util.Clock.now}). *)
-      let g_gc_minor = Metrics.gauge m "gc_minor_collections" in
-      let g_gc_major = Metrics.gauge m "gc_major_collections" in
-      let g_gc_promoted = Metrics.gauge m "gc_promoted_words" in
-      let g_gc_heap = Metrics.gauge m "gc_heap_words" in
-      let g_gc_wall = Metrics.gauge m "gc_sample_wall_seconds" in
-      let period = Float.max 1e-4 (cfg.duration /. 200.0) in
-      let rec sample () =
-        let sq = Corfu.sequencer_queue corfu in
-        let uq = Corfu.max_unit_queue corfu in
-        Metrics.Gauge.set g_seq (float_of_int sq);
-        Metrics.Gauge.set g_unit (float_of_int uq);
-        Metrics.Gauge.set g_nic (float_of_int (Broadcast.max_nic_queue bcast));
-        Metrics.Gauge.set g_inflight
-          (float_of_int (Corfu.appends_inflight corfu));
-        let blocked =
-          Array.fold_left
-            (fun acc s ->
-              Array.fold_left
-                (fun a th -> if th.blocked then a + 1 else a)
-                acc s.threads)
-            0 servers
-        in
-        Metrics.Gauge.set g_blocked (float_of_int blocked);
-        Metrics.Histogram.observe h_seq (float_of_int sq);
-        Metrics.Histogram.observe h_unit (float_of_int uq);
-        let gst = Gc.quick_stat () in
-        Metrics.Gauge.set g_gc_minor (float_of_int gst.Gc.minor_collections);
-        Metrics.Gauge.set g_gc_major (float_of_int gst.Gc.major_collections);
-        Metrics.Gauge.set g_gc_promoted gst.Gc.promoted_words;
-        Metrics.Gauge.set g_gc_heap (float_of_int gst.Gc.heap_words);
-        Metrics.Gauge.set g_gc_wall (now_wall ());
-        if Engine.now eng +. period < stop_time then
-          Engine.schedule eng ~delay:period sample
-      in
-      Engine.schedule eng ~delay:cfg.warmup sample);
-
   (* Snapshot the work counters at the start of the measurement window so
      per-transaction statistics exclude warmup. *)
   Engine.schedule eng ~delay:cfg.warmup (fun () ->
@@ -690,17 +608,6 @@ let run cfg =
         Some (Gc.minor_words (), st.Gc.promoted_words, st.Gc.major_words));
 
   Engine.run ~until:stop_time eng;
-
-  Flight.export_percentiles cfg.flight;
-  (* The scrapeable abort-reason counters, suffix-encoded because the
-     registry sanitizes label syntax away. *)
-  Option.iter
-    (fun m ->
-      Hashtbl.iter
-        (fun k n ->
-          Metrics.Counter.incr ~by:n (Metrics.counter m ("cluster_aborts_" ^ k)))
-        abort_reasons_tbl)
-    cfg.metrics;
 
   (* ---------------- results ---------------- *)
   let base =

@@ -38,17 +38,6 @@ type config = {
   duration : float;  (** simulated seconds of measurement *)
   warmup : float;  (** simulated seconds before measurement starts *)
   seed : int64;
-  metrics : Hyder_obs.Metrics.t option;
-      (** when set, registers a [cluster_commit_latency_seconds]
-          histogram (simulated seconds, draft to origin-server decision),
-          a [cluster_log_appends] counter, per-reason [cluster_aborts_*]
-          counters (added at run end from [abort_reasons]), and a periodic
-          sampler of simulated queue depths (CORFU sequencer / storage units,
-          broadcast NICs, blocked executor threads) plus process GC
-          gauges ([gc_minor_collections], [gc_major_collections],
-          [gc_promoted_words], [gc_heap_words], with
-          [gc_sample_wall_seconds] carrying the wall-clock sample time
-          for correlation with flight-record timestamps) *)
   flight : Hyder_obs.Flight.t;
       (** per-transaction flight recorder threaded into the real
           pipeline ({!Hyder_obs.Flight.disabled} by default).  Stage

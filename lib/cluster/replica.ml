@@ -11,7 +11,6 @@ module Premeld = Hyder_core.Premeld
 module Counters = Hyder_core.Counters
 module Ycsb = Hyder_workload.Ycsb
 module Stats = Hyder_util.Stats
-module Metrics = Hyder_obs.Metrics
 module Flight = Hyder_obs.Flight
 module Json = Hyder_obs.Json
 
@@ -29,7 +28,6 @@ type config = {
   repair_after : float;
   append_gap : float;
   seed : int64;
-  metrics : Metrics.t option;
   flight_sink : out_channel option;
 }
 
@@ -61,7 +59,6 @@ let default_config =
     repair_after = 1.0e-3;
     append_gap = 2.0e-5;
     seed = 0xC0FFEEL;
-    metrics = None;
     flight_sink = None;
   }
 
@@ -305,9 +302,7 @@ let run (cfg : config) =
     match cfg.flight_sink with
     | None -> Flight.disabled
     | Some oc ->
-        Flight.create
-          ~label:(Printf.sprintf "chaos/r%d" id)
-          ?metrics:cfg.metrics ~sink:oc ()
+        Flight.create ~label:(Printf.sprintf "chaos/r%d" id) ~sink:oc ()
   in
   let boot ~flight id = function
     | Some c ->
@@ -529,32 +524,6 @@ let run (cfg : config) =
            && rep.counters_digest = g.base_counters_digest)
          reports
   in
-  (match cfg.metrics with
-  | None -> ()
-  | Some m ->
-      let add name v = Metrics.Counter.incr ~by:v (Metrics.counter m name) in
-      let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
-      add "recovery_repair_reads" (sum (fun r -> r.repair_reads));
-      add "recovery_duplicates_ignored" (sum (fun r -> r.dup_ignored));
-      add "recovery_crashes" (sum (fun r -> r.crashes));
-      add "recovery_checkpoints" (sum (fun r -> r.checkpoints));
-      add "broadcast_messages_dropped" (Broadcast.messages_dropped bcast);
-      add "broadcast_messages_duplicated" (Broadcast.messages_duplicated bcast);
-      add "broadcast_messages_delayed" (Broadcast.messages_delayed bcast);
-      add "corfu_read_retries" (Corfu.read_retries corfu);
-      add "corfu_stalls_injected" (Corfu.stalls_injected corfu);
-      Array.iter
-        (fun r ->
-          if r.crashes > 0 then begin
-            Metrics.Histogram.observe
-              (Metrics.histogram m "recovery_replay_length")
-              (Float.of_int r.replayed);
-            Metrics.Histogram.observe
-              (Metrics.histogram m "recovery_time_to_caught_up_seconds")
-              r.caught_up_in
-          end)
-        reps);
-  Array.iter (fun r -> Flight.export_percentiles r.flight) reps;
   {
     log_length = n;
     converged;

@@ -46,8 +46,6 @@ type config = {
       (** simulated seconds a gap may age before a CORFU repair read *)
   append_gap : float;  (** publisher pacing between appends *)
   seed : int64;  (** workload seed (fault seed lives in [faults]) *)
-  metrics : Hyder_obs.Metrics.t option;
-      (** when given, recovery counters and histograms are registered *)
   flight_sink : out_channel option;
       (** when given, each replica gets its own flight recorder (records
           are keyed by log position and every replica melds every

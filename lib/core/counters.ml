@@ -5,7 +5,7 @@ type stage = {
   mutable grafts : int;
   mutable aborts : int;
   mutable seconds : float;
-  mutable minor_words : float;
+  mutable minor_words : int;
 }
 
 let make_stage () =
@@ -16,7 +16,7 @@ let make_stage () =
     grafts = 0;
     aborts = 0;
     seconds = 0.0;
-    minor_words = 0.0;
+    minor_words = 0;
   }
 
 let copy_stage s = { s with intentions = s.intentions }

@@ -18,13 +18,12 @@ type stage = {
   mutable grafts : int;  (** subtree grafts (early terminations) *)
   mutable aborts : int;  (** conflicts detected at this stage *)
   mutable seconds : float;  (** accumulated monotonic time in the stage *)
-  mutable minor_words : float;
+  mutable minor_words : int;
       (** minor-heap words the stage's work allocated
           ([Gc.minor_words] deltas over the same span as [seconds]) *)
 }
 
 val make_stage : unit -> stage
-val copy_stage : stage -> stage
 
 type t = {
   deserialize : stage;

@@ -87,10 +87,10 @@ let offload _ = None
 
 (* The one stage bracket: every stage opens it before its work and
    closes it after its tallies, booking the span's time and minor-heap
-   words into its {!Counters.stage}.  The clock is read outside the
-   allocation reading at both ends, so the clock's boxed result and the
-   booking are charged to no stage; flight edges are stamped after the
-   close from the same readings. *)
+   words into its {!Counters.stage}.  Neither reading allocates, and the
+   booking's one allocation (the boxed [seconds], 2 words) comes after
+   both, so it is charged to no stage; flight edges are stamped after
+   the close from the same readings. *)
 let open_stage t =
   t.span.t0 <- Clock.now ();
   t.span.words0 <- Gc.minor_words ()
@@ -101,7 +101,7 @@ let close_stage t (stage : Counters.stage) =
   let s = t.span in
   s.t1 <- t1;
   stage.seconds <- stage.seconds +. (t1 -. s.t0);
-  stage.minor_words <- stage.minor_words +. (words1 -. s.words0)
+  stage.minor_words <- stage.minor_words + int_of_float (words1 -. s.words0)
 
 let flight_edge t ~pos stage =
   if Flight.enabled t.flight then

@@ -90,6 +90,3 @@ let messages_sent t = t.sent
 let messages_dropped t = t.dropped
 let messages_duplicated t = t.duplicated
 let messages_delayed t = t.delayed
-
-let max_nic_queue t =
-  Array.fold_left (fun acc nic -> max acc (Resource.queue_length nic)) 0 t.nics

@@ -48,6 +48,3 @@ val messages_sent : t -> int
 val messages_dropped : t -> int
 val messages_duplicated : t -> int
 val messages_delayed : t -> int
-
-val max_nic_queue : t -> int
-(** Deepest egress-NIC queue at the current simulated time. *)

@@ -65,11 +65,6 @@ let config t = t.config
 let length t = Mem_log.length t.store
 let append_latencies t = t.latencies
 let appends_completed t = t.completed
-let appends_inflight t = Mem_log.length t.store - t.completed
-let sequencer_queue t = Resource.queue_length t.sequencer
-
-let max_unit_queue t =
-  Array.fold_left (fun acc u -> max acc (Resource.queue_length u)) 0 t.units
 
 (* Fault-injected extra service time for the storage operation on [pos];
    bumps the stall counter when the schedule selects the event. *)

@@ -52,15 +52,6 @@ val append_latencies : t -> Hyder_util.Stats.Sample.t
 
 val appends_completed : t -> int
 
-val appends_inflight : t -> int
-(** Positions assigned whose durability callback has not fired yet. *)
-
-val sequencer_queue : t -> int
-(** Requests queued at the sequencer at the current simulated time. *)
-
-val max_unit_queue : t -> int
-(** Deepest storage-unit queue at the current simulated time. *)
-
 val read_retries : t -> int
 (** Read attempts that failed transiently and were retried. *)
 

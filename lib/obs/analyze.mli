@@ -1,7 +1,7 @@
 (** Offline analyzer for flight-record dumps.
 
     Reads the JSON-lines sink written by {!Flight} and answers the
-    questions the aggregate metrics cannot: where a transaction's
+    questions the aggregate counters cannot: where a transaction's
     end-to-end wall-clock goes (per-stage queue-wait vs. service), which
     stage bounds the run (critical-path decomposition), how abort
     reasons distribute across deciding stages, and which individual

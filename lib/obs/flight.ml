@@ -23,18 +23,13 @@ type record = {
   mutable sim_deliver : float;
 }
 
-(* Metrics instruments, resolved once at create time (same idiom as the
-   pipeline's).  Histograms are in microseconds: the registry's log2
-   buckets floor at 2^-16 ≈ 15µs, which would fold every sub-15µs stage
-   time into bucket 0 if observed in seconds. *)
+(* Histograms, resolved once at create time.  They are in microseconds:
+   the registry's log2 buckets floor at 2^-16 ≈ 15µs, which would fold
+   every sub-15µs stage time into bucket 0 if observed in seconds. *)
 type instruments = {
   i_wait : Metrics.Histogram.t array;  (* per stage *)
   i_service : Metrics.Histogram.t array;
   i_e2e : Metrics.Histogram.t;
-  i_total : Metrics.Counter.t;
-  i_p50 : Metrics.Gauge.t;
-  i_p95 : Metrics.Gauge.t;
-  i_p99 : Metrics.Gauge.t;
 }
 
 type t = {
@@ -43,7 +38,6 @@ type t = {
   records : (int, record) Hashtbl.t;
   inst : instruments option;
   sink : out_channel option;
-  e2e : Hyder_util.Stats.Sample.t;  (* seconds; exact percentiles *)
   mutable done_n : int;
 }
 
@@ -54,7 +48,6 @@ let disabled =
     records = Hashtbl.create 1;
     inst = None;
     sink = None;
-    e2e = Hyder_util.Stats.Sample.create ();
     done_n = 0;
   }
 
@@ -69,10 +62,6 @@ let make_instruments m =
         (fun s -> Metrics.histogram m (Printf.sprintf "flight_%s_service_us" s))
         stage_names;
     i_e2e = Metrics.histogram m "flight_e2e_us";
-    i_total = Metrics.counter m "flight_records_total";
-    i_p50 = Metrics.gauge m "flight_e2e_p50_us";
-    i_p95 = Metrics.gauge m "flight_e2e_p95_us";
-    i_p99 = Metrics.gauge m "flight_e2e_p99_us";
   }
 
 let create ?(label = "") ?metrics ?sink () =
@@ -82,7 +71,6 @@ let create ?(label = "") ?metrics ?sink () =
     records = Hashtbl.create 1024;
     inst = Option.map make_instruments metrics;
     sink;
-    e2e = Hyder_util.Stats.Sample.create ();
     done_n = 0;
   }
 
@@ -202,13 +190,10 @@ let complete t ~pos ~now ~seq ~committed ~reason ~decided_at ~conflict_zone =
         r.decided_at <- decided_at;
         r.conflict_zone <- conflict_zone;
         t.done_n <- t.done_n + 1;
-        let e2e = r.t_done -. r.t_submit in
-        Hyder_util.Stats.Sample.add t.e2e e2e;
         (match t.inst with
         | None -> ()
         | Some i ->
-            Metrics.Counter.incr i.i_total;
-            Metrics.Histogram.observe i.i_e2e (us e2e);
+            Metrics.Histogram.observe i.i_e2e (us (r.t_done -. r.t_submit));
             for s = 0 to n_stages - 1 do
               Metrics.Histogram.observe i.i_wait.(s) (us r.wait.(s));
               Metrics.Histogram.observe i.i_service.(s) (us r.service.(s))
@@ -218,14 +203,3 @@ let complete t ~pos ~now ~seq ~committed ~reason ~decided_at ~conflict_zone =
         | Some oc ->
             Json.to_channel oc (record_to_json ~label:t.lbl r);
             output_char oc '\n')
-
-let export_percentiles t =
-  match t.inst with
-  | None -> ()
-  | Some i ->
-      if Hyder_util.Stats.Sample.count t.e2e > 0 then begin
-        let p q = us (Hyder_util.Stats.Sample.percentile t.e2e q) in
-        Metrics.Gauge.set i.i_p50 (p 50.0);
-        Metrics.Gauge.set i.i_p95 (p 95.0);
-        Metrics.Gauge.set i.i_p99 (p 99.0)
-      end

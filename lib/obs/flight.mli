@@ -1,9 +1,9 @@
 (** Per-transaction flight recorder: end-to-end latency attribution.
 
-    Aggregate instruments ({!Metrics}) say how much time each pipeline
-    stage consumed in total, but not where one intention's wall-clock
-    went between submit and commit/abort — queueing or service, and in
-    which stage.  The flight recorder does: every intention carries a
+    The pipeline's work counters say how much time each stage consumed
+    in total, but not where one intention's wall-clock went between
+    submit and commit/abort — queueing or service, and in which stage.
+    The flight recorder does: every intention carries a
     {!record} keyed by its log position (a pure function of the
     deterministic schedule), and each lifecycle edge — decode, premeld
     trial, group-meld combine, final meld, decision — appends a
@@ -83,13 +83,12 @@ val create :
 (** [label] names the run (["seq"], a replica id, ...) and is
     carried on every emitted record so one sink can multiplex several
     recorders.  [metrics] registers per-stage wait/service histograms
-    ([flight_<stage>_wait_us] / [flight_<stage>_service_us]), the
-    end-to-end histogram [flight_e2e_us], the [flight_records_total]
-    counter and — refreshed by {!export_percentiles} — the
-    [flight_e2e_p{50,95,99}_us] gauges (microseconds: the registry's
-    log2 buckets floor at [2^-16], too coarse for sub-15µs stage times
-    in seconds).  [sink], when given, receives one JSON line per
-    completed record. *)
+    ([flight_<stage>_wait_us] / [flight_<stage>_service_us]) and the
+    end-to-end histogram [flight_e2e_us], each observed once per
+    completed record in microseconds (the registry's log2 buckets floor
+    at [2^-16], too coarse for sub-15µs stage times in seconds);
+    [benchmark/]'s traced run reads their sums.  [sink], when given,
+    receives one JSON line per completed record. *)
 
 val enabled : t -> bool
 val label : t -> string
@@ -122,7 +121,7 @@ val complete :
   decided_at:string ->
   conflict_zone:int ->
   unit
-(** Close the record: stamp the decision, feed the metrics instruments,
+(** Close the record: stamp the decision, feed the histograms,
     stream the JSON line to the sink, and drop the record from the
     in-flight table.  No-op on an unknown [pos] (e.g. the recorder was
     enabled mid-run). *)
@@ -132,8 +131,3 @@ val in_flight : t -> int
 
 val completed : t -> int
 (** Records completed since creation. *)
-
-val export_percentiles : t -> unit
-(** Refresh the [flight_e2e_p{50,95,99}_us] gauges from the exact
-    end-to-end sample (call once at end of run; no-op without
-    [metrics] or before the first completion). *)

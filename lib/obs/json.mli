@@ -1,7 +1,7 @@
 (** Minimal JSON document builder, serializer and parser.
 
-    The observability exporters (Chrome trace events, run reports, metric
-    dumps) emit JSON, and the flight-record analyzer ({!Analyze}) reads
+    The observability exporters (Chrome trace events, run reports, flight
+    records) emit JSON, and the flight-record analyzer ({!Analyze}) reads
     back the JSON-lines dumps they produce; a tiny value type with a
     writer and a recursive-descent reader keep the repository free of
     external JSON dependencies. *)

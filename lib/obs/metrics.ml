@@ -1,24 +1,3 @@
-module Counter = struct
-  type t = { mutable v : int }
-
-  let incr ?(by = 1) c = c.v <- c.v + by
-  let value c = c.v
-end
-
-module Gauge = struct
-  type t = { mutable v : float }
-
-  let set g x = g.v <- x
-  let value g = g.v
-end
-
-module Fcounter = struct
-  type t = { mutable v : float }
-
-  let add c x = c.v <- c.v +. x
-  let value c = c.v
-end
-
 module Histogram = struct
   let n_buckets = 64
   let min_exp = -16
@@ -46,178 +25,46 @@ module Histogram = struct
   let bucket_counts h = Array.copy h.counts
 end
 
-type instrument =
-  | C of Counter.t
-  | G of Gauge.t
-  | F of Fcounter.t
-  | H of Histogram.t
-
-type t = { items : (string, instrument) Hashtbl.t }
+type t = { items : (string, Histogram.t) Hashtbl.t }
 
 let create () = { items = Hashtbl.create 32 }
 
-let kind_name = function
-  | C _ -> "counter"
-  | G _ -> "gauge"
-  | F _ -> "fcounter"
-  | H _ -> "histogram"
-
-let resolve t name make match_ =
-  match Hashtbl.find_opt t.items name with
-  | Some i -> (
-      match match_ i with
-      | Some x -> x
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S is already a %s" name (kind_name i)))
-  | None ->
-      let i = make () in
-      Hashtbl.add t.items name i;
-      (match match_ i with Some x -> x | None -> assert false)
-
-let counter t name =
-  resolve t name
-    (fun () -> C { Counter.v = 0 })
-    (function C c -> Some c | _ -> None)
-
-let gauge t name =
-  resolve t name
-    (fun () -> G { Gauge.v = 0.0 })
-    (function G g -> Some g | _ -> None)
-
-let fcounter t name =
-  resolve t name
-    (fun () -> F { Fcounter.v = 0.0 })
-    (function F c -> Some c | _ -> None)
-
 let histogram t name =
-  resolve t name
-    (fun () ->
-      H { Histogram.counts = Array.make Histogram.n_buckets 0; n = 0; sum = 0.0 })
-    (function H h -> Some h | _ -> None)
+  match Hashtbl.find_opt t.items name with
+  | Some h -> h
+  | None ->
+      let h =
+        { Histogram.counts = Array.make Histogram.n_buckets 0; n = 0; sum = 0.0 }
+      in
+      Hashtbl.add t.items name h;
+      h
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type value =
-  | Counter_v of int
-  | Gauge_v of float
-  | Fcounter_v of float
-  | Histogram_v of { counts : int array; count : int; sum : float }
-
+type value = Histogram_v of { counts : int array; count : int; sum : float }
 type snapshot = (string * value) list
 
 let snapshot t =
   Hashtbl.fold
-    (fun name i acc ->
-      let v =
-        match i with
-        | C c -> Counter_v c.Counter.v
-        | G g -> Gauge_v g.Gauge.v
-        | F c -> Fcounter_v c.Fcounter.v
-        | H h ->
-            Histogram_v
-              { counts = Array.copy h.Histogram.counts; count = h.n; sum = h.sum }
-      in
-      (name, v) :: acc)
+    (fun name (h : Histogram.t) acc ->
+      (name, Histogram_v { counts = Array.copy h.counts; count = h.n; sum = h.sum })
+      :: acc)
     t.items []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let diff ~base current =
   List.map
-    (fun (name, v) ->
-      let v' =
-        match (v, List.assoc_opt name base) with
-        | Counter_v n, Some (Counter_v n0) -> Counter_v (n - n0)
-        | Fcounter_v x, Some (Fcounter_v x0) -> Fcounter_v (x -. x0)
-        | ( Histogram_v { counts; count; sum },
-            Some (Histogram_v { counts = c0; count = n0; sum = s0 }) ) ->
+    (fun (name, (Histogram_v { counts; count; sum } as v)) ->
+      match List.assoc_opt name base with
+      | None -> (name, v)
+      | Some (Histogram_v { counts = c0; count = n0; sum = s0 }) ->
+          ( name,
             Histogram_v
               {
                 counts = Array.mapi (fun i c -> c - c0.(i)) counts;
                 count = count - n0;
                 sum = sum -. s0;
-              }
-        | v, _ -> v (* gauge, or name absent from base *)
-      in
-      (name, v'))
+              } ))
     current
-
-(* ------------------------------------------------------------------ *)
-(* Exporters                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    name
-
-let to_prometheus snap =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, v) ->
-      let name = sanitize name in
-      match v with
-      | Counter_v n ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" name n)
-      | Gauge_v x ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" name);
-          Buffer.add_string buf (Printf.sprintf "%s %.12g\n" name x)
-      | Fcounter_v x ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
-          Buffer.add_string buf (Printf.sprintf "%s %.12g\n" name x)
-      | Histogram_v { counts; count; sum } ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cumulative := !cumulative + c;
-              if c > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket{le=\"%.12g\"} %d\n" name
-                     (Histogram.lower_bound (i + 1))
-                     !cumulative))
-            counts;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name count);
-          Buffer.add_string buf (Printf.sprintf "%s_sum %.12g\n" name sum);
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count))
-    snap;
-  Buffer.contents buf
-
-let to_json snap =
-  Json.Obj
-    (List.map
-       (fun (name, v) ->
-         let j =
-           match v with
-           | Counter_v n -> Json.Int n
-           | Gauge_v x -> Json.Float x
-           | Fcounter_v x -> Json.Float x
-           | Histogram_v { counts; count; sum } ->
-               let buckets = ref [] in
-               Array.iteri
-                 (fun i c ->
-                   if c > 0 then
-                     buckets :=
-                       Json.List
-                         [ Json.Float (Histogram.lower_bound i); Json.Int c ]
-                       :: !buckets)
-                 counts;
-               Json.Obj
-                 [
-                   ("count", Json.Int count);
-                   ("sum", Json.Float sum);
-                   ( "mean",
-                     Json.Float (if count = 0 then 0.0 else sum /. float_of_int count)
-                   );
-                   ("buckets", Json.List (List.rev !buckets));
-                 ]
-         in
-         (name, j))
-       snap)

@@ -1,40 +1,16 @@
-(** Metrics registry: named counters, gauges and log₂-bucketed histograms.
+(** Metrics registry: named log₂-bucketed histograms.
 
-    Instruments are resolved {e once} by name (at wiring time) and then
+    Histograms are resolved {e once} by name (at wiring time) and then
     updated through direct record mutation, so the hot path never touches
     the registry's table.  Snapshots are immutable copies with
-    subtraction semantics, which is how the cluster harness scopes
-    measurements to a warmed-up window: snapshot at window start, snapshot
-    at window end, {!diff}.
+    subtraction semantics, which is how a measurement is scoped to a
+    warmed-up window: snapshot at window start, snapshot at window end,
+    {!diff}.  The flight recorder's per-stage histograms are the one
+    client ({!Flight.create}).
 
     Histograms bucket by powers of two ([2^i, 2^{i+1})), covering
-    [2^-16 .. 2^48) — microsecond-scale latencies in seconds up to large
-    queue depths — with clamping at both ends.  Observation is a
+    [2^-16 .. 2^48), with clamping at both ends.  Observation is a
     [frexp] plus two array writes. *)
-
-module Counter : sig
-  type t
-
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-end
-
-module Gauge : sig
-  type t
-
-  val set : t -> float -> unit
-  val value : t -> float
-end
-
-module Fcounter : sig
-  type t
-  (** A monotonically accumulating float counter — for quantities that are
-      naturally fractional sums, like GC word deltas ([Gc.counters]
-      returns floats).  Diffs like an integer counter. *)
-
-  val add : t -> float -> unit
-  val value : t -> float
-end
 
 module Histogram : sig
   type t
@@ -62,20 +38,12 @@ type t
 
 val create : unit -> t
 
-val counter : t -> string -> Counter.t
-val gauge : t -> string -> Gauge.t
-val fcounter : t -> string -> Fcounter.t
 val histogram : t -> string -> Histogram.t
-(** Find-or-create by name.  Raises [Invalid_argument] if the name is
-    already registered as a different instrument kind. *)
+(** Find-or-create by name. *)
 
 (** {2 Snapshots} *)
 
-type value =
-  | Counter_v of int
-  | Gauge_v of float
-  | Fcounter_v of float
-  | Histogram_v of { counts : int array; count : int; sum : float }
+type value = Histogram_v of { counts : int array; count : int; sum : float }
 
 type snapshot = (string * value) list
 (** Sorted by name; immutable. *)
@@ -83,17 +51,5 @@ type snapshot = (string * value) list
 val snapshot : t -> snapshot
 
 val diff : base:snapshot -> snapshot -> snapshot
-(** Per-name subtraction of counters and histograms (a name missing from
-    [base] subtracts zero); gauges keep the current reading.  Names only
-    in [base] are dropped. *)
-
-(** {2 Exporters} *)
-
-val to_prometheus : snapshot -> string
-(** Prometheus text exposition format v0.0.4: [# TYPE] headers, cumulative
-    [_bucket{le="..."}] series with a [+Inf] bucket, [_sum] and [_count]
-    for histograms.  Metric names are sanitized to [[a-zA-Z0-9_:]]. *)
-
-val to_json : snapshot -> Json.t
-(** One object keyed by metric name; histograms carry count/sum/mean and
-    the non-empty buckets as [[lower_bound, count]] pairs. *)
+(** Per-name subtraction of bucket counts, count and sum (a name missing
+    from [base] subtracts zero).  Names only in [base] are dropped. *)

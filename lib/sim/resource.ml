@@ -31,6 +31,5 @@ let request t ~service_time k =
   if t.in_service < t.servers then start t req else Queue.push req t.queue
 
 let queue_length t = Queue.length t.queue
-let in_service t = t.in_service
 let busy_time t = t.busy_time
 let completed t = t.completed

@@ -16,7 +16,6 @@ val request : t -> service_time:float -> (unit -> unit) -> unit
 val queue_length : t -> int
 (** Requests waiting (excluding those in service). *)
 
-val in_service : t -> int
 val busy_time : t -> float
 (** Accumulated unit-seconds of service performed; divide by
     [servers * elapsed] for utilization. *)

@@ -140,15 +140,12 @@ module Meta : sig
       Branch-free shifts of a class bit between version slots, for
       storing one version word pair in another slot. *)
 
-  val ssv_of_vn : int -> int
-  (** [ssv_present] plus the ssv class of the meta's vn. *)
-
   val scv_of_cv : int -> int
   (** [scv_present] plus the scv class of the meta's cv. *)
 
   val sources_of : int -> int
-  (** [ssv_of_vn m lor scv_of_cv m]: the source bits of a copy whose ssv
-      is this node's vn and whose scv is its cv. *)
+  (** The source bits of a copy whose ssv is this node's vn and whose
+      scv is its cv: [ssv_present], [scv_present] and the two classes. *)
 
   val owner_shift : int  (** 10 *)
 
@@ -157,12 +154,6 @@ module Meta : sig
 
   val owner_bits : int -> int
   (** [(owner + 1) lsl owner_shift]. *)
-
-  val owner_of : int -> int
-
-  val hw_mask : int
-  (** [owner_mask lor has_writes]: [meta land hw_mask = owner_bits o lor
-      has_writes] tests "same owner and has writes" in one compare. *)
 end
 
 val pack :

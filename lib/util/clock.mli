@@ -7,9 +7,13 @@
     are meaningful, and they are guaranteed non-negative.
 
     Thread-safe: [now] is a plain syscall with no shared state, so any
-    domain may call it concurrently. *)
+    domain may call it concurrently.  In native code it allocates
+    nothing: the reading comes back as an unboxed float, so a timer
+    around a stage adds no minor-heap words of its own. *)
 
-val now : unit -> float
+external now : unit -> (float[@unboxed])
+  = "hyder_clock_monotonic_seconds_byte" "hyder_clock_monotonic_seconds"
+[@@noalloc]
 (** Seconds from an arbitrary fixed origin, monotonically non-decreasing. *)
 
 val elapsed : float -> float

@@ -2,13 +2,17 @@
 
    CLOCK_MONOTONIC never jumps backwards under NTP slew or manual
    wall-clock adjustment, so stage durations derived from differences of
-   this clock are always non-negative. */
+   this clock are always non-negative.
+
+   The native entry point returns an unboxed double and allocates
+   nothing (the OCaml external is [@@noalloc] with an [@unboxed]
+   result); the bytecode entry point boxes the same reading. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <time.h>
 
-CAMLprim value hyder_clock_monotonic_seconds(value unit)
+double hyder_clock_monotonic_seconds(value unit)
 {
   struct timespec ts;
 #ifdef CLOCK_MONOTONIC
@@ -17,5 +21,10 @@ CAMLprim value hyder_clock_monotonic_seconds(value unit)
   clock_gettime(CLOCK_REALTIME, &ts);
 #endif
   (void)unit;
-  return caml_copy_double((double)ts.tv_sec + (double)ts.tv_nsec * 1e-9);
+  return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+CAMLprim value hyder_clock_monotonic_seconds_byte(value unit)
+{
+  return caml_copy_double(hyder_clock_monotonic_seconds(unit));
 }

@@ -1,7 +1,6 @@
 module Cluster = Hyder_cluster.Cluster
 module Ycsb = Hyder_workload.Ycsb
 module Pipeline = Hyder_core.Pipeline
-module Metrics = Hyder_obs.Metrics
 
 let check = Alcotest.(check bool)
 
@@ -103,12 +102,10 @@ let test_snapshot_isolation_cheaper () =
   check "SI melds fewer nodes" true
     (si.Cluster.fm_nodes_per_txn < sr.Cluster.fm_nodes_per_txn)
 
-(* The abort breakdown and its scrapeable counters are keyed by
-   [Pipeline.reason_slug]: on a contended workload every in-window abort
-   lands under exactly one key, and each [cluster_aborts_<key>] counter
-   agrees with the table. *)
+(* The abort breakdown is keyed by [Pipeline.reason_slug]: on a
+   contended workload every in-window abort lands under exactly one key,
+   and the keys' counts sum to the abort count. *)
 let test_abort_reasons_match_counters () =
-  let metrics = Metrics.create () in
   let r =
     Cluster.run
       {
@@ -120,7 +117,6 @@ let test_abort_reasons_match_counters () =
             payload_size = 32;
             distribution = Ycsb.Hotspot 0.01;
           };
-        metrics = Some metrics;
       }
   in
   check
@@ -129,15 +125,12 @@ let test_abort_reasons_match_counters () =
   Alcotest.(check int)
     "reasons sum to abort_count" r.Cluster.abort_count
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Cluster.abort_reasons);
-  let snap = Metrics.snapshot metrics in
   List.iter
     (fun (k, n) ->
       check (k ^ " is a reason slug") true
         (List.mem k
            [ "write_conflict"; "read_conflict"; "phantom_conflict"; "unknown" ]);
-      match List.assoc_opt ("cluster_aborts_" ^ k) snap with
-      | Some (Metrics.Counter_v c) -> Alcotest.(check int) ("counter " ^ k) n c
-      | _ -> Alcotest.failf "no cluster_aborts_%s counter" k)
+      check (Printf.sprintf "%s counts %d > 0" k n) true (n > 0))
     r.Cluster.abort_reasons
 
 let () =

@@ -1,4 +1,4 @@
-(* Hyder_obs: metrics registry, exporters, flight recorder and its
+(* Hyder_obs: histogram registry, exporters, flight recorder and its
    offline analyzer — and the inertness contract: wiring a flight
    recorder into the pipeline changes NOTHING observable (decisions,
    ephemeral node identities, integer counters, each stage's minor
@@ -123,76 +123,39 @@ let test_histogram_buckets () =
   check_int "[4,8) holds one" 1 counts.(H.bucket_of 4.0)
 
 (* ------------------------------------------------------------------ *)
-(* Registry: kinds, snapshot, diff                                      *)
+(* Registry: find-or-create, snapshot, diff                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_registry () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "c" in
-  Metrics.Counter.incr c;
-  Metrics.Counter.incr ~by:4 c;
-  check_int "counter accumulates" 5 (Metrics.Counter.value c);
-  check_int "same name, same instrument" 5
-    (Metrics.Counter.value (Metrics.counter m "c"));
-  (match Metrics.gauge m "c" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kind mismatch accepted");
-  let g = Metrics.gauge m "g" in
-  Metrics.Gauge.set g 2.5;
   let h = Metrics.histogram m "h" in
   Metrics.Histogram.observe h 1.0;
+  check "same name, same histogram" true (Metrics.histogram m "h" == h);
+  let g = Metrics.histogram m "g" in
+  check "another name, another histogram" true (g != h);
+  Metrics.Histogram.observe g 2.0;
+  check "snapshot sorted by name" true
+    (List.map fst (Metrics.snapshot m) = [ "g"; "h" ]);
   let base = Metrics.snapshot m in
-  Metrics.Counter.incr ~by:3 c;
-  Metrics.Gauge.set g 9.0;
   Metrics.Histogram.observe h 4.0;
   Metrics.Histogram.observe h 4.0;
+  ignore (Metrics.histogram m "late");
   let d = Metrics.diff ~base (Metrics.snapshot m) in
-  (match List.assoc "c" d with
-  | Metrics.Counter_v n -> check_int "counter diff subtracts" 3 n
-  | _ -> Alcotest.fail "c is not a counter");
-  (match List.assoc "g" d with
-  | Metrics.Gauge_v x -> check "gauge diff keeps current" true (x = 9.0)
-  | _ -> Alcotest.fail "g is not a gauge");
-  match List.assoc "h" d with
+  (match List.assoc "h" d with
   | Metrics.Histogram_v { count; sum; counts } ->
       check_int "histogram diff count" 2 count;
       check "histogram diff sum" true (sum = 8.0);
       check_int "histogram diff buckets" 2
         counts.(Metrics.Histogram.bucket_of 4.0);
       check_int "base-only bucket cancels" 0
-        counts.(Metrics.Histogram.bucket_of 1.0)
-  | _ -> Alcotest.fail "h is not a histogram"
-
-(* ------------------------------------------------------------------ *)
-(* Exporter goldens                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_prometheus_golden () =
-  let m = Metrics.create () in
-  Metrics.Counter.incr ~by:3 (Metrics.counter m "c");
-  Metrics.Gauge.set (Metrics.gauge m "g") 2.5;
-  let h = Metrics.histogram m "h total" in
-  List.iter (Metrics.Histogram.observe h) [ 1.0; 1.5; 4.0 ];
-  let expected =
-    "# TYPE c counter\n" ^ "c 3\n" ^ "# TYPE g gauge\n" ^ "g 2.5\n"
-    ^ "# TYPE h_total histogram\n" ^ "h_total_bucket{le=\"2\"} 2\n"
-    ^ "h_total_bucket{le=\"8\"} 3\n" ^ "h_total_bucket{le=\"+Inf\"} 3\n"
-    ^ "h_total_sum 6.5\n" ^ "h_total_count 3\n"
-  in
-  check_string "prometheus text exposition (names sanitized)" expected
-    (Metrics.to_prometheus (Metrics.snapshot m))
-
-let test_metrics_json_golden () =
-  let m = Metrics.create () in
-  Metrics.Counter.incr ~by:2 (Metrics.counter m "c");
-  let h = Metrics.histogram m "h" in
-  List.iter (Metrics.Histogram.observe h) [ 1.0; 4.0 ];
-  let expected =
-    "{\"c\":2,\"h\":{\"count\":2,\"sum\":5,\"mean\":2.5,"
-    ^ "\"buckets\":[[1,1],[4,1]]}}"
-  in
-  check_string "metrics json" expected
-    (Json.to_string (Metrics.to_json (Metrics.snapshot m)))
+        counts.(Metrics.Histogram.bucket_of 1.0));
+  (match List.assoc "g" d with
+  | Metrics.Histogram_v { count; sum; _ } ->
+      check "untouched histogram diffs to zero" true (count = 0 && sum = 0.0));
+  match List.assoc_opt "late" d with
+  | Some (Metrics.Histogram_v { count; _ }) ->
+      check_int "name absent from base subtracts zero" 0 count
+  | None -> Alcotest.fail "late histogram missing from the diff"
 
 (* ------------------------------------------------------------------ *)
 (* Summary.copy / Counters.copy (streaming summaries survive the copy)  *)
@@ -233,11 +196,11 @@ let test_counters_copy_preserves_summaries () =
   check "copied intention_bytes" true
     (Summary.total snap.Counters.intention_bytes = 512.0);
   check_int "copied scalar fields" 5 snap.Counters.committed;
-  c.Counters.final_meld.Counters.minor_words <- 12.0;
+  c.Counters.final_meld.Counters.minor_words <- 12;
   let snap = Counters.copy c in
-  c.Counters.final_meld.Counters.minor_words <- 20.0;
+  c.Counters.final_meld.Counters.minor_words <- 20;
   check "copy carries minor_words" true
-    (snap.Counters.final_meld.Counters.minor_words = 12.0);
+    (snap.Counters.final_meld.Counters.minor_words = 12);
   check_int "live kept moving" 4 (Summary.count c.Counters.conflict_zone)
 
 (* ------------------------------------------------------------------ *)
@@ -281,7 +244,6 @@ let test_flight_lifecycle () =
   Flight.complete f ~pos:7 ~now:9.0 ~seq:3 ~committed:true ~reason:""
     ~decided_at:"final_meld" ~conflict_zone:4;
   check_int "re-completion is a no-op" 1 (Flight.completed f);
-  Flight.export_percentiles f;
   close_out oc;
   let ic = open_in path in
   let line = input_line ic in
@@ -308,14 +270,23 @@ let test_flight_lifecycle () =
          pm edge (0.0625): attribution, not wall-clock accounting *)
       check "chain sums = span + overlapped group service" true
         (!sum = 1.5625));
-  (* the metrics instruments saw exactly this record *)
+  (* the histograms saw exactly this record, in microseconds *)
   let snap = Metrics.snapshot m in
-  (match List.assoc "flight_records_total" snap with
-  | Metrics.Counter_v n -> check_int "records counter" 1 n
-  | _ -> Alcotest.fail "flight_records_total missing");
-  (match List.assoc "flight_e2e_p50_us" snap with
-  | Metrics.Gauge_v v -> check "e2e p50 gauge (us)" true (v = 1.5e6)
-  | _ -> Alcotest.fail "flight_e2e_p50_us missing");
+  let hist name =
+    match List.assoc_opt name snap with
+    | Some (Metrics.Histogram_v { count; sum; _ }) -> (count, sum)
+    | None -> Alcotest.failf "%s missing" name
+  in
+  check "e2e histogram: one record of 1.5e6 us" true
+    (hist "flight_e2e_us" = (1, 1.5e6));
+  List.iter2
+    (fun stage us ->
+      check
+        (Printf.sprintf "%s service histogram: one record of %g us" stage us)
+        true
+        (hist (Printf.sprintf "flight_%s_service_us" stage) = (1, us)))
+    [ "ds"; "pm"; "gm"; "fm" ]
+    [ 250_000.0; 250_000.0; 62_500.0; 500_000.0 ];
   (* the disabled recorder is a black hole *)
   let d = Flight.disabled in
   check "disabled recorder off" false (Flight.enabled d);
@@ -325,6 +296,56 @@ let test_flight_lifecycle () =
     ~decided_at:"final_meld" ~conflict_zone:0;
   check_int "disabled opens nothing" 0 (Flight.in_flight d);
   check_int "disabled completes nothing" 0 (Flight.completed d)
+
+(* The histograms [benchmark/]'s traced run reads: it sums
+   [flight_<stage>_{wait,service}_us] over a window through
+   [Metrics.diff], so a renamed histogram or a unit change would read
+   as zero or as a millionfold move there.  One record lands in every
+   stage's pair in microseconds, and the diff against a snapshot keeps
+   only what a second record added. *)
+let test_flight_benchmark_histograms () =
+  let m = Metrics.create () in
+  let f = Flight.create ~metrics:m () in
+  (* wait and service seconds per stage, all binary fractions *)
+  let wait = [| 0.25; 0.0; 0.125; 0.5 |]
+  and service = [| 0.25; 0.125; 0.25; 0.5 |] in
+  let fly ~pos ~at ~scale =
+    Flight.touch f ~pos ~now:at;
+    let t = ref at in
+    List.iteri
+      (fun i stage ->
+        let t0 = !t +. (scale *. wait.(i)) in
+        let t1 = t0 +. (scale *. service.(i)) in
+        Flight.edge f ~pos ~stage ~t0 ~t1;
+        t := t1)
+      Flight.[ Ds; Pm; Gm; Fm ];
+    Flight.complete f ~pos ~now:!t ~seq:pos ~committed:true ~reason:""
+      ~decided_at:"final_meld" ~conflict_zone:0
+  in
+  let check_sums label snap ~scale =
+    Array.iteri
+      (fun i stage ->
+        List.iter
+          (fun (kind, secs) ->
+            let name = Printf.sprintf "flight_%s_%s_us" stage kind in
+            match List.assoc_opt name snap with
+            | Some (Metrics.Histogram_v { count; sum; _ }) ->
+                check_int (label ^ ": " ^ name ^ " count") 1 count;
+                check
+                  (Printf.sprintf "%s: %s sum %g us" label name sum)
+                  true
+                  (sum = scale *. secs.(i) *. 1e6)
+            | None -> Alcotest.failf "%s: %s missing" label name)
+          [ ("wait", wait); ("service", service) ])
+      [| "ds"; "pm"; "gm"; "fm" |]
+  in
+  fly ~pos:1 ~at:0.0 ~scale:1.0;
+  let base = Metrics.snapshot m in
+  check_sums "first record" base ~scale:1.0;
+  fly ~pos:2 ~at:10.0 ~scale:0.5;
+  check_sums "diff keeps the second record"
+    (Metrics.diff ~base (Metrics.snapshot m))
+    ~scale:0.5
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer                                                             *)
@@ -708,18 +729,17 @@ let check_inert ~seed rows =
       List.iter2
         (fun (stage, (s : Counters.stage)) (_, (b : Counters.stage)) ->
           check
-            (Printf.sprintf "%s: %s minor words %.0f = unrecorded %.0f" name
+            (Printf.sprintf "%s: %s minor words %d = unrecorded %d" name
                stage s.minor_words b.minor_words)
             true
-            (s.minor_words = b.minor_words && s.minor_words > 0.0))
+            (s.minor_words = b.minor_words && s.minor_words > 0))
         (stages counters) (stages bcounters);
       check_int
-        (name ^ ": flight_records_total agrees")
+        (name ^ ": flight_e2e_us count agrees")
         (if flighted then List.length d else 0)
-        (match List.assoc_opt "flight_records_total" (Metrics.snapshot metrics)
-         with
-        | Some (Metrics.Counter_v v) -> v
-        | _ -> 0))
+        (match List.assoc_opt "flight_e2e_us" (Metrics.snapshot metrics) with
+        | Some (Metrics.Histogram_v { count; _ }) -> count
+        | None -> 0))
     rows
 
 (* Tracing is the flight recorder: traced runs in one batch and in
@@ -756,9 +776,6 @@ let () =
       ( "exporters",
         [
           Alcotest.test_case "chrome trace golden" `Quick test_chrome_golden;
-          Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
-          Alcotest.test_case "metrics json golden" `Quick
-            test_metrics_json_golden;
         ] );
       ( "counters copy",
         [
@@ -771,6 +788,8 @@ let () =
         [
           Alcotest.test_case "lifecycle, chain accounting, sink line" `Quick
             test_flight_lifecycle;
+          Alcotest.test_case "benchmark reads per-stage histograms in us"
+            `Quick test_flight_benchmark_histograms;
           Alcotest.test_case "analyzer report over a mixed dump" `Quick
             test_analyze_report;
           Alcotest.test_case "chrome events tile each record" `Quick

@@ -7,6 +7,27 @@ module Crc32 = Hyder_util.Crc32
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* --- clock --------------------------------------------------------------- *)
+
+(* The pipeline's stage bracket reads the clock twice per stage, outside
+   every stage's words: a boxed reading would allocate there on every
+   bracket.  Native code gets the reading unboxed, so 1,000 reads into a
+   flat float record allocate nothing, and the readings never go back. *)
+type readings = { mutable last : float; mutable backwards : float }
+
+let test_clock_allocates_nothing () =
+  let r = { last = Hyder_util.Clock.now (); backwards = 0.0 } in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    let t = Hyder_util.Clock.now () in
+    if t < r.last then r.backwards <- r.backwards +. 1.0;
+    r.last <- t
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Printf.sprintf "1,000 reads allocate %.0f minor words" words) true
+    (words = 0.0);
+  check "monotonic" true (r.backwards = 0.0)
+
 (* --- prefetch ------------------------------------------------------------ *)
 
 (* A hint with no semantics: immediates, the static empty-tree sentinel
@@ -311,6 +332,11 @@ let () =
         [
           Alcotest.test_case "immediates, sentinel and blocks" `Quick
             test_prefetch_accepts_anything;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "1,000 reads allocate nothing" `Quick
+            test_clock_allocates_nothing;
         ] );
       ( "crc32",
         [
