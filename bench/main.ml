@@ -28,6 +28,8 @@ module Table = Hyder_util.Table
 module I = Hyder_codec.Intention
 module Json = Hyder_obs.Json
 module Flight = Hyder_obs.Flight
+module Executor = Hyder_core.Executor
+module Calibration = Hyder_cluster.Calibration
 
 (* ---------------------------------------------------------------------- *)
 (* Scale                                                                    *)
@@ -209,15 +211,19 @@ let fig9 () =
           let corfu = Corfu.create eng in
           let seconds = 2.0 in
           let block = String.make 4000 'x' in
+          let lat = Stats.Sample.create () in
           let rec loop () =
-            if Engine.now eng < seconds then
-              Corfu.append corfu block (fun _ -> loop ())
+            if Engine.now eng < seconds then begin
+              let t0 = Engine.now eng in
+              Corfu.append corfu block (fun _ ->
+                  Stats.Sample.add lat (Engine.now eng -. t0);
+                  loop ())
+            end
           in
           for _ = 1 to clients * threads_per_client do
             loop ()
           done;
           Engine.run ~until:seconds eng;
-          let lat = Corfu.append_latencies corfu in
           let p pct = 1000.0 *. Stats.Sample.percentile lat pct in
           Table.add_row t
             [
@@ -804,14 +810,14 @@ let abl_index_size () =
 (* Macro benchmark: the tracked perf trajectory (BENCH_MACRO.json)          *)
 (* ---------------------------------------------------------------------- *)
 
-(* Record a deterministic wire stream for the replay.  The generator
-   is wire-fed, like a real replica — it melds what it decodes — so the
-   encoder's payload elisions and version references resolve on any
-   replay of the same bytes.  Returns the (pos, bytes) list in log
-   order. *)
-let record_wire_stream ~seed ~txns ~n ~config ~genesis =
-  let module Executor = Hyder_core.Executor in
-  let module Codec = Hyder_codec.Codec in
+(* Record a deterministic wire stream for a replay.  [txn rng
+   ~snapshot_pos ~snapshot ~txn_seq] runs one transaction against a
+   snapshot up to 80 intentions old and returns its encoded intention
+   ([None] if it wrote nothing).  The generator is wire-fed, like a real
+   replica — it melds what it decodes — so the encoder's payload
+   elisions and version references resolve on any replay of the same
+   bytes.  Returns the (pos, bytes) list in log order. *)
+let record_wire_stream ~seed ~txns ~config ~genesis ~txn =
   let rng = Hyder_util.Rng.create seed in
   let gen = Pipeline.create ~config ~genesis () in
   let history = ref [ (-1, genesis) ] (* newest first *) in
@@ -821,21 +827,10 @@ let record_wire_stream ~seed ~txns ~n ~config ~genesis =
   for txn_seq = 0 to txns - 1 do
     let lag = min (Hyder_util.Rng.int rng 80) (!hist_len - 1) in
     let snapshot_pos, snapshot = List.nth !history lag in
-    let e =
-      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq
-        ~isolation:I.Serializable ()
-    in
-    for _ = 1 to 2 do
-      ignore (Executor.read e (Hyder_util.Rng.int rng n))
-    done;
-    for _ = 1 to 2 do
-      Executor.write e (Hyder_util.Rng.int rng n) ("u" ^ string_of_int txn_seq)
-    done;
-    match Executor.finish e with
+    match txn rng ~snapshot_pos ~snapshot ~txn_seq with
     | None -> ()
-    | Some draft ->
+    | Some src ->
         next_pos := !next_pos + 2;
-        let src = Codec.encode draft in
         let intention = Pipeline.decode gen ~pos:!next_pos src in
         wires := (!next_pos, src) :: !wires;
         ignore (Pipeline.submit gen intention);
@@ -884,7 +879,21 @@ let macro () =
     Tree.of_sorted_array
       (Array.init n (fun k -> (k, Payload.value ("v" ^ string_of_int k))))
   in
-  let wires = record_wire_stream ~seed:271828L ~txns ~n ~config ~genesis in
+  (* Two uniform reads and two uniform writes per transaction. *)
+  let txn rng ~snapshot_pos ~snapshot ~txn_seq =
+    let e =
+      Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq
+        ~isolation:I.Serializable ()
+    in
+    for _ = 1 to 2 do
+      ignore (Executor.read e (Hyder_util.Rng.int rng n))
+    done;
+    for _ = 1 to 2 do
+      Executor.write e (Hyder_util.Rng.int rng n) ("u" ^ string_of_int txn_seq)
+    done;
+    Option.map Hyder_codec.Codec.encode (Executor.finish e)
+  in
+  let wires = record_wire_stream ~seed:271828L ~txns ~config ~genesis ~txn in
   let count = List.length wires in
   let wire_bytes =
     List.fold_left (fun acc (_, src) -> acc + String.length src) 0 wires
@@ -1009,6 +1018,320 @@ let macro () =
     count
 
 (* ---------------------------------------------------------------------- *)
+(* Stage-cost calibration (lib/cluster/calibration.ml)                      *)
+(* ---------------------------------------------------------------------- *)
+
+(* One timed unit of work: its (runs, a, b) counts and measured seconds. *)
+type sample = { x : int * int * int; y : float }
+
+(* Least squares with non-negative coefficients over three features: the
+   unconstrained fit of every feature subset, keeping the one with the
+   least squared error whose coefficients are all >= 0 (exact for three
+   features).  A subset whose normal equations are singular (a feature
+   that is always 0, or collinear with another) is skipped. *)
+let fit_nonneg samples =
+  let feats { x = a, b, c; _ } = [| float_of_int a; float_of_int b; float_of_int c |] in
+  let xtx = Array.make_matrix 3 3 0.0 and xty = Array.make 3 0.0 in
+  let yty = ref 0.0 in
+  List.iter
+    (fun smp ->
+      let v = feats smp in
+      for i = 0 to 2 do
+        xty.(i) <- xty.(i) +. (v.(i) *. smp.y);
+        for j = 0 to 2 do
+          xtx.(i).(j) <- xtx.(i).(j) +. (v.(i) *. v.(j))
+        done
+      done;
+      yty := !yty +. (smp.y *. smp.y))
+    samples;
+  (* Gauss-Jordan with partial pivoting on the [idx] sub-system. *)
+  let solve idx =
+    let k = Array.length idx in
+    let a = Array.init k (fun r -> Array.init k (fun c -> xtx.(idx.(r)).(idx.(c)))) in
+    let b = Array.init k (fun r -> xty.(idx.(r))) in
+    let ok = ref true in
+    for c = 0 to k - 1 do
+      if !ok then begin
+        let p = ref c in
+        for r = c + 1 to k - 1 do
+          if Float.abs a.(r).(c) > Float.abs a.(!p).(c) then p := r
+        done;
+        let tmp = a.(c) and tb = b.(c) in
+        a.(c) <- a.(!p); a.(!p) <- tmp; b.(c) <- b.(!p); b.(!p) <- tb;
+        if Float.abs a.(c).(c) <= 1e-9 *. xtx.(idx.(c)).(idx.(c)) || a.(c).(c) = 0.0
+        then ok := false
+        else
+          for r = 0 to k - 1 do
+            if r <> c then begin
+              let f = a.(r).(c) /. a.(c).(c) in
+              for j = c to k - 1 do
+                a.(r).(j) <- a.(r).(j) -. (f *. a.(c).(j))
+              done;
+              b.(r) <- b.(r) -. (f *. b.(c))
+            end
+          done
+      end
+    done;
+    if !ok then Some (Array.init k (fun r -> b.(r) /. a.(r).(r))) else None
+  in
+  let best = ref None in
+  for mask = 1 to 7 do
+    let idx = List.filter (fun i -> mask land (1 lsl i) <> 0) [ 0; 1; 2 ] |> Array.of_list in
+    match solve idx with
+    | Some beta when Array.for_all (fun v -> v >= 0.0) beta ->
+        let coef = Array.make 3 0.0 in
+        Array.iteri (fun r i -> coef.(i) <- beta.(r)) idx;
+        let sse = ref !yty in
+        for i = 0 to 2 do
+          sse := !sse -. (2.0 *. coef.(i) *. xty.(i));
+          for j = 0 to 2 do
+            sse := !sse +. (coef.(i) *. coef.(j) *. xtx.(i).(j))
+          done
+        done;
+        (match !best with
+        | Some (s, _) when s <= !sse -> ()
+        | _ -> best := Some (!sse, coef))
+    | _ -> ()
+  done;
+  match !best with Some (_, c) -> c | None -> [| 0.0; 0.0; 0.0 |]
+
+(* A model's error on samples it was not fitted on: the relative error
+   of its total (what the simulation's throughput sees) and the RMS of
+   the per-sample error relative to the mean (how noisy one sample is). *)
+let residual (m : Calibration.model) samples =
+  let n = float_of_int (max 1 (List.length samples)) in
+  let sp, sy, se2 =
+    List.fold_left
+      (fun (sp, sy, se2) smp ->
+        let p = Calibration.time m smp.x in
+        (sp +. p, sy +. smp.y, se2 +. ((p -. smp.y) ** 2.0)))
+      (0.0, 0.0, 0.0) samples
+  in
+  let bias = if sy = 0.0 then 0.0 else (sp /. sy) -. 1.0 in
+  let rms = if sy = 0.0 then 0.0 else sqrt (se2 /. n) /. (sy /. n) in
+  (bias, rms, sy /. n)
+
+let calibration_models =
+  [
+    ("ds", "runs; nodes decoded; wire bytes");
+    ("pm", "runs; nodes visited; ephemerals");
+    ("gm", "runs; nodes visited; ephemerals");
+    ("fm", "runs (members melded); nodes visited; ephemerals");
+    ("exec", "transactions; ops; encoded bytes");
+    ("read", "transactions; ops; nothing");
+  ]
+
+(* Samples of every model over the 4 pipelines x {uniform, hotspot}
+   streams at [records] keys, by model in [calibration_models] order,
+   each model's samples in the order they were taken.  Each
+   transaction's op count cycles through [ops] so the per-op cost is
+   identifiable apart from the fixed one. *)
+let calibration_samples ~records ~txns =
+  let module Codec = Hyder_codec.Codec in
+  let acc = Array.make 6 [] in
+  let add m x y = acc.(m) <- { x; y } :: acc.(m) in
+  let ops = [| 4; 10; 16; 32 |] in
+  List.iter
+    (fun dist ->
+      List.iteri
+        (fun k config ->
+          let seed = Int64.of_int (1000 + k) in
+          let wls =
+            Array.mapi
+              (fun j ops_per_txn ->
+                Ycsb.create ~seed:(Int64.add seed (Int64.of_int j))
+                  {
+                    Ycsb.default with
+                    Ycsb.record_count = records;
+                    payload_size = default_scale.payload;
+                    ops_per_txn;
+                    distribution = dist;
+                  })
+              ops
+          in
+          let genesis = Ycsb.genesis wls.(0) in
+          let encoder = Codec.Encoder.create () in
+          (* The executor's and a read-only transaction's cost, timed as
+             the simulator charges them: generating the ops, running them,
+             and (for a write) building and encoding the intention. *)
+          let txn _rng ~snapshot_pos ~snapshot ~txn_seq =
+            let wl = wls.(txn_seq mod Array.length wls) in
+            let begin_txn () =
+              Executor.begin_txn ~snapshot_pos ~snapshot ~server:0 ~txn_seq
+                ~isolation:(Ycsb.config wl).Ycsb.isolation ()
+            in
+            let t0 = Clock.now () in
+            let e = begin_txn () in
+            let reads = Ycsb.next_read_only_txn wl in
+            Ycsb.apply reads e;
+            ignore (Executor.finish e);
+            add 5 (1, List.length reads, 0) (Clock.now () -. t0);
+            let t0 = Clock.now () in
+            let e = begin_txn () in
+            let writes = Ycsb.next_write_txn wl in
+            Ycsb.apply writes e;
+            Option.map
+              (fun d ->
+                let src = Codec.Encoder.encode encoder d in
+                add 4 (1, List.length writes, String.length src) (Clock.now () -. t0);
+                src)
+              (Executor.finish e)
+          in
+          let wires = record_wire_stream ~seed ~txns ~config ~genesis ~txn in
+          (* Replay one intention per submit, as the simulator does, and
+             take each stage's work and seconds from the counters. *)
+          let p = Pipeline.create ~config ~genesis () in
+          let c = Pipeline.counters p in
+          List.iteri
+            (fun k (pos, src) ->
+              let before = Counters.copy c in
+              ignore (Pipeline.submit_wire_batch p [ (pos, src) ]);
+              let w = Cluster.work ~before c ~bytes:(String.length src) in
+              List.iteri
+                (fun s (get : Counters.t -> Counters.stage) ->
+                  let runs, _, _ = w.(s) in
+                  if runs > 0 then add s w.(s) ((get c).seconds -. (get before).seconds))
+                [ (fun c -> c.Counters.deserialize); (fun c -> c.premeld);
+                  (fun c -> c.group_meld); (fun c -> c.final_meld) ];
+              if k land 1023 = 1023 then Pipeline.prune p ~keep:512)
+            wires)
+        all_pipelines)
+    [ Ycsb.Uniform; Ycsb.Hotspot 0.05 ];
+  Array.map List.rev acc
+
+let calibration_prelude =
+  {|(* Generated by [dune exec bench/main.exe -- calibrate]; do not edit.
+
+   Each model gives a service time in seconds as
+   [per_run * runs + per_a * a + per_b * b] over work counts the real
+   pipeline and executor report ([Cluster.work] names them).  [held_out]
+   is the relative error of the model's total over the samples it was
+   not fitted on (odd positions of the 1M-record streams);
+   [held_out_50k], over 50k-record streams. *)
+
+type model = {
+  per_run : float;
+  per_a : float;
+  per_b : float;
+  held_out : float;
+  held_out_50k : float;
+}
+
+let time m (runs, a, b) =
+  (m.per_run *. float_of_int runs)
+  +. (m.per_a *. float_of_int a)
+  +. (m.per_b *. float_of_int b)
+|}
+
+let host_description () =
+  let cpu =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+          let rec find () =
+            match In_channel.input_line ic with
+            | None -> "unknown CPU"
+            | Some l when String.starts_with ~prefix:"model name" l ->
+                String.trim (List.nth (String.split_on_char ':' l) 1)
+            | Some _ -> find ()
+          in
+          find ())
+    with Sys_error _ -> "unknown CPU"
+  in
+  Printf.sprintf "%s, %d cores, OCaml %s" cpu
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+
+(* Fit every model on the even-indexed samples of the default scale's
+   streams, report the held-out error on the odd ones and on 50k-record
+   streams, and write the models to lib/cluster/calibration.ml (run from
+   the repository root; rebuild to use them).  [--quick] and [--paper]
+   do not apply: the committed models are fitted at 1M records, whatever
+   scale the figures later run at. *)
+let calibrate () =
+  let records = default_scale.records in
+  let txns = 12_000 in
+  let t0 = Clock.now () in
+  let big = calibration_samples ~records ~txns in
+  let small = calibration_samples ~records:50_000 ~txns:4_000 in
+  let t =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "Calibration: stage costs (s = per_run*runs + per_a*a + per_b*b), \
+            fitted on even samples of %dk-record streams" (records / 1000))
+      ~columns:
+        [ "model"; "samples"; "per_run ns"; "per_a ns"; "per_b ns";
+          "held-out mean us"; "held-out err"; "held-out rms"; "50k mean us";
+          "50k err" ]
+  in
+  let models =
+    List.mapi
+      (fun m (name, features) ->
+        let even, odd =
+          List.partition (fun (i, _) -> i land 1 = 0)
+            (List.mapi (fun i s -> (i, s)) big.(m))
+        in
+        let coef = fit_nonneg (List.map snd even) in
+        let model =
+          { Calibration.per_run = coef.(0); per_a = coef.(1); per_b = coef.(2);
+            held_out = 0.0; held_out_50k = 0.0 }
+        in
+        let bias, rms, mean = residual model (List.map snd odd) in
+        let bias50, _, mean50 = residual model small.(m) in
+        Table.add_row t
+          [ name; i (List.length big.(m));
+            Printf.sprintf "%.1f" (coef.(0) *. 1e9);
+            Printf.sprintf "%.2f" (coef.(1) *. 1e9);
+            Printf.sprintf "%.3f" (coef.(2) *. 1e9);
+            Printf.sprintf "%.2f" (mean *. 1e6);
+            Printf.sprintf "%+.1f%%" (bias *. 100.0);
+            Printf.sprintf "%.0f%%" (rms *. 100.0);
+            Printf.sprintf "%.2f" (mean50 *. 1e6);
+            Printf.sprintf "%+.1f%%" (bias50 *. 100.0) ];
+        (name, features, { model with held_out = bias; held_out_50k = bias50 }))
+      calibration_models
+  in
+  Table.print t;
+  Printf.printf "(features: %s; %.0fs)\n"
+    (String.concat "; "
+       (List.map (fun (n, f) -> Printf.sprintf "%s = %s" n f) calibration_models))
+    (Clock.elapsed t0);
+  let path = "lib/cluster/calibration.ml" in
+  if not (Sys.file_exists path) then
+    Printf.printf "%s not found (run from the repository root); not written\n" path
+  else begin
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc "%s\nlet host = %S\n" calibration_prelude
+          (host_description ());
+        List.iter
+          (fun (name, features, (m : Calibration.model)) ->
+            Printf.fprintf oc
+              "\n(* %s *)\nlet %s =\n  { per_run = %.4e; per_a = %.4e; per_b = %.4e; held_out = %.4f; held_out_50k = %.4f }\n"
+              features name m.per_run m.per_a m.per_b m.held_out m.held_out_50k)
+          models;
+        Printf.fprintf oc "\nlet all = [ %s ]\n"
+          (String.concat "; "
+             (List.map (fun (n, _, _) -> Printf.sprintf "(%S, %s)" n n) models)));
+    Printf.printf "wrote %s\n" path
+  end
+
+let calibration_json () =
+  Json.Obj
+    (("host", Json.String Calibration.host)
+    :: List.map
+         (fun (name, (m : Calibration.model)) ->
+           ( name,
+             Json.Obj
+               [
+                 ("per_run", Json.Float m.per_run);
+                 ("per_a", Json.Float m.per_a);
+                 ("per_b", Json.Float m.per_b);
+                 ("held_out", Json.Float m.held_out);
+                 ("held_out_50k", Json.Float m.held_out_50k);
+               ] ))
+         Calibration.all)
+
+(* ---------------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks of the meld operator                           *)
 (* ---------------------------------------------------------------------- *)
 
@@ -1108,6 +1431,7 @@ let figures =
     ("abl-index-size", abl_index_size);
     ("macro", macro);
     ("micro", micro);
+    ("calibrate", calibrate);
   ]
 
 let () =
@@ -1157,6 +1481,7 @@ let () =
           [
             ("harness", Json.String "hyder-bench");
             ("scale", Json.String !scale.label);
+            ("calibration", calibration_json ());
             ( "figures_run",
               Json.List (List.map (fun n -> Json.String n) to_run) );
             ("runs", Json.List (List.rev !report_runs));

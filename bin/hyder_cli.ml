@@ -406,15 +406,19 @@ let log_cmd =
     let eng = Engine.create () in
     let corfu = Corfu.create eng in
     let payload = String.make (min block 4000) 'x' in
+    let lat = Hyder_util.Stats.Sample.create () in
     let rec loop () =
-      if Engine.now eng < seconds then
-        Corfu.append corfu payload (fun _ -> loop ())
+      if Engine.now eng < seconds then begin
+        let t0 = Engine.now eng in
+        Corfu.append corfu payload (fun _ ->
+            Hyder_util.Stats.Sample.add lat (Engine.now eng -. t0);
+            loop ())
+      end
     in
     for _ = 1 to clients * threads do
       loop ()
     done;
     Engine.run ~until:seconds eng;
-    let lat = Corfu.append_latencies corfu in
     Format.printf
       "%d clients x %d threads: %.0f appends/s; latency p50=%.2fms p95=%.2fms \
        p99=%.2fms@."

@@ -84,12 +84,12 @@ type result = {
 type info = {
   origin : int;
   thread : int;
-  t_created : float;  (** simulated time the executor produced the draft *)
   snap_seq : int;  (** tracked so the snapshot state survives until decode *)
   mutable bytes : string;  (** encoded intention; dropped after decode *)
   byte_size : int;
   blocks : int;
   mutable seq : int;  (** -1 until the real pipeline accepted it *)
+  mutable pos : int;  (** log position, set with [seq] *)
   mutable t_ds : float;
   mutable t_pm : float;
   mutable t_gm : float;
@@ -112,6 +112,7 @@ type server = {
   gm_res : Resource.t;
   fm_res : Resource.t;
   mutable fm_done_seq : int;
+  mutable fm_done_pos : int;  (** log position of [fm_done_seq] *)
   mutable next_fm_group : int;  (** first seq of the next group to meld *)
   admission : Admission.t option;
   fm_stash : (int, float * info list) Hashtbl.t;
@@ -122,18 +123,23 @@ type server = {
   threads : thread_state array;
 }
 
-let now_wall () = Hyder_util.Clock.now ()
+let work ~(before : Counters.t) (after : Counters.t) ~bytes =
+  let d (s0 : Counters.stage) (s1 : Counters.stage) =
+    ( s1.intentions - s0.intentions,
+      s1.nodes_visited - s0.nodes_visited,
+      s1.ephemerals - s0.ephemerals )
+  in
+  let ds_runs, ds_nodes, _ = d before.deserialize after.deserialize in
+  [|
+    (ds_runs, ds_nodes, bytes);
+    d before.premeld after.premeld;
+    d before.group_meld after.group_meld;
+    d before.final_meld after.final_meld;
+  |]
 
 let run cfg =
   if cfg.servers <= 0 || cfg.write_threads < 0 || cfg.read_threads < 0 then
     invalid_arg "Cluster.run: bad config";
-  (* The measured stage times parameterize the simulation, so GC pauses
-     inflate them directly.  Like the paper's implementation (Section 5.3),
-     we trade memory for predictability: a large minor heap and a lazier
-     major collector. *)
-  let prev_gc = Gc.get () in
-  Gc.set { prev_gc with Gc.minor_heap_size = 16 * 1024 * 1024; space_overhead = 300 };
-  Fun.protect ~finally:(fun () -> Gc.set prev_gc) @@ fun () ->
   let eng = Engine.create () in
   let corfu = Corfu.create ~config:cfg.corfu eng in
   let bcast =
@@ -175,6 +181,7 @@ let run cfg =
           gm_res = Resource.create eng ~servers:1;
           fm_res = Resource.create eng ~servers:1;
           fm_done_seq = -1;
+          fm_done_pos = -1;
           next_fm_group = 0;
           admission =
             Option.map (fun c -> Admission.create ~config:c ())
@@ -188,8 +195,6 @@ let run cfg =
         })
   in
 
-  (* seq -> log position of that intention, for executor snapshots. *)
-  let pos_of_seq : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   (* Outstanding snapshot seqs (for pruning retained states). *)
   let outstanding : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let track_snapshot seq =
@@ -240,45 +245,23 @@ let run cfg =
   (* forward declaration for the per-server stage model *)
   let start_ds_ref = ref (fun _ _ -> ()) in
 
-  (* Wall-clock measurements occasionally absorb a major-GC pause; the
-     paper's implementation avoided this with per-thread memory pools
-     (Section 5.3).  Clamp outliers so one pause cannot poison the
-     simulated pipeline. *)
-  let clamp_stage t = if t > 0.002 then 0.002 else t in
   let real_submit (info : info) pos =
-    (* Open the flight record and stamp the simulated clock onto it before
-       the submit can complete (and close) it: when the executor drafted
-       the transaction and when the log order reached its append. *)
-    if Flight.enabled cfg.flight then begin
-      Flight.touch cfg.flight ~pos ~now:(now_wall ());
-      Flight.sim_edge cfg.flight ~pos ~at:`Submit info.t_created;
-      Flight.sim_edge cfg.flight ~pos ~at:`Append (Engine.now eng)
-    end;
-    let ds0 = counters.Counters.deserialize.Counters.seconds in
-    let pm = counters.Counters.premeld in
-    let pm0 = pm.Counters.seconds in
-    let pm_n0 = pm.Counters.intentions in
-    let gm0 = counters.Counters.group_meld.Counters.seconds in
-    let fm0 = counters.Counters.final_meld.Counters.seconds in
-    let seq = !submit_count in
+    let before = Counters.copy counters in
+    info.seq <- !submit_count;
+    info.pos <- pos;
     incr submit_count;
-    info.seq <- seq;
-    (* The wire entry; the cluster's pipeline always melds on [seq], so
-       this is exactly [decode] then [submit] plus the snapshot check
-       every wire path runs.  The measured stage seconds parameterize
-       the queueing model. *)
-    let decisions =
-      Pipeline.submit_wire_batch pipeline [ (pos, info.bytes) ]
-    in
+    (* Each stage's service time is the calibrated cost of the work this
+       submit booked into the counters, so the schedule depends on the
+       log alone. *)
+    info.decisions <- Pipeline.submit_wire_batch pipeline [ (pos, info.bytes) ];
     untrack_snapshot info.snap_seq;
     info.bytes <- "";
-    info.t_ds <- clamp_stage (counters.Counters.deserialize.Counters.seconds -. ds0);
-    info.t_pm <- clamp_stage (pm.Counters.seconds -. pm0);
-    info.premelded <- pm.Counters.intentions > pm_n0;
-    info.t_gm <- clamp_stage (counters.Counters.group_meld.Counters.seconds -. gm0);
-    info.t_fm <- clamp_stage (counters.Counters.final_meld.Counters.seconds -. fm0);
-    info.decisions <- decisions;
-    Hashtbl.replace pos_of_seq seq pos;
+    let w = work ~before counters ~bytes:info.byte_size in
+    info.t_ds <- Calibration.time Calibration.ds w.(0);
+    info.t_pm <- Calibration.time Calibration.pm w.(1);
+    info.premelded <- (let runs, _, _ = w.(1) in runs > 0);
+    info.t_gm <- Calibration.time Calibration.gm w.(2);
+    info.t_fm <- Calibration.time Calibration.fm w.(3);
     if in_window () then begin
       stage_sums.(0) <- stage_sums.(0) +. info.t_ds;
       stage_sums.(1) <- stage_sums.(1) +. info.t_pm;
@@ -355,15 +338,15 @@ let run cfg =
     | Some (t_fm, members) ->
         Hashtbl.remove s.fm_stash s.next_fm_group;
         Resource.request s.fm_res ~service_time:t_fm (fun () ->
-            let last_seq =
-              List.fold_left (fun acc (m : info) -> max acc m.seq) (-1) members
-            in
+            (* [members] is in seq order *)
+            let last = List.nth members (List.length members - 1) in
             let prev_done = s.fm_done_seq in
-            s.fm_done_seq <- last_seq;
-            s.next_fm_group <- last_seq + 1;
+            s.fm_done_seq <- last.seq;
+            s.fm_done_pos <- last.pos;
+            s.next_fm_group <- last.seq + 1;
             deliver_decisions s_idx members;
             (* wake premelds waiting on state availability *)
-            for m = prev_done + 1 to last_seq do
+            for m = prev_done + 1 to last.seq do
               match Hashtbl.find_opt s.pm_blocked m with
               | Some ks ->
                   Hashtbl.remove s.pm_blocked m;
@@ -432,53 +415,19 @@ let run cfg =
   start_ds_ref := start_ds;
 
   let on_arrival s_idx (info : info) =
-    if info.seq >= 0 then begin
-      (* First post-append broadcast delivery: the earliest simulated time
-         any server held both the payload and its log position.  [sim_edge]
-         is first-wins for [`Deliver] and no-ops once the decision closed
-         the record, so later copies never overwrite it. *)
-      if Flight.enabled cfg.flight then
-        (match Hashtbl.find_opt pos_of_seq info.seq with
-        | Some pos ->
-            Flight.sim_edge cfg.flight ~pos ~at:`Deliver (Engine.now eng)
-        | None -> ());
-      start_ds s_idx info
-    end
+    if info.seq >= 0 then start_ds s_idx info
     else info.pending_arrivals <- s_idx :: info.pending_arrivals
   in
 
   (* ---------------- executors ---------------- *)
-  let measure_read_txn () =
-    let seq, pos, tree = Pipeline.lcs pipeline in
-    ignore seq;
-    let t0 = now_wall () in
-    let e =
-      Executor.begin_txn ~snapshot_pos:pos ~snapshot:tree ~server:0 ~txn_seq:0
-        ~isolation:cfg.workload.Ycsb.isolation ()
-    in
-    Ycsb.apply (Ycsb.next_read_only_txn workload) e;
-    ignore (Executor.finish e);
-    now_wall () -. t0
+  (* A read-only transaction touches the snapshot and ships nothing, so
+     its cost is its op count alone. *)
+  let read_service =
+    Calibration.time Calibration.read (1, cfg.workload.Ycsb.ops_per_txn, 0)
   in
-  let read_time_estimate = ref 0.0 in
-  let read_samples = ref 0 in
-
   let rec read_thread_loop s_idx () =
     if Engine.now eng < stop_time then begin
-      let service =
-        if !read_samples < 32 || !read_samples land 63 = 0 then begin
-          let t = measure_read_txn () in
-          incr read_samples;
-          read_time_estimate :=
-            !read_time_estimate +. ((t -. !read_time_estimate) /. 8.0);
-          t
-        end
-        else begin
-          incr read_samples;
-          !read_time_estimate
-        end
-      in
-      Resource.request servers.(s_idx).general ~service_time:service (fun () ->
+      Resource.request servers.(s_idx).general ~service_time:read_service (fun () ->
           if in_window () then incr reads_done;
           read_thread_loop s_idx ())
     end
@@ -517,32 +466,30 @@ let run cfg =
         (* Execute the transaction for real against this server's current
            last-committed state. *)
         let snap_seq = s.fm_done_seq in
-        let snap_pos =
-          if snap_seq < 0 then -1
-          else Option.value ~default:(-1) (Hashtbl.find_opt pos_of_seq snap_seq)
-        in
         let snapshot =
           match State_store.by_seq states snap_seq with
           | Some t -> t
           | None -> failwith "Cluster: snapshot state pruned too early"
         in
-        let t0 = now_wall () in
         incr txn_counter;
         let e =
-          Executor.begin_txn ~snapshot_pos:snap_pos ~snapshot ~server:s_idx
+          Executor.begin_txn ~snapshot_pos:s.fm_done_pos ~snapshot ~server:s_idx
             ~txn_seq:!txn_counter ~isolation:cfg.workload.Ycsb.isolation ()
         in
-        Ycsb.apply (Ycsb.next_write_txn workload) e;
+        let ops = Ycsb.next_write_txn workload in
+        Ycsb.apply ops e;
+        let exec_time bytes =
+          Calibration.time Calibration.exec (1, List.length ops, bytes)
+        in
         match Executor.finish e with
         | None ->
             (* degenerate all-read spec: treat as a read txn *)
-            let t_exec = now_wall () -. t0 in
-            Resource.request s.general ~service_time:t_exec (fun () ->
+            Resource.request s.general ~service_time:(exec_time 0) (fun () ->
                 write_thread_loop s_idx th_idx)
         | Some draft ->
             let bytes = Codec.Encoder.encode encoder draft in
-            let t_exec = clamp_stage (now_wall () -. t0) in
             let byte_size = String.length bytes in
+            let t_exec = exec_time byte_size in
             let blocks =
               Codec.Blocks.blocks_needed
                 ~block_size:cfg.corfu.Corfu.block_size byte_size
@@ -551,12 +498,12 @@ let run cfg =
               {
                 origin = s_idx;
                 thread = th_idx;
-                t_created = Engine.now eng;
                 snap_seq;
                 bytes;
                 byte_size;
                 blocks;
                 seq = -1;
+                pos = -1;
                 t_ds = 0.0;
                 t_pm = 0.0;
                 t_gm = 0.0;

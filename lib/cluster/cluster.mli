@@ -8,9 +8,12 @@
       retained snapshots, intentions are really serialized, and one shared
       {!Hyder_core.Pipeline} really melds every intention in log order.
       Because the pipeline is deterministic (Section 3.4), all simulated
-      servers would compute identical results, so running it once suffices;
-      its measured per-stage CPU times parameterize every server's stage
-      model.
+      servers would compute identical results, so running it once suffices.
+    - {b Costs are calibrated.}  Each stage's service time is a linear
+      function of the work that intention booked into the pipeline's
+      counters ({!work}), the executor's of its ops and encoded bytes,
+      with coefficients from the committed {!Calibration}.  No clock is
+      read, so a run is a pure function of its config and seed.
     - {b Queueing is simulated.}  Per-server resources (general-purpose
       cores shared by executors / deserialization / broadcast handling, plus
       core-pinned premeld / group-meld / final-meld threads, Section 5.2),
@@ -40,10 +43,8 @@ type config = {
   seed : int64;
   flight : Hyder_obs.Flight.t;
       (** per-transaction flight recorder threaded into the real
-          pipeline ({!Hyder_obs.Flight.disabled} by default).  Stage
-          edges are wall-clock; the simulation additionally stamps its
-          own clock onto each record (draft creation, log-order append,
-          origin-server broadcast delivery) under the [sim] key. *)
+          pipeline ({!Hyder_obs.Flight.disabled} by default); its stage
+          edges are wall-clock and never feed the simulation. *)
 }
 
 val default_config : config
@@ -66,7 +67,7 @@ type result = {
   blocks_per_intention : float;
   appends_per_sec : float;
   stage_us : float * float * float * float;
-      (** mean (ds, pm, gm, fm) CPU microseconds per intention *)
+      (** mean modelled (ds, pm, gm, fm) microseconds per intention *)
   gc_minor_words_per_txn : float;
       (** process-wide minor-heap words allocated per melded intention
           over the measurement window (exact: from [Gc.minor_words]) *)
@@ -81,6 +82,18 @@ type result = {
           {!Hyder_core.Pipeline.reason_slug} ([unknown] when the decision
           carries no reason), most frequent first *)
 }
+
+val work :
+  before:Hyder_core.Counters.t ->
+  Hyder_core.Counters.t ->
+  bytes:int ->
+  (int * int * int) array
+(** [work ~before after ~bytes]: the work each stage booked between two
+    counter readings around one submit of a [bytes]-byte intention, in
+    pipeline order (ds, pm, gm, fm), as the [(runs, a, b)] counts its
+    {!Calibration.model} prices: runs, nodes decoded and [bytes] for ds;
+    runs ([intentions]), [nodes_visited] and [ephemerals] for the
+    others.  [bench/main.exe calibrate] fits the models over these. *)
 
 val run : config -> result
 (** Run one experiment.  Wall-clock cost is dominated by really executing

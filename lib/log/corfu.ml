@@ -1,7 +1,6 @@
 module Engine = Hyder_sim.Engine
 module Resource = Hyder_sim.Resource
 module Faults = Hyder_sim.Faults
-module Stats = Hyder_util.Stats
 
 type config = {
   storage_units : int;
@@ -37,7 +36,6 @@ type t = {
   sequencer : Resource.t;
   units : Resource.t array;
   store : Mem_log.t;
-  latencies : Stats.Sample.t;
   rng : Hyder_util.Rng.t;
   mutable completed : int;
   mutable read_retries : int;
@@ -54,7 +52,6 @@ let create ?(config = default_config) ?(faults = Faults.none) engine =
       Array.init config.storage_units (fun _ ->
           Resource.create engine ~servers:config.storage_parallelism);
     store = Mem_log.create ~block_size:config.block_size ();
-    latencies = Stats.Sample.create ();
     rng = Hyder_util.Rng.create 0xC0FF33L;
     completed = 0;
     read_retries = 0;
@@ -63,7 +60,6 @@ let create ?(config = default_config) ?(faults = Faults.none) engine =
 
 let config t = t.config
 let length t = Mem_log.length t.store
-let append_latencies t = t.latencies
 let appends_completed t = t.completed
 
 (* Fault-injected extra service time for the storage operation on [pos];
@@ -74,7 +70,6 @@ let stall_for t ~unit_id ~pos ~write =
   extra
 
 let append t block k =
-  let started = Engine.now t.engine in
   (* Client -> sequencer hop, token grant, then the stripe write on the unit
      owning (pos mod stripes), then the acknowledgement hop back. *)
   Engine.schedule t.engine ~delay:t.config.network_hop (fun () ->
@@ -90,7 +85,6 @@ let append t block k =
           Resource.request unit ~service_time:service (fun () ->
               Engine.schedule t.engine ~delay:t.config.network_hop (fun () ->
                   t.completed <- t.completed + 1;
-                  Stats.Sample.add t.latencies (Engine.now t.engine -. started);
                   k pos))))
 
 (* Transient read failures retry with doubling backoff.  The failure draw

@@ -37,7 +37,9 @@ val config : t -> config
 
 val append : t -> string -> (Log_intf.position -> unit) -> unit
 (** Asynchronous append; the callback fires (in simulated time) when the
-    block is durable, with its assigned position. *)
+    block is durable, with its assigned position.  A caller that wants
+    the append's latency stamps [Engine.now] before the call and reads it
+    again in the callback. *)
 
 val read : t -> Log_intf.position -> (string -> unit) -> unit
 (** Asynchronous read of a previously appended block.  Under an injected
@@ -46,9 +48,6 @@ val read : t -> Log_intf.position -> (string -> unit) -> unit
 
 val length : t -> int
 (** Positions handed out so far. *)
-
-val append_latencies : t -> Hyder_util.Stats.Sample.t
-(** Completed-append latencies (simulated seconds), for Figure 9. *)
 
 val appends_completed : t -> int
 

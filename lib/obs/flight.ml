@@ -18,9 +18,6 @@ type record = {
   mutable abort_reason : string;
   mutable decided_at : string;
   mutable conflict_zone : int;
-  mutable sim_submit : float;
-  mutable sim_append : float;
-  mutable sim_deliver : float;
 }
 
 (* Histograms, resolved once at create time.  They are in microseconds:
@@ -94,9 +91,6 @@ let fresh ~pos ~now =
     abort_reason = "";
     decided_at = "";
     conflict_zone = 0;
-    sim_submit = -1.0;
-    sim_append = -1.0;
-    sim_deliver = -1.0;
   }
 
 let find_or_open t ~pos ~now =
@@ -126,16 +120,6 @@ let edge t ~pos ~stage ~t0 ~t1 =
     r.t_last <- Float.max r.t_last t1
   end
 
-let sim_edge t ~pos ~at x =
-  if t.on then
-    match Hashtbl.find_opt t.records pos with
-    | None -> ()
-    | Some r -> (
-        match at with
-        | `Submit -> r.sim_submit <- x
-        | `Append -> r.sim_append <- x
-        | `Deliver -> if r.sim_deliver < 0.0 then r.sim_deliver <- x)
-
 let us x = 1e6 *. x
 
 let stage_obj arr =
@@ -143,7 +127,7 @@ let stage_obj arr =
     (Array.to_list (Array.mapi (fun i s -> (s, Json.Float arr.(i))) stage_names))
 
 let record_to_json ~label (r : record) =
-  let base =
+  Json.Obj
     [
       ("pos", Json.Int r.pos);
       ("seq", Json.Int r.seq);
@@ -161,21 +145,6 @@ let record_to_json ~label (r : record) =
       ("wait", stage_obj r.wait);
       ("service", stage_obj r.service);
     ]
-  in
-  let sim =
-    if r.sim_submit < 0.0 && r.sim_append < 0.0 && r.sim_deliver < 0.0 then []
-    else
-      [
-        ( "sim",
-          Json.Obj
-            [
-              ("submit", Json.Float r.sim_submit);
-              ("append", Json.Float r.sim_append);
-              ("deliver", Json.Float r.sim_deliver);
-            ] );
-      ]
-  in
-  Json.Obj (base @ sim)
 
 let complete t ~pos ~now ~seq ~committed ~reason ~decided_at ~conflict_zone =
   if t.on then

@@ -67,10 +67,6 @@ type record = {
   mutable decided_at : string;
       (** ["premeld"] / ["group_meld"] / ["final_meld"] *)
   mutable conflict_zone : int;
-  mutable sim_submit : float;
-      (** cluster-simulation clock edges; [-1.0] = unset *)
-  mutable sim_append : float;
-  mutable sim_deliver : float;
 }
 
 type t
@@ -104,12 +100,6 @@ val note_identity : t -> pos:int -> server:int -> txn_seq:int -> unit
 val edge : t -> pos:int -> stage:stage -> t0:float -> t1:float -> unit
 (** Append a wait/service pair (see the decomposition above).  Opens the
     record if absent ([t_submit = t0]). *)
-
-val sim_edge : t -> pos:int -> at:[ `Submit | `Append | `Deliver ] -> float -> unit
-(** Stamp a cluster-simulation clock edge on an open record (no-op on an
-    unknown [pos]): transaction creation, CORFU append, broadcast
-    delivery.  [`Deliver] is first-wins — the earliest delivery stamped
-    sticks, so re-deliveries to other servers never overwrite it. *)
 
 val complete :
   t ->

@@ -27,6 +27,11 @@ invariant makes each record's sum exactly t_last - t_submit <= e2e), and
 the p50 stage-sum covers the p50 end-to-end latency within 5% — i.e. the
 waterfall genuinely decomposes the measured latency rather than
 sampling a fraction of it.
+
+With --smoke, checks a `bench/main.exe --json` report (BENCH_SMOKE.json)
+carries the stage-cost calibration its cluster figures ran on: a
+top-level `calibration` object with every model's coefficients and its
+held-out residuals at the default scale and at 50k records.
 """
 
 import json
@@ -174,15 +179,43 @@ def check_flight(report_path: str) -> None:
     print("flight gate: OK: " + "; ".join(msgs))
 
 
+CALIBRATION_MODELS = ("ds", "pm", "gm", "fm", "exec", "read")
+CALIBRATION_FIELDS = ("per_run", "per_a", "per_b", "held_out", "held_out_50k")
+
+
+def check_smoke(report_path: str) -> None:
+    with open(report_path) as f:
+        report = json.load(f)
+    cal = report.get("calibration")
+    if not isinstance(cal, dict):
+        fail(f"{report_path}: no top-level calibration object")
+    for m in CALIBRATION_MODELS:
+        model = cal.get(m)
+        if not isinstance(model, dict):
+            fail(f"calibration: no {m} model")
+        missing = [k for k in CALIBRATION_FIELDS
+                   if not isinstance(model.get(k), (int, float))]
+        if missing:
+            fail(f"calibration.{m}: missing {', '.join(missing)}")
+        if min(model["per_run"], model["per_a"], model["per_b"]) < 0:
+            fail(f"calibration.{m}: negative coefficient {model}")
+    print("bench-smoke gate: OK: calibration on " + cal.get("host", "?")
+          + "; held-out " + ", ".join(
+              f"{m} {100 * cal[m]['held_out']:+.1f}%"
+              for m in CALIBRATION_MODELS))
+
+
 def main() -> None:
     argv = sys.argv[1:]
     if len(argv) >= 2 and argv[0] == "--macro":
         check_macro(argv[1], argv[2] if len(argv) > 2 else None)
     elif len(argv) >= 2 and argv[0] == "--flight":
         check_flight(argv[1])
+    elif len(argv) >= 2 and argv[0] == "--smoke":
+        check_smoke(argv[1])
     else:
         fail("usage: check_bench_smoke.py --macro RUN.json [BASELINE.json] "
-             "| --flight REPORT.json")
+             "| --flight REPORT.json | --smoke BENCH_SMOKE.json")
 
 
 if __name__ == "__main__":

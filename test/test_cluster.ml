@@ -133,6 +133,38 @@ let test_abort_reasons_match_counters () =
       check (Printf.sprintf "%s counts %d > 0" k n) true (n > 0))
     r.Cluster.abort_reasons
 
+(* No clock feeds the simulation: a run is a pure function of its config
+   and seed.  The [gc_*] fields read the process's heap, which the first
+   run leaves in a different state, so they are left out. *)
+let test_run_is_a_function_of_its_seed () =
+  let strip (r : Cluster.result) =
+    {
+      r with
+      Cluster.gc_minor_words_per_txn = 0.0;
+      gc_promoted_words_per_txn = 0.0;
+      gc_major_words_per_txn = 0.0;
+    }
+  in
+  List.iter
+    (fun (name, pipeline) ->
+      let cfg = { (tiny_config ~pipeline ()) with Cluster.read_threads = 2 } in
+      let a = strip (Cluster.run cfg) and b = strip (Cluster.run cfg) in
+      check (name ^ ": same seed, same result") true (a = b);
+      let c = Cluster.run { cfg with Cluster.seed = 0xD1FFL } in
+      check
+        (Printf.sprintf "%s: another seed moves commits or aborts (%d/%d vs %d/%d)"
+           name a.Cluster.commit_count a.Cluster.abort_count
+           c.Cluster.commit_count c.Cluster.abort_count)
+        true
+        (c.Cluster.commit_count <> a.Cluster.commit_count
+        || c.Cluster.abort_count <> a.Cluster.abort_count))
+    [
+      ("plain", Pipeline.plain);
+      ("premeld", Pipeline.with_premeld);
+      ("group", Pipeline.with_group_meld);
+      ("both", Pipeline.with_both);
+    ]
+
 let () =
   Alcotest.run "cluster"
     [
@@ -152,5 +184,7 @@ let () =
             test_snapshot_isolation_cheaper;
           Alcotest.test_case "abort reasons match counters" `Quick
             test_abort_reasons_match_counters;
+          Alcotest.test_case "a run is a function of its seed" `Quick
+            test_run_is_a_function_of_its_seed;
         ] );
     ]

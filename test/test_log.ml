@@ -76,16 +76,21 @@ let test_corfu_latency_increases_under_load () =
   let measure clients =
     let e = Engine.create () in
     let c = Corfu.create e in
+    let lat = Hyder_util.Stats.Sample.create () in
     (* closed loop: each client keeps one append in flight *)
     let rec loop remaining () =
-      if remaining > 0 then
-        Corfu.append c (String.make 512 'x') (fun _ -> loop (remaining - 1) ())
+      if remaining > 0 then begin
+        let t0 = Engine.now e in
+        Corfu.append c (String.make 512 'x') (fun _ ->
+            Hyder_util.Stats.Sample.add lat (Engine.now e -. t0);
+            loop (remaining - 1) ())
+      end
     in
     for _ = 1 to clients do
       loop 200 ()
     done;
     Engine.run e;
-    Hyder_util.Stats.Sample.mean (Corfu.append_latencies c)
+    Hyder_util.Stats.Sample.mean lat
   in
   let light = measure 1 in
   let heavy = measure 512 in

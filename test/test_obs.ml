@@ -231,10 +231,6 @@ let test_flight_lifecycle () =
   Flight.edge f ~pos:7 ~stage:Flight.Gm ~t0:1.625 ~t1:1.6875;
   (* fm after a 0.25 queue wait *)
   Flight.edge f ~pos:7 ~stage:Flight.Fm ~t0:2.0 ~t1:2.5;
-  Flight.sim_edge f ~pos:7 ~at:`Submit 0.5;
-  Flight.sim_edge f ~pos:7 ~at:`Deliver 1.125;
-  Flight.sim_edge f ~pos:7 ~at:`Deliver 4.0 (* first-wins: 1.125 sticks *);
-  Flight.sim_edge f ~pos:99 ~at:`Append 1.0 (* unknown pos: no-op *);
   (* decision stamped before the last edge's end: t_done clamps to the
      chain cursor so e2e can never undercut the attributed time *)
   Flight.complete f ~pos:7 ~now:2.25 ~seq:3 ~committed:true ~reason:""
@@ -253,8 +249,7 @@ let test_flight_lifecycle () =
     ^ "\"committed\":true,\"abort_reason\":null,\"decided_at\":\"final_meld\","
     ^ "\"conflict_zone\":4,\"t_submit\":1,\"t_done\":2.5,\"e2e\":1.5,"
     ^ "\"wait\":{\"ds\":0.25,\"pm\":0,\"gm\":0,\"fm\":0.25},"
-    ^ "\"service\":{\"ds\":0.25,\"pm\":0.25,\"gm\":0.0625,\"fm\":0.5},"
-    ^ "\"sim\":{\"submit\":0.5,\"append\":-1,\"deliver\":1.125}}")
+    ^ "\"service\":{\"ds\":0.25,\"pm\":0.25,\"gm\":0.0625,\"fm\":0.5}}")
     line;
   (* the sink line parses back into exactly one analyzer txn whose chain
      sums decompose the end-to-end latency *)
